@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import (PreconditionError, SearchSpaceExceeded,
@@ -16,6 +17,9 @@ from .morphism import (LabeledGraphMorphism, is_surjective, verify_morphism)
 
 VERTEX, EDGE, LETTER = "vertex", "edge", "letter"
 _KINDS = (VERTEX, EDGE, LETTER)
+_KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
+
+Rows = tuple[list[int], list[int], list[int]]
 
 
 class LabeledGraphAction:
@@ -25,29 +29,69 @@ class LabeledGraphAction:
     triples of a finite group) and the translation action on a skew
     product (``skew.TranslationAction``), which may be windowed: there
     ``apply`` returns None when the image escapes the materialization.
+
+    Besides the string-level ``apply``, every action exposes integer
+    action tables (:meth:`table`), which the verification and
+    reconstruction code runs on.  Actions are immutable, so a table is
+    built once per element and cached.
     """
 
     group: Group
     graph: LabeledGraph
 
+    def __init__(self, group: Group, graph: LabeledGraph):
+        self.group = group
+        self.graph = graph
+        self._carriers = (graph.vertices,
+                          tuple(e.eid for e in graph.graph.edges),
+                          graph.alphabet)
+        self._tables: dict[Element, Rows] = {}
+        self._orbits: dict[str, tuple[tuple[str, ...], ...]] = {}
+
     def apply(self, g: Element, kind: str, item: str) -> str | None:
         raise NotImplementedError
 
+    @cached_property
+    def _indexes(self) -> tuple[dict[str, int], ...]:
+        return tuple({item: i for i, item in enumerate(items)}
+                     for items in self._carriers)
+
     def carrier(self, kind: str) -> tuple[str, ...]:
-        if kind == VERTEX:
-            return self.graph.vertices
-        if kind == EDGE:
-            return tuple(e.eid for e in self.graph.graph.edges)
-        return self.graph.alphabet
+        return self._carriers[_KIND_INDEX[kind]]
+
+    def index(self, kind: str) -> Mapping[str, int]:
+        """Position of each carrier item in ``carrier(kind)``."""
+        return self._indexes[_KIND_INDEX[kind]]
+
+    def table(self, g: Element) -> Rows:
+        """The action of ``g`` as three integer rows (vertices, edges,
+        letters), indexed in ``carrier(kind)`` order: ``row[i]`` is the
+        position of the image of item ``i``, or -1 when the image leaves
+        the materialization.  Each row ends with one extra -1 slot, so
+        ``row[-1] == -1`` and composing two rows (``[r1[x] for x in
+        r2]``) keeps -1 without a branch.  The rows are cached and shared:
+        callers must not mutate them."""
+        rows = self._tables.get(g)
+        if rows is None:
+            rows = self._tables[g] = self._build_table(g)
+        return rows
+
+    def _build_table(self, g: Element) -> Rows:
+        raise NotImplementedError
 
     def scope_elements(self) -> tuple[Element, ...]:
         """Elements over which universally quantified laws are checked
         (all of them for finite groups)."""
         return self.group.elements()
 
-    def orbit_generators(self) -> tuple[Element, ...]:
-        return tuple(e for e in self.scope_elements()
-                     if e != self.group.identity)
+    def elements_moving(self, kind: str, source: str,
+                        target: str) -> tuple[Element, ...]:
+        """The elements h with alpha_h(source) = target, searched over the
+        scope on the tables."""
+        k = _KIND_INDEX[kind]
+        s, t = self._indexes[k][source], self._indexes[k][target]
+        return tuple(h for h in self.scope_elements()
+                     if self.table(h)[k][s] == t)
 
     def lifting_scope(self) -> tuple[str, ...]:
         """Vertices at which path-lifting statements are quantified."""
@@ -67,28 +111,39 @@ class LabeledGraphAction:
         return False
 
     def orbits(self, kind: str) -> tuple[tuple[str, ...], ...]:
-        """Orbit partition of a carrier under the generator moves, as
-        sorted tuples in deterministic order."""
-        items = self.carrier(kind)
-        parent = {x: x for x in items}
+        """Orbit partition of a carrier, as sorted tuples in deterministic
+        order.  Computed once per kind and cached."""
+        found = self._orbits.get(kind)
+        if found is None:
+            found = self._orbits[kind] = tuple(sorted(
+                tuple(sorted(c)) for c in self._orbit_classes(kind)))
+        return found
 
-        def find(x: str) -> str:
+    def _orbit_classes(self, kind: str) -> Iterable[list[str]]:
+        """The classes of items linked by some non-identity scope element."""
+        k = _KIND_INDEX[kind]
+        items = self._carriers[k]
+        parent = list(range(len(items)))
+
+        def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        for g in self.orbit_generators():
-            for x in items:
-                y = self.apply(g, kind, x)
-                if y is not None:
+        ident = self.group.identity
+        for g in self.scope_elements():
+            if g == ident:
+                continue
+            for x, y in enumerate(self.table(g)[k][:-1]):
+                if y >= 0:
                     rx, ry = find(x), find(y)
                     if rx != ry:
                         parent[ry] = rx
-        groups: dict[str, list[str]] = {}
-        for x in items:
-            groups.setdefault(find(x), []).append(x)
-        return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
+        groups: dict[int, list[str]] = {}
+        for x, item in enumerate(items):
+            groups.setdefault(find(x), []).append(item)
+        return groups.values()
 
 
 class FiniteAction(LabeledGraphAction):
@@ -104,14 +159,12 @@ class FiniteAction(LabeledGraphAction):
                 "INFINITE_GROUP",
                 "raw actions are accepted for finite groups only; present "
                 "integer actions as skew products")
-        self.group = group
-        self.graph = graph
+        super().__init__(group, graph)
         elements = set(group.elements())
         if set(maps) != elements:
             raise PreconditionError(
                 "PARTIAL_ACTION", "one triple per group element is required")
-        carriers = (set(graph.vertices), {e.eid for e in graph.graph.edges},
-                    set(graph.alphabet))
+        carriers = [set(items) for items in self._carriers]
         for g, t in maps.items():
             for mapping, carrier, what in zip(t, carriers, _KINDS):
                 if set(mapping) != carrier or not set(mapping.values()) <= carrier:
@@ -120,7 +173,6 @@ class FiniteAction(LabeledGraphAction):
                         f"{what} map of element {g!r} is not a total self-map")
         self.maps = {g: (dict(t[0]), dict(t[1]), dict(t[2]))
                      for g, t in maps.items()}
-
     @classmethod
     def from_generators(cls, group: Group, graph: LabeledGraph,
                         generators: Mapping[Element, tuple]) -> "FiniteAction":
@@ -160,6 +212,11 @@ class FiniteAction(LabeledGraphAction):
         idx = _KINDS.index(kind)
         return triple[idx].get(item)
 
+    def _build_table(self, g: Element) -> Rows:
+        return tuple([index[mapping[item]] for item in items] + [-1]
+                     for mapping, items, index
+                     in zip(self.maps[g], self._carriers, self._indexes))
+
     def triple_morphism(self, g: Element) -> LabeledGraphMorphism:
         vm, em, am = self.maps[g]
         return LabeledGraphMorphism(self.graph, self.graph, vm, em, am)
@@ -193,61 +250,79 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     """Check that every element acts as a labeled graph automorphism, that
     the assignment is a homomorphism and that the identity acts as the
     identity.  For windowed actions the laws are checked pointwise wherever
-    all participating items are materialized."""
+    all participating items are materialized.
+
+    The homomorphism law alpha_g(alpha_h(x)) = alpha_gh(x) is checked for
+    every pair (g, h) of scope elements whose product is in the scope
+    (``pairs_checked`` counts them), on every carrier item.  The laws run
+    on the integer action tables: a pair composes two rows and compares
+    the result with a third, and only a mismatch is walked item by item
+    to name the witnesses."""
     failures: list[tuple[str, Any]] = []
-    lg = action.graph
-    graph = lg.graph
+    group = action.group
     scope = action.scope_elements()
-    ident = action.group.identity
+    carriers = [action.carrier(kind) for kind in _KINDS]
 
-    for kind in _KINDS:
-        for item in action.carrier(kind):
-            got = action.apply(ident, kind, item)
-            if got != item:
-                failures.append(("identity acts as identity", (kind, item, got)))
+    for kind, items, row in zip(_KINDS, carriers,
+                                action.table(group.identity)):
+        for i, j in enumerate(row[:-1]):
+            if i != j:
+                failures.append(("identity acts as identity",
+                                 (kind, items[i], items[j] if j >= 0 else None)))
 
+    vindex, aindex = action.index(VERTEX), action.index(LETTER)
+    edges = action.graph.graph.edges
+    labeling = action.graph.labeling
+    src = [vindex[e.src] for e in edges]
+    dst = [vindex[e.dst] for e in edges]
+    lab = [aindex[labeling[e.eid]] for e in edges]
     for g in scope:
-        seen: dict[tuple[str, str], str] = {}
-        for kind in _KINDS:
-            for item in action.carrier(kind):
-                img = action.apply(g, kind, item)
-                if img is None:
-                    continue
-                key = (kind, img)
-                if key in seen:
-                    failures.append(("injectivity", (g, kind, seen[key], item)))
-                seen[key] = item
-        for e in graph.edges:
-            fe = action.apply(g, EDGE, e.eid)
-            if fe is None:
+        rows = action.table(g)
+        for kind, items, row in zip(_KINDS, carriers, rows):
+            images = [j for j in row if j >= 0]
+            if len(set(images)) == len(images):
                 continue
-            fe_edge = graph.edge(fe)
-            img_dst = action.apply(g, VERTEX, e.dst)
-            if img_dst is not None and img_dst != fe_edge.dst:
-                failures.append(("range equivariance", (g, e.eid)))
-            img_src = action.apply(g, VERTEX, e.src)
-            if img_src is not None and img_src != fe_edge.src:
-                failures.append(("source equivariance", (g, e.eid)))
-            img_label = action.apply(g, LETTER, lg.labeling[e.eid])
-            if img_label is not None and img_label != lg.labeling[fe]:
-                failures.append(("label compatibility", (g, e.eid)))
+            seen: dict[int, int] = {}
+            for i, j in enumerate(row[:-1]):
+                if j < 0:
+                    continue
+                if j in seen:
+                    failures.append(
+                        ("injectivity", (g, kind, items[seen[j]], items[i])))
+                seen[j] = i
+        vrow, erow, arow = rows
+        for e, f in enumerate(erow[:-1]):
+            if f < 0:
+                continue
+            v = vrow[dst[e]]
+            if v >= 0 and v != dst[f]:
+                failures.append(("range equivariance", (g, edges[e].eid)))
+            v = vrow[src[e]]
+            if v >= 0 and v != src[f]:
+                failures.append(("source equivariance", (g, edges[e].eid)))
+            a = arow[lab[e]]
+            if a >= 0 and a != lab[f]:
+                failures.append(("label compatibility", (g, edges[e].eid)))
 
+    in_scope = set(scope)
+    scope_rows = [action.table(g) for g in scope]
     pairs = 0
-    for g in scope:
-        for h in scope:
-            gh = action.group.op(g, h)
-            if action.group.is_finite or gh in scope:
-                for kind in _KINDS:
-                    for item in action.carrier(kind):
-                        via_h = action.apply(h, kind, item)
-                        if via_h is None:
-                            continue
-                        lhs = action.apply(g, kind, via_h)
-                        rhs = action.apply(gh, kind, item)
-                        if lhs is not None and rhs is not None and lhs != rhs:
-                            failures.append(
-                                ("homomorphism", (g, h, kind, item)))
-                pairs += 1
+    for g, g_rows in zip(scope, scope_rows):
+        for h, h_rows in zip(scope, scope_rows):
+            gh = group.op(g, h)
+            if not (group.is_finite or gh in in_scope):
+                continue
+            for kind, items, tg, th, tgh in zip(_KINDS, carriers, g_rows,
+                                                h_rows, action.table(gh)):
+                lhs = [tg[x] for x in th]
+                if lhs == tgh or lhs == [r if l >= 0 else -1
+                                         for l, r in zip(lhs, tgh)]:
+                    continue
+                failures.extend(
+                    ("homomorphism", (g, h, kind, items[i]))
+                    for i, (l, r) in enumerate(zip(lhs, tgh))
+                    if l >= 0 and r >= 0 and l != r)
+            pairs += 1
     return ActionReport(not failures, tuple(failures), len(scope), pairs,
                         action.is_windowed())
 
@@ -259,10 +334,11 @@ def is_free(action: LabeledGraphAction) -> Check:
     for g in action.scope_elements():
         if g == ident:
             continue
+        rows = action.table(g)
         for kind in (VERTEX, LETTER):
-            for item in action.carrier(kind):
-                if action.apply(g, kind, item) == item:
-                    return Check(False, (g, item))
+            for i, j in enumerate(rows[_KIND_INDEX[kind]]):
+                if i == j:
+                    return Check(False, (g, action.carrier(kind)[i]))
     return Check(True)
 
 

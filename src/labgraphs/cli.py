@@ -280,14 +280,7 @@ def _cmd_act_check(args):
 def _cmd_fundomain(args):
     action = _load_action(args.file, args.window)
     if args.domain:
-        with open(args.domain, "r", encoding="utf-8") as fh:
-            try:
-                domain = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-        if (not isinstance(domain, list)
-                or not all(isinstance(v, str) for v in domain)):
-            raise SchemaError("$", "domain file must be a JSON list of vertex ids")
+        domain = jsonio.domain_from_json(jsonio.read_json(args.domain))
         report = is_fundamental_domain(action, domain)
         payload = {"domain": sorted(domain), "ok": report.ok,
                    "transversal": _check_json(report.transversal),
@@ -344,8 +337,7 @@ def _cmd_gross_tucker(args):
     if args.domain or args.label_consistent:
         domain = None
         if args.domain:
-            with open(args.domain, "r", encoding="utf-8") as fh:
-                domain = json.load(fh)
+            domain = jsonio.domain_from_json(jsonio.read_json(args.domain))
         rec = reconstruct_label_consistent(
             action, domain=domain,
             etaA=pack.etaA if pack is not None else None)
@@ -389,19 +381,8 @@ def _cmd_gross_tucker(args):
 def _cmd_iso_check(args):
     src, _ = _load_graph(args.source, args.window)
     dst, _ = _load_graph(args.target, args.window)
-    with open(args.morphism, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    for key in ("vertex_map", "edge_map", "alphabet_map"):
-        if key not in data or not isinstance(data[key], dict):
-            raise SchemaError(f"$.{key}", "missing morphism component")
-    extra = set(data) - {"vertex_map", "edge_map", "alphabet_map"}
-    if extra:
-        raise SchemaError(f"$.{sorted(extra)[0]}", "unknown field")
-    m = LabeledGraphMorphism(src, dst, data["vertex_map"], data["edge_map"],
-                             data["alphabet_map"])
+    maps = jsonio.morphism_maps_from_json(jsonio.read_json(args.morphism))
+    m = LabeledGraphMorphism(src, dst, *maps)
     report = verify_morphism(m)
     payload = {"morphism": report.ok, "isomorphism": report.isomorphism}
     if not report.ok:

@@ -91,24 +91,8 @@ def derive_eta1(action: LabeledGraphAction, quot: QuotientLabeledGraph,
 
 def _solve_translate(action: LabeledGraphAction, kind: str,
                      source: str, target: str) -> Element:
-    """The unique h with alpha_h(source) = target; exhaustive for raw
-    finite actions, coordinate subtraction on skew presentations."""
-    group = action.group
-    if isinstance(action, TranslationAction):
-        pairs, _ = action._pairs(kind)
-        base_s, layer_s = pairs[source]
-        base_t, layer_t = pairs[target]
-        if base_s != base_t:
-            raise NonFreeWitness(
-                f"no element moves {source!r} to {target!r}", (source, target))
-        h = group.op(layer_t, group.inv(layer_s))
-        if action.apply(h, kind, source) != target:
-            raise NonFreeWitness(
-                f"translation solve failed for {source!r} -> {target!r}",
-                (source, target))
-        return h
-    matches = [h for h in group.elements()
-               if action.apply(h, kind, source) == target]
+    """The unique h with alpha_h(source) = target."""
+    matches = action.elements_moving(kind, source, target)
     if len(matches) != 1:
         raise NonFreeWitness(
             f"{len(matches)} elements move {source!r} to {target!r}; "
@@ -159,22 +143,15 @@ def _reconstruction_layers(action: LabeledGraphAction,
                            quot: QuotientLabeledGraph,
                            eta0: Mapping[str, str]) -> dict[str, tuple]:
     """Layer assignment for the reconstruction skew product: the pullback
-    of the acted-on carrier, so the comparison isomorphism is total and
-    bijective rather than window-approximate."""
-    group = action.group
-    if isinstance(action, TranslationAction):
-        layers: dict[str, tuple] = {}
-        window = action.skew.window_vertices
-        for q_vertex, members in quot.orbit_vertex_members.items():
-            _, base_layer = action.skew.vertex_pair[eta0[q_vertex]]
-            ls = []
-            for vid in members:
-                if vid in window:
-                    _, m = action.skew.vertex_pair[vid]
-                    ls.append(group.op(m, group.inv(base_layer)))
-            layers[q_vertex] = tuple(sorted(ls))
-        return layers
-    return {v: tuple(group.elements()) for v in quot.quotient.vertices}
+    of the acted-on carrier (the scope elements that move the vertex
+    section into the lifting scope), so the comparison isomorphism is
+    total and bijective rather than window-approximate."""
+    index = action.index(VERTEX)
+    inside = {index[v] for v in action.lifting_scope()}
+    vertex_rows = [(h, action.table(h)[0]) for h in action.scope_elements()]
+    return {q_vertex: tuple(h for h, row in vertex_rows
+                            if row[index[eta0[q_vertex]]] in inside)
+            for q_vertex in quot.orbit_vertex_members}
 
 
 def reconstruct(action: LabeledGraphAction,
@@ -182,6 +159,13 @@ def reconstruct(action: LabeledGraphAction,
     """Build the skew product over the quotient with derived cocycles and
     the comparison isomorphism phi(Gx, g) = alpha_g(eta(Gx)); verify the
     morphism laws, bijectivity and equivariance pointwise."""
+    return _reconstruct(action, pack, None)
+
+
+def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
+                 quot: QuotientLabeledGraph | None) -> Reconstruction:
+    """:func:`reconstruct`, reusing the quotient when the caller already
+    computed it."""
     report = verify_action(action)
     if not report.ok:
         raise PreconditionError(
@@ -190,7 +174,8 @@ def reconstruct(action: LabeledGraphAction,
     if not freeness:
         raise PreconditionError("NOT_FREE", f"witness {freeness.witness!r}")
 
-    quot = quotient(action)
+    if quot is None:
+        quot = quotient(action)
     scope = frozenset(action.lifting_scope())
     if pack is None:
         pack = SectionPack(default_eta0(action, quot), default_etaA(quot))
@@ -247,22 +232,26 @@ def reconstruct(action: LabeledGraphAction,
     if not morphism_report.isomorphism:
         raise VerificationError("reconstruction map is not bijective", None)
 
+    # equivariance, pointwise on the tables: phi(g . x) = alpha_g(phi(x))
     tau = TranslationAction(skew)
-    maps = {VERTEX: vmap, EDGE: emap, LETTER: amap}
+    kinds = (VERTEX, EDGE, LETTER)
+    images = [[action.index(kind)[mapping[item]] for item in tau.carrier(kind)]
+              + [-1] for kind, mapping in zip(kinds, (vmap, emap, amap))]
     checked = 0
     for g in action.scope_elements():
-        for kind in (VERTEX, EDGE, LETTER):
-            mapping = maps[kind]
-            for item in tau.carrier(kind):
-                moved = tau.apply(g, kind, item)
-                if moved is None:
+        for kind, image, tau_row, row in zip(kinds, images, tau.table(g),
+                                             action.table(g)):
+            lhs = [image[j] for j in tau_row]
+            rhs = [row[j] for j in image]
+            if lhs == rhs:
+                checked += len(lhs) - lhs.count(-1)
+                continue
+            for i, (l, r) in enumerate(zip(lhs, rhs)):
+                if l < 0 or r < 0:
                     continue
-                rhs = action.apply(g, kind, mapping[item])
-                if rhs is None:
-                    continue
-                if mapping[moved] != rhs:
+                if l != r:
                     raise VerificationError("reconstruction is not equivariant",
-                                            (g, kind, item))
+                                            (g, kind, tau.carrier(kind)[i]))
                 checked += 1
     if checked == 0:
         raise VerificationError("equivariance could not be exercised", None)
@@ -304,7 +293,7 @@ def reconstruct_label_consistent(action: LabeledGraphAction,
                 f"domain does not section orbit {q_vertex}", tuple(inside))
         eta0[q_vertex] = inside[0]
     pack = SectionPack(eta0, dict(etaA) if etaA else default_etaA(quot))
-    rec = reconstruct(action, pack)
+    rec = _reconstruct(action, pack, quot)
     if rec.c_factoring is None or rec.d_factoring is None:
         bad = "c" if rec.c_factoring is None else "d"
         raise LabelConsistencyViolation(
@@ -323,16 +312,16 @@ def identity_layer_sections(action: TranslationAction) -> SectionPack:
     coincide with the originating skew spec's cocycles."""
     skew = action.skew
     group = action.group
-    quot = quotient(action)
+    base = skew.spec.base
     eta0 = {}
-    for q_vertex in quot.quotient.vertices:
+    for q_vertex in base.vertices:
         vid = skew.vertex_id.get((q_vertex, group.identity))
         if vid is None or vid not in skew.window_vertices:
             raise PreconditionError(
                 "BAD_SECTION", f"identity layer of {q_vertex} is not in the window")
         eta0[q_vertex] = vid
     etaA = {}
-    for q_letter in quot.quotient.alphabet:
+    for q_letter in base.alphabet:
         lid = skew.letter_id.get((q_letter, group.identity))
         if lid is None:
             raise PreconditionError(

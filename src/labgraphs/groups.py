@@ -236,6 +236,7 @@ class PermutationGroup(Group):
         self.degree = degree
         self.generators = gens
         self._elements = tuple(sorted(elems))
+        self._element_set = frozenset(elems)
 
     @property
     def identity(self) -> tuple[int, ...]:
@@ -252,7 +253,7 @@ class PermutationGroup(Group):
         return tuple(out)
 
     def contains(self, a) -> bool:
-        return tuple(a) in set(self._elements)
+        return tuple(a) in self._element_set
 
     @property
     def is_finite(self) -> bool:

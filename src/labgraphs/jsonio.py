@@ -351,12 +351,16 @@ _FROM_JSON = {
 }
 
 
-def parse_text(text: str):
-    """Parse any document; returns (kind, object)."""
+def _decode(text: str) -> Any:
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+
+
+def parse_text(text: str):
+    """Parse any document; returns (kind, object)."""
+    obj = _decode(text)
     kind = _check_version_kind(obj, None, "$")
     if kind not in _FROM_JSON:
         raise SchemaError("$.kind", f"unknown document kind {kind!r}")
@@ -367,6 +371,31 @@ def load(path: str):
     """Load a document from disk; returns (kind, object)."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_text(fh.read())
+
+
+def read_json(path: str) -> Any:
+    """The JSON value of a file without a document header, such as the
+    domain and morphism files of the command line; malformed JSON raises
+    :class:`ParseError`.  Check the value with :func:`domain_from_json` or
+    :func:`morphism_maps_from_json`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _decode(fh.read())
+
+
+def domain_from_json(obj: Any) -> list[str]:
+    """A fundamental-domain file: a list of vertex ids."""
+    if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj):
+        raise SchemaError("$", "domain file must be a JSON list of vertex ids")
+    return obj
+
+
+def morphism_maps_from_json(obj: Any) -> tuple[dict[str, str], ...]:
+    """A morphism file: an object holding exactly the vertex, edge and
+    alphabet maps, each with string values."""
+    _require(obj, "$", {"vertex_map": dict, "edge_map": dict,
+                        "alphabet_map": dict})
+    return tuple(_string_map(obj[key], f"$.{key}")
+                 for key in ("vertex_map", "edge_map", "alphabet_map"))
 
 
 def dumps(doc: dict) -> str:

@@ -219,9 +219,20 @@ class TranslationAction(LabeledGraphAction):
     product; partial on windows."""
 
     def __init__(self, skew: SkewLabeledGraph):
+        super().__init__(skew.spec.group, skew.graph)
         self.skew = skew
-        self.group = skew.spec.group
-        self.graph = skew.graph
+
+    @cached_property
+    def _coordinates(self):
+        """Per kind: the (base item, layer) of each carrier item, and the
+        carrier position of each materialized (base item, layer)."""
+        coordinates = []
+        for kind, index in zip((VERTEX, EDGE, LETTER), self._indexes):
+            pairs, ids = self._pairs(kind)
+            coordinates.append((
+                [pairs[item] for item in self.carrier(kind)],
+                {pair: index[item] for pair, item in ids.items()}))
+        return coordinates
 
     def _pairs(self, kind: str):
         if kind == VERTEX:
@@ -235,6 +246,11 @@ class TranslationAction(LabeledGraphAction):
         base, h = pairs[item]
         return ids.get((base, self.group.op(g, h)))
 
+    def _build_table(self, g: Element):
+        op = self.group.op
+        return tuple([position.get((base, op(g, h)), -1) for base, h in pairs]
+                     + [-1] for pairs, position in self._coordinates)
+
     def scope_elements(self) -> tuple[Element, ...]:
         if self.group.is_finite:
             return self.group.elements()
@@ -242,11 +258,29 @@ class TranslationAction(LabeledGraphAction):
         span = max(layers) - min(layers) if layers else 0
         return tuple(range(-span, span + 1))
 
-    def orbit_generators(self) -> tuple[Element, ...]:
-        if self.group.is_finite:
-            return tuple(e for e in self.group.elements()
-                         if e != self.group.identity)
-        return (1, -1)
+    def elements_moving(self, kind: str, source: str,
+                        target: str) -> tuple[Element, ...]:
+        """The layer difference, when it moves source to target.  On a
+        window it may lie outside the scope: the target can be a halo item
+        further from the source than the window is wide."""
+        pairs, _ = self._pairs(kind)
+        (base_s, layer_s), (base_t, layer_t) = pairs[source], pairs[target]
+        if base_s != base_t:
+            return ()
+        h = self.group.op(layer_t, self.group.inv(layer_s))
+        return (h,) if self.apply(h, kind, source) == target else ()
+
+    def _orbit_classes(self, kind: str):
+        """The fibers: the items over one base item, which is the orbit
+        under the unwindowed action.  On a window the scope elements need
+        not link a fiber: a one-layer window has no non-identity scope
+        element, and a cocycle value wider than the window puts halo
+        layers out of reach of every scope element."""
+        pairs, _ = self._pairs(kind)
+        fibers: dict[str, list[str]] = {}
+        for item in self.carrier(kind):
+            fibers.setdefault(pairs[item][0], []).append(item)
+        return fibers.values()
 
     def lifting_scope(self) -> tuple[str, ...]:
         return tuple(sorted(self.skew.window_vertices))
@@ -255,12 +289,9 @@ class TranslationAction(LabeledGraphAction):
         return self.skew.window_vertices
 
     def orbit_name(self, kind: str, members: tuple[str, ...]) -> str:
+        """The base item of the fiber."""
         pairs, _ = self._pairs(kind)
-        bases = {pairs[m][0] for m in members}
-        if len(bases) != 1:
-            raise VerificationError(
-                "translation orbit spans several base items", tuple(sorted(bases)))
-        return bases.pop()
+        return pairs[members[0]][0]
 
     def is_windowed(self) -> bool:
         return not self.group.is_finite

@@ -1,10 +1,14 @@
 """Shared constructions used by several test modules."""
 
+from typing import Any
+
 from labgraphs import fixtures as fx
-from labgraphs.action import FiniteAction
+from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport, FiniteAction,
+                              LabeledGraphAction)
 from labgraphs.graph import DirectedGraph
 from labgraphs.groups import CyclicGroup
 from labgraphs.labeled import LabeledGraph
+from labgraphs.skew import TranslationAction
 
 
 def trivial_action(lg, n=2):
@@ -39,3 +43,111 @@ def loop_swap_action():
     ident = ({"v": "v"}, {"l1": "l1", "l2": "l2"}, {"a": "a", "b": "b"})
     swap = ({"v": "v"}, {"l1": "l2", "l2": "l1"}, {"a": "b", "b": "a"})
     return FiniteAction(group, lg, {0: ident, 1: swap})
+
+
+def verify_action_exhaustive(action: LabeledGraphAction) -> ActionReport:
+    """Definitional oracle for ``verify_action``: every law checked item by
+    item through ``apply`` on string ids, for every pair of scope elements
+    whose product is in the scope."""
+    kinds = (VERTEX, EDGE, LETTER)
+    failures: list[tuple[str, Any]] = []
+    lg = action.graph
+    graph = lg.graph
+    scope = action.scope_elements()
+    ident = action.group.identity
+
+    for kind in kinds:
+        for item in action.carrier(kind):
+            got = action.apply(ident, kind, item)
+            if got != item:
+                failures.append(("identity acts as identity", (kind, item, got)))
+
+    for g in scope:
+        seen: dict[tuple[str, str], str] = {}
+        for kind in kinds:
+            for item in action.carrier(kind):
+                img = action.apply(g, kind, item)
+                if img is None:
+                    continue
+                key = (kind, img)
+                if key in seen:
+                    failures.append(("injectivity", (g, kind, seen[key], item)))
+                seen[key] = item
+        for e in graph.edges:
+            fe = action.apply(g, EDGE, e.eid)
+            if fe is None:
+                continue
+            fe_edge = graph.edge(fe)
+            img_dst = action.apply(g, VERTEX, e.dst)
+            if img_dst is not None and img_dst != fe_edge.dst:
+                failures.append(("range equivariance", (g, e.eid)))
+            img_src = action.apply(g, VERTEX, e.src)
+            if img_src is not None and img_src != fe_edge.src:
+                failures.append(("source equivariance", (g, e.eid)))
+            img_label = action.apply(g, LETTER, lg.labeling[e.eid])
+            if img_label is not None and img_label != lg.labeling[fe]:
+                failures.append(("label compatibility", (g, e.eid)))
+
+    pairs = 0
+    for g in scope:
+        for h in scope:
+            gh = action.group.op(g, h)
+            if action.group.is_finite or gh in scope:
+                for kind in kinds:
+                    for item in action.carrier(kind):
+                        via_h = action.apply(h, kind, item)
+                        if via_h is None:
+                            continue
+                        lhs = action.apply(g, kind, via_h)
+                        rhs = action.apply(gh, kind, item)
+                        if lhs is not None and rhs is not None and lhs != rhs:
+                            failures.append(
+                                ("homomorphism", (g, h, kind, item)))
+                pairs += 1
+    return ActionReport(not failures, tuple(failures), len(scope), pairs,
+                        action.is_windowed())
+
+
+def orbits_bruteforce(action: LabeledGraphAction,
+                      kind: str) -> tuple[tuple[str, ...], ...]:
+    """Oracle for ``orbits`` of a finite group: connected components of the
+    graph linking each item x to every image apply(g, x), g a non-identity
+    group element, found by search over string ids."""
+    assert action.group.is_finite
+    items = action.carrier(kind)
+    links: dict[str, set[str]] = {x: set() for x in items}
+    for g in action.group.elements():
+        if g == action.group.identity:
+            continue
+        for x in items:
+            y = action.apply(g, kind, x)
+            if y is not None:
+                links[x].add(y)
+                links[y].add(x)
+    seen: set[str] = set()
+    out = []
+    for x in items:
+        if x in seen:
+            continue
+        component, stack = {x}, [x]
+        while stack:
+            for y in links[stack.pop()] - component:
+                component.add(y)
+                stack.append(y)
+        seen |= component
+        out.append(tuple(sorted(component)))
+    return tuple(sorted(out))
+
+
+def translation_fibers(action: TranslationAction,
+                       kind: str) -> tuple[tuple[str, ...], ...]:
+    """Oracle for ``orbits`` of a translation on a skew product: the orbit
+    of (x, h) under the unwindowed action is every (x, g), so an orbit is
+    the set of materialized items over one base item."""
+    skew = action.skew
+    pairs = {VERTEX: skew.vertex_pair, EDGE: skew.edge_pair,
+             LETTER: skew.letter_pair}[kind]
+    items = action.carrier(kind)
+    return tuple(sorted(
+        tuple(sorted(x for x in items if pairs[x][0] == base))
+        for base in {pairs[x][0] for x in items}))

@@ -134,6 +134,32 @@ class TestQuotient:
         assert set(quot.quotient.vertices) == {"v"}
         assert {e.eid for e in quot.quotient.graph.edges} == {"e", "f"}
 
+    def test_one_layer_window_keeps_fibers_whole(self):
+        # Window(0, 0) has no non-identity scope element, yet the halo
+        # vertices (v,1) and (w,1) lie in the orbits of (v,0) and (w,0)
+        from labgraphs.groups import Window
+        from labgraphs.skew import left_translation, skew_product
+        action = left_translation(skew_product(fx.skewz().spec, Window(0, 0)))
+        quot = quotient(action)
+        assert quot.orbit_vertex_members == {"v": ("(v,0)", "(v,1)"),
+                                             "w": ("(w,0)", "(w,1)")}
+        assert quot.quotient == fx.skewz().spec.base
+        found = find_fundamental_domain(action)
+        assert found.domain == {"(v,0)", "(w,0)"}
+        assert found.candidates_tried == 1
+
+    def test_halo_beyond_the_window_joins_its_fiber(self):
+        # c = 8 on a one-layer window: v has layers 0 and 8, one orbit
+        from labgraphs.groups import IntegerGroup, Window
+        from labgraphs.skew import SkewSpec, left_translation, skew_product
+        base = LabeledGraph(DirectedGraph(["v"], [("e", "v", "v")]),
+                            {"e": "a"})
+        spec = SkewSpec(base, IntegerGroup(), {"e": 8}, {"e": 0})
+        action = left_translation(skew_product(spec, Window(0, 0)))
+        assert quotient(action).orbit_vertex_members == {
+            "v": ("(v,0)", "(v,8)")}
+        assert find_fundamental_domain(action).domain == {"(v,0)"}
+
     def test_projection_verified(self):
         quot = quotient(fx.fdok_action())
         assert verify_morphism(quot.projection).ok

@@ -63,6 +63,23 @@ class TestExitCodes:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["gross-tucker", "fixtures/fdok-action.json", "--domain"], "{not json"),
+        (["gross-tucker", "fixtures/fdok-action.json", "--domain"], '{"v": 1}'),
+        (["fundomain", "fixtures/fdok-action.json", "--domain"], "[1, 2]"),
+        (["iso-check", "fixtures/fish.json", "fixtures/fish.json",
+          "--morphism"], "5"),
+        (["iso-check", "fixtures/fish.json", "fixtures/fish.json",
+          "--morphism"], '{"vertex_map": {"v": 1}, "edge_map": {}, '
+                         '"alphabet_map": {}}'),
+    ])
+    def test_bad_side_file_exits_two(self, tmp_path, argv, text):
+        side = tmp_path / "side.json"
+        side.write_text(text)
+        code, out, err = run(argv + [str(side)])
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_missing_window_for_integer_skew_exits_two(self):
         code, _, err = run(["skew", "fixtures/skewz.json"])
         assert code == 2

@@ -12,9 +12,11 @@ from labgraphs.errors import (LiftFailure, NoFundamentalDomain,
 from labgraphs.gross_tucker import (SectionPack, default_etaA, derive_cocycles,
                                     derive_eta1, identity_layer_sections,
                                     reconstruct, reconstruct_label_consistent)
-from labgraphs.groups import CyclicGroup, Window
+from labgraphs.graph import DirectedGraph
+from labgraphs.groups import CyclicGroup, IntegerGroup, Window
+from labgraphs.labeled import LabeledGraph
 from labgraphs.morphism import compose, inverse, verify_morphism
-from labgraphs.skew import left_translation, skew_product
+from labgraphs.skew import SkewSpec, left_translation, skew_product
 
 
 def gt510_full_pack():
@@ -121,6 +123,18 @@ class TestReconstruct:
             assert rec.c == dict(spec.c)
             assert rec.d == dict(spec.d)
             assert rec.morphism_report.isomorphism
+
+    def test_gapped_window_keeps_each_fiber_one_orbit(self):
+        # c = 8 exceeds the window width, so the layers of v are -3..3 and
+        # the halo 5..11: a gap that +-1 steps alone cannot cross
+        base = LabeledGraph(DirectedGraph(["v"], [("e", "v", "v")]),
+                            {"e": "a"})
+        spec = SkewSpec(base, IntegerGroup(), {"e": 8}, {"e": 0})
+        action = left_translation(skew_product(spec, Window(-3, 3)))
+        assert len(quotient(action).orbit_vertex_members["v"]) == 14
+        rec = reconstruct(action, identity_layer_sections(action))
+        assert rec.c == {"e": 8} and rec.d == {"e": 0}
+        assert rec.morphism_report.isomorphism
 
     def test_raw_finite_action_roundtrip(self):
         rng = random.Random(5150)
