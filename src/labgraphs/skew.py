@@ -57,13 +57,6 @@ class SkewSpec:
         ident = self.group.identity
         return all(v == ident for v in self.d.values())
 
-    def path_cocycle(self, path: Path) -> Element:
-        """Product of c along a base path, left to right."""
-        acc = self.group.identity
-        for eid in path.edges:
-            acc = self.group.op(acc, self.c[eid])
-        return acc
-
     def letter_cocycle(self, word: Word) -> Element:
         """Product of the label factoring C along a word; requires c to be
         label consistent."""

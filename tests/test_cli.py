@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, reports, golden outputs."""
 
 import contextlib
+import copy
 import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labgraphs.cli import main
 
@@ -210,3 +214,99 @@ class TestGoldenOutputs:
                   encoding="utf-8") as fh:
             expected = fh.read()
         assert f"# exit {code}\n{out}" == expected
+
+
+# -- fuzzed inputs ------------------------------------------------------------
+
+
+def fixture(name):
+    with open(os.path.join(ROOT, "fixtures", name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+FISH_IDENTITY = {"vertex_map": {"v": "v", "w": "w"},
+                 "edge_map": {"e": "e", "f": "f", "g": "g"},
+                 "alphabet_map": {"0": "0", "1": "1"}}
+
+# (argv with one {placeholder} per JSON input, the inputs' unmutated values)
+FUZZ_CASES = [
+    (["properties", "{doc}"], {"doc": fixture("fish.json")}),
+    (["properties", "{doc}", "--window", "0:3"],
+     {"doc": fixture("skewz.json")}),
+    (["quotient", "{doc}"], {"doc": fixture("fdok-action.json")}),
+    (["quotient", "{doc}", "--window", "0:3"], {"doc": fixture("skewz.json")}),
+    (["lattice", "{doc}"], {"doc": fixture("chain3.json")}),
+    (["skew", "{doc}", "--window", "-3:3"], {"doc": fixture("nofd.json")}),
+    (["fundomain", "{doc}"], {"doc": fixture("fdok-action.json")}),
+    (["fundomain", "{doc}", "--window", "-3:3", "--domain", "{domain}"],
+     {"doc": fixture("nofd.json"), "domain": fixture("nofd-domain.json")}),
+    (["gross-tucker", "{doc}", "--eta0", "{eta0}", "--window", "-4:6"],
+     {"doc": fixture("gt510-action.json"),
+      "eta0": fixture("gt510-sections.json")}),
+    (["gross-tucker", "{doc}", "--domain", "{domain}"],
+     {"doc": fixture("fdok-action.json"), "domain": ["(v,0)", "(w,0)"]}),
+    (["iso-check", "{doc}", "{target}", "--morphism", "{morphism}"],
+     {"doc": fixture("fish.json"), "target": fixture("fish.json"),
+      "morphism": FISH_IDENTITY}),
+]
+
+REPLACEMENTS = (None, True, 0, -1, 3, 1.5, "", "x", [], {})
+
+
+def nodes(value, path=()):
+    """Every (path, node) of a JSON value, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from nodes(child, path + (i,))
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` after one to three mutations, each at a random node: drop
+    a key, truncate a list, or swap the node for a value of another type."""
+    value = copy.deepcopy(value)
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(nodes(value))))
+        kinds = ["swap"]
+        if isinstance(node, dict) and node:
+            kinds.append("drop")
+        if isinstance(node, list) and node:
+            kinds.append("truncate")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "drop":
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif kind == "truncate":
+            del node[draw(st.integers(0, len(node) - 1)):]
+        else:
+            other = draw(st.sampled_from(
+                [r for r in REPLACEMENTS if type(r) is not type(node)]))
+            if not path:
+                value = other
+                continue
+            parent = value
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = other
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_inputs_exit_0_1_or_2(data):
+    """Mutated documents and side files keep the exit-code contract, and no
+    exception escapes ``main``."""
+    argv, inputs = data.draw(st.sampled_from(FUZZ_CASES))
+    broken = data.draw(st.sampled_from(sorted(inputs)))
+    inputs = dict(inputs, **{broken: data.draw(mutated(inputs[broken]))})
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, value in inputs.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(value, fh)
+        code, _, _ = run([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2)

@@ -1,13 +1,16 @@
 """Labelings, labeled path spaces, relative ranges, resolving checks."""
 
+import itertools
 import random
 
 import pytest
 
 from labgraphs import fixtures as fx
-from labgraphs.errors import NotALabeledPath, PreconditionError
+from labgraphs.errors import (NotALabeledPath, PreconditionError,
+                              SearchSpaceExceeded)
 from labgraphs.graph import DirectedGraph
-from labgraphs.labeled import (LabeledGraph, is_left_resolving,
+from labgraphs.labeled import (BRUTEFORCE_MAX_VERTICES, LabeledGraph,
+                               is_left_resolving,
                                is_weakly_left_resolving, label_set,
                                labeled_paths, range_and_source, relative_range,
                                representatives,
@@ -26,6 +29,13 @@ def collision_graph():
         [("e1", "u1", "w"), ("e2", "u2", "w"),
          ("r1", "w", "u1"), ("r2", "w", "u2")])
     return LabeledGraph(g, {"e1": "a", "e2": "a", "r1": "b", "r2": "c"})
+
+
+def cycle(n):
+    """The n-cycle v0 -> v1 -> ... -> v0 with every edge labeled a."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    return LabeledGraph(DirectedGraph(vs, edges), {e[0]: "a" for e in edges})
 
 
 class TestLabeledGraph:
@@ -95,8 +105,10 @@ class TestRelativeRange:
 
     def test_matches_definitional_enumeration(self):
         rng = random.Random(7)
-        for _ in range(50):
-            lg = fx.random_labeled_graph(rng)
+        # the 70-cycle needs vertex masks wider than 64 bits
+        graphs = itertools.chain(
+            (fx.random_labeled_graph(rng) for _ in range(50)), [cycle(70)])
+        for lg in graphs:
             vs = [v for v in lg.vertices if rng.random() < 0.5]
             for n in (1, 2, 3):
                 for w in labeled_paths(lg, n) if lg.graph.edges else ():
@@ -184,6 +196,11 @@ class TestWeaklyLeftResolving:
             lg = fx.random_labeled_graph(rng)
             assert bool(is_weakly_left_resolving(lg)) == bool(
                 weakly_left_resolving_bruteforce(lg))
+
+    def test_oracle_refuses_graphs_over_its_cap(self):
+        assert weakly_left_resolving_bruteforce(cycle(BRUTEFORCE_MAX_VERTICES))
+        with pytest.raises(SearchSpaceExceeded):
+            weakly_left_resolving_bruteforce(cycle(16))
 
     def test_left_resolving_implies_weakly(self):
         rng = random.Random(5)
