@@ -34,6 +34,22 @@ class Check:
         return self.ok
 
 
+@dataclass(frozen=True)
+class RangeTable:
+    """The range values of a graph and the atoms they cut the vertices into.
+
+    ``ranges`` holds ``(value, word)`` for every nonempty range value, with
+    the shortest (then least) word reaching it, ordered by the value's size,
+    then by word length, then by word.  ``atoms`` holds ``(mask, inside)``
+    for each class of vertices lying in the same range values, ``inside``
+    being the indices into ``ranges`` of those values, in table order.
+    Vertices in no range value belong to no atom.
+    """
+
+    ranges: tuple[tuple[int, Word], ...]
+    atoms: tuple[tuple[int, tuple[int, ...]], ...]
+
+
 class LabeledGraph:
     """A directed graph with a total edge labeling into a finite alphabet.
 
@@ -113,6 +129,39 @@ class LabeledGraph:
         for e in self.graph.edges:
             step[li[self.labeling[e.eid]]][vi[e.src]] |= 1 << vi[e.dst]
         return step
+
+    @cached_property
+    def range_table(self) -> RangeTable:
+        """Every nonempty range value r(w) with its shortest word, and the
+        atoms those values cut the vertices into.
+
+        A breadth-first search from the full mask, one letter at a time,
+        since r(wa) = r(r(w), a).  Each level extends the previous one's
+        words in order and letters come in alphabet order, so the first
+        word that reaches a value is its shortest, and the least of those.
+        """
+        words: dict[int, Word] = {}
+        level: list[tuple[int, Word]] = [(self.full_mask(), ())]
+        while level:
+            nxt = []
+            for mask, word in level:
+                for a in self.alphabet:
+                    value = self.range_mask(mask, (a,))
+                    if value and value not in words:
+                        words[value] = word + (a,)
+                        nxt.append((value, word + (a,)))
+            level = nxt
+        ranges = tuple(sorted(words.items(),
+                              key=lambda vw: (vw[0].bit_count(), len(vw[1]),
+                                              vw[1])))
+        atoms: dict[tuple[int, ...], int] = {}
+        for i in range(len(self.vertices)):
+            inside = tuple(k for k, (value, _) in enumerate(ranges)
+                           if value >> i & 1)
+            if inside:
+                atoms[inside] = atoms.get(inside, 0) | 1 << i
+        return RangeTable(ranges, tuple((mask, inside)
+                                        for inside, mask in atoms.items()))
 
     def mask_of(self, vertices: Iterable[str]) -> int:
         vi = self._vertex_index

@@ -1,5 +1,5 @@
 """Accommodating collections of vertex sets, their relative-complement
-closure, normal forms over range leaves, and the set-level labeled-space
+closure, normal forms over range atoms, and the set-level labeled-space
 report."""
 
 from __future__ import annotations
@@ -239,167 +239,73 @@ class NormalForm:
         return " | ".join(parts)
 
 
-_Cube = tuple[frozenset, frozenset]  # (positive words, negative words)
-
-
-def _expr_to_cubes(col: SetCollection, mask: int,
-                   memo: dict[int, list[_Cube]]) -> list[_Cube]:
-    if mask in memo:
-        return memo[mask]
-    kind = col.derivations[mask][0]
-    expr = col.derivations[mask]
-    if kind == "range":
-        cubes = [(frozenset([expr[1]]), frozenset())]
-    elif kind == "step":
-        inner = _expr_to_cubes(col, expr[1], memo)
-        letter = expr[2]
-        cubes = [(frozenset(w + (letter,) for w in pos),
-                  frozenset(w + (letter,) for w in neg))
-                 for pos, neg in inner]
-    elif kind == "and":
-        left = _expr_to_cubes(col, expr[1], memo)
-        right = _expr_to_cubes(col, expr[2], memo)
-        cubes = [(p1 | p2, n1 | n2) for p1, n1 in left for p2, n2 in right]
-    elif kind == "or":
-        cubes = (_expr_to_cubes(col, expr[1], memo)
-                 + _expr_to_cubes(col, expr[2], memo))
-    elif kind == "diff":
-        cubes = _expr_to_cubes(col, expr[1], memo)
-        for p2, n2 in _expr_to_cubes(col, expr[2], memo):
-            nxt: list[_Cube] = []
-            for pos, neg in cubes:
-                # c \ (P \ N) = (c \ P) | (c & N)
-                for w in sorted(p2):
-                    nxt.append((pos, neg | {w}))
-                for w in sorted(n2):
-                    nxt.append((pos | {w}, neg))
-            cubes = nxt
-    else:  # pragma: no cover - defensive
-        raise VerificationError("unknown derivation node", kind)
-    memo[mask] = cubes
-    return cubes
-
-
-def _word_value_table(lg: LabeledGraph, bound: int) -> dict[Word, int]:
-    table: dict[Word, int] = {}
-    full = lg.full_mask()
-    for n in range(1, bound + 1):
-        for word in labeled_paths(lg, n):
-            table[word] = lg.range_mask(full, word)
-    return table
-
-
-def _search_normal_form(lg: LabeledGraph, target: int,
-                        word_bound: int = 5) -> NormalForm | None:
-    """Breadth-first reachability over set values: factors are ranges and
-    strict range differences; close under intersections, then unions."""
-    words = _word_value_table(lg, word_bound)
-    by_value: dict[int, Word] = {}
-    for word in sorted(words):
-        by_value.setdefault(words[word], word)
-    factors: dict[int, Factor] = {}
-    for v1, w1 in sorted(by_value.items()):
-        factors.setdefault(v1, Factor(w1))
-        for v2, w2 in sorted(by_value.items()):
-            if v2 and v1 & v2 == v2 and v1 != v2:
-                factors.setdefault(v1 & ~v2, Factor(w1, w2))
-    factors.pop(0, None)
-    # intersections of factors
-    terms: dict[int, tuple[Factor, ...]] = {v: (f,) for v, f in factors.items()}
-    frontier = list(terms)
-    while frontier:
-        nxt = []
-        for v1 in frontier:
-            for v2, f in list(factors.items()):
-                v = v1 & v2
-                if v and v not in terms:
-                    terms[v] = terms[v1] + (f,)
-                    nxt.append(v)
-        frontier = nxt
-    # unions of intersection terms
-    unions: dict[int, tuple[tuple[Factor, ...], ...]] = {
-        v: (t,) for v, t in terms.items()}
-    frontier = list(unions)
-    while frontier:
-        if target in unions:
-            break
-        nxt = []
-        for v1 in frontier:
-            for v2, t in list(terms.items()):
-                v = v1 | v2
-                if v not in unions:
-                    unions[v] = unions[v1] + (t,)
-                    nxt.append(v)
-        frontier = nxt
-    if target not in unions:
-        return None
-    return NormalForm(unions[target])
-
-
 def normal_form(col: SetCollection, vertices: Iterable[str] | int) -> NormalForm:
-    """Rewrite a member as a union of intersections of range differences
-    ``r(alpha) \\ r(beta)`` (strict containment, beta optional), derived
-    from the stored derivation tree.  Requires a weakly left-resolving
-    graph: the rewrite pushes relative-range steps through intersections
-    and differences, which is exactly what that property licenses."""
+    """Rewrite a member as a union of intersections of range differences.
+
+    Grammar: a union of terms, each term an intersection of factors
+    ``r(alpha)`` or ``r(alpha) \\ r(beta)``, with no containment required
+    between ``r(alpha)`` and ``r(beta)``.  Requires a weakly left-resolving
+    graph.
+
+    The forms are built from the graph's range table
+    (:attr:`LabeledGraph.range_table`).  For each atom A inside the member
+    M that no earlier term covers, the ranges containing A are intersected,
+    smallest first, until the value lies inside M; if it still reaches
+    outside M, ranges disjoint from A that cut it outside M are subtracted.
+    The term is ``r(first) \\ r(beta)`` for each subtracted beta (or
+    ``r(first)`` if there is none), then ``r(alpha)`` for every other
+    intersected word.
+
+    Why this is total: weak left-resolving gives
+    r(A & B, a) = r(A, a) & r(B, a), hence r(A \\ B, a) = r(A, a) \\ r(B, a)
+    for B inside A.  So single-letter steps map Boolean combinations of
+    ranges to Boolean combinations of ranges, and every member of the
+    accommodating collection and of its relative-complement closure is a
+    union of atoms.  An atom equals the intersection of the ranges
+    containing it minus the union of the ranges disjoint from it (a range
+    either contains an atom or misses it), so each term ends inside M, and
+    the terms together cover M.  The result is still evaluated and compared
+    with M before it is returned.
+    """
     lg = col.lg
     mask = vertices if isinstance(vertices, int) else lg.mask_of(vertices)
     if mask not in col.derivations:
-        raise NotAMember(f"{sorted(lg.set_of(mask))!r} is not in the collection")
+        shown = (repr(sorted(lg.set_of(mask))) if 0 <= mask <= lg.full_mask()
+                 else f"mask {mask}")
+        raise NotAMember(f"{shown} is not in the collection")
     if not is_weakly_left_resolving(lg):
         raise PreconditionError(
             "NOT_WEAKLY_LEFT_RESOLVING",
             "normal forms require a weakly left-resolving graph")
-    full = lg.full_mask()
-
-    def value(word: Word) -> int:
-        return lg.range_mask(full, word)
-
-    cubes = _expr_to_cubes(col, mask, {})
+    table = lg.range_table
     terms: list[tuple[Factor, ...]] = []
-    fallback = False
-    for pos, neg in cubes:
-        pos_value = full
-        for w in pos:
-            pos_value &= value(w)
-        cube_value = pos_value
-        for w in neg:
-            cube_value &= ~value(w)
-        if not cube_value:
+    covered = 0
+    for atom, inside in table.atoms:
+        if atom & ~mask or atom & covered:
             continue
-        keep_neg = [w for w in sorted(neg) if value(w) & pos_value]
-        pos_sorted = sorted(pos)
-        factors: list[Factor] = []
-        used: set[Word] = set()
-        for w_neg in keep_neg:
-            host = next((w for w in pos_sorted if w not in used
-                         and value(w_neg) & value(w) == value(w_neg)
-                         and value(w_neg) != value(w)), None)
-            if host is None:
-                host = next((w for w in pos_sorted
-                             if value(w_neg) & value(w) == value(w_neg)
-                             and value(w_neg) != value(w)), None)
-            if host is None:
-                fallback = True
+        value = lg.full_mask()
+        alphas: list[Word] = []
+        for k in inside:
+            range_value, word = table.ranges[k]
+            value &= range_value
+            alphas.append(word)
+            if not value & ~mask:
                 break
-            factors.append(Factor(host, w_neg))
-            used.add(host)
-        if fallback:
-            break
-        for w in pos_sorted:
-            if w not in used:
-                factors.append(Factor(w))
-        terms.append(tuple(factors))
-    if not fallback:
-        nf = NormalForm(tuple(terms))
-        if nf.evaluate_mask(lg) == mask:
-            return nf
-    searched = _search_normal_form(lg, mask)
-    if searched is None:
-        raise VerificationError("no normal form found", lg.set_of(mask))
-    if searched.evaluate_mask(lg) != mask:  # pragma: no cover - defensive
-        raise VerificationError("normal form evaluation mismatch", searched.render())
-    return searched
+        betas: list[Word] = []
+        for range_value, word in table.ranges:
+            if not value & ~mask:
+                break
+            if not range_value & atom and range_value & value & ~mask:
+                value &= ~range_value
+                betas.append(word)
+        first = alphas[0]
+        term = tuple(Factor(first, beta) for beta in betas) or (Factor(first),)
+        terms.append(term + tuple(Factor(alpha) for alpha in alphas[1:]))
+        covered |= value
+    nf = NormalForm(tuple(terms))
+    if nf.evaluate_mask(lg) != mask:
+        raise VerificationError("normal form evaluation mismatch", nf.render())
+    return nf
 
 
 # -- labeled space report ----------------------------------------------------
@@ -448,7 +354,12 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     weak left-resolving, disjointness of ranges, lattice closure of range
     intersections/unions/strict differences, and the partition identity
     (every member vertex emits, and single-letter relative ranges are the
-    letter fibers recomputed by direct edge scan)."""
+    letter fibers recomputed by direct edge scan).  The range sweeps take
+    the range values of words of length 1 to ``word_bound``; a bound below
+    1 would make them pass vacuously and is refused."""
+    if word_bound < 1:
+        raise PreconditionError(
+            "WORD_BOUND_BELOW_ONE", f"word bound must be >= 1, got {word_bound}")
     label_counts: dict[frozenset, int] = {}
     for mask in col.members:
         vs = lg.set_of(mask)
@@ -456,7 +367,8 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
         label_counts[vs] = len(letters)
     wlr = is_weakly_left_resolving(lg)
 
-    ranges = sorted({v for v in _word_value_table(lg, word_bound).values() if v})
+    ranges = sorted(value for value, word in lg.range_table.ranges
+                    if len(word) <= word_bound)
     pairs = 0
     disjoint = 0
     inter_ok: Check = Check(True)

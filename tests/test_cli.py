@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,24 @@ class TestReports:
         code, out, _ = run(["lattice", "fixtures/fish.json"])
         assert code == 0
         assert "{v, w}" in out and "r(1)" in out
+
+    def test_lattice_long_word_bound(self):
+        # the report's range sweeps read the graph's range table instead of
+        # enumerating every word up to the bound
+        start = time.perf_counter()
+        code, out, _ = run(["lattice", "fixtures/fish4.json",
+                            "--max-len", "20", "--json"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        _, reference, _ = run(["lattice", "fixtures/fish4.json", "--json"])
+        assert json.loads(out) == json.loads(reference)
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_lattice_word_bound_below_one_exits_two(self, bound):
+        code, _, err = run(["lattice", "fixtures/fish.json",
+                            "--max-len", bound])
+        assert code == 2
+        assert "WORD_BOUND_BELOW_ONE" in err
 
     def test_label_consistency_command(self):
         code, out, _ = run(["label-consistency", "fixtures/skewz.json"])

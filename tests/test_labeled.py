@@ -126,6 +126,49 @@ class TestRelativeRange:
                     lg, relative_range(lg, ["v"], head), tail)
 
 
+class TestRangeTable:
+    def test_matches_path_enumeration(self):
+        rng = random.Random(11)
+        graphs = itertools.chain(
+            (fx.fish(), fx.fish4(), fx.chain3()),
+            (fx.random_labeled_graph(rng) for _ in range(40)))
+        for lg in graphs:
+            table = lg.range_table
+            shortest = dict(table.ranges)
+            assert len(shortest) == len(table.ranges)
+            assert list(table.ranges) == sorted(
+                table.ranges,
+                key=lambda vw: (bin(vw[0]).count("1"), len(vw[1]), vw[1]))
+            for value, w in table.ranges:
+                assert lg.set_of(value) == range_and_source(lg, w)[0]
+            # every realized word reaches a value of the table whose word is
+            # shorter, or as long and no greater
+            longest = max((len(w) for _, w in table.ranges), default=0)
+            for n in range(1, longest + 2):
+                for w in labeled_paths(lg, n) if lg.graph.edges else ():
+                    value = lg.mask_of(range_and_source(lg, w)[0])
+                    assert (len(shortest[value]), shortest[value]) <= (n, w)
+
+    def test_atoms_group_vertices_by_the_ranges_holding_them(self):
+        rng = random.Random(12)
+        for lg in (fx.random_labeled_graph(rng) for _ in range(40)):
+            table = lg.range_table
+            seen = 0
+            for atom, inside in table.atoms:
+                assert atom and not atom & seen
+                seen |= atom
+                for i, v in enumerate(lg.vertices):
+                    if atom >> i & 1:
+                        assert inside == tuple(
+                            k for k, (value, _) in enumerate(table.ranges)
+                            if v in lg.set_of(value))
+            in_some_range = 0
+            for value, _ in table.ranges:
+                in_some_range |= value
+            assert seen == in_some_range
+            assert len({inside for _, inside in table.atoms}) == len(table.atoms)
+
+
 class TestRangeAndSource:
     def test_word_0(self):
         assert range_and_source(fx.fish(), word("0")) == (

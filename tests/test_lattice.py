@@ -8,7 +8,8 @@ import pytest
 from labgraphs import fixtures as fx
 from labgraphs.errors import NotAMember, PreconditionError
 from labgraphs.graph import DirectedGraph
-from labgraphs.labeled import LabeledGraph
+from labgraphs.labeled import (LabeledGraph, is_weakly_left_resolving,
+                               representatives)
 from labgraphs.lattice import (Factor, labeled_space_report, normal_form,
                                relative_complement_closure,
                                smallest_accommodating,
@@ -176,6 +177,25 @@ class TestNormalForm:
         with pytest.raises(NotAMember):
             normal_form(col, ["x"])
 
+    def test_difference_of_unnested_ranges(self):
+        # {v0} = r(a0) \ r(a1), and r(a1) = {v1, v2} is not inside
+        # r(a0) = {v0, v2}
+        lg = LabeledGraph(
+            DirectedGraph(["v0", "v1", "v2"],
+                          [("e00", "v0", "v2"), ("e01", "v1", "v2"),
+                           ("e02", "v2", "v1"), ("e03", "v1", "v0")]),
+            {"e00": "a1", "e01": "a0", "e02": "a1", "e03": "a0"})
+        rc = relative_complement_closure(smallest_accommodating(lg))
+        nf = normal_form(rc, {"v0"})
+        assert nf.evaluate(lg) == {"v0"}
+        assert _evaluate_by_paths(lg, nf) == {"v0"}
+
+    @pytest.mark.parametrize("mask", [-1, 0, 1 << 10])
+    def test_out_of_range_mask_rejected(self, mask):
+        closed = relative_complement_closure(smallest_accommodating(fx.fish()))
+        with pytest.raises(NotAMember):
+            normal_form(closed, mask)
+
     def test_factor_rendering(self):
         assert Factor(("1", "0")).render() == "r(10)"
         assert Factor(("0",), ("1",)).render() == "r(0)\\r(1)"
@@ -205,6 +225,14 @@ class TestLabeledSpaceReport:
         closed = relative_complement_closure(col)
         assert labeled_space_report(lg, closed).ck1b_differences_closed
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_word_bound_below_one_rejected(self, bound):
+        lg = fx.fish()
+        closed = relative_complement_closure(smallest_accommodating(lg))
+        with pytest.raises(PreconditionError) as info:
+            labeled_space_report(lg, closed, word_bound=bound)
+        assert info.value.name == "WORD_BOUND_BELOW_ONE"
+
     def test_json_shape(self):
         lg = fx.fish()
         closed = relative_complement_closure(smallest_accommodating(lg))
@@ -220,3 +248,35 @@ class TestRandomGraphClosures:
             lg = fx.random_valid_labeled_graph(rng)
             col = smallest_accommodating(lg)
             assert set(col.members) == set(smallest_accommodating_oracle(lg))
+
+    def test_normal_forms_on_random_wlr_graphs(self):
+        # every member of both closures of 1000 weakly left-resolving graphs
+        rng = random.Random(7)
+        graphs = 0
+        while graphs < 1000:
+            lg = fx.random_valid_labeled_graph(rng, max_vertices=6)
+            if not is_weakly_left_resolving(lg):
+                continue
+            graphs += 1
+            col = smallest_accommodating(lg)
+            for coll in (col, relative_complement_closure(col)):
+                for mask in coll.members:
+                    nf = normal_form(coll, mask)
+                    assert _evaluate_by_paths(lg, nf) == lg.set_of(mask)
+
+
+def _evaluate_by_paths(lg, nf):
+    """Value of a normal form from the endpoints of actual paths, never
+    through the bitmask kernels it was built with."""
+    def range_of(word):
+        return {lg.graph.path_dst(p) for p in representatives(lg, word)}
+
+    value = set()
+    for term in nf.terms:
+        part = set(lg.vertices)
+        for factor in term:
+            part &= range_of(factor.alpha)
+            if factor.beta is not None:
+                part -= range_of(factor.beta)
+        value |= part
+    return value
