@@ -131,6 +131,12 @@ class LabeledGraph:
         return step
 
     @cached_property
+    def weakly_left_resolving(self) -> Check:
+        """The verdict of :func:`is_weakly_left_resolving`, computed once per
+        graph."""
+        return is_weakly_left_resolving(self)
+
+    @cached_property
     def range_table(self) -> RangeTable:
         """Every nonempty range value r(w) with its shortest word, and the
         atoms those values cut the vertices into.

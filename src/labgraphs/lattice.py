@@ -8,10 +8,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NotAMember, PreconditionError, VerificationError
+from .errors import (NotAMember, PreconditionError, SearchSpaceExceeded,
+                     VerificationError)
 from .graph import require_valid
-from .labeled import (Check, LabeledGraph, Word, is_weakly_left_resolving,
-                      labeled_paths, representatives)
+from .labeled import (Check, LabeledGraph, Word, labeled_paths,
+                      representatives)
 
 # Derivation expressions: leaves are ranges of words; inner nodes reference
 # other members by mask.
@@ -72,53 +73,110 @@ class SetCollection:
         return ok
 
 
-class _Closure:
-    """Worklist closure engine over bitmasks with derivation tracking."""
+#: Largest number of members either closure builds, in the style of
+#: :data:`labgraphs.labeled.BRUTEFORCE_MAX_VERTICES`; a closure that would
+#: hold more raises :class:`SearchSpaceExceeded`.  Ranges that separate n
+#: vertices give 2^n - 1 members, so 16 such vertices fit and 17 do not.
+MAX_MEMBERS = 1 << 16
 
-    def __init__(self, lg: LabeledGraph, rel_complements: bool,
-                 order_seed: int | None):
-        self.lg = lg
-        self.rel_complements = rel_complements
-        self.rng = random.Random(order_seed) if order_seed is not None else None
-        self.derivations: dict[int, Derivation] = {}
-        self.worklist: list[int] = []
 
-    def add(self, mask: int, deriv: Derivation) -> None:
-        if mask and mask not in self.derivations:
-            self.derivations[mask] = deriv
-            self.worklist.append(mask)
+def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
+           rel_complements: bool,
+           order_seed: int | None = None) -> dict[int, Derivation]:
+    """Every member of the closure of ``seeds`` (``(mask, derivation)``
+    pairs) under single-letter relative ranges, intersections and unions,
+    and with ``rel_complements`` also under strict differences A \\ B, each
+    with a derivation that references only members.  Apart from the seeds'
+    own, a derivation references members derived before it, so none is
+    circular.
 
-    def run(self) -> None:
-        lg = self.lg
-        letters = lg.alphabet
-        while self.worklist:
-            if self.rng is not None:
-                i = self.rng.randrange(len(self.worklist))
-                self.worklist[i], self.worklist[-1] = (self.worklist[-1],
-                                                       self.worklist[i])
-            a_mask = self.worklist.pop()
-            for letter in letters:
-                stepped = lg.range_mask(a_mask, (letter,))
-                if stepped and stepped not in self.derivations:
-                    prev = self.derivations[a_mask]
-                    if prev[0] == "range":
-                        deriv: Derivation = ("range", prev[1] + (letter,))
-                    else:
-                        deriv = ("step", a_mask, letter)
-                    self.add(stepped, deriv)
-            for b_mask in list(self.derivations):
-                inter = a_mask & b_mask
-                if inter and inter not in self.derivations:
-                    self.add(inter, ("and", a_mask, b_mask))
-                union = a_mask | b_mask
-                if union not in self.derivations:
-                    self.add(union, ("or", a_mask, b_mask))
-                if self.rel_complements:
-                    for big, small in ((a_mask, b_mask), (b_mask, a_mask)):
-                        if big & small == small and big != small:
-                            diff = big & ~small
-                            if diff and diff not in self.derivations:
-                                self.add(diff, ("diff", big, small))
+    The family is a finite distributive lattice, so a basis spans it
+    (Birkhoff, 1937).  With m(v) the intersection of the generators holding
+    v, the lattice is every nonempty union of m(v)'s, and the ring (with
+    differences) every nonempty union of atoms, the classes of vertices
+    with equal m(v); an atom is m(v) minus the m(u) strictly inside it.
+    Relative ranges distribute over unions, r(X | Y, a) = r(X, a) | r(Y, a),
+    so the family is closed under them once every basis element's ranges
+    are members.  A range with no derivation yet becomes a generator, which
+    may refine the basis (a range of a member lies in the closure, so no
+    generator adds too much); this repeats until every basis element has
+    been stepped, and then the members are listed as unions of basis
+    elements.  ``order_seed`` shuffles the generators; the members do not
+    depend on it.
+    """
+    seeds = list(seeds)
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(seeds)
+    derivations: dict[int, Derivation] = {}
+    meet = [0] * len(lg.vertices)       # m(v); 0 while no generator holds v
+
+    def generate(mask: int, deriv: Derivation) -> None:
+        derivations[mask] = deriv
+        rest = mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cur = meet[v]
+            if not cur:
+                meet[v] = mask
+            elif cur & mask != cur:
+                meet[v] = cur & mask
+                derivations.setdefault(cur & mask, ("and", cur, mask))
+
+    for mask, deriv in seeds:
+        if mask and mask not in derivations:
+            generate(mask, deriv)
+    stepped: set[int] = set()
+    while True:
+        basis = _basis(meet, derivations, rel_complements)
+        fresh = [b for b in basis if b not in stepped]
+        if not fresh:
+            break
+        for b in fresh:
+            stepped.add(b)
+            prev = derivations[b]
+            for letter in lg.alphabet:
+                value = lg.range_mask(b, (letter,))
+                if value and value not in derivations:
+                    generate(value, ("range", prev[1] + (letter,))
+                             if prev[0] == "range" else ("step", b, letter))
+    if rel_complements and (1 << len(basis)) - 1 > MAX_MEMBERS:
+        raise SearchSpaceExceeded(
+            f"the closure has 2^{len(basis)} - 1 members, more than "
+            f"{MAX_MEMBERS}")
+    members = list(derivations)
+    for member in members:
+        for b in basis:
+            union = member | b
+            if union != member and union not in derivations:
+                if len(derivations) >= MAX_MEMBERS:
+                    raise SearchSpaceExceeded(
+                        f"the closure has more than {MAX_MEMBERS} members")
+                derivations[union] = ("or", member, b)
+                members.append(union)
+    return derivations
+
+
+def _basis(meet: list[int], derivations: dict[int, Derivation],
+           atoms: bool) -> list[int]:
+    """The distinct m(v) in vertex order, or with ``atoms`` the atoms they
+    cut out: each m(v) minus the union of the m(u) strictly inside it.
+    Sets the atoms are built from are recorded in ``derivations``."""
+    meets = list(dict.fromkeys(m for m in meet if m))
+    if not atoms:
+        return meets
+    out = []
+    for m in meets:
+        inner = 0
+        for u in meets:
+            if u != m and u & m == u:
+                if inner and inner | u != inner:
+                    derivations.setdefault(inner | u, ("or", inner, u))
+                inner |= u
+        if inner:
+            derivations.setdefault(m & ~inner, ("diff", m, inner))
+        out.append(m & ~inner)
+    return out
 
 
 def smallest_accommodating(lg: LabeledGraph,
@@ -128,29 +186,27 @@ def smallest_accommodating(lg: LabeledGraph,
 
     Single-letter steps generate all multi-letter ranges because
     r(A, wa) = r(r(A, w), a); the reduction is validated against direct
-    enumeration in the test suite.  ``order_seed`` shuffles the worklist to
-    exercise order independence; the resulting family is always the same.
+    enumeration in the test suite.  ``order_seed`` shuffles the generators
+    to exercise order independence; the resulting family is always the
+    same.  More than :data:`MAX_MEMBERS` members raise
+    :class:`SearchSpaceExceeded`.
     """
     require_valid(lg.graph, "smallest_accommodating")
-    eng = _Closure(lg, rel_complements=False, order_seed=order_seed)
     full = lg.full_mask()
-    for a in lg.alphabet:
-        eng.add(lg.range_mask(full, (a,)), ("range", (a,)))
-    eng.run()
-    members = tuple(sorted(eng.derivations))
-    return SetCollection(lg, members, dict(eng.derivations),
+    derivations = _close(lg, [(lg.range_mask(full, (a,)), ("range", (a,)))
+                              for a in lg.alphabet], False, order_seed)
+    return SetCollection(lg, tuple(sorted(derivations)), derivations,
                          ("relative_ranges", "intersections", "unions"))
 
 
 def relative_complement_closure(col: SetCollection) -> SetCollection:
     """Close additionally under A \\ B for strict member pairs A > B; the
-    result still satisfies the accommodating laws."""
-    eng = _Closure(col.lg, rel_complements=True, order_seed=None)
-    for mask in col.members:
-        eng.add(mask, col.derivations[mask])
-    eng.run()
-    members = tuple(sorted(eng.derivations))
-    return SetCollection(col.lg, members, dict(eng.derivations),
+    result still satisfies the accommodating laws.  More than
+    :data:`MAX_MEMBERS` members raise :class:`SearchSpaceExceeded` before
+    any is listed."""
+    derivations = _close(col.lg, [(m, col.derivations[m]) for m in col.members],
+                         True)
+    return SetCollection(col.lg, tuple(sorted(derivations)), derivations,
                          ("relative_ranges", "intersections", "unions",
                           "relative_complements"))
 
@@ -160,7 +216,7 @@ def smallest_accommodating_oracle(lg: LabeledGraph,
     """Exhaustive fixpoint over the powerset: seed with the ranges of every
     realized word up to ``word_bound`` computed from actual representatives,
     then run full passes of all closure rules until stable.  Used to check
-    the worklist fixpoint and its single-letter reduction."""
+    the basis closure and its single-letter reduction."""
     require_valid(lg.graph, "smallest_accommodating_oracle")
     members: set[int] = set()
     for n in range(1, word_bound + 1):
@@ -273,7 +329,7 @@ def normal_form(col: SetCollection, vertices: Iterable[str] | int) -> NormalForm
         shown = (repr(sorted(lg.set_of(mask))) if 0 <= mask <= lg.full_mask()
                  else f"mask {mask}")
         raise NotAMember(f"{shown} is not in the collection")
-    if not is_weakly_left_resolving(lg):
+    if not lg.weakly_left_resolving:
         raise PreconditionError(
             "NOT_WEAKLY_LEFT_RESOLVING",
             "normal forms require a weakly left-resolving graph")
@@ -360,13 +416,7 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     if word_bound < 1:
         raise PreconditionError(
             "WORD_BOUND_BELOW_ONE", f"word bound must be >= 1, got {word_bound}")
-    label_counts: dict[frozenset, int] = {}
-    for mask in col.members:
-        vs = lg.set_of(mask)
-        letters = {lg.labeling[e.eid] for v in vs for e in lg.graph.out_edges(v)}
-        label_counts[vs] = len(letters)
-    wlr = is_weakly_left_resolving(lg)
-
+    wlr = lg.weakly_left_resolving
     ranges = sorted(value for value, word in lg.range_table.ranges
                     if len(word) <= word_bound)
     pairs = 0
@@ -389,29 +439,44 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
                     if (big & ~small) not in members and diff_ok:
                         diff_ok = Check(False, (lg.set_of(big), lg.set_of(small)))
 
+    # Per-vertex tables from one scan of the edges, never through the step
+    # masks that range_mask sweeps: the letters each vertex emits, and its
+    # (letter, fiber) pairs.  Each member folds its vertices' entries.
+    vi, li = lg._vertex_index, lg._letter_index
+    emits = [0] * len(lg.vertices)
+    fiber_of: list[dict[int, int]] = [{} for _ in lg.vertices]
+    for e in lg.graph.edges:
+        v, a = vi[e.src], li[lg.labeling[e.eid]]
+        emits[v] |= 1 << a
+        fiber_of[v][a] = fiber_of[v].get(a, 0) | 1 << vi[e.dst]
+    fibers = [tuple(row.items()) for row in fiber_of]
+    silent = sum(1 << v for v, letters in enumerate(emits) if not letters)
+    label_counts: dict[frozenset, int] = {}
     ck4: Check = Check(True)
     for mask in col.members:
-        vs = sorted(lg.set_of(mask))
-        for v in vs:
-            if not lg.graph.out_edges(v):
-                ck4 = Check(False, (frozenset(vs), v), "vertex emits no edge")
-                break
+        vs = lg.set_of(mask)
+        letters = 0
+        fiber = [0] * len(lg.alphabet)
+        rest = mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            letters |= emits[v]
+            for a, targets in fibers[v]:
+                fiber[a] |= targets
+        label_counts[vs] = letters.bit_count()
         if not ck4:
-            break
-        letters = sorted({lg.labeling[e.eid] for v in vs
-                          for e in lg.graph.out_edges(v)})
-        for a in letters:
-            fiber = 0
-            for v in vs:
-                for e in lg.graph.out_edges(v):
-                    if lg.labeling[e.eid] == a:
-                        fiber |= lg.mask_of([e.dst])
-            stepped = lg.range_mask(mask, (a,))
-            if stepped != fiber or not stepped:
-                ck4 = Check(False, (frozenset(vs), a), "letter fiber mismatch")
-                break
-        if not ck4:
-            break
+            continue
+        if mask & silent:
+            ck4 = Check(False, (vs, min(lg.set_of(mask & silent))),
+                        "vertex emits no edge")
+            continue
+        for a, letter in enumerate(lg.alphabet):
+            if letters >> a & 1:
+                stepped = lg.range_mask(mask, (letter,))
+                if stepped != fiber[a] or not stepped:
+                    ck4 = Check(False, (vs, letter), "letter fiber mismatch")
+                    break
     return LabeledSpaceReport(
         set_finite=True,
         label_counts=label_counts,

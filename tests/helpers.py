@@ -1,6 +1,7 @@
 """Shared constructions used by several test modules."""
 
-from typing import Any
+import random
+from typing import Any, Iterable
 
 from labgraphs import fixtures as fx
 from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport, FiniteAction,
@@ -8,6 +9,7 @@ from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport, FiniteAction,
 from labgraphs.graph import DirectedGraph
 from labgraphs.groups import CyclicGroup
 from labgraphs.labeled import LabeledGraph
+from labgraphs.lattice import Derivation
 from labgraphs.skew import TranslationAction
 
 
@@ -43,6 +45,17 @@ def loop_swap_action():
     ident = ({"v": "v"}, {"l1": "l1", "l2": "l2"}, {"a": "a", "b": "b"})
     swap = ({"v": "v"}, {"l1": "l2", "l2": "l1"}, {"a": "b", "b": "a"})
     return FiniteAction(group, lg, {0: ident, 1: swap})
+
+
+def distinct_letter_cycle(n):
+    """Cycle on ``n`` vertices with a distinct letter on every edge, so
+    every range is a single vertex and the closures hold all 2^n - 1
+    nonempty vertex sets."""
+    vertices = [f"v{i:02d}" for i in range(n)]
+    edges = [(f"e{i:02d}", vertices[i], vertices[(i + 1) % n])
+             for i in range(n)]
+    return LabeledGraph(DirectedGraph(vertices, edges),
+                        {eid: f"a{eid[1:]}" for eid, _, _ in edges})
 
 
 def verify_action_exhaustive(action: LabeledGraphAction) -> ActionReport:
@@ -151,3 +164,64 @@ def translation_fibers(action: TranslationAction,
     return tuple(sorted(
         tuple(sorted(x for x in items if pairs[x][0] == base))
         for base in {pairs[x][0] for x in items}))
+
+
+class _Closure:
+    """Worklist closure engine over bitmasks with derivation tracking."""
+
+    def __init__(self, lg: LabeledGraph, rel_complements: bool,
+                 order_seed: int | None):
+        self.lg = lg
+        self.rel_complements = rel_complements
+        self.rng = random.Random(order_seed) if order_seed is not None else None
+        self.derivations: dict[int, Derivation] = {}
+        self.worklist: list[int] = []
+
+    def add(self, mask: int, deriv: Derivation) -> None:
+        if mask and mask not in self.derivations:
+            self.derivations[mask] = deriv
+            self.worklist.append(mask)
+
+    def run(self) -> None:
+        lg = self.lg
+        letters = lg.alphabet
+        while self.worklist:
+            if self.rng is not None:
+                i = self.rng.randrange(len(self.worklist))
+                self.worklist[i], self.worklist[-1] = (self.worklist[-1],
+                                                       self.worklist[i])
+            a_mask = self.worklist.pop()
+            for letter in letters:
+                stepped = lg.range_mask(a_mask, (letter,))
+                if stepped and stepped not in self.derivations:
+                    prev = self.derivations[a_mask]
+                    if prev[0] == "range":
+                        deriv: Derivation = ("range", prev[1] + (letter,))
+                    else:
+                        deriv = ("step", a_mask, letter)
+                    self.add(stepped, deriv)
+            for b_mask in list(self.derivations):
+                inter = a_mask & b_mask
+                if inter and inter not in self.derivations:
+                    self.add(inter, ("and", a_mask, b_mask))
+                union = a_mask | b_mask
+                if union not in self.derivations:
+                    self.add(union, ("or", a_mask, b_mask))
+                if self.rel_complements:
+                    for big, small in ((a_mask, b_mask), (b_mask, a_mask)):
+                        if big & small == small and big != small:
+                            diff = big & ~small
+                            if diff and diff not in self.derivations:
+                                self.add(diff, ("diff", big, small))
+
+
+def worklist_closure(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
+                     rel_complements: bool) -> dict[int, Derivation]:
+    """Oracle for both lattice closures: the O(M^2) worklist fixpoint that
+    pairs every new member with every member so far.  ``seeds`` are
+    ``(mask, derivation)`` pairs; returns every member's derivation."""
+    eng = _Closure(lg, rel_complements, order_seed=None)
+    for mask, deriv in seeds:
+        eng.add(mask, deriv)
+    eng.run()
+    return eng.derivations

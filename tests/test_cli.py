@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labgraphs import jsonio
 from labgraphs.cli import main
+
+from helpers import distinct_letter_cycle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -157,6 +160,14 @@ class TestReports:
         assert code == 0
         _, reference, _ = run(["lattice", "fixtures/fish4.json", "--json"])
         assert json.loads(out) == json.loads(reference)
+
+    def test_lattice_over_member_cap_exits_two(self, tmp_path):
+        path = tmp_path / "cycle17.json"
+        path.write_text(jsonio.dumps(jsonio.graph_to_json(
+            distinct_letter_cycle(17))))
+        code, _, err = run(["lattice", str(path)])
+        assert code == 2
+        assert "65536" in err
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_lattice_word_bound_below_one_exits_two(self, bound):

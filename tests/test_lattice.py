@@ -6,14 +6,18 @@ import random
 import pytest
 
 from labgraphs import fixtures as fx
-from labgraphs.errors import NotAMember, PreconditionError
+from labgraphs import labeled
+from labgraphs.errors import NotAMember, PreconditionError, SearchSpaceExceeded
 from labgraphs.graph import DirectedGraph
 from labgraphs.labeled import (LabeledGraph, is_weakly_left_resolving,
                                representatives)
-from labgraphs.lattice import (Factor, labeled_space_report, normal_form,
+from labgraphs.lattice import (MAX_MEMBERS, Factor, SetCollection,
+                               labeled_space_report, normal_form,
                                relative_complement_closure,
                                smallest_accommodating,
                                smallest_accommodating_oracle)
+
+from helpers import distinct_letter_cycle, worklist_closure
 
 
 def member_sets(col):
@@ -66,19 +70,16 @@ class TestSmallestAccommodating:
 
     def test_minimality_members_regrow(self):
         # removing any member and re-closing grows the collection back
-        from labgraphs.lattice import _Closure
         for lg in (fx.fish(), fx.fish4(), fx.chain3()):
             col = smallest_accommodating(lg)
             seeds = {lg.range_mask(lg.full_mask(), (a,)) for a in lg.alphabet}
             for member in col.members:
                 if member in seeds:
                     continue
-                eng = _Closure(lg, rel_complements=False, order_seed=None)
-                for m in col.members:
-                    if m != member:
-                        eng.add(m, col.derivations[m])
-                eng.run()
-                assert member in eng.derivations
+                regrown = worklist_closure(
+                    lg, [(m, col.derivations[m]) for m in col.members
+                         if m != member], rel_complements=False)
+                assert member in regrown
 
     def test_derivations_reevaluate(self):
         for lg in (fx.fish(), fx.fish4(), fx.chain3()):
@@ -96,6 +97,7 @@ class TestSmallestAccommodating:
 def _evaluate(col, mask):
     expr = col.derivations[mask]
     lg = col.lg
+    assert all(m in col.derivations for m in expr[1:] if isinstance(m, int))
     if expr[0] == "range":
         return lg.range_mask(lg.full_mask(), expr[1])
     if expr[0] == "step":
@@ -141,8 +143,7 @@ class TestNormalForm:
         closed = relative_complement_closure(smallest_accommodating(lg))
         nf = normal_form(closed, ["w"])
         assert nf.evaluate(lg) == {"w"}
-        rendered = nf.render()
-        assert rendered in ("r(10)", "r(0)\\r(1)") or nf.evaluate(lg) == {"w"}
+        assert nf.render() == "r(10)"
 
     def test_plain_ranges_are_single_leaves(self):
         lg = fx.fish()
@@ -195,6 +196,18 @@ class TestNormalForm:
         closed = relative_complement_closure(smallest_accommodating(fx.fish()))
         with pytest.raises(NotAMember):
             normal_form(closed, mask)
+
+    def test_weak_left_resolving_checked_once_per_graph(self, monkeypatch):
+        calls = []
+        check = labeled.is_weakly_left_resolving
+        monkeypatch.setattr(labeled, "is_weakly_left_resolving",
+                            lambda lg: calls.append(lg) or check(lg))
+        lg = fx.fish4()
+        closed = relative_complement_closure(smallest_accommodating(lg))
+        for mask in closed.members:
+            normal_form(closed, mask)
+        labeled_space_report(lg, closed)
+        assert len(calls) == 1
 
     def test_factor_rendering(self):
         assert Factor(("1", "0")).render() == "r(10)"
@@ -249,6 +262,29 @@ class TestRandomGraphClosures:
             col = smallest_accommodating(lg)
             assert set(col.members) == set(smallest_accommodating_oracle(lg))
 
+    def test_closures_match_worklist_oracle(self):
+        # small random graphs, plus graphs with 3 letters and 3n edges on
+        # 7 and 8 vertices, whose closures are mostly the whole power set
+        rng = random.Random(11)
+        graphs = [fx.random_valid_labeled_graph(rng, max_vertices=6)
+                  for _ in range(150)]
+        graphs += [_dense_valid_graph(rng, nv) for nv in (7, 7, 8, 8)]
+        for lg in graphs:
+            full = lg.full_mask()
+            col = smallest_accommodating(lg)
+            closed = relative_complement_closure(col)
+            seeds = [(lg.range_mask(full, (a,)), ("range", (a,)))
+                     for a in lg.alphabet]
+            assert set(col.members) == set(
+                worklist_closure(lg, seeds, rel_complements=False))
+            assert set(closed.members) == set(worklist_closure(
+                lg, [(m, col.derivations[m]) for m in col.members],
+                rel_complements=True))
+            for coll in (col, closed):
+                assert set(coll.derivations) == set(coll.members)
+                for mask in coll.members:
+                    assert _evaluate(coll, mask) == mask
+
     def test_normal_forms_on_random_wlr_graphs(self):
         # every member of both closures of 1000 weakly left-resolving graphs
         rng = random.Random(7)
@@ -280,3 +316,37 @@ def _evaluate_by_paths(lg, nf):
                 part -= range_of(factor.beta)
         value |= part
     return value
+
+
+def _dense_valid_graph(rng, nv):
+    """Valid graph on ``nv`` vertices with 3 letters and 3 * nv edges."""
+    vertices = [f"v{i}" for i in range(nv)]
+    edges = [(f"e{i}", v, rng.choice(vertices))
+             for i, v in enumerate(vertices)]
+    edges += [(f"e{nv + i}", rng.choice(vertices), v)
+              for i, v in enumerate(vertices)]
+    edges += [(f"e{i}", rng.choice(vertices), rng.choice(vertices))
+              for i in range(2 * nv, 3 * nv)]
+    return LabeledGraph(DirectedGraph(vertices, edges),
+                        {eid: f"a{rng.randrange(3)}" for eid, _, _ in edges})
+
+
+class TestMemberCap:
+    def test_sixteen_separated_vertices_fit(self):
+        col = smallest_accommodating(distinct_letter_cycle(16))
+        assert len(col) == MAX_MEMBERS - 1
+
+    def test_accommodating_refuses_more_members(self):
+        # 17 singleton ranges span 2^17 - 1 unions
+        with pytest.raises(SearchSpaceExceeded):
+            smallest_accommodating(distinct_letter_cycle(17))
+
+    def test_relative_complement_closure_refuses_more_members(self):
+        # 17 atoms, known before any member is listed
+        lg = distinct_letter_cycle(17)
+        full = lg.full_mask()
+        ranges = {lg.range_mask(full, (a,)): ("range", (a,))
+                  for a in lg.alphabet}
+        col = SetCollection(lg, tuple(sorted(ranges)), ranges)
+        with pytest.raises(SearchSpaceExceeded):
+            relative_complement_closure(col)
