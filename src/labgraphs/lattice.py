@@ -451,19 +451,24 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
         fiber_of[v][a] = fiber_of[v].get(a, 0) | 1 << vi[e.dst]
     fibers = [tuple(row.items()) for row in fiber_of]
     silent = sum(1 << v for v, letters in enumerate(emits) if not letters)
+    # A single-letter relative range is the union of the step rows of the
+    # member's vertices, and each fold above is the union of the same
+    # vertices' fibers.  When every step row equals its fiber, every
+    # member's fold equals its range, so only differing rows need the
+    # per-member comparison below, which names the first failing member.
+    steps_match = all(row[v] == fiber_of[v].get(a, 0)
+                      for a, row in enumerate(lg._step)
+                      for v in range(len(lg.vertices)))
     label_counts: dict[frozenset, int] = {}
     ck4: Check = Check(True)
     for mask in col.members:
         vs = lg.set_of(mask)
         letters = 0
-        fiber = [0] * len(lg.alphabet)
         rest = mask
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             letters |= emits[v]
-            for a, targets in fibers[v]:
-                fiber[a] |= targets
         label_counts[vs] = letters.bit_count()
         if not ck4:
             continue
@@ -471,6 +476,12 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
             ck4 = Check(False, (vs, min(lg.set_of(mask & silent))),
                         "vertex emits no edge")
             continue
+        if steps_match:
+            continue
+        fiber = [0] * len(lg.alphabet)
+        for name in vs:
+            for a, targets in fibers[vi[name]]:
+                fiber[a] |= targets
         for a, letter in enumerate(lg.alphabet):
             if letters >> a & 1:
                 stepped = lg.range_mask(mask, (letter,))

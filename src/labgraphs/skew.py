@@ -244,12 +244,13 @@ class TranslationAction(LabeledGraphAction):
         return tuple([position.get((base, op(g, h)), -1) for base, h in pairs]
                      + [-1] for pairs, position in self._coordinates)
 
-    def scope_elements(self) -> tuple[Element, ...]:
+    def interval_span(self) -> int | None:
+        """The widest layer difference of the window; None for finite
+        groups, whose scope is the whole group."""
         if self.group.is_finite:
-            return self.group.elements()
+            return None
         layers = [g for ls in self.skew.layers.values() for g in ls]
-        span = max(layers) - min(layers) if layers else 0
-        return tuple(range(-span, span + 1))
+        return max(layers) - min(layers) if layers else 0
 
     def elements_moving(self, kind: str, source: str,
                         target: str) -> tuple[Element, ...]:

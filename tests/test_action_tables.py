@@ -59,12 +59,28 @@ def random_z_action(rng: random.Random) -> TranslationAction:
         skew_product(SkewSpec(base, IntegerGroup(), c, d), window))
 
 
-def broken_z_action(rng: random.Random) -> TranslationAction:
+def wide_z_action(rng: random.Random) -> TranslationAction:
+    """Translation over a window of half-width 6 to 10, so the scope runs
+    up to -20..20, with cocycle values up to 15: the layers of a fiber
+    have gaps."""
+    base = fx.random_valid_labeled_graph(rng, max_vertices=3, max_letters=2,
+                                         extra_edges=2)
+    c = {e.eid: rng.randint(-15, 15) for e in base.graph.edges}
+    d = {e.eid: rng.randint(-15, 15) for e in base.graph.edges}
+    half = rng.randint(6, 10)
+    lo = rng.randint(-2 * half, 0)
+    window = Window(lo, lo + 2 * half)
+    return TranslationAction(
+        skew_product(SkewSpec(base, IntegerGroup(), c, d), window))
+
+
+def broken_z_action(rng: random.Random,
+                    build=random_z_action) -> TranslationAction:
     """A windowed translation with the (base item, layer) coordinates of one
     item overwritten by those of another item of its kind, or of two items
     swapped."""
     while True:
-        action = random_z_action(rng)
+        action = build(rng)
         skew = action.skew
         pairs = rng.choice((skew.vertex_pair, skew.edge_pair, skew.letter_pair))
         if len(pairs) >= 2:
@@ -176,6 +192,31 @@ def test_broken_variants_exercise_every_law():
             "label compatibility", "homomorphism"}
     assert seen["finite-broken"] >= laws | {"identity acts as identity"}
     assert seen["z-broken"] >= laws
+
+
+def test_wide_windows_agree_with_the_oracle():
+    """On wide windows the ends of the scope cut the slices of most h
+    short; the reports must equal the oracle's, failure order included.
+    The broken cases fail the homomorphism law at two or more h, and at
+    both ends g = -span and g = span of the scope, where the slices of
+    the g with g + h in the scope begin and end."""
+    hs, ends = set(), set()
+    for seed in range(20, 40):
+        rng = random.Random(seed)
+        if seed % 2:
+            action = broken_z_action(rng, wide_z_action)
+        else:
+            action = wide_z_action(rng)
+        report = verify_action(action)
+        assert report == verify_action_exhaustive(action)
+        span = action.interval_span()
+        for law, (g, h, *_) in report.failures:
+            if law == "homomorphism":
+                hs.add(h)
+                if abs(g) == span:
+                    ends.add(g // span)
+    assert len(hs) >= 2
+    assert ends == {-1, 1}
 
 
 def test_orbits_of_valid_finite_actions_are_group_orbits():

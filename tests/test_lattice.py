@@ -229,6 +229,34 @@ class TestLabeledSpaceReport:
         assert report.ck1b_differences_closed
         assert report.ck4
 
+    def test_ck4_fails_on_a_step_row_missing_a_target(self):
+        lg = fx.fish4()
+        closed = relative_complement_closure(smallest_accommodating(lg))
+        assert labeled_space_report(lg, closed).ck4
+        step = [list(row) for row in lg._step]
+        a, v = next((a, v) for a, row in enumerate(step)
+                    for v, targets in enumerate(row) if targets)
+        step[a][v] &= step[a][v] - 1  # drop the lowest target
+        lg.__dict__["_step"] = step
+        # The first member, in collection order, and its first letter whose
+        # relative range differs from the fiber found by scanning the edges.
+        expected = None
+        for mask in closed.members:
+            vs = lg.set_of(mask)
+            for letter in lg.alphabet:
+                fiber = {e.dst for e in lg.graph.edges
+                         if e.src in vs and lg.labeling[e.eid] == letter}
+                if fiber and lg.set_of(lg.range_mask(mask, (letter,))) != fiber:
+                    expected = (vs, letter)
+                    break
+            if expected:
+                break
+        report = labeled_space_report(lg, closed)
+        assert expected is not None
+        assert not report.ck4
+        assert report.ck4.note == "letter fiber mismatch"
+        assert report.ck4.witness == expected
+
     def test_chain3_small_collection_flags_missing_differences(self):
         lg = fx.chain3()
         col = smallest_accommodating(lg)
