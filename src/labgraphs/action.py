@@ -119,6 +119,13 @@ class LabeledGraphAction:
     def is_windowed(self) -> bool:
         return False
 
+    def base_isomorphism(self, quot: QuotientLabeledGraph
+                         ) -> LabeledGraphMorphism | None:
+        """The verified canonical isomorphism from the quotient ``quot`` of
+        this action onto the graph the action was built over, when the
+        action has one; None for an action given by its element triples."""
+        return None
+
     def orbits(self, kind: str) -> tuple[tuple[str, ...], ...]:
         """Orbit partition of a carrier, as sorted tuples in deterministic
         order.  Computed once per kind and cached."""

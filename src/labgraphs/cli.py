@@ -29,8 +29,7 @@ from .labeled import (is_left_resolving, is_weakly_left_resolving,
 from .lattice import (labeled_space_report, relative_complement_closure,
                       smallest_accommodating)
 from .morphism import LabeledGraphMorphism, verify_morphism
-from .skew import TranslationAction, left_translation, skew_product, \
-    translation_quotient
+from .skew import left_translation, skew_product
 
 _USAGE_ERRORS = (ParseError, SchemaError, PreconditionError, SearchSpaceExceeded)
 _PROPERTY_ERRORS = (VerificationError, NoFundamentalDomain, LiftFailure,
@@ -258,8 +257,7 @@ def _cmd_quotient(args):
              f"{len(lg.graph.edges)} edges, alphabet {_set_str(lg.alphabet)}"]
     for e in lg.graph.edges:
         lines.append(f"{e.eid}: {e.src} -> {e.dst}  label {lg.labeling[e.eid]}")
-    if isinstance(action, TranslationAction):
-        _, iso = translation_quotient(action.skew)
+    if action.base_isomorphism(quot) is not None:
         payload["isomorphic_to_base"] = True
         lines.append("canonical isomorphism onto the base: verified")
     return 0, payload, lines

@@ -10,7 +10,8 @@ from typing import Mapping
 
 from .action import (EDGE, LETTER, VERTEX, LabeledGraphAction,
                      QuotientLabeledGraph, is_label_consistent, quotient)
-from .errors import OutOfWindow, PreconditionError, VerificationError
+from .errors import (OutOfWindow, PreconditionError, SearchSpaceExceeded,
+                     VerificationError)
 from .graph import DirectedGraph, Edge, Path, validate
 from .groups import Element, Group, Window
 from .labeled import Check, LabeledGraph, Word, is_left_resolving
@@ -178,6 +179,14 @@ class SkewLabeledGraph:
                 f"window {w})")
 
 
+#: Most vertices, edges and letters a materialization may hold.
+#: :func:`skew_product` bounds the count from the base and the layer counts
+#: before it builds anything, and raises :class:`SearchSpaceExceeded` above
+#: the cap.  Just under it, ``quotient fixtures/skewz.json --window
+#: 0:23830`` (bound 262,141, with 166,819 items built) peaks at 109 MB.
+MAX_ITEMS = 1 << 18
+
+
 def skew_product(spec: SkewSpec, window: Window | None = None,
                  layers: Mapping[str, tuple[Element, ...]] | None = None
                  ) -> SkewLabeledGraph:
@@ -185,7 +194,9 @@ def skew_product(spec: SkewSpec, window: Window | None = None,
     (s(e), g) to (r(e), g c(e)) labeled (L(e), g d(e)).
 
     Finite groups materialize fully; the integers need an explicit window
-    (or a per-vertex layer assignment for pullback domains).
+    (or a per-vertex layer assignment for pullback domains).  A
+    materialization bounded to more than :data:`MAX_ITEMS` items raises
+    :class:`SearchSpaceExceeded`.
     """
     validity = validate(spec.base.graph)
     if not validity.valid:
@@ -194,14 +205,33 @@ def skew_product(spec: SkewSpec, window: Window | None = None,
             f"skew base: offending vertices {', '.join(validity.offenders())}")
     if layers is None:
         if spec.group.is_finite:
-            layers = {v: tuple(spec.group.elements()) for v in spec.base.vertices}
+            elements = spec.group.elements()
+        elif window is None:
+            raise PreconditionError(
+                "WINDOW_REQUIRED",
+                "integer skew products need an explicit window")
         else:
-            if window is None:
-                raise PreconditionError(
-                    "WINDOW_REQUIRED",
-                    "integer skew products need an explicit window")
-            layers = {v: tuple(window.elements()) for v in spec.base.vertices}
+            elements = window.elements()
+        counts = {v: len(elements) for v in spec.base.vertices}
+    else:
+        counts = {v: len(ls) for v, ls in layers.items()}
+    bound = item_bound(spec.base, counts)
+    if bound > MAX_ITEMS:
+        raise SearchSpaceExceeded(
+            f"the skew product may hold up to {bound} vertices, edges and "
+            f"letters, over the cap MAX_ITEMS = {MAX_ITEMS}")
+    if layers is None:
+        layers = {v: tuple(elements) for v in spec.base.vertices}
     return SkewLabeledGraph(spec, layers, window)
+
+
+def item_bound(base: LabeledGraph, counts: Mapping[str, int]) -> int:
+    """An upper bound on the vertices, edges and letters of a
+    materialization with ``counts[v]`` layers over base vertex v: each
+    layer of a source gives one edge, and each edge adds at most one halo
+    vertex and one letter."""
+    edges = sum(counts.get(e.src, 0) for e in base.graph.edges)
+    return sum(counts.values()) + 3 * edges
 
 
 # -- left translation ----------------------------------------------------------
@@ -209,23 +239,52 @@ def skew_product(spec: SkewSpec, window: Window | None = None,
 
 class TranslationAction(LabeledGraphAction):
     """Left translation g . (x, h) = (x, gh) on a materialized skew
-    product; partial on windows."""
+    product; partial on windows.
+
+    Translation moves an item along its fiber (the items over one base
+    item) and never across fibers, so the tables are built from a layer
+    grid rather than item by item.  D lists the distinct layers of the
+    carrier, over all kinds.  Each kind keeps a flat int list with one
+    block of |D| + 1 slots per fiber: slot i holds the carrier position
+    of (base item, D[i]), or -1 when that pair is not materialized, and
+    the trailing slot is always -1.  The table of g costs |D| group
+    operations for the layer map s_g (index of g D[i] in D, or |D| when
+    it is not a layer) and one gather per item,
+    ``row[x] = flat[offset(x) + s_g[layer(x)]]``.  The grid of a kind
+    holds |fibers| * (|D| + 1) slots, so its size depends on how many
+    distinct layers the carrier has, never on their numeric span.  On a
+    window the fibers share their layers and the grid stays within a
+    small multiple of the carrier; a per-vertex ``layers`` assignment
+    whose fibers share few layers makes it up to |fibers| times larger."""
 
     def __init__(self, skew: SkewLabeledGraph):
         super().__init__(skew.spec.group, skew.graph)
         self.skew = skew
 
     @cached_property
-    def _coordinates(self):
-        """Per kind: the (base item, layer) of each carrier item, and the
-        carrier position of each materialized (base item, layer)."""
-        coordinates = []
-        for kind, index in zip((VERTEX, EDGE, LETTER), self._indexes):
-            pairs, ids = self._pairs(kind)
-            coordinates.append((
-                [pairs[item] for item in self.carrier(kind)],
-                {pair: index[item] for pair, item in ids.items()}))
-        return coordinates
+    def _grid(self):
+        """D with the position of each layer in it, and per kind the flat
+        grid and the block offset and layer position of each carrier
+        item."""
+        kinds = [self._pairs(kind) for kind in (VERTEX, EDGE, LETTER)]
+        layers = list(dict.fromkeys(h for _, ids in kinds for _, h in ids))
+        slot = {h: i for i, h in enumerate(layers)}
+        width = len(layers) + 1
+        grids = []
+        for (pairs, ids), items, index in zip(kinds, self._carriers,
+                                              self._indexes):
+            flat: list[int] = []
+            block: dict[str, int] = {}
+            for (base, h), item in ids.items():
+                offset = block.get(base)
+                if offset is None:
+                    offset = block[base] = len(flat)
+                    flat += [-1] * width
+                flat[offset + slot[h]] = index[item]
+            coordinates = [pairs[item] for item in items]
+            grids.append((flat, [block[base] for base, _ in coordinates],
+                          [slot[h] for _, h in coordinates]))
+        return layers, slot, grids
 
     def _pairs(self, kind: str):
         if kind == VERTEX:
@@ -240,9 +299,11 @@ class TranslationAction(LabeledGraphAction):
         return ids.get((base, self.group.op(g, h)))
 
     def _build_table(self, g: Element):
-        op = self.group.op
-        return tuple([position.get((base, op(g, h)), -1) for base, h in pairs]
-                     + [-1] for pairs, position in self._coordinates)
+        layers, slot, grids = self._grid
+        op, missing = self.group.op, len(layers)
+        shift = [slot.get(op(g, h), missing) for h in layers]
+        return tuple([flat[o + shift[i]] for o, i in zip(offsets, positions)]
+                     + [-1] for flat, offsets, positions in grids)
 
     def interval_span(self) -> int | None:
         """The widest layer difference of the window; None for finite
@@ -290,6 +351,24 @@ class TranslationAction(LabeledGraphAction):
     def is_windowed(self) -> bool:
         return not self.group.is_finite
 
+    def base_isomorphism(self, quot: QuotientLabeledGraph
+                         ) -> LabeledGraphMorphism:
+        """The canonical isomorphism from the quotient onto the base, which
+        names each orbit by its base item.  It is verified, never assumed:
+        a quotient that is not the base raises :class:`VerificationError`."""
+        iso = LabeledGraphMorphism(
+            quot.quotient, self.skew.spec.base,
+            {v: v for v in quot.quotient.vertices},
+            {e.eid: e.eid for e in quot.quotient.graph.edges},
+            {a: a for a in quot.quotient.alphabet},
+        )
+        report = verify_morphism(iso)
+        if not report.isomorphism:
+            raise VerificationError(
+                "quotient of the translation action must equal the base",
+                (report.witness, report.note))
+        return iso
+
     def as_finite_action(self):
         """Materialize explicit per-element triples (finite groups only)."""
         from .action import FiniteAction
@@ -313,20 +392,9 @@ def translation_quotient(skew: SkewLabeledGraph
     """Quotient of the translation action together with the canonical
     isomorphism onto the base labeled graph (the skew/quotient round
     trip).  The isomorphism is verified, never assumed."""
-    quot = quotient(left_translation(skew))
-    base = skew.spec.base
-    iso = LabeledGraphMorphism(
-        quot.quotient, base,
-        {v: v for v in quot.quotient.vertices},
-        {e.eid: e.eid for e in quot.quotient.graph.edges},
-        {a: a for a in quot.quotient.alphabet},
-    )
-    report = verify_morphism(iso)
-    if not report.isomorphism:
-        raise VerificationError(
-            "quotient of the translation action must equal the base",
-            (report.witness, report.note))
-    return quot, iso
+    action = left_translation(skew)
+    quot = quotient(action)
+    return quot, action.base_isomorphism(quot)
 
 
 # -- path identification ---------------------------------------------------------

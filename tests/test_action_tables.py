@@ -5,6 +5,7 @@ over the base (translations), on fixtures and on random, windowed and
 deliberately broken actions."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 
 from labgraphs import fixtures as fx
 from labgraphs.action import (EDGE, LETTER, VERTEX, FiniteAction, verify_action)
+from labgraphs.graph import DirectedGraph
 from labgraphs.groups import CyclicGroup, IntegerGroup, Window
+from labgraphs.gross_tucker import identity_layer_sections, reconstruct
+from labgraphs.labeled import LabeledGraph
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 from helpers import (fish4_swap_action, loop_swap_action, orbits_bruteforce,
@@ -93,6 +97,14 @@ def broken_z_action(rng: random.Random,
     return TranslationAction(skew)
 
 
+def pullback_z_action(rng: random.Random) -> TranslationAction:
+    """Translation on the skew product a reconstruction builds over the
+    quotient, whose layers are the scope elements that move a section into
+    the window: with cocycle values wider than the window, the layers of a
+    fiber have gaps."""
+    return TranslationAction(reconstruct(random_z_action(rng)).skew)
+
+
 def random_finite_translation(rng: random.Random) -> TranslationAction:
     return fx.random_translation_action(rng, label_consistent=rng.random() < 0.5)
 
@@ -142,6 +154,7 @@ def broken_finite_action(rng: random.Random) -> FiniteAction:
 BUILDERS = {
     "z": random_z_action,
     "z-broken": broken_z_action,
+    "z-pullback": pullback_z_action,
     "finite-translation": random_finite_translation,
     "from-generators": random_generated_action,
     "finite-broken": broken_finite_action,
@@ -168,16 +181,39 @@ def test_random_actions_agree_with_the_oracles(builder, seed):
     assert_agrees_with_oracles(BUILDERS[builder](random.Random(seed)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(BUILDERS)), st.integers(0, 2 ** 32 - 1))
-def test_tables_match_apply(builder, seed):
-    action = BUILDERS[builder](random.Random(seed))
-    for g in action.scope_elements():
+def assert_tables_match_apply(action, elements) -> None:
+    for g in elements:
         for kind, row in zip(KINDS, action.table(g)):
             items = action.carrier(kind)
             assert len(row) == len(items) + 1 and row[-1] == -1
             assert [items[j] if j >= 0 else None for j in row[:-1]] == [
                 action.apply(g, kind, x) for x in items]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUILDERS)), st.integers(0, 2 ** 32 - 1))
+def test_tables_match_apply(builder, seed):
+    """On integer windows the elements run three past the scope at both
+    ends, where most images leave the materialization."""
+    action = BUILDERS[builder](random.Random(seed))
+    span = action.interval_span()
+    elements = (action.scope_elements() if span is None
+                else range(-span - 3, span + 4))
+    assert_tables_match_apply(action, elements)
+
+
+def test_huge_cocycle_tables_and_reconstruction():
+    """A cocycle value of 10**12 puts the halo of a one-vertex window
+    10**12 layers away from it; the tables and the reconstruction must not
+    cost in proportion to that distance."""
+    base = LabeledGraph(DirectedGraph(["v"], [("e", "v", "v")]), {"e": "a"})
+    spec = SkewSpec(base, IntegerGroup(), {"e": 10 ** 12}, {"e": 0})
+    start = time.perf_counter()
+    action = TranslationAction(skew_product(spec, Window(-3, 3)))
+    assert_tables_match_apply(action, action.scope_elements())
+    rec = reconstruct(action, identity_layer_sections(action))
+    assert time.perf_counter() - start < 0.5
+    assert dict(rec.c) == {"e": 10 ** 12} and dict(rec.d) == {"e": 0}
 
 
 def test_broken_variants_exercise_every_law():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from labgraphs import jsonio
 from labgraphs.cli import main
+from labgraphs.skew import MAX_ITEMS
 
 from helpers import distinct_letter_cycle
 
@@ -190,6 +191,21 @@ class TestReports:
     def test_quotient_command(self):
         code, out, _ = run(["quotient", "fixtures/skewz.json",
                             "--window", "0:3"])
+        assert code == 0
+        assert "canonical isomorphism onto the base: verified" in out
+
+    def test_skew_over_item_cap_exits_two(self):
+        start = time.perf_counter()
+        code, out, err = run(["skew", "fixtures/skewz.json",
+                              "--window", "0:100000000"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert f"MAX_ITEMS = {MAX_ITEMS}" in err
+        assert "Traceback" not in err
+
+    def test_quotient_under_item_cap(self):
+        code, out, _ = run(["quotient", "fixtures/skewz.json",
+                            "--window", "0:10000"])
         assert code == 0
         assert "canonical isomorphism onto the base: verified" in out
 

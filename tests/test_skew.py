@@ -1,18 +1,22 @@
 """Skew products: structure equations, translation action, path and label
 identifications, relabeling isomorphism, quotient round trip."""
 
+import random
+
 import pytest
 
 from labgraphs import fixtures as fx
+from labgraphs import skew as skew_module
 from labgraphs.action import is_free, quotient, verify_action
-from labgraphs.errors import OutOfWindow, PreconditionError
+from labgraphs.errors import (OutOfWindow, PreconditionError,
+                              SearchSpaceExceeded)
 from labgraphs.groups import CyclicGroup, IntegerGroup, Window
 from labgraphs.labeled import labeled_paths
 from labgraphs.morphism import verify_morphism
-from labgraphs.skew import (SkewSpec, identify_labeled_path, labeled_range,
-                            left_translation, lift_path, one_cocycle,
-                            project_path, relabel_iso, skew_product,
-                            translation_quotient)
+from labgraphs.skew import (SkewSpec, identify_labeled_path, item_bound,
+                            labeled_range, left_translation, lift_path,
+                            one_cocycle, project_path, relabel_iso,
+                            skew_product, translation_quotient)
 
 
 class TestMaterialization:
@@ -71,6 +75,38 @@ class TestMaterialization:
         assert skew.interior_valid
         assert "(v,0)" not in skew.interior_vertices  # misses in-edges
         assert "(v,1)" in skew.interior_vertices
+
+    def test_item_cap_on_each_side(self, monkeypatch):
+        """A window whose bound equals MAX_ITEMS builds; with the cap one
+        lower the same window is refused before anything is built."""
+        spec = fx.skewz_spec()
+        bound = item_bound(spec.base, {v: 10 for v in spec.base.vertices})
+        monkeypatch.setattr(skew_module, "MAX_ITEMS", bound)
+        lg = skew_product(spec, Window(0, 9)).graph
+        assert len(lg.vertices) + len(lg.graph.edges) + len(lg.alphabet) <= bound
+        monkeypatch.setattr(skew_module, "MAX_ITEMS", bound - 1)
+        with pytest.raises(SearchSpaceExceeded,
+                           match=f"up to {bound} .* MAX_ITEMS = {bound - 1}"):
+            skew_product(spec, Window(0, 9))
+
+    def test_item_bound_covers_halo_and_letters(self):
+        """The bound holds when cocycles wider than the window put most
+        edges on the boundary, and for full finite materializations."""
+        rng = random.Random(5)
+        for _ in range(40):
+            base = fx.random_valid_labeled_graph(rng)
+            c = {e.eid: rng.randint(-9, 9) for e in base.graph.edges}
+            d = {e.eid: rng.randint(-9, 9) for e in base.graph.edges}
+            lo = rng.randint(-3, 3)
+            skew = skew_product(SkewSpec(base, IntegerGroup(), c, d),
+                                Window(lo, lo + rng.randint(0, 4)))
+            finite = fx.random_translation_action(rng, False).skew
+            for built in (skew, finite):
+                lg = built.graph
+                counts = {v: len(ls) for v, ls in built.layers.items()}
+                assert (len(lg.vertices) + len(lg.graph.edges)
+                        + len(lg.alphabet)) <= item_bound(
+                            built.spec.base, counts)
 
 
 class TestLeftTranslation:
