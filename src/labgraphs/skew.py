@@ -244,18 +244,21 @@ class TranslationAction(LabeledGraphAction):
     Translation moves an item along its fiber (the items over one base
     item) and never across fibers, so the tables are built from a layer
     grid rather than item by item.  D lists the distinct layers of the
-    carrier, over all kinds.  Each kind keeps a flat int list with one
-    block of |D| + 1 slots per fiber: slot i holds the carrier position
-    of (base item, D[i]), or -1 when that pair is not materialized, and
-    the trailing slot is always -1.  The table of g costs |D| group
-    operations for the layer map s_g (index of g D[i] in D, or |D| when
-    it is not a layer) and one gather per item,
-    ``row[x] = flat[offset(x) + s_g[layer(x)]]``.  The grid of a kind
-    holds |fibers| * (|D| + 1) slots, so its size depends on how many
-    distinct layers the carrier has, never on their numeric span.  On a
-    window the fibers share their layers and the grid stays within a
-    small multiple of the carrier; a per-vertex ``layers`` assignment
-    whose fibers share few layers makes it up to |fibers| times larger."""
+    carrier, over all kinds, and the shape of a fiber is the tuple of
+    positions in D that its block spans: all of D when the fiber holds at
+    least half of D's layers, as on a window, and otherwise the layers it
+    holds.  Each kind keeps a flat int list with one block per fiber:
+    slot j holds the carrier position of (base item, D[shape[j]]), or -1
+    when that pair is not materialized, and a trailing slot holds -1.
+    The table of g costs |D| group operations for the layer map s_g (the
+    position of g D[i] in D, or |D| when it is not a layer), which is
+    the slot map of the full shape, one lookup per layer of each other
+    distinct shape to turn s_g into a slot of that shape (its length when
+    g moves the layer out of it), and one gather per item,
+    ``row[x] = flat[offset(x) + slot(x, g)]``.  A kind's grid holds at
+    most 2 |items| + |fibers| slots, and the lookups of its shapes at
+    most |items| entries: its size follows the carrier, never the numeric
+    span of the layers or how few layers the fibers share."""
 
     def __init__(self, skew: SkewLabeledGraph):
         super().__init__(skew.spec.group, skew.graph)
@@ -264,26 +267,46 @@ class TranslationAction(LabeledGraphAction):
     @cached_property
     def _grid(self):
         """D with the position of each layer in it, and per kind the flat
-        grid and the block offset and layer position of each carrier
-        item."""
+        grid, one (slot map, D position, length) entry per layer of each
+        distinct shape short of all of D, and the block offset and layer
+        map key of each carrier item (i for layer D[i] of a full-shape
+        block, |D| onward for the entries)."""
         kinds = [self._pairs(kind) for kind in (VERTEX, EDGE, LETTER)]
         layers = list(dict.fromkeys(h for _, ids in kinds for _, h in ids))
         slot = {h: i for i, h in enumerate(layers)}
-        width = len(layers) + 1
+        everywhere = tuple(range(len(layers)))
+        identity = dict(zip(everywhere, everywhere))
         grids = []
         for (pairs, ids), items, index in zip(kinds, self._carriers,
                                               self._indexes):
-            flat: list[int] = []
-            block: dict[str, int] = {}
+            fibers: dict[str, dict[int, int]] = {}
             for (base, h), item in ids.items():
-                offset = block.get(base)
-                if offset is None:
-                    offset = block[base] = len(flat)
-                    flat += [-1] * width
-                flat[offset + slot[h]] = index[item]
-            coordinates = [pairs[item] for item in items]
-            grids.append((flat, [block[base] for base, _ in coordinates],
-                          [slot[h] for _, h in coordinates]))
+                fibers.setdefault(base, {})[slot[h]] = index[item]
+            flat: list[int] = []
+            entries: list[tuple[dict[int, int], int, int]] = []
+            starts: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
+            block = {}
+            for base, cells in fibers.items():
+                if 2 * len(cells) >= len(layers):
+                    shape, start = everywhere, (0, identity)
+                else:
+                    shape = tuple(sorted(cells))
+                    start = starts.get(shape)
+                    if start is None:
+                        local = {i: j for j, i in enumerate(shape)}
+                        start = starts[shape] = (
+                            len(layers) + len(entries), local)
+                        entries += [(local, i, len(shape)) for i in shape]
+                block[base] = len(flat), start
+                flat += [cells.get(i, -1) for i in shape]
+                flat.append(-1)
+            offsets, keys = [], []
+            for item in items:
+                base, h = pairs[item]
+                offset, (start, local) = block[base]
+                offsets.append(offset)
+                keys.append(start + local[slot[h]])
+            grids.append((flat, entries, offsets, keys))
         return layers, slot, grids
 
     def _pairs(self, kind: str):
@@ -302,8 +325,12 @@ class TranslationAction(LabeledGraphAction):
         layers, slot, grids = self._grid
         op, missing = self.group.op, len(layers)
         shift = [slot.get(op(g, h), missing) for h in layers]
-        return tuple([flat[o + shift[i]] for o, i in zip(offsets, positions)]
-                     + [-1] for flat, offsets, positions in grids)
+        rows = []
+        for flat, entries, offsets, keys in grids:
+            moved = shift + [local.get(shift[i], n) for local, i, n in entries]
+            rows.append([flat[o + moved[k]] for o, k in zip(offsets, keys)]
+                        + [-1])
+        return tuple(rows)
 
     def interval_span(self) -> int | None:
         """The widest layer difference of the window; None for finite

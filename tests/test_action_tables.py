@@ -216,6 +216,58 @@ def test_huge_cocycle_tables_and_reconstruction():
     assert dict(rec.c) == {"e": 10 ** 12} and dict(rec.d) == {"e": 0}
 
 
+def _distinct_cocycle_cycle(n: int) -> TranslationAction:
+    """A cycle of n vertices whose cocycle values are all distinct and
+    10**6 apart: every vertex fiber holds the window and its own halo."""
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    base = LabeledGraph(DirectedGraph(vertices, edges),
+                        {eid: "a" for eid, _, _ in edges})
+    c = {eid: 10 ** 6 * i for i, (eid, _, _) in enumerate(edges)}
+    spec = SkewSpec(base, IntegerGroup(), c, {eid: 0 for eid in c})
+    return TranslationAction(skew_product(spec, Window(-3, 3)))
+
+
+def _sparse_layer_loops(n: int) -> TranslationAction:
+    """n one-loop fibers, each with 5 layers of its own, 100 apart."""
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", v, v) for i, v in enumerate(vertices)]
+    base = LabeledGraph(DirectedGraph(vertices, edges),
+                        {eid: "a" for eid, _, _ in edges})
+    spec = SkewSpec(base, IntegerGroup(), {eid: 1 for eid, _, _ in edges},
+                    {eid: 0 for eid, _, _ in edges})
+    layers = {v: tuple(100 * i + k for k in range(5))
+              for i, v in enumerate(vertices)}
+    return TranslationAction(skew_product(spec, layers=layers))
+
+
+GRID_CASES = {
+    "distinct-cocycles": lambda: _distinct_cocycle_cycle(60),
+    "sparse-layers": lambda: _sparse_layer_loops(60),
+    **{f"wide-{seed}": lambda seed=seed: wide_z_action(random.Random(seed))
+       for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_grid_size_follows_the_carrier(name):
+    """Fibers that share few layers must not inflate the layer grid: each
+    kind holds at most two slots per item and one per fiber, and the slot
+    maps of its distinct fiber shapes at most one entry per item, however
+    many distinct layers the carrier has.  The tables are checked on a few
+    short and long translations, since the scope of the sparse layers
+    runs to thousands of elements."""
+    action = GRID_CASES[name]()
+    _, _, grids = action._grid
+    for kind, (flat, entries, _, _) in zip(KINDS, grids):
+        items = action.carrier(kind)
+        assert len(flat) <= (2 * len(items)
+                             + len(translation_fibers(action, kind)))
+        assert len(entries) <= len(items)
+    assert_tables_match_apply(
+        action, [*range(-8, 9), 100, -100, 10 ** 6, -10 ** 6])
+
+
 def test_broken_variants_exercise_every_law():
     """The broken builders are not vacuous: together they violate every
     law that verify_action checks, windowed and finite."""
