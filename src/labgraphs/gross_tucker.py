@@ -6,18 +6,22 @@ fundamental domain."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .action import (EDGE, LETTER, VERTEX, DomainSearchResult,
                      LabeledGraphAction, QuotientLabeledGraph,
                      find_fundamental_domain, is_free, is_fundamental_domain,
-                     is_label_consistent, quotient, verify_action)
+                     is_label_consistent, quotient, stacked_rows,
+                     verify_action)
 from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
                      NonFreeWitness, PreconditionError, VerificationError)
 from .groups import Element
 from .morphism import LabeledGraphMorphism, MorphismReport, verify_morphism
 from .skew import SkewLabeledGraph, SkewSpec, TranslationAction
+
+_KINDS = (VERTEX, EDGE, LETTER)
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,151 @@ def reconstruct(action: LabeledGraphAction,
                 pack: SectionPack | None = None) -> Reconstruction:
     """Build the skew product over the quotient with derived cocycles and
     the comparison isomorphism phi(Gx, g) = alpha_g(eta(Gx)); verify the
-    morphism laws, bijectivity and equivariance pointwise."""
+    morphism laws, bijectivity and equivariance pointwise
+    (:func:`check_equivariance`, item-major on integer windows)."""
     return _reconstruct(action, pack, None)
+
+
+def _comparison_map(action: LabeledGraphAction, kind: str,
+                    pairs: Mapping[str, tuple[str, Element]],
+                    section: Mapping[str, str]) -> dict[str, str]:
+    """phi(q, g) = alpha_g(section(q)) on every item (q, g) of one kind of
+    the reconstruction skew product.  The image is read from the cached
+    table of g when g is a scope element; halo and letter layers may lie
+    outside the scope, and those go through ``apply``, so no table is
+    built for them."""
+    k = _KINDS.index(kind)
+    rows = {g: action.table(g)[k] for g in action.scope_elements()}
+    carrier, index = action.carrier(kind), action.index(kind)
+    out = {}
+    for item, (q, g) in pairs.items():
+        row = rows.get(g)
+        if row is None:
+            image = action.apply(g, kind, section[q])
+        else:
+            j = row[index[section[q]]]
+            image = carrier[j] if j >= 0 else None
+        if image is None:
+            raise VerificationError("comparison map leaves the carrier",
+                                    (kind, item))
+        out[item] = image
+    return out
+
+
+def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
+                       maps: Sequence[Mapping[str, str]]) -> int:
+    """Check phi(tau_g x) = alpha_g(phi(x)) for the vertex, edge and letter
+    maps ``maps`` from the skew product ``skew`` over the quotient into the
+    acted-on carrier, tau the left translation of ``skew``: for every
+    scope element g of ``action`` and every item x where both sides are
+    defined.  Returns the number of such (g, x) pairs.  A mismatch raises
+    :class:`VerificationError` naming the least witness (g, kind, x), in
+    scope, kind and carrier order; so does a check that compares nothing.
+
+    When the scope is an integer interval, the check runs item-major
+    (:func:`_equivariance_interval`): one slice compare per item covers
+    every g.  Other scopes compare the gathered rows of each element."""
+    tau = TranslationAction(skew)
+    images = [[action.index(kind)[mapping[item]] for item in tau.carrier(kind)]
+              + [-1] for kind, mapping in zip(_KINDS, maps)]
+    span = action.interval_span()
+    if span is None:
+        checked = _equivariance_by_element(action, tau, images)
+    else:
+        checked = _equivariance_interval(action, span, tau, images)
+    if checked == 0:
+        raise VerificationError("equivariance could not be exercised", None)
+    return checked
+
+
+def _equivariance_by_element(action: LabeledGraphAction,
+                             tau: TranslationAction,
+                             images: list[list[int]]) -> int:
+    """Equivariance element by element: the images of tau_g and alpha_g
+    gathered through the tables of g."""
+    checked = 0
+    for g in action.scope_elements():
+        for kind, image, tau_row, row in zip(_KINDS, images, tau.table(g),
+                                             action.table(g)):
+            lhs = [image[j] for j in tau_row]
+            rhs = [row[j] for j in image]
+            if lhs == rhs:
+                checked += len(lhs) - lhs.count(-1)
+                continue
+            for i, (l, r) in enumerate(zip(lhs, rhs)):
+                if l < 0 or r < 0:
+                    continue
+                if l != r:
+                    raise VerificationError("reconstruction is not equivariant",
+                                            (g, kind, tau.carrier(kind)[i]))
+                checked += 1
+    return checked
+
+
+def _equivariance_interval(action: LabeledGraphAction, span: int,
+                           tau: TranslationAction,
+                           images: list[list[int]]) -> int:
+    """Equivariance on the scope -span..span, item-major.
+
+    Take an item x over the base item q at layer h.  Over the g of the
+    scope, tau_g x is (q, h + g), so the values phi(tau_g x) are a slice of
+    the fiber's line, which holds phi(q, t) at each layer t (-1 where
+    (q, t) is not materialized), and the values alpha_g(phi(x)) are the
+    stride slice of :func:`stacked_rows` at phi(x).  One compare covers
+    every g, and only a mismatch is walked g by g.  The line spans the
+    fiber's layers when they fill at least half of that extent; a sparser
+    fiber (halo layers far from the window) gathers the layers within
+    span of h instead, so the lines follow the carrier, never the numeric
+    distance between layers.  The count and the least witness equal
+    those of :func:`_equivariance_by_element`."""
+    skew = tau.skew
+    first = None
+    checked = 0
+    for k, (kind, image, pairs) in enumerate(zip(
+            _KINDS, images,
+            (skew.vertex_pair, skew.edge_pair, skew.letter_pair))):
+        flat = stacked_rows(action, span, k)
+        m = len(flat) // (2 * span + 1)
+        fibers: dict[str, dict[Element, int]] = {}
+        for x, item in enumerate(tau.carrier(kind)):
+            q, h = pairs[item]
+            fibers.setdefault(q, {})[h] = x
+        for cells in fibers.values():
+            layers = sorted(cells)
+            lo, hi = layers[0], layers[-1]
+            dense = hi - lo < 2 * len(layers)
+            if dense:
+                line = [-1] * (hi - lo + 1)
+                for t, x in cells.items():
+                    line[t - lo] = image[x]
+            for h, x in cells.items():
+                p = image[x] + span * m
+                if dense:
+                    a, b = max(-span, lo - h), min(span, hi - h)
+                    gs = range(a, b + 1)
+                    lhs = line[h + a - lo:h + b - lo + 1]
+                    rhs = flat[p + a * m:p + b * m + 1:m]
+                else:
+                    near = layers[bisect_left(layers, h - span):
+                                  bisect_right(layers, h + span)]
+                    gs = [t - h for t in near]
+                    lhs = [image[cells[t]] for t in near]
+                    rhs = [flat[p + g * m] for g in gs]
+                if lhs == rhs:
+                    checked += len(lhs) - lhs.count(-1)
+                    continue
+                for g, l, r in zip(gs, lhs, rhs):
+                    if l >= 0 and r >= 0:
+                        if l != r:
+                            if first is None or (g, k, x) < first:
+                                first = (g, k, x)
+                            break
+                        checked += 1
+    if first is not None:
+        g, k, x = first
+        raise VerificationError("reconstruction is not equivariant",
+                                (g, _KINDS[k], tau.carrier(_KINDS[k])[x]))
+    return checked
 
 
 def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
@@ -203,27 +350,11 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     layers = _reconstruction_layers(action, quot, pack.eta0)
     skew = SkewLabeledGraph(skew_spec, layers, window=None)
 
-    vmap, emap, amap = {}, {}, {}
-    for vid, (q_vertex, g) in skew.vertex_pair.items():
-        image = action.apply(g, VERTEX, pack.eta0[q_vertex])
-        if image is None:
-            raise VerificationError("comparison map leaves the carrier",
-                                    (VERTEX, vid))
-        vmap[vid] = image
-    for eid, (q_edge, g) in skew.edge_pair.items():
-        image = action.apply(g, EDGE, pack.eta1[q_edge])
-        if image is None:
-            raise VerificationError("comparison map leaves the carrier",
-                                    (EDGE, eid))
-        emap[eid] = image
-    for lid, (q_letter, h) in skew.letter_pair.items():
-        image = action.apply(h, LETTER, pack.etaA[q_letter])
-        if image is None:
-            raise VerificationError("comparison map leaves the carrier",
-                                    (LETTER, lid))
-        amap[lid] = image
-
-    iso = LabeledGraphMorphism(skew.graph, action.graph, vmap, emap, amap)
+    maps = [_comparison_map(action, kind, pairs, section)
+            for kind, pairs, section in zip(
+                _KINDS, (skew.vertex_pair, skew.edge_pair, skew.letter_pair),
+                (pack.eta0, pack.eta1, pack.etaA))]
+    iso = LabeledGraphMorphism(skew.graph, action.graph, *maps)
     morphism_report = verify_morphism(iso)
     if not morphism_report.ok:
         raise VerificationError(
@@ -231,30 +362,7 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
             morphism_report.witness)
     if not morphism_report.isomorphism:
         raise VerificationError("reconstruction map is not bijective", None)
-
-    # equivariance, pointwise on the tables: phi(g . x) = alpha_g(phi(x))
-    tau = TranslationAction(skew)
-    kinds = (VERTEX, EDGE, LETTER)
-    images = [[action.index(kind)[mapping[item]] for item in tau.carrier(kind)]
-              + [-1] for kind, mapping in zip(kinds, (vmap, emap, amap))]
-    checked = 0
-    for g in action.scope_elements():
-        for kind, image, tau_row, row in zip(kinds, images, tau.table(g),
-                                             action.table(g)):
-            lhs = [image[j] for j in tau_row]
-            rhs = [row[j] for j in image]
-            if lhs == rhs:
-                checked += len(lhs) - lhs.count(-1)
-                continue
-            for i, (l, r) in enumerate(zip(lhs, rhs)):
-                if l < 0 or r < 0:
-                    continue
-                if l != r:
-                    raise VerificationError("reconstruction is not equivariant",
-                                            (g, kind, tau.carrier(kind)[i]))
-                checked += 1
-    if checked == 0:
-        raise VerificationError("equivariance could not be exercised", None)
+    checked = check_equivariance(action, skew, maps)
 
     return Reconstruction(
         quot, pack, c, d, skew, iso, morphism_report, checked,

@@ -119,6 +119,7 @@ class SkewLabeledGraph:
         edge_id: dict[tuple[str, Element], str] = {}
         letter_pair: dict[str, tuple[str, Element]] = {}
         boundary: set[str] = set()
+        entering: dict[str, int] = {}
         layer_sets = {x: set(ls) for x, ls in self.layers.items()}
         for e in base.graph.edges:
             for g in self.layers.get(e.src, ()):
@@ -126,6 +127,7 @@ class SkewLabeledGraph:
                 src = ensure_vertex(e.src, g)
                 dst_layer = group.op(g, spec.c[e.eid])
                 dst = ensure_vertex(e.dst, dst_layer)
+                entering[dst] = entering.get(dst, 0) + 1
                 if dst_layer not in layer_sets.get(e.dst, ()):
                     boundary.add(eid)
                 letter_layer = group.op(g, spec.d[e.eid])
@@ -148,18 +150,13 @@ class SkewLabeledGraph:
         self.halo_vertices = frozenset(vertex_pair) - self.window_vertices
         self.boundary_edges = frozenset(boundary)
 
-        interior = []
-        for vid in sorted(window_vertices):
-            x, g = vertex_pair[vid]
-            complete = True
-            for e in base.graph.in_edges(x):
-                src_layer = group.op(g, group.inv(spec.c[e.eid]))
-                if src_layer not in layer_sets.get(e.src, ()):
-                    complete = False
-                    break
-            if complete:
-                interior.append(vid)
-        self.interior_vertices = frozenset(interior)
+        # (x, g) is interior when every base edge e entering x has its
+        # source layer g c(e)^-1 materialized; each such layer gives one
+        # materialized edge into (x, g), and no other edge enters it.
+        self.interior_vertices = frozenset(
+            vid for vid in window_vertices
+            if entering.get(vid, 0)
+            == len(base.graph.in_edges(vertex_pair[vid][0])))
 
         validity = validate(self.graph.graph)
         self.interior_valid = all(

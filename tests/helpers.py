@@ -10,7 +10,7 @@ from labgraphs.graph import DirectedGraph
 from labgraphs.groups import CyclicGroup
 from labgraphs.labeled import LabeledGraph
 from labgraphs.lattice import Derivation
-from labgraphs.skew import TranslationAction
+from labgraphs.skew import SkewLabeledGraph, TranslationAction
 
 
 def trivial_action(lg, n=2):
@@ -119,6 +119,45 @@ def verify_action_exhaustive(action: LabeledGraphAction) -> ActionReport:
                 pairs += 1
     return ActionReport(not failures, tuple(failures), len(scope), pairs,
                         action.is_windowed())
+
+
+def equivariance_oracle(action: LabeledGraphAction, skew: SkewLabeledGraph,
+                        maps) -> tuple[int, tuple | None]:
+    """Definitional oracle for ``gross_tucker.check_equivariance``: for
+    each scope element g, kind and item x of ``skew`` in carrier order,
+    compare maps(tau_g x) with alpha_g(maps(x)) through ``apply`` on string
+    ids wherever both are defined.  Returns the number of equal pairs
+    before the first mismatch and that mismatch (g, kind, x), or None."""
+    tau = TranslationAction(skew)
+    count = 0
+    for g in action.scope_elements():
+        for kind, mapping in zip((VERTEX, EDGE, LETTER), maps):
+            for item in tau.carrier(kind):
+                moved = tau.apply(g, kind, item)
+                if moved is None:
+                    continue
+                rhs = action.apply(g, kind, mapping[item])
+                if rhs is None:
+                    continue
+                if mapping[moved] != rhs:
+                    return count, (g, kind, item)
+                count += 1
+    return count, None
+
+
+def interior_vertices_by_definition(skew: SkewLabeledGraph) -> frozenset[str]:
+    """Oracle for ``SkewLabeledGraph.interior_vertices``: the window
+    vertices (x, g) such that, for every base edge e entering x, the source
+    layer g c(e)^-1 is a materialized layer of the source of e."""
+    group, base = skew.spec.group, skew.spec.base
+    out = set()
+    for vid in skew.window_vertices:
+        x, g = skew.vertex_pair[vid]
+        if all(group.op(g, group.inv(skew.spec.c[e.eid]))
+               in skew.layers.get(e.src, ())
+               for e in base.graph.in_edges(x)):
+            out.add(vid)
+    return frozenset(out)
 
 
 def orbits_bruteforce(action: LabeledGraphAction,

@@ -11,16 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labgraphs import action as action_module
 from labgraphs import fixtures as fx
-from labgraphs.action import (EDGE, LETTER, VERTEX, FiniteAction, verify_action)
+from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, FiniteAction,
+                              homomorphism_triples, verify_action)
+from labgraphs.errors import SearchSpaceExceeded, VerificationError
 from labgraphs.graph import DirectedGraph
 from labgraphs.groups import CyclicGroup, IntegerGroup, Window
-from labgraphs.gross_tucker import identity_layer_sections, reconstruct
+from labgraphs.gross_tucker import (check_equivariance,
+                                    identity_layer_sections, reconstruct)
 from labgraphs.labeled import LabeledGraph
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
-from helpers import (fish4_swap_action, loop_swap_action, orbits_bruteforce,
-                     translation_fibers, trivial_action,
+from helpers import (equivariance_oracle, fish4_swap_action,
+                     interior_vertices_by_definition, loop_swap_action,
+                     orbits_bruteforce, translation_fibers, trivial_action,
                      verify_action_exhaustive)
 
 KINDS = (VERTEX, EDGE, LETTER)
@@ -202,14 +207,19 @@ def test_tables_match_apply(builder, seed):
     assert_tables_match_apply(action, elements)
 
 
+def huge_cocycle_action() -> TranslationAction:
+    """A one-loop base with c = 10**12 over the window -3..3."""
+    base = LabeledGraph(DirectedGraph(["v"], [("e", "v", "v")]), {"e": "a"})
+    spec = SkewSpec(base, IntegerGroup(), {"e": 10 ** 12}, {"e": 0})
+    return TranslationAction(skew_product(spec, Window(-3, 3)))
+
+
 def test_huge_cocycle_tables_and_reconstruction():
     """A cocycle value of 10**12 puts the halo of a one-vertex window
     10**12 layers away from it; the tables and the reconstruction must not
     cost in proportion to that distance."""
-    base = LabeledGraph(DirectedGraph(["v"], [("e", "v", "v")]), {"e": "a"})
-    spec = SkewSpec(base, IntegerGroup(), {"e": 10 ** 12}, {"e": 0})
     start = time.perf_counter()
-    action = TranslationAction(skew_product(spec, Window(-3, 3)))
+    action = huge_cocycle_action()
     assert_tables_match_apply(action, action.scope_elements())
     rec = reconstruct(action, identity_layer_sections(action))
     assert time.perf_counter() - start < 0.5
@@ -316,3 +326,194 @@ def test_orbits_of_valid_finite_actions_are_group_orbits():
                                          for g in action.group.elements()}))
                            for x in action.carrier(kind)}
             assert set(action.orbits(kind)) == true_orbits
+
+
+# -- the reconstruction's equivariance check ------------------------------------
+
+
+RECONSTRUCTION_CASES = {
+    "narrow": random_z_action,
+    "wide": wide_z_action,
+    "pullback": pullback_z_action,
+    "finite-translation": random_finite_translation,
+    "from-generators": random_generated_action,
+}
+
+
+def comparison_maps(rec):
+    return (rec.iso.vertex_map, rec.iso.edge_map, rec.iso.alphabet_map)
+
+
+def broken_maps(maps, rng: random.Random):
+    """The comparison maps with one image overwritten by another of its
+    kind, or two images swapped; unchanged when no kind has two items."""
+    maps = [dict(m) for m in maps]
+    candidates = [m for m in maps if len(m) >= 2]
+    if not candidates:
+        return maps
+    mapping = rng.choice(candidates)
+    x, y = rng.sample(sorted(mapping), 2)
+    if rng.random() < 0.5:
+        mapping[x] = mapping[y]
+    else:
+        mapping[x], mapping[y] = mapping[y], mapping[x]
+    return maps
+
+
+def assert_equivariance_agrees(action, skew, maps):
+    """``check_equivariance`` returns the oracle's count when the oracle
+    finds no mismatch, and otherwise raises with the oracle's witness."""
+    count, witness = equivariance_oracle(action, skew, maps)
+    if witness is None and count > 0:
+        assert check_equivariance(action, skew, maps) == count
+        return None
+    with pytest.raises(VerificationError) as info:
+        check_equivariance(action, skew, maps)
+    assert info.value.witness == witness
+    return witness
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(RECONSTRUCTION_CASES)),
+       st.integers(0, 2 ** 32 - 1))
+def test_equivariance_agrees_with_the_oracle(case, seed):
+    """Integer windows run the item-major check and finite groups the
+    element-by-element one; both count what the apply-based oracle counts
+    and name its first witness, on the reconstruction's maps and on
+    broken copies of them."""
+    rng = random.Random(seed)
+    action = RECONSTRUCTION_CASES[case](rng)
+    rec = reconstruct(action)
+    maps = comparison_maps(rec)
+    assert equivariance_oracle(action, rec.skew, maps) == (
+        rec.equivariance_checked, None)
+    assert_equivariance_agrees(action, rec.skew, broken_maps(maps, rng))
+
+
+def test_huge_cocycle_equivariance_agrees_with_the_oracle():
+    """The vertex fiber of the pullback holds the window and a halo 10**12
+    layers away, so its layers are sparse."""
+    action = huge_cocycle_action()
+    rec = reconstruct(action, identity_layer_sections(action))
+    maps = comparison_maps(rec)
+    assert equivariance_oracle(action, rec.skew, maps) == (
+        rec.equivariance_checked, None)
+    witnesses = {assert_equivariance_agrees(
+        action, rec.skew, broken_maps(maps, random.Random(seed)))
+        for seed in range(20)}
+    assert len(witnesses - {None}) >= 2
+
+
+def test_broken_comparison_maps_fail_where_the_oracle_does():
+    """Broken maps are caught on every kind, at several g and on both
+    scope shapes, with the oracle's witness."""
+    kinds, elements, shapes = set(), set(), set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        case = sorted(RECONSTRUCTION_CASES)[seed % len(RECONSTRUCTION_CASES)]
+        action = RECONSTRUCTION_CASES[case](rng)
+        rec = reconstruct(action)
+        witness = assert_equivariance_agrees(
+            action, rec.skew, broken_maps(comparison_maps(rec), rng))
+        if witness is not None:
+            g, kind, _ = witness
+            kinds.add(kind)
+            shapes.add(action.interval_span() is None)
+            if action.interval_span() is not None:
+                elements.add(g)
+    assert kinds == set(KINDS)
+    assert len(elements) >= 3
+    assert shapes == {False, True}
+
+
+def test_interior_vertices_match_their_definition():
+    """Counting the materialized edges that enter a window vertex gives the
+    vertices whose every base in-edge has its source layer materialized,
+    on the skew products of every builder, the layer-grid cases, the
+    fixtures and the reconstructions."""
+    skews = [fx.skewz(), fx.nofd(), huge_cocycle_action().skew,
+             *(case().skew for case in GRID_CASES.values())]
+    for seed in range(40):
+        for name, build in sorted(RECONSTRUCTION_CASES.items()):
+            action = build(random.Random(seed))
+            if isinstance(action, TranslationAction):
+                skews.append(action.skew)
+            skews.append(reconstruct(action).skew)
+    for skew in skews:
+        assert skew.interior_vertices == interior_vertices_by_definition(skew)
+    assert any(skew.interior_vertices != skew.window_vertices
+               for skew in skews)
+
+
+# -- the work cap of verify_action ---------------------------------------------
+
+
+def _carrier_size(action) -> int:
+    return sum(len(action.carrier(kind)) for kind in KINDS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUILDERS)), st.integers(0, 2 ** 32 - 1))
+def test_triples_are_the_pairs_checked_times_the_carrier(builder, seed):
+    action = BUILDERS[builder](random.Random(seed))
+    report = verify_action(action)
+    assert homomorphism_triples(action) == (report.pairs_checked
+                                            * _carrier_size(action))
+
+
+def _widest_window_under(spec, lo: int, cap: int) -> int:
+    """The largest w whose window lo..lo+w counts at most ``cap``
+    triples, by bisection (the count grows with the width)."""
+    def triples(width):
+        return homomorphism_triples(
+            TranslationAction(skew_product(spec, Window(lo, lo + width))))
+    low, high = 0, 1
+    while triples(high) <= cap:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if triples(mid) <= cap else (low, mid)
+    return low
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(10 ** 3, 2 * 10 ** 5))
+def test_windows_just_under_and_over_the_cap(seed, cap):
+    """With the cap set to ``cap``, the widest window under it verifies,
+    and one layer more is refused before any table is built, naming the
+    cap and the count."""
+    rng = random.Random(seed)
+    base = fx.random_valid_labeled_graph(rng, max_vertices=3, max_letters=2,
+                                         extra_edges=2)
+    c = {e.eid: rng.randint(-4, 4) for e in base.graph.edges}
+    d = {e.eid: rng.randint(-4, 4) for e in base.graph.edges}
+    spec = SkewSpec(base, IntegerGroup(), c, d)
+    lo = rng.randint(-5, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(action_module, "MAX_TRIPLES", cap)
+        width = _widest_window_under(spec, lo, cap)
+        under = TranslationAction(skew_product(spec, Window(lo, lo + width)))
+        report = verify_action(under)
+        assert report.ok
+        assert report.pairs_checked * _carrier_size(under) <= cap
+        over = TranslationAction(
+            skew_product(spec, Window(lo, lo + width + 1)))
+        triples = homomorphism_triples(over)
+        assert triples > cap
+        with pytest.raises(SearchSpaceExceeded,
+                           match=f"{triples} .* MAX_TRIPLES = {cap}$"):
+            verify_action(over)
+        assert not over._tables
+
+
+def test_skewz_windows_at_the_cap():
+    """The cap itself: the widest skewz window under it verifies (about a
+    second), and one layer more is refused without a table."""
+    spec = fx.skewz_spec()
+    width = _widest_window_under(spec, 0, MAX_TRIPLES)
+    assert verify_action(
+        TranslationAction(skew_product(spec, Window(0, width)))).ok
+    over = TranslationAction(skew_product(spec, Window(0, width + 1)))
+    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
+        verify_action(over)
+    assert not over._tables

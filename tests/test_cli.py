@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labgraphs import jsonio
+from labgraphs.action import MAX_TRIPLES
 from labgraphs.cli import main
 from labgraphs.skew import MAX_ITEMS
 
@@ -201,6 +202,15 @@ class TestReports:
         assert time.perf_counter() - start < 2.0
         assert code == 2 and out == ""
         assert f"MAX_ITEMS = {MAX_ITEMS}" in err
+        assert "Traceback" not in err
+
+    def test_translate_over_triple_cap_exits_two(self):
+        start = time.perf_counter()
+        code, out, err = run(["translate", "fixtures/skewz.json",
+                              "--window", "0:2000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"MAX_TRIPLES = {MAX_TRIPLES}" in err
         assert "Traceback" not in err
 
     def test_quotient_under_item_cap(self):
