@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import (PreconditionError, SearchSpaceExceeded,
@@ -13,11 +12,13 @@ from .errors import (PreconditionError, SearchSpaceExceeded,
 from .graph import DirectedGraph, Edge
 from .groups import Element, Group
 from .labeled import Check, LabeledGraph
-from .morphism import (LabeledGraphMorphism, is_surjective, verify_morphism)
+from .morphism import (LabeledGraphMorphism, identity_maps, is_surjective,
+                       verify_morphism)
 
 VERTEX, EDGE, LETTER = "vertex", "edge", "letter"
-_KINDS = (VERTEX, EDGE, LETTER)
-_KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
+#: The kinds of carrier item, in the order of ``LabeledGraph.core``.
+KINDS = (VERTEX, EDGE, LETTER)
+_KIND_INDEX = {kind: k for k, kind in enumerate(KINDS)}
 
 Rows = tuple[list[int], list[int], list[int]]
 
@@ -32,8 +33,9 @@ class LabeledGraphAction:
 
     Besides the string-level ``apply``, every action exposes integer
     action tables (:meth:`table`), which the verification and
-    reconstruction code runs on.  Actions are immutable, so a table is
-    built once per element and cached.
+    reconstruction code runs on.  Their positions are those of the
+    graph's :class:`~labgraphs.labeled.GraphCore`.  Actions are immutable,
+    so a table is built once per element and cached.
     """
 
     group: Group
@@ -42,26 +44,18 @@ class LabeledGraphAction:
     def __init__(self, group: Group, graph: LabeledGraph):
         self.group = group
         self.graph = graph
-        self._carriers = (graph.vertices,
-                          tuple(e.eid for e in graph.graph.edges),
-                          graph.alphabet)
         self._tables: dict[Element, Rows] = {}
         self._orbits: dict[str, tuple[tuple[str, ...], ...]] = {}
 
     def apply(self, g: Element, kind: str, item: str) -> str | None:
         raise NotImplementedError
 
-    @cached_property
-    def _indexes(self) -> tuple[dict[str, int], ...]:
-        return tuple({item: i for i, item in enumerate(items)}
-                     for items in self._carriers)
-
     def carrier(self, kind: str) -> tuple[str, ...]:
-        return self._carriers[_KIND_INDEX[kind]]
+        return self.graph.core.carriers[_KIND_INDEX[kind]]
 
     def index(self, kind: str) -> Mapping[str, int]:
         """Position of each carrier item in ``carrier(kind)``."""
-        return self._indexes[_KIND_INDEX[kind]]
+        return self.graph.core.positions[_KIND_INDEX[kind]]
 
     def table(self, g: Element) -> Rows:
         """The action of ``g`` as three integer rows (vertices, edges,
@@ -97,8 +91,8 @@ class LabeledGraphAction:
                         target: str) -> tuple[Element, ...]:
         """The elements h with alpha_h(source) = target, searched over the
         scope on the tables."""
-        k = _KIND_INDEX[kind]
-        s, t = self._indexes[k][source], self._indexes[k][target]
+        k, index = _KIND_INDEX[kind], self.index(kind)
+        s, t = index[source], index[target]
         return tuple(h for h in self.scope_elements()
                      if self.table(h)[k][s] == t)
 
@@ -138,7 +132,7 @@ class LabeledGraphAction:
     def _orbit_classes(self, kind: str) -> Iterable[list[str]]:
         """The classes of items linked by some non-identity scope element."""
         k = _KIND_INDEX[kind]
-        items = self._carriers[k]
+        items = self.graph.core.carriers[k]
         parent = list(range(len(items)))
 
         def find(x: int) -> int:
@@ -180,9 +174,9 @@ class FiniteAction(LabeledGraphAction):
         if set(maps) != elements:
             raise PreconditionError(
                 "PARTIAL_ACTION", "one triple per group element is required")
-        carriers = [set(items) for items in self._carriers]
+        carriers = [set(items) for items in graph.core.carriers]
         for g, t in maps.items():
-            for mapping, carrier, what in zip(t, carriers, _KINDS):
+            for mapping, carrier, what in zip(t, carriers, KINDS):
                 if set(mapping) != carrier or not set(mapping.values()) <= carrier:
                     raise PreconditionError(
                         "PARTIAL_ACTION",
@@ -195,10 +189,7 @@ class FiniteAction(LabeledGraphAction):
         """Close generator triples under the group multiplication.  A
         disagreement between two words for the same element is reported as
         a well-definedness failure."""
-        triples: dict[Element, tuple] = {
-            group.identity: ({v: v for v in graph.vertices},
-                             {e.eid: e.eid for e in graph.graph.edges},
-                             {a: a for a in graph.alphabet})}
+        triples: dict[Element, tuple] = {group.identity: identity_maps(graph)}
 
         def composed(t1, t2):
             return tuple({k: m1[m2[k]] for k in m2} for m1, m2 in zip(t1, t2))
@@ -224,14 +215,13 @@ class FiniteAction(LabeledGraphAction):
         return cls(group, graph, triples)
 
     def apply(self, g: Element, kind: str, item: str) -> str | None:
-        triple = self.maps[g]
-        idx = _KINDS.index(kind)
-        return triple[idx].get(item)
+        return self.maps[g][_KIND_INDEX[kind]].get(item)
 
     def _build_table(self, g: Element) -> Rows:
+        core = self.graph.core
         return tuple([index[mapping[item]] for item in items] + [-1]
                      for mapping, items, index
-                     in zip(self.maps[g], self._carriers, self._indexes))
+                     in zip(self.maps[g], core.carriers, core.positions))
 
     def triple_morphism(self, g: Element) -> LabeledGraphMorphism:
         vm, em, am = self.maps[g]
@@ -281,7 +271,7 @@ def homomorphism_triples(action: LabeledGraphAction) -> int:
     n = len(action.scope_elements())
     span = action.interval_span()
     pairs = n * n if span is None else n * n - span * (span + 1)
-    return pairs * sum(len(action.carrier(kind)) for kind in _KINDS)
+    return pairs * sum(map(len, action.graph.core.carriers))
 
 
 def verify_action(action: LabeledGraphAction) -> ActionReport:
@@ -302,7 +292,9 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     same triples, failures and order.
 
     An action with more than :data:`MAX_TRIPLES` triples raises
-    :class:`SearchSpaceExceeded` before any table is built."""
+    :class:`SearchSpaceExceeded` before any table is built.  On a
+    translation the scope spans the numeric width of all layers, so fibers
+    whose layers lie far apart are refused by this cap."""
     triples = homomorphism_triples(action)
     if triples > MAX_TRIPLES:
         raise SearchSpaceExceeded(
@@ -311,24 +303,20 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     failures: list[tuple[str, Any]] = []
     group = action.group
     scope = action.scope_elements()
-    carriers = [action.carrier(kind) for kind in _KINDS]
+    core = action.graph.core
+    carriers = core.carriers
 
-    for kind, items, row in zip(_KINDS, carriers,
+    for kind, items, row in zip(KINDS, carriers,
                                 action.table(group.identity)):
         for i, j in enumerate(row[:-1]):
             if i != j:
                 failures.append(("identity acts as identity",
                                  (kind, items[i], items[j] if j >= 0 else None)))
 
-    vindex, aindex = action.index(VERTEX), action.index(LETTER)
-    edges = action.graph.graph.edges
-    labeling = action.graph.labeling
-    src = [vindex[e.src] for e in edges]
-    dst = [vindex[e.dst] for e in edges]
-    lab = [aindex[labeling[e.eid]] for e in edges]
+    edges, src, dst, lab = carriers[1], core.src, core.dst, core.lab
     for g in scope:
         rows = action.table(g)
-        for kind, items, row in zip(_KINDS, carriers, rows):
+        for kind, items, row in zip(KINDS, carriers, rows):
             images = [j for j in row if j >= 0]
             if len(set(images)) == len(images):
                 continue
@@ -346,13 +334,13 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
                 continue
             v = vrow[dst[e]]
             if v >= 0 and v != dst[f]:
-                failures.append(("range equivariance", (g, edges[e].eid)))
+                failures.append(("range equivariance", (g, edges[e])))
             v = vrow[src[e]]
             if v >= 0 and v != src[f]:
-                failures.append(("source equivariance", (g, edges[e].eid)))
+                failures.append(("source equivariance", (g, edges[e])))
             a = arow[lab[e]]
             if a >= 0 and a != lab[f]:
-                failures.append(("label compatibility", (g, edges[e].eid)))
+                failures.append(("label compatibility", (g, edges[e])))
 
     span = action.interval_span()
     if span is None:
@@ -366,7 +354,7 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
 
 def _homomorphism_all_pairs(action: LabeledGraphAction,
                             scope: tuple[Element, ...],
-                            carriers: list[tuple[str, ...]]
+                            carriers: tuple[tuple[str, ...], ...]
                             ) -> tuple[list[tuple[str, Any]], int]:
     """The homomorphism law pair by pair: each pair (g, h) composes two
     rows and compares the result with the row of gh."""
@@ -380,7 +368,7 @@ def _homomorphism_all_pairs(action: LabeledGraphAction,
             gh = group.op(g, h)
             if not (group.is_finite or gh in in_scope):
                 continue
-            for kind, items, tg, th, tgh in zip(_KINDS, carriers, g_rows,
+            for kind, items, tg, th, tgh in zip(KINDS, carriers, g_rows,
                                                 h_rows, action.table(gh)):
                 lhs = [tg[x] for x in th]
                 if lhs == tgh or lhs == [r if l >= 0 else -1
@@ -395,7 +383,7 @@ def _homomorphism_all_pairs(action: LabeledGraphAction,
 
 
 def _homomorphism_interval(action: LabeledGraphAction, span: int,
-                           carriers: list[tuple[str, ...]]
+                           carriers: tuple[tuple[str, ...], ...]
                            ) -> tuple[list[tuple[str, Any]], int]:
     """The homomorphism law on the scope -span..span, item-major.
 
@@ -414,7 +402,7 @@ def _homomorphism_interval(action: LabeledGraphAction, span: int,
         windows.append((ph, max(0, -h), min(n, n - h), h))
     pairs = sum(b - a for _, a, b, _ in windows)
     found = []
-    for k in range(len(_KINDS)):
+    for k in range(len(KINDS)):
         flat = stacked_rows(action, span, k)
         m = len(flat) // n
         strided = [(ph, a, a * m, b * m, a + h, b + h)
@@ -430,7 +418,7 @@ def _homomorphism_interval(action: LabeledGraphAction, span: int,
                                  in enumerate(zip(oy, ox[c:d]), a)
                                  if l >= 0 and r >= 0 and l != r)
     found.sort()
-    failures = [("homomorphism", (pg - span, ph - span, _KINDS[k],
+    failures = [("homomorphism", (pg - span, ph - span, KINDS[k],
                                   carriers[k][x]))
                 for pg, ph, k, x in found]
     return failures, pairs
@@ -484,11 +472,10 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
     lg = action.graph
     graph = lg.graph
 
-    orbit_of: dict[str, dict[str, str]] = {}
-    members_of: dict[str, dict[str, tuple[str, ...]]] = {}
-    for kind in _KINDS:
-        orbit_of[kind] = {}
-        members_of[kind] = {}
+    orbit_of: dict[str, dict[str, str]] = {kind: {} for kind in KINDS}
+    members_of: dict[str, dict[str, tuple[str, ...]]] = {
+        kind: {} for kind in KINDS}
+    for kind in KINDS:
         for members in action.orbits(kind):
             name = action.orbit_name(kind, members)
             members_of[kind][name] = members
@@ -503,13 +490,13 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
         if cls not in rep_edge:
             rep_edge[cls] = eid
             continue
-        other = graph.edge(rep_edge[cls])
-        e = graph.edge(eid)
-        for attr, kind in ((lambda x: x.src, VERTEX), (lambda x: x.dst, VERTEX)):
-            if orbit_of[kind][attr(e)] != orbit_of[kind][attr(other)]:
-                raise WellDefinednessError(
-                    "source/range maps are not constant on an edge orbit",
-                    (eid, other.eid))
+        e, other = graph.edge(eid), graph.edge(rep_edge[cls])
+        vertex_orbit = orbit_of[VERTEX]
+        if (vertex_orbit[e.src] != vertex_orbit[other.src]
+                or vertex_orbit[e.dst] != vertex_orbit[other.dst]):
+            raise WellDefinednessError(
+                "source/range maps are not constant on an edge orbit",
+                (eid, other.eid))
         if (orbit_of[LETTER][lg.labeling[eid]]
                 != orbit_of[LETTER][lg.labeling[other.eid]]):
             raise WellDefinednessError(
@@ -525,8 +512,7 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
     q_graph = LabeledGraph(DirectedGraph(q_vertices, q_edges), q_labeling)
 
     projection = LabeledGraphMorphism(
-        lg, q_graph, dict(orbit_of[VERTEX]), dict(orbit_of[EDGE]),
-        dict(orbit_of[LETTER]))
+        lg, q_graph, *(dict(orbit_of[kind]) for kind in KINDS))
     report = verify_morphism(projection)
     if not report.ok:
         raise VerificationError("quotient projection is not a morphism",
@@ -534,9 +520,8 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
     if not is_surjective(projection):
         raise VerificationError("quotient projection is not surjective", None)
     return QuotientLabeledGraph(
-        q_graph, projection,
-        dict(orbit_of[VERTEX]), dict(orbit_of[EDGE]), dict(orbit_of[LETTER]),
-        dict(members_of[VERTEX]), dict(members_of[EDGE]), dict(members_of[LETTER]))
+        q_graph, projection, *(dict(orbit_of[kind]) for kind in KINDS),
+        *(dict(members_of[kind]) for kind in KINDS))
 
 
 def has_unique_path_lifting(p: LabeledGraphMorphism,
@@ -631,21 +616,28 @@ class DomainSearchResult:
         return self.domain is not None
 
 
-def find_fundamental_domain(action: LabeledGraphAction,
-                            cap: int = 10 ** 6) -> DomainSearchResult:
+#: Most candidate transversals :func:`find_fundamental_domain` may face,
+#: the product of the in-scope vertex orbit sizes.
+MAX_TRANSVERSALS = 10 ** 6
+
+
+def find_fundamental_domain(action: LabeledGraphAction) -> DomainSearchResult:
     """First transversal (in deterministic product order over the vertex
     orbits, candidates bounded by the window scope) that passes
     :func:`is_fundamental_domain`, or None with the number of candidates
-    tried."""
+    tried.  More than :data:`MAX_TRANSVERSALS` candidates raise
+    :class:`SearchSpaceExceeded` before the first is tried."""
     scope = action.domain_scope()
     orbits = [tuple(m for m in members if m in scope)
               for members in action.orbits(VERTEX)]
     total = 1
     for members in orbits:
         total *= len(members)
-        if total > cap:
+        if total > MAX_TRANSVERSALS:
             raise SearchSpaceExceeded(
-                f"transversal space exceeds cap {cap}")
+                f"the fundamental domain search would face at least "
+                f"{total} candidate transversals, over the cap "
+                f"MAX_TRANSVERSALS = {MAX_TRANSVERSALS}")
     tried = 0
     for combo in itertools.product(*orbits):
         tried += 1

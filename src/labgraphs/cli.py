@@ -289,7 +289,7 @@ def _cmd_fundomain(args):
             lines.append(f"  clause ({clause}): {e1} [{lg.labeling[e1]}] vs "
                          f"{e2} [{lg.labeling[e2]}]")
         return (0 if report.ok else 1), payload, lines
-    result = find_fundamental_domain(action, cap=args.cap)
+    result = find_fundamental_domain(action)
     payload = {"found": result.domain is not None,
                "candidates_tried": result.candidates_tried,
                "domain": sorted(result.domain) if result.domain else None}
@@ -450,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
             "check or search fundamental domains")
     p.add_argument("--domain", default=None,
                    help="JSON file with a list of vertex ids to check")
-    p.add_argument("--cap", type=int, default=10 ** 6,
-                   help="candidate cap for the search")
     add("label-consistency", _cmd_label_consistency,
         "factor the cocycles of a skew-spec through its labeling")
     p = add("gross-tucker", _cmd_gross_tucker,

@@ -10,7 +10,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .action import (EDGE, LETTER, VERTEX, DomainSearchResult,
+from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
                      LabeledGraphAction, QuotientLabeledGraph,
                      find_fundamental_domain, is_free, is_fundamental_domain,
                      is_label_consistent, quotient, stacked_rows,
@@ -20,8 +20,6 @@ from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain
 from .groups import Element
 from .morphism import LabeledGraphMorphism, MorphismReport, verify_morphism
 from .skew import SkewLabeledGraph, SkewSpec, TranslationAction
-
-_KINDS = (VERTEX, EDGE, LETTER)
 
 
 @dataclass(frozen=True)
@@ -167,15 +165,15 @@ def reconstruct(action: LabeledGraphAction,
     return _reconstruct(action, pack, None)
 
 
-def _comparison_map(action: LabeledGraphAction, kind: str,
+def _comparison_map(action: LabeledGraphAction, k: int,
                     pairs: Mapping[str, tuple[str, Element]],
                     section: Mapping[str, str]) -> dict[str, str]:
-    """phi(q, g) = alpha_g(section(q)) on every item (q, g) of one kind of
-    the reconstruction skew product.  The image is read from the cached
-    table of g when g is a scope element; halo and letter layers may lie
-    outside the scope, and those go through ``apply``, so no table is
-    built for them."""
-    k = _KINDS.index(kind)
+    """phi(q, g) = alpha_g(section(q)) on every item (q, g) of the ``k``-th
+    kind of the reconstruction skew product.  The image is read from the
+    cached table of g when g is a scope element; halo and letter layers
+    may lie outside the scope, and those go through ``apply``, so no table
+    is built for them."""
+    kind = KINDS[k]
     rows = {g: action.table(g)[k] for g in action.scope_elements()}
     carrier, index = action.carrier(kind), action.index(kind)
     out = {}
@@ -196,8 +194,8 @@ def _comparison_map(action: LabeledGraphAction, kind: str,
 def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
                        maps: Sequence[Mapping[str, str]]) -> int:
     """Check phi(tau_g x) = alpha_g(phi(x)) for the vertex, edge and letter
-    maps ``maps`` from the skew product ``skew`` over the quotient into the
-    acted-on carrier, tau the left translation of ``skew``: for every
+    maps ``maps`` from the skew product ``skew`` into the carrier of
+    ``action``, tau the left translation of ``skew``: for every
     scope element g of ``action`` and every item x where both sides are
     defined.  Returns the number of such (g, x) pairs.  A mismatch raises
     :class:`VerificationError` naming the least witness (g, kind, x), in
@@ -208,7 +206,7 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
     every g.  Other scopes compare the gathered rows of each element."""
     tau = TranslationAction(skew)
     images = [[action.index(kind)[mapping[item]] for item in tau.carrier(kind)]
-              + [-1] for kind, mapping in zip(_KINDS, maps)]
+              + [-1] for kind, mapping in zip(KINDS, maps)]
     span = action.interval_span()
     if span is None:
         checked = _equivariance_by_element(action, tau, images)
@@ -226,7 +224,7 @@ def _equivariance_by_element(action: LabeledGraphAction,
     gathered through the tables of g."""
     checked = 0
     for g in action.scope_elements():
-        for kind, image, tau_row, row in zip(_KINDS, images, tau.table(g),
+        for kind, image, tau_row, row in zip(KINDS, images, tau.table(g),
                                              action.table(g)):
             lhs = [image[j] for j in tau_row]
             rhs = [row[j] for j in image]
@@ -237,7 +235,7 @@ def _equivariance_by_element(action: LabeledGraphAction,
                 if l < 0 or r < 0:
                     continue
                 if l != r:
-                    raise VerificationError("reconstruction is not equivariant",
+                    raise VerificationError("maps are not equivariant",
                                             (g, kind, tau.carrier(kind)[i]))
                 checked += 1
     return checked
@@ -263,7 +261,7 @@ def _equivariance_interval(action: LabeledGraphAction, span: int,
     first = None
     checked = 0
     for k, (kind, image, pairs) in enumerate(zip(
-            _KINDS, images,
+            KINDS, images,
             (skew.vertex_pair, skew.edge_pair, skew.letter_pair))):
         flat = stacked_rows(action, span, k)
         m = len(flat) // (2 * span + 1)
@@ -304,8 +302,8 @@ def _equivariance_interval(action: LabeledGraphAction, span: int,
                         checked += 1
     if first is not None:
         g, k, x = first
-        raise VerificationError("reconstruction is not equivariant",
-                                (g, _KINDS[k], tau.carrier(_KINDS[k])[x]))
+        raise VerificationError("maps are not equivariant",
+                                (g, KINDS[k], tau.carrier(KINDS[k])[x]))
     return checked
 
 
@@ -350,10 +348,10 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     layers = _reconstruction_layers(action, quot, pack.eta0)
     skew = SkewLabeledGraph(skew_spec, layers, window=None)
 
-    maps = [_comparison_map(action, kind, pairs, section)
-            for kind, pairs, section in zip(
-                _KINDS, (skew.vertex_pair, skew.edge_pair, skew.letter_pair),
-                (pack.eta0, pack.eta1, pack.etaA))]
+    maps = [_comparison_map(action, k, pairs, section)
+            for k, (pairs, section) in enumerate(zip(
+                (skew.vertex_pair, skew.edge_pair, skew.letter_pair),
+                (pack.eta0, pack.eta1, pack.etaA)))]
     iso = LabeledGraphMorphism(skew.graph, action.graph, *maps)
     morphism_report = verify_morphism(iso)
     if not morphism_report.ok:
@@ -372,8 +370,8 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
 
 def reconstruct_label_consistent(action: LabeledGraphAction,
                                  domain: Iterable[str] | None = None,
-                                 etaA: Mapping[str, str] | None = None,
-                                 cap: int = 10 ** 6) -> Reconstruction:
+                                 etaA: Mapping[str, str] | None = None
+                                 ) -> Reconstruction:
     """Reconstruction whose cocycles factor through the quotient labeling,
     obtained by sectioning vertices inside a fundamental domain.  A
     violation of label consistency after the domain verified is an
@@ -385,7 +383,7 @@ def reconstruct_label_consistent(action: LabeledGraphAction,
                 f"supplied domain fails: {fd.witness!r}", fd.witness)
         T = frozenset(domain)
     else:
-        result: DomainSearchResult = find_fundamental_domain(action, cap=cap)
+        result: DomainSearchResult = find_fundamental_domain(action)
         if result.domain is None:
             raise NoFundamentalDomain(
                 f"no fundamental domain among {result.candidates_tried} "

@@ -205,14 +205,17 @@ class TableGroup(Group):
         return f"TableGroup(order {self.n})"
 
 
+#: Most elements a :class:`PermutationGroup` may close its generators to.
+MAX_GROUP_ORDER = 100000
+
+
 class PermutationGroup(Group):
     """Finite permutation group generated by one-line permutations of
     ``range(degree)``; elements are the full closure of the generators."""
 
     kind = "permutation"
 
-    def __init__(self, degree: int, generators: Iterable[Iterable[int]],
-                 max_order: int = 100000):
+    def __init__(self, degree: int, generators: Iterable[Iterable[int]]):
         gens = tuple(tuple(g) for g in generators)
         for g in gens:
             if sorted(g) != list(range(degree)):
@@ -228,10 +231,12 @@ class PermutationGroup(Group):
                     if q not in elems:
                         elems.add(q)
                         nxt.append(q)
-                        if len(elems) > max_order:
+                        if len(elems) > MAX_GROUP_ORDER:
                             raise PreconditionError(
                                 "GROUP_TOO_LARGE",
-                                f"closure exceeded {max_order} elements")
+                                f"the closure of the generators holds at "
+                                f"least {len(elems)} elements, over the cap "
+                                f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
             frontier = nxt
         self.degree = degree
         self.generators = gens

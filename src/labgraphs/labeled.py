@@ -50,6 +50,21 @@ class RangeTable:
     atoms: tuple[tuple[int, tuple[int, ...]], ...]
 
 
+@dataclass(frozen=True)
+class GraphCore:
+    """The integer core of a labeled graph (:attr:`LabeledGraph.core`):
+    its vertices, edge ids and letters in their frozen order, the position
+    of each item in its carrier, and per edge the positions of its source,
+    target and label.  Built once per graph and shared; callers must not
+    mutate the dicts."""
+
+    carriers: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+    positions: tuple[dict[str, int], dict[str, int], dict[str, int]]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    lab: tuple[int, ...]
+
+
 class LabeledGraph:
     """A directed graph with a total edge labeling into a finite alphabet.
 
@@ -110,24 +125,30 @@ class LabeledGraph:
         return (f"LabeledGraph({len(self.vertices)} vertices, "
                 f"{len(self.graph.edges)} edges, alphabet {list(self.alphabet)})")
 
-    # -- bitmask plumbing -------------------------------------------------
+    # -- integer core and bitmask plumbing ---------------------------------
 
     @cached_property
-    def _vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _letter_index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.alphabet)}
+    def core(self) -> GraphCore:
+        # Tuples are built from lists: a short tuple built from a generator
+        # is not taken from CPython's tuple free lists but joins them when
+        # it dies, so those lists would grow with every graph built.
+        edges = self.graph.edges
+        carriers = (self.vertices, tuple([e.eid for e in edges]), self.alphabet)
+        vpos, epos, apos = ({x: i for i, x in enumerate(items)}
+                            for items in carriers)
+        return GraphCore(carriers, (vpos, epos, apos),
+                         tuple([vpos[e.src] for e in edges]),
+                         tuple([vpos[e.dst] for e in edges]),
+                         tuple([apos[self.labeling[e.eid]] for e in edges]))
 
     @cached_property
     def _step(self) -> list[list[int]]:
         """Per-letter successor masks: ``_step[a][v]`` is the set of
         endpoints of a-labeled edges leaving vertex ``v``."""
-        vi, li = self._vertex_index, self._letter_index
+        core = self.core
         step = [[0] * len(self.vertices) for _ in self.alphabet]
-        for e in self.graph.edges:
-            step[li[self.labeling[e.eid]]][vi[e.src]] |= 1 << vi[e.dst]
+        for v, w, a in zip(core.src, core.dst, core.lab):
+            step[a][v] |= 1 << w
         return step
 
     @cached_property
@@ -170,7 +191,7 @@ class LabeledGraph:
                                         for inside, mask in atoms.items()))
 
     def mask_of(self, vertices: Iterable[str]) -> int:
-        vi = self._vertex_index
+        vi = self.core.positions[0]
         mask = 0
         for v in vertices:
             if v not in vi:
@@ -193,7 +214,7 @@ class LabeledGraph:
     def word_indices(self, word: Word) -> tuple[int, ...] | None:
         """Letter indices for ``word``; None if a letter is unknown (such a
         word has no representative, so its relative range is empty)."""
-        li = self._letter_index
+        li = self.core.positions[2]
         try:
             return tuple(li[a] for a in word)
         except KeyError:
@@ -336,8 +357,7 @@ def weakly_left_resolving_bruteforce(lg: LabeledGraph, max_word_len: int = 4) ->
         raise SearchSpaceExceeded(
             f"brute-force oracle takes at most {BRUTEFORCE_MAX_VERTICES} "
             f"vertices, got {nv}")
-    vi = lg._vertex_index
-    li = lg._letter_index
+    vi, _, li = lg.core.positions
     out_adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for e in lg.graph.edges:
         out_adj[vi[e.src]].append((li[lg.labeling[e.eid]], vi[e.dst]))

@@ -439,17 +439,15 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
                     if (big & ~small) not in members and diff_ok:
                         diff_ok = Check(False, (lg.set_of(big), lg.set_of(small)))
 
-    # Per-vertex tables from one scan of the edges, never through the step
-    # masks that range_mask sweeps: the letters each vertex emits, and its
-    # (letter, fiber) pairs.  Each member folds its vertices' entries.
-    vi, li = lg._vertex_index, lg._letter_index
+    # Per-vertex tables from one scan of the edge arrays, never through the
+    # step masks that range_mask sweeps: the letters each vertex emits, and
+    # its (letter, fiber) pairs.  Each member folds its vertices' entries.
+    core = lg.core
     emits = [0] * len(lg.vertices)
     fiber_of: list[dict[int, int]] = [{} for _ in lg.vertices]
-    for e in lg.graph.edges:
-        v, a = vi[e.src], li[lg.labeling[e.eid]]
+    for v, w, a in zip(core.src, core.dst, core.lab):
         emits[v] |= 1 << a
-        fiber_of[v][a] = fiber_of[v].get(a, 0) | 1 << vi[e.dst]
-    fibers = [tuple(row.items()) for row in fiber_of]
+        fiber_of[v][a] = fiber_of[v].get(a, 0) | 1 << w
     silent = sum(1 << v for v, letters in enumerate(emits) if not letters)
     # A single-letter relative range is the union of the step rows of the
     # member's vertices, and each fold above is the union of the same
@@ -480,7 +478,7 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
             continue
         fiber = [0] * len(lg.alphabet)
         for name in vs:
-            for a, targets in fibers[vi[name]]:
+            for a, targets in fiber_of[core.positions[0][name]].items():
                 fiber[a] |= targets
         for a, letter in enumerate(lg.alphabet):
             if letters >> a & 1:

@@ -31,68 +31,62 @@ class MorphismReport:
         return self.ok
 
 
+def identity_maps(lg: LabeledGraph) -> tuple[dict[str, str], ...]:
+    """The identity of each carrier of ``lg``: vertices, edges, letters."""
+    return tuple([{x: x for x in items} for items in lg.core.carriers])
+
+
 def identity_morphism(lg: LabeledGraph) -> LabeledGraphMorphism:
-    return LabeledGraphMorphism(
-        lg, lg,
-        {v: v for v in lg.vertices},
-        {e.eid: e.eid for e in lg.graph.edges},
-        {a: a for a in lg.alphabet},
-    )
-
-
-def _total_onto(mapping: Mapping[str, str], domain, codomain, what: str):
-    codset = set(codomain)
-    for x in domain:
-        if x not in mapping:
-            return (f"{what} map not total", x)
-        if mapping[x] not in codset:
-            return (f"{what} map leaves the target", (x, mapping[x]))
-    return None
-
-
-def _bijective(mapping: Mapping[str, str], domain, codomain) -> bool:
-    image = {mapping[x] for x in domain}
-    return len(image) == len(tuple(domain)) and image == set(codomain)
+    return LabeledGraphMorphism(lg, lg, *identity_maps(lg))
 
 
 def verify_morphism(m: LabeledGraphMorphism) -> MorphismReport:
     """Check the two morphism laws; the isomorphism flag additionally
-    requires all three maps to be bijections onto the target carriers."""
-    src, dst = m.source, m.target
-    for mapping, domain, codomain, what in (
-            (m.vertex_map, src.vertices, dst.vertices, "vertex"),
-            (m.edge_map, [e.eid for e in src.graph.edges],
-             [e.eid for e in dst.graph.edges], "edge"),
-            (m.alphabet_map, src.alphabet, dst.alphabet, "alphabet")):
-        bad = _total_onto(mapping, domain, codomain, what)
-        if bad is not None:
-            return MorphismReport(False, False, bad[1], bad[0])
-    for e in src.graph.edges:
-        fe = dst.graph.edge(m.edge_map[e.eid])
-        if m.vertex_map[e.dst] != fe.dst:
-            return MorphismReport(
-                False, False, (e.eid, m.vertex_map[e.dst], fe.dst),
-                "range not preserved")
-        if m.vertex_map[e.src] != fe.src:
-            return MorphismReport(
-                False, False, (e.eid, m.vertex_map[e.src], fe.src),
-                "source not preserved")
-        if dst.labeling[fe.eid] != m.alphabet_map[src.labeling[e.eid]]:
-            return MorphismReport(
-                False, False,
-                (e.eid, dst.labeling[fe.eid], m.alphabet_map[src.labeling[e.eid]]),
-                "label compatibility violated")
-    iso = (_bijective(m.vertex_map, src.vertices, dst.vertices)
-           and _bijective(m.edge_map, [e.eid for e in src.graph.edges],
-                          [e.eid for e in dst.graph.edges])
-           and _bijective(m.alphabet_map, src.alphabet, dst.alphabet))
+    requires all three maps to be bijections onto the target carriers.
+    Each map is read once into target positions, and the laws compare the
+    edge arrays of the two graph cores edge by edge."""
+    src, dst = m.source.core, m.target.core
+    rows = []
+    for mapping, domain, positions, what in zip(
+            (m.vertex_map, m.edge_map, m.alphabet_map), src.carriers,
+            dst.positions, ("vertex", "edge", "alphabet")):
+        row = []
+        for x in domain:
+            if x not in mapping:
+                return MorphismReport(False, False, x, f"{what} map not total")
+            j = positions.get(mapping[x])
+            if j is None:
+                return MorphismReport(False, False, (x, mapping[x]),
+                                      f"{what} map leaves the target")
+            row.append(j)
+        rows.append(row)
+    vrow, erow, arow = rows
+    ids = src.carriers[1]
+    vertices, _, letters = dst.carriers
+    for e, f in enumerate(erow):
+        v, w = vrow[src.dst[e]], dst.dst[f]
+        if v != w:
+            return MorphismReport(False, False, (ids[e], vertices[v], vertices[w]),
+                                  "range not preserved")
+        v, w = vrow[src.src[e]], dst.src[f]
+        if v != w:
+            return MorphismReport(False, False, (ids[e], vertices[v], vertices[w]),
+                                  "source not preserved")
+        a, b = dst.lab[f], arow[src.lab[e]]
+        if a != b:
+            return MorphismReport(False, False, (ids[e], letters[a], letters[b]),
+                                  "label compatibility violated")
+    iso = all(len(set(row)) == len(row) == len(items)
+              for row, items in zip(rows, dst.carriers))
     return MorphismReport(True, iso)
 
 
 def is_surjective(m: LabeledGraphMorphism) -> bool:
-    return (set(m.vertex_map.values()) == set(m.target.vertices)
-            and set(m.edge_map.values()) == {e.eid for e in m.target.graph.edges}
-            and set(m.alphabet_map.values()) == set(m.target.alphabet))
+    """Every map's values are exactly the target carrier."""
+    return all(set(mapping.values()) == positions.keys()
+               for mapping, positions in zip(
+                   (m.vertex_map, m.edge_map, m.alphabet_map),
+                   m.target.core.positions))
 
 
 def compose(f: LabeledGraphMorphism, g: LabeledGraphMorphism) -> LabeledGraphMorphism:

@@ -8,14 +8,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .action import (EDGE, LETTER, VERTEX, LabeledGraphAction,
+from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
                      QuotientLabeledGraph, is_label_consistent, quotient)
 from .errors import (OutOfWindow, PreconditionError, SearchSpaceExceeded,
                      VerificationError)
 from .graph import DirectedGraph, Edge, Path, validate
 from .groups import Element, Group, Window
 from .labeled import Check, LabeledGraph, Word, is_left_resolving
-from .morphism import LabeledGraphMorphism, verify_morphism
+from .morphism import LabeledGraphMorphism, identity_maps, verify_morphism
 
 
 def one_cocycle(base: LabeledGraph, group: Group) -> dict[str, Element]:
@@ -268,14 +268,15 @@ class TranslationAction(LabeledGraphAction):
         distinct shape short of all of D, and the block offset and layer
         map key of each carrier item (i for layer D[i] of a full-shape
         block, |D| onward for the entries)."""
-        kinds = [self._pairs(kind) for kind in (VERTEX, EDGE, LETTER)]
+        kinds = [self._pairs(kind) for kind in KINDS]
         layers = list(dict.fromkeys(h for _, ids in kinds for _, h in ids))
         slot = {h: i for i, h in enumerate(layers)}
         everywhere = tuple(range(len(layers)))
         identity = dict(zip(everywhere, everywhere))
+        core = self.graph.core
         grids = []
-        for (pairs, ids), items, index in zip(kinds, self._carriers,
-                                              self._indexes):
+        for (pairs, ids), items, index in zip(kinds, core.carriers,
+                                              core.positions):
             fibers: dict[str, dict[int, int]] = {}
             for (base, h), item in ids.items():
                 fibers.setdefault(base, {})[slot[h]] = index[item]
@@ -330,8 +331,10 @@ class TranslationAction(LabeledGraphAction):
         return tuple(rows)
 
     def interval_span(self) -> int | None:
-        """The widest layer difference of the window; None for finite
-        groups, whose scope is the whole group."""
+        """The numeric width of all layers, max - min over every fiber;
+        None for finite groups, whose scope is the whole group.  Fibers
+        whose layers lie far apart give a scope of that width, which
+        ``verify_action`` refuses above ``MAX_TRIPLES``."""
         if self.group.is_finite:
             return None
         layers = [g for ls in self.skew.layers.values() for g in ls]
@@ -380,12 +383,8 @@ class TranslationAction(LabeledGraphAction):
         """The canonical isomorphism from the quotient onto the base, which
         names each orbit by its base item.  It is verified, never assumed:
         a quotient that is not the base raises :class:`VerificationError`."""
-        iso = LabeledGraphMorphism(
-            quot.quotient, self.skew.spec.base,
-            {v: v for v in quot.quotient.vertices},
-            {e.eid: e.eid for e in quot.quotient.graph.edges},
-            {a: a for a in quot.quotient.alphabet},
-        )
+        iso = LabeledGraphMorphism(quot.quotient, self.skew.spec.base,
+                                   *identity_maps(quot.quotient))
         report = verify_morphism(iso)
         if not report.isomorphism:
             raise VerificationError(
@@ -395,7 +394,6 @@ class TranslationAction(LabeledGraphAction):
 
     def as_finite_action(self):
         """Materialize explicit per-element triples (finite groups only)."""
-        from .action import FiniteAction
         if not self.group.is_finite:
             raise PreconditionError("INFINITE_GROUP",
                                     "only finite translations materialize")
@@ -403,7 +401,7 @@ class TranslationAction(LabeledGraphAction):
         for g in self.group.elements():
             maps[g] = tuple(
                 {item: self.apply(g, kind, item) for item in self.carrier(kind)}
-                for kind in (VERTEX, EDGE, LETTER))
+                for kind in KINDS)
         return FiniteAction(self.group, self.graph, maps)
 
 
@@ -529,12 +527,8 @@ def relabel_iso(skew1: SkewLabeledGraph,
             raise VerificationError(
                 "relabeled letter is not materialized", (a, h))
         alphabet_map[lid] = target
-    iso = LabeledGraphMorphism(
-        skew1.graph, skew2.graph,
-        {v: v for v in skew1.graph.vertices},
-        {e.eid: e.eid for e in skew1.graph.graph.edges},
-        alphabet_map,
-    )
+    iso = LabeledGraphMorphism(skew1.graph, skew2.graph,
+                               *identity_maps(skew1.graph)[:2], alphabet_map)
     report = verify_morphism(iso)
     if not report.ok:
         raise VerificationError("relabeling morphism law failed",
@@ -543,21 +537,7 @@ def relabel_iso(skew1: SkewLabeledGraph,
         raise VerificationError("relabeling is not bijective", report.witness)
 
     # equivariance for the two translation actions, pointwise on the window
-    t1, t2 = TranslationAction(skew1), TranslationAction(skew2)
-    checked = 0
-    for g in t1.scope_elements():
-        for lid in skew1.graph.alphabet:
-            moved = t1.apply(g, LETTER, lid)
-            if moved is None:
-                continue
-            lhs = alphabet_map[moved]
-            rhs = t2.apply(g, LETTER, alphabet_map[lid])
-            if rhs is None:
-                continue
-            if lhs != rhs:
-                raise VerificationError(
-                    "relabeling is not equivariant", (g, lid))
-            checked += 1
-    if checked == 0:
-        raise VerificationError("equivariance could not be exercised", None)
+    from .gross_tucker import check_equivariance
+    check_equivariance(TranslationAction(skew2), skew1,
+                       (iso.vertex_map, iso.edge_map, iso.alphabet_map))
     return iso

@@ -1,7 +1,7 @@
 """Shared constructions used by several test modules."""
 
 import random
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from labgraphs import fixtures as fx
 from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport, FiniteAction,
@@ -10,6 +10,7 @@ from labgraphs.graph import DirectedGraph
 from labgraphs.groups import CyclicGroup
 from labgraphs.labeled import LabeledGraph
 from labgraphs.lattice import Derivation
+from labgraphs.morphism import LabeledGraphMorphism, MorphismReport
 from labgraphs.skew import SkewLabeledGraph, TranslationAction
 
 
@@ -264,3 +265,54 @@ def worklist_closure(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
         eng.add(mask, deriv)
     eng.run()
     return eng.derivations
+
+
+def _total_onto(mapping: Mapping[str, str], domain, codomain, what: str):
+    codset = set(codomain)
+    for x in domain:
+        if x not in mapping:
+            return (f"{what} map not total", x)
+        if mapping[x] not in codset:
+            return (f"{what} map leaves the target", (x, mapping[x]))
+    return None
+
+
+def _bijective(mapping: Mapping[str, str], domain, codomain) -> bool:
+    image = {mapping[x] for x in domain}
+    return len(image) == len(tuple(domain)) and image == set(codomain)
+
+
+def verify_morphism_oracle(m: LabeledGraphMorphism) -> MorphismReport:
+    """Definitional oracle for ``verify_morphism``: the laws checked on
+    string ids, walking the edges of both graphs.  Check the two morphism
+    laws; the isomorphism flag additionally requires all three maps to be
+    bijections onto the target carriers."""
+    src, dst = m.source, m.target
+    for mapping, domain, codomain, what in (
+            (m.vertex_map, src.vertices, dst.vertices, "vertex"),
+            (m.edge_map, [e.eid for e in src.graph.edges],
+             [e.eid for e in dst.graph.edges], "edge"),
+            (m.alphabet_map, src.alphabet, dst.alphabet, "alphabet")):
+        bad = _total_onto(mapping, domain, codomain, what)
+        if bad is not None:
+            return MorphismReport(False, False, bad[1], bad[0])
+    for e in src.graph.edges:
+        fe = dst.graph.edge(m.edge_map[e.eid])
+        if m.vertex_map[e.dst] != fe.dst:
+            return MorphismReport(
+                False, False, (e.eid, m.vertex_map[e.dst], fe.dst),
+                "range not preserved")
+        if m.vertex_map[e.src] != fe.src:
+            return MorphismReport(
+                False, False, (e.eid, m.vertex_map[e.src], fe.src),
+                "source not preserved")
+        if dst.labeling[fe.eid] != m.alphabet_map[src.labeling[e.eid]]:
+            return MorphismReport(
+                False, False,
+                (e.eid, dst.labeling[fe.eid], m.alphabet_map[src.labeling[e.eid]]),
+                "label compatibility violated")
+    iso = (_bijective(m.vertex_map, src.vertices, dst.vertices)
+           and _bijective(m.edge_map, [e.eid for e in src.graph.edges],
+                          [e.eid for e in dst.graph.edges])
+           and _bijective(m.alphabet_map, src.alphabet, dst.alphabet))
+    return MorphismReport(True, iso)

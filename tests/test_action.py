@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from labgraphs import action as action_module
 from labgraphs import fixtures as fx
 from labgraphs.action import (FiniteAction, find_fundamental_domain,
                               has_unique_path_lifting, is_free,
@@ -254,10 +255,11 @@ class TestFundamentalDomain:
             report = is_fundamental_domain(action, translate)
             assert report.transversal
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         from labgraphs.skew import left_translation
+        monkeypatch.setattr(action_module, "MAX_TRANSVERSALS", 10)
         with pytest.raises(SearchSpaceExceeded):
-            find_fundamental_domain(left_translation(fx.nofd()), cap=10)
+            find_fundamental_domain(left_translation(fx.nofd()))
 
 
 class TestLabelConsistency:

@@ -278,6 +278,18 @@ def test_grid_size_follows_the_carrier(name):
         action, [*range(-8, 9), 100, -100, 10 ** 6, -10 ** 6])
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_actions_read_the_graph_core(builder, seed):
+    """An action's carriers and positions are those of its graph's core,
+    not copies."""
+    action = BUILDERS[builder](random.Random(seed))
+    core = action.graph.core
+    for k, kind in enumerate(KINDS):
+        assert action.carrier(kind) is core.carriers[k]
+        assert action.index(kind) is core.positions[k]
+
+
 def test_broken_variants_exercise_every_law():
     """The broken builders are not vacuous: together they violate every
     law that verify_action checks, windowed and finite."""
@@ -504,6 +516,19 @@ def test_windows_just_under_and_over_the_cap(seed, cap):
                            match=f"{triples} .* MAX_TRIPLES = {cap}$"):
             verify_action(over)
         assert not over._tables
+
+
+def test_sparse_layers_far_apart_are_refused():
+    """The scope of a translation spans the numeric width of all layers:
+    60 one-loop fibers 100 layers apart give span 5,904, whose triples are
+    over the cap, so verify_action refuses them before building a table
+    rather than checking thousands of elements that move nothing onto the
+    carrier."""
+    action = _sparse_layer_loops(60)
+    assert action.interval_span() == 5904
+    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
+        verify_action(action)
+    assert action._tables == {}
 
 
 def test_skewz_windows_at_the_cap():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from labgraphs import jsonio
 from labgraphs.action import MAX_TRIPLES
 from labgraphs.cli import main
+from labgraphs.graph import MAX_PATH_EDGES
 from labgraphs.skew import MAX_ITEMS
 
 from helpers import distinct_letter_cycle
@@ -211,6 +212,15 @@ class TestReports:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"MAX_TRIPLES = {MAX_TRIPLES}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["40", "1000000000"])
+    def test_paths_over_edge_id_cap_exits_two(self, n):
+        start = time.perf_counter()
+        code, out, err = run(["paths", "fixtures/fish.json", "--n", n])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"MAX_PATH_EDGES = {MAX_PATH_EDGES}" in err
         assert "Traceback" not in err
 
     def test_quotient_under_item_cap(self):

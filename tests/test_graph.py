@@ -1,10 +1,16 @@
 """Directed graph carriers, validity and path enumeration."""
 
+import random
+import time
+
 import pytest
 
 from labgraphs import fixtures as fx
-from labgraphs.errors import PreconditionError
-from labgraphs.graph import DirectedGraph, Path, paths_of_length, validate
+from labgraphs import graph as graph_module
+from labgraphs.errors import PreconditionError, SearchSpaceExceeded
+from labgraphs.graph import (MAX_PATH_EDGES, DirectedGraph, Path,
+                             paths_of_length, validate)
+from labgraphs.labeled import label_set, labeled_paths
 
 
 def path_ids(paths):
@@ -119,3 +125,62 @@ class TestPaths:
     def test_deterministic_output_order(self):
         paths = paths_of_length(fx.fish().graph, 3)
         assert [p.edges for p in paths] == sorted(p.edges for p in paths)
+
+
+def edge_ids_built(g, n):
+    """The edge ids the enumeration of length n builds: the paths of each
+    length k <= n times k, counted from the paths themselves."""
+    return sum(k * len(paths_of_length(g, k)) for k in range(1, n + 1))
+
+
+class TestPathCap:
+    def test_fish_over_the_cap_is_refused_at_once(self):
+        """fish has Fibonacci many paths: length 22 builds 4,003,393 edge
+        ids, under the cap, and every longer length is refused before a
+        path is built, however long."""
+        assert 4_003_393 <= MAX_PATH_EDGES < 6_795_432
+        g = fx.fish().graph
+        for n in (23, 40, 10 ** 9):
+            start = time.perf_counter()
+            with pytest.raises(SearchSpaceExceeded,
+                               match=f"MAX_PATH_EDGES = {MAX_PATH_EDGES}$"):
+                paths_of_length(g, n)
+            assert time.perf_counter() - start < 0.5
+
+    def test_labeled_paths_and_label_sets_inherit_the_cap(self):
+        lg = fx.fish()
+        with pytest.raises(SearchSpaceExceeded):
+            labeled_paths(lg, 40)
+        with pytest.raises(SearchSpaceExceeded):
+            label_set(lg, ["v"], 40)
+
+    def test_a_cycle_stops_counting_early(self):
+        """A cycle has three paths of every length: a length of 10**9 is
+        refused after about 1,700 counted lengths, not 10**9."""
+        g = DirectedGraph("abc", [("x", "a", "b"), ("y", "b", "c"),
+                                  ("z", "c", "a")])
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceExceeded):
+            paths_of_length(g, 10 ** 9)
+        assert time.perf_counter() - start < 0.5
+
+    def test_no_paths_of_a_long_length(self):
+        g = DirectedGraph("abc", [("x", "a", "b"), ("y", "b", "c")])
+        assert paths_of_length(g, 10 ** 9) == ()
+        assert path_ids(paths_of_length(g, 2)) == {("x", "y")}
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_the_cap_sits_at_the_edge_ids_built(self, seed, monkeypatch):
+        """With the cap at exactly the edge ids an enumeration builds, it
+        runs and returns the same paths; one below, it is refused, also
+        when the paths die out before length n."""
+        rng = random.Random(seed)
+        g = fx.random_labeled_graph(rng, max_vertices=4, max_edges=7).graph
+        n = rng.randint(1, 6)
+        expected = paths_of_length(g, n)
+        built = edge_ids_built(g, n)
+        monkeypatch.setattr(graph_module, "MAX_PATH_EDGES", built)
+        assert paths_of_length(g, n) == expected
+        monkeypatch.setattr(graph_module, "MAX_PATH_EDGES", built - 1)
+        with pytest.raises(SearchSpaceExceeded, match=f" {built} edge ids"):
+            paths_of_length(g, n)

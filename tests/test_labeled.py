@@ -56,6 +56,34 @@ class TestLabeledGraph:
                          {"e": "1", "f": "0", "g": "0"}, alphabet=["1"])
 
 
+class TestCore:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_core_is_read_off_the_edges(self, seed):
+        """The carriers, positions and edge arrays of the core name the
+        items of the graph, edge by edge, and the step masks are the
+        endpoints of the a-labeled edges leaving each vertex."""
+        lg = fx.random_labeled_graph(random.Random(seed), max_vertices=6,
+                                     max_edges=12)
+        core = lg.core
+        assert core is lg.core
+        assert core.carriers == (lg.vertices,
+                                 tuple(e.eid for e in lg.graph.edges),
+                                 lg.alphabet)
+        for items, positions in zip(core.carriers, core.positions):
+            assert sorted(positions.values()) == list(range(len(items)))
+            assert all(items[positions[x]] == x for x in items)
+        vertices, edges, letters = core.carriers
+        assert [(edges[e], vertices[v], vertices[w], letters[a])
+                for e, (v, w, a) in enumerate(zip(core.src, core.dst,
+                                                  core.lab))] == [
+            (e.eid, e.src, e.dst, lg.labeling[e.eid]) for e in lg.graph.edges]
+        assert lg._step == [
+            [lg.mask_of({e.dst for e in lg.graph.out_edges(v)
+                         if lg.labeling[e.eid] == a})
+             for v in lg.vertices]
+            for a in lg.alphabet]
+
+
 class TestLabeledPaths:
     def test_fish_length_one(self):
         assert set(labeled_paths(fx.fish(), 1)) == {word("0"), word("1")}

@@ -1,13 +1,18 @@
 """Morphism laws, isomorphisms, automorphism composition."""
 
+import random
+
 import pytest
 
 from labgraphs import fixtures as fx
+from labgraphs.action import quotient
 from labgraphs.errors import PreconditionError
 from labgraphs.morphism import (LabeledGraphMorphism,
                                 automorphism_check_and_compose, compose,
                                 identity_morphism, inverse, is_automorphism,
                                 is_surjective, verify_morphism)
+
+from helpers import verify_morphism_oracle
 
 
 def fish4_swap():
@@ -115,3 +120,76 @@ class TestAutomorphisms:
         swap = fish4_swap()
         composite = compose(swap, swap)
         assert verify_morphism(composite).ok
+
+
+# -- positions against the string oracle ---------------------------------------
+
+
+def random_morphism(rng: random.Random) -> LabeledGraphMorphism:
+    """A morphism, then up to three breaks.  The base is an automorphism of
+    an anonymized finite action, the projection onto its quotient (a
+    morphism that is not bijective), or maps drawn at random between two
+    random graphs.  Each break drops a key (not total), sends an item
+    outside the target, points it at a random target item (laws and
+    bijectivity), swaps two values, or adds a key outside the source."""
+    pick = rng.randrange(3)
+    if pick < 2:
+        action = fx.anonymize_action(
+            fx.random_translation_action(rng, rng.random() < 0.5), rng)
+        if pick == 0:
+            m = action.triple_morphism(rng.choice(action.group.elements()))
+        else:
+            m = quotient(action).projection
+        source, target = m.source, m.target
+        maps = [dict(m.vertex_map), dict(m.edge_map), dict(m.alphabet_map)]
+    else:
+        source, target = (fx.random_labeled_graph(rng, max_vertices=3,
+                                                  max_edges=5, max_letters=2)
+                          for _ in range(2))
+        maps = [{x: rng.choice(codomain) for x in domain}
+                for domain, codomain in zip(source.core.carriers,
+                                            target.core.carriers)]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        k = rng.randrange(3)
+        mapping, codomain = maps[k], target.core.carriers[k]
+        if not mapping:
+            continue
+        x = rng.choice(sorted(mapping))
+        kind = rng.choice(("drop", "outside", "redirect", "swap", "extra"))
+        if kind == "drop":
+            del mapping[x]
+        elif kind == "outside":
+            mapping[x] = "nowhere"
+        elif kind == "redirect":
+            mapping[x] = rng.choice(codomain)
+        elif kind == "swap":
+            y = rng.choice(sorted(mapping))
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+        else:
+            mapping["stray"] = rng.choice(codomain)
+    return LabeledGraphMorphism(source, target, *maps)
+
+
+def test_positions_agree_with_the_string_oracle():
+    """verify_morphism reads the graph cores; its reports equal those of
+    the string-walking oracle, witness and note included, and
+    is_surjective equals its definition on the value sets.  Every outcome
+    occurs."""
+    outcomes = set()
+    for seed in range(600):
+        m = random_morphism(random.Random(seed))
+        report = verify_morphism(m)
+        assert report == verify_morphism_oracle(m)
+        assert is_surjective(m) == (
+            set(m.vertex_map.values()) == set(m.target.vertices)
+            and set(m.edge_map.values())
+            == {e.eid for e in m.target.graph.edges}
+            and set(m.alphabet_map.values()) == set(m.target.alphabet))
+        outcomes.add(report.note or f"isomorphism {report.isomorphism}")
+        outcomes.add(f"surjective {is_surjective(m)}")
+    assert outcomes == {
+        "range not preserved", "source not preserved",
+        "label compatibility violated", "isomorphism True",
+        "isomorphism False", "surjective True", "surjective False",
+        *(f"{what} map {failure}" for what in ("vertex", "edge", "alphabet")
+          for failure in ("not total", "leaves the target"))}

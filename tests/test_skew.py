@@ -9,7 +9,7 @@ from labgraphs import fixtures as fx
 from labgraphs import skew as skew_module
 from labgraphs.action import is_free, quotient, verify_action
 from labgraphs.errors import (OutOfWindow, PreconditionError,
-                              SearchSpaceExceeded)
+                              SearchSpaceExceeded, VerificationError)
 from labgraphs.groups import CyclicGroup, IntegerGroup, Window
 from labgraphs.labeled import labeled_paths
 from labgraphs.morphism import verify_morphism
@@ -308,6 +308,25 @@ class TestRelabelIso:
         s2 = skew_product(SkewSpec(base, group, c,
                                    {"e": 0, "f": 1, "g": 2}), Window(-2, 2))
         with pytest.raises(PreconditionError):
+            relabel_iso(s1, s2)
+
+    def test_maps_go_through_the_equivariance_check(self, monkeypatch):
+        """The letter map is checked against both translation actions: with
+        the images of (0,0) and (1,0) swapped on the way into
+        check_equivariance, relabel_iso refuses it."""
+        from labgraphs import gross_tucker
+        check = gross_tucker.check_equivariance
+
+        def swapped(action, skew, maps):
+            vertex_map, edge_map, alphabet_map = maps
+            alphabet_map = dict(alphabet_map)
+            alphabet_map["(0,0)"], alphabet_map["(1,0)"] = (
+                alphabet_map["(1,0)"], alphabet_map["(0,0)"])
+            return check(action, skew, (vertex_map, edge_map, alphabet_map))
+
+        monkeypatch.setattr(gross_tucker, "check_equivariance", swapped)
+        s1, s2 = self._skews(0, 5)
+        with pytest.raises(VerificationError, match="not equivariant"):
             relabel_iso(s1, s2)
 
     def test_finite_group_case(self):
