@@ -13,8 +13,7 @@ from .groups import (CyclicGroup, Group, IntegerGroup, PermutationGroup,
                      TableGroup, Window, make_group)
 from .labeled import (Check, LabeledGraph, is_left_resolving,
                       is_weakly_left_resolving, label_set, labeled_paths,
-                      range_and_source, relative_range, representatives,
-                      weakly_left_resolving_bruteforce)
+                      range_and_source, relative_range, representatives)
 from .lattice import (NormalForm, SetCollection, labeled_space_report,
                       normal_form, relative_complement_closure,
                       smallest_accommodating)

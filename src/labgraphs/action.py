@@ -4,8 +4,9 @@ fundamental domains and label consistency."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (PreconditionError, SearchSpaceExceeded,
                      VerificationError, WellDefinednessError)
@@ -71,6 +72,14 @@ class LabeledGraphAction:
         return rows
 
     def _build_table(self, g: Element) -> Rows:
+        raise NotImplementedError
+
+    def coordinates(self, kind: str) -> Sequence[tuple[str, int]]:
+        """The (fiber, layer) of each carrier item, in ``carrier(kind)``
+        order, for actions whose scope is an integer interval
+        (:meth:`interval_span`).  Such an action is meant to move the item
+        at (q, t) to the item at (q, t + g); :func:`verify_action` tries
+        that first and falls back to its scans when the tables disagree."""
         raise NotImplementedError
 
     def scope_elements(self) -> tuple[Element, ...]:
@@ -256,22 +265,28 @@ class ActionReport:
 #: law on.  :func:`homomorphism_triples` counts them from the scope and
 #: carrier sizes, and an action over the cap raises
 #: :class:`SearchSpaceExceeded` before any table is built.  Just under the
-#: cap (Python 3.11, 2-core x86 container), ``verify_action`` takes 0.8 s
-#: on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937 triples;
-#: 0:185 is over) and 2.9 s on the finite skew product of the same base
-#: over Z/267 (133,239,141 triples), whose rows compose pair by pair.
+#: cap (Python 3.11, 2-core x86 container), ``verify_action`` takes about
+#: 0.1 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
+#: triples; 0:185 is over), where the translation certificate holds, and
+#: about 1.3 s on a broken copy of it, whose scans name every failure; and
+#: 2.9 s on the finite skew product of the same base over Z/267
+#: (133,239,141 triples), whose rows compose pair by pair.
 MAX_TRIPLES = 1 << 27
+
+
+def homomorphism_pairs(action: LabeledGraphAction) -> int:
+    """The pairs (g, h) of scope elements whose product is in the scope.
+    On the scope -span..span, g + h leaves it for span (span + 1) of the
+    n^2 pairs; finite groups keep all of them."""
+    n = len(action.scope_elements())
+    span = action.interval_span()
+    return n * n if span is None else n * n - span * (span + 1)
 
 
 def homomorphism_triples(action: LabeledGraphAction) -> int:
     """The (g, h, item) triples of the homomorphism law: the pairs of
-    scope elements whose product is in the scope, times the carrier
-    size.  On the scope -span..span, g + h leaves it for span (span + 1)
-    of the n^2 pairs; finite groups keep all of them."""
-    n = len(action.scope_elements())
-    span = action.interval_span()
-    pairs = n * n if span is None else n * n - span * (span + 1)
-    return pairs * sum(map(len, action.graph.core.carriers))
+    :func:`homomorphism_pairs` times the carrier size."""
+    return homomorphism_pairs(action) * sum(map(len, action.graph.core.carriers))
 
 
 def verify_action(action: LabeledGraphAction) -> ActionReport:
@@ -284,12 +299,18 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     every pair (g, h) of scope elements whose product is in the scope
     (``pairs_checked`` counts them), on every carrier item.  The laws run
     on the integer action tables, and only a mismatch is walked item by
-    item to name the witnesses.  When the scope is an integer interval
-    (:meth:`LabeledGraphAction.interval_span`), the homomorphism law runs
-    item-major: one slice compare per item x and element h covers every g
-    at once.  Other scopes (finite groups) compose the rows of each pair
-    and compare the result with the row of the product.  Both give the
-    same triples, failures and order.
+    item to name the witnesses.
+
+    When the scope is an integer interval
+    (:meth:`LabeledGraphAction.interval_span`), the action is first
+    checked against a translation certificate of the size of the carrier
+    (:func:`_translation_certified`); when it holds, every law holds and
+    the report is built without a scan.  Otherwise, and on other scopes,
+    the scans below run and name every failure.  On an integer interval
+    the homomorphism law runs item-major: one slice compare per item x and
+    element h covers every g at once.  Other scopes (finite groups)
+    compose the rows of each pair and compare the result with the row of
+    the product.  Both give the same triples, failures and order.
 
     An action with more than :data:`MAX_TRIPLES` triples raises
     :class:`SearchSpaceExceeded` before any table is built.  On a
@@ -300,9 +321,13 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
         raise SearchSpaceExceeded(
             f"verifying the action would check {triples} (g, h, item) "
             f"triples, over the cap MAX_TRIPLES = {MAX_TRIPLES}")
-    failures: list[tuple[str, Any]] = []
     group = action.group
     scope = action.scope_elements()
+    span = action.interval_span()
+    if span is not None and _translation_certified(action, span):
+        return ActionReport(True, (), len(scope), homomorphism_pairs(action),
+                            action.is_windowed())
+    failures: list[tuple[str, Any]] = []
     core = action.graph.core
     carriers = core.carriers
 
@@ -342,7 +367,6 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
             if a >= 0 and a != lab[f]:
                 failures.append(("label compatibility", (g, edges[e])))
 
-    span = action.interval_span()
     if span is None:
         homomorphism, pairs = _homomorphism_all_pairs(action, scope, carriers)
     else:
@@ -350,6 +374,83 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     failures.extend(homomorphism)
     return ActionReport(not failures, tuple(failures), len(scope), pairs,
                         action.is_windowed())
+
+
+def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
+    """Whether the tables of the scope -span..span are those of a
+    translation along the fibers of :meth:`LabeledGraphAction.coordinates`,
+    checked in time and space of the order of the carrier plus the tables.
+
+    The certificate is three checks on the coordinates (q(x), t(x)):
+
+    - placement: no two items of a kind share a (fiber, layer), so
+      L(q, t), the item at (q, t) or -1 when there is none, is defined;
+    - lines: alpha_g(x) = L(q(x), t(x) + g) for every item x and every g
+      of the scope, -1 entries included.  The column ``flat[x::m]`` of
+      :func:`stacked_rows` is compared with the slice of the fiber's line
+      around t(x), padded with -1, in one compare per item; a fiber whose
+      layers are sparse (a halo far from the window) gathers the layers
+      within span of t(x) instead;
+    - edge offsets: over the edges of one edge fiber, the fiber of the
+      range and its layer minus the edge's layer are the same, and so are
+      those of the source and of the label.
+
+    Why they give every law.  Identity: alpha_0(x) = L(q(x), t(x)) = x by
+    placement.  Injectivity: alpha_g(x) = alpha_g(y) = z >= 0 puts x and y
+    at the coordinates of z shifted by -g, so x = y by placement.
+    Homomorphism: y = alpha_h(x) >= 0 sits at (q(x), t(x) + h), so
+    alpha_g(y) = L(q(x), t(x) + h + g) = alpha_{g+h}(x) whenever g + h is
+    in the scope.  Range equivariance: let f = alpha_g(e) >= 0 for an edge
+    e over fiber Q at layer t, and (P, c) the offset of Q's ranges.  Then
+    f sits at (Q, t + g) and its range r(f) at (P, t + g + c), while r(e)
+    sits at (P, t + c), so alpha_g(r(e)) = L(P, t + c + g) = r(f).  The
+    sources and labels follow in the same way.  So an action that passes
+    has no failure, and its ``pairs_checked`` is that of
+    :func:`homomorphism_pairs`."""
+    n = 2 * span + 1
+    coordinates = [action.coordinates(kind) for kind in KINDS]
+    fibers_of = []
+    for coords in coordinates:
+        fibers: dict[str, dict[int, int]] = {}
+        for x, (q, t) in enumerate(coords):
+            cells = fibers.setdefault(q, {})
+            if t in cells:
+                return False
+            cells[t] = x
+        fibers_of.append(fibers)
+
+    core = action.graph.core
+    vertices, edges, letters = coordinates
+    for ends, coords in ((core.dst, vertices), (core.src, vertices),
+                         (core.lab, letters)):
+        offsets: dict[str, tuple[str, int]] = {}
+        for (q, t), j in zip(edges, ends):
+            p, u = coords[j]
+            if offsets.setdefault(q, (p, u - t)) != (p, u - t):
+                return False
+
+    for k, fibers in enumerate(fibers_of):
+        flat = stacked_rows(action, span, k)
+        m = len(flat) // n
+        for cells in fibers.values():
+            layers = sorted(cells)
+            lo, hi = layers[0], layers[-1]
+            if hi - lo < 2 * len(layers):
+                line = [-1] * (hi - lo + n)
+                for t, x in cells.items():
+                    line[t - lo + span] = x
+                for t, x in cells.items():
+                    if flat[x::m] != line[t - lo:t - lo + n]:
+                        return False
+            else:
+                for t, x in cells.items():
+                    column = [-1] * n
+                    for u in layers[bisect_left(layers, t - span):
+                                    bisect_right(layers, t + span)]:
+                        column[u - t + span] = cells[u]
+                    if flat[x::m] != column:
+                        return False
+    return True
 
 
 def _homomorphism_all_pairs(action: LabeledGraphAction,

@@ -151,8 +151,8 @@ def _reconstruction_layers(action: LabeledGraphAction,
     index = action.index(VERTEX)
     inside = {index[v] for v in action.lifting_scope()}
     vertex_rows = [(h, action.table(h)[0]) for h in action.scope_elements()]
-    return {q_vertex: tuple(h for h, row in vertex_rows
-                            if row[index[eta0[q_vertex]]] in inside)
+    return {q_vertex: tuple([h for h, row in vertex_rows
+                             if row[index[eta0[q_vertex]]] in inside])
             for q_vertex in quot.orbit_vertex_members}
 
 
@@ -257,17 +257,13 @@ def _equivariance_interval(action: LabeledGraphAction, span: int,
     span of h instead, so the lines follow the carrier, never the numeric
     distance between layers.  The count and the least witness equal
     those of :func:`_equivariance_by_element`."""
-    skew = tau.skew
     first = None
     checked = 0
-    for k, (kind, image, pairs) in enumerate(zip(
-            KINDS, images,
-            (skew.vertex_pair, skew.edge_pair, skew.letter_pair))):
+    for k, (kind, image) in enumerate(zip(KINDS, images)):
         flat = stacked_rows(action, span, k)
         m = len(flat) // (2 * span + 1)
         fibers: dict[str, dict[Element, int]] = {}
-        for x, item in enumerate(tau.carrier(kind)):
-            q, h = pairs[item]
+        for x, (q, h) in enumerate(tau.coordinates(kind)):
             fibers.setdefault(q, {})[h] = x
         for cells in fibers.values():
             layers = sorted(cells)

@@ -1,13 +1,10 @@
 """Labeled graphs: labelings, labeled path spaces, relative ranges and the
-resolving properties, with the fast checks and their definitional oracles.
+resolving properties.
 
 Vertex sets are integer bitmasks over the frozen vertex ordering: bit ``i``
 stands for ``vertices[i]``.  Python integers have no fixed width, so a mask
 covers any number of vertices.  Relative ranges sweep per-letter successor
-masks one letter at a time (:meth:`LabeledGraph.range_mask`).  The
-brute-force oracle builds its own word tables by walking actual paths and
-scans every subset pair against them, so it stays independent of the fast
-checks it is compared with.
+masks one letter at a time (:meth:`LabeledGraph.range_mask`).
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
-from .errors import NotALabeledPath, PreconditionError, SearchSpaceExceeded
+from .errors import NotALabeledPath, PreconditionError
 from .graph import DirectedGraph, Path, paths_of_length
 
 Word = tuple[str, ...]
@@ -337,59 +334,4 @@ def is_weakly_left_resolving(lg: LabeledGraph) -> Check:
             for j in range(i + 1, nv):
                 if row[i] & row[j]:
                     return Check(False, (a, lg.vertices[i], lg.vertices[j]))
-    return Check(True)
-
-
-#: Largest vertex count :func:`weakly_left_resolving_bruteforce` accepts.
-#: Its subset-pair scan grows about fourfold per vertex: with two letters and
-#: out-degree 2 it takes about 1.4 s at 10 vertices and 5.7 s at 11.
-BRUTEFORCE_MAX_VERTICES = 10
-
-
-def weakly_left_resolving_bruteforce(lg: LabeledGraph, max_word_len: int = 4) -> Check:
-    """Definitional oracle: enumerate actual paths to build range tables,
-    then test ``r(A & B, w) == r(A, w) & r(B, w)`` over every subset pair
-    and every realized word up to ``max_word_len``.  Graphs with more than
-    :data:`BRUTEFORCE_MAX_VERTICES` vertices raise
-    :class:`SearchSpaceExceeded` before any table is built."""
-    nv = len(lg.vertices)
-    if nv > BRUTEFORCE_MAX_VERTICES:
-        raise SearchSpaceExceeded(
-            f"brute-force oracle takes at most {BRUTEFORCE_MAX_VERTICES} "
-            f"vertices, got {nv}")
-    vi, _, li = lg.core.positions
-    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for e in lg.graph.edges:
-        out_adj[vi[e.src]].append((li[lg.labeling[e.eid]], vi[e.dst]))
-    # tables[word][v] = endpoints of word-labeled paths starting at v, built
-    # path by path and never through range_mask.
-    tables: dict[tuple[int, ...], list[int]] = {}
-    for v0 in range(nv):
-        stack: list[tuple[int, tuple[int, ...]]] = [(v0, ())]
-        while stack:
-            v, word = stack.pop()
-            if len(word) == max_word_len:
-                continue
-            for a, w in out_adj[v]:
-                nw = word + (a,)
-                row = tables.get(nw)
-                if row is None:
-                    row = tables[nw] = [0] * nv
-                row[v0] |= 1 << w
-                stack.append((w, nw))
-    size = 1 << nv
-    for word in sorted(tables):
-        row = tables[word]
-        # ranges of every subset, by dynamic programming over low bits
-        ranges = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            ranges[m] = ranges[m ^ low] | row[low.bit_length() - 1]
-        for mask_a in range(1, size):
-            range_a = ranges[mask_a]
-            for mask_b in range(mask_a + 1, size):
-                if ranges[mask_a & mask_b] != range_a & ranges[mask_b]:
-                    letters = tuple(lg.alphabet[i] for i in word)
-                    return Check(False, (letters, lg.set_of(mask_a),
-                                         lg.set_of(mask_b)))
     return Check(True)

@@ -11,8 +11,7 @@ from typing import Iterable, Mapping
 from .errors import (NotAMember, PreconditionError, SearchSpaceExceeded,
                      VerificationError)
 from .graph import require_valid
-from .labeled import (Check, LabeledGraph, Word, labeled_paths,
-                      representatives)
+from .labeled import Check, LabeledGraph, Word
 
 # Derivation expressions: leaves are ranges of words; inner nodes reference
 # other members by mask.
@@ -73,8 +72,7 @@ class SetCollection:
         return ok
 
 
-#: Largest number of members either closure builds, in the style of
-#: :data:`labgraphs.labeled.BRUTEFORCE_MAX_VERTICES`; a closure that would
+#: Largest number of members either closure builds; a closure that would
 #: hold more raises :class:`SearchSpaceExceeded`.  Ranges that separate n
 #: vertices give 2^n - 1 members, so 16 such vertices fit and 17 do not.
 MAX_MEMBERS = 1 << 16
@@ -209,41 +207,6 @@ def relative_complement_closure(col: SetCollection) -> SetCollection:
     return SetCollection(col.lg, tuple(sorted(derivations)), derivations,
                          ("relative_ranges", "intersections", "unions",
                           "relative_complements"))
-
-
-def smallest_accommodating_oracle(lg: LabeledGraph,
-                                  word_bound: int = 5) -> frozenset[int]:
-    """Exhaustive fixpoint over the powerset: seed with the ranges of every
-    realized word up to ``word_bound`` computed from actual representatives,
-    then run full passes of all closure rules until stable.  Used to check
-    the basis closure and its single-letter reduction."""
-    require_valid(lg.graph, "smallest_accommodating_oracle")
-    members: set[int] = set()
-    for n in range(1, word_bound + 1):
-        for word in labeled_paths(lg, n):
-            mask = 0
-            for p in representatives(lg, word):
-                mask |= lg.mask_of([lg.graph.path_dst(p)])
-            if mask:
-                members.add(mask)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for m in snapshot:
-            for a in lg.alphabet:
-                r = lg.range_mask(m, (a,))
-                if r and r not in members:
-                    members.add(r)
-                    changed = True
-        snapshot = list(members)
-        for i, m1 in enumerate(snapshot):
-            for m2 in snapshot[i + 1:]:
-                for candidate in (m1 & m2, m1 | m2):
-                    if candidate and candidate not in members:
-                        members.add(candidate)
-                        changed = True
-    return frozenset(members)
 
 
 # -- normal forms ------------------------------------------------------------

@@ -268,15 +268,14 @@ class TranslationAction(LabeledGraphAction):
         distinct shape short of all of D, and the block offset and layer
         map key of each carrier item (i for layer D[i] of a full-shape
         block, |D| onward for the entries)."""
-        kinds = [self._pairs(kind) for kind in KINDS]
-        layers = list(dict.fromkeys(h for _, ids in kinds for _, h in ids))
+        ids_of = [self._pairs(kind)[1] for kind in KINDS]
+        layers = list(dict.fromkeys(h for ids in ids_of for _, h in ids))
         slot = {h: i for i, h in enumerate(layers)}
         everywhere = tuple(range(len(layers)))
         identity = dict(zip(everywhere, everywhere))
         core = self.graph.core
         grids = []
-        for (pairs, ids), items, index in zip(kinds, core.carriers,
-                                              core.positions):
+        for kind, ids, index in zip(KINDS, ids_of, core.positions):
             fibers: dict[str, dict[int, int]] = {}
             for (base, h), item in ids.items():
                 fibers.setdefault(base, {})[slot[h]] = index[item]
@@ -299,13 +298,25 @@ class TranslationAction(LabeledGraphAction):
                 flat += [cells.get(i, -1) for i in shape]
                 flat.append(-1)
             offsets, keys = [], []
-            for item in items:
-                base, h = pairs[item]
+            for base, h in self.coordinates(kind):
                 offset, (start, local) = block[base]
                 offsets.append(offset)
                 keys.append(start + local[slot[h]])
             grids.append((flat, entries, offsets, keys))
         return layers, slot, grids
+
+    @cached_property
+    def _coordinates(self) -> dict[str, list[tuple[str, Element]]]:
+        out = {}
+        for kind in KINDS:
+            pairs, _ = self._pairs(kind)
+            out[kind] = [pairs[item] for item in self.carrier(kind)]
+        return out
+
+    def coordinates(self, kind: str) -> list[tuple[str, Element]]:
+        """(base item, layer) of each carrier item, in carrier order, read
+        from the skew's pair maps once per kind."""
+        return self._coordinates[kind]
 
     def _pairs(self, kind: str):
         if kind == VERTEX:
@@ -358,10 +369,9 @@ class TranslationAction(LabeledGraphAction):
         not link a fiber: a one-layer window has no non-identity scope
         element, and a cocycle value wider than the window puts halo
         layers out of reach of every scope element."""
-        pairs, _ = self._pairs(kind)
         fibers: dict[str, list[str]] = {}
-        for item in self.carrier(kind):
-            fibers.setdefault(pairs[item][0], []).append(item)
+        for item, (base, _) in zip(self.carrier(kind), self.coordinates(kind)):
+            fibers.setdefault(base, []).append(item)
         return fibers.values()
 
     def lifting_scope(self) -> tuple[str, ...]:

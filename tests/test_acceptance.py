@@ -16,14 +16,15 @@ from labgraphs.groups import IntegerGroup, Window
 from labgraphs.gross_tucker import (SectionPack, derive_cocycles, derive_eta1,
                                     reconstruct, reconstruct_label_consistent)
 from labgraphs.labeled import (is_weakly_left_resolving, labeled_paths,
-                               range_and_source,
-                               weakly_left_resolving_bruteforce)
+                               range_and_source)
 from labgraphs.lattice import (relative_complement_closure,
                                smallest_accommodating)
 from labgraphs.morphism import verify_morphism
 from labgraphs.skew import (SkewSpec, identify_labeled_path, labeled_range,
                             left_translation, relabel_iso, skew_product,
                             translation_quotient)
+
+from helpers import weakly_left_resolving_bruteforce
 
 
 @contextmanager

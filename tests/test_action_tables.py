@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from labgraphs import action as action_module
 from labgraphs import fixtures as fx
-from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, FiniteAction,
+from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
+                              FiniteAction, homomorphism_pairs,
                               homomorphism_triples, verify_action)
 from labgraphs.errors import SearchSpaceExceeded, VerificationError
-from labgraphs.graph import DirectedGraph
+from labgraphs.graph import DirectedGraph, Edge
 from labgraphs.groups import CyclicGroup, IntegerGroup, Window
 from labgraphs.gross_tucker import (check_equivariance,
                                     identity_layer_sections, reconstruct)
@@ -50,6 +51,7 @@ FIXTURES = {
     "fish4-swap": fish4_swap_action,
     "loop-swap": loop_swap_action,
     "broken-range": broken_range_action,
+    "huge-cocycle": lambda: huge_cocycle_action(),
 }
 
 
@@ -99,6 +101,71 @@ def broken_z_action(rng: random.Random,
         pairs[x] = pairs[y]
     else:
         pairs[x], pairs[y] = pairs[y], pairs[x]
+    return TranslationAction(skew)
+
+
+def rewired_z_action(rng: random.Random,
+                     build=random_z_action) -> TranslationAction:
+    """A windowed translation whose materialized graph gives one edge
+    another range or source, or swaps its label with an edge of another
+    fiber, while the pair maps stay intact.  The tables are those of the
+    intact translation, so only the edge offsets of the translation
+    certificate tell it apart.  The edge's fiber holds a second, untouched
+    edge, which the scope moves onto it, so the change breaks a law."""
+    while True:
+        skew = build(rng).skew
+        fibers: dict[str, list[str]] = {}
+        for eid, (base, _) in skew.edge_pair.items():
+            fibers.setdefault(base, []).append(eid)
+        crowded = sorted(eid for eids in fibers.values() if len(eids) >= 2
+                         for eid in eids)
+        if crowded:
+            break
+    eid = rng.choice(crowded)
+    lg = skew.graph
+    edges = {e.eid: e for e in lg.graph.edges}
+    labeling = dict(lg.labeling)
+    e = edges[eid]
+    others = sorted(f for f in labeling if labeling[f] != labeling[eid]
+                    and skew.edge_pair[f][0] != skew.edge_pair[eid][0])
+    change = rng.choice(("range", "source", "label") if others
+                        else ("range", "source"))
+    if change == "label":
+        other = rng.choice(others)
+        labeling[eid], labeling[other] = labeling[other], labeling[eid]
+    elif change == "range":
+        edges[eid] = Edge(eid, e.src, rng.choice(
+            [v for v in lg.vertices if v != e.dst]))
+    else:
+        edges[eid] = Edge(eid, rng.choice(
+            [v for v in lg.vertices if v != e.src]), e.dst)
+    skew.graph = LabeledGraph(DirectedGraph(lg.vertices, edges.values()),
+                              labeling)
+    return TranslationAction(skew)
+
+
+def aliased_z_action(rng: random.Random,
+                     build=random_z_action) -> TranslationAction:
+    """A windowed translation whose id map also lists the top item of a
+    fiber one layer above it, while the pair maps stay intact.  The tables
+    then hold that item where the fiber's line holds -1, past the fiber's
+    layers.  The fiber also holds the layer below the top, and the
+    translation by 1 moves both of its top two items onto the top item,
+    so injectivity fails."""
+    while True:
+        action = build(rng)
+        skew = action.skew
+        candidates = []
+        for ids in (skew.vertex_id, skew.edge_id, skew.letter_id):
+            top: dict[str, int] = {}
+            for base, t in ids:
+                top[base] = max(top.get(base, t), t)
+            candidates += [(ids, base, t) for base, t in top.items()
+                           if (base, t - 1) in ids]
+        if candidates and action.interval_span() >= 1:
+            break
+    ids, base, t = rng.choice(candidates)
+    ids[(base, t + 1)] = ids[(base, t)]
     return TranslationAction(skew)
 
 
@@ -327,6 +394,101 @@ def test_wide_windows_agree_with_the_oracle():
                     ends.add(g // span)
     assert len(hs) >= 2
     assert ends == {-1, 1}
+
+
+# -- the translation certificate ----------------------------------------------
+
+
+INTEGER_BUILDERS = {
+    "z": random_z_action,
+    "z-broken": broken_z_action,
+    "z-rewired": rewired_z_action,
+    "z-aliased": aliased_z_action,
+    "pullback": pullback_z_action,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(INTEGER_BUILDERS)), st.integers(0, 2 ** 32 - 1))
+def test_integer_reports_equal_the_oracle(builder, seed):
+    """Whether the certificate holds or the scans run, the report of an
+    integer action equals the apply-based oracle's, failures and their
+    order included.  Wide windows, whose oracle takes about 0.3 s each,
+    are compared in ``test_wide_windows_agree_with_the_oracle`` and
+    ``test_rewired_edges_are_refused_by_their_offsets``."""
+    action = INTEGER_BUILDERS[builder](random.Random(seed))
+    assert verify_action(action) == verify_action_exhaustive(action)
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("builder", ["z-aliased", "z-broken", "z-rewired"])
+def test_broken_integer_actions_are_refused(builder, seed):
+    """Every broken integer action fails a law, so the certificate must
+    refuse it, and the scans name the oracle's failures: coordinates
+    shared or swapped (z-broken), an edge rewired (z-rewired), and an item
+    listed at a second layer (z-aliased)."""
+    action = INTEGER_BUILDERS[builder](random.Random(seed))
+    report = verify_action(action)
+    assert not report.ok
+    assert report == verify_action_exhaustive(action)
+
+
+def _refuse_the_scans(*args):
+    raise AssertionError("the witness scans ran on an intact translation")
+
+
+INTACT_TRANSLATIONS = {
+    "skewz": lambda: TranslationAction(fx.skewz()),
+    "nofd": lambda: TranslationAction(fx.nofd()),
+    "huge-cocycle": huge_cocycle_action,
+    **{f"{name}-{seed}": lambda build=build, seed=seed: build(
+        random.Random(seed))
+       for name, build in (("z", random_z_action), ("wide", wide_z_action),
+                           ("pullback", pullback_z_action))
+       for seed in range(15)},
+    **{name: case for name, case in GRID_CASES.items()
+       if name.startswith("wide")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTACT_TRANSLATIONS))
+def test_intact_translations_skip_the_scans(name):
+    """On an intact translation the certificate holds, so the witness
+    scans never run and the report is the one they would give: no
+    failure, every scope element, and every pair whose sum is in the
+    scope."""
+    action = INTACT_TRANSLATIONS[name]()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(action_module, "_homomorphism_interval", _refuse_the_scans)
+        report = verify_action(action)
+    assert report == ActionReport(True, (), len(action.scope_elements()),
+                                  homomorphism_pairs(action), True)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rewired_edges_are_refused_by_their_offsets(seed):
+    """A rewired edge leaves the tables and the coordinates of the intact
+    translation, so the placement and the lines of the certificate hold;
+    only the edge offsets refuse it, and the scans name the oracle's
+    failures.  One seed in four rewires a wide window."""
+    build = wide_z_action if seed % 4 == 3 else random_z_action
+    action = rewired_z_action(random.Random(seed), build)
+    skew = action.skew
+    intact = TranslationAction(skew_product(skew.spec, skew.window))
+    for g in action.scope_elements():
+        assert action.table(g) == intact.table(g)
+    report = verify_action(action)
+    assert not report.ok
+    assert report == verify_action_exhaustive(action)
+
+
+def test_rewired_edges_break_every_edge_law():
+    laws = set()
+    for seed in range(60):
+        report = verify_action(rewired_z_action(random.Random(seed)))
+        laws |= {law for law, _ in report.failures}
+    assert laws >= {"range equivariance", "source equivariance",
+                    "label compatibility"}
 
 
 def test_orbits_of_valid_finite_actions_are_group_orbits():

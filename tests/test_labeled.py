@@ -9,12 +9,12 @@ from labgraphs import fixtures as fx
 from labgraphs.errors import (NotALabeledPath, PreconditionError,
                               SearchSpaceExceeded)
 from labgraphs.graph import DirectedGraph
-from labgraphs.labeled import (BRUTEFORCE_MAX_VERTICES, LabeledGraph,
-                               is_left_resolving,
+from labgraphs.labeled import (LabeledGraph, is_left_resolving,
                                is_weakly_left_resolving, label_set,
                                labeled_paths, range_and_source, relative_range,
-                               representatives,
-                               weakly_left_resolving_bruteforce)
+                               representatives)
+
+from helpers import BRUTEFORCE_MAX_VERTICES, weakly_left_resolving_bruteforce
 
 
 def word(text):

@@ -14,10 +14,10 @@ from labgraphs.labeled import (LabeledGraph, is_weakly_left_resolving,
 from labgraphs.lattice import (MAX_MEMBERS, Factor, SetCollection,
                                labeled_space_report, normal_form,
                                relative_complement_closure,
-                               smallest_accommodating,
-                               smallest_accommodating_oracle)
+                               smallest_accommodating)
 
-from helpers import distinct_letter_cycle, worklist_closure
+from helpers import (distinct_letter_cycle, smallest_accommodating_oracle,
+                     worklist_closure)
 
 
 def member_sets(col):

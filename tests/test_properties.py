@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from labgraphs.graph import DirectedGraph, paths_of_length, validate
 from labgraphs.labeled import (LabeledGraph, is_left_resolving,
                                is_weakly_left_resolving, labeled_paths,
-                               relative_range, representatives,
-                               weakly_left_resolving_bruteforce)
+                               relative_range, representatives)
+
+from helpers import weakly_left_resolving_bruteforce
 
 
 @st.composite
