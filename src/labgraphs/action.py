@@ -82,6 +82,16 @@ class LabeledGraphAction:
         that first and falls back to its scans when the tables disagree."""
         raise NotImplementedError
 
+    def columns(self, kind: str) -> list[int]:
+        """The images of the items of ``kind`` over the scope -span..span
+        of :meth:`interval_span`, item-major in one flat list built once:
+        with n = 2 span + 1, alpha_g(x) is ``columns(kind)[x * n + g +
+        span]``, so item x's images are the slice [x n, x n + n), and a
+        trailing block of n times -1 stands for the rows' sentinel slot.
+        The table row of a scope element g is the stride slice
+        ``columns(kind)[g + span::n]``.  Callers must not mutate it."""
+        raise NotImplementedError
+
     def scope_elements(self) -> tuple[Element, ...]:
         """Elements over which universally quantified laws are checked:
         all of them for finite groups, -span..span (in that order) when
@@ -266,11 +276,12 @@ class ActionReport:
 #: carrier sizes, and an action over the cap raises
 #: :class:`SearchSpaceExceeded` before any table is built.  Just under the
 #: cap (Python 3.11, 2-core x86 container), ``verify_action`` takes about
-#: 0.1 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
+#: 0.02 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
 #: triples; 0:185 is over), where the translation certificate holds, and
-#: about 1.3 s on a broken copy of it, whose scans name every failure; and
-#: 2.9 s on the finite skew product of the same base over Z/267
-#: (133,239,141 triples), whose rows compose pair by pair.
+#: about 1.2 s on a copy with two vertex coordinates swapped, whose scans
+#: name its 69,744 failures; and 3.8-5.7 s on the finite skew product of
+#: the same base over Z/267 (133,239,141 triples), whose rows compose pair
+#: by pair.
 MAX_TRIPLES = 1 << 27
 
 
@@ -386,11 +397,11 @@ def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
     - placement: no two items of a kind share a (fiber, layer), so
       L(q, t), the item at (q, t) or -1 when there is none, is defined;
     - lines: alpha_g(x) = L(q(x), t(x) + g) for every item x and every g
-      of the scope, -1 entries included.  The column ``flat[x::m]`` of
-      :func:`stacked_rows` is compared with the slice of the fiber's line
-      around t(x), padded with -1, in one compare per item; a fiber whose
-      layers are sparse (a halo far from the window) gathers the layers
-      within span of t(x) instead;
+      of the scope, -1 entries included.  Item x's slice of
+      :meth:`LabeledGraphAction.columns` is compared with the slice of the
+      fiber's line around t(x), padded with -1, in one compare per item; a
+      fiber whose layers are sparse (a halo far from the window) gathers
+      the layers within span of t(x) instead;
     - edge offsets: over the edges of one edge fiber, the fiber of the
       range and its layer minus the edge's layer are the same, and so are
       those of the source and of the label.
@@ -429,9 +440,8 @@ def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
             if offsets.setdefault(q, (p, u - t)) != (p, u - t):
                 return False
 
-    for k, fibers in enumerate(fibers_of):
-        flat = stacked_rows(action, span, k)
-        m = len(flat) // n
+    for kind, fibers in zip(KINDS, fibers_of):
+        cols = action.columns(kind)
         for cells in fibers.values():
             layers = sorted(cells)
             lo, hi = layers[0], layers[-1]
@@ -440,7 +450,7 @@ def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
                 for t, x in cells.items():
                     line[t - lo + span] = x
                 for t, x in cells.items():
-                    if flat[x::m] != line[t - lo:t - lo + n]:
+                    if cols[x * n:x * n + n] != line[t - lo:t - lo + n]:
                         return False
             else:
                 for t, x in cells.items():
@@ -448,7 +458,7 @@ def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
                     for u in layers[bisect_left(layers, t - span):
                                     bisect_right(layers, t + span)]:
                         column[u - t + span] = cells[u]
-                    if flat[x::m] != column:
+                    if cols[x * n:x * n + n] != column:
                         return False
     return True
 
@@ -488,32 +498,31 @@ def _homomorphism_interval(action: LabeledGraphAction, span: int,
                            ) -> tuple[list[tuple[str, Any]], int]:
     """The homomorphism law on the scope -span..span, item-major.
 
-    For an item x, let o_x[i] = alpha_{i - span}(x).  For each h with
-    y = alpha_h(x) materialized, the values alpha_g(y) and alpha_{g+h}(x)
-    over the g with g + h in the scope are the slices o_y[a:b] and
-    o_x[a+h:b+h]: the same (g, h, x) triples as the pair scan, whose left
-    side is defined only where alpha_h(x) is.  On a correct translation
-    both slices name the item g + h layers from x, so they are
-    materialized at the same g and compare equal; only a mismatch is
-    walked g by g.  Failures are sorted into the pair scan's order."""
+    For an item x, let o_x[i] = alpha_{i - span}(x), its slice of
+    :meth:`LabeledGraphAction.columns`.  For each h with y = alpha_h(x)
+    materialized, the values alpha_g(y) and alpha_{g+h}(x) over the g with
+    g + h in the scope are the slices o_y[a:b] and o_x[a+h:b+h]: the same
+    (g, h, x) triples as the pair scan, whose left side is defined only
+    where alpha_h(x) is.  On a correct translation both slices name the
+    item g + h layers from x, so they are materialized at the same g and
+    compare equal; only a mismatch is walked g by g.  Failures are sorted
+    into the pair scan's order."""
     n = 2 * span + 1
     windows = []
     for ph in range(n):
         h = ph - span
-        windows.append((ph, max(0, -h), min(n, n - h), h))
-    pairs = sum(b - a for _, a, b, _ in windows)
+        a, b = max(0, -h), min(n, n - h)
+        windows.append((ph, a, b, a + h, b + h))
+    pairs = sum(b - a for _, a, b, _, _ in windows)
     found = []
-    for k in range(len(KINDS)):
-        flat = stacked_rows(action, span, k)
-        m = len(flat) // n
-        strided = [(ph, a, a * m, b * m, a + h, b + h)
-                   for ph, a, b, h in windows]
-        for x in range(m - 1):
-            ox = flat[x::m]
-            for y, (ph, a, am, bm, c, d) in zip(ox, strided):
+    for k, kind in enumerate(KINDS):
+        cols = action.columns(kind)
+        for x in range(len(cols) // n - 1):
+            ox = cols[x * n:x * n + n]
+            for y, (ph, a, b, c, d) in zip(ox, windows):
                 if y < 0:
                     continue
-                oy = flat[y + am:y + bm:m]
+                oy = cols[y * n + a:y * n + b]
                 if oy != ox[c:d]:
                     found.extend((pg, ph, k, x) for pg, (l, r)
                                  in enumerate(zip(oy, ox[c:d]), a)
@@ -525,20 +534,30 @@ def _homomorphism_interval(action: LabeledGraphAction, span: int,
     return failures, pairs
 
 
-def stacked_rows(action: LabeledGraphAction, span: int, k: int) -> list[int]:
-    """The rows of kind ``k`` of the scope elements -span..span laid end to
-    end, m = carrier size + 1 apart: the images of item x over the scope
-    are the stride-m slice ``flat[x::m]``, and alpha_g(x) is
-    ``flat[(g + span) * m + x]``.  One flat list per kind and call, rather
-    than a tuple per item, which raised reconstruct-z's peak RSS by about
-    0.5 MB."""
-    return list(itertools.chain.from_iterable(
-        action.table(g)[k] for g in range(-span, span + 1)))
-
-
 def is_free(action: LabeledGraphAction) -> Check:
     """Trivial vertex and alphabet stabilizers over the verification
-    scope; the witness is (element, fixed item)."""
+    scope; the witness is (element, fixed item), the least in scope, kind
+    and carrier order.  On an integer interval each vertex and letter x
+    is looked up in its slice of :meth:`LabeledGraphAction.columns`, at
+    the first position other than the centre (the identity) that holds x;
+    other scopes scan the rows of each element in turn."""
+    span = action.interval_span()
+    if span is not None:
+        n, least = 2 * span + 1, None
+        for kind in (VERTEX, LETTER):
+            cols = action.columns(kind)
+            for x in range(len(cols) // n - 1):
+                col = cols[x * n:x * n + n]
+                if col.count(x) > (col[span] == x):
+                    p = col.index(x)
+                    if p == span:
+                        p = col.index(x, span + 1)
+                    found = (p - span, _KIND_INDEX[kind], x)
+                    least = found if least is None else min(least, found)
+        if least is None:
+            return Check(True)
+        g, k, x = least
+        return Check(False, (g, action.graph.core.carriers[k][x]))
     ident = action.group.identity
     for g in action.scope_elements():
         if g == ident:

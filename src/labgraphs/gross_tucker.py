@@ -13,8 +13,7 @@ from typing import Iterable, Mapping, Sequence
 from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
                      LabeledGraphAction, QuotientLabeledGraph,
                      find_fundamental_domain, is_free, is_fundamental_domain,
-                     is_label_consistent, quotient, stacked_rows,
-                     verify_action)
+                     is_label_consistent, quotient, verify_action)
 from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
                      NonFreeWitness, PreconditionError, VerificationError)
 from .groups import Element
@@ -147,12 +146,25 @@ def _reconstruction_layers(action: LabeledGraphAction,
     """Layer assignment for the reconstruction skew product: the pullback
     of the acted-on carrier (the scope elements that move the vertex
     section into the lifting scope), so the comparison isomorphism is
-    total and bijective rather than window-approximate."""
+    total and bijective rather than window-approximate.  On an integer
+    interval the images of a section vertex over the scope are its slice
+    of the action's columns; other scopes read the rows of each element."""
     index = action.index(VERTEX)
     inside = {index[v] for v in action.lifting_scope()}
-    vertex_rows = [(h, action.table(h)[0]) for h in action.scope_elements()]
-    return {q_vertex: tuple([h for h, row in vertex_rows
-                             if row[index[eta0[q_vertex]]] in inside])
+    scope = action.scope_elements()
+    if action.interval_span() is None:
+        rows = [action.table(h)[0] for h in scope]
+
+        def images(x: int) -> list[int]:
+            return [row[x] for row in rows]
+    else:
+        cols, n = action.columns(VERTEX), len(scope)
+
+        def images(x: int) -> list[int]:
+            return cols[x * n:x * n + n]
+    return {q_vertex: tuple([h for h, j in zip(scope,
+                                               images(index[eta0[q_vertex]]))
+                             if j in inside])
             for q_vertex in quot.orbit_vertex_members}
 
 
@@ -169,20 +181,29 @@ def _comparison_map(action: LabeledGraphAction, k: int,
                     pairs: Mapping[str, tuple[str, Element]],
                     section: Mapping[str, str]) -> dict[str, str]:
     """phi(q, g) = alpha_g(section(q)) on every item (q, g) of the ``k``-th
-    kind of the reconstruction skew product.  The image is read from the
-    cached table of g when g is a scope element; halo and letter layers
+    kind of the reconstruction skew product.  When g is a scope element
+    the image is read from the action's columns on an integer interval,
+    and from the cached table of g on other scopes; halo and letter layers
     may lie outside the scope, and those go through ``apply``, so no table
     is built for them."""
     kind = KINDS[k]
-    rows = {g: action.table(g)[k] for g in action.scope_elements()}
     carrier, index = action.carrier(kind), action.index(kind)
+    span = action.interval_span()
+    if span is None:
+        rows = {g: action.table(g)[k] for g in action.scope_elements()}
+    else:
+        cols, n = action.columns(kind), 2 * span + 1
     out = {}
     for item, (q, g) in pairs.items():
-        row = rows.get(g)
-        if row is None:
+        if span is None:
+            row = rows.get(g)
+            j = None if row is None else row[index[section[q]]]
+        else:
+            j = (cols[index[section[q]] * n + g + span]
+                 if -span <= g <= span else None)
+        if j is None:
             image = action.apply(g, kind, section[q])
         else:
-            j = row[index[section[q]]]
             image = carrier[j] if j >= 0 else None
         if image is None:
             raise VerificationError("comparison map leaves the carrier",
@@ -249,8 +270,9 @@ def _equivariance_interval(action: LabeledGraphAction, span: int,
     Take an item x over the base item q at layer h.  Over the g of the
     scope, tau_g x is (q, h + g), so the values phi(tau_g x) are a slice of
     the fiber's line, which holds phi(q, t) at each layer t (-1 where
-    (q, t) is not materialized), and the values alpha_g(phi(x)) are the
-    stride slice of :func:`stacked_rows` at phi(x).  One compare covers
+    (q, t) is not materialized), and the values alpha_g(phi(x)) are a
+    contiguous slice of phi(x)'s images in the action's columns
+    (:meth:`LabeledGraphAction.columns`).  One compare covers
     every g, and only a mismatch is walked g by g.  The line spans the
     fiber's layers when they fill at least half of that extent; a sparser
     fiber (halo layers far from the window) gathers the layers within
@@ -259,9 +281,9 @@ def _equivariance_interval(action: LabeledGraphAction, span: int,
     those of :func:`_equivariance_by_element`."""
     first = None
     checked = 0
+    n = 2 * span + 1
     for k, (kind, image) in enumerate(zip(KINDS, images)):
-        flat = stacked_rows(action, span, k)
-        m = len(flat) // (2 * span + 1)
+        cols = action.columns(kind)
         fibers: dict[str, dict[Element, int]] = {}
         for x, (q, h) in enumerate(tau.coordinates(kind)):
             fibers.setdefault(q, {})[h] = x
@@ -274,18 +296,18 @@ def _equivariance_interval(action: LabeledGraphAction, span: int,
                 for t, x in cells.items():
                     line[t - lo] = image[x]
             for h, x in cells.items():
-                p = image[x] + span * m
+                p = image[x] * n + span
                 if dense:
                     a, b = max(-span, lo - h), min(span, hi - h)
                     gs = range(a, b + 1)
                     lhs = line[h + a - lo:h + b - lo + 1]
-                    rhs = flat[p + a * m:p + b * m + 1:m]
+                    rhs = cols[p + a:p + b + 1]
                 else:
                     near = layers[bisect_left(layers, h - span):
                                   bisect_right(layers, h + span)]
                     gs = [t - h for t in near]
                     lhs = [image[cells[t]] for t in near]
-                    rhs = [flat[p + g * m] for g in gs]
+                    rhs = [cols[p + g] for g in gs]
                 if lhs == rhs:
                     checked += len(lhs) - lhs.count(-1)
                     continue

@@ -4,6 +4,7 @@ label-consistent twists."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -255,7 +256,10 @@ class TranslationAction(LabeledGraphAction):
     ``row[x] = flat[offset(x) + slot(x, g)]``.  A kind's grid holds at
     most 2 |items| + |fibers| slots, and the lookups of its shapes at
     most |items| entries: its size follows the carrier, never the numeric
-    span of the layers or how few layers the fibers share."""
+    span of the layers or how few layers the fibers share.
+
+    On an integer window the grid serves only elements outside the scope:
+    the tables of the scope are stride slices of :meth:`columns`."""
 
     def __init__(self, skew: SkewLabeledGraph):
         super().__init__(skew.spec.group, skew.graph)
@@ -306,6 +310,47 @@ class TranslationAction(LabeledGraphAction):
         return layers, slot, grids
 
     @cached_property
+    def _columns(self) -> list[list[int]]:
+        """The block of :meth:`columns` of each kind, one slice per item of
+        its fiber's line in the id map, padded with span times -1; a fiber
+        whose layers are sparse (a halo 10**12 layers away) gathers the
+        layers within span of the item's instead."""
+        span = self.interval_span()
+        n = 2 * span + 1
+        blocks = []
+        for kind, index in zip(KINDS, self.graph.core.positions):
+            fibers: dict[str, dict[int, int]] = {}
+            for (base, t), item in self._pairs(kind)[1].items():
+                fibers.setdefault(base, {})[t] = index[item]
+            shapes = {}
+            for base, cells in fibers.items():
+                layers = sorted(cells)
+                lo, hi = layers[0], layers[-1]
+                line = None
+                if hi - lo < 2 * len(layers):
+                    line = [-1] * (hi - lo + n)
+                    for t, x in cells.items():
+                        line[t - lo + span] = x
+                shapes[base] = lo, hi, line, layers, cells
+            block: list[int] = []
+            for base, t in self.coordinates(kind):
+                lo, hi, line, layers, cells = shapes[base]
+                if line is not None and lo <= t <= hi:
+                    block += line[t - lo:t - lo + n]
+                    continue
+                column = [-1] * n
+                for u in layers[bisect_left(layers, t - span):
+                                bisect_right(layers, t + span)]:
+                    column[u - t + span] = cells[u]
+                block += column
+            block += [-1] * n
+            blocks.append(block)
+        return blocks
+
+    def columns(self, kind: str) -> list[int]:
+        return self._columns[KINDS.index(kind)]
+
+    @cached_property
     def _coordinates(self) -> dict[str, list[tuple[str, Element]]]:
         out = {}
         for kind in KINDS:
@@ -331,6 +376,10 @@ class TranslationAction(LabeledGraphAction):
         return ids.get((base, self.group.op(g, h)))
 
     def _build_table(self, g: Element):
+        span = self.interval_span()
+        if span is not None and -span <= g <= span:
+            return tuple(block[g + span::2 * span + 1]
+                         for block in self._columns)
         layers, slot, grids = self._grid
         op, missing = self.group.op, len(layers)
         shift = [slot.get(op(g, h), missing) for h in layers]
@@ -345,7 +394,12 @@ class TranslationAction(LabeledGraphAction):
         """The numeric width of all layers, max - min over every fiber;
         None for finite groups, whose scope is the whole group.  Fibers
         whose layers lie far apart give a scope of that width, which
-        ``verify_action`` refuses above ``MAX_TRIPLES``."""
+        ``verify_action`` refuses above ``MAX_TRIPLES``.  The layers of a
+        skew product never change, so it is computed once."""
+        return self._span
+
+    @cached_property
+    def _span(self) -> int | None:
         if self.group.is_finite:
             return None
         layers = [g for ls in self.skew.layers.values() for g in ls]

@@ -148,6 +148,22 @@ def equivariance_oracle(action: LabeledGraphAction, skew: SkewLabeledGraph,
     return count, None
 
 
+def is_free_exhaustive(action: LabeledGraphAction) -> Check:
+    """Definitional oracle for ``is_free``: the scope-order scan over every
+    non-identity scope element g, the vertices and then the letters in
+    carrier order, through ``apply`` on string ids; the witness is the
+    first (g, item) with apply(g, item) == item."""
+    ident = action.group.identity
+    for g in action.scope_elements():
+        if g == ident:
+            continue
+        for kind in (VERTEX, LETTER):
+            for item in action.carrier(kind):
+                if action.apply(g, kind, item) == item:
+                    return Check(False, (g, item))
+    return Check(True)
+
+
 def interior_vertices_by_definition(skew: SkewLabeledGraph) -> frozenset[str]:
     """Oracle for ``SkewLabeledGraph.interior_vertices``: the window
     vertices (x, g) such that, for every base edge e entering x, the source

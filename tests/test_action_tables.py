@@ -15,7 +15,7 @@ from labgraphs import action as action_module
 from labgraphs import fixtures as fx
 from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
                               FiniteAction, homomorphism_pairs,
-                              homomorphism_triples, verify_action)
+                              homomorphism_triples, is_free, verify_action)
 from labgraphs.errors import SearchSpaceExceeded, VerificationError
 from labgraphs.graph import DirectedGraph, Edge
 from labgraphs.groups import CyclicGroup, IntegerGroup, Window
@@ -25,9 +25,9 @@ from labgraphs.labeled import LabeledGraph
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 from helpers import (equivariance_oracle, fish4_swap_action,
-                     interior_vertices_by_definition, loop_swap_action,
-                     orbits_bruteforce, translation_fibers, trivial_action,
-                     verify_action_exhaustive)
+                     interior_vertices_by_definition, is_free_exhaustive,
+                     loop_swap_action, orbits_bruteforce, translation_fibers,
+                     trivial_action, verify_action_exhaustive)
 
 KINDS = (VERTEX, EDGE, LETTER)
 
@@ -456,13 +456,17 @@ def test_intact_translations_skip_the_scans(name):
     """On an intact translation the certificate holds, so the witness
     scans never run and the report is the one they would give: no
     failure, every scope element, and every pair whose sum is in the
-    scope."""
+    scope.  Verifying, testing freeness and reconstructing read the
+    action's columns only, so no per-element table is built."""
     action = INTACT_TRANSLATIONS[name]()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(action_module, "_homomorphism_interval", _refuse_the_scans)
         report = verify_action(action)
     assert report == ActionReport(True, (), len(action.scope_elements()),
                                   homomorphism_pairs(action), True)
+    assert is_free(action)
+    reconstruct(action)
+    assert action._tables == {}
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -704,3 +708,98 @@ def test_skewz_windows_at_the_cap():
     with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
         verify_action(over)
     assert not over._tables
+
+
+# -- the item-major block of an integer window -----------------------------------
+
+
+FREENESS_BUILDERS = {
+    **BUILDERS,
+    "z-wide": wide_z_action,
+    "z-rewired": rewired_z_action,
+    "z-aliased": aliased_z_action,
+}
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("builder", sorted(FREENESS_BUILDERS))
+def test_is_free_agrees_with_the_oracle(builder, seed):
+    """``is_free`` gives the scope-order scan's verdict and witness, the
+    least (g, kind, item) fixed by a non-identity g.  An aliased item is
+    also listed one layer above itself, so g = 1 fixes it; freeness looks
+    at vertices and letters only, so an aliased edge leaves it free."""
+    action = FREENESS_BUILDERS[builder](random.Random(seed))
+    check = is_free(action)
+    assert check == is_free_exhaustive(action)
+    if builder == "z-aliased":
+        aliased = False
+        for kind in (VERTEX, LETTER):
+            pairs, ids = action._pairs(kind)
+            aliased |= any(pairs[item] != key for key, item in ids.items())
+        assert check.ok != aliased
+        assert check.ok or check.witness[0] == 1
+
+
+def test_is_free_finds_fixed_items_on_both_scopes():
+    """The freeness cases are not vacuous: some integer and some finite
+    actions fix an item."""
+    finite = set()
+    for builder in ("z-aliased", "finite-broken", "from-generators"):
+        for seed in range(30):
+            action = FREENESS_BUILDERS[builder](random.Random(seed))
+            if not is_free(action):
+                finite.add(action.group.is_finite)
+    assert finite == {False, True}
+
+
+def assert_columns_match_apply(action) -> None:
+    """Item x's images over the scope sit at ``columns(kind)[x n + g +
+    span]``, as the positions of ``apply``, -1 where it gives None, and the
+    block ends with n slots of -1.  On a scope of more than 200 elements
+    only the g that reach a layer of x's fiber are applied, and every other
+    slot must hold -1; on smaller scopes the table of every scope element
+    is the block's stride slice, -1 sentinel included
+    (``test_tables_match_apply`` checks the tables up to three elements
+    past the scope, where the layer grid builds them)."""
+    span = action.interval_span()
+    n = 2 * span + 1
+    for kind in KINDS:
+        items, index = action.carrier(kind), action.index(kind)
+        cols = action.columns(kind)
+        assert len(cols) == (len(items) + 1) * n
+        assert cols[len(items) * n:] == [-1] * n
+        pairs, ids = action._pairs(kind)
+        fiber_layers: dict[str, list[int]] = {}
+        for base, t in ids:
+            fiber_layers.setdefault(base, []).append(t)
+        for x, item in enumerate(items):
+            column = cols[x * n:x * n + n]
+            if n <= 200:
+                elements = range(-span, span + 1)
+            else:
+                base, t = pairs[item]
+                elements = [u - t for u in fiber_layers[base]
+                            if abs(u - t) <= span]
+                assert sum(j >= 0 for j in column) == len(elements)
+            for g in elements:
+                image = action.apply(g, kind, item)
+                assert column[g + span] == (-1 if image is None
+                                            else index[image])
+    if n <= 200:
+        for g in range(-span, span + 1):
+            assert action.table(g) == tuple(action.columns(kind)[g + span::n]
+                                            for kind in KINDS)
+
+
+BLOCK_CASES = {
+    "huge-cocycle": huge_cocycle_action,
+    **GRID_CASES,
+    **{f"{name}-{seed}": lambda build=build, seed=seed: build(
+        random.Random(seed))
+       for name, build in INTEGER_BUILDERS.items() for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_columns_match_apply(name):
+    assert_columns_match_apply(BLOCK_CASES[name]())
