@@ -540,9 +540,20 @@ def is_free(action: LabeledGraphAction) -> Check:
     and carrier order.  On an integer interval each vertex and letter x
     is looked up in its slice of :meth:`LabeledGraphAction.columns`, at
     the first position other than the centre (the identity) that holds x;
-    other scopes scan the rows of each element in turn."""
+    other scopes scan the rows of each element in turn.
+
+    The block holds about as many ints as the action has (g, h, item)
+    triples, so an integer action over :data:`MAX_TRIPLES` raises
+    :class:`SearchSpaceExceeded` before it is built, as in
+    :func:`verify_action`."""
     span = action.interval_span()
     if span is not None:
+        triples = homomorphism_triples(action)
+        if triples > MAX_TRIPLES:
+            raise SearchSpaceExceeded(
+                f"the freeness scan would read a block for {triples} "
+                f"(g, h, item) triples, over the cap MAX_TRIPLES = "
+                f"{MAX_TRIPLES}")
         n, least = 2 * span + 1, None
         for kind in (VERTEX, LETTER):
             cols = action.columns(kind)

@@ -154,18 +154,30 @@ def _cmd_range(args):
                         f"{_set_str(result)}"]
 
 
-def _render_derivation(col, mask, depth=0) -> str:
-    expr = col.derivations[mask]
-    if depth > 8:
-        return "..."
-    if expr[0] == "range":
-        return f"r({''.join(expr[1])})"
-    if expr[0] == "step":
-        return f"r({_render_derivation(col, expr[1], depth + 1)}, {expr[2]})"
-    symbol = {"and": "&", "or": "|", "diff": "\\"}[expr[0]]
-    left = _render_derivation(col, expr[1], depth + 1)
-    right = _render_derivation(col, expr[2], depth + 1)
-    return f"({left} {symbol} {right})"
+def _derivation_renderer(col):
+    """Render the derivation of a member of ``col``, cut to ``...`` below
+    depth 8; each (mask, depth) is rendered once and shared, since union
+    derivations reuse their operands many times over."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(mask: int, depth: int = 0) -> str:
+        text = memo.get((mask, depth))
+        if text is not None:
+            return text
+        expr = col.derivations[mask]
+        if depth > 8:
+            text = "..."
+        elif expr[0] == "range":
+            text = f"r({''.join(expr[1])})"
+        elif expr[0] == "step":
+            text = f"r({render(expr[1], depth + 1)}, {expr[2]})"
+        else:
+            symbol = {"and": "&", "or": "|", "diff": "\\"}[expr[0]]
+            text = (f"({render(expr[1], depth + 1)} {symbol} "
+                    f"{render(expr[2], depth + 1)})")
+        memo[mask, depth] = text
+        return text
+    return render
 
 
 def _cmd_lattice(args):
@@ -173,26 +185,23 @@ def _cmd_lattice(args):
     col = smallest_accommodating(lg)
     closed = relative_complement_closure(col)
     report = labeled_space_report(lg, closed, word_bound=args.max_len)
+    listings = {}
+    for name, coll in (("smallest_accommodating", col),
+                       ("relative_complement_closure", closed)):
+        render = _derivation_renderer(coll)
+        listings[name] = [(m, lg.set_of(m), render(m)) for m in coll.members]
     payload = {
-        "smallest_accommodating": [
-            {"set": sorted(lg.set_of(m)),
-             "derivation": _render_derivation(col, m)}
-            for m in col.members],
-        "relative_complement_closure": [
-            {"set": sorted(lg.set_of(m)),
-             "derivation": _render_derivation(closed, m)}
-            for m in closed.members],
-        "report": report.to_json(),
-    }
+        name: [{"set": sorted(vs), "derivation": text}
+               for _, vs, text in listing]
+        for name, listing in listings.items()}
+    payload["report"] = report.to_json()
     lines = ["smallest accommodating collection:"]
-    for m in col.members:
-        lines.append(f"  {_set_str(lg.set_of(m))}  =  "
-                     f"{_render_derivation(col, m)}")
+    for _, vs, text in listings["smallest_accommodating"]:
+        lines.append(f"  {_set_str(vs)}  =  {text}")
     lines.append("relative-complement closure:")
-    for m in closed.members:
+    for m, vs, text in listings["relative_complement_closure"]:
         marker = "" if m in col.derivations else "  (new)"
-        lines.append(f"  {_set_str(lg.set_of(m))}  =  "
-                     f"{_render_derivation(closed, m)}{marker}")
+        lines.append(f"  {_set_str(vs)}  =  {text}{marker}")
     lines.append(f"set-finite: {str(report.set_finite).lower()}; "
                  f"weakly-left-resolving: {str(bool(report.weakly_left_resolving)).lower()}")
     lines.append(f"empty set convention: {report.empty_set_convention}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import (NotAMember, PreconditionError, SearchSpaceExceeded,
@@ -98,9 +99,17 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
     are members.  A range with no derivation yet becomes a generator, which
     may refine the basis (a range of a member lies in the closure, so no
     generator adds too much); this repeats until every basis element has
-    been stepped, and then the members are listed as unions of basis
-    elements.  ``order_seed`` shuffles the generators; the members do not
-    depend on it.
+    been stepped.
+
+    The members are then listed as the nonempty unions of the basis
+    elements, in one pass per basis element b over the unions listed
+    before it; a union u | b without a derivation is recorded as
+    ``("or", u, b)``.  The atoms are disjoint, so the ring's listing makes
+    one union per member.  A listing that would hold more than
+    :data:`MAX_MEMBERS` members raises :class:`SearchSpaceExceeded` before
+    that pass records a union.  The derivations keep their insertion order: the sets
+    derived before the listing come first.  ``order_seed`` shuffles the
+    generators; the members do not depend on it.
     """
     seeds = list(seeds)
     if order_seed is not None:
@@ -142,16 +151,20 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
         raise SearchSpaceExceeded(
             f"the closure has 2^{len(basis)} - 1 members, more than "
             f"{MAX_MEMBERS}")
-    members = list(derivations)
-    for member in members:
-        for b in basis:
-            union = member | b
-            if union != member and union not in derivations:
-                if len(derivations) >= MAX_MEMBERS:
-                    raise SearchSpaceExceeded(
-                        f"the closure has more than {MAX_MEMBERS} members")
-                derivations[union] = ("or", member, b)
-                members.append(union)
+    # ``listed`` holds the distinct unions of the basis elements met so far,
+    # in the order they were found; each element b adds itself and every
+    # union u | b not listed yet.  Every listed union is a member and every
+    # member is such a union, so the listing ends with the members.
+    listed: dict[int, int] = {}
+    for b in basis:
+        listed.setdefault(b, b)
+        fresh = {u | b: u for u in listed if u | b not in listed}
+        if len(listed) + len(fresh) > MAX_MEMBERS:
+            raise SearchSpaceExceeded(
+                f"the closure has more than {MAX_MEMBERS} members")
+        derivations.update({union: ("or", u, b) for union, u in fresh.items()
+                            if union not in derivations})
+        listed.update(fresh)
     return derivations
 
 
@@ -201,9 +214,17 @@ def relative_complement_closure(col: SetCollection) -> SetCollection:
     """Close additionally under A \\ B for strict member pairs A > B; the
     result still satisfies the accommodating laws.  More than
     :data:`MAX_MEMBERS` members raise :class:`SearchSpaceExceeded` before
-    any is listed."""
-    derivations = _close(col.lg, [(m, col.derivations[m]) for m in col.members],
-                         True)
+    any is listed.
+
+    The closure is seeded with the members whose derivation is not a union
+    ``("or", u, b)``, in derivation order: for a collection built by
+    :func:`smallest_accommodating` these are the sets derived before the
+    listing.  Each union is recorded from two sets derived before it, so
+    every member lies in the ring the seeds generate, and that ring is the
+    one all members generate."""
+    derivations = _close(col.lg, [(m, deriv) for m, deriv
+                                   in col.derivations.items()
+                                   if deriv[0] != "or"], True)
     return SetCollection(col.lg, tuple(sorted(derivations)), derivations,
                          ("relative_ranges", "intersections", "unions",
                           "relative_complements"))
@@ -375,88 +396,95 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     (every member vertex emits, and single-letter relative ranges are the
     letter fibers recomputed by direct edge scan).  The range sweeps take
     the range values of words of length 1 to ``word_bound``; a bound below
-    1 would make them pass vacuously and is refused."""
+    1 would make them pass vacuously and is refused.
+
+    The closure checks test the set of all meets, joins or strict
+    differences of range pairs for containment in the members at once;
+    only a failing check scans the pairs in order to name its first
+    witness."""
     if word_bound < 1:
         raise PreconditionError(
             "WORD_BOUND_BELOW_ONE", f"word bound must be >= 1, got {word_bound}")
     wlr = lg.weakly_left_resolving
     ranges = sorted(value for value, word in lg.range_table.ranges
                     if len(word) <= word_bound)
-    pairs = 0
-    disjoint = 0
-    inter_ok: Check = Check(True)
-    union_ok: Check = Check(True)
-    diff_ok: Check = Check(True)
     members = set(col.members)
-    for i, r1 in enumerate(ranges):
-        for r2 in ranges[i + 1:]:
-            pairs += 1
-            if not r1 & r2:
-                disjoint += 1
-            if r1 & r2 and (r1 & r2) not in members and inter_ok:
-                inter_ok = Check(False, (lg.set_of(r1), lg.set_of(r2)))
-            if (r1 | r2) not in members and union_ok:
-                union_ok = Check(False, (lg.set_of(r1), lg.set_of(r2)))
-            for big, small in ((r1, r2), (r2, r1)):
-                if big & small == small and big != small:
-                    if (big & ~small) not in members and diff_ok:
-                        diff_ok = Check(False, (lg.set_of(big), lg.set_of(small)))
+    meets = [r1 & r2 for r1, r2 in combinations(ranges, 2)]
+    disjoint = meets.count(0)
+    nonempty = set(meets)
+    nonempty.discard(0)
+    inter_ok = union_ok = diff_ok = Check(True)
+    if not nonempty <= members:
+        inter_ok = _witness(lg, next(
+            (r1, r2) for r1, r2 in combinations(ranges, 2)
+            if r1 & r2 and (r1 & r2) not in members))
+    if not {r1 | r2 for r1, r2 in combinations(ranges, 2)} <= members:
+        union_ok = _witness(lg, next(
+            (r1, r2) for r1, r2 in combinations(ranges, 2)
+            if (r1 | r2) not in members))
+    # Range values are distinct, so a pair whose meet is one of them is a
+    # strict containment, and its difference is their symmetric difference.
+    if not {r1 ^ r2 for r1, r2 in combinations(ranges, 2)
+            if r1 & r2 in (r1, r2)} <= members:
+        diff_ok = _witness(lg, next(
+            (big, small) for pair in combinations(ranges, 2)
+            for big, small in (pair, pair[::-1])
+            if big & small == small and (big & ~small) not in members))
 
-    # Per-vertex tables from one scan of the edge arrays, never through the
-    # step masks that range_mask sweeps: the letters each vertex emits, and
-    # its (letter, fiber) pairs.  Each member folds its vertices' entries.
+    # Per-letter tables from one scan of the edge arrays, never through the
+    # step masks that range_mask sweeps: the vertices emitting each letter,
+    # and each vertex's fiber under it.
     core = lg.core
-    emits = [0] * len(lg.vertices)
-    fiber_of: list[dict[int, int]] = [{} for _ in lg.vertices]
+    nv = len(lg.vertices)
+    emitters = [0] * len(lg.alphabet)
+    fibers = [[0] * nv for _ in lg.alphabet]
     for v, w, a in zip(core.src, core.dst, core.lab):
-        emits[v] |= 1 << a
-        fiber_of[v][a] = fiber_of[v].get(a, 0) | 1 << w
-    silent = sum(1 << v for v, letters in enumerate(emits) if not letters)
+        emitters[a] |= 1 << v
+        fibers[a][v] |= 1 << w
+    silent = lg.full_mask()
+    for mask in emitters:
+        silent &= ~mask
     # A single-letter relative range is the union of the step rows of the
-    # member's vertices, and each fold above is the union of the same
+    # member's vertices, and a member's fiber is the union of the same
     # vertices' fibers.  When every step row equals its fiber, every
-    # member's fold equals its range, so only differing rows need the
+    # member's fiber equals its range, so only differing rows need the
     # per-member comparison below, which names the first failing member.
-    steps_match = all(row[v] == fiber_of[v].get(a, 0)
-                      for a, row in enumerate(lg._step)
-                      for v in range(len(lg.vertices)))
-    label_counts: dict[frozenset, int] = {}
+    steps_match = fibers == lg._step
+    counts = [0] * len(col.members)
+    for e in emitters:
+        counts = [c + (mask & e != 0) for c, mask in zip(counts, col.members)]
+    label_counts = dict(zip(map(lg.set_of, col.members), counts))
     ck4: Check = Check(True)
-    for mask in col.members:
-        vs = lg.set_of(mask)
-        letters = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            letters |= emits[v]
-        label_counts[vs] = letters.bit_count()
-        if not ck4:
-            continue
+    for mask in col.members if silent or not steps_match else ():
         if mask & silent:
-            ck4 = Check(False, (vs, min(lg.set_of(mask & silent))),
+            ck4 = Check(False, (lg.set_of(mask), min(lg.set_of(mask & silent))),
                         "vertex emits no edge")
-            continue
-        if steps_match:
-            continue
-        fiber = [0] * len(lg.alphabet)
-        for name in vs:
-            for a, targets in fiber_of[core.positions[0][name]].items():
-                fiber[a] |= targets
+            break
         for a, letter in enumerate(lg.alphabet):
-            if letters >> a & 1:
-                stepped = lg.range_mask(mask, (letter,))
-                if stepped != fiber[a] or not stepped:
-                    ck4 = Check(False, (vs, letter), "letter fiber mismatch")
+            if mask & emitters[a]:
+                fiber = 0
+                for v in range(nv):
+                    if mask >> v & 1:
+                        fiber |= fibers[a][v]
+                if lg.range_mask(mask, (letter,)) != fiber:
+                    ck4 = Check(False, (lg.set_of(mask), letter),
+                                "letter fiber mismatch")
                     break
+        if not ck4:
+            break
     return LabeledSpaceReport(
         set_finite=True,
         label_counts=label_counts,
         weakly_left_resolving=wlr,
-        ck1a_pairs=pairs,
+        ck1a_pairs=len(meets),
         ck1a_disjoint_pairs=disjoint,
         ck1b_intersections_closed=inter_ok,
         ck1b_unions_closed=union_ok,
         ck1b_differences_closed=diff_ok,
         ck4=ck4,
     )
+
+
+def _witness(lg: LabeledGraph, pair: tuple[int, int]) -> Check:
+    """A failed range-pair check naming ``pair`` as vertex sets."""
+    return Check(False, (lg.set_of(pair[0]), lg.set_of(pair[1])))

@@ -11,7 +11,8 @@ from labgraphs.graph import DirectedGraph, require_valid
 from labgraphs.groups import CyclicGroup
 from labgraphs.labeled import (Check, LabeledGraph, labeled_paths,
                                representatives)
-from labgraphs.lattice import Derivation
+from labgraphs.lattice import (Derivation, LabeledSpaceReport,
+                               SetCollection)
 from labgraphs.morphism import LabeledGraphMorphism, MorphismReport
 from labgraphs.skew import SkewLabeledGraph, TranslationAction
 
@@ -59,6 +60,52 @@ def distinct_letter_cycle(n):
              for i in range(n)]
     return LabeledGraph(DirectedGraph(vertices, edges),
                         {eid: f"a{eid[1:]}" for eid, _, _ in edges})
+
+
+def shift_graph(n):
+    """Letter a shifts the ``n`` vertices cyclically and letter b fixes all
+    but v00, so every nonempty vertex set is a range value and both
+    closures hold all 2^n - 1 of them."""
+    vertices = [f"v{i:02d}" for i in range(n)]
+    edges = [(f"a{i:02d}", vertices[i], vertices[(i + 1) % n])
+             for i in range(n)]
+    edges += [(f"b{i:02d}", v, v) for i, v in enumerate(vertices) if i]
+    return LabeledGraph(DirectedGraph(vertices, edges),
+                        {eid: eid[0] for eid, _, _ in edges})
+
+
+def evaluate_printed_derivation(lg: LabeledGraph, text: str) -> int | None:
+    """The vertex mask a derivation printed by ``lattice`` stands for, read
+    back from its text: ``r(word)``, ``r(X, letter)`` and ``(X op Y)`` with
+    op one of ``&``, ``|`` and ``\\``; None when the text was cut to
+    ``...``.  Letters must be single characters."""
+    if "..." in text:
+        return None
+    assert all(len(a) == 1 for a in lg.alphabet)
+
+    def parse(i: int) -> tuple[int, int]:
+        if text.startswith("r(", i):
+            i += 2
+            if text.startswith("(", i) or text.startswith("r(", i):
+                inner, i = parse(i)
+                assert text.startswith(", ", i)
+                letter, i = text[i + 2], i + 4
+                assert text[i - 1] == ")"
+                return lg.range_mask(inner, (letter,)), i
+            end = text.index(")", i)
+            return lg.range_mask(lg.full_mask(), tuple(text[i:end])), end + 1
+        assert text[i] == "("
+        left, i = parse(i + 1)
+        op = text[i + 1]
+        right, i = parse(i + 3)
+        assert text[i] == ")"
+        value = {"&": left & right, "|": left | right,
+                 "\\": left & ~right}[op]
+        return value, i + 1
+
+    value, end = parse(0)
+    assert end == len(text)
+    return value
 
 
 def verify_action_exhaustive(action: LabeledGraphAction) -> ActionReport:
@@ -318,6 +365,56 @@ def smallest_accommodating_oracle(lg: LabeledGraph,
                         members.add(candidate)
                         changed = True
     return frozenset(members)
+
+
+def labeled_space_report_oracle(lg: LabeledGraph, col: SetCollection,
+                                word_bound: int = 4) -> LabeledSpaceReport:
+    """Oracle for ``labeled_space_report``: every pair of range values of
+    words up to ``word_bound`` is scanned in order for a missing meet, join
+    or strict difference, and every member in order for its letters and
+    its letter fibers, read from the edges by string id."""
+    ranges = sorted(value for value, word in lg.range_table.ranges
+                    if len(word) <= word_bound)
+    members = set(col.members)
+    pairs = disjoint = 0
+    inter_ok = union_ok = diff_ok = Check(True)
+    for i, r1 in enumerate(ranges):
+        for r2 in ranges[i + 1:]:
+            pairs += 1
+            if not r1 & r2:
+                disjoint += 1
+            if r1 & r2 and (r1 & r2) not in members and inter_ok:
+                inter_ok = Check(False, (lg.set_of(r1), lg.set_of(r2)))
+            if (r1 | r2) not in members and union_ok:
+                union_ok = Check(False, (lg.set_of(r1), lg.set_of(r2)))
+            for big, small in ((r1, r2), (r2, r1)):
+                if big & small == small and big != small:
+                    if (big & ~small) not in members and diff_ok:
+                        diff_ok = Check(False,
+                                        (lg.set_of(big), lg.set_of(small)))
+    label_counts = {}
+    ck4 = Check(True)
+    for mask in col.members:
+        vs = lg.set_of(mask)
+        out = [e for e in lg.graph.edges if e.src in vs]
+        label_counts[vs] = len({lg.labeling[e.eid] for e in out})
+        if not ck4:
+            continue
+        silent = vs - {e.src for e in out}
+        if silent:
+            ck4 = Check(False, (vs, min(silent)), "vertex emits no edge")
+            continue
+        for letter in lg.alphabet:
+            fiber = {e.dst for e in out if lg.labeling[e.eid] == letter}
+            if fiber and lg.set_of(lg.range_mask(mask, (letter,))) != fiber:
+                ck4 = Check(False, (vs, letter), "letter fiber mismatch")
+                break
+    return LabeledSpaceReport(
+        set_finite=True, label_counts=label_counts,
+        weakly_left_resolving=lg.weakly_left_resolving,
+        ck1a_pairs=pairs, ck1a_disjoint_pairs=disjoint,
+        ck1b_intersections_closed=inter_ok, ck1b_unions_closed=union_ok,
+        ck1b_differences_closed=diff_ok, ck4=ck4)
 
 
 #: Largest vertex count :func:`weakly_left_resolving_bruteforce` accepts.

@@ -697,6 +697,18 @@ def test_sparse_layers_far_apart_are_refused():
     assert action._tables == {}
 
 
+def test_is_free_refuses_sparse_layers_far_apart():
+    """The item-major block ``is_free`` reads holds about one int per
+    (g, h, item) triple, so the sparse-layer action is refused under the
+    same cap as verify_action, before its block is built."""
+    action = _sparse_layer_loops(60)
+    assert homomorphism_triples(action) > MAX_TRIPLES
+    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
+        is_free(action)
+    assert "_columns" not in action.__dict__
+    assert action._tables == {}
+
+
 def test_skewz_windows_at_the_cap():
     """The cap itself: the widest skewz window under it verifies (about a
     second), and one layer more is refused without a table."""

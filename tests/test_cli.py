@@ -18,7 +18,8 @@ from labgraphs.cli import main
 from labgraphs.graph import MAX_PATH_EDGES
 from labgraphs.skew import MAX_ITEMS
 
-from helpers import distinct_letter_cycle
+from helpers import (distinct_letter_cycle, evaluate_printed_derivation,
+                     shift_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -171,6 +172,76 @@ class TestReports:
         code, _, err = run(["lattice", str(path)])
         assert code == 2
         assert "65536" in err
+
+    def test_lattice_on_the_twelve_vertex_shift(self, tmp_path):
+        # every nonempty set of the 12 vertices is a member of both
+        # closures; the text and the JSON print the same derivations, and
+        # each one not cut at depth 8 reads back as its set
+        lg = shift_graph(12)
+        path = tmp_path / "shift12.json"
+        path.write_text(jsonio.dumps(jsonio.graph_to_json(lg)))
+        code, out, _ = run(["lattice", str(path), "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        code, text, _ = run(["lattice", str(path)])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "smallest accommodating collection:"
+        assert lines[4096] == "relative-complement closure:"
+        printed = lines[1:4096] + lines[4097:8192]
+        listed = (payload["smallest_accommodating"]
+                  + payload["relative_complement_closure"])
+        assert len(listed) == 2 * 4095
+        assert {tuple(item["set"]) for item in listed} == {
+            tuple(sorted(lg.set_of(m))) for m in range(1, 1 << 12)}
+        read_back = 0
+        for line, item in zip(printed, listed):
+            shown = "{" + ", ".join(item["set"]) + "}"
+            assert line == f"  {shown}  =  {item['derivation']}"
+            value = evaluate_printed_derivation(lg, item["derivation"])
+            if value is not None:
+                assert value == lg.mask_of(item["set"])
+                read_back += 1
+        assert read_back > 0
+
+    def test_shared_renderings_equal_a_fresh_walk(self):
+        # the memo per (mask, depth) keeps the cut at depth 8 where it was
+        from labgraphs.cli import _derivation_renderer
+        from labgraphs.lattice import (relative_complement_closure,
+                                       smallest_accommodating)
+
+        def walk(col, mask, depth=0):
+            expr = col.derivations[mask]
+            if depth > 8:
+                return "..."
+            if expr[0] == "range":
+                return f"r({''.join(expr[1])})"
+            if expr[0] == "step":
+                return f"r({walk(col, expr[1], depth + 1)}, {expr[2]})"
+            symbol = {"and": "&", "or": "|", "diff": "\\"}[expr[0]]
+            return (f"({walk(col, expr[1], depth + 1)} {symbol} "
+                    f"{walk(col, expr[2], depth + 1)})")
+
+        col = smallest_accommodating(shift_graph(9))
+        for coll in (col, relative_complement_closure(col)):
+            render = _derivation_renderer(coll)
+            texts = [render(m) for m in coll.members]
+            assert any("..." in text for text in texts)
+            assert texts == [walk(coll, m) for m in coll.members]
+
+    @pytest.mark.parametrize("name", ["lattice-fish.txt", "lattice-fish4.txt",
+                                      "lattice-chain3.txt"])
+    def test_golden_derivations_read_back(self, name):
+        from tools.make_fixtures import GOLDEN_COMMANDS
+        argv = GOLDEN_COMMANDS[name]
+        lg = jsonio.load(os.path.join(ROOT, argv[1]))[1]
+        _, out, _ = run(argv)
+        for line in out.splitlines():
+            if "  =  " in line:
+                shown, text = line.strip().split("  =  ")
+                vertices = shown.strip("{}").split(", ")
+                assert evaluate_printed_derivation(
+                    lg, text.removesuffix("  (new)")) == lg.mask_of(vertices)
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_lattice_word_bound_below_one_exits_two(self, bound):

@@ -1,12 +1,15 @@
 """Accommodating collections, relative-complement closure, normal forms,
 and the set-level labeled-space report."""
 
+import dataclasses
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from labgraphs import fixtures as fx
-from labgraphs import labeled
+from labgraphs import labeled, lattice
 from labgraphs.errors import NotAMember, PreconditionError, SearchSpaceExceeded
 from labgraphs.graph import DirectedGraph
 from labgraphs.labeled import (LabeledGraph, is_weakly_left_resolving,
@@ -16,7 +19,8 @@ from labgraphs.lattice import (MAX_MEMBERS, Factor, SetCollection,
                                relative_complement_closure,
                                smallest_accommodating)
 
-from helpers import (distinct_letter_cycle, smallest_accommodating_oracle,
+from helpers import (distinct_letter_cycle, labeled_space_report_oracle,
+                     shift_graph, smallest_accommodating_oracle,
                      worklist_closure)
 
 
@@ -378,3 +382,155 @@ class TestMemberCap:
         col = SetCollection(lg, tuple(sorted(ranges)), ranges)
         with pytest.raises(SearchSpaceExceeded):
             relative_complement_closure(col)
+
+
+def _range_seeds(lg):
+    full = lg.full_mask()
+    return [(lg.range_mask(full, (a,)), ("range", (a,))) for a in lg.alphabet]
+
+
+def _values_in_order(coll):
+    """Each member's value, evaluated from its derivation in insertion
+    order; every mask a derivation refers to must be evaluated already."""
+    lg = coll.lg
+    values = {}
+    for mask, expr in coll.derivations.items():
+        if expr[0] == "range":
+            value = lg.range_mask(lg.full_mask(), expr[1])
+        elif expr[0] == "step":
+            assert expr[1] in values
+            value = lg.range_mask(values[expr[1]], (expr[2],))
+        else:
+            assert expr[1] in values and expr[2] in values
+            left, right = values[expr[1]], values[expr[2]]
+            value = {"and": left & right, "or": left | right,
+                     "diff": left & ~right}[expr[0]]
+        values[mask] = value
+    return values
+
+
+@st.composite
+def closure_cases(draw):
+    lg = fx.random_valid_labeled_graph(
+        random.Random(draw(st.integers(0, 2 ** 32 - 1))), max_vertices=7)
+    return lg, draw(st.none() | st.integers(0, 2 ** 16))
+
+
+class TestListing:
+    @settings(max_examples=200, deadline=None)
+    @given(closure_cases())
+    def test_derivations_refer_back_and_reevaluate(self, case):
+        lg, order_seed = case
+        col = smallest_accommodating(lg, order_seed=order_seed)
+        closed = relative_complement_closure(col)
+        assert set(col.members) == set(
+            worklist_closure(lg, _range_seeds(lg), rel_complements=False))
+        assert set(closed.members) == set(worklist_closure(
+            lg, [(m, col.derivations[m]) for m in col.members],
+            rel_complements=True))
+        for coll in (col, closed):
+            assert list(coll.members) == sorted(coll.derivations)
+            values = _values_in_order(coll)
+            assert all(value == mask for mask, value in values.items())
+
+    @pytest.mark.parametrize("lg", [
+        fx.fish4(), fx.chain3(), fx.fdok().graph, distinct_letter_cycle(4),
+        shift_graph(5), *(fx.random_valid_labeled_graph(
+            random.Random(seed), max_vertices=7) for seed in range(6))])
+    def test_member_cap_boundary(self, monkeypatch, lg):
+        col = smallest_accommodating(lg)
+        closed = relative_complement_closure(col)
+        monkeypatch.setattr(lattice, "MAX_MEMBERS", len(col))
+        assert smallest_accommodating(lg).members == col.members
+        monkeypatch.setattr(lattice, "MAX_MEMBERS", len(col) - 1)
+        with pytest.raises(SearchSpaceExceeded):
+            smallest_accommodating(lg)
+        monkeypatch.setattr(lattice, "MAX_MEMBERS", len(closed))
+        assert relative_complement_closure(col).members == closed.members
+        monkeypatch.setattr(lattice, "MAX_MEMBERS", len(closed) - 1)
+        with pytest.raises(SearchSpaceExceeded):
+            relative_complement_closure(col)
+
+    def test_closure_seeds_only_the_derived_sets(self):
+        # the relative-complement closure of a collection whose listed
+        # unions are dropped is the same ring
+        for lg in (fx.chain3(), fx.fish4(), shift_graph(5)):
+            col = smallest_accommodating(lg)
+            derived = {m: d for m, d in col.derivations.items()
+                       if d[0] != "or"}
+            bare = SetCollection(lg, tuple(sorted(derived)), derived)
+            assert (relative_complement_closure(bare).members
+                    == relative_complement_closure(col).members)
+
+
+CLOSURE_CHECKS = ("ck1b_intersections_closed", "ck1b_unions_closed",
+                  "ck1b_differences_closed")
+
+
+def _report_matches_oracle(lg, coll, word_bound=4):
+    report = labeled_space_report(lg, coll, word_bound)
+    oracle = labeled_space_report_oracle(lg, coll, word_bound)
+    assert report.to_json() == oracle.to_json()
+    for name in (*CLOSURE_CHECKS, "weakly_left_resolving", "ck4"):
+        got, want = getattr(report, name), getattr(oracle, name)
+        assert (got.ok, got.witness, got.note) == (want.ok, want.witness,
+                                                   want.note), name
+    assert report == oracle
+    return report
+
+
+class TestReportOracle:
+    def test_random_graphs_both_closures(self):
+        rng = random.Random(23)
+        for _ in range(80):
+            lg = fx.random_valid_labeled_graph(rng, max_vertices=6)
+            col = smallest_accommodating(lg)
+            for coll in (col, relative_complement_closure(col)):
+                for bound in (1, 2, 4):
+                    _report_matches_oracle(lg, coll, bound)
+
+    def test_dropped_members_fail_the_closure_checks(self):
+        failed = {name: 0 for name in CLOSURE_CHECKS}
+        rng = random.Random(5)
+        for _ in range(30):
+            lg = fx.random_valid_labeled_graph(rng, max_vertices=5)
+            closed = relative_complement_closure(smallest_accommodating(lg))
+            for dropped in closed.members:
+                coll = dataclasses.replace(closed, members=tuple(
+                    m for m in closed.members if m != dropped))
+                report = _report_matches_oracle(lg, coll)
+                for name in CLOSURE_CHECKS:
+                    failed[name] += not getattr(report, name)
+        assert all(failed.values()), failed
+
+    def test_silent_vertex_fails_ck4(self):
+        # w receives an a-edge but emits nothing
+        lg = LabeledGraph(DirectedGraph(["v", "w"], [("e", "v", "w"),
+                                                     ("f", "v", "v")]),
+                          {"e": "a", "f": "b"})
+        ranges = dict(_range_seeds(lg))
+        coll = SetCollection(lg, tuple(sorted(ranges)), ranges)
+        report = _report_matches_oracle(lg, coll)
+        assert report.ck4.note == "vertex emits no edge"
+        assert report.ck4.witness == (frozenset({"w"}), "w")
+
+    def test_corrupted_step_rows_fail_ck4(self):
+        rng = random.Random(9)
+        failures = 0
+        for _ in range(20):
+            lg = fx.random_valid_labeled_graph(rng, max_vertices=5)
+            closed = relative_complement_closure(smallest_accommodating(lg))
+            lg.range_table  # computed before any row is corrupted
+            clean = lg._step
+            for a, row in enumerate(clean):
+                for v, targets in enumerate(row):
+                    for corrupt in (targets & (targets - 1),
+                                    targets | 1 << (len(row) - 1 - v)):
+                        if corrupt == targets:
+                            continue
+                        step = [list(r) for r in clean]
+                        step[a][v] = corrupt
+                        lg.__dict__["_step"] = step
+                        failures += not _report_matches_oracle(lg, closed).ck4
+            lg.__dict__["_step"] = clean
+        assert failures
