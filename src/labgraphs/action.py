@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (PreconditionError, SearchSpaceExceeded,
@@ -21,8 +23,6 @@ VERTEX, EDGE, LETTER = "vertex", "edge", "letter"
 KINDS = (VERTEX, EDGE, LETTER)
 _KIND_INDEX = {kind: k for k, kind in enumerate(KINDS)}
 
-Rows = tuple[list[int], list[int], list[int]]
-
 
 class LabeledGraphAction:
     """A group acting on a (materialized) labeled graph.
@@ -32,11 +32,12 @@ class LabeledGraphAction:
     product (``skew.TranslationAction``), which may be windowed: there
     ``apply`` returns None when the image escapes the materialization.
 
-    Besides the string-level ``apply``, every action exposes integer
-    action tables (:meth:`table`), which the verification and
-    reconstruction code runs on.  Their positions are those of the
-    graph's :class:`~labgraphs.labeled.GraphCore`.  Actions are immutable,
-    so a table is built once per element and cached.
+    Besides the string-level ``apply``, every action exposes the images
+    of its scope as one item-major block of integers per kind
+    (:meth:`columns`), which the verification and reconstruction code
+    runs on.  Its positions are those of the graph's
+    :class:`~labgraphs.labeled.GraphCore`.  Actions are immutable, so each
+    block is built once and cached.
     """
 
     group: Group
@@ -45,7 +46,6 @@ class LabeledGraphAction:
     def __init__(self, group: Group, graph: LabeledGraph):
         self.group = group
         self.graph = graph
-        self._tables: dict[Element, Rows] = {}
         self._orbits: dict[str, tuple[tuple[str, ...], ...]] = {}
 
     def apply(self, g: Element, kind: str, item: str) -> str | None:
@@ -58,38 +58,31 @@ class LabeledGraphAction:
         """Position of each carrier item in ``carrier(kind)``."""
         return self.graph.core.positions[_KIND_INDEX[kind]]
 
-    def table(self, g: Element) -> Rows:
-        """The action of ``g`` as three integer rows (vertices, edges,
-        letters), indexed in ``carrier(kind)`` order: ``row[i]`` is the
-        position of the image of item ``i``, or -1 when the image leaves
-        the materialization.  Each row ends with one extra -1 slot, so
-        ``row[-1] == -1`` and composing two rows (``[r1[x] for x in
-        r2]``) keeps -1 without a branch.  The rows are cached and shared:
-        callers must not mutate them."""
-        rows = self._tables.get(g)
-        if rows is None:
-            rows = self._tables[g] = self._build_table(g)
-        return rows
-
-    def _build_table(self, g: Element) -> Rows:
-        raise NotImplementedError
-
     def coordinates(self, kind: str) -> Sequence[tuple[str, int]]:
         """The (fiber, layer) of each carrier item, in ``carrier(kind)``
         order, for actions whose scope is an integer interval
         (:meth:`interval_span`).  Such an action is meant to move the item
         at (q, t) to the item at (q, t + g); :func:`verify_action` tries
-        that first and falls back to its scans when the tables disagree."""
+        that first and falls back to its scans when the block disagrees."""
         raise NotImplementedError
 
     def columns(self, kind: str) -> list[int]:
-        """The images of the items of ``kind`` over the scope -span..span
-        of :meth:`interval_span`, item-major in one flat list built once:
-        with n = 2 span + 1, alpha_g(x) is ``columns(kind)[x * n + g +
-        span]``, so item x's images are the slice [x n, x n + n), and a
-        trailing block of n times -1 stands for the rows' sentinel slot.
-        The table row of a scope element g is the stride slice
-        ``columns(kind)[g + span::n]``.  Callers must not mutate it."""
+        """The images of the items of ``kind`` under the scope elements,
+        item-major in one flat list built once: with n the size of
+        :meth:`scope_elements`, the image of item x under the p-th scope
+        element is ``columns(kind)[x * n + p]``, the position of the image
+        in ``carrier(kind)``, or -1 when it leaves the materialization.  So
+        item x's images are the slice [x n, x n + n), and those of the p-th
+        element are the stride slice ``columns(kind)[p::n]``, which ends
+        with a -1 from a trailing block of n times -1: gathering through it
+        (``[row[j] for j in other]``) keeps -1 without a branch.  On the
+        integer interval of :meth:`interval_span`, p = g + span.  Callers
+        must not mutate it."""
+        return self._columns[_KIND_INDEX[kind]]
+
+    @cached_property
+    def _columns(self) -> list[list[int]]:
+        """The block of :meth:`columns` of each kind, in ``KINDS`` order."""
         raise NotImplementedError
 
     def scope_elements(self) -> tuple[Element, ...]:
@@ -109,11 +102,11 @@ class LabeledGraphAction:
     def elements_moving(self, kind: str, source: str,
                         target: str) -> tuple[Element, ...]:
         """The elements h with alpha_h(source) = target, searched over the
-        scope on the tables."""
-        k, index = _KIND_INDEX[kind], self.index(kind)
-        s, t = index[source], index[target]
-        return tuple(h for h in self.scope_elements()
-                     if self.table(h)[k][s] == t)
+        scope in the source's slice of :meth:`columns`."""
+        index, scope = self.index(kind), self.scope_elements()
+        s, t, n = index[source], index[target], len(scope)
+        images = self.columns(kind)[s * n:s * n + n]
+        return tuple(h for h, j in zip(scope, images) if j == t)
 
     def lifting_scope(self) -> tuple[str, ...]:
         """Vertices at which path-lifting statements are quantified."""
@@ -149,9 +142,9 @@ class LabeledGraphAction:
         return found
 
     def _orbit_classes(self, kind: str) -> Iterable[list[str]]:
-        """The classes of items linked by some non-identity scope element."""
-        k = _KIND_INDEX[kind]
-        items = self.graph.core.carriers[k]
+        """The classes of items linked by some non-identity scope element,
+        read item by item from the slices of :meth:`columns`."""
+        items = self.carrier(kind)
         parent = list(range(len(items)))
 
         def find(x: int) -> int:
@@ -160,12 +153,11 @@ class LabeledGraphAction:
                 x = parent[x]
             return x
 
-        ident = self.group.identity
-        for g in self.scope_elements():
-            if g == ident:
-                continue
-            for x, y in enumerate(self.table(g)[k][:-1]):
-                if y >= 0:
+        scope, cols = self.scope_elements(), self.columns(kind)
+        n, ident = len(scope), scope.index(self.group.identity)
+        for x in range(len(items)):
+            for p, y in enumerate(cols[x * n:x * n + n]):
+                if y >= 0 and p != ident:
                     rx, ry = find(x), find(y)
                     if rx != ry:
                         parent[ry] = rx
@@ -236,11 +228,19 @@ class FiniteAction(LabeledGraphAction):
     def apply(self, g: Element, kind: str, item: str) -> str | None:
         return self.maps[g][_KIND_INDEX[kind]].get(item)
 
-    def _build_table(self, g: Element) -> Rows:
+    @cached_property
+    def _columns(self) -> list[list[int]]:
+        """Each item's images under the elements in scope order, read from
+        the maps; the maps are total, so no entry is -1 but the trailing
+        block's."""
+        scope = self.scope_elements()
         core = self.graph.core
-        return tuple([index[mapping[item]] for item in items] + [-1]
-                     for mapping, items, index
-                     in zip(self.maps[g], core.carriers, core.positions))
+        blocks = []
+        for k, (items, index) in enumerate(zip(core.carriers, core.positions)):
+            maps = [self.maps[g][k] for g in scope]
+            blocks.append([index[m[item]] for item in items for m in maps]
+                          + [-1] * len(scope))
+        return blocks
 
     def triple_morphism(self, g: Element) -> LabeledGraphMorphism:
         vm, em, am = self.maps[g]
@@ -274,14 +274,14 @@ class ActionReport:
 #: Most (g, h, item) triples :func:`verify_action` checks the homomorphism
 #: law on.  :func:`homomorphism_triples` counts them from the scope and
 #: carrier sizes, and an action over the cap raises
-#: :class:`SearchSpaceExceeded` before any table is built.  Just under the
+#: :class:`SearchSpaceExceeded` before its block is built.  Just under the
 #: cap (Python 3.11, 2-core x86 container), ``verify_action`` takes about
 #: 0.02 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
 #: triples; 0:185 is over), where the translation certificate holds, and
 #: about 1.2 s on a copy with two vertex coordinates swapped, whose scans
-#: name its 69,744 failures; and 3.8-5.7 s on the finite skew product of
-#: the same base over Z/267 (133,239,141 triples), whose rows compose pair
-#: by pair.
+#: name its 69,744 failures; and 3.5-4.8 s on the finite skew product of
+#: the same base over Z/267 (133,239,141 triples), whose homomorphism scan
+#: gathers each item's images through a permutation per element.
 MAX_TRIPLES = 1 << 27
 
 
@@ -300,6 +300,17 @@ def homomorphism_triples(action: LabeledGraphAction) -> int:
     return homomorphism_pairs(action) * sum(map(len, action.graph.core.carriers))
 
 
+def check_triples(action: LabeledGraphAction, work: str) -> None:
+    """Raise :class:`SearchSpaceExceeded` when ``action`` has more than
+    :data:`MAX_TRIPLES` (g, h, item) triples; ``work`` says what would run
+    over them, in the words that open the message."""
+    triples = homomorphism_triples(action)
+    if triples > MAX_TRIPLES:
+        raise SearchSpaceExceeded(
+            f"{work} {triples} (g, h, item) triples, over the cap "
+            f"MAX_TRIPLES = {MAX_TRIPLES}")
+
+
 def verify_action(action: LabeledGraphAction) -> ActionReport:
     """Check that every element acts as a labeled graph automorphism, that
     the assignment is a homomorphism and that the identity acts as the
@@ -309,30 +320,24 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     The homomorphism law alpha_g(alpha_h(x)) = alpha_gh(x) is checked for
     every pair (g, h) of scope elements whose product is in the scope
     (``pairs_checked`` counts them), on every carrier item.  The laws run
-    on the integer action tables, and only a mismatch is walked item by
-    item to name the witnesses.
+    on the action's block of scope images
+    (:meth:`LabeledGraphAction.columns`), and only a mismatch is walked
+    item by item to name the witnesses.
 
     When the scope is an integer interval
     (:meth:`LabeledGraphAction.interval_span`), the action is first
     checked against a translation certificate of the size of the carrier
     (:func:`_translation_certified`); when it holds, every law holds and
-    the report is built without a scan.  Otherwise, and on other scopes,
-    the scans below run and name every failure.  On an integer interval
-    the homomorphism law runs item-major: one slice compare per item x and
-    element h covers every g at once.  Other scopes (finite groups)
-    compose the rows of each pair and compare the result with the row of
-    the product.  Both give the same triples, failures and order.
+    the report is built without a scan.  Otherwise, and on finite groups,
+    the scans below run and name every failure.  The homomorphism law runs
+    item-major on both scope shapes (:func:`_homomorphism`): one compare
+    per item x and element h covers every g at once.
 
     An action with more than :data:`MAX_TRIPLES` triples raises
-    :class:`SearchSpaceExceeded` before any table is built.  On a
+    :class:`SearchSpaceExceeded` before its block is built.  On a
     translation the scope spans the numeric width of all layers, so fibers
     whose layers lie far apart are refused by this cap."""
-    triples = homomorphism_triples(action)
-    if triples > MAX_TRIPLES:
-        raise SearchSpaceExceeded(
-            f"verifying the action would check {triples} (g, h, item) "
-            f"triples, over the cap MAX_TRIPLES = {MAX_TRIPLES}")
-    group = action.group
+    check_triples(action, "verifying the action would check")
     scope = action.scope_elements()
     span = action.interval_span()
     if span is not None and _translation_certified(action, span):
@@ -341,17 +346,18 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     failures: list[tuple[str, Any]] = []
     core = action.graph.core
     carriers = core.carriers
+    blocks = [action.columns(kind) for kind in KINDS]
+    n, ident = len(scope), scope.index(action.group.identity)
 
-    for kind, items, row in zip(KINDS, carriers,
-                                action.table(group.identity)):
-        for i, j in enumerate(row[:-1]):
+    for kind, items, cols in zip(KINDS, carriers, blocks):
+        for i, j in enumerate(cols[ident::n][:-1]):
             if i != j:
                 failures.append(("identity acts as identity",
                                  (kind, items[i], items[j] if j >= 0 else None)))
 
     edges, src, dst, lab = carriers[1], core.src, core.dst, core.lab
-    for g in scope:
-        rows = action.table(g)
+    for p, g in enumerate(scope):
+        rows = [cols[p::n] for cols in blocks]
         for kind, items, row in zip(KINDS, carriers, rows):
             images = [j for j in row if j >= 0]
             if len(set(images)) == len(images):
@@ -378,19 +384,16 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
             if a >= 0 and a != lab[f]:
                 failures.append(("label compatibility", (g, edges[e])))
 
-    if span is None:
-        homomorphism, pairs = _homomorphism_all_pairs(action, scope, carriers)
-    else:
-        homomorphism, pairs = _homomorphism_interval(action, span, carriers)
+    homomorphism, pairs = _homomorphism(action, scope, span, carriers)
     failures.extend(homomorphism)
     return ActionReport(not failures, tuple(failures), len(scope), pairs,
                         action.is_windowed())
 
 
 def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
-    """Whether the tables of the scope -span..span are those of a
+    """Whether the images of the scope -span..span are those of a
     translation along the fibers of :meth:`LabeledGraphAction.coordinates`,
-    checked in time and space of the order of the carrier plus the tables.
+    checked in time and space of the order of the carrier plus the block.
 
     The certificate is three checks on the coordinates (q(x), t(x)):
 
@@ -463,72 +466,56 @@ def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
     return True
 
 
-def _homomorphism_all_pairs(action: LabeledGraphAction,
-                            scope: tuple[Element, ...],
-                            carriers: tuple[tuple[str, ...], ...]
-                            ) -> tuple[list[tuple[str, Any]], int]:
-    """The homomorphism law pair by pair: each pair (g, h) composes two
-    rows and compares the result with the row of gh."""
-    group = action.group
-    in_scope = set(scope)
-    scope_rows = [action.table(g) for g in scope]
-    failures = []
-    pairs = 0
-    for g, g_rows in zip(scope, scope_rows):
-        for h, h_rows in zip(scope, scope_rows):
-            gh = group.op(g, h)
-            if not (group.is_finite or gh in in_scope):
-                continue
-            for kind, items, tg, th, tgh in zip(KINDS, carriers, g_rows,
-                                                h_rows, action.table(gh)):
-                lhs = [tg[x] for x in th]
-                if lhs == tgh or lhs == [r if l >= 0 else -1
-                                         for l, r in zip(lhs, tgh)]:
-                    continue
-                failures.extend(
-                    ("homomorphism", (g, h, kind, items[i]))
-                    for i, (l, r) in enumerate(zip(lhs, tgh))
-                    if l >= 0 and r >= 0 and l != r)
-            pairs += 1
-    return failures, pairs
+def _homomorphism(action: LabeledGraphAction, scope: tuple[Element, ...],
+                  span: int | None, carriers: tuple[tuple[str, ...], ...]
+                  ) -> tuple[list[tuple[str, Any]], int]:
+    """The homomorphism law item-major, on either scope shape.
 
-
-def _homomorphism_interval(action: LabeledGraphAction, span: int,
-                           carriers: tuple[tuple[str, ...], ...]
-                           ) -> tuple[list[tuple[str, Any]], int]:
-    """The homomorphism law on the scope -span..span, item-major.
-
-    For an item x, let o_x[i] = alpha_{i - span}(x), its slice of
+    For an item x, let o_x[p] = alpha_{scope[p]}(x), its slice of
     :meth:`LabeledGraphAction.columns`.  For each h with y = alpha_h(x)
-    materialized, the values alpha_g(y) and alpha_{g+h}(x) over the g with
-    g + h in the scope are the slices o_y[a:b] and o_x[a+h:b+h]: the same
-    (g, h, x) triples as the pair scan, whose left side is defined only
-    where alpha_h(x) is.  On a correct translation both slices name the
-    item g + h layers from x, so they are materialized at the same g and
-    compare equal; only a mismatch is walked g by g.  Failures are sorted
-    into the pair scan's order."""
-    n = 2 * span + 1
+    materialized, the values alpha_g(y) over the g with gh in the scope
+    are a slice o_y[a:b], and the values alpha_gh(x) sit in o_x at the
+    positions of gh, which the scope supplies per h: on -span..span the g
+    run over [a, b) and gh sits h places further, a slice of o_x; on a
+    finite group every g counts and the positions of gh are a permutation
+    of the scope, gathered from o_x.  These are the (g, h, x) triples of
+    the pair-by-pair law, whose left side is defined only where
+    alpha_h(x) is.  On a correct action both sides name the same item at
+    every g and compare equal; only a mismatch is walked g by g.  Failures
+    are sorted into (g, h, kind, item) order."""
+    n = len(scope)
     windows = []
-    for ph in range(n):
-        h = ph - span
-        a, b = max(0, -h), min(n, n - h)
-        windows.append((ph, a, b, a + h, b + h))
-    pairs = sum(b - a for _, a, b, _, _ in windows)
+    if span is None:
+        position = {g: p for p, g in enumerate(scope)}
+        op = action.group.op
+        for ph, h in enumerate(scope):
+            moved = [position[op(g, h)] for g in scope]
+            # the identity's positions are a slice; an itemgetter of one
+            # index (the trivial group) would return an int, not a tuple
+            windows.append((ph, 0, n, slice(0, n) if moved == list(range(n))
+                            else itemgetter(*moved)))
+    else:
+        for ph in range(n):
+            h = ph - span
+            a, b = max(0, -h), min(n, n - h)
+            windows.append((ph, a, b, slice(a + h, b + h)))
+    pairs = sum(b - a for _, a, b, _ in windows)
     found = []
     for k, kind in enumerate(KINDS):
         cols = action.columns(kind)
         for x in range(len(cols) // n - 1):
             ox = cols[x * n:x * n + n]
-            for y, (ph, a, b, c, d) in zip(ox, windows):
+            for y, (ph, a, b, at) in zip(ox, windows):
                 if y < 0:
                     continue
                 oy = cols[y * n + a:y * n + b]
-                if oy != ox[c:d]:
+                rhs = ox[at] if at.__class__ is slice else list(at(ox))
+                if oy != rhs:
                     found.extend((pg, ph, k, x) for pg, (l, r)
-                                 in enumerate(zip(oy, ox[c:d]), a)
+                                 in enumerate(zip(oy, rhs), a)
                                  if l >= 0 and r >= 0 and l != r)
     found.sort()
-    failures = [("homomorphism", (pg - span, ph - span, KINDS[k],
+    failures = [("homomorphism", (scope[pg], scope[ph], KINDS[k],
                                   carriers[k][x]))
                 for pg, ph, k, x in found]
     return failures, pairs
@@ -537,48 +524,26 @@ def _homomorphism_interval(action: LabeledGraphAction, span: int,
 def is_free(action: LabeledGraphAction) -> Check:
     """Trivial vertex and alphabet stabilizers over the verification
     scope; the witness is (element, fixed item), the least in scope, kind
-    and carrier order.  On an integer interval each vertex and letter x
-    is looked up in its slice of :meth:`LabeledGraphAction.columns`, at
-    the first position other than the centre (the identity) that holds x;
-    other scopes scan the rows of each element in turn.
-
-    The block holds about as many ints as the action has (g, h, item)
-    triples, so an integer action over :data:`MAX_TRIPLES` raises
-    :class:`SearchSpaceExceeded` before it is built, as in
-    :func:`verify_action`."""
-    span = action.interval_span()
-    if span is not None:
-        triples = homomorphism_triples(action)
-        if triples > MAX_TRIPLES:
-            raise SearchSpaceExceeded(
-                f"the freeness scan would read a block for {triples} "
-                f"(g, h, item) triples, over the cap MAX_TRIPLES = "
-                f"{MAX_TRIPLES}")
-        n, least = 2 * span + 1, None
-        for kind in (VERTEX, LETTER):
-            cols = action.columns(kind)
-            for x in range(len(cols) // n - 1):
-                col = cols[x * n:x * n + n]
-                if col.count(x) > (col[span] == x):
-                    p = col.index(x)
-                    if p == span:
-                        p = col.index(x, span + 1)
-                    found = (p - span, _KIND_INDEX[kind], x)
-                    least = found if least is None else min(least, found)
-        if least is None:
-            return Check(True)
-        g, k, x = least
-        return Check(False, (g, action.graph.core.carriers[k][x]))
-    ident = action.group.identity
-    for g in action.scope_elements():
-        if g == ident:
-            continue
-        rows = action.table(g)
-        for kind in (VERTEX, LETTER):
-            for i, j in enumerate(rows[_KIND_INDEX[kind]]):
-                if i == j:
-                    return Check(False, (g, action.carrier(kind)[i]))
-    return Check(True)
+    and carrier order.  Each vertex and letter x is looked up in its slice
+    of :meth:`LabeledGraphAction.columns`, at the first position other
+    than the identity's that holds x."""
+    scope = action.scope_elements()
+    n, ident = len(scope), scope.index(action.group.identity)
+    least = None
+    for kind in (VERTEX, LETTER):
+        cols = action.columns(kind)
+        for x in range(len(cols) // n - 1):
+            col = cols[x * n:x * n + n]
+            if col.count(x) > (col[ident] == x):
+                p = col.index(x)
+                if p == ident:
+                    p = col.index(x, ident + 1)
+                found = (p, _KIND_INDEX[kind], x)
+                least = found if least is None else min(least, found)
+    if least is None:
+        return Check(True)
+    p, k, x = least
+    return Check(False, (scope[p], action.graph.core.carriers[k][x]))
 
 
 # -- quotients ----------------------------------------------------------------

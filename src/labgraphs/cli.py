@@ -185,23 +185,28 @@ def _cmd_lattice(args):
     col = smallest_accommodating(lg)
     closed = relative_complement_closure(col)
     report = labeled_space_report(lg, closed, word_bound=args.max_len)
+    # each mask's sorted members and their text, shared by both listings
+    sets = {}
+    for m in {*col.members, *closed.members}:
+        vs = sorted(lg.set_of(m))
+        sets[m] = vs, "{" + ", ".join(vs) + "}"
     listings = {}
     for name, coll in (("smallest_accommodating", col),
                        ("relative_complement_closure", closed)):
         render = _derivation_renderer(coll)
-        listings[name] = [(m, lg.set_of(m), render(m)) for m in coll.members]
+        listings[name] = [(m, *sets[m], render(m)) for m in coll.members]
     payload = {
-        name: [{"set": sorted(vs), "derivation": text}
-               for _, vs, text in listing]
+        name: [{"set": vs, "derivation": text}
+               for _, vs, _, text in listing]
         for name, listing in listings.items()}
     payload["report"] = report.to_json()
     lines = ["smallest accommodating collection:"]
-    for _, vs, text in listings["smallest_accommodating"]:
-        lines.append(f"  {_set_str(vs)}  =  {text}")
+    for _, _, shown, text in listings["smallest_accommodating"]:
+        lines.append(f"  {shown}  =  {text}")
     lines.append("relative-complement closure:")
-    for m, vs, text in listings["relative_complement_closure"]:
+    for m, _, shown, text in listings["relative_complement_closure"]:
         marker = "" if m in col.derivations else "  (new)"
-        lines.append(f"  {_set_str(vs)}  =  {text}{marker}")
+        lines.append(f"  {shown}  =  {text}{marker}")
     lines.append(f"set-finite: {str(report.set_finite).lower()}; "
                  f"weakly-left-resolving: {str(bool(report.weakly_left_resolving)).lower()}")
     lines.append(f"empty set convention: {report.empty_set_convention}")

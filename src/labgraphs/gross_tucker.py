@@ -146,26 +146,19 @@ def _reconstruction_layers(action: LabeledGraphAction,
     """Layer assignment for the reconstruction skew product: the pullback
     of the acted-on carrier (the scope elements that move the vertex
     section into the lifting scope), so the comparison isomorphism is
-    total and bijective rather than window-approximate.  On an integer
-    interval the images of a section vertex over the scope are its slice
-    of the action's columns; other scopes read the rows of each element."""
+    total and bijective rather than window-approximate.  The images of a
+    section vertex over the scope are its slice of the action's columns."""
     index = action.index(VERTEX)
     inside = {index[v] for v in action.lifting_scope()}
     scope = action.scope_elements()
-    if action.interval_span() is None:
-        rows = [action.table(h)[0] for h in scope]
-
-        def images(x: int) -> list[int]:
-            return [row[x] for row in rows]
-    else:
-        cols, n = action.columns(VERTEX), len(scope)
-
-        def images(x: int) -> list[int]:
-            return cols[x * n:x * n + n]
-    return {q_vertex: tuple([h for h, j in zip(scope,
-                                               images(index[eta0[q_vertex]]))
-                             if j in inside])
-            for q_vertex in quot.orbit_vertex_members}
+    cols, n = action.columns(VERTEX), len(scope)
+    layers = {}
+    for q_vertex in quot.orbit_vertex_members:
+        x = index[eta0[q_vertex]]
+        images = cols[x * n:x * n + n]
+        layers[q_vertex] = tuple([h for h, j in zip(scope, images)
+                                  if j in inside])
+    return layers
 
 
 def reconstruct(action: LabeledGraphAction,
@@ -182,28 +175,20 @@ def _comparison_map(action: LabeledGraphAction, k: int,
                     section: Mapping[str, str]) -> dict[str, str]:
     """phi(q, g) = alpha_g(section(q)) on every item (q, g) of the ``k``-th
     kind of the reconstruction skew product.  When g is a scope element
-    the image is read from the action's columns on an integer interval,
-    and from the cached table of g on other scopes; halo and letter layers
-    may lie outside the scope, and those go through ``apply``, so no table
-    is built for them."""
+    the image is read from the action's columns; halo and letter layers
+    may lie outside the scope, and those go through ``apply``."""
     kind = KINDS[k]
     carrier, index = action.carrier(kind), action.index(kind)
-    span = action.interval_span()
-    if span is None:
-        rows = {g: action.table(g)[k] for g in action.scope_elements()}
-    else:
-        cols, n = action.columns(kind), 2 * span + 1
+    scope = action.scope_elements()
+    position = {g: p for p, g in enumerate(scope)}
+    cols, n = action.columns(kind), len(scope)
     out = {}
     for item, (q, g) in pairs.items():
-        if span is None:
-            row = rows.get(g)
-            j = None if row is None else row[index[section[q]]]
-        else:
-            j = (cols[index[section[q]] * n + g + span]
-                 if -span <= g <= span else None)
-        if j is None:
+        p = position.get(g)
+        if p is None:
             image = action.apply(g, kind, section[q])
         else:
+            j = cols[index[section[q]] * n + p]
             image = carrier[j] if j >= 0 else None
         if image is None:
             raise VerificationError("comparison map leaves the carrier",
@@ -224,7 +209,8 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
 
     When the scope is an integer interval, the check runs item-major
     (:func:`_equivariance_interval`): one slice compare per item covers
-    every g.  Other scopes compare the gathered rows of each element."""
+    every g.  Finite groups gather the images of each element from the
+    two blocks (:func:`_equivariance_by_element`)."""
     tau = TranslationAction(skew)
     images = [[action.index(kind)[mapping[item]] for item in tau.carrier(kind)]
               + [-1] for kind, mapping in zip(KINDS, maps)]
@@ -241,12 +227,17 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
 def _equivariance_by_element(action: LabeledGraphAction,
                              tau: TranslationAction,
                              images: list[list[int]]) -> int:
-    """Equivariance element by element: the images of tau_g and alpha_g
-    gathered through the tables of g."""
+    """Equivariance element by element on a finite group, whose elements
+    are the scope of both actions: the images of tau_g and alpha_g are the
+    stride slices of g's position in the two blocks, and each side is
+    gathered through the other."""
     checked = 0
-    for g in action.scope_elements():
-        for kind, image, tau_row, row in zip(KINDS, images, tau.table(g),
-                                             action.table(g)):
+    scope = action.scope_elements()
+    n = len(scope)
+    for p, g in enumerate(scope):
+        for kind, image in zip(KINDS, images):
+            tau_row = tau.columns(kind)[p::n]
+            row = action.columns(kind)[p::n]
             lhs = [image[j] for j in tau_row]
             rhs = [row[j] for j in image]
             if lhs == rhs:

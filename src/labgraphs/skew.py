@@ -5,12 +5,14 @@ label-consistent twists."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
-                     QuotientLabeledGraph, is_label_consistent, quotient)
+                     QuotientLabeledGraph, check_triples, is_label_consistent,
+                     quotient)
 from .errors import (OutOfWindow, PreconditionError, SearchSpaceExceeded,
                      VerificationError)
 from .graph import DirectedGraph, Edge, Path, validate
@@ -240,85 +242,56 @@ class TranslationAction(LabeledGraphAction):
     product; partial on windows.
 
     Translation moves an item along its fiber (the items over one base
-    item) and never across fibers, so the tables are built from a layer
-    grid rather than item by item.  D lists the distinct layers of the
-    carrier, over all kinds, and the shape of a fiber is the tuple of
-    positions in D that its block spans: all of D when the fiber holds at
-    least half of D's layers, as on a window, and otherwise the layers it
-    holds.  Each kind keeps a flat int list with one block per fiber:
-    slot j holds the carrier position of (base item, D[shape[j]]), or -1
-    when that pair is not materialized, and a trailing slot holds -1.
-    The table of g costs |D| group operations for the layer map s_g (the
-    position of g D[i] in D, or |D| when it is not a layer), which is
-    the slot map of the full shape, one lookup per layer of each other
-    distinct shape to turn s_g into a slot of that shape (its length when
-    g moves the layer out of it), and one gather per item,
-    ``row[x] = flat[offset(x) + slot(x, g)]``.  A kind's grid holds at
-    most 2 |items| + |fibers| slots, and the lookups of its shapes at
-    most |items| entries: its size follows the carrier, never the numeric
-    span of the layers or how few layers the fibers share.
-
-    On an integer window the grid serves only elements outside the scope:
-    the tables of the scope are stride slices of :meth:`columns`."""
+    item) and never across fibers, so the block of :meth:`columns` is
+    gathered from one line per fiber, indexed by layer, rather than item
+    by item through :meth:`apply`."""
 
     def __init__(self, skew: SkewLabeledGraph):
         super().__init__(skew.spec.group, skew.graph)
         self.skew = skew
 
     @cached_property
-    def _grid(self):
-        """D with the position of each layer in it, and per kind the flat
-        grid, one (slot map, D position, length) entry per layer of each
-        distinct shape short of all of D, and the block offset and layer
-        map key of each carrier item (i for layer D[i] of a full-shape
-        block, |D| onward for the entries)."""
-        ids_of = [self._pairs(kind)[1] for kind in KINDS]
-        layers = list(dict.fromkeys(h for ids in ids_of for _, h in ids))
-        slot = {h: i for i, h in enumerate(layers)}
-        everywhere = tuple(range(len(layers)))
-        identity = dict(zip(everywhere, everywhere))
-        core = self.graph.core
-        grids = []
-        for kind, ids, index in zip(KINDS, ids_of, core.positions):
-            fibers: dict[str, dict[int, int]] = {}
-            for (base, h), item in ids.items():
-                fibers.setdefault(base, {})[slot[h]] = index[item]
-            flat: list[int] = []
-            entries: list[tuple[dict[int, int], int, int]] = []
-            starts: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
-            block = {}
-            for base, cells in fibers.items():
-                if 2 * len(cells) >= len(layers):
-                    shape, start = everywhere, (0, identity)
-                else:
-                    shape = tuple(sorted(cells))
-                    start = starts.get(shape)
-                    if start is None:
-                        local = {i: j for j, i in enumerate(shape)}
-                        start = starts[shape] = (
-                            len(layers) + len(entries), local)
-                        entries += [(local, i, len(shape)) for i in shape]
-                block[base] = len(flat), start
-                flat += [cells.get(i, -1) for i in shape]
-                flat.append(-1)
-            offsets, keys = [], []
-            for base, h in self.coordinates(kind):
-                offset, (start, local) = block[base]
-                offsets.append(offset)
-                keys.append(start + local[slot[h]])
-            grids.append((flat, entries, offsets, keys))
-        return layers, slot, grids
-
-    @cached_property
     def _columns(self) -> list[list[int]]:
-        """The block of :meth:`columns` of each kind, one slice per item of
-        its fiber's line in the id map, padded with span times -1; a fiber
-        whose layers are sparse (a halo 10**12 layers away) gathers the
-        layers within span of the item's instead."""
+        """The block of :meth:`columns` of each kind.
+
+        On a finite group each fiber's line holds the item at each layer,
+        indexed by the layer's position in the elements, or -1; with the
+        positions of g t over the elements g, one list per layer t and
+        |G|^2 group operations in all, the images of the item at (q, t)
+        are the line of q gathered through the list of t.
+
+        On an integer window each fiber's line in the id map is padded
+        with span times -1, and each item takes the slice of n = 2 span + 1
+        around its layer; a fiber whose layers are sparse (a halo 10**12
+        layers away) gathers the layers within span of the item's instead.
+        A kind's block holds (items + 1) n ints, about 4 / (3 n) of the
+        action's (g, h, item) triples, so an action over
+        :data:`~labgraphs.action.MAX_TRIPLES` triples raises
+        :class:`SearchSpaceExceeded` before its block is built, as
+        :func:`~labgraphs.action.verify_action` does: no caller reads a
+        block the verification would refuse."""
         span = self.interval_span()
-        n = 2 * span + 1
+        positions = self.graph.core.positions
         blocks = []
-        for kind, index in zip(KINDS, self.graph.core.positions):
+        if span is None:
+            elements = self.group.elements()
+            n, op = len(elements), self.group.op
+            position = {g: p for p, g in enumerate(elements)}
+            moved = {t: [position[op(g, t)] for g in elements]
+                     for t in elements}
+            for kind, index in zip(KINDS, positions):
+                lines: dict[str, list[int]] = defaultdict(lambda: [-1] * n)
+                for (base, t), item in self._pairs(kind)[1].items():
+                    lines[base][position[t]] = index[item]
+                block: list[int] = []
+                for base, t in self.coordinates(kind):
+                    line = lines[base]
+                    block += [line[p] for p in moved[t]]
+                blocks.append(block + [-1] * n)
+            return blocks
+        check_triples(self, "the scope block would serve")
+        n = 2 * span + 1
+        for kind, index in zip(KINDS, positions):
             fibers: dict[str, dict[int, int]] = {}
             for (base, t), item in self._pairs(kind)[1].items():
                 fibers.setdefault(base, {})[t] = index[item]
@@ -332,7 +305,7 @@ class TranslationAction(LabeledGraphAction):
                     for t, x in cells.items():
                         line[t - lo + span] = x
                 shapes[base] = lo, hi, line, layers, cells
-            block: list[int] = []
+            block = []
             for base, t in self.coordinates(kind):
                 lo, hi, line, layers, cells = shapes[base]
                 if line is not None and lo <= t <= hi:
@@ -346,9 +319,6 @@ class TranslationAction(LabeledGraphAction):
             block += [-1] * n
             blocks.append(block)
         return blocks
-
-    def columns(self, kind: str) -> list[int]:
-        return self._columns[KINDS.index(kind)]
 
     @cached_property
     def _coordinates(self) -> dict[str, list[tuple[str, Element]]]:
@@ -374,21 +344,6 @@ class TranslationAction(LabeledGraphAction):
         pairs, ids = self._pairs(kind)
         base, h = pairs[item]
         return ids.get((base, self.group.op(g, h)))
-
-    def _build_table(self, g: Element):
-        span = self.interval_span()
-        if span is not None and -span <= g <= span:
-            return tuple(block[g + span::2 * span + 1]
-                         for block in self._columns)
-        layers, slot, grids = self._grid
-        op, missing = self.group.op, len(layers)
-        shift = [slot.get(op(g, h), missing) for h in layers]
-        rows = []
-        for flat, entries, offsets, keys in grids:
-            moved = shift + [local.get(shift[i], n) for local, i, n in entries]
-            rows.append([flat[o + moved[k]] for o, k in zip(offsets, keys)]
-                        + [-1])
-        return tuple(rows)
 
     def interval_span(self) -> int | None:
         """The numeric width of all layers, max - min over every fiber;

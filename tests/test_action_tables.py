@@ -1,8 +1,8 @@
-"""Integer action tables against their definitional oracles: the table-based
-``verify_action`` must agree with the item-by-item ``apply`` version, and
-``orbits`` with brute-force group orbits (finite groups) or with the fibers
-over the base (translations), on fixtures and on random, windowed and
-deliberately broken actions."""
+"""Actions' blocks of scope images against their definitional oracles: the
+block-based ``verify_action`` must agree with the item-by-item ``apply``
+version, and ``orbits`` with brute-force group orbits (finite groups) or
+with the fibers over the base (translations), on fixtures and on random,
+windowed, non-abelian and deliberately broken actions."""
 
 import random
 import time
@@ -18,7 +18,8 @@ from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
                               homomorphism_triples, is_free, verify_action)
 from labgraphs.errors import SearchSpaceExceeded, VerificationError
 from labgraphs.graph import DirectedGraph, Edge
-from labgraphs.groups import CyclicGroup, IntegerGroup, Window
+from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
+                              Window)
 from labgraphs.gross_tucker import (check_equivariance,
                                     identity_layer_sections, reconstruct)
 from labgraphs.labeled import LabeledGraph
@@ -108,7 +109,7 @@ def rewired_z_action(rng: random.Random,
                      build=random_z_action) -> TranslationAction:
     """A windowed translation whose materialized graph gives one edge
     another range or source, or swaps its label with an edge of another
-    fiber, while the pair maps stay intact.  The tables are those of the
+    fiber, while the pair maps stay intact.  The block is that of the
     intact translation, so only the edge offsets of the translation
     certificate tell it apart.  The edge's fiber holds a second, untouched
     edge, which the scope moves onto it, so the change breaks a law."""
@@ -147,8 +148,8 @@ def rewired_z_action(rng: random.Random,
 def aliased_z_action(rng: random.Random,
                      build=random_z_action) -> TranslationAction:
     """A windowed translation whose id map also lists the top item of a
-    fiber one layer above it, while the pair maps stay intact.  The tables
-    then hold that item where the fiber's line holds -1, past the fiber's
+    fiber one layer above it, while the pair maps stay intact.  The block
+    then holds that item where the fiber's line holds -1, past the fiber's
     layers.  The fiber also holds the layer below the top, and the
     translation by 1 moves both of its top two items onto the top item,
     so injectivity fails."""
@@ -209,9 +210,10 @@ def random_generated_action(rng: random.Random) -> FiniteAction:
         finite.group, finite.graph, {g: finite.maps[g] for g in gens})
 
 
-def broken_finite_action(rng: random.Random) -> FiniteAction:
+def broken_finite_action(rng: random.Random,
+                         build=random_finite_translation) -> FiniteAction:
     """A raw finite action with one map entry changed, or two swapped."""
-    finite = fx.anonymize_action(random_finite_translation(rng), rng)
+    finite = fx.anonymize_action(build(rng), rng)
     maps = {g: tuple(dict(m) for m in t) for g, t in finite.maps.items()}
     g = rng.choice(sorted(maps, key=repr))
     mapping = rng.choice([m for m in maps[g] if len(m) >= 2])
@@ -253,27 +255,6 @@ def test_random_actions_agree_with_the_oracles(builder, seed):
     assert_agrees_with_oracles(BUILDERS[builder](random.Random(seed)))
 
 
-def assert_tables_match_apply(action, elements) -> None:
-    for g in elements:
-        for kind, row in zip(KINDS, action.table(g)):
-            items = action.carrier(kind)
-            assert len(row) == len(items) + 1 and row[-1] == -1
-            assert [items[j] if j >= 0 else None for j in row[:-1]] == [
-                action.apply(g, kind, x) for x in items]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(BUILDERS)), st.integers(0, 2 ** 32 - 1))
-def test_tables_match_apply(builder, seed):
-    """On integer windows the elements run three past the scope at both
-    ends, where most images leave the materialization."""
-    action = BUILDERS[builder](random.Random(seed))
-    span = action.interval_span()
-    elements = (action.scope_elements() if span is None
-                else range(-span - 3, span + 4))
-    assert_tables_match_apply(action, elements)
-
-
 def huge_cocycle_action() -> TranslationAction:
     """A one-loop base with c = 10**12 over the window -3..3."""
     base = LabeledGraph(DirectedGraph(["v"], [("e", "v", "v")]), {"e": "a"})
@@ -283,11 +264,11 @@ def huge_cocycle_action() -> TranslationAction:
 
 def test_huge_cocycle_tables_and_reconstruction():
     """A cocycle value of 10**12 puts the halo of a one-vertex window
-    10**12 layers away from it; the tables and the reconstruction must not
-    cost in proportion to that distance."""
+    10**12 layers away from it; the block of scope images and the
+    reconstruction must not cost in proportion to that distance."""
     start = time.perf_counter()
     action = huge_cocycle_action()
-    assert_tables_match_apply(action, action.scope_elements())
+    assert_columns_match_apply(action)
     rec = reconstruct(action, identity_layer_sections(action))
     assert time.perf_counter() - start < 0.5
     assert dict(rec.c) == {"e": 10 ** 12} and dict(rec.d) == {"e": 0}
@@ -318,31 +299,16 @@ def _sparse_layer_loops(n: int) -> TranslationAction:
     return TranslationAction(skew_product(spec, layers=layers))
 
 
-GRID_CASES = {
+#: Translations whose fibers share few layers: a halo far from the window
+#: per vertex, fibers far apart, and wide windows.  Six loops 100 layers
+#: apart give a scope of 1,009 elements, under the cap; sixty are refused
+#: (``test_sparse_layers_far_apart_are_refused``).
+SPARSE_CASES = {
     "distinct-cocycles": lambda: _distinct_cocycle_cycle(60),
-    "sparse-layers": lambda: _sparse_layer_loops(60),
+    "sparse-layers": lambda: _sparse_layer_loops(6),
     **{f"wide-{seed}": lambda seed=seed: wide_z_action(random.Random(seed))
        for seed in range(10)},
 }
-
-
-@pytest.mark.parametrize("name", sorted(GRID_CASES))
-def test_grid_size_follows_the_carrier(name):
-    """Fibers that share few layers must not inflate the layer grid: each
-    kind holds at most two slots per item and one per fiber, and the slot
-    maps of its distinct fiber shapes at most one entry per item, however
-    many distinct layers the carrier has.  The tables are checked on a few
-    short and long translations, since the scope of the sparse layers
-    runs to thousands of elements."""
-    action = GRID_CASES[name]()
-    _, _, grids = action._grid
-    for kind, (flat, entries, _, _) in zip(KINDS, grids):
-        items = action.carrier(kind)
-        assert len(flat) <= (2 * len(items)
-                             + len(translation_fibers(action, kind)))
-        assert len(entries) <= len(items)
-    assert_tables_match_apply(
-        action, [*range(-8, 9), 100, -100, 10 ** 6, -10 ** 6])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -446,7 +412,7 @@ INTACT_TRANSLATIONS = {
        for name, build in (("z", random_z_action), ("wide", wide_z_action),
                            ("pullback", pullback_z_action))
        for seed in range(15)},
-    **{name: case for name, case in GRID_CASES.items()
+    **{name: case for name, case in SPARSE_CASES.items()
        if name.startswith("wide")},
 }
 
@@ -456,22 +422,20 @@ def test_intact_translations_skip_the_scans(name):
     """On an intact translation the certificate holds, so the witness
     scans never run and the report is the one they would give: no
     failure, every scope element, and every pair whose sum is in the
-    scope.  Verifying, testing freeness and reconstructing read the
-    action's columns only, so no per-element table is built."""
+    scope."""
     action = INTACT_TRANSLATIONS[name]()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(action_module, "_homomorphism_interval", _refuse_the_scans)
+        mp.setattr(action_module, "_homomorphism", _refuse_the_scans)
         report = verify_action(action)
     assert report == ActionReport(True, (), len(action.scope_elements()),
                                   homomorphism_pairs(action), True)
     assert is_free(action)
     reconstruct(action)
-    assert action._tables == {}
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_rewired_edges_are_refused_by_their_offsets(seed):
-    """A rewired edge leaves the tables and the coordinates of the intact
+    """A rewired edge leaves the block and the coordinates of the intact
     translation, so the placement and the lines of the certificate hold;
     only the edge offsets refuse it, and the scans name the oracle's
     failures.  One seed in four rewires a wide window."""
@@ -479,8 +443,8 @@ def test_rewired_edges_are_refused_by_their_offsets(seed):
     action = rewired_z_action(random.Random(seed), build)
     skew = action.skew
     intact = TranslationAction(skew_product(skew.spec, skew.window))
-    for g in action.scope_elements():
-        assert action.table(g) == intact.table(g)
+    for kind in KINDS:
+        assert action.columns(kind) == intact.columns(kind)
     report = verify_action(action)
     assert not report.ok
     assert report == verify_action_exhaustive(action)
@@ -607,10 +571,10 @@ def test_broken_comparison_maps_fail_where_the_oracle_does():
 def test_interior_vertices_match_their_definition():
     """Counting the materialized edges that enter a window vertex gives the
     vertices whose every base in-edge has its source layer materialized,
-    on the skew products of every builder, the layer-grid cases, the
+    on the skew products of every builder, the sparse-layer cases, the
     fixtures and the reconstructions."""
     skews = [fx.skewz(), fx.nofd(), huge_cocycle_action().skew,
-             *(case().skew for case in GRID_CASES.values())]
+             *(case().skew for case in SPARSE_CASES.values())]
     for seed in range(40):
         for name, build in sorted(RECONSTRUCTION_CASES.items()):
             action = build(random.Random(seed))
@@ -658,7 +622,7 @@ def _widest_window_under(spec, lo: int, cap: int) -> int:
 @given(st.integers(0, 2 ** 32 - 1), st.integers(10 ** 3, 2 * 10 ** 5))
 def test_windows_just_under_and_over_the_cap(seed, cap):
     """With the cap set to ``cap``, the widest window under it verifies,
-    and one layer more is refused before any table is built, naming the
+    and one layer more is refused before its block is built, naming the
     cap and the count."""
     rng = random.Random(seed)
     base = fx.random_valid_labeled_graph(rng, max_vertices=3, max_letters=2,
@@ -681,37 +645,36 @@ def test_windows_just_under_and_over_the_cap(seed, cap):
         with pytest.raises(SearchSpaceExceeded,
                            match=f"{triples} .* MAX_TRIPLES = {cap}$"):
             verify_action(over)
-        assert not over._tables
+        assert "_columns" not in over.__dict__
 
 
 def test_sparse_layers_far_apart_are_refused():
     """The scope of a translation spans the numeric width of all layers:
     60 one-loop fibers 100 layers apart give span 5,904, whose triples are
-    over the cap, so verify_action refuses them before building a table
+    over the cap, so verify_action refuses them before building a block
     rather than checking thousands of elements that move nothing onto the
     carrier."""
     action = _sparse_layer_loops(60)
     assert action.interval_span() == 5904
     with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
         verify_action(action)
-    assert action._tables == {}
+    assert "_columns" not in action.__dict__
 
 
 def test_is_free_refuses_sparse_layers_far_apart():
-    """The item-major block ``is_free`` reads holds about one int per
-    (g, h, item) triple, so the sparse-layer action is refused under the
-    same cap as verify_action, before its block is built."""
+    """An integer block is refused under the same cap as verify_action,
+    before it is built, so ``is_free``, which reads it without verifying,
+    refuses the sparse-layer action too."""
     action = _sparse_layer_loops(60)
     assert homomorphism_triples(action) > MAX_TRIPLES
     with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
         is_free(action)
     assert "_columns" not in action.__dict__
-    assert action._tables == {}
 
 
 def test_skewz_windows_at_the_cap():
     """The cap itself: the widest skewz window under it verifies (about a
-    second), and one layer more is refused without a table."""
+    second), and one layer more is refused without a block."""
     spec = fx.skewz_spec()
     width = _widest_window_under(spec, 0, MAX_TRIPLES)
     assert verify_action(
@@ -719,10 +682,10 @@ def test_skewz_windows_at_the_cap():
     over = TranslationAction(skew_product(spec, Window(0, width + 1)))
     with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
         verify_action(over)
-    assert not over._tables
+    assert "_columns" not in over.__dict__
 
 
-# -- the item-major block of an integer window -----------------------------------
+# -- the item-major block of scope images ---------------------------------------
 
 
 FREENESS_BUILDERS = {
@@ -765,53 +728,130 @@ def test_is_free_finds_fixed_items_on_both_scopes():
 
 
 def assert_columns_match_apply(action) -> None:
-    """Item x's images over the scope sit at ``columns(kind)[x n + g +
-    span]``, as the positions of ``apply``, -1 where it gives None, and the
-    block ends with n slots of -1.  On a scope of more than 200 elements
-    only the g that reach a layer of x's fiber are applied, and every other
-    slot must hold -1; on smaller scopes the table of every scope element
-    is the block's stride slice, -1 sentinel included
-    (``test_tables_match_apply`` checks the tables up to three elements
-    past the scope, where the layer grid builds them)."""
-    span = action.interval_span()
-    n = 2 * span + 1
+    """Item x's image under the p-th scope element sits at
+    ``columns(kind)[x n + p]``, as the position of ``apply``'s image, -1
+    where it gives None, and the block ends with n slots of -1.  On a
+    scope of more than 200 elements (an integer interval, p = g + span)
+    only the g that reach a layer of x's fiber are applied, and every
+    other slot must hold -1."""
+    scope = action.scope_elements()
+    n, span = len(scope), action.interval_span()
     for kind in KINDS:
         items, index = action.carrier(kind), action.index(kind)
         cols = action.columns(kind)
         assert len(cols) == (len(items) + 1) * n
         assert cols[len(items) * n:] == [-1] * n
-        pairs, ids = action._pairs(kind)
-        fiber_layers: dict[str, list[int]] = {}
-        for base, t in ids:
-            fiber_layers.setdefault(base, []).append(t)
+        if n > 200:
+            pairs, ids = action._pairs(kind)
+            fiber_layers: dict[str, list[int]] = {}
+            for base, t in ids:
+                fiber_layers.setdefault(base, []).append(t)
         for x, item in enumerate(items):
             column = cols[x * n:x * n + n]
             if n <= 200:
-                elements = range(-span, span + 1)
+                elements = enumerate(scope)
             else:
                 base, t = pairs[item]
-                elements = [u - t for u in fiber_layers[base]
+                elements = [(u - t + span, u - t) for u in fiber_layers[base]
                             if abs(u - t) <= span]
                 assert sum(j >= 0 for j in column) == len(elements)
-            for g in elements:
+            for p, g in elements:
                 image = action.apply(g, kind, item)
-                assert column[g + span] == (-1 if image is None
-                                            else index[image])
-    if n <= 200:
-        for g in range(-span, span + 1):
-            assert action.table(g) == tuple(action.columns(kind)[g + span::n]
-                                            for kind in KINDS)
+                assert column[p] == (-1 if image is None else index[image])
 
 
 BLOCK_CASES = {
     "huge-cocycle": huge_cocycle_action,
-    **GRID_CASES,
+    **SPARSE_CASES,
     **{f"{name}-{seed}": lambda build=build, seed=seed: build(
         random.Random(seed))
-       for name, build in INTEGER_BUILDERS.items() for seed in range(12)},
+       for name, build in [*INTEGER_BUILDERS.items(), *BUILDERS.items()]
+       if name != "z-pullback" for seed in range(12)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_columns_match_apply(name):
+    """Every builder, finite and integer, with the sparse-layer cases; the
+    integer pullback builder is listed once, as ``pullback``."""
     assert_columns_match_apply(BLOCK_CASES[name]())
+
+
+# -- non-abelian groups --------------------------------------------------------
+
+
+#: Groups whose products g h and h g differ, with the trivial group, whose
+#: scope holds the identity alone (it is not broken: a skew product over
+#: it may have no two items of a kind to swap).
+SMALL_GROUPS = {
+    "S3": PermutationGroup(3, [(1, 0, 2), (1, 2, 0)]),
+    "D4": PermutationGroup(4, [(1, 2, 3, 0), (3, 2, 1, 0)]),
+    "C1": CyclicGroup(1),
+}
+
+
+def group_translation(group, rng: random.Random) -> TranslationAction:
+    """Translation on the skew product of a random base over ``group``,
+    with cocycle values drawn from the whole group."""
+    base = fx.random_valid_labeled_graph(rng, max_vertices=3, max_letters=2,
+                                         extra_edges=2)
+    elements = group.elements()
+    c = {e.eid: rng.choice(elements) for e in base.graph.edges}
+    d = {e.eid: rng.choice(elements) for e in base.graph.edges}
+    return TranslationAction(skew_product(SkewSpec(base, group, c, d)))
+
+
+GROUP_BUILDERS = {
+    "translation": group_translation,
+    "raw": lambda group, rng: fx.anonymize_action(
+        group_translation(group, rng), rng),
+    "raw-broken": lambda group, rng: broken_finite_action(
+        rng, lambda rng: group_translation(group, rng)),
+}
+
+NONABELIAN_CASES = {
+    f"{name}-{shape}-{seed}":
+        lambda group=group, build=build, seed=seed: build(
+            group, random.Random(seed))
+    for name, group in SMALL_GROUPS.items()
+    for shape, build in GROUP_BUILDERS.items() for seed in range(4)
+    if name != "C1" or shape != "raw-broken"
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONABELIAN_CASES))
+def test_nonabelian_actions_agree_with_the_oracles(name):
+    """On fixed seeds over S3, D4 and the trivial group, intact and with
+    one map entry broken: the block matches ``apply``, and
+    ``verify_action``, ``is_free`` and ``check_equivariance`` give their
+    oracles' reports, counts and witnesses.  A product taken in the wrong
+    order (h g for g h) would break these on S3 and D4."""
+    action = NONABELIAN_CASES[name]()
+    assert_columns_match_apply(action)
+    report = verify_action(action)
+    assert report == verify_action_exhaustive(action)
+    assert is_free(action) == is_free_exhaustive(action)
+    if report.ok:
+        rec = reconstruct(action)
+        maps = comparison_maps(rec)
+        assert equivariance_oracle(action, rec.skew, maps) == (
+            rec.equivariance_checked, None)
+        for seed in range(4):
+            assert_equivariance_agrees(
+                action, rec.skew, broken_maps(maps, random.Random(seed)))
+
+
+def test_nonabelian_cases_are_not_vacuous():
+    """The intact cases verify, every broken case over S3 and D4 fails the
+    homomorphism law, and the two groups do not commute."""
+    for name, group in SMALL_GROUPS.items():
+        elements = group.elements()
+        commute = all(group.op(g, h) == group.op(h, g)
+                      for g in elements for h in elements)
+        assert commute == (name == "C1")
+    for name, case in NONABELIAN_CASES.items():
+        laws = {law for law, _ in verify_action(case()).failures}
+        if "broken" in name:
+            assert "homomorphism" in laws
+        else:
+            assert not laws
