@@ -288,10 +288,15 @@ MAX_TRIPLES = 1 << 27
 def homomorphism_pairs(action: LabeledGraphAction) -> int:
     """The pairs (g, h) of scope elements whose product is in the scope.
     On the scope -span..span, g + h leaves it for span (span + 1) of the
-    n^2 pairs; finite groups keep all of them."""
-    n = len(action.scope_elements())
+    n^2 pairs; finite groups keep all of them.  The scope of an interval
+    is counted from its span, never listed, so a refusal costs nothing
+    however far apart its layers lie."""
     span = action.interval_span()
-    return n * n if span is None else n * n - span * (span + 1)
+    if span is None:
+        n = len(action.scope_elements())
+        return n * n
+    n = 2 * span + 1
+    return n * n - span * (span + 1)
 
 
 def homomorphism_triples(action: LabeledGraphAction) -> int:
@@ -527,11 +532,13 @@ def is_free(action: LabeledGraphAction) -> Check:
     and carrier order.  Each vertex and letter x is looked up in its slice
     of :meth:`LabeledGraphAction.columns`, at the first position other
     than the identity's that holds x."""
+    # The blocks first: an oversized integer scope is refused by them
+    # before it is listed.
+    blocks = [action.columns(kind) for kind in (VERTEX, LETTER)]
     scope = action.scope_elements()
     n, ident = len(scope), scope.index(action.group.identity)
     least = None
-    for kind in (VERTEX, LETTER):
-        cols = action.columns(kind)
+    for kind, cols in zip((VERTEX, LETTER), blocks):
         for x in range(len(cols) // n - 1):
             col = cols[x * n:x * n + n]
             if col.count(x) > (col[ident] == x):

@@ -186,10 +186,9 @@ def _cmd_lattice(args):
     closed = relative_complement_closure(col)
     report = labeled_space_report(lg, closed, word_bound=args.max_len)
     # each mask's sorted members and their text, shared by both listings
-    sets = {}
-    for m in {*col.members, *closed.members}:
-        vs = sorted(lg.set_of(m))
-        sets[m] = vs, "{" + ", ".join(vs) + "}"
+    masks = [*{*col.members, *closed.members}]
+    sets = {m: (list(vs), "{" + ", ".join(vs) + "}")
+            for m, vs in zip(masks, lg.names_of(masks))}
     listings = {}
     for name, coll in (("smallest_accommodating", col),
                        ("relative_complement_closure", closed)):

@@ -9,9 +9,10 @@ masks one letter at a time (:meth:`LabeledGraph.range_mask`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import NotALabeledPath, PreconditionError
 from .graph import DirectedGraph, Path, paths_of_length
@@ -197,6 +198,10 @@ class LabeledGraph:
         return mask
 
     def set_of(self, mask: int) -> frozenset[str]:
+        """The vertices of one mask, walked bit by bit.  Masks outside
+        [0, :meth:`full_mask`] raise ``MASK_OUT_OF_RANGE``.  For many masks
+        use :meth:`names_of`, whose independent oracle this is."""
+        self._require_masks((mask,))
         vs = self.vertices
         out = set()
         while mask:
@@ -204,6 +209,31 @@ class LabeledGraph:
             out.add(vs[i])
             mask &= mask - 1
         return frozenset(out)
+
+    def names_of(self, masks: Sequence[int], *,
+                 frozen: bool = False) -> list:
+        """Each mask's vertices, in vertex order as a tuple of names, or as
+        a frozenset with ``frozen``.  The vertices are stored sorted, so
+        vertex order is name order.
+
+        The vertices are cut into chunks of :data:`CHUNK_BITS`; each
+        chunk's table of the names of its 2^w subsets is built per call
+        (:func:`chunk_tables`), and a mask's entries are joined.  Masks
+        outside [0, :meth:`full_mask`] raise ``MASK_OUT_OF_RANGE``."""
+        self._require_masks(masks)
+        join = operator.or_ if frozen else operator.add
+        unit = frozenset if frozen else tuple
+        return fold_chunks(masks, chunk_tables(
+            [unit((v,)) for v in self.vertices], unit(), join), join)
+
+    def _require_masks(self, masks: Sequence[int]) -> None:
+        full = self.full_mask()
+        if masks and not 0 <= min(masks) <= max(masks) <= full:
+            bad = next(m for m in masks if not 0 <= m <= full)
+            raise PreconditionError(
+                "MASK_OUT_OF_RANGE",
+                f"mask {bad} is outside [0, {full}] for "
+                f"{len(self.vertices)} vertices")
 
     def full_mask(self) -> int:
         return (1 << len(self.vertices)) - 1
@@ -234,6 +264,38 @@ class LabeledGraph:
             if not mask:
                 break
         return mask
+
+
+#: Width of the chunks :func:`chunk_tables` cuts a vertex order into.
+CHUNK_BITS = 8
+_CHUNK_LOW = (1 << CHUNK_BITS) - 1
+
+
+def chunk_tables(values: Sequence[Any], empty: Any, join) -> list[list]:
+    """Per chunk of :data:`CHUNK_BITS` consecutive ``values``, the table
+    of the joins of its 2^w subsets: entry k of the table of the chunk
+    starting at value i is ``empty`` joined with value i + j for each bit
+    j of k, in increasing j.  No values give the one table [empty]."""
+    tables = []
+    for lo in range(0, len(values) or 1, CHUNK_BITS):
+        table = [empty]
+        for x in values[lo:lo + CHUNK_BITS]:
+            table += [join(t, x) for t in table]
+        tables.append(table)
+    return tables
+
+
+def fold_chunks(masks: Sequence[int], tables: list[list], join) -> list:
+    """For each mask, its entries in the :func:`chunk_tables` ``tables``,
+    joined in chunk order; one list pass per chunk.  Masks must lie in
+    [0, 2^n) for n the number of values the tables were built from."""
+    first, *rest = tables
+    out = [first[m & _CHUNK_LOW] for m in masks]
+    for shift, table in enumerate(rest, 1):
+        shift *= CHUNK_BITS
+        out = list(map(join, out,
+                       [table[m >> shift & _CHUNK_LOW] for m in masks]))
+    return out
 
 
 # -- labeled path space ----------------------------------------------------

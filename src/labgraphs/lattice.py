@@ -4,6 +4,7 @@ report."""
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -12,7 +13,7 @@ from typing import Iterable, Mapping
 from .errors import (NotAMember, PreconditionError, SearchSpaceExceeded,
                      VerificationError)
 from .graph import require_valid
-from .labeled import Check, LabeledGraph, Word
+from .labeled import Check, LabeledGraph, Word, chunk_tables, fold_chunks
 
 # Derivation expressions: leaves are ranges of words; inner nodes reference
 # other members by mask.
@@ -43,7 +44,7 @@ class SetCollection:
         return len(self.members)
 
     def sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(self.lg.set_of(m) for m in self.members)
+        return tuple(self.lg.names_of(self.members, frozen=True))
 
     def mask_of(self, vertices: Iterable[str]) -> int:
         return self.lg.mask_of(vertices)
@@ -99,7 +100,9 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
     are members.  A range with no derivation yet becomes a generator, which
     may refine the basis (a range of a member lies in the closure, so no
     generator adds too much); this repeats until every basis element has
-    been stepped.
+    been stepped.  A basis element is stepped letter by letter in alphabet
+    order, each range the OR of the letter's successor rows
+    (:attr:`LabeledGraph._step`) of the element's vertices.
 
     The members are then listed as the nonempty unions of the basis
     elements, in one pass per basis element b over the unions listed
@@ -119,10 +122,7 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
 
     def generate(mask: int, deriv: Derivation) -> None:
         derivations[mask] = deriv
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for v in _bits(mask):
             cur = meet[v]
             if not cur:
                 meet[v] = mask
@@ -142,8 +142,11 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
         for b in fresh:
             stepped.add(b)
             prev = derivations[b]
-            for letter in lg.alphabet:
-                value = lg.range_mask(b, (letter,))
+            inside = _bits(b)
+            for letter, row in zip(lg.alphabet, lg._step):
+                value = 0
+                for v in inside:
+                    value |= row[v]
                 if value and value not in derivations:
                     generate(value, ("range", prev[1] + (letter,))
                              if prev[0] == "range" else ("step", b, letter))
@@ -166,6 +169,15 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
                             if union not in derivations})
         listed.update(fresh)
     return derivations
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _basis(meet: list[int], derivations: dict[int, Derivation],
@@ -401,7 +413,14 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     The closure checks test the set of all meets, joins or strict
     differences of range pairs for containment in the members at once;
     only a failing check scans the pairs in order to name its first
-    witness."""
+    witness.
+
+    ``label_counts`` maps each member's vertex set, decoded once for all
+    members (:meth:`LabeledGraph.names_of`), to the number of letters its
+    vertices emit: the popcount of the OR of the member's entries in
+    per-call chunk tables (:func:`~labgraphs.labeled.chunk_tables`) of the
+    letters each vertex emits, read from the same edge scan as the
+    fibers."""
     if word_bound < 1:
         raise PreconditionError(
             "WORD_BOUND_BELOW_ONE", f"word bound must be >= 1, got {word_bound}")
@@ -433,14 +452,16 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
 
     # Per-letter tables from one scan of the edge arrays, never through the
     # step masks that range_mask sweeps: the vertices emitting each letter,
-    # and each vertex's fiber under it.
+    # each vertex's fiber under it, and the letters each vertex emits.
     core = lg.core
     nv = len(lg.vertices)
     emitters = [0] * len(lg.alphabet)
     fibers = [[0] * nv for _ in lg.alphabet]
+    emits = [0] * nv
     for v, w, a in zip(core.src, core.dst, core.lab):
         emitters[a] |= 1 << v
         fibers[a][v] |= 1 << w
+        emits[v] |= 1 << a
     silent = lg.full_mask()
     for mask in emitters:
         silent &= ~mask
@@ -450,10 +471,10 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     # member's fiber equals its range, so only differing rows need the
     # per-member comparison below, which names the first failing member.
     steps_match = fibers == lg._step
-    counts = [0] * len(col.members)
-    for e in emitters:
-        counts = [c + (mask & e != 0) for c, mask in zip(counts, col.members)]
-    label_counts = dict(zip(map(lg.set_of, col.members), counts))
+    keys = lg.names_of(col.members, frozen=True)
+    letters = fold_chunks(col.members, chunk_tables(emits, 0, operator.or_),
+                          operator.or_)
+    label_counts = dict(zip(keys, map(int.bit_count, letters)))
     ck4: Check = Check(True)
     for mask in col.members if silent or not steps_match else ():
         if mask & silent:

@@ -286,15 +286,16 @@ def _distinct_cocycle_cycle(n: int) -> TranslationAction:
     return TranslationAction(skew_product(spec, Window(-3, 3)))
 
 
-def _sparse_layer_loops(n: int) -> TranslationAction:
-    """n one-loop fibers, each with 5 layers of its own, 100 apart."""
+def _sparse_layer_loops(n: int, apart: int = 100) -> TranslationAction:
+    """n one-loop fibers, each with 5 layers of its own, ``apart`` layers
+    apart."""
     vertices = [f"v{i}" for i in range(n)]
     edges = [(f"e{i}", v, v) for i, v in enumerate(vertices)]
     base = LabeledGraph(DirectedGraph(vertices, edges),
                         {eid: "a" for eid, _, _ in edges})
     spec = SkewSpec(base, IntegerGroup(), {eid: 1 for eid, _, _ in edges},
                     {eid: 0 for eid, _, _ in edges})
-    layers = {v: tuple(100 * i + k for k in range(5))
+    layers = {v: tuple(apart * i + k for k in range(5))
               for i, v in enumerate(vertices)}
     return TranslationAction(skew_product(spec, layers=layers))
 
@@ -669,6 +670,23 @@ def test_is_free_refuses_sparse_layers_far_apart():
     assert homomorphism_triples(action) > MAX_TRIPLES
     with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
         is_free(action)
+    assert "_columns" not in action.__dict__
+
+
+def test_layers_far_apart_are_refused_without_listing_the_scope(monkeypatch):
+    """The cap counts an integer scope from its span: two fibers 10**9
+    layers apart are refused by verify_action and is_free without the
+    scope of 2 * 10**9 elements ever being listed."""
+    action = _sparse_layer_loops(2, apart=10 ** 9)
+    assert action.interval_span() == 10 ** 9 + 4
+
+    def unlisted():
+        raise AssertionError("the scope was listed")
+
+    monkeypatch.setattr(action, "scope_elements", unlisted)
+    for check in (verify_action, is_free):
+        with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
+            check(action)
     assert "_columns" not in action.__dict__
 
 

@@ -103,6 +103,18 @@ class TestExitCodes:
         assert first == second
 
 
+def test_every_matrix_command_exits_0_1_or_2():
+    """The contract of ``main`` over every command of
+    ``tools/cli_matrix.py``: an exit code of 0, 1 or 2, and no exception
+    escapes."""
+    from tools.cli_matrix import commands
+    with commands() as argvs:
+        assert len(argvs) > 480
+        for label, argv in argvs:
+            code, _, _ = run(argv)
+            assert code in (0, 1, 2), label
+
+
 class TestReports:
     def test_gross_tucker_prints_worked_example_values(self):
         code, out, _ = run(["gross-tucker", "fixtures/gt510-action.json",

@@ -3,13 +3,15 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from labgraphs import fixtures as fx
 from labgraphs.errors import (NotALabeledPath, PreconditionError,
                               SearchSpaceExceeded)
 from labgraphs.graph import DirectedGraph
-from labgraphs.labeled import (LabeledGraph, is_left_resolving,
+from labgraphs.labeled import (CHUNK_BITS, LabeledGraph, is_left_resolving,
                                is_weakly_left_resolving, label_set,
                                labeled_paths, range_and_source, relative_range,
                                representatives)
@@ -320,3 +322,54 @@ def _subsets(items):
     items = list(items)
     for mask in range(1 << len(items)):
         yield [items[i] for i in range(len(items)) if mask >> i & 1]
+
+
+#: Vertex counts on either side of every chunk boundary of the decoder.
+DECODER_SIZES = (1, CHUNK_BITS, CHUNK_BITS + 1, 2 * CHUNK_BITS,
+                 2 * CHUNK_BITS + 1, 40)
+
+
+@st.composite
+def decoder_cases(draw):
+    """A graph whose vertex names sort apart from their creation order
+    (v10 before v2), and masks over it with 0 and the full mask among
+    them."""
+    n = draw(st.sampled_from(DECODER_SIZES))
+    lg = cycle(n)
+    full = lg.full_mask()
+    masks = draw(st.lists(st.integers(0, full) | st.sampled_from([0, full]),
+                          max_size=40))
+    return lg, masks
+
+
+class TestDecoder:
+    @settings(max_examples=150, deadline=None)
+    @given(decoder_cases())
+    def test_names_match_the_bit_walk(self, case):
+        lg, masks = case
+        assert lg.names_of(masks, frozen=True) == [lg.set_of(m)
+                                                   for m in masks]
+        assert ([list(names) for names in lg.names_of(masks)]
+                == [sorted(lg.set_of(m)) for m in masks])
+
+    @pytest.mark.parametrize("n", DECODER_SIZES)
+    def test_every_chunk_boundary_bit(self, n):
+        lg = cycle(n)
+        masks = [1 << i for i in range(n)] + [0, lg.full_mask()]
+        assert lg.names_of(masks)[:n] == [(v,) for v in lg.vertices]
+        assert lg.names_of(masks)[n:] == [(), lg.vertices]
+
+    @pytest.mark.parametrize("n", DECODER_SIZES)
+    def test_masks_outside_the_vertices_are_refused(self, n):
+        lg = cycle(n)
+        full = lg.full_mask()
+        assert lg.set_of(0) == frozenset()
+        assert lg.set_of(full) == frozenset(lg.vertices)
+        assert lg.names_of([0, full]) == [(), lg.vertices]
+        for bad in (full + 1, full | 1 << n, 1 << n + CHUNK_BITS, -1):
+            with pytest.raises(PreconditionError, match="MASK_OUT_OF_RANGE"):
+                lg.set_of(bad)
+            for frozen in (False, True):
+                with pytest.raises(PreconditionError,
+                                   match="MASK_OUT_OF_RANGE"):
+                    lg.names_of([0, full, bad], frozen=frozen)

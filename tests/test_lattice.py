@@ -534,3 +534,32 @@ class TestReportOracle:
                         failures += not _report_matches_oracle(lg, closed).ck4
             lg.__dict__["_step"] = clean
         assert failures
+
+
+@st.composite
+def wide_report_cases(draw):
+    """A sparse graph on 17 to 24 vertices, so the member masks span three
+    decoder chunks while the range table stays small, and a collection of
+    a few members: random masks and some of the range values."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    vertices = [f"v{i}" for i in range(rng.randint(17, 24))]
+    edges = [(f"e{k}", v, rng.choice(vertices))
+             for k, v in enumerate(vertices * 2) if rng.random() < 0.6]
+    lg = LabeledGraph(DirectedGraph(vertices, edges),
+                      {eid: rng.choice("abc") for eid, _, _ in edges})
+    ranges = [value for value, _ in lg.range_table.ranges]
+    members = {rng.randrange(1, lg.full_mask() + 1)
+               for _ in range(rng.randint(0, 6))}
+    members.update(rng.sample(ranges, min(len(ranges), rng.randint(0, 6))))
+    members.add(lg.full_mask())
+    derivations = {m: ("range", ()) for m in members}
+    return lg, SetCollection(lg, tuple(sorted(members)), derivations)
+
+
+class TestWideReports:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_report_cases(), st.sampled_from([1, 2, 4]))
+    def test_report_matches_oracle_across_chunks(self, case, bound):
+        lg, coll = case
+        report = _report_matches_oracle(lg, coll, bound)
+        assert frozenset(lg.vertices) in report.label_counts

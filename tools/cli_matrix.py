@@ -5,16 +5,22 @@ its exit code, stdout and stderr.
 Every fixture document runs under ``lattice``, ``translate``,
 ``act-check``, ``quotient``, ``gross-tucker`` (plain and
 ``--label-consistent``), ``fundomain`` and ``properties``, with no window
-and with the windows -3:3 and 0:4, in text and with ``--json``.  The
-commands run in-process against the ``src/`` of the checkout this script
-sits in, so running it in two checkouts and diffing the two printouts
-shows every command whose output changed:
+and with the windows -3:3 and 0:4, in text and with ``--json``.  Three
+generated graph documents with more vertices than one chunk of the
+vertex-set decoder (``LabeledGraph.names_of``) run under ``lattice`` in
+text and with ``--json``: the shift graphs of 9 and 12 vertices
+(``tests/helpers.shift_graph``) and a seeded 20-vertex graph.  They are
+written to a temporary directory and printed as ``generated/<name>``.
+The commands run in-process against the ``src/`` of the checkout this
+script sits in, so running it in two checkouts and diffing the two
+printouts shows every command whose output changed:
 
     python tools/cli_matrix.py > after.txt
     (cd ../other-checkout && python tools/cli_matrix.py) > before.txt
     diff before.txt after.txt
 
-Only the standard library and the checkout's own ``labgraphs`` are used.
+Only the standard library, the checkout's own ``labgraphs`` and
+``tests/helpers.py`` are used.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
+import tempfile
 import traceback
+from typing import Iterator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,12 +52,53 @@ FORMATS = ((), ("--json",))
 
 
 def matrix() -> list[list[str]]:
-    """Every command of the matrix, as argv lists, in a fixed order."""
+    """Every command on the fixture documents, as argv lists, in a fixed
+    order."""
     fixtures = sorted(name for name in os.listdir(os.path.join(ROOT, "fixtures"))
                       if name.endswith(".json"))
     return [[command[0], f"fixtures/{name}", *command[1:], *window, *fmt]
             for name in fixtures for command in COMMANDS
             for window in WINDOWS for fmt in FORMATS]
+
+
+def seeded_graph(seed: int, n: int):
+    """A valid graph on ``n`` vertices whose closures stay small: letter a
+    permutes the vertices in cycles of 4 and letter b adds two random
+    edges.  Seed 0 at 20 vertices gives 81 and 511 members."""
+    from labgraphs.graph import DirectedGraph
+    from labgraphs.labeled import LabeledGraph
+    rng = random.Random(seed)
+    vertices = [f"v{i:02d}" for i in range(n)]
+    order = vertices[:]
+    rng.shuffle(order)
+    edges = [(f"a{i:02d}", order[i], order[i - i % 4 + (i + 1) % 4])
+             for i in range(n)]
+    edges += [(f"b{i:02d}", rng.choice(vertices), rng.choice(vertices))
+              for i in range(2)]
+    return LabeledGraph(DirectedGraph(vertices, edges),
+                        {eid: eid[0] for eid, _, _ in edges})
+
+
+@contextlib.contextmanager
+def commands() -> Iterator[list[tuple[str, list[str]]]]:
+    """Every command of the matrix as (label, argv), the fixture commands
+    first; the generated documents exist while the context is open."""
+    for path in ("src", "tests"):
+        if os.path.join(ROOT, path) not in sys.path:
+            sys.path.insert(0, os.path.join(ROOT, path))
+    from helpers import shift_graph
+    from labgraphs import jsonio
+    graphs = {"shift-09.json": shift_graph(9),
+              "shift-12.json": shift_graph(12),
+              "seeded-20.json": seeded_graph(0, 20)}
+    with tempfile.TemporaryDirectory() as tmp:
+        generated = []
+        for name, lg in graphs.items():
+            path = os.path.join(tmp, name)
+            jsonio.dump(jsonio.graph_to_json(lg), path)
+            generated += [(" ".join(["lattice", f"generated/{name}", *fmt]),
+                           ["lattice", path, *fmt]) for fmt in FORMATS]
+        yield [(" ".join(argv), argv) for argv in matrix()] + generated
 
 
 def run(main, argv: list[str]) -> str:
@@ -72,11 +122,11 @@ def run(main, argv: list[str]) -> str:
 
 
 def main() -> int:
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from labgraphs.cli import main as cli_main
     os.chdir(ROOT)
-    for argv in matrix():
-        print(f"{run(cli_main, argv)}  {' '.join(argv)}")
+    with commands() as argvs:
+        from labgraphs.cli import main as cli_main
+        for label, argv in argvs:
+            print(f"{run(cli_main, argv)}  {label}")
     return 0
 
 
