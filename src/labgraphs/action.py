@@ -106,7 +106,7 @@ class LabeledGraphAction:
         index, scope = self.index(kind), self.scope_elements()
         s, t, n = index[source], index[target], len(scope)
         images = self.columns(kind)[s * n:s * n + n]
-        return tuple(h for h, j in zip(scope, images) if j == t)
+        return tuple([h for h, j in zip(scope, images) if j == t])
 
     def lifting_scope(self) -> tuple[str, ...]:
         """Vertices at which path-lifting statements are quantified."""

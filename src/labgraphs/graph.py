@@ -3,16 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionError, SearchSpaceExceeded
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge id with its source and target vertex ids.
+
+    An edge is the tuple (eid, src, dst): it compares, orders and hashes
+    as that tuple, so it equals a plain tuple of the same three ids."""
+
     eid: str
     src: str
     dst: str
+
+    @classmethod
+    def _many(cls, eids: Iterable[str], srcs: Iterable[str],
+              dsts: Iterable[str]) -> tuple[Edge, ...]:
+        """The edges of parallel id sequences.  Each is built by
+        ``tuple.__new__``, as ``Edge(eid, src, dst)`` builds it, without a
+        Python call per edge."""
+        return tuple(map(tuple.__new__, repeat(cls), zip(eids, srcs, dsts)))
 
 
 @dataclass(frozen=True)
@@ -36,42 +50,76 @@ class Path:
         return iter(self.edges)
 
 
+def _incident(vertices: tuple[str, ...], edges: tuple[Edge, ...],
+              end: int) -> dict[str, tuple[Edge, ...]]:
+    """Per vertex, the edges whose field ``end`` (1 the source, 2 the
+    target) is that vertex, in edge order."""
+    by_vertex: dict[str, list[Edge]] = {v: [] for v in vertices}
+    for e in edges:
+        by_vertex[e[end]].append(e)
+    return {v: tuple(es) for v, es in by_vertex.items()}
+
+
+def _raise_first_error(edges: list[Edge], vset: frozenset[str]) -> None:
+    """Raise the first error of ``edges``, sorted by id: a repeated id, or
+    an endpoint outside ``vset``, source before target."""
+    seen: set[str] = set()
+    for e in edges:
+        if e.eid in seen:
+            raise PreconditionError("DUPLICATE_EDGE_ID", e.eid)
+        seen.add(e.eid)
+        if e.src not in vset:
+            raise PreconditionError("UNKNOWN_VERTEX", f"edge {e.eid} src {e.src}")
+        if e.dst not in vset:
+            raise PreconditionError("UNKNOWN_VERTEX", f"edge {e.eid} dst {e.dst}")
+
+
 class DirectedGraph:
     """Immutable directed multigraph over opaque string ids.
 
     Parallel edges and loops are permitted.  Vertices and edges are stored
     in lexicographic id order so every traversal is reproducible.
+
+    The constructor sorts its input and checks it by set sizes: unique
+    edge ids and endpoints among the vertices.  Only input that fails is
+    walked edge by edge, in id order, to name the first offending edge.
+    Both the constructor and :meth:`_of_sorted` fill the graph through
+    :meth:`_fill`.  The out-edges of every vertex are listed on the first
+    call of :meth:`out_edges`, and the in-edges on the first call of
+    :meth:`in_edges`: many graphs are never walked.
     """
 
     __slots__ = ("vertices", "edges", "_by_id", "_out", "_in", "_vset")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
-        self.vertices: tuple[str, ...] = tuple(sorted(set(vertices)))
-        self._vset = frozenset(self.vertices)
-        normalized = []
-        for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
-            normalized.append(e)
-        normalized.sort(key=lambda e: e.eid)
-        seen: set[str] = set()
-        for e in normalized:
-            if e.eid in seen:
-                raise PreconditionError("DUPLICATE_EDGE_ID", e.eid)
-            seen.add(e.eid)
-            if e.src not in self._vset:
-                raise PreconditionError("UNKNOWN_VERTEX", f"edge {e.eid} src {e.src}")
-            if e.dst not in self._vset:
-                raise PreconditionError("UNKNOWN_VERTEX", f"edge {e.eid} dst {e.dst}")
-        self.edges: tuple[Edge, ...] = tuple(normalized)
-        self._by_id: dict[str, Edge] = {e.eid: e for e in self.edges}
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.src].append(e)
-            inc[e.dst].append(e)
-        self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in inc.items()}
+        normalized = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        normalized.sort(key=attrgetter("eid"))
+        vertices = tuple(sorted(set(vertices)))
+        vset = frozenset(vertices)
+        if normalized:
+            eids, srcs, dsts = zip(*normalized)
+            if (len(set(eids)) < len(eids) or not vset.issuperset(srcs)
+                    or not vset.issuperset(dsts)):
+                _raise_first_error(normalized, vset)
+        self._fill(vertices, tuple(normalized))
+
+    @classmethod
+    def _of_sorted(cls, vertices: tuple[str, ...],
+                   edges: tuple[Edge, ...]) -> DirectedGraph:
+        """The graph on ``vertices``, sorted and unique, and ``edges``,
+        sorted by their unique ids, with endpoints among the vertices.
+        Nothing is checked: the caller built the carriers so."""
+        graph = cls.__new__(cls)
+        graph._fill(vertices, edges)
+        return graph
+
+    def _fill(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        self.vertices = vertices
+        self._vset = frozenset(vertices)
+        self.edges = edges
+        self._by_id: dict[str, Edge] = {e.eid: e for e in edges}
+        self._out: dict[str, tuple[Edge, ...]] | None = None
+        self._in: dict[str, tuple[Edge, ...]] | None = None
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vset
@@ -83,9 +131,13 @@ class DirectedGraph:
         return eid in self._by_id
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
+        if self._out is None:
+            self._out = _incident(self.vertices, self.edges, 1)
         return self._out[v]
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
+        if self._in is None:
+            self._in = _incident(self.vertices, self.edges, 2)
         return self._in[v]
 
     def make_path(self, edge_ids: Iterable[str]) -> Path:

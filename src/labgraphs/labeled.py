@@ -67,7 +67,9 @@ class LabeledGraph:
     """A directed graph with a total edge labeling into a finite alphabet.
 
     The labeling is kept surjective: letters outside the image are dropped
-    at construction and recorded in ``dropped_letters``.
+    at construction and recorded in ``dropped_letters``.  The constructor
+    checks the labeling and fills the graph through :meth:`_fill`, as
+    :meth:`_of_sorted` does for labelings built already in edge order.
     """
 
     __slots__ = ("graph", "alphabet", "labeling", "dropped_letters",
@@ -75,7 +77,6 @@ class LabeledGraph:
 
     def __init__(self, graph: DirectedGraph, labeling: Mapping[str, str],
                  alphabet: Iterable[str] | None = None):
-        self.graph = graph
         missing = [e.eid for e in graph.edges if e.eid not in labeling]
         if missing:
             raise PreconditionError(
@@ -94,8 +95,24 @@ class LabeledGraph:
                 raise PreconditionError(
                     "LETTER_NOT_IN_ALPHABET", ", ".join(outside))
             dropped = tuple(sorted(declared - image))
-        self.alphabet: tuple[str, ...] = tuple(sorted(image))
-        self.labeling: dict[str, str] = {e.eid: labeling[e.eid] for e in graph.edges}
+        self._fill(graph, {e.eid: labeling[e.eid] for e in graph.edges},
+                   tuple(sorted(image)), dropped)
+
+    @classmethod
+    def _of_sorted(cls, graph: DirectedGraph, labeling: dict[str, str],
+                   alphabet: tuple[str, ...]) -> LabeledGraph:
+        """The labeled graph with ``labeling`` keyed by the edge ids of
+        ``graph`` in edge order and ``alphabet`` its sorted image.  Nothing
+        is checked: the caller built them so."""
+        lg = cls.__new__(cls)
+        lg._fill(graph, labeling, alphabet, ())
+        return lg
+
+    def _fill(self, graph: DirectedGraph, labeling: dict[str, str],
+              alphabet: tuple[str, ...], dropped: tuple[str, ...]):
+        self.graph = graph
+        self.labeling = labeling
+        self.alphabet = alphabet
         self.dropped_letters = dropped
 
     # -- basic accessors -------------------------------------------------
@@ -127,17 +144,19 @@ class LabeledGraph:
 
     @cached_property
     def core(self) -> GraphCore:
-        # Tuples are built from lists: a short tuple built from a generator
+        # Tuples are built from lists: a short tuple built from an iterator
         # is not taken from CPython's tuple free lists but joins them when
         # it dies, so those lists would grow with every graph built.
         edges = self.graph.edges
-        carriers = (self.vertices, tuple([e.eid for e in edges]), self.alphabet)
-        vpos, epos, apos = ({x: i for i, x in enumerate(items)}
+        eids, srcs, dsts = zip(*edges) if edges else ((), (), ())
+        carriers = (self.vertices, eids, self.alphabet)
+        vpos, epos, apos = (dict(zip(items, range(len(items))))
                             for items in carriers)
+        labels = map(self.labeling.__getitem__, eids)
         return GraphCore(carriers, (vpos, epos, apos),
-                         tuple([vpos[e.src] for e in edges]),
-                         tuple([vpos[e.dst] for e in edges]),
-                         tuple([apos[self.labeling[e.eid]] for e in edges]))
+                         tuple(list(map(vpos.__getitem__, srcs))),
+                         tuple(list(map(vpos.__getitem__, dsts))),
+                         tuple(list(map(apos.__getitem__, labels))))
 
     @cached_property
     def _step(self) -> list[list[int]]:
@@ -161,17 +180,23 @@ class LabeledGraph:
         atoms those values cut the vertices into.
 
         A breadth-first search from the full mask, one letter at a time,
-        since r(wa) = r(r(w), a).  Each level extends the previous one's
-        words in order and letters come in alphabet order, so the first
-        word that reaches a value is its shortest, and the least of those.
+        since r(wa) = r(r(w), a): a node steps to each letter's value by
+        OR-ing its vertices' rows of :attr:`_step`.  Each level extends the
+        previous one's words in order and letters come in alphabet order,
+        so the first word that reaches a value is its shortest, and the
+        least of those.
         """
+        letters = list(zip(self.alphabet, self._step))
         words: dict[int, Word] = {}
         level: list[tuple[int, Word]] = [(self.full_mask(), ())]
         while level:
             nxt = []
             for mask, word in level:
-                for a in self.alphabet:
-                    value = self.range_mask(mask, (a,))
+                inside = _bits(mask)
+                for a, row in letters:
+                    value = 0
+                    for v in inside:
+                        value |= row[v]
                     if value and value not in words:
                         words[value] = word + (a,)
                         nxt.append((value, word + (a,)))
@@ -264,6 +289,15 @@ class LabeledGraph:
             if not mask:
                 break
         return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 #: Width of the chunks :func:`chunk_tables` cuts a vertex order into.
@@ -370,15 +404,28 @@ def label_set(lg: LabeledGraph, vertices: Iterable[str], n: int) -> tuple[Word, 
 
 
 def is_left_resolving(lg: LabeledGraph) -> Check:
-    """No vertex may receive two distinct edges carrying the same label."""
-    for v in lg.vertices:
-        seen: dict[str, str] = {}
-        for e in lg.graph.in_edges(v):
-            a = lg.labeling[e.eid]
-            if a in seen:
-                return Check(False, (v, seen[a], e.eid))
-            seen[a] = e.eid
-    return Check(True)
+    """No vertex may receive two distinct edges carrying the same label.
+
+    The graph is left-resolving iff the (target, label) pairs of its
+    integer core are distinct, which one set over them decides.  Only a
+    graph that fails is walked in edge order to name its witness
+    (v, e, f): v is the least vertex, in vertex order, that receives two
+    edges with one label; f is the first in-edge of v, in edge-id order,
+    whose label an earlier in-edge carries, and e is the first in-edge of
+    v with that label."""
+    core = lg.core
+    if len(set(zip(core.dst, core.lab))) == len(core.dst):
+        return Check(True)
+    first: dict[tuple[int, int], int] = {}
+    clashes: dict[int, tuple[int, int]] = {}
+    for i, pair in enumerate(zip(core.dst, core.lab)):
+        j = first.setdefault(pair, i)
+        if j != i and pair[0] not in clashes:
+            clashes[pair[0]] = j, i
+    v = min(clashes)
+    j, i = clashes[v]
+    eids = core.carriers[1]
+    return Check(False, (lg.vertices[v], eids[j], eids[i]))
 
 
 def is_weakly_left_resolving(lg: LabeledGraph) -> Check:

@@ -13,7 +13,8 @@ from typing import Iterable, Mapping
 from .errors import (NotAMember, PreconditionError, SearchSpaceExceeded,
                      VerificationError)
 from .graph import require_valid
-from .labeled import Check, LabeledGraph, Word, chunk_tables, fold_chunks
+from .labeled import (Check, LabeledGraph, Word, _bits, chunk_tables,
+                      fold_chunks)
 
 # Derivation expressions: leaves are ranges of words; inner nodes reference
 # other members by mask.
@@ -169,15 +170,6 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
                             if union not in derivations})
         listed.update(fresh)
     return derivations
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def _basis(meet: list[int], derivations: dict[int, Derivation],

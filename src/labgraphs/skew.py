@@ -5,9 +5,10 @@ label-consistent twists."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
 from typing import Mapping
 
 from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
@@ -78,10 +79,6 @@ class SkewSpec:
         return acc
 
 
-def pair_id(base_id: str, element: Element, group: Group) -> str:
-    return f"({base_id},{group.element_str(element)})"
-
-
 class SkewLabeledGraph:
     """A materialized skew product.
 
@@ -89,6 +86,26 @@ class SkewLabeledGraph:
     out-edge fiber, so edges whose endpoint falls outside the layer
     assignment are retained with a boundary flag and their endpoint is
     added as a flagged halo vertex rather than dropped.
+
+    The constructor makes one pass over the base's integer core times the
+    layers of each edge's source.  Edge (e, g) goes from (s(e), g) to
+    (r(e), g c(e)) and carries the letter (L(e), g d(e)): two group
+    operations per edge.  Every item is named ``(base id,layer)``, with
+    one ``element_str`` call per distinct layer, and the graph keeps its
+    items in name order, as every labeled graph does.  The pair maps hold
+    the window vertices base vertex by base vertex, then the halo
+    vertices, edges and letters in (base edge, layer) order of first
+    appearance.  A vertex whose layers repeat one raises
+    ``DUPLICATE_LAYER``.
+
+    The verdicts are read from counts, not scans of the built graph.  A
+    window vertex (x, g) is interior when the edges entering it are as
+    many as the base edges entering x; it is valid, by
+    :func:`~labgraphs.graph.validate`'s definition, when that count and
+    the out-degree of x in the base are both nonzero, since (x, g) emits
+    one edge per base edge leaving x.
+    ``left_resolving`` is :func:`~labgraphs.labeled.is_left_resolving` of
+    the built graph.
     """
 
     def __init__(self, spec: SkewSpec, layers: Mapping[str, tuple[Element, ...]],
@@ -96,74 +113,81 @@ class SkewLabeledGraph:
         self.spec = spec
         self.window = window
         self.layers = {v: tuple(ls) for v, ls in layers.items()}
-        group = spec.group
-        base = spec.base
+        group, base = spec.group, spec.base
+        core = base.core
+        vertices, eids, letters = core.carriers
+        fibers = [self.layers.get(x, ()) for x in vertices]
+        for x, ls in zip(vertices, fibers):
+            if len(set(ls)) < len(ls):
+                raise PreconditionError(
+                    "DUPLICATE_LAYER", f"vertex {x} lists a layer twice")
 
-        vertex_pair: dict[str, tuple[str, Element]] = {}
-        vertex_id: dict[tuple[str, Element], str] = {}
+        # Lists with one entry per edge (e, g), edge-major: ``layer`` holds
+        # g, ``target`` g c(e) and ``lettered`` g d(e); ``spread`` repeats a
+        # value of each base edge once per layer of the edge's source.
+        counts = [len(fibers[s]) for s in core.src]
 
-        def ensure_vertex(x: str, g: Element) -> str:
-            key = (x, g)
-            vid = vertex_id.get(key)
-            if vid is None:
-                vid = pair_id(x, g, group)
-                vertex_id[key] = vid
-                vertex_pair[vid] = key
-            return vid
+        def spread(values):
+            return list(chain.from_iterable(map(repeat, values, counts)))
 
-        window_vertices = set()
-        for x in base.vertices:
-            for g in self.layers.get(x, ()):
-                window_vertices.add(ensure_vertex(x, g))
+        layer = list(chain.from_iterable(map(fibers.__getitem__, core.src)))
+        target = list(map(group.op, layer, spread([spec.c[e] for e in eids])))
+        lettered = list(map(group.op, layer,
+                            spread([spec.d[e] for e in eids])))
+        distinct = set(chain.from_iterable(fibers)).union(target, lettered)
+        text = dict(zip(distinct, map(group.element_str, distinct)))
+        edge_base = spread(eids)
+        target_base = spread([vertices[t] for t in core.dst])
+        letter_base = spread([letters[a] for a in core.lab])
 
-        edges: list[Edge] = []
-        labeling: dict[str, str] = {}
-        edge_pair: dict[str, tuple[str, Element]] = {}
-        edge_id: dict[tuple[str, Element], str] = {}
-        letter_pair: dict[str, tuple[str, Element]] = {}
-        boundary: set[str] = set()
-        entering: dict[str, int] = {}
-        layer_sets = {x: set(ls) for x, ls in self.layers.items()}
-        for e in base.graph.edges:
-            for g in self.layers.get(e.src, ()):
-                eid = pair_id(e.eid, g, group)
-                src = ensure_vertex(e.src, g)
-                dst_layer = group.op(g, spec.c[e.eid])
-                dst = ensure_vertex(e.dst, dst_layer)
-                entering[dst] = entering.get(dst, 0) + 1
-                if dst_layer not in layer_sets.get(e.dst, ()):
-                    boundary.add(eid)
-                letter_layer = group.op(g, spec.d[e.eid])
-                letter = pair_id(base.labeling[e.eid], letter_layer, group)
-                letter_pair[letter] = (base.labeling[e.eid], letter_layer)
-                edges.append(Edge(eid, src, dst))
-                labeling[eid] = letter
-                edge_pair[eid] = (e.eid, g)
-                edge_id[(e.eid, g)] = eid
+        names = [[f"({x},{text[g]})" for g in ls]
+                 for x, ls in zip(vertices, fibers)]
+        window_names = list(chain.from_iterable(names))
+        edge_names = [f"({e},{text[g]})" for e, g in zip(edge_base, layer)]
+        srcs = list(chain.from_iterable(map(names.__getitem__, core.src)))
+        dsts = [f"({x},{text[h]})" for x, h in zip(target_base, target)]
+        labels = [f"({a},{text[h]})" for a, h in zip(letter_base, lettered)]
+        del text
 
-        self.graph = LabeledGraph(
-            DirectedGraph(vertex_pair.keys(), edges), labeling)
-        self.vertex_pair = vertex_pair
-        self.vertex_id = vertex_id
-        self.edge_pair = edge_pair
-        self.edge_id = edge_id
-        self.letter_pair = letter_pair
-        self.letter_id = {pair: lid for lid, pair in letter_pair.items()}
-        self.window_vertices = frozenset(window_vertices)
-        self.halo_vertices = frozenset(vertex_pair) - self.window_vertices
-        self.boundary_edges = frozenset(boundary)
+        self.vertex_pair = dict(zip(
+            chain(window_names, dsts),
+            chain([(x, g) for x, ls in zip(vertices, fibers) for g in ls],
+                  zip(target_base, target))))
+        self.vertex_id = dict(zip(self.vertex_pair.values(), self.vertex_pair))
+        self.edge_pair = dict(zip(edge_names, zip(edge_base, layer)))
+        self.edge_id = dict(zip(self.edge_pair.values(), self.edge_pair))
+        self.letter_pair = dict(zip(labels, zip(letter_base, lettered)))
+        self.letter_id = dict(zip(self.letter_pair.values(), self.letter_pair))
+        del layer, target, lettered, edge_base, target_base, letter_base
+        self.window_vertices = frozenset(window_names)
+        self.halo_vertices = frozenset(self.vertex_pair) - self.window_vertices
+        self.boundary_edges = frozenset(compress(
+            edge_names, map(self.halo_vertices.__contains__, dsts)))
 
-        # (x, g) is interior when every base edge e entering x has its
-        # source layer g c(e)^-1 materialized; each such layer gives one
-        # materialized edge into (x, g), and no other edge enters it.
-        self.interior_vertices = frozenset(
-            vid for vid in window_vertices
-            if entering.get(vid, 0)
-            == len(base.graph.in_edges(vertex_pair[vid][0])))
+        entering = Counter(dsts)
+        in_degree, out_degree = Counter(core.dst), Counter(core.src)
+        interior = [[v for v in vs if entering.get(v, 0) == in_degree[p]]
+                    for p, vs in enumerate(names)]
+        self.interior_vertices = frozenset(chain.from_iterable(interior))
+        self.interior_valid = all(in_degree[p] and out_degree[p]
+                                  for p, vs in enumerate(interior) if vs)
+        del entering, interior, names, window_names
 
-        validity = validate(self.graph.graph)
-        self.interior_valid = all(
-            validity.per_vertex[v].ok for v in self.interior_vertices)
+        # One string object per name: the targets and labels formatted
+        # per edge give way to the equal map keys (a vertex and a letter
+        # of the same name may share one).
+        canonical = dict(zip(self.vertex_pair, self.vertex_pair))
+        canonical.update(zip(self.letter_pair, self.letter_pair))
+        rows = sorted(zip(edge_names, srcs, map(canonical.__getitem__, dsts),
+                          map(canonical.__getitem__, labels)))
+        del edge_names, srcs, dsts, labels, canonical
+        ids, srcs, dsts, labels = zip(*rows) if rows else ((), (), (), ())
+        del rows
+        self.graph = LabeledGraph._of_sorted(
+            DirectedGraph._of_sorted(tuple(sorted(self.vertex_pair)),
+                                     Edge._many(ids, srcs, dsts)),
+            dict(zip(ids, labels)), tuple(sorted(self.letter_pair)))
+
         self.left_resolving = is_left_resolving(self.graph)
         base_lr = is_left_resolving(base)
         if base_lr and not self.left_resolving:
@@ -183,7 +207,8 @@ class SkewLabeledGraph:
 #: :func:`skew_product` bounds the count from the base and the layer counts
 #: before it builds anything, and raises :class:`SearchSpaceExceeded` above
 #: the cap.  Just under it, ``quotient fixtures/skewz.json --window
-#: 0:23830`` (bound 262,141, with 166,819 items built) peaks at 109 MB.
+#: 0:23830`` (bound 262,141, with 166,819 items built) peaks at 109 MB
+#: and takes 1.3 s in-process (2-core x86 container, Python 3.11).
 MAX_ITEMS = 1 << 18
 
 

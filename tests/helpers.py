@@ -6,15 +6,15 @@ from typing import Any, Iterable, Mapping
 from labgraphs import fixtures as fx
 from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport, FiniteAction,
                               LabeledGraphAction)
-from labgraphs.errors import SearchSpaceExceeded
-from labgraphs.graph import DirectedGraph, require_valid
-from labgraphs.groups import CyclicGroup
+from labgraphs.errors import SearchSpaceExceeded, VerificationError
+from labgraphs.graph import DirectedGraph, Edge, require_valid, validate
+from labgraphs.groups import CyclicGroup, Element, Group, Window
 from labgraphs.labeled import (Check, LabeledGraph, labeled_paths,
                                representatives)
 from labgraphs.lattice import (Derivation, LabeledSpaceReport,
                                SetCollection)
 from labgraphs.morphism import LabeledGraphMorphism, MorphismReport
-from labgraphs.skew import SkewLabeledGraph, TranslationAction
+from labgraphs.skew import SkewLabeledGraph, SkewSpec, TranslationAction
 
 
 def trivial_action(lg, n=2):
@@ -224,6 +224,115 @@ def interior_vertices_by_definition(skew: SkewLabeledGraph) -> frozenset[str]:
                for e in base.graph.in_edges(x)):
             out.add(vid)
     return frozenset(out)
+
+
+def left_resolving_by_vertex(lg: LabeledGraph) -> Check:
+    """Oracle for ``is_left_resolving``: each vertex in vertex order scans
+    its in-edges in edge-id order, and the first label seen twice names
+    (v, first edge with the label, the edge repeating it)."""
+    for v in lg.vertices:
+        seen: dict[str, str] = {}
+        for e in lg.graph.in_edges(v):
+            a = lg.labeling[e.eid]
+            if a in seen:
+                return Check(False, (v, seen[a], e.eid))
+            seen[a] = e.eid
+    return Check(True)
+
+
+def pair_id(base_id: str, element: Element, group: Group) -> str:
+    return f"({base_id},{group.element_str(element)})"
+
+
+class StringSkew:
+    """Oracle for the ``SkewLabeledGraph`` constructor: every id is
+    formatted item by item through ``ensure_vertex``, the graph goes
+    through the public ``DirectedGraph`` and ``LabeledGraph``
+    constructors, and interior validity and left-resolving are scanned
+    with ``validate`` and :func:`left_resolving_by_vertex`.  It carries
+    the attributes of a skew product, so the two compare field by field."""
+
+    def __init__(self, spec: SkewSpec, layers: Mapping[str, tuple[Element, ...]],
+                 window: Window | None):
+        self.spec = spec
+        self.window = window
+        self.layers = {v: tuple(ls) for v, ls in layers.items()}
+        group = spec.group
+        base = spec.base
+
+        vertex_pair: dict[str, tuple[str, Element]] = {}
+        vertex_id: dict[tuple[str, Element], str] = {}
+
+        def ensure_vertex(x: str, g: Element) -> str:
+            key = (x, g)
+            vid = vertex_id.get(key)
+            if vid is None:
+                vid = pair_id(x, g, group)
+                vertex_id[key] = vid
+                vertex_pair[vid] = key
+            return vid
+
+        window_vertices = set()
+        for x in base.vertices:
+            for g in self.layers.get(x, ()):
+                window_vertices.add(ensure_vertex(x, g))
+
+        edges: list[Edge] = []
+        labeling: dict[str, str] = {}
+        edge_pair: dict[str, tuple[str, Element]] = {}
+        edge_id: dict[tuple[str, Element], str] = {}
+        letter_pair: dict[str, tuple[str, Element]] = {}
+        boundary: set[str] = set()
+        entering: dict[str, int] = {}
+        layer_sets = {x: set(ls) for x, ls in self.layers.items()}
+        for e in base.graph.edges:
+            for g in self.layers.get(e.src, ()):
+                eid = pair_id(e.eid, g, group)
+                src = ensure_vertex(e.src, g)
+                dst_layer = group.op(g, spec.c[e.eid])
+                dst = ensure_vertex(e.dst, dst_layer)
+                entering[dst] = entering.get(dst, 0) + 1
+                if dst_layer not in layer_sets.get(e.dst, ()):
+                    boundary.add(eid)
+                letter_layer = group.op(g, spec.d[e.eid])
+                letter = pair_id(base.labeling[e.eid], letter_layer, group)
+                letter_pair[letter] = (base.labeling[e.eid], letter_layer)
+                edges.append(Edge(eid, src, dst))
+                labeling[eid] = letter
+                edge_pair[eid] = (e.eid, g)
+                edge_id[(e.eid, g)] = eid
+
+        self.graph = LabeledGraph(
+            DirectedGraph(vertex_pair.keys(), edges), labeling)
+        self.vertex_pair = vertex_pair
+        self.vertex_id = vertex_id
+        self.edge_pair = edge_pair
+        self.edge_id = edge_id
+        self.letter_pair = letter_pair
+        self.letter_id = {pair: lid for lid, pair in letter_pair.items()}
+        self.window_vertices = frozenset(window_vertices)
+        self.halo_vertices = frozenset(vertex_pair) - self.window_vertices
+        self.boundary_edges = frozenset(boundary)
+
+        # (x, g) is interior when every base edge e entering x has its
+        # source layer g c(e)^-1 materialized; each such layer gives one
+        # materialized edge into (x, g), and no other edge enters it.
+        self.interior_vertices = frozenset(
+            vid for vid in window_vertices
+            if entering.get(vid, 0)
+            == len(base.graph.in_edges(vertex_pair[vid][0])))
+
+        validity = validate(self.graph.graph)
+        self.interior_valid = all(
+            validity.per_vertex[v].ok for v in self.interior_vertices)
+        self.left_resolving = left_resolving_by_vertex(self.graph)
+        base_lr = left_resolving_by_vertex(base)
+        if base_lr and not self.left_resolving:
+            raise VerificationError(
+                "left-resolving must be inherited by the skew product",
+                self.left_resolving.witness)
+        self.left_resolving_inherited = Check(
+            bool(self.left_resolving) or not base_lr)
 
 
 def orbits_bruteforce(action: LabeledGraphAction,

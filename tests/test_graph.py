@@ -3,12 +3,14 @@
 import random
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from labgraphs import fixtures as fx
 from labgraphs import graph as graph_module
 from labgraphs.errors import PreconditionError, SearchSpaceExceeded
-from labgraphs.graph import (MAX_PATH_EDGES, DirectedGraph, Path,
+from labgraphs.graph import (MAX_PATH_EDGES, DirectedGraph, Edge, Path,
                              paths_of_length, validate)
 from labgraphs.labeled import label_set, labeled_paths
 
@@ -25,6 +27,39 @@ class TestConstruction:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(PreconditionError):
             DirectedGraph(["v"], [("e", "v", "w")])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("uvw"),
+                              st.sampled_from("uvw")), max_size=6))
+    def test_the_first_error_in_id_order_is_named(self, edges):
+        """Over the vertices u and v, the error raised is the first one a
+        walk of the edges in stable id order meets: a repeated id, an
+        unknown source, or an unknown target."""
+        expected, seen = None, set()
+        for eid, src, dst in sorted(edges, key=lambda e: e[0]):
+            if eid in seen:
+                expected = ("DUPLICATE_EDGE_ID", eid)
+            elif src == "w":
+                expected = ("UNKNOWN_VERTEX", f"edge {eid} src {src}")
+            elif dst == "w":
+                expected = ("UNKNOWN_VERTEX", f"edge {eid} dst {dst}")
+            seen.add(eid)
+            if expected:
+                break
+        if expected is None:
+            graph = DirectedGraph(["v", "u"], edges)
+            assert graph.vertices == ("u", "v")
+            assert graph.edges == tuple(sorted(map(Edge._make, edges)))
+            return
+        with pytest.raises(PreconditionError) as info:
+            DirectedGraph(["v", "u"], edges)
+        assert str(info.value) == ": ".join(expected)
+
+    def test_an_edge_equals_the_tuple_of_its_ids(self):
+        e = Edge("e", "v", "w")
+        assert e == ("e", "v", "w") and hash(e) == hash(("e", "v", "w"))
+        assert (e.eid, e.src, e.dst) == ("e", "v", "w")
+        assert Edge._many(["e"], ["v"], ["w"]) == (e,)
 
     def test_parallel_edges_and_loops_allowed(self):
         g = DirectedGraph(["v", "w"],

@@ -16,7 +16,8 @@ from labgraphs.labeled import (CHUNK_BITS, LabeledGraph, is_left_resolving,
                                labeled_paths, range_and_source, relative_range,
                                representatives)
 
-from helpers import BRUTEFORCE_MAX_VERTICES, weakly_left_resolving_bruteforce
+from helpers import (BRUTEFORCE_MAX_VERTICES, left_resolving_by_vertex,
+                     weakly_left_resolving_bruteforce)
 
 
 def word(text):
@@ -244,6 +245,40 @@ class TestLeftResolving:
         skew = fx.skewz()
         assert is_left_resolving(skew.graph)
         assert skew.left_resolving_inherited
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_vertex_scan(self, data):
+        """Verdict and witness equal the per-vertex oracle's on graphs with
+        loops, parallel edges and clashes at several vertices.  Vertex and
+        edge names sort apart from their creation order (v10 before v2,
+        e10 before e9), so vertex order and edge order are both exercised."""
+        nv = data.draw(st.integers(1, 12))
+        vertices = [f"v{i}" for i in range(nv)]
+        letters = data.draw(st.sampled_from(["a", "ab", "abc"]))
+        ends = st.sampled_from(vertices)
+        rows = data.draw(st.lists(st.tuples(ends, ends, st.sampled_from(letters)),
+                                  max_size=24))
+        ids = data.draw(st.permutations(range(len(rows))))
+        edges = [(f"e{i}", src, dst) for i, (src, dst, _) in zip(ids, rows)]
+        lg = LabeledGraph(DirectedGraph(vertices, edges),
+                          {eid: a for (eid, _, _), (_, _, a)
+                           in zip(edges, rows)})
+        got, want = is_left_resolving(lg), left_resolving_by_vertex(lg)
+        assert (got.ok, got.witness) == (want.ok, want.witness)
+
+    def test_least_vertex_and_first_clash_name_the_witness(self):
+        """Clashes at v2 and v10: v10 comes first in vertex order, and of
+        its two clashing pairs the one whose repeat has the smaller edge id
+        is named."""
+        g = DirectedGraph(["v10", "v2"],
+                          [("e1", "v2", "v2"), ("e2", "v2", "v2"),
+                           ("e3", "v2", "v10"), ("e4", "v2", "v10"),
+                           ("e5", "v2", "v10"), ("e6", "v2", "v10")])
+        lg = LabeledGraph(g, {"e1": "a", "e2": "a", "e3": "b", "e4": "c",
+                              "e5": "c", "e6": "b"})
+        assert is_left_resolving(lg).witness == ("v10", "e4", "e5")
+        assert left_resolving_by_vertex(lg).witness == ("v10", "e4", "e5")
 
 
 class TestWeaklyLeftResolving:

@@ -3,20 +3,27 @@ identifications, relabeling isomorphism, quotient round trip."""
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from labgraphs import fixtures as fx
 from labgraphs import skew as skew_module
 from labgraphs.action import is_free, quotient, verify_action
 from labgraphs.errors import (OutOfWindow, PreconditionError,
                               SearchSpaceExceeded, VerificationError)
-from labgraphs.groups import CyclicGroup, IntegerGroup, Window
-from labgraphs.labeled import labeled_paths
+from labgraphs.graph import DirectedGraph
+from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
+                              Window)
+from labgraphs.labeled import LabeledGraph, labeled_paths
 from labgraphs.morphism import verify_morphism
-from labgraphs.skew import (SkewSpec, identify_labeled_path, item_bound,
+from labgraphs.skew import (SkewLabeledGraph, SkewSpec,
+                            identify_labeled_path, item_bound,
                             labeled_range, left_translation, lift_path,
                             one_cocycle, project_path, relabel_iso,
                             skew_product, translation_quotient)
+
+from helpers import StringSkew
 
 
 class TestMaterialization:
@@ -364,3 +371,135 @@ class TestLeftResolvingInheritance:
     def test_converse_reported_not_asserted(self):
         skew = fx.skewz()
         assert isinstance(bool(skew.left_resolving_inherited), bool)
+
+
+# -- the constructor against the string-building oracle -----------------------
+
+#: Base ids, some holding the characters a skew id is built from.
+BASE_IDS = ("v", "w", "v10", "v9", "a,b", "(x)", "x)", "(", ",", "p(q,r)")
+S3 = PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])
+D4 = PermutationGroup(4, [(1, 2, 3, 0), (3, 2, 1, 0)])
+PAIR_MAPS = ("vertex_pair", "vertex_id", "edge_pair", "edge_id",
+             "letter_pair", "letter_id")
+ITEM_SETS = ("window_vertices", "halo_vertices", "boundary_edges",
+             "interior_vertices")
+
+
+def assert_same_skew(got, want):
+    """The graph, its core, the six pair maps in insertion order, the item
+    sets and the verdicts with their witnesses agree; and the graph built
+    from sorted carriers equals the one the public constructors build from
+    its vertices, edges and labeling."""
+    assert got.graph == want.graph
+    assert got.graph.core == want.graph.core
+    assert list(got.graph.labeling.items()) == list(
+        want.graph.labeling.items())
+    assert got.graph.dropped_letters == want.graph.dropped_letters
+    for name in PAIR_MAPS:
+        assert list(getattr(got, name).items()) == list(
+            getattr(want, name).items()), name
+    for name in ITEM_SETS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.interior_valid == want.interior_valid
+    for name in ("left_resolving", "left_resolving_inherited"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.ok, g.witness) == (w.ok, w.witness), name
+
+    graph = got.graph.graph
+    public = DirectedGraph(graph.vertices, graph.edges)
+    assert (public.vertices, public.edges) == (graph.vertices, graph.edges)
+    assert list(public._by_id.items()) == list(graph._by_id.items())
+    for v in graph.vertices:
+        assert public.out_edges(v) == graph.out_edges(v)
+        assert public.in_edges(v) == graph.in_edges(v)
+    lg = LabeledGraph(public, got.graph.labeling)
+    assert lg == got.graph
+    assert list(lg.labeling.items()) == list(got.graph.labeling.items())
+    assert (lg.alphabet, lg.dropped_letters) == (
+        got.graph.alphabet, got.graph.dropped_letters)
+    assert lg.core == got.graph.core
+
+
+@st.composite
+def skew_cases(draw):
+    """A base labeled graph over ``BASE_IDS`` (not necessarily valid),
+    cocycles and per-vertex layers in a drawn order: integer windows,
+    gapped integer layers, sparse layers 10**12 apart, and full or partial
+    materializations over Z/n, S3 and D4."""
+    shape = draw(st.sampled_from(
+        ["window", "gapped", "sparse", "cyclic", "S3", "D4"]))
+    vertices = draw(st.lists(st.sampled_from(BASE_IDS), min_size=1,
+                             max_size=4, unique=True))
+    ends = st.sampled_from(vertices)
+    rows = draw(st.lists(st.tuples(ends, ends, st.sampled_from(BASE_IDS)),
+                         min_size=1, max_size=6))
+    eids = draw(st.lists(st.sampled_from(BASE_IDS), min_size=len(rows),
+                         max_size=len(rows), unique=True))
+    base = LabeledGraph(
+        DirectedGraph(vertices, [(e, s, t) for e, (s, t, _) in zip(eids, rows)]),
+        {e: a for e, (_, _, a) in zip(eids, rows)})
+    if shape in ("window", "gapped", "sparse"):
+        group = IntegerGroup()
+        values = st.integers(-3, 3)
+        if shape == "sparse":
+            values = st.sampled_from([0, 1, -2, 10 ** 12, -10 ** 12])
+    else:
+        group = {"cyclic": CyclicGroup(draw(st.integers(1, 5))),
+                 "S3": S3, "D4": D4}[shape]
+        values = st.sampled_from(group.elements())
+    c = {e: draw(values) for e in eids}
+    d = {e: draw(values) for e in eids}
+    window = None
+    if shape == "window":
+        lo = draw(st.integers(-4, 2))
+        window = Window(lo, lo + draw(st.integers(0, 5)))
+        layers = {v: tuple(window.elements()) for v in vertices}
+    else:
+        if shape == "gapped":
+            pool = list(range(-5, 6))
+        elif shape == "sparse":
+            pool = [-10 ** 12, -3, 0, 2, 10 ** 12, 10 ** 12 + 1]
+        else:
+            pool = list(group.elements())
+        full = draw(st.booleans()) and shape not in ("gapped", "sparse")
+        layers = {v: tuple(draw(st.permutations(pool)) if full else
+                           draw(st.lists(st.sampled_from(pool), unique=True,
+                                         max_size=len(pool))))
+                  for v in vertices}
+    return SkewSpec(base, group, c, d), layers, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_cases())
+def test_constructor_matches_the_string_oracle(case):
+    spec, layers, window = case
+    assert_same_skew(SkewLabeledGraph(spec, layers, window),
+                     StringSkew(spec, layers, window))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pullback_skews_match_the_string_oracle(seed):
+    """The skew products ``reconstruct`` builds over ``_reconstruction_layers``
+    pullbacks, on integer windows with the identity-layer and the default
+    sections and on finite translations."""
+    from labgraphs.gross_tucker import identity_layer_sections, reconstruct
+    rng = random.Random(seed)
+    base = fx.random_valid_labeled_graph(rng)
+    c = {e.eid: rng.randint(-2, 2) for e in base.graph.edges}
+    d = {e.eid: rng.randint(-2, 2) for e in base.graph.edges}
+    w = rng.randint(2, 5)
+    action = left_translation(skew_product(
+        SkewSpec(base, IntegerGroup(), c, d), Window(-w, w)))
+    finite = fx.random_translation_action(rng, seed % 2 == 0)
+    for rec in (reconstruct(action, identity_layer_sections(action)),
+                reconstruct(action), reconstruct(finite)):
+        assert_same_skew(rec.skew, StringSkew(rec.skew.spec, rec.skew.layers,
+                                              rec.skew.window))
+    assert_same_skew(action.skew, StringSkew(action.skew.spec,
+                                             action.skew.layers, Window(-w, w)))
+
+
+def test_a_repeated_layer_is_refused():
+    spec = fx.skewz_spec()
+    with pytest.raises(PreconditionError, match="DUPLICATE_LAYER"):
+        SkewLabeledGraph(spec, {"v": (0, 1, 0), "w": (0,)}, None)

@@ -4,7 +4,8 @@ its exit code, stdout and stderr.
 
 Every fixture document runs under ``lattice``, ``translate``,
 ``act-check``, ``quotient``, ``gross-tucker`` (plain and
-``--label-consistent``), ``fundomain`` and ``properties``, with no window
+``--label-consistent``), ``fundomain``, ``properties``, ``skew``,
+``export-dot``, ``validate`` and ``label-consistency``, with no window
 and with the windows -3:3 and 0:4, in text and with ``--json``.  Three
 generated graph documents with more vertices than one chunk of the
 vertex-set decoder (``LabeledGraph.names_of``) run under ``lattice`` in
@@ -46,6 +47,10 @@ COMMANDS = (
     ["gross-tucker", "--label-consistent"],
     ["fundomain"],
     ["properties"],
+    ["skew"],
+    ["export-dot"],
+    ["validate"],
+    ["label-consistency"],
 )
 WINDOWS = ((), ("--window", "-3:3"), ("--window", "0:4"))
 FORMATS = ((), ("--json",))
