@@ -4,7 +4,6 @@ fundamental domains and label consistency."""
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -37,7 +36,11 @@ class LabeledGraphAction:
     (:meth:`columns`), which the verification and reconstruction code
     runs on.  Its positions are those of the graph's
     :class:`~labgraphs.labeled.GraphCore`.  Actions are immutable, so each
-    block is built once and cached.
+    block is built once and cached, and so is the verdict of
+    :func:`is_free`.  An action whose scope is an integer interval also
+    exposes the (fiber, layer) of each item (:meth:`coordinates`) and the
+    item at each (fiber, layer) (:meth:`located`), from which its block is
+    built; the checks of an intact one read those, never the block.
     """
 
     group: Group
@@ -61,10 +64,39 @@ class LabeledGraphAction:
     def coordinates(self, kind: str) -> Sequence[tuple[str, int]]:
         """The (fiber, layer) of each carrier item, in ``carrier(kind)``
         order, for actions whose scope is an integer interval
-        (:meth:`interval_span`).  Such an action is meant to move the item
-        at (q, t) to the item at (q, t + g); :func:`verify_action` tries
-        that first and falls back to its scans when the block disagrees."""
+        (:meth:`interval_span`).  Such an action moves the item at (q, t)
+        to the item that :meth:`located` lists at (q, t + g)."""
         raise NotImplementedError
+
+    def located(self, kind: str) -> Mapping[tuple[str, int], int]:
+        """The position in ``carrier(kind)`` of the item at each (fiber,
+        layer), for actions whose scope is an integer interval: the map the
+        action moves items through.  For every g of the scope, the image of
+        the item x at ``coordinates(kind)[x]`` = (q, t) is
+        ``located(kind).get((q, t + g), -1)``, which is how :meth:`columns`
+        is built.  On an intact action it is the exact inverse of
+        :meth:`coordinates`, which :func:`verify_action` checks.  Callers
+        must not mutate it."""
+        raise NotImplementedError
+
+    @cached_property
+    def _free(self) -> Check:
+        """The verdict of :func:`is_free`, computed once."""
+        return _freeness(self)
+
+    @cached_property
+    def _placed(self) -> tuple[bool, ...]:
+        """Per kind, in ``KINDS`` order, whether :meth:`located` is the
+        exact inverse of :meth:`coordinates`: ``located[coords[x]] == x``
+        for every item x, and the two have the same size.  Then no two
+        items share a (fiber, layer), and the map lists no other key.
+        Interval actions only."""
+        placed = []
+        for kind in KINDS:
+            coords, located = self.coordinates(kind), self.located(kind)
+            placed.append(len(located) == len(coords) and list(
+                map(located.get, coords)) == list(range(len(coords))))
+        return tuple(placed)
 
     def columns(self, kind: str) -> list[int]:
         """The images of the items of ``kind`` under the scope elements,
@@ -76,8 +108,11 @@ class LabeledGraphAction:
         element are the stride slice ``columns(kind)[p::n]``, which ends
         with a -1 from a trailing block of n times -1: gathering through it
         (``[row[j] for j in other]``) keeps -1 without a branch.  On the
-        integer interval of :meth:`interval_span`, p = g + span.  Callers
-        must not mutate it."""
+        integer interval of :meth:`interval_span`, p = g + span and the
+        entry is the :meth:`located` lookup at (q, t + g).  There the
+        block serves only the scans that name failures: an intact integer
+        action is verified, found free and reconstructed through
+        :meth:`located` without it.  Callers must not mutate it."""
         return self._columns[_KIND_INDEX[kind]]
 
     @cached_property
@@ -276,12 +311,13 @@ class ActionReport:
 #: carrier sizes, and an action over the cap raises
 #: :class:`SearchSpaceExceeded` before its block is built.  Just under the
 #: cap (Python 3.11, 2-core x86 container), ``verify_action`` takes about
-#: 0.02 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
-#: triples; 0:185 is over), where the translation certificate holds, and
-#: about 1.2 s on a copy with two vertex coordinates swapped, whose scans
-#: name its 69,744 failures; and 3.5-4.8 s on the finite skew product of
-#: the same base over Z/267 (133,239,141 triples), whose homomorphism scan
-#: gathers each item's images through a permutation per element.
+#: 0.001 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
+#: triples; 0:185 is over), where the translation certificate holds and no
+#: block is built, and 0.9-1.2 s on a copy with two vertex coordinates
+#: swapped, whose block is built and whose scans name its 69,744
+#: failures; and 3.1-3.8 s on the finite skew product of the same base
+#: over Z/267 (133,239,141 triples), whose homomorphism scan gathers each
+#: item's images through a permutation per element.
 MAX_TRIPLES = 1 << 27
 
 
@@ -333,21 +369,22 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     (:meth:`LabeledGraphAction.interval_span`), the action is first
     checked against a translation certificate of the size of the carrier
     (:func:`_translation_certified`); when it holds, every law holds and
-    the report is built without a scan.  Otherwise, and on finite groups,
-    the scans below run and name every failure.  The homomorphism law runs
-    item-major on both scope shapes (:func:`_homomorphism`): one compare
-    per item x and element h covers every g at once.
+    the report is built without the block.  Otherwise, and on finite
+    groups, the scans below run and name every failure.  The homomorphism
+    law runs item-major on both scope shapes (:func:`_homomorphism`): one
+    compare per item x and element h covers every g at once.
 
     An action with more than :data:`MAX_TRIPLES` triples raises
-    :class:`SearchSpaceExceeded` before its block is built.  On a
-    translation the scope spans the numeric width of all layers, so fibers
-    whose layers lie far apart are refused by this cap."""
+    :class:`SearchSpaceExceeded` before anything else is read, whether or
+    not the certificate would hold.  On a translation the scope spans the
+    numeric width of all layers, so fibers whose layers lie far apart are
+    refused by this cap."""
     check_triples(action, "verifying the action would check")
-    scope = action.scope_elements()
     span = action.interval_span()
-    if span is not None and _translation_certified(action, span):
-        return ActionReport(True, (), len(scope), homomorphism_pairs(action),
+    if span is not None and _translation_certified(action):
+        return ActionReport(True, (), 2 * span + 1, homomorphism_pairs(action),
                             action.is_windowed())
+    scope = action.scope_elements()
     failures: list[tuple[str, Any]] = []
     core = action.graph.core
     carriers = core.carriers
@@ -395,28 +432,30 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
                         action.is_windowed())
 
 
-def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
-    """Whether the images of the scope -span..span are those of a
-    translation along the fibers of :meth:`LabeledGraphAction.coordinates`,
-    checked in time and space of the order of the carrier plus the block.
+def _translation_certified(action: LabeledGraphAction) -> bool:
+    """Whether an action on an integer interval -span..span is a
+    translation along the fibers of
+    :meth:`LabeledGraphAction.coordinates`, checked in time and space of
+    the order of the carrier, without the block of scope images.
 
-    The certificate is three checks on the coordinates (q(x), t(x)):
+    Write (q(x), t(x)) for the coordinates of item x and L for
+    :meth:`LabeledGraphAction.located`, with L(q, t) = -1 where it lists
+    no item.  By definition of the action (and of its block),
+    alpha_g(x) = L(q(x), t(x) + g) for every g of the scope.  The
+    certificate is two checks:
 
-    - placement: no two items of a kind share a (fiber, layer), so
-      L(q, t), the item at (q, t) or -1 when there is none, is defined;
-    - lines: alpha_g(x) = L(q(x), t(x) + g) for every item x and every g
-      of the scope, -1 entries included.  Item x's slice of
-      :meth:`LabeledGraphAction.columns` is compared with the slice of the
-      fiber's line around t(x), padded with -1, in one compare per item; a
-      fiber whose layers are sparse (a halo far from the window) gathers
-      the layers within span of t(x) instead;
+    - placement: L is the exact inverse of the coordinates, per kind:
+      L(q(x), t(x)) = x for every item x, and L has as many entries as
+      the carrier has items.  So no two items of a kind share a (fiber,
+      layer), and L lists no (fiber, layer) but the items' own;
     - edge offsets: over the edges of one edge fiber, the fiber of the
       range and its layer minus the edge's layer are the same, and so are
       those of the source and of the label.
 
-    Why they give every law.  Identity: alpha_0(x) = L(q(x), t(x)) = x by
-    placement.  Injectivity: alpha_g(x) = alpha_g(y) = z >= 0 puts x and y
-    at the coordinates of z shifted by -g, so x = y by placement.
+    Why they give every law.  Identity: alpha_0(x) = L(q(x), t(x)) = x.
+    Injectivity: alpha_g(x) = alpha_g(y) = z >= 0 puts z at
+    (q(x), t(x) + g) and at (q(y), t(y) + g), since L lists z only at
+    z's own coordinates; so x and y share their coordinates and x = y.
     Homomorphism: y = alpha_h(x) >= 0 sits at (q(x), t(x) + h), so
     alpha_g(y) = L(q(x), t(x) + h + g) = alpha_{g+h}(x) whenever g + h is
     in the scope.  Range equivariance: let f = alpha_g(e) >= 0 for an edge
@@ -425,49 +464,20 @@ def _translation_certified(action: LabeledGraphAction, span: int) -> bool:
     sits at (P, t + c), so alpha_g(r(e)) = L(P, t + c + g) = r(f).  The
     sources and labels follow in the same way.  So an action that passes
     has no failure, and its ``pairs_checked`` is that of
-    :func:`homomorphism_pairs`."""
-    n = 2 * span + 1
-    coordinates = [action.coordinates(kind) for kind in KINDS]
-    fibers_of = []
-    for coords in coordinates:
-        fibers: dict[str, dict[int, int]] = {}
-        for x, (q, t) in enumerate(coords):
-            cells = fibers.setdefault(q, {})
-            if t in cells:
-                return False
-            cells[t] = x
-        fibers_of.append(fibers)
-
+    :func:`homomorphism_pairs`.  The placement verdicts are cached on the
+    action (``_placed``), where :func:`is_free` and the reconstruction
+    read them too."""
+    if not all(action._placed):
+        return False
     core = action.graph.core
-    vertices, edges, letters = coordinates
-    for ends, coords in ((core.dst, vertices), (core.src, vertices),
-                         (core.lab, letters)):
-        offsets: dict[str, tuple[str, int]] = {}
-        for (q, t), j in zip(edges, ends):
-            p, u = coords[j]
-            if offsets.setdefault(q, (p, u - t)) != (p, u - t):
-                return False
-
-    for kind, fibers in zip(KINDS, fibers_of):
-        cols = action.columns(kind)
-        for cells in fibers.values():
-            layers = sorted(cells)
-            lo, hi = layers[0], layers[-1]
-            if hi - lo < 2 * len(layers):
-                line = [-1] * (hi - lo + n)
-                for t, x in cells.items():
-                    line[t - lo + span] = x
-                for t, x in cells.items():
-                    if cols[x * n:x * n + n] != line[t - lo:t - lo + n]:
-                        return False
-            else:
-                for t, x in cells.items():
-                    column = [-1] * n
-                    for u in layers[bisect_left(layers, t - span):
-                                    bisect_right(layers, t + span)]:
-                        column[u - t + span] = cells[u]
-                    if cols[x * n:x * n + n] != column:
-                        return False
+    vertices, edges, letters = (action.coordinates(kind) for kind in KINDS)
+    offsets: dict[str, tuple] = {}
+    for (q, t), d, s, a in zip(edges, core.dst, core.src, core.lab):
+        (range_fiber, r), (source_fiber, u), (letter_fiber, v) = (
+            vertices[d], vertices[s], letters[a])
+        found = (range_fiber, r - t, source_fiber, u - t, letter_fiber, v - t)
+        if offsets.setdefault(q, found) != found:
+            return False
     return True
 
 
@@ -529,11 +539,31 @@ def _homomorphism(action: LabeledGraphAction, scope: tuple[Element, ...],
 def is_free(action: LabeledGraphAction) -> Check:
     """Trivial vertex and alphabet stabilizers over the verification
     scope; the witness is (element, fixed item), the least in scope, kind
-    and carrier order.  Each vertex and letter x is looked up in its slice
-    of :meth:`LabeledGraphAction.columns`, at the first position other
-    than the identity's that holds x."""
-    # The blocks first: an oversized integer scope is refused by them
-    # before it is listed.
+    and carrier order.  The verdict is computed once and cached on the
+    action (:meth:`LabeledGraphAction._free`)."""
+    return action._free
+
+
+def _freeness(action: LabeledGraphAction) -> Check:
+    """:func:`is_free`, uncached.
+
+    On an integer interval whose vertices and letters pass the placement
+    check of :func:`_translation_certified`, the action is free: for
+    g != 0, alpha_g(x) = L(q(x), t(x) + g) is an item at another layer or
+    -1, never x, since L lists x at its own coordinates only.  Such an
+    action is refused above :data:`MAX_TRIPLES` as its block would be, and
+    otherwise answered without the block.
+
+    Otherwise each vertex and letter x is looked up in its slice of
+    :meth:`LabeledGraphAction.columns`, at the first position other than
+    the identity's that holds x."""
+    if action.interval_span() is not None:
+        # The cap first: an oversized integer scope is refused before it
+        # is listed, as the block would refuse it.
+        check_triples(action, "the scope block would serve")
+        placed = action._placed
+        if placed[_KIND_INDEX[VERTEX]] and placed[_KIND_INDEX[LETTER]]:
+            return Check(True)
     blocks = [action.columns(kind) for kind in (VERTEX, LETTER)]
     scope = action.scope_elements()
     n, ident = len(scope), scope.index(action.group.identity)
@@ -582,36 +612,45 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
         for members in action.orbits(kind):
             name = action.orbit_name(kind, members)
             members_of[kind][name] = members
-            for x in members:
-                orbit_of[kind][x] = name
+            orbit_of[kind].update(zip(members, itertools.repeat(name)))
 
     # well-definedness: all edges in an orbit must agree on the orbits of
-    # their sources, targets and labels
-    rep_edge: dict[str, str] = {}
-    for eid in orbit_of[EDGE]:
-        cls = orbit_of[EDGE][eid]
-        if cls not in rep_edge:
-            rep_edge[cls] = eid
-            continue
-        e, other = graph.edge(eid), graph.edge(rep_edge[cls])
-        vertex_orbit = orbit_of[VERTEX]
-        if (vertex_orbit[e.src] != vertex_orbit[other.src]
-                or vertex_orbit[e.dst] != vertex_orbit[other.dst]):
-            raise WellDefinednessError(
-                "source/range maps are not constant on an edge orbit",
-                (eid, other.eid))
-        if (orbit_of[LETTER][lg.labeling[eid]]
-                != orbit_of[LETTER][lg.labeling[other.eid]]):
-            raise WellDefinednessError(
-                "labeling is not constant on an edge orbit", (eid, other.eid))
+    # their sources, targets and labels.  Each edge's triple of orbits is
+    # read from the core; only a disagreement is walked, in orbit order,
+    # to name its first pair.
+    core = lg.core
+    vertex_orbit, edge_orbit, letter_orbit = (orbit_of[kind] for kind in KINDS)
+    vertices, eids, letters = core.carriers
+    at = list(map(vertex_orbit.__getitem__, vertices))
+    ends = list(zip(map(at.__getitem__, core.src), map(at.__getitem__, core.dst),
+                    map(letter_orbit.__getitem__,
+                        map(letters.__getitem__, core.lab))))
+    classes = list(map(edge_orbit.__getitem__, eids))
+    induced = dict(zip(classes, ends))
+    if list(map(induced.__getitem__, classes)) != ends:
+        rep_edge: dict[str, str] = {}
+        for eid, cls in edge_orbit.items():
+            other = rep_edge.setdefault(cls, eid)
+            if other == eid:
+                continue
+            _, src, dst = graph.edge(eid)
+            _, other_src, other_dst = graph.edge(other)
+            if (vertex_orbit[src] != vertex_orbit[other_src]
+                    or vertex_orbit[dst] != vertex_orbit[other_dst]):
+                raise WellDefinednessError(
+                    "source/range maps are not constant on an edge orbit",
+                    (eid, other))
+            if (letter_orbit[lg.labeling[eid]]
+                    != letter_orbit[lg.labeling[other]]):
+                raise WellDefinednessError(
+                    "labeling is not constant on an edge orbit", (eid, other))
 
     q_vertices = sorted(members_of[VERTEX])
     q_edges = []
     q_labeling = {}
-    for cls, eid in sorted(rep_edge.items()):
-        e = graph.edge(eid)
-        q_edges.append(Edge(cls, orbit_of[VERTEX][e.src], orbit_of[VERTEX][e.dst]))
-        q_labeling[cls] = orbit_of[LETTER][lg.labeling[eid]]
+    for cls, (src, dst, a) in sorted(induced.items()):
+        q_edges.append(Edge(cls, src, dst))
+        q_labeling[cls] = a
     q_graph = LabeledGraph(DirectedGraph(q_vertices, q_edges), q_labeling)
 
     projection = LabeledGraphMorphism(

@@ -246,14 +246,14 @@ def paths_of_length(graph: DirectedGraph, n: int) -> tuple[Path, ...]:
                 f"enumerating the paths of length {n} would build at least "
                 f"{built} edge ids, over the cap MAX_PATH_EDGES = "
                 f"{MAX_PATH_EDGES}")
-        ending = {v: sum(ending[e.src] for e in graph.in_edges(v))
+        ending = {v: sum(ending[src] for _, src, _ in graph.in_edges(v))
                   for v in graph.vertices}
-    frontier: list[tuple[str, ...]] = [(e.eid,) for e in graph.edges]
+    frontier: list[tuple[str, ...]] = [(eid,) for eid, _, _ in graph.edges]
     for _ in range(n - 1):
         nxt = []
         for ids in frontier:
-            tail = graph.edge(ids[-1]).dst
-            for e in graph.out_edges(tail):
-                nxt.append(ids + (e.eid,))
+            _, _, tail = graph.edge(ids[-1])
+            for eid, _, _ in graph.out_edges(tail):
+                nxt.append(ids + (eid,))
         frontier = nxt
     return tuple(Path(ids) for ids in sorted(frontier))

@@ -78,15 +78,16 @@ def derive_eta1(action: LabeledGraphAction, quot: QuotientLabeledGraph,
     section, obtained by unique path lifting."""
     lg = action.graph
     out: dict[str, str] = {}
-    for q_edge in quot.quotient.graph.edges:
-        anchor = eta0[q_edge.src]
-        lifts = [f.eid for f in lg.graph.out_edges(anchor)
-                 if quot.edge_orbit[f.eid] == q_edge.eid]
+    edge_orbit = quot.edge_orbit
+    for q_eid, q_src, _ in quot.quotient.graph.edges:
+        anchor = eta0[q_src]
+        lifts = [eid for eid, _, _ in lg.graph.out_edges(anchor)
+                 if edge_orbit[eid] == q_eid]
         if len(lifts) != 1:
             raise LiftFailure(
-                f"edge orbit {q_edge.eid} has {len(lifts)} lifts at {anchor}",
-                (q_edge.eid, anchor, tuple(lifts)))
-        out[q_edge.eid] = lifts[0]
+                f"edge orbit {q_eid} has {len(lifts)} lifts at {anchor}",
+                (q_eid, anchor, tuple(lifts)))
+        out[q_eid] = lifts[0]
     return out
 
 
@@ -146,18 +147,29 @@ def _reconstruction_layers(action: LabeledGraphAction,
     """Layer assignment for the reconstruction skew product: the pullback
     of the acted-on carrier (the scope elements that move the vertex
     section into the lifting scope), so the comparison isomorphism is
-    total and bijective rather than window-approximate.  The images of a
-    section vertex over the scope are its slice of the action's columns."""
+    total and bijective rather than window-approximate.  On an integer
+    interval the image of a section vertex x at (q, t) under h is looked
+    up at (q, t + h) in :meth:`~LabeledGraphAction.located`; on a finite
+    group the images over the scope are x's slice of the action's
+    columns."""
     index = action.index(VERTEX)
     inside = {index[v] for v in action.lifting_scope()}
-    scope = action.scope_elements()
-    cols, n = action.columns(VERTEX), len(scope)
+    span = action.interval_span()
     layers = {}
+    if span is None:
+        scope = action.scope_elements()
+        cols, n = action.columns(VERTEX), len(scope)
+        for q_vertex in quot.orbit_vertex_members:
+            x = index[eta0[q_vertex]]
+            images = cols[x * n:x * n + n]
+            layers[q_vertex] = tuple([h for h, j in zip(scope, images)
+                                      if j in inside])
+        return layers
+    located, coords = action.located(VERTEX), action.coordinates(VERTEX)
     for q_vertex in quot.orbit_vertex_members:
-        x = index[eta0[q_vertex]]
-        images = cols[x * n:x * n + n]
-        layers[q_vertex] = tuple([h for h, j in zip(scope, images)
-                                  if j in inside])
+        q, t = coords[index[eta0[q_vertex]]]
+        layers[q_vertex] = tuple([h for h in range(-span, span + 1)
+                                  if located.get((q, t + h), -1) in inside])
     return layers
 
 
@@ -175,20 +187,33 @@ def _comparison_map(action: LabeledGraphAction, k: int,
                     section: Mapping[str, str]) -> dict[str, str]:
     """phi(q, g) = alpha_g(section(q)) on every item (q, g) of the ``k``-th
     kind of the reconstruction skew product.  When g is a scope element
-    the image is read from the action's columns; halo and letter layers
-    may lie outside the scope, and those go through ``apply``."""
+    the image is read from :meth:`~LabeledGraphAction.located` at
+    (fiber, layer + g) of section(q) on an integer interval, and from the
+    action's columns on a finite group; halo and letter layers may lie
+    outside the scope, and those go through ``apply``."""
     kind = KINDS[k]
     carrier, index = action.carrier(kind), action.index(kind)
-    scope = action.scope_elements()
-    position = {g: p for p, g in enumerate(scope)}
-    cols, n = action.columns(kind), len(scope)
+    span = action.interval_span()
+    if span is None:
+        scope = action.scope_elements()
+        position = {g: p for p, g in enumerate(scope)}
+        cols, n = action.columns(kind), len(scope)
+    else:
+        located, coords = action.located(kind), action.coordinates(kind)
+        at = {q: coords[index[x]] for q, x in section.items()}
     out = {}
     for item, (q, g) in pairs.items():
-        p = position.get(g)
-        if p is None:
+        if span is None:
+            p = position.get(g)
+            j = None if p is None else cols[index[section[q]] * n + p]
+        elif -span <= g <= span:
+            fiber, t = at[q]
+            j = located.get((fiber, t + g), -1)
+        else:
+            j = None
+        if j is None:
             image = action.apply(g, kind, section[q])
         else:
-            j = cols[index[section[q]] * n + p]
             image = carrier[j] if j >= 0 else None
         if image is None:
             raise VerificationError("comparison map leaves the carrier",
@@ -207,18 +232,25 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
     :class:`VerificationError` naming the least witness (g, kind, x), in
     scope, kind and carrier order; so does a check that compares nothing.
 
-    When the scope is an integer interval, the check runs item-major
+    When the scope is an integer interval, the maps are first checked
+    against a certificate of the size of the carriers
+    (:func:`_equivariance_offsets`), which gives the count in closed form
+    without either block.  When it fails, the check runs item-major
     (:func:`_equivariance_interval`): one slice compare per item covers
-    every g.  Finite groups gather the images of each element from the
-    two blocks (:func:`_equivariance_by_element`)."""
+    every g, and the least witness is named.  Finite groups gather the
+    images of each element from the two blocks
+    (:func:`_equivariance_by_element`)."""
     tau = TranslationAction(skew)
-    images = [[action.index(kind)[mapping[item]] for item in tau.carrier(kind)]
-              + [-1] for kind, mapping in zip(KINDS, maps)]
+    images = [list(map(action.index(kind).__getitem__,
+                       map(mapping.__getitem__, tau.carrier(kind)))) + [-1]
+              for kind, mapping in zip(KINDS, maps)]
     span = action.interval_span()
     if span is None:
         checked = _equivariance_by_element(action, tau, images)
     else:
-        checked = _equivariance_interval(action, span, tau, images)
+        checked = _equivariance_offsets(action, span, tau, images)
+        if checked is None:
+            checked = _equivariance_interval(action, span, tau, images)
     if checked == 0:
         raise VerificationError("equivariance could not be exercised", None)
     return checked
@@ -250,6 +282,55 @@ def _equivariance_by_element(action: LabeledGraphAction,
                     raise VerificationError("maps are not equivariant",
                                             (g, kind, tau.carrier(kind)[i]))
                 checked += 1
+    return checked
+
+
+def _equivariance_offsets(action: LabeledGraphAction, span: int,
+                          tau: TranslationAction,
+                          images: list[list[int]]) -> int | None:
+    """The count of :func:`_equivariance_interval` when the maps certify
+    equivariance on the scope -span..span, None when they do not.
+
+    Write L and L' for the :meth:`~LabeledGraphAction.located` maps of
+    the action and of tau, so that alpha_g(y) = L(q(y), t(y) + g) and
+    tau_g x = L'(q(x), t(x) + g), -1 where nothing is listed.  The
+    certificate is:
+
+    - placement of both actions (``_placed``): each L is the exact
+      inverse of its coordinates;
+    - offsets: phi sends every item of a skew fiber q into one action
+      fiber P(q) at a constant layer offset c(q): phi(x) sits at
+      (P(q), t(x) + c(q)).
+
+    Then for x at (q, h) and g in the scope with x' = tau_g x >= 0, x'
+    sits at (q, h + g) and phi(x') at (P, h + g + c), so by placement
+    phi(x') = L(P, h + g + c) = alpha_g(phi(x)).  Wherever the left side
+    is defined both sides are, and they are equal; where it is not, the
+    pair is not counted.  So the count is, per skew item x, the number of
+    layers of its fiber within span of its own (x's included), found with
+    two pointers over each fiber's sorted layers."""
+    if not (all(action._placed) and all(tau._placed)):
+        return None
+    checked = 0
+    for kind, image in zip(KINDS, images):
+        coords = action.coordinates(kind)
+        offsets: dict[str, tuple[str, int]] = {}
+        fibers: dict[str, list[int]] = {}
+        for (q, h), j in zip(tau.coordinates(kind), image):
+            p, u = coords[j]
+            found = (p, u - h)
+            if offsets.setdefault(q, found) != found:
+                return None
+            fibers.setdefault(q, []).append(h)
+        for layers in fibers.values():
+            layers.sort()
+            lo = hi = 0
+            for t in layers:
+                while layers[lo] < t - span:
+                    lo += 1
+                while hi < len(layers) and layers[hi] <= t + span:
+                    hi += 1
+                checked += hi - lo
     return checked
 
 

@@ -349,17 +349,16 @@ def representatives(lg: LabeledGraph, word: Word) -> tuple[Path, ...]:
     if len(word) < 1:
         raise PreconditionError("ZERO_LENGTH_PATH", "words have length >= 1")
     g = lg.graph
-    partial: list[tuple[str, ...]] = []
-    for e in g.edges:
-        if lg.labeling[e.eid] == word[0]:
-            partial.append((e.eid,))
+    labeling = lg.labeling
+    partial: list[tuple[str, ...]] = [(eid,) for eid, _, _ in g.edges
+                                      if labeling[eid] == word[0]]
     for a in word[1:]:
         nxt = []
         for ids in partial:
-            tail = g.edge(ids[-1]).dst
-            for e in g.out_edges(tail):
-                if lg.labeling[e.eid] == a:
-                    nxt.append(ids + (e.eid,))
+            _, _, tail = g.edge(ids[-1])
+            for eid, _, _ in g.out_edges(tail):
+                if labeling[eid] == a:
+                    nxt.append(ids + (eid,))
         partial = nxt
         if not partial:
             break

@@ -279,14 +279,15 @@ class TranslationAction(LabeledGraphAction):
     def _columns(self) -> list[list[int]]:
         """The block of :meth:`columns` of each kind.
 
-        On a finite group each fiber's line holds the item at each layer,
+        Both read the items of each fiber from :meth:`located`.  On a
+        finite group each fiber's line holds the item at each layer,
         indexed by the layer's position in the elements, or -1; with the
         positions of g t over the elements g, one list per layer t and
         |G|^2 group operations in all, the images of the item at (q, t)
         are the line of q gathered through the list of t.
 
-        On an integer window each fiber's line in the id map is padded
-        with span times -1, and each item takes the slice of n = 2 span + 1
+        On an integer window each fiber's line is padded with span
+        times -1, and each item takes the slice of n = 2 span + 1
         around its layer; a fiber whose layers are sparse (a halo 10**12
         layers away) gathers the layers within span of the item's instead.
         A kind's block holds (items + 1) n ints, about 4 / (3 n) of the
@@ -296,7 +297,6 @@ class TranslationAction(LabeledGraphAction):
         :func:`~labgraphs.action.verify_action` does: no caller reads a
         block the verification would refuse."""
         span = self.interval_span()
-        positions = self.graph.core.positions
         blocks = []
         if span is None:
             elements = self.group.elements()
@@ -304,10 +304,10 @@ class TranslationAction(LabeledGraphAction):
             position = {g: p for p, g in enumerate(elements)}
             moved = {t: [position[op(g, t)] for g in elements]
                      for t in elements}
-            for kind, index in zip(KINDS, positions):
+            for kind in KINDS:
                 lines: dict[str, list[int]] = defaultdict(lambda: [-1] * n)
-                for (base, t), item in self._pairs(kind)[1].items():
-                    lines[base][position[t]] = index[item]
+                for (base, t), x in self.located(kind).items():
+                    lines[base][position[t]] = x
                 block: list[int] = []
                 for base, t in self.coordinates(kind):
                     line = lines[base]
@@ -316,10 +316,10 @@ class TranslationAction(LabeledGraphAction):
             return blocks
         check_triples(self, "the scope block would serve")
         n = 2 * span + 1
-        for kind, index in zip(KINDS, positions):
+        for kind in KINDS:
             fibers: dict[str, dict[int, int]] = {}
-            for (base, t), item in self._pairs(kind)[1].items():
-                fibers.setdefault(base, {})[t] = index[item]
+            for (base, t), x in self.located(kind).items():
+                fibers.setdefault(base, {})[t] = x
             shapes = {}
             for base, cells in fibers.items():
                 layers = sorted(cells)
@@ -347,16 +347,27 @@ class TranslationAction(LabeledGraphAction):
 
     @cached_property
     def _coordinates(self) -> dict[str, list[tuple[str, Element]]]:
-        out = {}
-        for kind in KINDS:
-            pairs, _ = self._pairs(kind)
-            out[kind] = [pairs[item] for item in self.carrier(kind)]
-        return out
+        return {kind: list(map(self._pairs(kind)[0].__getitem__,
+                               self.carrier(kind))) for kind in KINDS}
 
     def coordinates(self, kind: str) -> list[tuple[str, Element]]:
         """(base item, layer) of each carrier item, in carrier order, read
         from the skew's pair maps once per kind."""
         return self._coordinates[kind]
+
+    @cached_property
+    def _located(self) -> dict[str, dict[tuple[str, Element], int]]:
+        out = {}
+        for kind, index in zip(KINDS, self.graph.core.positions):
+            ids = self._pairs(kind)[1]
+            out[kind] = dict(zip(ids, map(index.__getitem__, ids.values())))
+        return out
+
+    def located(self, kind: str) -> dict[tuple[str, Element], int]:
+        """The skew's id map of ``kind`` by position: the item at each
+        (base item, layer), the map that :meth:`apply` reads, built once
+        per kind."""
+        return self._located[kind]
 
     def _pairs(self, kind: str):
         if kind == VERTEX:

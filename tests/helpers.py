@@ -1,6 +1,7 @@
 """Shared constructions used by several test modules."""
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Mapping
 
 from labgraphs import fixtures as fx
@@ -209,6 +210,68 @@ def is_free_exhaustive(action: LabeledGraphAction) -> Check:
                 if action.apply(g, kind, item) == item:
                     return Check(False, (g, item))
     return Check(True)
+
+
+def translation_certified_by_lines(action: LabeledGraphAction) -> bool:
+    """Oracle for ``action._translation_certified``: the certificate read
+    against the block of scope images, in time and space of the order of
+    the carrier plus the block.  With (q(x), t(x)) the coordinates of item
+    x and L(q, t) the item at (q, t) by those coordinates, or -1:
+
+    - placement: no two items of a kind share a (fiber, layer);
+    - lines: alpha_g(x) = L(q(x), t(x) + g) for every item x and every g
+      of the scope, -1 entries included.  Item x's slice of
+      ``columns(kind)`` is compared with the slice of the fiber's line
+      around t(x), padded with -1, in one compare per item; a fiber whose
+      layers are sparse gathers the layers within span of t(x) instead;
+    - edge offsets: over the edges of one edge fiber, the fiber of the
+      range and its layer minus the edge's layer are the same, and so are
+      those of the source and of the label."""
+    kinds = (VERTEX, EDGE, LETTER)
+    span = action.interval_span()
+    n = 2 * span + 1
+    coordinates = [action.coordinates(kind) for kind in kinds]
+    fibers_of = []
+    for coords in coordinates:
+        fibers: dict[str, dict[int, int]] = {}
+        for x, (q, t) in enumerate(coords):
+            cells = fibers.setdefault(q, {})
+            if t in cells:
+                return False
+            cells[t] = x
+        fibers_of.append(fibers)
+
+    core = action.graph.core
+    vertices, edges, letters = coordinates
+    for ends, coords in ((core.dst, vertices), (core.src, vertices),
+                         (core.lab, letters)):
+        offsets: dict[str, tuple[str, int]] = {}
+        for (q, t), j in zip(edges, ends):
+            p, u = coords[j]
+            if offsets.setdefault(q, (p, u - t)) != (p, u - t):
+                return False
+
+    for kind, fibers in zip(kinds, fibers_of):
+        cols = action.columns(kind)
+        for cells in fibers.values():
+            layers = sorted(cells)
+            lo, hi = layers[0], layers[-1]
+            if hi - lo < 2 * len(layers):
+                line = [-1] * (hi - lo + n)
+                for t, x in cells.items():
+                    line[t - lo + span] = x
+                for t, x in cells.items():
+                    if cols[x * n:x * n + n] != line[t - lo:t - lo + n]:
+                        return False
+            else:
+                for t, x in cells.items():
+                    column = [-1] * n
+                    for u in layers[bisect_left(layers, t - span):
+                                    bisect_right(layers, t + span)]:
+                        column[u - t + span] = cells[u]
+                    if cols[x * n:x * n + n] != column:
+                        return False
+    return True
 
 
 def interior_vertices_by_definition(skew: SkewLabeledGraph) -> frozenset[str]:

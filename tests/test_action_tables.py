@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from labgraphs import action as action_module
 from labgraphs import fixtures as fx
+from labgraphs import gross_tucker as gross_tucker_module
 from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
                               FiniteAction, homomorphism_pairs,
                               homomorphism_triples, is_free, verify_action)
@@ -27,7 +28,8 @@ from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 from helpers import (equivariance_oracle, fish4_swap_action,
                      interior_vertices_by_definition, is_free_exhaustive,
-                     loop_swap_action, orbits_bruteforce, translation_fibers,
+                     loop_swap_action, orbits_bruteforce,
+                     translation_certified_by_lines, translation_fibers,
                      trivial_action, verify_action_exhaustive)
 
 KINDS = (VERTEX, EDGE, LETTER)
@@ -400,6 +402,34 @@ def test_broken_integer_actions_are_refused(builder, seed):
     assert report == verify_action_exhaustive(action)
 
 
+#: Every builder of actions on an integer interval: intact, broken,
+#: rewired, aliased, pullback, wide, sparse and huge-cocycle.
+INTERVAL_BUILDERS = {
+    **INTEGER_BUILDERS,
+    "wide": wide_z_action,
+    "sparse": lambda rng: SPARSE_CASES[rng.choice(sorted(SPARSE_CASES))](),
+    "huge-cocycle": lambda rng: huge_cocycle_action(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(INTERVAL_BUILDERS)), st.integers(0, 2 ** 32 - 1))
+def test_map_certificate_never_passes_where_the_lines_fail(builder, seed):
+    """The block of every interval action is the ``located`` lookup at
+    (fiber, layer + g), so the block and the readers that skip it cannot
+    drift apart; and the certificate read on ``located`` holds only where
+    the one read against the block (its oracle) holds too."""
+    action = INTERVAL_BUILDERS[builder](random.Random(seed))
+    span = action.interval_span()
+    for kind in KINDS:
+        located = action.located(kind)
+        assert action.columns(kind) == [
+            located.get((q, t + g), -1) for q, t in action.coordinates(kind)
+            for g in range(-span, span + 1)] + [-1] * (2 * span + 1)
+    if action_module._translation_certified(action):
+        assert translation_certified_by_lines(action)
+
+
 def _refuse_the_scans(*args):
     raise AssertionError("the witness scans ran on an intact translation")
 
@@ -423,15 +453,20 @@ def test_intact_translations_skip_the_scans(name):
     """On an intact translation the certificate holds, so the witness
     scans never run and the report is the one they would give: no
     failure, every scope element, and every pair whose sum is in the
-    scope."""
+    scope.  Freeness and the reconstruction, its equivariance check
+    included, read ``located`` too: the block of scope images is never
+    built."""
     action = INTACT_TRANSLATIONS[name]()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(action_module, "_homomorphism", _refuse_the_scans)
+        mp.setattr(gross_tucker_module, "_equivariance_interval",
+                   _refuse_the_scans)
         report = verify_action(action)
+        assert is_free(action)
+        reconstruct(action)
     assert report == ActionReport(True, (), len(action.scope_elements()),
                                   homomorphism_pairs(action), True)
-    assert is_free(action)
-    reconstruct(action)
+    assert "_columns" not in action.__dict__
 
 
 @pytest.mark.parametrize("seed", range(24))

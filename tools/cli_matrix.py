@@ -20,6 +20,10 @@ printouts shows every command whose output changed:
     (cd ../other-checkout && python tools/cli_matrix.py) > before.txt
     diff before.txt after.txt
 
+It also checks the exit contract of ``main``: when a command lets an
+exception escape or returns a code other than 0, 1 and 2, the script names
+each such command on stderr after the digests and exits with code 1.
+
 Only the standard library, the checkout's own ``labgraphs`` and
 ``tests/helpers.py`` are used.
 """
@@ -106,8 +110,9 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
         yield [(" ".join(argv), argv) for argv in matrix()] + generated
 
 
-def run(main, argv: list[str]) -> str:
-    """sha256 over the exit code, stdout and stderr of one command; an
+def run(main, argv: list[str]) -> tuple[str, str | None]:
+    """sha256 over the exit code, stdout and stderr of one command, and
+    how the command breaks the exit contract of ``main``, or None.  An
     exception that escapes ``main`` is digested as its traceback's last
     line, so a crash shows up as a changed digest rather than ending the
     run."""
@@ -115,24 +120,33 @@ def run(main, argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
+            broken = None if code in (0, 1, 2) else f"exit code {code!r}"
         except SystemExit as exc:
             code = f"SystemExit({exc.code!r})"
+            broken = f"raised {code}"
         except Exception:
             code = "raised " + traceback.format_exc().strip().splitlines()[-1]
+            broken = code
     digest = hashlib.sha256()
     for part in (str(code), out.getvalue(), err.getvalue()):
         digest.update(part.encode("utf-8"))
         digest.update(b"\0")
-    return digest.hexdigest()
+    return digest.hexdigest(), broken
 
 
 def main() -> int:
     os.chdir(ROOT)
+    broken = []
     with commands() as argvs:
         from labgraphs.cli import main as cli_main
         for label, argv in argvs:
-            print(f"{run(cli_main, argv)}  {label}")
-    return 0
+            digest, problem = run(cli_main, argv)
+            print(f"{digest}  {label}")
+            if problem is not None:
+                broken.append(f"{label}: {problem}")
+    for line in broken:
+        print(f"exit contract broken by {line}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
