@@ -729,12 +729,7 @@ def is_fundamental_domain(action: LabeledGraphAction,
                                 "orbit not represented exactly once")
             break
 
-    letter_orbit: dict[str, str] = {}
-    for members in action.orbits(LETTER):
-        name = action.orbit_name(LETTER, members)
-        for a in members:
-            letter_orbit[a] = name
-
+    letter_orbit = _letter_orbits(action)
     violations: list[tuple[str, str, str]] = []
     for clause, anchor in (("a", lambda e: e.dst), ("b", lambda e: e.src)):
         touching = [e for e in lg.graph.edges if anchor(e) in T]
@@ -747,6 +742,35 @@ def is_fundamental_domain(action: LabeledGraphAction,
                     violations.append((clause, e1.eid, e2.eid))
     ok = bool(transversal) and not violations
     return FundamentalDomainReport(ok, transversal, tuple(violations))
+
+
+def _letter_orbits(action: LabeledGraphAction) -> dict[str, str]:
+    """The name of each letter's orbit."""
+    letter_orbit: dict[str, str] = {}
+    for members in action.orbits(LETTER):
+        letter_orbit.update(dict.fromkeys(
+            members, action.orbit_name(LETTER, members)))
+    return letter_orbit
+
+
+def _clause_labels(action: LabeledGraphAction, vertices: Iterable[str]
+                   ) -> dict[str, dict[tuple[str, str], str] | None]:
+    """For each of ``vertices``, the one label of the edges into it (clause
+    a) or out of it (clause b) in each letter orbit, keyed by (clause,
+    orbit name); None for a vertex where two such edges carry different
+    labels, which no fundamental domain holds."""
+    lg = action.graph
+    letter_orbit = _letter_orbits(action)
+    tables: dict[str, dict[tuple[str, str], str] | None] = {
+        v: {} for v in vertices}
+    for e in lg.graph.edges:
+        label = lg.labeling[e.eid]
+        orbit = letter_orbit[label]
+        for key, v in ((("a", orbit), e.dst), (("b", orbit), e.src)):
+            table = tables.get(v)
+            if table is not None and table.setdefault(key, label) != label:
+                tables[v] = None
+    return tables
 
 
 @dataclass(frozen=True)
@@ -780,11 +804,19 @@ def find_fundamental_domain(action: LabeledGraphAction) -> DomainSearchResult:
                 f"the fundamental domain search would face at least "
                 f"{total} candidate transversals, over the cap "
                 f"MAX_TRANSVERSALS = {MAX_TRANSVERSALS}")
+    # one representative per orbit makes every candidate a transversal, so
+    # it passes when its vertices' label tables agree on every key
+    tables = _clause_labels(action, {v for members in orbits for v in members})
     tried = 0
     for combo in itertools.product(*orbits):
         tried += 1
-        report = is_fundamental_domain(action, combo)
-        if report.ok:
+        seen: dict[tuple[str, str], str] = {}
+        for v in combo:
+            table = tables[v]
+            if table is None or any(seen.setdefault(key, label) != label
+                                    for key, label in table.items()):
+                break
+        else:
             return DomainSearchResult(frozenset(combo), tried)
     return DomainSearchResult(None, tried)
 

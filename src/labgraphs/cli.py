@@ -3,6 +3,14 @@
 Exit codes: 0 when the property holds or the construction succeeded, 1
 when a property fails (a witness is printed), 2 on usage, parse or schema
 errors.  ``--json`` switches the report to machine-readable JSON.
+
+Each call runs one subcommand in a fresh interpreter, so this module
+imports at its top only what parsing and every handler need (``errors``,
+``jsonio`` and the graph, group and labeled-graph modules).  A handler
+imports the modules it calls itself, and ``_load_graph`` and
+``_load_action`` import ``skew`` only for a skew-spec document.  This
+module and ``jsonio`` are the only ones that defer imports; the library
+modules import at their tops.
 """
 
 from __future__ import annotations
@@ -12,24 +20,16 @@ import json
 import re
 import sys
 
-from . import dot as dot_mod
 from . import jsonio
-from .action import (find_fundamental_domain, is_free, is_fundamental_domain,
-                     is_label_consistent, quotient, verify_action)
 from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
                      NonFreeWitness, NotALabeledPath, NotAMember, OutOfWindow,
                      ParseError, PreconditionError, SchemaError,
                      SearchSpaceExceeded, VerificationError,
                      WellDefinednessError)
 from .graph import paths_of_length, validate
-from .gross_tucker import reconstruct, reconstruct_label_consistent
 from .groups import Window
 from .labeled import (is_left_resolving, is_weakly_left_resolving,
                       relative_range)
-from .lattice import (labeled_space_report, relative_complement_closure,
-                      smallest_accommodating)
-from .morphism import LabeledGraphMorphism, verify_morphism
-from .skew import left_translation, skew_product
 
 _USAGE_ERRORS = (ParseError, SchemaError, PreconditionError, SearchSpaceExceeded)
 _PROPERTY_ERRORS = (VerificationError, NoFundamentalDomain, LiftFailure,
@@ -58,6 +58,7 @@ def _load_graph(path: str, window: Window | None):
     if kind == "graph":
         return obj, None
     if kind == "skew-spec":
+        from .skew import skew_product
         skew = skew_product(obj, window)
         return skew.graph, skew
     raise SchemaError("$.kind", f"expected a graph or skew-spec, got {kind!r}")
@@ -68,6 +69,7 @@ def _load_action(path: str, window: Window | None):
     if kind == "action":
         return obj.instantiate(window)
     if kind == "skew-spec":
+        from .skew import left_translation, skew_product
         return left_translation(skew_product(obj, window))
     raise SchemaError("$.kind", f"expected an action or skew-spec, got {kind!r}")
 
@@ -181,6 +183,8 @@ def _derivation_renderer(col):
 
 
 def _cmd_lattice(args):
+    from .lattice import (labeled_space_report, relative_complement_closure,
+                          smallest_accommodating)
     lg, _ = _load_graph(args.file, args.window)
     col = smallest_accommodating(lg)
     closed = relative_complement_closure(col)
@@ -213,6 +217,7 @@ def _cmd_lattice(args):
 
 
 def _cmd_skew(args):
+    from .skew import skew_product
     kind, spec = jsonio.load(args.file)
     if kind != "skew-spec":
         raise SchemaError("$.kind", f"expected a skew-spec, got {kind!r}")
@@ -240,6 +245,7 @@ def _cmd_skew(args):
 
 
 def _cmd_translate(args):
+    from .action import is_free, verify_action
     action = _load_action(args.file, args.window)
     report = verify_action(action)
     freeness = is_free(action)
@@ -256,6 +262,7 @@ def _cmd_translate(args):
 
 
 def _cmd_quotient(args):
+    from .action import quotient
     action = _load_action(args.file, args.window)
     quot = quotient(action)
     lg = quot.quotient
@@ -277,6 +284,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_act_check(args):
+    from .action import is_free, verify_action
     action = _load_action(args.file, args.window)
     report = verify_action(action)
     freeness = is_free(action)
@@ -289,6 +297,7 @@ def _cmd_act_check(args):
 
 
 def _cmd_fundomain(args):
+    from .action import find_fundamental_domain, is_fundamental_domain
     action = _load_action(args.file, args.window)
     if args.domain:
         domain = jsonio.domain_from_json(jsonio.read_json(args.domain))
@@ -313,6 +322,7 @@ def _cmd_fundomain(args):
 
 
 def _cmd_label_consistency(args):
+    from .action import is_label_consistent
     kind, spec = jsonio.load(args.file)
     if kind != "skew-spec":
         raise SchemaError("$.kind", f"expected a skew-spec, got {kind!r}")
@@ -339,6 +349,7 @@ def _cmd_label_consistency(args):
 
 
 def _cmd_gross_tucker(args):
+    from .gross_tucker import reconstruct, reconstruct_label_consistent
     action = _load_action(args.file, args.window)
     pack = None
     if args.eta0:
@@ -390,6 +401,7 @@ def _cmd_gross_tucker(args):
 
 
 def _cmd_iso_check(args):
+    from .morphism import LabeledGraphMorphism, verify_morphism
     src, _ = _load_graph(args.source, args.window)
     dst, _ = _load_graph(args.target, args.window)
     maps = jsonio.morphism_maps_from_json(jsonio.read_json(args.morphism))
@@ -407,8 +419,9 @@ def _cmd_iso_check(args):
 
 
 def _cmd_export_dot(args):
+    from .dot import export_dot
     lg, skew = _load_graph(args.file, args.window)
-    text = dot_mod.export_dot(lg, skew)
+    text = export_dot(lg, skew)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

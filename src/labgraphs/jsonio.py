@@ -3,22 +3,28 @@
 Document kinds: graph, skew-spec, action, section-pack.  Parsing rejects
 unknown fields with the offending path; serialization emits canonical key
 and element order, so canonical files round-trip byte-identically.
+
+Reading a graph document loads no action, skew-product or reconstruction
+code: the readers that build those objects import their modules when
+they run, since each command-line call is a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from .action import FiniteAction, LabeledGraphAction
 from .errors import AxiomFailure, ParseError, PreconditionError, SchemaError
 from .graph import DirectedGraph
-from .gross_tucker import SectionPack
 from .groups import (Element, Group, Window, element_from_json,
                      element_to_json, make_group)
 from .labeled import LabeledGraph
-from .skew import SkewSpec, left_translation, skew_product
+
+if TYPE_CHECKING:
+    from .action import LabeledGraphAction
+    from .gross_tucker import SectionPack
+    from .skew import SkewSpec
 
 FORMAT_VERSION = 1
 
@@ -187,6 +193,7 @@ def skew_spec_from_json(obj: Any) -> SkewSpec:
     base = _graph_payload_from_json(obj["base"], "$.base")
     c = _cocycle_from_json(obj["c"], "$.c", group, base)
     d = _cocycle_from_json(obj["d"], "$.d", group, base)
+    from .skew import SkewSpec
     return SkewSpec(base, group, c, d)
 
 
@@ -221,7 +228,9 @@ class ActionDocument:
                 raise PreconditionError(
                     "WINDOW_REQUIRED",
                     "integer actions need an explicit --window")
+            from .skew import left_translation, skew_product
             return left_translation(skew_product(self.translation, window))
+        from .action import FiniteAction
         assert self.graph is not None
         if self.elements is not None:
             return FiniteAction(self.group, self.graph, dict(self.elements))
@@ -269,6 +278,7 @@ def action_from_json(obj: Any) -> ActionDocument:
         base = _graph_payload_from_json(tr["base"], "$.translation.base")
         c = _cocycle_from_json(tr["c"], "$.translation.c", group, base)
         d = _cocycle_from_json(tr["d"], "$.translation.d", group, base)
+        from .skew import SkewSpec
         return ActionDocument(group, translation=SkewSpec(base, group, c, d))
     if "graph" not in obj:
         raise SchemaError("$", "raw actions require a 'graph' field")
@@ -328,6 +338,7 @@ def sections_from_json(obj: Any) -> SectionPack:
     eta0 = _string_map(obj["eta0"], "$.eta0")
     etaA = _string_map(obj["etaA"], "$.etaA")
     eta1 = _string_map(obj["eta1"], "$.eta1") if "eta1" in obj else None
+    from .gross_tucker import SectionPack
     return SectionPack(eta0, etaA, eta1)
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Mapping
 
 from .errors import PreconditionError
-from .labeled import Check, LabeledGraph
+from .labeled import Check, GraphCore, LabeledGraph
 
 
 @dataclass(frozen=True)
@@ -43,24 +44,54 @@ def identity_morphism(lg: LabeledGraph) -> LabeledGraphMorphism:
 def verify_morphism(m: LabeledGraphMorphism) -> MorphismReport:
     """Check the two morphism laws; the isomorphism flag additionally
     requires all three maps to be bijections onto the target carriers.
-    Each map is read once into target positions, and the laws compare the
-    edge arrays of the two graph cores edge by edge."""
+    Each map is read into target positions in one call, and the laws
+    compare the edge arrays of the two graph cores as whole tuples; only a
+    map that misses or a law that fails is walked item by item, for the
+    first witness."""
     src, dst = m.source.core, m.target.core
     rows = []
     for mapping, domain, positions, what in zip(
             (m.vertex_map, m.edge_map, m.alphabet_map), src.carriers,
             dst.positions, ("vertex", "edge", "alphabet")):
-        row = []
-        for x in domain:
-            if x not in mapping:
-                return MorphismReport(False, False, x, f"{what} map not total")
-            j = positions.get(mapping[x])
-            if j is None:
-                return MorphismReport(False, False, (x, mapping[x]),
-                                      f"{what} map leaves the target")
-            row.append(j)
-        rows.append(row)
+        try:
+            rows.append(_pick(positions, _pick(mapping, domain)))
+        except KeyError:
+            return _map_failure(mapping, domain, positions, what)
     vrow, erow, arow = rows
+    if not (_pick(vrow, src.dst) == _pick(dst.dst, erow)
+            and _pick(vrow, src.src) == _pick(dst.src, erow)
+            and _pick(arow, src.lab) == _pick(dst.lab, erow)):
+        return _law_failure(src, dst, vrow, erow, arow)
+    iso = all(len(set(row)) == len(row) == len(items)
+              for row, items in zip(rows, dst.carriers))
+    return MorphismReport(True, iso)
+
+
+def _pick(values, keys: tuple) -> tuple:
+    """``tuple(values[k] for k in keys)``, read by one ``itemgetter`` call
+    (which returns a bare item for a single key and needs at least one)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(values)
+    return tuple([values[k] for k in keys])
+
+
+def _map_failure(mapping: Mapping[str, str], domain: tuple[str, ...],
+                 positions: Mapping[str, int], what: str) -> MorphismReport:
+    """The report on the first item of ``domain`` that ``mapping`` leaves
+    out or sends outside the target carrier."""
+    for x in domain:
+        if x not in mapping:
+            return MorphismReport(False, False, x, f"{what} map not total")
+        if mapping[x] not in positions:
+            return MorphismReport(False, False, (x, mapping[x]),
+                                  f"{what} map leaves the target")
+    raise AssertionError("every item of the domain maps into the target")
+
+
+def _law_failure(src: GraphCore, dst: GraphCore, vrow: tuple[int, ...],
+                 erow: tuple[int, ...], arow: tuple[int, ...]) -> MorphismReport:
+    """The report on the first edge that breaks a law, with the laws in
+    the order range, source, label."""
     ids = src.carriers[1]
     vertices, _, letters = dst.carriers
     for e, f in enumerate(erow):
@@ -76,9 +107,7 @@ def verify_morphism(m: LabeledGraphMorphism) -> MorphismReport:
         if a != b:
             return MorphismReport(False, False, (ids[e], letters[a], letters[b]),
                                   "label compatibility violated")
-    iso = all(len(set(row)) == len(row) == len(items)
-              for row, items in zip(rows, dst.carriers))
-    return MorphismReport(True, iso)
+    raise AssertionError("every edge keeps its range, source and label")
 
 
 def is_surjective(m: LabeledGraphMorphism) -> bool:

@@ -1,12 +1,15 @@
 """Shared constructions used by several test modules."""
 
+import itertools
 import random
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Mapping
 
 from labgraphs import fixtures as fx
-from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport, FiniteAction,
-                              LabeledGraphAction)
+from labgraphs import action as action_module
+from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport,
+                              DomainSearchResult, FiniteAction,
+                              LabeledGraphAction, is_fundamental_domain)
 from labgraphs.errors import SearchSpaceExceeded, VerificationError
 from labgraphs.graph import DirectedGraph, Edge, require_valid, validate
 from labgraphs.groups import CyclicGroup, Element, Group, Window
@@ -700,3 +703,63 @@ def verify_morphism_oracle(m: LabeledGraphMorphism) -> MorphismReport:
                           [e.eid for e in dst.graph.edges])
            and _bijective(m.alphabet_map, src.alphabet, dst.alphabet))
     return MorphismReport(True, iso)
+
+
+def verify_morphism_by_items(m: LabeledGraphMorphism) -> MorphismReport:
+    """Oracle for ``verify_morphism``'s bulk reads: the same positional
+    check, with every map read and every edge compared item by item."""
+    src, dst = m.source.core, m.target.core
+    rows = []
+    for mapping, domain, positions, what in zip(
+            (m.vertex_map, m.edge_map, m.alphabet_map), src.carriers,
+            dst.positions, ("vertex", "edge", "alphabet")):
+        row = []
+        for x in domain:
+            if x not in mapping:
+                return MorphismReport(False, False, x, f"{what} map not total")
+            j = positions.get(mapping[x])
+            if j is None:
+                return MorphismReport(False, False, (x, mapping[x]),
+                                      f"{what} map leaves the target")
+            row.append(j)
+        rows.append(row)
+    vrow, erow, arow = rows
+    ids = src.carriers[1]
+    vertices, _, letters = dst.carriers
+    for e, f in enumerate(erow):
+        v, w = vrow[src.dst[e]], dst.dst[f]
+        if v != w:
+            return MorphismReport(False, False, (ids[e], vertices[v], vertices[w]),
+                                  "range not preserved")
+        v, w = vrow[src.src[e]], dst.src[f]
+        if v != w:
+            return MorphismReport(False, False, (ids[e], vertices[v], vertices[w]),
+                                  "source not preserved")
+        a, b = dst.lab[f], arow[src.lab[e]]
+        if a != b:
+            return MorphismReport(False, False, (ids[e], letters[a], letters[b]),
+                                  "label compatibility violated")
+    iso = all(len(set(row)) == len(row) == len(items)
+              for row, items in zip(rows, dst.carriers))
+    return MorphismReport(True, iso)
+
+
+def find_fundamental_domain_by_candidates(
+        action: LabeledGraphAction) -> DomainSearchResult:
+    """Oracle for ``find_fundamental_domain``: every candidate transversal,
+    in product order over the in-scope vertex orbits, checked with
+    ``is_fundamental_domain`` until one passes."""
+    scope = action.domain_scope()
+    orbits = [tuple(m for m in members if m in scope)
+              for members in action.orbits(VERTEX)]
+    total = 1
+    for members in orbits:
+        total *= len(members)
+        if total > action_module.MAX_TRANSVERSALS:
+            raise SearchSpaceExceeded(f"{total} candidate transversals")
+    tried = 0
+    for combo in itertools.product(*orbits):
+        tried += 1
+        if is_fundamental_domain(action, combo).ok:
+            return DomainSearchResult(frozenset(combo), tried)
+    return DomainSearchResult(None, tried)

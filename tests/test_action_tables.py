@@ -15,8 +15,9 @@ from labgraphs import action as action_module
 from labgraphs import fixtures as fx
 from labgraphs import gross_tucker as gross_tucker_module
 from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
-                              FiniteAction, homomorphism_pairs,
-                              homomorphism_triples, is_free, verify_action)
+                              FiniteAction, find_fundamental_domain,
+                              homomorphism_pairs, homomorphism_triples,
+                              is_free, verify_action)
 from labgraphs.errors import SearchSpaceExceeded, VerificationError
 from labgraphs.graph import DirectedGraph, Edge
 from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
@@ -26,8 +27,9 @@ from labgraphs.gross_tucker import (check_equivariance,
 from labgraphs.labeled import LabeledGraph
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
-from helpers import (equivariance_oracle, fish4_swap_action,
-                     interior_vertices_by_definition, is_free_exhaustive,
+from helpers import (equivariance_oracle, find_fundamental_domain_by_candidates,
+                     fish4_swap_action, interior_vertices_by_definition,
+                     is_free_exhaustive,
                      loop_swap_action, orbits_bruteforce,
                      translation_certified_by_lines, translation_fibers,
                      trivial_action, verify_action_exhaustive)
@@ -908,3 +910,57 @@ def test_nonabelian_cases_are_not_vacuous():
             assert "homomorphism" in laws
         else:
             assert not laws
+
+
+# -- fundamental-domain search against the candidate loop ----------------------
+
+
+def non_free_finite_action(rng: random.Random) -> FiniteAction:
+    """A cyclic group of order 2n acting through its quotient of order n,
+    so the element n fixes every item: a valid action that is not free."""
+    while True:
+        action = fx.random_translation_action(rng, rng.random() < 0.5)
+        if action.group.kind == "cyclic":
+            break
+    finite = fx.anonymize_action(action, rng)
+    n = finite.group.n
+    return FiniteAction(CyclicGroup(2 * n), finite.graph,
+                        {g: finite.maps[g % n] for g in range(2 * n)})
+
+
+DOMAIN_BUILDERS = {**BUILDERS, "finite-non-free": non_free_finite_action}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DOMAIN_BUILDERS)), st.integers(0, 2 ** 32 - 1))
+def test_domain_search_equals_the_candidate_loop(builder, seed):
+    """The search on per-vertex label tables finds the same first domain
+    after the same number of candidates as checking each candidate with
+    ``is_fundamental_domain``."""
+    action = DOMAIN_BUILDERS[builder](random.Random(seed))
+    assert (find_fundamental_domain(action)
+            == find_fundamental_domain_by_candidates(action))
+
+
+def test_domain_searches_cover_every_outcome():
+    """On the fixtures and on fixed seeds of every builder the two searches
+    agree, and between them they find a domain at the first candidate,
+    find one later, and find none; the non-free and broken actions are
+    among them."""
+    actions = [(name, build()) for name, build in FIXTURES.items()]
+    actions += [(name, build(random.Random(seed)))
+                for name, build in DOMAIN_BUILDERS.items()
+                for seed in range(25)]
+    outcomes = set()
+    for name, action in actions:
+        result = find_fundamental_domain(action)
+        assert result == find_fundamental_domain_by_candidates(action), name
+        if result.domain is None:
+            outcomes.add("none")
+        else:
+            outcomes.add("first" if result.candidates_tried == 1 else "later")
+        if name in ("finite-non-free", "finite-broken"):
+            outcomes.add(f"{name} {'found' if result else 'none'}")
+    assert outcomes == {"first", "later", "none", "finite-non-free found",
+                        "finite-non-free none", "finite-broken found",
+                        "finite-broken none"}

@@ -1,0 +1,125 @@
+"""What a command-line call loads: every golden command run as a fresh
+interpreter, the library modules each kind of call imports, and the
+package namespace that resolves its names on first use."""
+
+import importlib
+import json
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+import labgraphs
+from labgraphs import fixtures as fx
+from labgraphs import jsonio
+
+from tools.make_fixtures import GOLDEN_COMMANDS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Runs the CLI on its arguments, then prints its exit code and the
+#: labgraphs submodules loaded, as the last line of stdout.
+WRAPPER = """\
+import json, sys
+from labgraphs.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules
+                               if name.startswith("labgraphs."))]))
+"""
+
+#: The modules every command on a graph document loads.
+GRAPH_READ = {"cli", "errors", "graph", "groups", "jsonio", "labeled"}
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the checkout's ``src`` from the root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    proc = child("-c", WRAPPER, *argv)
+    assert proc.stderr == ""
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, {name[len("labgraphs."):] for name in modules}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_cold_child_reproduces_the_golden(name):
+    proc = child("-m", "labgraphs.cli", *GOLDEN_COMMANDS[name])
+    with open(os.path.join(ROOT, "tests", "golden", name),
+              encoding="utf-8") as fh:
+        assert f"# exit {proc.returncode}\n{proc.stdout}" == fh.read()
+
+
+@pytest.fixture(scope="module")
+def action_document(tmp_path_factory) -> str:
+    """An anonymized finite action of a label-consistent translation,
+    written in the element form."""
+    rng = random.Random(18)
+    finite = fx.anonymize_action(
+        fx.random_translation_action(rng, label_consistent=True), rng)
+    doc = jsonio.ActionDocument(finite.group, graph=finite.graph,
+                                elements=tuple(sorted(finite.maps.items())))
+    path = tmp_path_factory.mktemp("action") / "action.json"
+    jsonio.dump(jsonio.action_to_json(doc), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["properties", "fixtures/fish.json"], set()),
+    (["lattice", "fixtures/fish.json"], {"lattice"}),
+    (["act-check", "ACTION"], {"action", "morphism"}),
+    (["gross-tucker", "ACTION"], {"action", "morphism", "skew",
+                                  "gross_tucker"}),
+], ids=["properties", "lattice", "act-check", "gross-tucker"])
+def test_cold_child_loads_only_its_modules(argv, extra, action_document):
+    argv = [action_document if arg == "ACTION" else arg for arg in argv]
+    code, modules = loaded_by(argv)
+    assert code == 0
+    assert modules == GRAPH_READ | extra
+
+
+def test_bare_import_loads_no_submodule():
+    proc = child("-c", "import sys, labgraphs; print(sorted("
+                       "name for name in sys.modules if name.startswith("
+                       "'labgraphs')))")
+    assert proc.stdout == "['labgraphs']\n"
+
+
+def test_public_names_are_their_submodules_objects():
+    for name in labgraphs.__all__:
+        value = getattr(labgraphs, name)
+        module = labgraphs._SOURCE.get(name, name)
+        owner = importlib.import_module(f"labgraphs.{module}")
+        assert value is (owner if module == name else getattr(owner, name))
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace: dict = {}
+    exec("from labgraphs import *", namespace)
+    assert set(labgraphs.__all__) <= set(namespace)
+    assert set(labgraphs.__all__) <= set(dir(labgraphs))
+    assert namespace["quotient"] is sys.modules["labgraphs.action"].quotient
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        labgraphs.no_such_name
+
+
+def test_names_follow_a_rebinding_on_their_submodule(monkeypatch):
+    """A name is read from its submodule on every access, so a wrapper set
+    there and removed again is seen and then gone, as the benchmark's
+    tracer does it."""
+    action = importlib.import_module("labgraphs.action")
+    original = action.quotient
+    monkeypatch.setattr(action, "quotient", lambda a: a)
+    assert labgraphs.quotient is action.quotient
+    monkeypatch.undo()
+    assert labgraphs.quotient is original

@@ -12,7 +12,7 @@ from labgraphs.morphism import (LabeledGraphMorphism,
                                 identity_morphism, inverse, is_automorphism,
                                 is_surjective, verify_morphism)
 
-from helpers import verify_morphism_oracle
+from helpers import verify_morphism_by_items, verify_morphism_oracle
 
 
 def fish4_swap():
@@ -191,5 +191,23 @@ def test_positions_agree_with_the_string_oracle():
         "range not preserved", "source not preserved",
         "label compatibility violated", "isomorphism True",
         "isomorphism False", "surjective True", "surjective False",
+        *(f"{what} map {failure}" for what in ("vertex", "edge", "alphabet")
+          for failure in ("not total", "leaves the target"))}
+
+
+def test_bulk_reads_equal_the_item_walk():
+    """verify_morphism reads each map with ``map`` and compares the edge
+    arrays as whole lists; its reports equal those of the walk item by
+    item, first witness and note included, on every outcome."""
+    outcomes = set()
+    for seed in range(600, 1200):
+        m = random_morphism(random.Random(seed))
+        report = verify_morphism(m)
+        assert report == verify_morphism_by_items(m)
+        outcomes.add(report.note or f"isomorphism {report.isomorphism}")
+    assert outcomes == {
+        "range not preserved", "source not preserved",
+        "label compatibility violated", "isomorphism True",
+        "isomorphism False",
         *(f"{what} map {failure}" for what in ("vertex", "edge", "alphabet")
           for failure in ("not total", "leaves the target"))}

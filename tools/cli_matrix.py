@@ -5,13 +5,17 @@ its exit code, stdout and stderr.
 Every fixture document runs under ``lattice``, ``translate``,
 ``act-check``, ``quotient``, ``gross-tucker`` (plain and
 ``--label-consistent``), ``fundomain``, ``properties``, ``skew``,
-``export-dot``, ``validate`` and ``label-consistency``, with no window
-and with the windows -3:3 and 0:4, in text and with ``--json``.  Three
-generated graph documents with more vertices than one chunk of the
+``export-dot``, ``validate``, ``label-consistency``, ``paths --n 2`` and
+``range --word`` with the first letter of its (base) graph, with no
+window and with the windows -3:3 and 0:4, in text and with ``--json``.
+Three generated graph documents with more vertices than one chunk of the
 vertex-set decoder (``LabeledGraph.names_of``) run under ``lattice`` in
 text and with ``--json``: the shift graphs of 9 and 12 vertices
-(``tests/helpers.shift_graph``) and a seeded 20-vertex graph.  They are
-written to a temporary directory and printed as ``generated/<name>``.
+(``tests/helpers.shift_graph``) and a seeded 20-vertex graph.  Each graph
+fixture runs under ``iso-check`` against itself with its identity
+morphism, in text and with ``--json``.  The generated documents and
+morphisms are written to a temporary directory and printed as
+``generated/<name>``.  So every subcommand runs.
 The commands run in-process against the ``src/`` of the checkout this
 script sits in, so running it in two checkouts and diffing the two
 printouts shows every command whose output changed:
@@ -33,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import sys
@@ -55,18 +60,40 @@ COMMANDS = (
     ["export-dot"],
     ["validate"],
     ["label-consistency"],
+    ["paths", "--n", "2"],
 )
 WINDOWS = ((), ("--window", "-3:3"), ("--window", "0:4"))
 FORMATS = ((), ("--json",))
 
 
+def fixture_names() -> list[str]:
+    return sorted(name for name in os.listdir(os.path.join(ROOT, "fixtures"))
+                  if name.endswith(".json"))
+
+
+def read_fixture(name: str):
+    with open(os.path.join(ROOT, "fixtures", name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def first_letter(doc) -> str:
+    """The first letter of a graph document, or of the base graph of a
+    skew-spec or translation action; ``a`` for any other document."""
+    if isinstance(doc, dict):
+        graph = doc.get("translation", doc)
+        graph = graph.get("base", graph)
+        if graph.get("alphabet"):
+            return graph["alphabet"][0]
+    return "a"
+
+
 def matrix() -> list[list[str]]:
     """Every command on the fixture documents, as argv lists, in a fixed
     order."""
-    fixtures = sorted(name for name in os.listdir(os.path.join(ROOT, "fixtures"))
-                      if name.endswith(".json"))
     return [[command[0], f"fixtures/{name}", *command[1:], *window, *fmt]
-            for name in fixtures for command in COMMANDS
+            for name in fixture_names()
+            for command in (*COMMANDS, ["range", "--word",
+                                        first_letter(read_fixture(name))])
             for window in WINDOWS for fmt in FORMATS]
 
 
@@ -97,6 +124,7 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
             sys.path.insert(0, os.path.join(ROOT, path))
     from helpers import shift_graph
     from labgraphs import jsonio
+    from labgraphs.morphism import identity_maps
     graphs = {"shift-09.json": shift_graph(9),
               "shift-12.json": shift_graph(12),
               "seeded-20.json": seeded_graph(0, 20)}
@@ -107,6 +135,22 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
             jsonio.dump(jsonio.graph_to_json(lg), path)
             generated += [(" ".join(["lattice", f"generated/{name}", *fmt]),
                            ["lattice", path, *fmt]) for fmt in FORMATS]
+        for name in fixture_names():
+            doc = read_fixture(name)
+            if not isinstance(doc, dict) or doc.get("kind") != "graph":
+                continue
+            lg = jsonio.graph_from_json(doc)
+            maps = dict(zip(("vertex_map", "edge_map", "alphabet_map"),
+                            identity_maps(lg)))
+            morphism = f"identity-{name}"
+            path = os.path.join(tmp, morphism)
+            jsonio.dump(maps, path)
+            graph = f"fixtures/{name}"
+            generated += [
+                (" ".join(["iso-check", graph, graph, "--morphism",
+                           f"generated/{morphism}", *fmt]),
+                 ["iso-check", graph, graph, "--morphism", path, *fmt])
+                for fmt in FORMATS]
         yield [(" ".join(argv), argv) for argv in matrix()] + generated
 
 
