@@ -37,10 +37,12 @@ class LabeledGraphAction:
     runs on.  Its positions are those of the graph's
     :class:`~labgraphs.labeled.GraphCore`.  Actions are immutable, so each
     block is built once and cached, and so is the verdict of
-    :func:`is_free`.  An action whose scope is an integer interval also
-    exposes the (fiber, layer) of each item (:meth:`coordinates`) and the
-    item at each (fiber, layer) (:meth:`located`), from which its block is
-    built; the checks of an intact one read those, never the block.
+    :func:`is_free`.  A translation also exposes the (fiber, layer) of
+    each item (:meth:`coordinates`) and the item at each (fiber, layer)
+    (:meth:`located`): it moves the item at (q, t) to the item at
+    (q, g t), on either scope shape, and builds its block from that one
+    formula.  On an integer interval the checks of an intact translation
+    read those two maps, never the block.
     """
 
     group: Group
@@ -63,20 +65,20 @@ class LabeledGraphAction:
 
     def coordinates(self, kind: str) -> Sequence[tuple[str, int]]:
         """The (fiber, layer) of each carrier item, in ``carrier(kind)``
-        order, for actions whose scope is an integer interval
-        (:meth:`interval_span`).  Such an action moves the item at (q, t)
-        to the item that :meth:`located` lists at (q, t + g)."""
+        order, for translations.  A translation moves the item at (q, t)
+        to the item that :meth:`located` lists at (q, g t), which is
+        (q, t + g) on an integer interval (:meth:`interval_span`)."""
         raise NotImplementedError
 
     def located(self, kind: str) -> Mapping[tuple[str, int], int]:
         """The position in ``carrier(kind)`` of the item at each (fiber,
-        layer), for actions whose scope is an integer interval: the map the
-        action moves items through.  For every g of the scope, the image of
-        the item x at ``coordinates(kind)[x]`` = (q, t) is
-        ``located(kind).get((q, t + g), -1)``, which is how :meth:`columns`
-        is built.  On an intact action it is the exact inverse of
-        :meth:`coordinates`, which :func:`verify_action` checks.  Callers
-        must not mutate it."""
+        layer), for translations: the map the action moves items through.
+        For every g of the scope, the image of the item x at
+        ``coordinates(kind)[x]`` = (q, t) is ``located(kind).get((q, g t),
+        -1)``, which is how :meth:`columns` is built.  On an intact action
+        it is the exact inverse of :meth:`coordinates`, which
+        :func:`verify_action` checks on an integer interval.  Callers must
+        not mutate it."""
         raise NotImplementedError
 
     @cached_property
@@ -107,12 +109,12 @@ class LabeledGraphAction:
         item x's images are the slice [x n, x n + n), and those of the p-th
         element are the stride slice ``columns(kind)[p::n]``, which ends
         with a -1 from a trailing block of n times -1: gathering through it
-        (``[row[j] for j in other]``) keeps -1 without a branch.  On the
-        integer interval of :meth:`interval_span`, p = g + span and the
-        entry is the :meth:`located` lookup at (q, t + g).  There the
-        block serves only the scans that name failures: an intact integer
-        action is verified, found free and reconstructed through
-        :meth:`located` without it.  Callers must not mutate it."""
+        (``[row[j] for j in other]``) keeps -1 without a branch.  On a
+        translation every entry is the :meth:`located` lookup at (q, g t);
+        on the integer interval of :meth:`interval_span`, p = g + span.
+        There the block serves only the scans that name failures: an
+        intact integer action is verified, found free and reconstructed
+        through :meth:`located` without it.  Callers must not mutate it."""
         return self._columns[_KIND_INDEX[kind]]
 
     @cached_property
@@ -313,11 +315,11 @@ class ActionReport:
 #: cap (Python 3.11, 2-core x86 container), ``verify_action`` takes about
 #: 0.001 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
 #: triples; 0:185 is over), where the translation certificate holds and no
-#: block is built, and 0.9-1.2 s on a copy with two vertex coordinates
-#: swapped, whose block is built and whose scans name its 69,744
-#: failures; and 3.1-3.8 s on the finite skew product of the same base
-#: over Z/267 (133,239,141 triples), whose homomorphism scan gathers each
-#: item's images through a permutation per element.
+#: block is built, and 1.0-1.5 s on a copy with two vertex coordinates
+#: swapped, whose block is built (0.06-0.09 s of it) and whose scans name
+#: its 69,744 failures; and 3.7-4.9 s on the finite skew product of the
+#: same base over Z/267 (133,239,141 triples), whose homomorphism scan
+#: gathers each item's images through a permutation per element.
 MAX_TRIPLES = 1 << 27
 
 

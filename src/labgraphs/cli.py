@@ -19,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Mapping
 
 from . import jsonio
 from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
@@ -45,10 +46,29 @@ def _parse_window(text: str) -> Window:
     return Window(int(m.group(1)), int(m.group(2)))
 
 
-def _parse_word(text: str) -> tuple[str, ...]:
-    if "," in text:
-        return tuple(text.split(","))
-    return tuple(text)
+def _split_names(text: str) -> list[str]:
+    """``text`` cut at the commas outside parentheses, so that a skew
+    product's item ``(1,0)`` stays one name."""
+    names, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            names.append(text[start:i])
+            start = i + 1
+    return names + [text[start:]]
+
+
+def _parse_word(text: str, alphabet: Mapping[str, int]) -> tuple[str, ...]:
+    """The letters of a ``--word``, split as :func:`_split_names` splits;
+    a single name that is not a letter reads character by character.  A
+    letter outside ``alphabet`` raises ``UNKNOWN_LETTER``, so a typo is
+    refused rather than read as an empty range."""
+    names = _split_names(text)
+    word = tuple(names) if len(names) > 1 or text in alphabet else tuple(text)
+    for a in word:
+        if a not in alphabet:
+            raise PreconditionError("UNKNOWN_LETTER", a)
+    return word
 
 
 def _load_graph(path: str, window: Window | None):
@@ -147,8 +167,8 @@ def _cmd_paths(args):
 
 def _cmd_range(args):
     lg, _ = _load_graph(args.file, args.window)
-    vertices = args.set.split(",") if args.set else list(lg.vertices)
-    word = _parse_word(args.word)
+    vertices = _split_names(args.set) if args.set else list(lg.vertices)
+    word = _parse_word(args.word, lg.core.positions[2])
     result = relative_range(lg, vertices, word)
     payload = {"set": sorted(vertices), "word": list(word),
                "range": sorted(result)}
@@ -460,9 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="path length (>= 1)")
     p = add("range", _cmd_range, "relative range of a word")
     p.add_argument("--set", default=None,
-                   help="comma-separated source vertices (default: all)")
+                   help="comma-separated source vertices (default: all); "
+                        "commas inside parentheses belong to the name")
     p.add_argument("--word", required=True,
-                   help="word; single characters or comma-separated letters")
+                   help="word; single characters or comma-separated "
+                        "letters, as --set splits them")
     p = add("lattice", _cmd_lattice,
             "accommodating collection, relative-complement closure, report")
     p.add_argument("--max-len", type=int, default=4, dest="max_len",

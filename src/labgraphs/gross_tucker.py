@@ -6,12 +6,11 @@ fundamental domain."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
-                     LabeledGraphAction, QuotientLabeledGraph,
+                     LabeledGraphAction, QuotientLabeledGraph, check_triples,
                      find_fundamental_domain, is_free, is_fundamental_domain,
                      is_label_consistent, quotient, verify_action)
 from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
@@ -178,7 +177,7 @@ def reconstruct(action: LabeledGraphAction,
     """Build the skew product over the quotient with derived cocycles and
     the comparison isomorphism phi(Gx, g) = alpha_g(eta(Gx)); verify the
     morphism laws, bijectivity and equivariance pointwise
-    (:func:`check_equivariance`, item-major on integer windows)."""
+    (:func:`check_equivariance`)."""
     return _reconstruct(action, pack, None)
 
 
@@ -235,22 +234,18 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
     When the scope is an integer interval, the maps are first checked
     against a certificate of the size of the carriers
     (:func:`_equivariance_offsets`), which gives the count in closed form
-    without either block.  When it fails, the check runs item-major
-    (:func:`_equivariance_interval`): one slice compare per item covers
-    every g, and the least witness is named.  Finite groups gather the
-    images of each element from the two blocks
-    (:func:`_equivariance_by_element`)."""
+    without either block.  When it fails, and on every finite group, one
+    scan runs element by element in scope order
+    (:func:`_equivariance_by_element`) and names the least witness."""
     tau = TranslationAction(skew)
     images = [list(map(action.index(kind).__getitem__,
                        map(mapping.__getitem__, tau.carrier(kind)))) + [-1]
               for kind, mapping in zip(KINDS, maps)]
     span = action.interval_span()
-    if span is None:
+    checked = None if span is None else _equivariance_offsets(
+        action, span, tau, images)
+    if checked is None:
         checked = _equivariance_by_element(action, tau, images)
-    else:
-        checked = _equivariance_offsets(action, span, tau, images)
-        if checked is None:
-            checked = _equivariance_interval(action, span, tau, images)
     if checked == 0:
         raise VerificationError("equivariance could not be exercised", None)
     return checked
@@ -259,16 +254,24 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
 def _equivariance_by_element(action: LabeledGraphAction,
                              tau: TranslationAction,
                              images: list[list[int]]) -> int:
-    """Equivariance element by element on a finite group, whose elements
-    are the scope of both actions: the images of tau_g and alpha_g are the
-    stride slices of g's position in the two blocks, and each side is
-    gathered through the other."""
+    """Equivariance element by element over the scope of ``action``: the
+    images of alpha_g are the stride slice of g's position in the
+    action's block, those of tau_g the same slice of tau's block over the
+    same scope (:meth:`~labgraphs.skew.TranslationAction.blocks`), and
+    each side is gathered through the other.  The scope runs in its own
+    order (-span..span on an integer interval), so the first mismatch is
+    the least witness.  An action over
+    :data:`~labgraphs.action.MAX_TRIPLES` triples raises
+    :class:`~labgraphs.errors.SearchSpaceExceeded` before its scope is
+    listed."""
+    check_triples(action, "the equivariance scan would serve")
     checked = 0
     scope = action.scope_elements()
     n = len(scope)
+    tau_blocks = tau.blocks(scope)
     for p, g in enumerate(scope):
-        for kind, image in zip(KINDS, images):
-            tau_row = tau.columns(kind)[p::n]
+        for kind, image, tau_block in zip(KINDS, images, tau_blocks):
+            tau_row = tau_block[p::n]
             row = action.columns(kind)[p::n]
             lhs = [image[j] for j in tau_row]
             rhs = [row[j] for j in image]
@@ -288,8 +291,8 @@ def _equivariance_by_element(action: LabeledGraphAction,
 def _equivariance_offsets(action: LabeledGraphAction, span: int,
                           tau: TranslationAction,
                           images: list[list[int]]) -> int | None:
-    """The count of :func:`_equivariance_interval` when the maps certify
-    equivariance on the scope -span..span, None when they do not.
+    """The count of :func:`_equivariance_by_element` when the maps
+    certify equivariance on the scope -span..span, None when they do not.
 
     Write L and L' for the :meth:`~LabeledGraphAction.located` maps of
     the action and of tau, so that alpha_g(y) = L(q(y), t(y) + g) and
@@ -331,69 +334,6 @@ def _equivariance_offsets(action: LabeledGraphAction, span: int,
                 while hi < len(layers) and layers[hi] <= t + span:
                     hi += 1
                 checked += hi - lo
-    return checked
-
-
-def _equivariance_interval(action: LabeledGraphAction, span: int,
-                           tau: TranslationAction,
-                           images: list[list[int]]) -> int:
-    """Equivariance on the scope -span..span, item-major.
-
-    Take an item x over the base item q at layer h.  Over the g of the
-    scope, tau_g x is (q, h + g), so the values phi(tau_g x) are a slice of
-    the fiber's line, which holds phi(q, t) at each layer t (-1 where
-    (q, t) is not materialized), and the values alpha_g(phi(x)) are a
-    contiguous slice of phi(x)'s images in the action's columns
-    (:meth:`LabeledGraphAction.columns`).  One compare covers
-    every g, and only a mismatch is walked g by g.  The line spans the
-    fiber's layers when they fill at least half of that extent; a sparser
-    fiber (halo layers far from the window) gathers the layers within
-    span of h instead, so the lines follow the carrier, never the numeric
-    distance between layers.  The count and the least witness equal
-    those of :func:`_equivariance_by_element`."""
-    first = None
-    checked = 0
-    n = 2 * span + 1
-    for k, (kind, image) in enumerate(zip(KINDS, images)):
-        cols = action.columns(kind)
-        fibers: dict[str, dict[Element, int]] = {}
-        for x, (q, h) in enumerate(tau.coordinates(kind)):
-            fibers.setdefault(q, {})[h] = x
-        for cells in fibers.values():
-            layers = sorted(cells)
-            lo, hi = layers[0], layers[-1]
-            dense = hi - lo < 2 * len(layers)
-            if dense:
-                line = [-1] * (hi - lo + 1)
-                for t, x in cells.items():
-                    line[t - lo] = image[x]
-            for h, x in cells.items():
-                p = image[x] * n + span
-                if dense:
-                    a, b = max(-span, lo - h), min(span, hi - h)
-                    gs = range(a, b + 1)
-                    lhs = line[h + a - lo:h + b - lo + 1]
-                    rhs = cols[p + a:p + b + 1]
-                else:
-                    near = layers[bisect_left(layers, h - span):
-                                  bisect_right(layers, h + span)]
-                    gs = [t - h for t in near]
-                    lhs = [image[cells[t]] for t in near]
-                    rhs = [cols[p + g] for g in gs]
-                if lhs == rhs:
-                    checked += len(lhs) - lhs.count(-1)
-                    continue
-                for g, l, r in zip(gs, lhs, rhs):
-                    if l >= 0 and r >= 0:
-                        if l != r:
-                            if first is None or (g, k, x) < first:
-                                first = (g, k, x)
-                            break
-                        checked += 1
-    if first is not None:
-        g, k, x = first
-        raise VerificationError("maps are not equivariant",
-                                (g, KINDS[k], tau.carrier(KINDS[k])[x]))
     return checked
 
 

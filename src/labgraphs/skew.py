@@ -4,12 +4,11 @@ label-consistent twists."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
                      QuotientLabeledGraph, check_triples, is_label_consistent,
@@ -266,84 +265,50 @@ class TranslationAction(LabeledGraphAction):
     """Left translation g . (x, h) = (x, gh) on a materialized skew
     product; partial on windows.
 
-    Translation moves an item along its fiber (the items over one base
-    item) and never across fibers, so the block of :meth:`columns` is
-    gathered from one line per fiber, indexed by layer, rather than item
-    by item through :meth:`apply`."""
+    Translation moves the item at (q, t), over the base item q at layer
+    t, to the item at (q, g t), and never across fibers, so every image
+    is one :meth:`located` lookup: that one formula builds the block of
+    any list of elements (:meth:`blocks`), on finite groups and integer
+    windows alike."""
 
     def __init__(self, skew: SkewLabeledGraph):
         super().__init__(skew.spec.group, skew.graph)
         self.skew = skew
 
+    def blocks(self, scope: Sequence[Element]) -> list[list[int]]:
+        """The item-major block of each kind, in ``KINDS`` order, over the
+        elements ``scope``: the image of item x under ``scope[p]`` sits at
+        ``[x n + p]``, n = len(scope), as its position in the carrier or
+        -1, and n slots of -1 close the block.  The layers g t over the g
+        of ``scope`` are computed once per distinct layer t, and then
+        each slot is one :meth:`located` lookup at (q, g t), so a halo
+        10**12 layers from the window costs its own slots, never the
+        distance."""
+        op, n = self.group.op, len(scope)
+        moved: dict[Element, list[Element]] = {}
+        out = []
+        for kind in KINDS:
+            get = self.located(kind).get
+            block: list[int] = []
+            for q, t in self.coordinates(kind):
+                layers = moved.get(t)
+                if layers is None:
+                    layers = moved[t] = [op(g, t) for g in scope]
+                block += map(get, zip(repeat(q, n), layers), repeat(-1, n))
+            out.append(block + [-1] * n)
+        return out
+
     @cached_property
     def _columns(self) -> list[list[int]]:
-        """The block of :meth:`columns` of each kind.
-
-        Both read the items of each fiber from :meth:`located`.  On a
-        finite group each fiber's line holds the item at each layer,
-        indexed by the layer's position in the elements, or -1; with the
-        positions of g t over the elements g, one list per layer t and
-        |G|^2 group operations in all, the images of the item at (q, t)
-        are the line of q gathered through the list of t.
-
-        On an integer window each fiber's line is padded with span
-        times -1, and each item takes the slice of n = 2 span + 1
-        around its layer; a fiber whose layers are sparse (a halo 10**12
-        layers away) gathers the layers within span of the item's instead.
-        A kind's block holds (items + 1) n ints, about 4 / (3 n) of the
-        action's (g, h, item) triples, so an action over
+        """:meth:`blocks` over :meth:`scope_elements`.  A kind's block
+        holds (items + 1) n ints, about 4 / (3 n) of the action's (g, h,
+        item) triples on an integer window, so an action over
         :data:`~labgraphs.action.MAX_TRIPLES` triples raises
-        :class:`SearchSpaceExceeded` before its block is built, as
+        :class:`SearchSpaceExceeded` before its scope is listed, as
         :func:`~labgraphs.action.verify_action` does: no caller reads a
         block the verification would refuse."""
-        span = self.interval_span()
-        blocks = []
-        if span is None:
-            elements = self.group.elements()
-            n, op = len(elements), self.group.op
-            position = {g: p for p, g in enumerate(elements)}
-            moved = {t: [position[op(g, t)] for g in elements]
-                     for t in elements}
-            for kind in KINDS:
-                lines: dict[str, list[int]] = defaultdict(lambda: [-1] * n)
-                for (base, t), x in self.located(kind).items():
-                    lines[base][position[t]] = x
-                block: list[int] = []
-                for base, t in self.coordinates(kind):
-                    line = lines[base]
-                    block += [line[p] for p in moved[t]]
-                blocks.append(block + [-1] * n)
-            return blocks
         check_triples(self, "the scope block would serve")
-        n = 2 * span + 1
-        for kind in KINDS:
-            fibers: dict[str, dict[int, int]] = {}
-            for (base, t), x in self.located(kind).items():
-                fibers.setdefault(base, {})[t] = x
-            shapes = {}
-            for base, cells in fibers.items():
-                layers = sorted(cells)
-                lo, hi = layers[0], layers[-1]
-                line = None
-                if hi - lo < 2 * len(layers):
-                    line = [-1] * (hi - lo + n)
-                    for t, x in cells.items():
-                        line[t - lo + span] = x
-                shapes[base] = lo, hi, line, layers, cells
-            block = []
-            for base, t in self.coordinates(kind):
-                lo, hi, line, layers, cells = shapes[base]
-                if line is not None and lo <= t <= hi:
-                    block += line[t - lo:t - lo + n]
-                    continue
-                column = [-1] * n
-                for u in layers[bisect_left(layers, t - span):
-                                bisect_right(layers, t + span)]:
-                    column[u - t + span] = cells[u]
-                block += column
-            block += [-1] * n
-            blocks.append(block)
-        return blocks
+        return self.blocks(self.scope_elements())
 
     @cached_property
     def _coordinates(self) -> dict[str, list[tuple[str, Element]]]:

@@ -25,6 +25,7 @@ from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
 from labgraphs.gross_tucker import (check_equivariance,
                                     identity_layer_sections, reconstruct)
 from labgraphs.labeled import LabeledGraph
+from labgraphs.morphism import identity_maps
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 from helpers import (equivariance_oracle, find_fundamental_domain_by_candidates,
@@ -461,7 +462,7 @@ def test_intact_translations_skip_the_scans(name):
     action = INTACT_TRANSLATIONS[name]()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(action_module, "_homomorphism", _refuse_the_scans)
-        mp.setattr(gross_tucker_module, "_equivariance_interval",
+        mp.setattr(gross_tucker_module, "_equivariance_by_element",
                    _refuse_the_scans)
         report = verify_action(action)
         assert is_free(action)
@@ -557,10 +558,11 @@ def assert_equivariance_agrees(action, skew, maps):
 @given(st.sampled_from(sorted(RECONSTRUCTION_CASES)),
        st.integers(0, 2 ** 32 - 1))
 def test_equivariance_agrees_with_the_oracle(case, seed):
-    """Integer windows run the item-major check and finite groups the
-    element-by-element one; both count what the apply-based oracle counts
-    and name its first witness, on the reconstruction's maps and on
-    broken copies of them."""
+    """Integer windows try the offset certificate first, and broken maps
+    there, like every map on a finite group, run the element-by-element
+    scan; each counts what the apply-based oracle counts, and the scan
+    names its first witness, on the reconstruction's maps and on broken
+    copies of them."""
     rng = random.Random(seed)
     action = RECONSTRUCTION_CASES[case](rng)
     rec = reconstruct(action)
@@ -686,16 +688,30 @@ def test_windows_just_under_and_over_the_cap(seed, cap):
         assert "_columns" not in over.__dict__
 
 
+def swapped_identity_maps(action: TranslationAction):
+    """The identity maps of the action's graph with its first two
+    vertices swapped: two layers of one fiber, so phi moves that fiber at
+    two offsets and the offset certificate of ``check_equivariance``
+    fails, leaving the scan to run."""
+    maps = [dict(m) for m in identity_maps(action.graph)]
+    x, y = action.carrier(VERTEX)[:2]
+    maps[0][x], maps[0][y] = y, x
+    return maps
+
+
 def test_sparse_layers_far_apart_are_refused():
     """The scope of a translation spans the numeric width of all layers:
     60 one-loop fibers 100 layers apart give span 5,904, whose triples are
     over the cap, so verify_action refuses them before building a block
     rather than checking thousands of elements that move nothing onto the
-    carrier."""
+    carrier.  The equivariance scan that broken maps fall back to is
+    refused under the same cap."""
     action = _sparse_layer_loops(60)
     assert action.interval_span() == 5904
     with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
         verify_action(action)
+    with pytest.raises(SearchSpaceExceeded, match="equivariance scan"):
+        check_equivariance(action, action.skew, swapped_identity_maps(action))
     assert "_columns" not in action.__dict__
 
 
@@ -707,21 +723,27 @@ def test_is_free_refuses_sparse_layers_far_apart():
     assert homomorphism_triples(action) > MAX_TRIPLES
     with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
         is_free(action)
+    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
+        check_equivariance(action, action.skew, swapped_identity_maps(action))
     assert "_columns" not in action.__dict__
 
 
 def test_layers_far_apart_are_refused_without_listing_the_scope(monkeypatch):
     """The cap counts an integer scope from its span: two fibers 10**9
-    layers apart are refused by verify_action and is_free without the
-    scope of 2 * 10**9 elements ever being listed."""
+    layers apart are refused by verify_action, is_free and the
+    equivariance scan of broken maps without the scope of 2 * 10**9
+    elements ever being listed."""
     action = _sparse_layer_loops(2, apart=10 ** 9)
     assert action.interval_span() == 10 ** 9 + 4
+    maps = swapped_identity_maps(action)
 
     def unlisted():
         raise AssertionError("the scope was listed")
 
     monkeypatch.setattr(action, "scope_elements", unlisted)
-    for check in (verify_action, is_free):
+    for check in (verify_action, is_free,
+                  lambda action: check_equivariance(action, action.skew,
+                                                    maps)):
         with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
             check(action)
     assert "_columns" not in action.__dict__

@@ -161,6 +161,44 @@ class TestReports:
         assert code == 0
         assert "{w}" in out
 
+    def test_range_reads_skew_letters_and_vertices_whole(self):
+        """A skew product's letters and vertices hold a comma inside
+        their parentheses; only the commas outside split a word or a
+        set."""
+        window = ["--window", "0:3"]
+        code, out, _ = run(["range", "fixtures/skewz.json", *window,
+                            "--word", "(1,0)", "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["word"] == ["(1,0)"] and report["range"] == ["(v,1)"]
+        code, out, _ = run(["range", "fixtures/skewz.json", *window,
+                            "--set", "(v,0),(w,1)", "--word", "(1,0),(0,1)",
+                            "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["set"] == ["(v,0)", "(w,1)"]
+        assert report["word"] == ["(1,0)", "(0,1)"]
+
+    @pytest.mark.parametrize("argv, letter", [
+        (["fixtures/fish.json", "--word", "zz"], "z"),
+        (["fixtures/fish.json", "--word", "0,2"], "2"),
+        (["fixtures/skewz.json", "--window", "0:3", "--word", "0"], "0"),
+        (["fixtures/skewz.json", "--window", "0:3", "--word", "(1,9)"],
+         "("),
+    ])
+    def test_range_refuses_unknown_letters(self, argv, letter):
+        """A letter outside the alphabet exits 2 rather than reading as an
+        empty range; a single name that is not a letter reads character
+        by character, as a word of one-character letters does."""
+        code, out, err = run(["range", *argv])
+        assert code == 2 and out == ""
+        assert err == f"error: UNKNOWN_LETTER: {letter}\n"
+
+    def test_range_words_of_characters_and_of_letters_agree(self):
+        outs = [run(["range", "fixtures/fish.json", "--word", word])
+                for word in ("010", "0,1,0")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
     def test_lattice_command(self):
         code, out, _ = run(["lattice", "fixtures/fish.json"])
         assert code == 0

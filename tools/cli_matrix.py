@@ -8,6 +8,10 @@ Every fixture document runs under ``lattice``, ``translate``,
 ``export-dot``, ``validate``, ``label-consistency``, ``paths --n 2`` and
 ``range --word`` with the first letter of its (base) graph, with no
 window and with the windows -3:3 and 0:4, in text and with ``--json``.
+Each skew-spec fixture also runs under ``range`` (in both windows over the
+integers, without one over a finite group) with the first letter of its
+materialized graph and a ``--set`` of that graph's first two vertices,
+names with a comma inside parentheses.
 Three generated graph documents with more vertices than one chunk of the
 vertex-set decoder (``LabeledGraph.names_of``) run under ``lattice`` in
 text and with ``--json``: the shift graphs of 9 and 12 vertices
@@ -97,6 +101,29 @@ def matrix() -> list[list[str]]:
             for window in WINDOWS for fmt in FORMATS]
 
 
+def skew_range_matrix() -> list[list[str]]:
+    """``range`` on every skew-spec fixture, in both windows over the
+    integers and without one over a finite group, with a letter and a set
+    of vertices of the materialized graph, as argv lists in a fixed
+    order."""
+    from labgraphs import jsonio
+    from labgraphs.groups import Window
+    from labgraphs.skew import skew_product
+    out = []
+    for name in fixture_names():
+        doc = read_fixture(name)
+        if not isinstance(doc, dict) or doc.get("kind") != "skew-spec":
+            continue
+        spec = jsonio.load(os.path.join(ROOT, "fixtures", name))[1]
+        for window in WINDOWS[:1] if spec.group.is_finite else WINDOWS[1:]:
+            bounds = Window(*map(int, window[1].split(":"))) if window else None
+            lg = skew_product(spec, bounds).graph
+            out += [["range", f"fixtures/{name}", *window,
+                     "--set", ",".join(lg.vertices[:2]),
+                     "--word", lg.alphabet[0], *fmt] for fmt in FORMATS]
+    return out
+
+
 def seeded_graph(seed: int, n: int):
     """A valid graph on ``n`` vertices whose closures stay small: letter a
     permutes the vertices in cycles of 4 and letter b adds two random
@@ -151,7 +178,8 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
                            f"generated/{morphism}", *fmt]),
                  ["iso-check", graph, graph, "--morphism", path, *fmt])
                 for fmt in FORMATS]
-        yield [(" ".join(argv), argv) for argv in matrix()] + generated
+        yield [(" ".join(argv), argv)
+               for argv in matrix() + skew_range_matrix()] + generated
 
 
 def run(main, argv: list[str]) -> tuple[str, str | None]:
