@@ -4,10 +4,9 @@ fundamental domains and label consistency."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (PreconditionError, SearchSpaceExceeded,
                      VerificationError, WellDefinednessError)
@@ -287,8 +286,7 @@ class FiniteAction(LabeledGraphAction):
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(NamedTuple):
     ok: bool
     failures: tuple[tuple[str, Any], ...]
     elements_checked: int
@@ -588,8 +586,7 @@ def _freeness(action: LabeledGraphAction) -> Check:
 # -- quotients ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientLabeledGraph:
+class QuotientLabeledGraph(NamedTuple):
     quotient: LabeledGraph
     projection: LabeledGraphMorphism
     vertex_orbit: Mapping[str, str]
@@ -690,8 +687,7 @@ def has_unique_path_lifting(p: LabeledGraphMorphism,
 # -- fundamental domains -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FundamentalDomainReport:
+class FundamentalDomainReport(NamedTuple):
     ok: bool
     transversal: Check
     violations: tuple[tuple[str, str, str], ...]  # (clause, edge, edge)
@@ -775,8 +771,7 @@ def _clause_labels(action: LabeledGraphAction, vertices: Iterable[str]
     return tables
 
 
-@dataclass(frozen=True)
-class DomainSearchResult:
+class DomainSearchResult(NamedTuple):
     domain: frozenset[str] | None
     candidates_tried: int
 
@@ -826,8 +821,7 @@ def find_fundamental_domain(action: LabeledGraphAction) -> DomainSearchResult:
 # -- label consistency ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelConsistency:
+class LabelConsistency(NamedTuple):
     factoring: Mapping[str, Element] | None
     witness: tuple[str, str] | None = None
 

@@ -46,16 +46,21 @@ def _parse_window(text: str) -> Window:
     return Window(int(m.group(1)), int(m.group(2)))
 
 
-def _split_names(text: str) -> list[str]:
+def _split_names(text: str, option: str) -> list[str]:
     """``text`` cut at the commas outside parentheses, so that a skew
-    product's item ``(1,0)`` stays one name."""
+    product's item ``(1,0)`` stays one name.  An empty name next to a
+    comma raises ``EMPTY_NAME`` naming ``option`` and ``text``."""
     names, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
             names.append(text[start:i])
             start = i + 1
-    return names + [text[start:]]
+    names.append(text[start:])
+    if len(names) > 1 and "" in names:
+        raise PreconditionError(
+            "EMPTY_NAME", f"{option} {text!r} holds an empty name")
+    return names
 
 
 def _parse_word(text: str, alphabet: Mapping[str, int]) -> tuple[str, ...]:
@@ -63,7 +68,7 @@ def _parse_word(text: str, alphabet: Mapping[str, int]) -> tuple[str, ...]:
     a single name that is not a letter reads character by character.  A
     letter outside ``alphabet`` raises ``UNKNOWN_LETTER``, so a typo is
     refused rather than read as an empty range."""
-    names = _split_names(text)
+    names = _split_names(text, "--word")
     word = tuple(names) if len(names) > 1 or text in alphabet else tuple(text)
     for a in word:
         if a not in alphabet:
@@ -167,7 +172,8 @@ def _cmd_paths(args):
 
 def _cmd_range(args):
     lg, _ = _load_graph(args.file, args.window)
-    vertices = _split_names(args.set) if args.set else list(lg.vertices)
+    vertices = (_split_names(args.set, "--set") if args.set
+                else list(lg.vertices))
     word = _parse_word(args.word, lg.core.positions[2])
     result = relative_range(lg, vertices, word)
     payload = {"set": sorted(vertices), "word": list(word),

@@ -1,6 +1,45 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the frozen record base shared by all modules."""
 
 from __future__ import annotations
+
+
+class FrozenRecord:
+    """Base of the records that validate their fields or cache a property,
+    so cannot be a ``typing.NamedTuple``.  A subclass names its fields in
+    ``_fields`` and sets them in ``__init__`` through ``object.__setattr__``.
+    It then behaves as a frozen dataclass: it equals only a record of its
+    own class with equal fields, hashes as the tuple of its fields, prints
+    as ``Name(field=value, ...)``, refuses assignment and deletion with
+    :class:`AttributeError`, and copies and pickles through its
+    constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class LabGraphsError(Exception):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import PreconditionError, SearchSpaceExceeded
+from .errors import FrozenRecord, PreconditionError, SearchSpaceExceeded
 
 
 class Edge(NamedTuple):
@@ -29,19 +28,20 @@ class Edge(NamedTuple):
         return tuple(map(tuple.__new__, repeat(cls), zip(eids, srcs, dsts)))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(FrozenRecord):
     """A nonempty sequence of composable edge ids.
 
     Composability is a property of the ambient graph, so paths are built
     through :meth:`DirectedGraph.make_path` rather than directly.
     """
 
+    __slots__ = _fields = ("edges",)
     edges: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.edges:
+    def __init__(self, edges: tuple[str, ...]):
+        if not edges:
             raise PreconditionError("EMPTY_PATH", "paths have length at least 1")
+        object.__setattr__(self, "edges", edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -171,8 +171,7 @@ class DirectedGraph:
                 f"{len(self.edges)} edges)")
 
 
-@dataclass(frozen=True)
-class VertexValidity:
+class VertexValidity(NamedTuple):
     receives: bool   # r^{-1}(v) nonempty: some edge ends here
     out_degree: int  # #s^{-1}(v); must be >= 1 (finiteness is automatic)
 
@@ -181,8 +180,7 @@ class VertexValidity:
         return self.receives and self.out_degree >= 1
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     per_vertex: Mapping[str, VertexValidity]
 
     @property

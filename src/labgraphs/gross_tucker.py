@@ -6,8 +6,7 @@ fundamental domain."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
                      LabeledGraphAction, QuotientLabeledGraph, check_triples,
@@ -20,8 +19,7 @@ from .morphism import LabeledGraphMorphism, MorphismReport, verify_morphism
 from .skew import SkewLabeledGraph, SkewSpec, TranslationAction
 
 
-@dataclass(frozen=True)
-class SectionPack:
+class SectionPack(NamedTuple):
     """One-sided inverses of the quotient projection: vertices, edges
     (derivable), and letters."""
 
@@ -121,8 +119,7 @@ def derive_cocycles(action: LabeledGraphAction, quot: QuotientLabeledGraph,
     return c, d
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(NamedTuple):
     quotient: QuotientLabeledGraph
     pack: SectionPack
     c: Mapping[str, Element]

@@ -3,24 +3,25 @@ materialization windows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .errors import AxiomFailure, PreconditionError
+from .errors import AxiomFailure, FrozenRecord, PreconditionError
 
 Element = Any  # int for cyclic/integers/table, tuple[int, ...] for permutations
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(FrozenRecord):
     """Inclusive integer range used to materialize infinite-cyclic layers."""
 
+    __slots__ = _fields = ("lo", "hi")
     lo: int
     hi: int
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise PreconditionError("BAD_WINDOW", f"{self.lo} > {self.hi}")
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise PreconditionError("BAD_WINDOW", f"{lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __contains__(self, g: int) -> bool:
         return self.lo <= g <= self.hi

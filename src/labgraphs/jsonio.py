@@ -12,8 +12,7 @@ they run, since each command-line call is a fresh interpreter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from .errors import AxiomFailure, ParseError, PreconditionError, SchemaError
 from .graph import DirectedGraph
@@ -211,8 +210,7 @@ def skew_spec_to_json(spec: SkewSpec) -> dict:
 # -- actions -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionDocument:
+class ActionDocument(NamedTuple):
     """Parsed action file; instantiating a windowed integer action needs
     the window from the command line (never defaulted)."""
 

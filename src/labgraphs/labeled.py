@@ -10,9 +10,8 @@ masks one letter at a time (:meth:`LabeledGraph.range_mask`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotALabeledPath, PreconditionError
 from .graph import DirectedGraph, Path, paths_of_length
@@ -20,8 +19,7 @@ from .graph import DirectedGraph, Path, paths_of_length
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Boolean verdict with an optional witness for the failing case."""
 
     ok: bool
@@ -32,8 +30,7 @@ class Check:
         return self.ok
 
 
-@dataclass(frozen=True)
-class RangeTable:
+class RangeTable(NamedTuple):
     """The range values of a graph and the atoms they cut the vertices into.
 
     ``ranges`` holds ``(value, word)`` for every nonempty range value, with
@@ -48,8 +45,7 @@ class RangeTable:
     atoms: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class GraphCore:
+class GraphCore(NamedTuple):
     """The integer core of a labeled graph (:attr:`LabeledGraph.core`):
     its vertices, edge ids and letters in their frozen order, the position
     of each item in its carrier, and per edge the positions of its source,

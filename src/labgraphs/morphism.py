@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .errors import PreconditionError
 from .labeled import Check, GraphCore, LabeledGraph
 
 
-@dataclass(frozen=True)
-class LabeledGraphMorphism:
+class LabeledGraphMorphism(NamedTuple):
     """Triple of maps (vertices, edges, alphabet) between labeled graphs."""
 
     source: LabeledGraph
@@ -21,8 +19,7 @@ class LabeledGraphMorphism:
     alphabet_map: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     ok: bool
     isomorphism: bool
     witness: Any = None

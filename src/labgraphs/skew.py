@@ -5,7 +5,6 @@ label-consistent twists."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import Mapping, Sequence
@@ -13,8 +12,8 @@ from typing import Mapping, Sequence
 from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
                      QuotientLabeledGraph, check_triples, is_label_consistent,
                      quotient)
-from .errors import (OutOfWindow, PreconditionError, SearchSpaceExceeded,
-                     VerificationError)
+from .errors import (FrozenRecord, OutOfWindow, PreconditionError,
+                     SearchSpaceExceeded, VerificationError)
 from .graph import DirectedGraph, Edge, Path, validate
 from .groups import Element, Group, Window
 from .labeled import Check, LabeledGraph, Word, is_left_resolving
@@ -26,28 +25,31 @@ def one_cocycle(base: LabeledGraph, group: Group) -> dict[str, Element]:
     return {e.eid: group.identity for e in base.graph.edges}
 
 
-@dataclass(frozen=True)
-class SkewSpec:
+class SkewSpec(FrozenRecord):
     """Base labeled graph with a pair of edge cocycles into a group.
 
     The spec is the authoritative object for infinite skew products;
     materializations over windows are views of it.
     """
 
+    _fields = ("base", "group", "c", "d")
     base: LabeledGraph
     group: Group
     c: Mapping[str, Element]
     d: Mapping[str, Element]
 
-    def __post_init__(self):
-        for name, cocycle in (("c", self.c), ("d", self.d)):
-            for e in self.base.graph.edges:
+    def __init__(self, base: LabeledGraph, group: Group,
+                 c: Mapping[str, Element], d: Mapping[str, Element]):
+        for name, cocycle in (("c", c), ("d", d)):
+            for e in base.graph.edges:
                 if e.eid not in cocycle:
                     raise PreconditionError(
                         "PARTIAL_COCYCLE", f"{name} misses edge {e.eid}")
-                if not self.group.contains(cocycle[e.eid]):
+                if not group.contains(cocycle[e.eid]):
                     raise PreconditionError(
                         "BAD_ELEMENT", f"{name}({e.eid}) is not a group element")
+        for name, value in zip(self._fields, (base, group, c, d)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def c_factoring(self):

@@ -194,6 +194,29 @@ class TestReports:
         assert code == 2 and out == ""
         assert err == f"error: UNKNOWN_LETTER: {letter}\n"
 
+    @pytest.mark.parametrize("option, text", [
+        ("--word", "0,1,"), ("--word", ","), ("--word", ",0"),
+        ("--word", "0,,1"), ("--set", "v,"), ("--set", ",w"),
+        ("--set", "v,,w"),
+    ])
+    def test_range_refuses_empty_names(self, option, text):
+        """An empty name next to a comma exits 2 with a message naming the
+        option and its text, in text and JSON mode alike."""
+        argv = ["range", "fixtures/fish.json", "--word", "0", option, text]
+        for extra in ([], ["--json"]):
+            code, out, err = run([*argv, *extra])
+            assert code == 2 and out == ""
+            assert err == (f"error: EMPTY_NAME: {option} {text!r} holds an "
+                           f"empty name\n")
+
+    def test_range_keeps_the_empty_word_and_the_default_set(self):
+        code, out, err = run(["range", "fixtures/fish.json", "--word", ""])
+        assert code == 2 and "ZERO_LENGTH_PATH" in err
+        default = run(["range", "fixtures/fish.json", "--word", "0"])
+        assert default[0] == 0 and default[1] == "r({v, w}, 0) = {v, w}\n"
+        assert run(["range", "fixtures/fish.json", "--word", "0",
+                    "--set", ""]) == default
+
     def test_range_words_of_characters_and_of_letters_agree(self):
         outs = [run(["range", "fixtures/fish.json", "--word", word])
                 for word in ("010", "0,1,0")]

@@ -2,6 +2,7 @@
 interpreter, the library modules each kind of call imports, and the
 package namespace that resolves its names on first use."""
 
+import argparse
 import importlib
 import json
 import os
@@ -14,23 +15,51 @@ import pytest
 import labgraphs
 from labgraphs import fixtures as fx
 from labgraphs import jsonio
+from labgraphs.cli import build_parser
+from labgraphs.morphism import identity_maps
 
 from tools.make_fixtures import GOLDEN_COMMANDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Runs the CLI on its arguments, then prints its exit code and the
-#: labgraphs submodules loaded, as the last line of stdout.
-WRAPPER = """\
+#: The standard-library modules a call should not pay for: ``dataclasses``
+#: imports ``inspect``, and each dataclass execs generated methods.
+SLOW_STDLIB = ("dataclasses", "inspect")
+
+#: Runs the CLI on its arguments, then prints its exit code, the labgraphs
+#: submodules loaded and which of SLOW_STDLIB are loaded, as the last line
+#: of stdout.
+WRAPPER = f"""\
 import json, sys
 from labgraphs.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(name for name in sys.modules
-                               if name.startswith("labgraphs."))]))
+                               if name.startswith("labgraphs.")),
+                  [name for name in {SLOW_STDLIB!r} if name in sys.modules]]))
 """
 
 #: The modules every command on a graph document loads.
 GRAPH_READ = {"cli", "errors", "graph", "groups", "jsonio", "labeled"}
+
+#: The arguments of one call of every subcommand.  ACTION is an action
+#: document and MORPHISM the identity morphism of ``fixtures/fish.json``.
+CALLS = {
+    "validate": ["fixtures/fish.json"],
+    "properties": ["fixtures/fish.json"],
+    "paths": ["fixtures/fish.json", "--n", "2"],
+    "range": ["fixtures/fish.json", "--word", "0"],
+    "lattice": ["fixtures/fish.json"],
+    "skew": ["fixtures/skewz.json", "--window", "0:3"],
+    "translate": ["fixtures/skewz.json", "--window", "0:3"],
+    "quotient": ["ACTION"],
+    "act-check": ["ACTION"],
+    "fundomain": ["fixtures/nofd.json", "--window", "-3:3"],
+    "label-consistency": ["fixtures/fdok.json"],
+    "gross-tucker": ["ACTION", "--label-consistent"],
+    "iso-check": ["fixtures/fish.json", "fixtures/fish.json",
+                  "--morphism", "MORPHISM"],
+    "export-dot": ["fixtures/skewz.json", "--window", "0:3"],
+}
 
 
 def child(*args: str) -> subprocess.CompletedProcess:
@@ -42,11 +71,13 @@ def child(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+def loaded_by(argv: list[str]) -> tuple[int, set[str], set[str]]:
+    """The exit code of a cold child running the CLI on ``argv``, the
+    labgraphs submodules it loaded and which of SLOW_STDLIB it loaded."""
     proc = child("-c", WRAPPER, *argv)
     assert proc.stderr == ""
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, {name[len("labgraphs."):] for name in modules}
+    code, modules, stdlib = json.loads(proc.stdout.splitlines()[-1])
+    return code, {name[len("labgraphs."):] for name in modules}, set(stdlib)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
@@ -80,9 +111,30 @@ def action_document(tmp_path_factory) -> str:
 ], ids=["properties", "lattice", "act-check", "gross-tucker"])
 def test_cold_child_loads_only_its_modules(argv, extra, action_document):
     argv = [action_document if arg == "ACTION" else arg for arg in argv]
-    code, modules = loaded_by(argv)
+    code, modules, _ = loaded_by(argv)
     assert code == 0
     assert modules == GRAPH_READ | extra
+
+
+def test_calls_cover_every_subcommand():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(CALLS) == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("command", sorted(CALLS))
+def test_only_lattice_loads_dataclasses(command, action_document, tmp_path):
+    """Records are named tuples or plain classes, so no call but
+    ``lattice``, whose closures are dataclasses, imports ``dataclasses``
+    and with it ``inspect``."""
+    morphism = tmp_path / "identity.json"
+    jsonio.dump(dict(zip(("vertex_map", "edge_map", "alphabet_map"),
+                         identity_maps(fx.fish()))), str(morphism))
+    files = {"ACTION": action_document, "MORPHISM": str(morphism)}
+    code, _, stdlib = loaded_by([command, *(files.get(arg, arg)
+                                            for arg in CALLS[command])])
+    assert code in (0, 1)
+    assert stdlib == (set(SLOW_STDLIB) if command == "lattice" else set())
 
 
 def test_bare_import_loads_no_submodule():

@@ -12,6 +12,9 @@ Each skew-spec fixture also runs under ``range`` (in both windows over the
 integers, without one over a finite group) with the first letter of its
 materialized graph and a ``--set`` of that graph's first two vertices,
 names with a comma inside parentheses.
+``fixtures/fish.json`` also runs under ``range`` with a trailing comma
+after the ``--word`` and after the ``--set``, which exit 2 naming the
+empty name, in text and with ``--json``.
 Three generated graph documents with more vertices than one chunk of the
 vertex-set decoder (``LabeledGraph.names_of``) run under ``lattice`` in
 text and with ``--json``: the shift graphs of 9 and 12 vertices
@@ -68,6 +71,10 @@ COMMANDS = (
 )
 WINDOWS = ((), ("--window", "-3:3"), ("--window", "0:4"))
 FORMATS = ((), ("--json",))
+EMPTY_NAMES = (
+    ["range", "fixtures/fish.json", "--word", "0,1,"],
+    ["range", "fixtures/fish.json", "--set", "v,", "--word", "0"],
+)
 
 
 def fixture_names() -> list[str]:
@@ -178,8 +185,9 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
                            f"generated/{morphism}", *fmt]),
                  ["iso-check", graph, graph, "--morphism", path, *fmt])
                 for fmt in FORMATS]
-        yield [(" ".join(argv), argv)
-               for argv in matrix() + skew_range_matrix()] + generated
+        empty_names = [[*argv, *fmt] for argv in EMPTY_NAMES for fmt in FORMATS]
+        yield [(" ".join(argv), argv) for argv in
+               matrix() + skew_range_matrix() + empty_names] + generated
 
 
 def run(main, argv: list[str]) -> tuple[str, str | None]:
