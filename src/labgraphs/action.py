@@ -32,16 +32,15 @@ class LabeledGraphAction:
 
     Besides the string-level ``apply``, every action exposes the images
     of its scope as one item-major block of integers per kind
-    (:meth:`columns`), which the verification and reconstruction code
-    runs on.  Its positions are those of the graph's
-    :class:`~labgraphs.labeled.GraphCore`.  Actions are immutable, so each
-    block is built once and cached, and so is the verdict of
-    :func:`is_free`.  A translation also exposes the (fiber, layer) of
-    each item (:meth:`coordinates`) and the item at each (fiber, layer)
-    (:meth:`located`): it moves the item at (q, t) to the item at
-    (q, g t), on either scope shape, and builds its block from that one
-    formula.  On an integer interval the checks of an intact translation
-    read those two maps, never the block.
+    (:meth:`columns`, at the positions of the graph's
+    :class:`~labgraphs.labeled.GraphCore`), which the scans that name
+    failures run on, and the (fiber, layer) of each item
+    (:meth:`coordinates`) with the item at each (fiber, layer)
+    (:meth:`located`).  By Gross--Tucker a free action is the left
+    translation on a skew product over its quotient: a placed action
+    (``_placed``) moves the item at (q, t) to the item at (q, g t), and
+    its verification, freeness and reconstruction read those two maps.
+    Actions are immutable, so all of these are built once and cached.
     """
 
     group: Group
@@ -62,42 +61,76 @@ class LabeledGraphAction:
         """Position of each carrier item in ``carrier(kind)``."""
         return self.graph.core.positions[_KIND_INDEX[kind]]
 
-    def coordinates(self, kind: str) -> Sequence[tuple[str, int]]:
-        """The (fiber, layer) of each carrier item, in ``carrier(kind)``
-        order, for translations.  A translation moves the item at (q, t)
-        to the item that :meth:`located` lists at (q, g t), which is
-        (q, t + g) on an integer interval (:meth:`interval_span`)."""
-        raise NotImplementedError
+    def coordinates(self, kind: str) -> Sequence[tuple[str, Element] | None]:
+        """The (fiber, layer) of each carrier item, in carrier order.  The
+        walk over the carrier makes the first item without coordinates
+        the representative r of its fiber, and gives alpha_g(r) the
+        coordinates (r, g) for every scope element g.  An item reached
+        twice, or never (None), leaves the kind unplaced (``_placed``)."""
+        return self._coordinates[_KIND_INDEX[kind]]
 
-    def located(self, kind: str) -> Mapping[tuple[str, int], int]:
+    def located(self, kind: str) -> Mapping[tuple[str, Element], int]:
         """The position in ``carrier(kind)`` of the item at each (fiber,
-        layer), for translations: the map the action moves items through.
-        For every g of the scope, the image of the item x at
-        ``coordinates(kind)[x]`` = (q, t) is ``located(kind).get((q, g t),
-        -1)``, which is how :meth:`columns` is built.  On an intact action
-        it is the exact inverse of :meth:`coordinates`, which
-        :func:`verify_action` checks on an integer interval.  Callers must
-        not mutate it."""
-        raise NotImplementedError
+        layer).  On a placed kind it is the exact inverse of
+        :meth:`coordinates` and the map the action moves items through:
+        the image under g of the item at (q, t) is
+        ``located(kind).get((q, g t), -1)``.  Callers must not mutate it."""
+        return self._located[_KIND_INDEX[kind]]
+
+    @cached_property
+    def _coordinates(self) -> list[Sequence[tuple[str, Element] | None]]:
+        return self._walk[0]
+
+    @cached_property
+    def _located(self) -> list[Mapping[tuple[str, Element], int]]:
+        return self._walk[1]
+
+    @cached_property
+    def _placed(self) -> tuple[bool, ...]:
+        """Per kind, whether :meth:`located` is the exact inverse of
+        :meth:`coordinates` and alpha_h(x) = ``located(kind)[(q, h t)]``
+        for every item x at (q, t) and every scope element h."""
+        return self._walk[2]
+
+    @cached_property
+    def _walk(self) -> tuple[list, list, tuple[bool, ...]]:
+        """:meth:`coordinates`, :meth:`located` and ``_placed`` per kind,
+        read from the block.  An item y first reached as alpha_g(r) is
+        checked on the spot: alpha_h(y) = alpha_{hg}(r) for every h, its
+        slice against r's gathered through the positions of h g, listed
+        once per (h, g), so placement reads |G| entries per item."""
+        scope = self.scope_elements()
+        n, op = len(scope), self.group.op
+        position = {g: p for p, g in enumerate(scope)}
+        moved = {g: [position[op(h, g)] for h in scope] for g in scope}
+        walks = []
+        for kind, items in zip(KINDS, self.graph.core.carriers):
+            cols = self.columns(kind)
+            coords: list = [None] * len(items)
+            located: dict[tuple[str, Element], int] = {}
+            placed = True
+            for r, item in enumerate(items):
+                if coords[r] is not None:
+                    continue
+                orbit = cols[r * n:r * n + n]
+                for g, y in zip(scope, orbit):
+                    if y < 0:
+                        continue
+                    located[item, g] = y
+                    if coords[y] is not None:
+                        placed = False
+                        continue
+                    coords[y] = (item, g)
+                    placed = placed and cols[y * n:y * n + n] == [
+                        orbit[p] for p in moved[g]]
+            walks.append((coords, located, placed and None not in coords))
+        coords, located, placed = zip(*walks)
+        return list(coords), list(located), placed
 
     @cached_property
     def _free(self) -> Check:
         """The verdict of :func:`is_free`, computed once."""
         return _freeness(self)
-
-    @cached_property
-    def _placed(self) -> tuple[bool, ...]:
-        """Per kind, in ``KINDS`` order, whether :meth:`located` is the
-        exact inverse of :meth:`coordinates`: ``located[coords[x]] == x``
-        for every item x, and the two have the same size.  Then no two
-        items share a (fiber, layer), and the map lists no other key.
-        Interval actions only."""
-        placed = []
-        for kind in KINDS:
-            coords, located = self.coordinates(kind), self.located(kind)
-            placed.append(len(located) == len(coords) and list(
-                map(located.get, coords)) == list(range(len(coords))))
-        return tuple(placed)
 
     def columns(self, kind: str) -> list[int]:
         """The images of the items of ``kind`` under the scope elements,
@@ -109,11 +142,10 @@ class LabeledGraphAction:
         element are the stride slice ``columns(kind)[p::n]``, which ends
         with a -1 from a trailing block of n times -1: gathering through it
         (``[row[j] for j in other]``) keeps -1 without a branch.  On a
-        translation every entry is the :meth:`located` lookup at (q, g t);
-        on the integer interval of :meth:`interval_span`, p = g + span.
-        There the block serves only the scans that name failures: an
-        intact integer action is verified, found free and reconstructed
-        through :meth:`located` without it.  Callers must not mutate it."""
+        translation every entry is the :meth:`located` lookup at (q, g t),
+        and on the integer interval of :meth:`interval_span` p = g + span;
+        an intact translation never needs its block.  Callers must not
+        mutate it."""
         return self._columns[_KIND_INDEX[kind]]
 
     @cached_property
@@ -137,12 +169,16 @@ class LabeledGraphAction:
 
     def elements_moving(self, kind: str, source: str,
                         target: str) -> tuple[Element, ...]:
-        """The elements h with alpha_h(source) = target, searched over the
-        scope in the source's slice of :meth:`columns`."""
-        index, scope = self.index(kind), self.scope_elements()
-        s, t, n = index[source], index[target], len(scope)
-        images = self.columns(kind)[s * n:s * n + n]
-        return tuple([h for h, j in zip(scope, images) if j == t])
+        """The elements h with alpha_h(source) = target on a placed kind:
+        h = t s^-1 for the source at (q, s) and the target at (q, t), once
+        checked, and none across fibers.  On a window h may lie outside
+        the scope, as a halo target may."""
+        index, coords = self.index(kind), self.coordinates(kind)
+        (q, s), (p, t) = coords[index[source]], coords[index[target]]
+        if q != p:
+            return ()
+        h = self.group.op(t, self.group.inv(s))
+        return (h,) if self.apply(h, kind, source) == target else ()
 
     def lifting_scope(self) -> tuple[str, ...]:
         """Vertices at which path-lifting statements are quantified."""
@@ -315,9 +351,9 @@ class ActionReport(NamedTuple):
 #: triples; 0:185 is over), where the translation certificate holds and no
 #: block is built, and 1.0-1.5 s on a copy with two vertex coordinates
 #: swapped, whose block is built (0.06-0.09 s of it) and whose scans name
-#: its 69,744 failures; and 3.7-4.9 s on the finite skew product of the
-#: same base over Z/267 (133,239,141 triples), whose homomorphism scan
-#: gathers each item's images through a permutation per element.
+#: its 69,744 failures.  On the finite skew product of the same base over
+#: Z/267 (133,239,141 triples) the certificate takes 0.001 s, and
+#: 0.08-0.14 s on its ``FiniteAction``, whose block is built and placed.
 MAX_TRIPLES = 1 << 27
 
 
@@ -333,6 +369,27 @@ def homomorphism_pairs(action: LabeledGraphAction) -> int:
         return n * n
     n = 2 * span + 1
     return n * n - span * (span + 1)
+
+
+def layer_pairs(action: LabeledGraphAction,
+                fibers: Iterable[list[Element]]) -> int:
+    """The pairs (g, t) of a scope element g and a layer t of a fiber
+    (distinct elements) with g t on the fiber, summed over ``fibers``:
+    |layers|^2 per fiber on a finite group, and on -span..span the layers
+    within span of each, found with two pointers over the sorted layers."""
+    span = action.interval_span()
+    if span is None:
+        return sum(len(layers) ** 2 for layers in fibers)
+    count = 0
+    for layers in map(sorted, fibers):
+        lo = hi = 0
+        for t in layers:
+            while layers[lo] < t - span:
+                lo += 1
+            while hi < len(layers) and layers[hi] <= t + span:
+                hi += 1
+            count += hi - lo
+    return count
 
 
 def homomorphism_triples(action: LabeledGraphAction) -> int:
@@ -360,19 +417,11 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
 
     The homomorphism law alpha_g(alpha_h(x)) = alpha_gh(x) is checked for
     every pair (g, h) of scope elements whose product is in the scope
-    (``pairs_checked`` counts them), on every carrier item.  The laws run
-    on the action's block of scope images
-    (:meth:`LabeledGraphAction.columns`), and only a mismatch is walked
-    item by item to name the witnesses.
-
-    When the scope is an integer interval
-    (:meth:`LabeledGraphAction.interval_span`), the action is first
-    checked against a translation certificate of the size of the carrier
-    (:func:`_translation_certified`); when it holds, every law holds and
-    the report is built without the block.  Otherwise, and on finite
-    groups, the scans below run and name every failure.  The homomorphism
-    law runs item-major on both scope shapes (:func:`_homomorphism`): one
-    compare per item x and element h covers every g at once.
+    (``pairs_checked`` counts them), on every carrier item.  When the
+    translation certificate holds (:func:`_translation_certified`), so
+    does every law.  Otherwise the scans below run on the block of scope
+    images (:meth:`LabeledGraphAction.columns`), the homomorphism law
+    item-major (:func:`_homomorphism`), and name every failure.
 
     An action with more than :data:`MAX_TRIPLES` triples raises
     :class:`SearchSpaceExceeded` before anything else is read, whether or
@@ -380,11 +429,10 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     numeric width of all layers, so fibers whose layers lie far apart are
     refused by this cap."""
     check_triples(action, "verifying the action would check")
-    span = action.interval_span()
-    if span is not None and _translation_certified(action):
-        return ActionReport(True, (), 2 * span + 1, homomorphism_pairs(action),
-                            action.is_windowed())
     scope = action.scope_elements()
+    if _translation_certified(action):
+        return ActionReport(True, (), len(scope), homomorphism_pairs(action),
+                            action.is_windowed())
     failures: list[tuple[str, Any]] = []
     core = action.graph.core
     carriers = core.carriers
@@ -426,57 +474,53 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
             if a >= 0 and a != lab[f]:
                 failures.append(("label compatibility", (g, edges[e])))
 
-    homomorphism, pairs = _homomorphism(action, scope, span, carriers)
+    homomorphism, pairs = _homomorphism(action, scope, action.interval_span(),
+                                        carriers)
     failures.extend(homomorphism)
     return ActionReport(not failures, tuple(failures), len(scope), pairs,
                         action.is_windowed())
 
 
 def _translation_certified(action: LabeledGraphAction) -> bool:
-    """Whether an action on an integer interval -span..span is a
-    translation along the fibers of
-    :meth:`LabeledGraphAction.coordinates`, checked in time and space of
-    the order of the carrier, without the block of scope images.
+    """Whether the action is a translation along the fibers of
+    :meth:`LabeledGraphAction.coordinates`, checked over ``group.op`` on
+    either scope shape: an integer interval, where g t is g + t, or a
+    finite group.  Write (q(x), t(x)) for the coordinates of item x and L
+    for :meth:`LabeledGraphAction.located`, -1 where it lists no item.
 
-    Write (q(x), t(x)) for the coordinates of item x and L for
-    :meth:`LabeledGraphAction.located`, with L(q, t) = -1 where it lists
-    no item.  By definition of the action (and of its block),
-    alpha_g(x) = L(q(x), t(x) + g) for every g of the scope.  The
-    certificate is two checks:
+    - Placement (``_placed``): L is the exact inverse of the coordinates
+      and alpha_g(x) = L(q(x), g t(x)) for every g of the scope.  A
+      translation's block is that lookup, so only the inverse is checked
+      there; a :class:`FiniteAction` is checked entry by entry.
+    - Right factors: over the edges of one edge fiber, the ranges lie on
+      one vertex fiber P at the layers t k, t the edge's layer, for one
+      element k (k = u - t on an interval); so do the sources and the
+      labels.  Each edge's factors k = t^-1 u cost one ``inv`` and one
+      ``op`` per end, and must equal those of its fiber's first edge.
 
-    - placement: L is the exact inverse of the coordinates, per kind:
-      L(q(x), t(x)) = x for every item x, and L has as many entries as
-      the carrier has items.  So no two items of a kind share a (fiber,
-      layer), and L lists no (fiber, layer) but the items' own;
-    - edge offsets: over the edges of one edge fiber, the fiber of the
-      range and its layer minus the edge's layer are the same, and so are
-      those of the source and of the label.
-
-    Why they give every law.  Identity: alpha_0(x) = L(q(x), t(x)) = x.
+    Why they give every law.  Identity: alpha_1(x) = L(q(x), t(x)) = x.
     Injectivity: alpha_g(x) = alpha_g(y) = z >= 0 puts z at
-    (q(x), t(x) + g) and at (q(y), t(y) + g), since L lists z only at
-    z's own coordinates; so x and y share their coordinates and x = y.
-    Homomorphism: y = alpha_h(x) >= 0 sits at (q(x), t(x) + h), so
-    alpha_g(y) = L(q(x), t(x) + h + g) = alpha_{g+h}(x) whenever g + h is
-    in the scope.  Range equivariance: let f = alpha_g(e) >= 0 for an edge
-    e over fiber Q at layer t, and (P, c) the offset of Q's ranges.  Then
-    f sits at (Q, t + g) and its range r(f) at (P, t + g + c), while r(e)
-    sits at (P, t + c), so alpha_g(r(e)) = L(P, t + c + g) = r(f).  The
+    (q(x), g t(x)) and at (q(y), g t(y)), and L lists z only at its own
+    coordinates, so x = y.  Homomorphism: y = alpha_h(x) >= 0 sits at
+    (q(x), h t(x)), so alpha_g(y) = L(q(x), g h t(x)) = alpha_{gh}(x)
+    whenever gh is in the scope.  Range equivariance: let f = alpha_g(e)
+    >= 0 for an edge e over fiber Q at layer t, and (P, k) the factor of
+    Q's ranges.  Then f sits at (Q, g t), its range r(f) at (P, g t k)
+    and r(e) at (P, t k), so alpha_g(r(e)) = L(P, g t k) = r(f); the
     sources and labels follow in the same way.  So an action that passes
     has no failure, and its ``pairs_checked`` is that of
-    :func:`homomorphism_pairs`.  The placement verdicts are cached on the
-    action (``_placed``), where :func:`is_free` and the reconstruction
-    read them too."""
+    :func:`homomorphism_pairs`."""
     if not all(action._placed):
         return False
     core = action.graph.core
+    op, inv = action.group.op, action.group.inv
     vertices, edges, letters = (action.coordinates(kind) for kind in KINDS)
-    offsets: dict[str, tuple] = {}
+    factors: dict[str, tuple] = {}
     for (q, t), d, s, a in zip(edges, core.dst, core.src, core.lab):
-        (range_fiber, r), (source_fiber, u), (letter_fiber, v) = (
-            vertices[d], vertices[s], letters[a])
-        found = (range_fiber, r - t, source_fiber, u - t, letter_fiber, v - t)
-        if offsets.setdefault(q, found) != found:
+        (p, u), (r, v), (b, w) = vertices[d], vertices[s], letters[a]
+        ti = inv(t)
+        found = (p, op(ti, u), r, op(ti, v), b, op(ti, w))
+        if factors.setdefault(q, found) != found:
             return False
     return True
 
@@ -547,23 +591,21 @@ def is_free(action: LabeledGraphAction) -> Check:
 def _freeness(action: LabeledGraphAction) -> Check:
     """:func:`is_free`, uncached.
 
-    On an integer interval whose vertices and letters pass the placement
-    check of :func:`_translation_certified`, the action is free: for
-    g != 0, alpha_g(x) = L(q(x), t(x) + g) is an item at another layer or
-    -1, never x, since L lists x at its own coordinates only.  Such an
-    action is refused above :data:`MAX_TRIPLES` as its block would be, and
-    otherwise answered without the block.
+    An action whose vertices and letters are placed (``_placed``) is
+    free: for g other than the identity, alpha_g(x) = L(q(x), g t(x)) is
+    an item at another layer or -1, never x, since L lists x at its own
+    coordinates only.  It is refused above :data:`MAX_TRIPLES` all the
+    same, as its block would be.
 
     Otherwise each vertex and letter x is looked up in its slice of
     :meth:`LabeledGraphAction.columns`, at the first position other than
     the identity's that holds x."""
-    if action.interval_span() is not None:
-        # The cap first: an oversized integer scope is refused before it
-        # is listed, as the block would refuse it.
-        check_triples(action, "the scope block would serve")
-        placed = action._placed
-        if placed[_KIND_INDEX[VERTEX]] and placed[_KIND_INDEX[LETTER]]:
-            return Check(True)
+    # The cap first: an oversized integer scope is refused before it is
+    # listed, as the block would refuse it.
+    check_triples(action, "the scope block would serve")
+    placed = action._placed
+    if placed[_KIND_INDEX[VERTEX]] and placed[_KIND_INDEX[LETTER]]:
+        return Check(True)
     blocks = [action.columns(kind) for kind in (VERTEX, LETTER)]
     scope = action.scope_elements()
     n, ident = len(scope), scope.index(action.group.identity)

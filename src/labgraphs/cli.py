@@ -48,8 +48,9 @@ def _parse_window(text: str) -> Window:
 
 def _split_names(text: str, option: str) -> list[str]:
     """``text`` cut at the commas outside parentheses, so that a skew
-    product's item ``(1,0)`` stays one name.  An empty name next to a
-    comma raises ``EMPTY_NAME`` naming ``option`` and ``text``."""
+    product's item ``(1,0)`` stays one name; an empty ``text`` holds none.
+    An empty name next to a comma raises ``EMPTY_NAME`` naming ``option``
+    and ``text``."""
     names, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
@@ -60,7 +61,7 @@ def _split_names(text: str, option: str) -> list[str]:
     if len(names) > 1 and "" in names:
         raise PreconditionError(
             "EMPTY_NAME", f"{option} {text!r} holds an empty name")
-    return names
+    return names if text else []
 
 
 def _parse_word(text: str, alphabet: Mapping[str, int]) -> tuple[str, ...]:
@@ -172,7 +173,7 @@ def _cmd_paths(args):
 
 def _cmd_range(args):
     lg, _ = _load_graph(args.file, args.window)
-    vertices = (_split_names(args.set, "--set") if args.set
+    vertices = (_split_names(args.set, "--set") if args.set is not None
                 else list(lg.vertices))
     word = _parse_word(args.word, lg.core.positions[2])
     result = relative_range(lg, vertices, word)

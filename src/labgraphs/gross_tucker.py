@@ -11,7 +11,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
                      LabeledGraphAction, QuotientLabeledGraph, check_triples,
                      find_fundamental_domain, is_free, is_fundamental_domain,
-                     is_label_consistent, quotient, verify_action)
+                     is_label_consistent, layer_pairs, quotient,
+                     verify_action)
 from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
                      NonFreeWitness, PreconditionError, VerificationError)
 from .groups import Element
@@ -143,29 +144,18 @@ def _reconstruction_layers(action: LabeledGraphAction,
     """Layer assignment for the reconstruction skew product: the pullback
     of the acted-on carrier (the scope elements that move the vertex
     section into the lifting scope), so the comparison isomorphism is
-    total and bijective rather than window-approximate.  On an integer
-    interval the image of a section vertex x at (q, t) under h is looked
-    up at (q, t + h) in :meth:`~LabeledGraphAction.located`; on a finite
-    group the images over the scope are x's slice of the action's
-    columns."""
+    total and bijective rather than window-approximate.  The image of a
+    section vertex x at (q, t) under h is looked up at (q, h t) in
+    :meth:`~LabeledGraphAction.located`."""
     index = action.index(VERTEX)
     inside = {index[v] for v in action.lifting_scope()}
-    span = action.interval_span()
-    layers = {}
-    if span is None:
-        scope = action.scope_elements()
-        cols, n = action.columns(VERTEX), len(scope)
-        for q_vertex in quot.orbit_vertex_members:
-            x = index[eta0[q_vertex]]
-            images = cols[x * n:x * n + n]
-            layers[q_vertex] = tuple([h for h, j in zip(scope, images)
-                                      if j in inside])
-        return layers
     located, coords = action.located(VERTEX), action.coordinates(VERTEX)
+    scope, op = action.scope_elements(), action.group.op
+    layers = {}
     for q_vertex in quot.orbit_vertex_members:
         q, t = coords[index[eta0[q_vertex]]]
-        layers[q_vertex] = tuple([h for h in range(-span, span + 1)
-                                  if located.get((q, t + h), -1) in inside])
+        layers[q_vertex] = tuple([h for h in scope
+                                  if located.get((q, op(h, t)), -1) in inside])
     return layers
 
 
@@ -182,39 +172,23 @@ def _comparison_map(action: LabeledGraphAction, k: int,
                     pairs: Mapping[str, tuple[str, Element]],
                     section: Mapping[str, str]) -> dict[str, str]:
     """phi(q, g) = alpha_g(section(q)) on every item (q, g) of the ``k``-th
-    kind of the reconstruction skew product.  When g is a scope element
-    the image is read from :meth:`~LabeledGraphAction.located` at
-    (fiber, layer + g) of section(q) on an integer interval, and from the
-    action's columns on a finite group; halo and letter layers may lie
-    outside the scope, and those go through ``apply``."""
+    kind of the reconstruction skew product, read from
+    :meth:`~LabeledGraphAction.located` at (fiber, g t) of section(q).
+    Halo and letter layers may lie outside the scope of a window; the
+    lookup is the translation's own there too."""
     kind = KINDS[k]
     carrier, index = action.carrier(kind), action.index(kind)
-    span = action.interval_span()
-    if span is None:
-        scope = action.scope_elements()
-        position = {g: p for p, g in enumerate(scope)}
-        cols, n = action.columns(kind), len(scope)
-    else:
-        located, coords = action.located(kind), action.coordinates(kind)
-        at = {q: coords[index[x]] for q, x in section.items()}
+    located, coords = action.located(kind), action.coordinates(kind)
+    op = action.group.op
+    at = {q: coords[index[x]] for q, x in section.items()}
     out = {}
     for item, (q, g) in pairs.items():
-        if span is None:
-            p = position.get(g)
-            j = None if p is None else cols[index[section[q]] * n + p]
-        elif -span <= g <= span:
-            fiber, t = at[q]
-            j = located.get((fiber, t + g), -1)
-        else:
-            j = None
-        if j is None:
-            image = action.apply(g, kind, section[q])
-        else:
-            image = carrier[j] if j >= 0 else None
-        if image is None:
+        fiber, t = at[q]
+        j = located.get((fiber, op(g, t)), -1)
+        if j < 0:
             raise VerificationError("comparison map leaves the carrier",
                                     (kind, item))
-        out[item] = image
+        out[item] = carrier[j]
     return out
 
 
@@ -228,19 +202,16 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
     :class:`VerificationError` naming the least witness (g, kind, x), in
     scope, kind and carrier order; so does a check that compares nothing.
 
-    When the scope is an integer interval, the maps are first checked
-    against a certificate of the size of the carriers
-    (:func:`_equivariance_offsets`), which gives the count in closed form
-    without either block.  When it fails, and on every finite group, one
-    scan runs element by element in scope order
-    (:func:`_equivariance_by_element`) and names the least witness."""
+    The maps are first checked against a certificate of the size of the
+    carriers (:func:`_equivariance_offsets`), which gives the count in
+    closed form without either block.  When it fails, one scan runs
+    element by element in scope order (:func:`_equivariance_by_element`)
+    and names the least witness."""
     tau = TranslationAction(skew)
     images = [list(map(action.index(kind).__getitem__,
                        map(mapping.__getitem__, tau.carrier(kind)))) + [-1]
               for kind, mapping in zip(KINDS, maps)]
-    span = action.interval_span()
-    checked = None if span is None else _equivariance_offsets(
-        action, span, tau, images)
+    checked = _equivariance_offsets(action, tau, images)
     if checked is None:
         checked = _equivariance_by_element(action, tau, images)
     if checked == 0:
@@ -285,52 +256,44 @@ def _equivariance_by_element(action: LabeledGraphAction,
     return checked
 
 
-def _equivariance_offsets(action: LabeledGraphAction, span: int,
+def _equivariance_offsets(action: LabeledGraphAction,
                           tau: TranslationAction,
                           images: list[list[int]]) -> int | None:
     """The count of :func:`_equivariance_by_element` when the maps
-    certify equivariance on the scope -span..span, None when they do not.
+    certify equivariance, None when they do not.  Write L for the
+    :meth:`~LabeledGraphAction.located` map of the action, so that
+    alpha_g(y) = L(q(y), g t(y)).  The certificate is:
 
-    Write L and L' for the :meth:`~LabeledGraphAction.located` maps of
-    the action and of tau, so that alpha_g(y) = L(q(y), t(y) + g) and
-    tau_g x = L'(q(x), t(x) + g), -1 where nothing is listed.  The
-    certificate is:
-
-    - placement of both actions (``_placed``): each L is the exact
-      inverse of its coordinates;
-    - offsets: phi sends every item of a skew fiber q into one action
-      fiber P(q) at a constant layer offset c(q): phi(x) sits at
-      (P(q), t(x) + c(q)).
+    - placement of the action and of tau (``_placed``);
+    - right factors: phi sends every item of a skew fiber q into one
+      action fiber P at the layer t(x) k, for one element k: the first
+      item gives k = h^-1 u, and every other item is checked with one
+      ``op``.
 
     Then for x at (q, h) and g in the scope with x' = tau_g x >= 0, x'
-    sits at (q, h + g) and phi(x') at (P, h + g + c), so by placement
-    phi(x') = L(P, h + g + c) = alpha_g(phi(x)).  Wherever the left side
-    is defined both sides are, and they are equal; where it is not, the
-    pair is not counted.  So the count is, per skew item x, the number of
-    layers of its fiber within span of its own (x's included), found with
-    two pointers over each fiber's sorted layers."""
+    sits at (q, g h) and phi(x') at (P, g h k), so by placement
+    phi(x') = L(P, g h k) = alpha_g(phi(x)).  Wherever the left side is
+    defined both sides are, and they are equal; where it is not, the
+    pair is not counted.  So the count is, per skew fiber, the pairs of
+    a scope element and a layer that it moves onto another layer
+    (:func:`~labgraphs.action.layer_pairs`)."""
     if not (all(action._placed) and all(tau._placed)):
         return None
+    op, inv = action.group.op, action.group.inv
     checked = 0
     for kind, image in zip(KINDS, images):
         coords = action.coordinates(kind)
-        offsets: dict[str, tuple[str, int]] = {}
-        fibers: dict[str, list[int]] = {}
+        factors: dict[str, tuple[str, Element]] = {}
+        fibers: dict[str, list[Element]] = {}
         for (q, h), j in zip(tau.coordinates(kind), image):
             p, u = coords[j]
-            found = (p, u - h)
-            if offsets.setdefault(q, found) != found:
+            found = factors.get(q)
+            if found is None:
+                factors[q] = (p, op(inv(h), u))
+            elif found[0] != p or op(h, found[1]) != u:
                 return None
             fibers.setdefault(q, []).append(h)
-        for layers in fibers.values():
-            layers.sort()
-            lo = hi = 0
-            for t in layers:
-                while layers[lo] < t - span:
-                    lo += 1
-                while hi < len(layers) and layers[hi] <= t + span:
-                    hi += 1
-                checked += hi - lo
+        checked += layer_pairs(action, fibers.values())
     return checked
 
 
@@ -345,6 +308,7 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     freeness = is_free(action)
     if not freeness:
         raise PreconditionError("NOT_FREE", f"witness {freeness.witness!r}")
+    # a verified free action is placed: ``located`` gives its images below
 
     if quot is None:
         quot = quotient(action)

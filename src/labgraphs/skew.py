@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, repeat
+from operator import eq
 from typing import Mapping, Sequence
 
 from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
@@ -313,28 +314,31 @@ class TranslationAction(LabeledGraphAction):
         return self.blocks(self.scope_elements())
 
     @cached_property
-    def _coordinates(self) -> dict[str, list[tuple[str, Element]]]:
-        return {kind: list(map(self._pairs(kind)[0].__getitem__,
-                               self.carrier(kind))) for kind in KINDS}
-
-    def coordinates(self, kind: str) -> list[tuple[str, Element]]:
-        """(base item, layer) of each carrier item, in carrier order, read
-        from the skew's pair maps once per kind."""
-        return self._coordinates[kind]
+    def _coordinates(self) -> list[list[tuple[str, Element]]]:
+        """The skew's pair maps, read in carrier order."""
+        return [list(map(self._pairs(kind)[0].__getitem__, self.carrier(kind)))
+                for kind in KINDS]
 
     @cached_property
-    def _located(self) -> dict[str, dict[tuple[str, Element], int]]:
-        out = {}
-        for kind, index in zip(KINDS, self.graph.core.positions):
-            ids = self._pairs(kind)[1]
-            out[kind] = dict(zip(ids, map(index.__getitem__, ids.values())))
-        return out
+    def _located(self) -> list[dict[tuple[str, Element], int]]:
+        """The skew's id maps by position, the maps :meth:`apply` reads."""
+        skew = self.skew
+        return [dict(zip(ids, map(index.__getitem__, ids.values())))
+                for ids, index in zip(
+                    (skew.vertex_id, skew.edge_id, skew.letter_id),
+                    self.graph.core.positions)]
 
-    def located(self, kind: str) -> dict[tuple[str, Element], int]:
-        """The skew's id map of ``kind`` by position: the item at each
-        (base item, layer), the map that :meth:`apply` reads, built once
-        per kind."""
-        return self._located[kind]
+    @cached_property
+    def _placed(self) -> tuple[bool, ...]:
+        """Per kind, whether the skew's id map is the exact inverse of its
+        pair map on the carrier, read by name without :meth:`located`:
+        the block is the id map's lookup, so this is the whole placement."""
+        placed = []
+        for kind in KINDS:
+            ids, coords = self._pairs(kind)[1], self.coordinates(kind)
+            placed.append(len(ids) == len(coords) and all(
+                map(eq, map(ids.get, coords), self.carrier(kind))))
+        return tuple(placed)
 
     def _pairs(self, kind: str):
         if kind == VERTEX:
@@ -362,18 +366,6 @@ class TranslationAction(LabeledGraphAction):
             return None
         layers = [g for ls in self.skew.layers.values() for g in ls]
         return max(layers) - min(layers) if layers else 0
-
-    def elements_moving(self, kind: str, source: str,
-                        target: str) -> tuple[Element, ...]:
-        """The layer difference, when it moves source to target.  On a
-        window it may lie outside the scope: the target can be a halo item
-        further from the source than the window is wide."""
-        pairs, _ = self._pairs(kind)
-        (base_s, layer_s), (base_t, layer_t) = pairs[source], pairs[target]
-        if base_s != base_t:
-            return ()
-        h = self.group.op(layer_t, self.group.inv(layer_s))
-        return (h,) if self.apply(h, kind, source) == target else ()
 
     def _orbit_classes(self, kind: str):
         """The fibers: the items over one base item, which is the orbit

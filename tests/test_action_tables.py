@@ -21,7 +21,7 @@ from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
 from labgraphs.errors import SearchSpaceExceeded, VerificationError
 from labgraphs.graph import DirectedGraph, Edge
 from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
-                              Window)
+                              TableGroup, Window)
 from labgraphs.gross_tucker import (check_equivariance,
                                     identity_layer_sections, reconstruct)
 from labgraphs.labeled import LabeledGraph
@@ -230,14 +230,39 @@ def broken_finite_action(rng: random.Random,
     return FiniteAction(finite.group, finite.graph, maps)
 
 
+def non_free_finite_action(rng: random.Random) -> FiniteAction:
+    """A cyclic group of order 2n acting through its quotient of order n,
+    so the element n fixes every item: a valid action that is not free."""
+    while True:
+        action = fx.random_translation_action(rng, rng.random() < 0.5)
+        if action.group.kind == "cyclic":
+            break
+    finite = fx.anonymize_action(action, rng)
+    n = finite.group.n
+    return FiniteAction(CyclicGroup(2 * n), finite.graph,
+                        {g: finite.maps[g % n] for g in range(2 * n)})
+
+
+def raw_finite_action(rng: random.Random) -> FiniteAction:
+    """A free raw finite action over opaque ids, given by its element
+    triples, over a cyclic, table or permutation group."""
+    return fx.anonymize_action(random_finite_translation(rng), rng)
+
+
 BUILDERS = {
     "z": random_z_action,
     "z-broken": broken_z_action,
     "z-pullback": pullback_z_action,
     "finite-translation": random_finite_translation,
+    "finite-raw": raw_finite_action,
     "from-generators": random_generated_action,
     "finite-broken": broken_finite_action,
+    "finite-non-free": non_free_finite_action,
 }
+
+#: The builders of actions of finite groups: free, not free and broken.
+FINITE_BUILDERS = ["finite-broken", "finite-non-free", "finite-raw",
+                   "finite-translation", "from-generators"]
 
 
 def assert_agrees_with_oracles(action) -> None:
@@ -437,6 +462,10 @@ def _refuse_the_scans(*args):
     raise AssertionError("the witness scans ran on an intact translation")
 
 
+def _klein_table():
+    return TableGroup([[i ^ j for j in range(4)] for i in range(4)])
+
+
 INTACT_TRANSLATIONS = {
     "skewz": lambda: TranslationAction(fx.skewz()),
     "nofd": lambda: TranslationAction(fx.nofd()),
@@ -448,17 +477,39 @@ INTACT_TRANSLATIONS = {
        for seed in range(15)},
     **{name: case for name, case in SPARSE_CASES.items()
        if name.startswith("wide")},
+    "fdok": fx.fdok_action,
+    "fdok-finite": lambda: fx.fdok_action().as_finite_action(),
+    **{f"{name}-{shape}-{seed}":
+       lambda group=group, shape=shape, seed=seed: _free_finite(
+           group(), shape, random.Random(seed))
+       for name, group in (("Z3", lambda: CyclicGroup(3)),
+                           ("Z5", lambda: CyclicGroup(5)),
+                           ("S3", lambda: SMALL_GROUPS["S3"]),
+                           ("D4", lambda: SMALL_GROUPS["D4"]),
+                           ("table", _klein_table))
+       for shape in ("translation", "finite", "raw") for seed in range(3)},
 }
+
+
+def _free_finite(group, shape: str, rng: random.Random):
+    """The translation on a random skew product over ``group``, its
+    element triples (``as_finite_action``), or an anonymized copy."""
+    action = group_translation(group, rng)
+    if shape == "finite":
+        return action.as_finite_action()
+    return fx.anonymize_action(action, rng) if shape == "raw" else action
 
 
 @pytest.mark.parametrize("name", sorted(INTACT_TRANSLATIONS))
 def test_intact_translations_skip_the_scans(name):
-    """On an intact translation the certificate holds, so the witness
-    scans never run and the report is the one they would give: no
-    failure, every scope element, and every pair whose sum is in the
-    scope.  Freeness and the reconstruction, its equivariance check
-    included, read ``located`` too: the block of scope images is never
-    built."""
+    """On an intact translation, over an integer window or a finite group,
+    and on every free action of a finite group given by its element
+    triples, the certificate holds, so the witness scans never run and
+    the report is the one they would give: no failure, every scope
+    element, and every pair whose product is in the scope.  Freeness and
+    the reconstruction, its equivariance check included, read
+    ``located`` too: a translation never builds its block of scope
+    images."""
     action = INTACT_TRANSLATIONS[name]()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(action_module, "_homomorphism", _refuse_the_scans)
@@ -468,8 +519,22 @@ def test_intact_translations_skip_the_scans(name):
         assert is_free(action)
         reconstruct(action)
     assert report == ActionReport(True, (), len(action.scope_elements()),
-                                  homomorphism_pairs(action), True)
-    assert "_columns" not in action.__dict__
+                                  homomorphism_pairs(action),
+                                  action.is_windowed())
+    assert all(action._placed)
+    if isinstance(action, TranslationAction):
+        assert "_columns" not in action.__dict__
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("builder", FINITE_BUILDERS)
+def test_finite_certificate_holds_exactly_on_free_actions(builder, seed):
+    """On a finite group the certificate is complete: it holds exactly
+    when the apply-based oracles find every law and freeness, so no free
+    finite action is left to the scans, and no other action passes."""
+    action = BUILDERS[builder](random.Random(seed))
+    assert action_module._translation_certified(action) == (
+        verify_action_exhaustive(action).ok and is_free_exhaustive(action).ok)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -517,6 +582,7 @@ RECONSTRUCTION_CASES = {
     "wide": wide_z_action,
     "pullback": pullback_z_action,
     "finite-translation": random_finite_translation,
+    "finite-raw": raw_finite_action,
     "from-generators": random_generated_action,
 }
 
@@ -937,29 +1003,13 @@ def test_nonabelian_cases_are_not_vacuous():
 # -- fundamental-domain search against the candidate loop ----------------------
 
 
-def non_free_finite_action(rng: random.Random) -> FiniteAction:
-    """A cyclic group of order 2n acting through its quotient of order n,
-    so the element n fixes every item: a valid action that is not free."""
-    while True:
-        action = fx.random_translation_action(rng, rng.random() < 0.5)
-        if action.group.kind == "cyclic":
-            break
-    finite = fx.anonymize_action(action, rng)
-    n = finite.group.n
-    return FiniteAction(CyclicGroup(2 * n), finite.graph,
-                        {g: finite.maps[g % n] for g in range(2 * n)})
-
-
-DOMAIN_BUILDERS = {**BUILDERS, "finite-non-free": non_free_finite_action}
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(DOMAIN_BUILDERS)), st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(sorted(BUILDERS)), st.integers(0, 2 ** 32 - 1))
 def test_domain_search_equals_the_candidate_loop(builder, seed):
     """The search on per-vertex label tables finds the same first domain
     after the same number of candidates as checking each candidate with
     ``is_fundamental_domain``."""
-    action = DOMAIN_BUILDERS[builder](random.Random(seed))
+    action = BUILDERS[builder](random.Random(seed))
     assert (find_fundamental_domain(action)
             == find_fundamental_domain_by_candidates(action))
 
@@ -971,7 +1021,7 @@ def test_domain_searches_cover_every_outcome():
     among them."""
     actions = [(name, build()) for name, build in FIXTURES.items()]
     actions += [(name, build(random.Random(seed)))
-                for name, build in DOMAIN_BUILDERS.items()
+                for name, build in BUILDERS.items()
                 for seed in range(25)]
     outcomes = set()
     for name, action in actions:

@@ -214,8 +214,9 @@ class TestReports:
         assert code == 2 and "ZERO_LENGTH_PATH" in err
         default = run(["range", "fixtures/fish.json", "--word", "0"])
         assert default[0] == 0 and default[1] == "r({v, w}, 0) = {v, w}\n"
+        # an empty --set is the empty set, whose range is empty
         assert run(["range", "fixtures/fish.json", "--word", "0",
-                    "--set", ""]) == default
+                    "--set", ""]) == (0, "r({}, 0) = {}\n", "")
 
     def test_range_words_of_characters_and_of_letters_agree(self):
         outs = [run(["range", "fixtures/fish.json", "--word", word])

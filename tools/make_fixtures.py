@@ -10,11 +10,15 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 
 from labgraphs import fixtures as fx
 from labgraphs import jsonio
+from labgraphs.action import FiniteAction
 from labgraphs.cli import main as cli_main
+from labgraphs.groups import CyclicGroup, Group, PermutationGroup, TableGroup
+from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXDIR = os.path.join(ROOT, "fixtures")
@@ -25,6 +29,47 @@ def write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {os.path.relpath(path, ROOT)}")
+
+
+S3 = PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])
+KLEIN_TABLE = TableGroup([[i ^ j for j in range(4)] for i in range(4)])
+
+
+def free_element_action(group: Group, seed: int,
+                        label_consistent: bool) -> FiniteAction:
+    """A free action of ``group`` over opaque ids: the translation on the
+    skew product of FISH with seeded cocycles, anonymized.  With
+    ``label_consistent`` the cocycles factor through the labeling, so a
+    fundamental domain exists."""
+    rng = random.Random(seed)
+    base, elements = fx.fish(), group.elements()
+    keys = {eid: a if label_consistent else eid
+            for eid, a in sorted(base.labeling.items())}
+    c, d = ({k: rng.choice(elements) for k in sorted(set(keys.values()))}
+            for _ in range(2))
+    spec = SkewSpec(base, group, {eid: c[k] for eid, k in keys.items()},
+                    {eid: d[k] for eid, k in keys.items()})
+    return fx.anonymize_action(TranslationAction(skew_product(spec)), rng)
+
+
+def element_actions() -> dict[str, FiniteAction]:
+    """The actions written in element form: free over S3 (with label
+    consistent cocycles) and over the Klein four-group given by its table,
+    Z/4 acting through Z/2 (not free), and the S3 action with two images
+    swapped in one element's vertex map (broken)."""
+    s3 = free_element_action(S3, 1, label_consistent=True)
+    z2 = free_element_action(CyclicGroup(2), 2, label_consistent=False)
+    maps = {g: tuple(dict(m) for m in t) for g, t in s3.maps.items()}
+    vertex_map = maps[(1, 2, 0)][0]
+    x, y = sorted(vertex_map)[:2]
+    vertex_map[x], vertex_map[y] = vertex_map[y], vertex_map[x]
+    return {
+        "elements-s3.json": s3,
+        "elements-table.json": free_element_action(KLEIN_TABLE, 3, False),
+        "elements-nonfree.json": FiniteAction(
+            CyclicGroup(4), z2.graph, {g: z2.maps[g % 2] for g in range(4)}),
+        "elements-broken.json": FiniteAction(S3, s3.graph, maps),
+    }
 
 
 def fixture_documents() -> None:
@@ -54,6 +99,11 @@ def fixture_documents() -> None:
                                     translation=fx.fdok_spec()))))
     write(os.path.join(FIXDIR, "nofd-domain.json"),
           json.dumps(["(v,0)", "(w,1)"], indent=2) + "\n")
+    for name, action in element_actions().items():
+        write(os.path.join(FIXDIR, name),
+              jsonio.dumps(jsonio.action_to_json(jsonio.ActionDocument(
+                  action.group, graph=action.graph,
+                  elements=tuple(sorted(action.maps.items()))))))
 
 
 def run_cli(argv: list[str]) -> str:
