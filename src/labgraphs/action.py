@@ -13,8 +13,7 @@ from .errors import (PreconditionError, SearchSpaceExceeded,
 from .graph import DirectedGraph, Edge
 from .groups import Element, Group
 from .labeled import Check, LabeledGraph
-from .morphism import (LabeledGraphMorphism, identity_maps, is_surjective,
-                       verify_morphism)
+from .morphism import LabeledGraphMorphism, identity_maps, is_surjective
 
 VERTEX, EDGE, LETTER = "vertex", "edge", "letter"
 #: The kinds of carrier item, in the order of ``LabeledGraph.core``.
@@ -481,6 +480,21 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
                         action.is_windowed())
 
 
+def require_verified(action: LabeledGraphAction) -> None:
+    """Raise ``ACTION_NOT_VERIFIED``, naming the first failure, unless
+    ``action`` passes :func:`verify_action`.  An action the translation
+    certificate covers passes every law (:func:`_translation_certified`)
+    and is let through without the scans, so the :data:`MAX_TRIPLES` cap
+    on them refuses only an action the certificate does not cover: the
+    certificate reads each item once, whatever the width of the scope."""
+    if _translation_certified(action):
+        return
+    report = verify_action(action)
+    if not report.ok:
+        raise PreconditionError(
+            "ACTION_NOT_VERIFIED", f"first failure: {report.failures[0]!r}")
+
+
 def _translation_certified(action: LabeledGraphAction) -> bool:
     """Whether the action is a translation along the fibers of
     :meth:`LabeledGraphAction.coordinates`, checked over ``group.op`` on
@@ -642,7 +656,23 @@ class QuotientLabeledGraph(NamedTuple):
 def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
     """Orbit labeled graph with its projection.  Well-definedness of the
     induced range, source and labeling maps is re-checked explicitly
-    rather than trusted."""
+    rather than trusted, and that one check is the projection's morphism
+    check.
+
+    The quotient's edge E runs from the vertex orbit to the vertex orbit,
+    with the label orbit, of the triple ``induced[E]`` of one edge of E,
+    and the projection p sends each item to its orbit.  So p keeps the
+    range, source and label of an edge e exactly when the triple of e
+    equals ``induced[E]``, which is the comparison below, made for every
+    edge: :func:`~labgraphs.morphism.verify_morphism` on p would check
+    those same equalities.  Its other laws hold by construction: the
+    orbits partition each carrier, so p is total; every vertex orbit is a
+    quotient vertex and every edge orbit a quotient edge; and every letter
+    labels an edge (a labeling is surjective), so every letter orbit is
+    the label of the quotient edge of that edge.  When the comparison
+    fails, some edge differs from the first edge of its orbit, and the
+    walk names that pair in a :class:`WellDefinednessError`.
+    Surjectivity is checked after the quotient is built."""
     lg = action.graph
     graph = lg.graph
 
@@ -696,10 +726,6 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
 
     projection = LabeledGraphMorphism(
         lg, q_graph, *(dict(orbit_of[kind]) for kind in KINDS))
-    report = verify_morphism(projection)
-    if not report.ok:
-        raise VerificationError("quotient projection is not a morphism",
-                                report.witness)
     if not is_surjective(projection):
         raise VerificationError("quotient projection is not surjective", None)
     return QuotientLabeledGraph(

@@ -289,8 +289,9 @@ def _cmd_translate(args):
 
 
 def _cmd_quotient(args):
-    from .action import quotient
+    from .action import quotient, require_verified
     action = _load_action(args.file, args.window)
+    require_verified(action)
     quot = quotient(action)
     lg = quot.quotient
     payload = {
@@ -324,8 +325,10 @@ def _cmd_act_check(args):
 
 
 def _cmd_fundomain(args):
-    from .action import find_fundamental_domain, is_fundamental_domain
+    from .action import (find_fundamental_domain, is_fundamental_domain,
+                         require_verified)
     action = _load_action(args.file, args.window)
+    require_verified(action)
     if args.domain:
         domain = jsonio.domain_from_json(jsonio.read_json(args.domain))
         report = is_fundamental_domain(action, domain)

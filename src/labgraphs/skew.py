@@ -93,21 +93,29 @@ class SkewLabeledGraph:
     layers of each edge's source.  Edge (e, g) goes from (s(e), g) to
     (r(e), g c(e)) and carries the letter (L(e), g d(e)): two group
     operations per edge.  Every item is named ``(base id,layer)``, with
-    one ``element_str`` call per distinct layer, and the graph keeps its
-    items in name order, as every labeled graph does.  The pair maps hold
-    the window vertices base vertex by base vertex, then the halo
-    vertices, edges and letters in (base edge, layer) order of first
-    appearance.  A vertex whose layers repeat one raises
+    one ``element_str`` call per distinct layer, and each distinct vertex
+    and letter is formatted once, through the id maps keyed by (base
+    item, layer); the edges that share a target or a letter share its
+    string.  No element string holds a comma, so a name splits at its
+    last comma into exactly one pair, and two pairs never share a name.
+    The graph keeps its items in name order, as every labeled graph does.
+    The pair maps hold the window vertices base vertex by base vertex,
+    then the halo vertices, edges and letters in (base edge, layer) order
+    of first appearance.  A vertex whose layers repeat one raises
     ``DUPLICATE_LAYER``.
 
-    The verdicts are read from counts, not scans of the built graph.  A
-    window vertex (x, g) is interior when the edges entering it are as
-    many as the base edges entering x; it is valid, by
+    ``window_vertices``, the pair maps and ``left_resolving``, with its
+    inheritance check, are built with the graph.  The window verdicts
+    (``halo_vertices``, ``boundary_edges``, ``interior_vertices`` and
+    ``interior_valid``) are computed from the built graph and the base's
+    core the first time they are read, since only the ``properties``,
+    ``skew`` and ``export-dot`` reports read them.  They are read from
+    counts, not scans: a window vertex (x, g) is interior when the edges
+    entering it are as many as the base edges entering x; it is valid, by
     :func:`~labgraphs.graph.validate`'s definition, when that count and
     the out-degree of x in the base are both nonzero, since (x, g) emits
-    one edge per base edge leaving x.
-    ``left_resolving`` is :func:`~labgraphs.labeled.is_left_resolving` of
-    the built graph.
+    one edge per base edge leaving x.  ``left_resolving`` is
+    :func:`~labgraphs.labeled.is_left_resolving` of the built graph.
     """
 
     def __init__(self, spec: SkewSpec, layers: Mapping[str, tuple[Element, ...]],
@@ -145,44 +153,32 @@ class SkewLabeledGraph:
         names = [[f"({x},{text[g]})" for g in ls]
                  for x, ls in zip(vertices, fibers)]
         window_names = list(chain.from_iterable(names))
+        vertex_id = dict(zip(
+            [(x, g) for x, ls in zip(vertices, fibers) for g in ls],
+            window_names))
+        vertex_id.update({p: f"({p[0]},{text[p[1]]})" for p in dict.fromkeys(
+            zip(target_base, target)) if p not in vertex_id})
+        letter_id = {p: f"({p[0]},{text[p[1]]})" for p in dict.fromkeys(
+            zip(letter_base, lettered))}
         edge_names = [f"({e},{text[g]})" for e, g in zip(edge_base, layer)]
-        srcs = list(chain.from_iterable(map(names.__getitem__, core.src)))
-        dsts = [f"({x},{text[h]})" for x, h in zip(target_base, target)]
-        labels = [f"({a},{text[h]})" for a, h in zip(letter_base, lettered)]
         del text
+        srcs = list(chain.from_iterable(map(names.__getitem__, core.src)))
+        dsts = list(map(vertex_id.__getitem__, zip(target_base, target)))
+        labels = list(map(letter_id.__getitem__, zip(letter_base, lettered)))
+        del names, target, target_base, lettered, letter_base
 
-        self.vertex_pair = dict(zip(
-            chain(window_names, dsts),
-            chain([(x, g) for x, ls in zip(vertices, fibers) for g in ls],
-                  zip(target_base, target))))
-        self.vertex_id = dict(zip(self.vertex_pair.values(), self.vertex_pair))
+        self.vertex_id = vertex_id
+        self.vertex_pair = dict(zip(vertex_id.values(), vertex_id))
         self.edge_pair = dict(zip(edge_names, zip(edge_base, layer)))
         self.edge_id = dict(zip(self.edge_pair.values(), self.edge_pair))
-        self.letter_pair = dict(zip(labels, zip(letter_base, lettered)))
-        self.letter_id = dict(zip(self.letter_pair.values(), self.letter_pair))
-        del layer, target, lettered, edge_base, target_base, letter_base
+        self.letter_id = letter_id
+        self.letter_pair = dict(zip(letter_id.values(), letter_id))
+        del layer, edge_base
         self.window_vertices = frozenset(window_names)
-        self.halo_vertices = frozenset(self.vertex_pair) - self.window_vertices
-        self.boundary_edges = frozenset(compress(
-            edge_names, map(self.halo_vertices.__contains__, dsts)))
+        del window_names
 
-        entering = Counter(dsts)
-        in_degree, out_degree = Counter(core.dst), Counter(core.src)
-        interior = [[v for v in vs if entering.get(v, 0) == in_degree[p]]
-                    for p, vs in enumerate(names)]
-        self.interior_vertices = frozenset(chain.from_iterable(interior))
-        self.interior_valid = all(in_degree[p] and out_degree[p]
-                                  for p, vs in enumerate(interior) if vs)
-        del entering, interior, names, window_names
-
-        # One string object per name: the targets and labels formatted
-        # per edge give way to the equal map keys (a vertex and a letter
-        # of the same name may share one).
-        canonical = dict(zip(self.vertex_pair, self.vertex_pair))
-        canonical.update(zip(self.letter_pair, self.letter_pair))
-        rows = sorted(zip(edge_names, srcs, map(canonical.__getitem__, dsts),
-                          map(canonical.__getitem__, labels)))
-        del edge_names, srcs, dsts, labels, canonical
+        rows = sorted(zip(edge_names, srcs, dsts, labels))
+        del edge_names, srcs, dsts, labels
         ids, srcs, dsts, labels = zip(*rows) if rows else ((), (), (), ())
         del rows
         self.graph = LabeledGraph._of_sorted(
@@ -199,6 +195,42 @@ class SkewLabeledGraph:
         self.left_resolving_inherited = Check(
             bool(self.left_resolving) or not base_lr)
 
+    @cached_property
+    def halo_vertices(self) -> frozenset[str]:
+        """The vertices outside the layer assignment, each the target of
+        a boundary edge."""
+        return frozenset(self.vertex_pair) - self.window_vertices
+
+    @cached_property
+    def boundary_edges(self) -> frozenset[str]:
+        """The edges whose target is a halo vertex."""
+        core, halo = self.graph.core, self.halo_vertices
+        outside = list(map(halo.__contains__, core.carriers[0]))
+        return frozenset(compress(core.carriers[1],
+                                  map(outside.__getitem__, core.dst)))
+
+    @cached_property
+    def interior_vertices(self) -> frozenset[str]:
+        """The window vertices (x, g) that as many built edges enter as
+        base edges enter x."""
+        core, base = self.graph.core, self.spec.base.core
+        entering, in_degree = Counter(core.dst), Counter(base.dst)
+        at, pair = base.positions[0], self.vertex_pair
+        return frozenset(
+            v for p, v in enumerate(core.carriers[0])
+            if v in self.window_vertices
+            and entering[p] == in_degree[at[pair[v][0]]])
+
+    @cached_property
+    def interior_valid(self) -> bool:
+        """Whether every interior vertex is valid: its base vertex has
+        nonzero in- and out-degree."""
+        base = self.spec.base.core
+        in_degree, out_degree = Counter(base.dst), Counter(base.src)
+        at, pair = base.positions[0], self.vertex_pair
+        return all(in_degree[p] and out_degree[p] for p in {
+            at[pair[v][0]] for v in self.interior_vertices})
+
     def __repr__(self) -> str:
         w = str(self.window) if self.window else "all"
         return (f"SkewLabeledGraph({len(self.graph.vertices)} vertices, "
@@ -209,8 +241,10 @@ class SkewLabeledGraph:
 #: :func:`skew_product` bounds the count from the base and the layer counts
 #: before it builds anything, and raises :class:`SearchSpaceExceeded` above
 #: the cap.  Just under it, ``quotient fixtures/skewz.json --window
-#: 0:23830`` (bound 262,141, with 166,819 items built) peaks at 109 MB
-#: and takes 1.3 s in-process (2-core x86 container, Python 3.11).
+#: 0:23830`` (bound 262,141, with 166,819 items built) peaks at 107.5 MB
+#: and takes 0.7-1.0 s in-process: building the skew product is most of
+#: it, the translation certificate checked first takes 0.06-0.12 s and the
+#: quotient 0.1-0.2 s (2-core x86 container, Python 3.11).
 MAX_ITEMS = 1 << 18
 
 
@@ -379,6 +413,11 @@ class TranslationAction(LabeledGraphAction):
         return fibers.values()
 
     def lifting_scope(self) -> tuple[str, ...]:
+        """The window vertices in name order, sorted once per action."""
+        return self._lifting_scope
+
+    @cached_property
+    def _lifting_scope(self) -> tuple[str, ...]:
         return tuple(sorted(self.skew.window_vertices))
 
     def domain_scope(self) -> frozenset[str]:

@@ -17,15 +17,17 @@ from labgraphs import gross_tucker as gross_tucker_module
 from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
                               FiniteAction, find_fundamental_domain,
                               homomorphism_pairs, homomorphism_triples,
-                              is_free, verify_action)
-from labgraphs.errors import SearchSpaceExceeded, VerificationError
+                              is_free, quotient, require_verified,
+                              verify_action)
+from labgraphs.errors import (PreconditionError, SearchSpaceExceeded,
+                              VerificationError, WellDefinednessError)
 from labgraphs.graph import DirectedGraph, Edge
 from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
                               TableGroup, Window)
 from labgraphs.gross_tucker import (check_equivariance,
                                     identity_layer_sections, reconstruct)
 from labgraphs.labeled import LabeledGraph
-from labgraphs.morphism import identity_maps
+from labgraphs.morphism import identity_maps, is_surjective, verify_morphism
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 from helpers import (equivariance_oracle, find_fundamental_domain_by_candidates,
@@ -1036,3 +1038,92 @@ def test_domain_searches_cover_every_outcome():
     assert outcomes == {"first", "later", "none", "finite-non-free found",
                         "finite-non-free none", "finite-broken found",
                         "finite-broken none"}
+
+
+# -- quotients: one projection check --------------------------------------------
+
+
+#: Every builder above, intact, broken, rewired, aliased, non-free, sparse
+#: and non-abelian, with the fixtures.
+QUOTIENT_BUILDERS = {
+    **FREENESS_BUILDERS,
+    "z-sparse": INTERVAL_BUILDERS["sparse"],
+    "z-huge-cocycle": INTERVAL_BUILDERS["huge-cocycle"],
+    **{f"{name}-{shape}": lambda rng, group=group, build=build: build(group, rng)
+       for name, group in SMALL_GROUPS.items()
+       for shape, build in GROUP_BUILDERS.items()
+       if name != "C1" or shape != "raw-broken"},
+    **{f"fixture-{name}": lambda rng, build=build: build()
+       for name, build in FIXTURES.items()},
+}
+
+
+def orbit_triples(action) -> dict[tuple, dict[str, tuple]]:
+    """Per edge orbit, the (source, range, label) orbits of each of its
+    edges, read item by item through ``orbits``."""
+    orbit = {kind: {x: members for members in action.orbits(kind)
+                    for x in members} for kind in KINDS}
+    lg = action.graph
+    triples: dict = {}
+    for e in lg.graph.edges:
+        triples.setdefault(orbit[EDGE][e.eid], {})[e.eid] = (
+            orbit[VERTEX][e.src], orbit[VERTEX][e.dst],
+            orbit[LETTER][lg.labeling[e.eid]])
+    return triples
+
+
+def assert_quotient_checked(action) -> str:
+    """``quotient`` returns a surjective morphism exactly when every edge
+    orbit agrees on its end and label orbits, and otherwise raises
+    ``WellDefinednessError`` naming two edges of one orbit that differ.
+    Returns which of the two happened."""
+    triples = orbit_triples(action)
+    uniform = all(len(set(edges.values())) == 1 for edges in triples.values())
+    try:
+        quot = quotient(action)
+    except WellDefinednessError as exc:
+        assert not uniform
+        first, second = exc.witness
+        edges = next(edges for edges in triples.values() if first in edges)
+        assert second in edges and edges[first] != edges[second]
+        return "refused"
+    assert uniform
+    assert verify_morphism(quot.projection).ok
+    assert is_surjective(quot.projection)
+    return "built"
+
+
+@pytest.mark.parametrize("builder", sorted(QUOTIENT_BUILDERS))
+def test_quotient_checks_its_projection_once(builder):
+    """The comparison of each edge's orbit triple with its orbit's is the
+    projection's morphism check: what it lets through passes
+    ``verify_morphism``, and what it refuses is not well defined."""
+    for seed in range(15):
+        assert_quotient_checked(QUOTIENT_BUILDERS[builder](random.Random(seed)))
+
+
+def test_quotient_outcomes_are_not_vacuous():
+    """Between them the builders give quotients that are built and orbits
+    that are refused, and an action the laws refuse can still have a
+    well-defined quotient."""
+    outcomes = set()
+    for name in ("fixture-broken-range", "finite-broken", "z-broken",
+                 "z-rewired", "z-aliased", "finite-non-free", "z"):
+        for seed in range(15):
+            action = QUOTIENT_BUILDERS[name](random.Random(seed))
+            outcome = assert_quotient_checked(action)
+            outcomes.add((verify_action(action).ok, outcome))
+    assert outcomes >= {(True, "built"), (False, "built"), (False, "refused")}
+
+
+@pytest.mark.parametrize("builder", sorted(QUOTIENT_BUILDERS))
+def test_require_verified_refuses_exactly_the_failed_actions(builder):
+    for seed in range(15):
+        action = QUOTIENT_BUILDERS[builder](random.Random(seed))
+        report = verify_action(action)
+        if report.ok:
+            require_verified(action)
+            continue
+        with pytest.raises(PreconditionError, match="ACTION_NOT_VERIFIED") as info:
+            require_verified(action)
+        assert str(report.failures[0]) in str(info.value)

@@ -97,6 +97,28 @@ class TestExitCodes:
         assert code == 2
         assert "window" in err.lower()
 
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--window", "0:4"]])
+    @pytest.mark.parametrize("command", ["quotient", "fundomain"])
+    def test_unverified_action_exits_two(self, command, extra):
+        """``quotient`` and ``fundomain`` refuse an action that fails the
+        action laws, as ``gross-tucker`` does, instead of reporting on
+        it."""
+        got = run([command, "fixtures/elements-broken.json", *extra])
+        code, out, err = got
+        assert code == 2 and out == ""
+        assert err.startswith("error: ACTION_NOT_VERIFIED: first failure: "
+                              "('range equivariance'")
+        assert got == run(["gross-tucker", "fixtures/elements-broken.json",
+                           *extra])
+
+    def test_fundomain_verifies_the_action_before_the_domain(self, tmp_path):
+        domain = tmp_path / "domain.json"
+        domain.write_text('["n000", "n006"]')
+        code, out, err = run(["fundomain", "fixtures/elements-broken.json",
+                              "--domain", str(domain)])
+        assert code == 2 and out == ""
+        assert "ACTION_NOT_VERIFIED" in err
+
     def test_exit_codes_deterministic(self):
         first = run(["fundomain", "fixtures/nofd.json", "--window", "-3:3"])
         second = run(["fundomain", "fixtures/nofd.json", "--window", "-3:3"])

@@ -499,6 +499,41 @@ def test_pullback_skews_match_the_string_oracle(seed):
                                              action.skew.layers, Window(-w, w)))
 
 
+#: The window verdicts, computed on first read.
+VERDICTS = ("halo_vertices", "boundary_edges", "interior_vertices",
+            "interior_valid")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reconstructions_leave_the_verdicts_unread(seed):
+    """Neither ``reconstruct`` nor ``quotient`` reads a window verdict: on
+    a windowed translation, a finite translation and an element-form
+    action, neither the skew product acted on nor the pullback skew
+    product of the reconstruction has computed one."""
+    from labgraphs.gross_tucker import identity_layer_sections, reconstruct
+    rng = random.Random(seed)
+    base = fx.random_valid_labeled_graph(rng)
+    c = {e.eid: rng.randint(-2, 2) for e in base.graph.edges}
+    d = {e.eid: rng.randint(-2, 2) for e in base.graph.edges}
+    spec = SkewSpec(base, IntegerGroup(), c, d)
+    windowed = left_translation(skew_product(spec, Window(-3, 3)))
+    finite = fx.random_translation_action(rng, seed % 2 == 0)
+    raw = fx.anonymize_action(
+        fx.random_translation_action(rng, seed % 2 == 1), rng)
+    skews = [windowed.skew, finite.skew]
+    for action in (windowed, finite, raw):
+        skews.append(reconstruct(action).skew)
+    skews.append(reconstruct(windowed, identity_layer_sections(windowed)).skew)
+    fresh = left_translation(skew_product(spec, Window(-3, 3)))
+    quotient(fresh)
+    skews.append(fresh.skew)
+    for skew in skews:
+        assert not set(VERDICTS) & set(vars(skew)), skew
+    # read afterwards, they are the string oracle's
+    for skew in skews:
+        assert_same_skew(skew, StringSkew(skew.spec, skew.layers, skew.window))
+
+
 def test_a_repeated_layer_is_refused():
     spec = fx.skewz_spec()
     with pytest.raises(PreconditionError, match="DUPLICATE_LAYER"):
