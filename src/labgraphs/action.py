@@ -152,10 +152,17 @@ class LabeledGraphAction:
         """The block of :meth:`columns` of each kind, in ``KINDS`` order."""
         raise NotImplementedError
 
-    def scope_elements(self) -> tuple[Element, ...]:
+    def scope_elements(self) -> Sequence[Element]:
         """Elements over which universally quantified laws are checked:
         all of them for finite groups, -span..span (in that order) when
-        :meth:`interval_span` gives a span."""
+        :meth:`interval_span` gives a span.  The only code that lists a
+        scope, so the one place :data:`MAX_TRIPLES` is checked, before
+        anything is listed."""
+        triples = homomorphism_triples(self)
+        if triples > MAX_TRIPLES:
+            raise SearchSpaceExceeded(
+                f"the scans of the scope would check {triples} (g, h, item) "
+                f"triples, over the cap MAX_TRIPLES = {MAX_TRIPLES}")
         span = self.interval_span()
         if span is None:
             return self.group.elements()
@@ -341,33 +348,36 @@ class ActionReport(NamedTuple):
         }
 
 
-#: Most (g, h, item) triples :func:`verify_action` checks the homomorphism
-#: law on.  :func:`homomorphism_triples` counts them from the scope and
-#: carrier sizes, and an action over the cap raises
-#: :class:`SearchSpaceExceeded` before its block is built.  Just under the
-#: cap (Python 3.11, 2-core x86 container), ``verify_action`` takes about
-#: 0.001 s on ``fixtures/skewz.json`` over ``--window 0:184`` (132,450,937
-#: triples; 0:185 is over), where the translation certificate holds and no
-#: block is built, and 1.0-1.5 s on a copy with two vertex coordinates
-#: swapped, whose block is built (0.06-0.09 s of it) and whose scans name
-#: its 69,744 failures.  On the finite skew product of the same base over
-#: Z/267 (133,239,141 triples) the certificate takes 0.001 s, and
-#: 0.08-0.14 s on its ``FiniteAction``, whose block is built and placed.
+#: Most (g, h, item) triples the scans that list a scope may serve.  One
+#: rule applies it: only :meth:`LabeledGraphAction.scope_elements` lists a
+#: scope, and it raises :class:`SearchSpaceExceeded` above the cap before
+#: listing anything.  Every check tries its certificate first, which on a
+#: translation never reads the scope, so an intact translation passes at
+#: any width; a :class:`FiniteAction` lists its scope to place its items.
+#: Just under the cap (Python 3.11, 2-core x86 container), ``verify_action``
+#: takes 1.0-1.5 s on ``fixtures/skewz.json`` over ``--window 0:184``
+#: (132,450,937 triples) with two vertex coordinates swapped, building the
+#: block and naming 69,744 failures, and 0.08-0.14 s on the ``FiniteAction``
+#: of the same base over Z/267 (133,239,141 triples).
 MAX_TRIPLES = 1 << 27
 
 
 def homomorphism_pairs(action: LabeledGraphAction) -> int:
     """The pairs (g, h) of scope elements whose product is in the scope.
     On the scope -span..span, g + h leaves it for span (span + 1) of the
-    n^2 pairs; finite groups keep all of them.  The scope of an interval
-    is counted from its span, never listed, so a refusal costs nothing
-    however far apart its layers lie."""
+    n^2 pairs; finite groups keep all of them.  The scope is counted
+    (:func:`scope_size`), never listed, so a refusal costs nothing however
+    far apart its layers lie."""
+    n, span = scope_size(action), action.interval_span()
+    return n * n if span is None else n * n - span * (span + 1)
+
+
+def scope_size(action: LabeledGraphAction) -> int:
+    """The number of scope elements, counted from the group order or the
+    span without listing them (:meth:`~LabeledGraphAction.scope_elements`
+    applies the cap with this count)."""
     span = action.interval_span()
-    if span is None:
-        n = len(action.scope_elements())
-        return n * n
-    n = 2 * span + 1
-    return n * n - span * (span + 1)
+    return len(action.group.elements()) if span is None else 2 * span + 1
 
 
 def layer_pairs(action: LabeledGraphAction,
@@ -397,17 +407,6 @@ def homomorphism_triples(action: LabeledGraphAction) -> int:
     return homomorphism_pairs(action) * sum(map(len, action.graph.core.carriers))
 
 
-def check_triples(action: LabeledGraphAction, work: str) -> None:
-    """Raise :class:`SearchSpaceExceeded` when ``action`` has more than
-    :data:`MAX_TRIPLES` (g, h, item) triples; ``work`` says what would run
-    over them, in the words that open the message."""
-    triples = homomorphism_triples(action)
-    if triples > MAX_TRIPLES:
-        raise SearchSpaceExceeded(
-            f"{work} {triples} (g, h, item) triples, over the cap "
-            f"MAX_TRIPLES = {MAX_TRIPLES}")
-
-
 def verify_action(action: LabeledGraphAction) -> ActionReport:
     """Check that every element acts as a labeled graph automorphism, that
     the assignment is a homomorphism and that the identity acts as the
@@ -422,16 +421,13 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     images (:meth:`LabeledGraphAction.columns`), the homomorphism law
     item-major (:func:`_homomorphism`), and name every failure.
 
-    An action with more than :data:`MAX_TRIPLES` triples raises
-    :class:`SearchSpaceExceeded` before anything else is read, whether or
-    not the certificate would hold.  On a translation the scope spans the
-    numeric width of all layers, so fibers whose layers lie far apart are
-    refused by this cap."""
-    check_triples(action, "verifying the action would check")
-    scope = action.scope_elements()
+    The certificate is tried first and counts the scope without listing
+    it (:func:`scope_size`), so an intact translation verifies at any
+    width; only the scans list it, under :data:`MAX_TRIPLES`."""
     if _translation_certified(action):
-        return ActionReport(True, (), len(scope), homomorphism_pairs(action),
-                            action.is_windowed())
+        return ActionReport(True, (), scope_size(action),
+                            homomorphism_pairs(action), action.is_windowed())
+    scope = action.scope_elements()
     failures: list[tuple[str, Any]] = []
     core = action.graph.core
     carriers = core.carriers
@@ -482,13 +478,7 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
 
 def require_verified(action: LabeledGraphAction) -> None:
     """Raise ``ACTION_NOT_VERIFIED``, naming the first failure, unless
-    ``action`` passes :func:`verify_action`.  An action the translation
-    certificate covers passes every law (:func:`_translation_certified`)
-    and is let through without the scans, so the :data:`MAX_TRIPLES` cap
-    on them refuses only an action the certificate does not cover: the
-    certificate reads each item once, whatever the width of the scope."""
-    if _translation_certified(action):
-        return
+    ``action`` passes :func:`verify_action`."""
     report = verify_action(action)
     if not report.ok:
         raise PreconditionError(
@@ -608,15 +598,11 @@ def _freeness(action: LabeledGraphAction) -> Check:
     An action whose vertices and letters are placed (``_placed``) is
     free: for g other than the identity, alpha_g(x) = L(q(x), g t(x)) is
     an item at another layer or -1, never x, since L lists x at its own
-    coordinates only.  It is refused above :data:`MAX_TRIPLES` all the
-    same, as its block would be.
+    coordinates only.  That verdict is read before the scope is listed.
 
     Otherwise each vertex and letter x is looked up in its slice of
     :meth:`LabeledGraphAction.columns`, at the first position other than
     the identity's that holds x."""
-    # The cap first: an oversized integer scope is refused before it is
-    # listed, as the block would refuse it.
-    check_triples(action, "the scope block would serve")
     placed = action._placed
     if placed[_KIND_INDEX[VERTEX]] and placed[_KIND_INDEX[LETTER]]:
         return Check(True)

@@ -553,9 +553,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
+        # ``_parse_window`` raises ``BAD_WINDOW`` from inside argparse
         args = parser.parse_args(_expand_window_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         code, payload, lines = args.handler(args)
     except _USAGE_ERRORS as exc:

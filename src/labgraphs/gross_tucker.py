@@ -9,10 +9,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
-                     LabeledGraphAction, QuotientLabeledGraph, check_triples,
+                     LabeledGraphAction, QuotientLabeledGraph,
                      find_fundamental_domain, is_free, is_fundamental_domain,
                      is_label_consistent, layer_pairs, quotient,
-                     verify_action)
+                     require_verified)
 from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
                      NonFreeWitness, PreconditionError, VerificationError)
 from .groups import Element
@@ -142,20 +142,25 @@ def _reconstruction_layers(action: LabeledGraphAction,
                            quot: QuotientLabeledGraph,
                            eta0: Mapping[str, str]) -> dict[str, tuple]:
     """Layer assignment for the reconstruction skew product: the pullback
-    of the acted-on carrier (the scope elements that move the vertex
-    section into the lifting scope), so the comparison isomorphism is
-    total and bijective rather than window-approximate.  The image of a
-    section vertex x at (q, t) under h is looked up at (q, h t) in
-    :meth:`~LabeledGraphAction.located`."""
-    index = action.index(VERTEX)
-    inside = {index[v] for v in action.lifting_scope()}
-    located, coords = action.located(VERTEX), action.coordinates(VERTEX)
-    scope, op = action.scope_elements(), action.group.op
+    of the acted-on carrier (the elements that move the vertex section
+    into the lifting scope), so the comparison isomorphism is total and
+    bijective rather than window-approximate.  On a placed action h moves
+    the section vertex at (q, t) to the item at (q, h t), so the elements
+    are h = u t^-1 for the members at (q, u) of the section's own fiber in
+    the lifting scope; each lies in the scope, since the span bounds u - t
+    on an interval.  They are listed ascending, which is the scope order
+    on an interval and the element order of every finite group."""
+    index, coords = action.index(VERTEX), action.coordinates(VERTEX)
+    op, inv = action.group.op, action.group.inv
+    fibers: dict[str, list[Element]] = {}
+    for v in action.lifting_scope():
+        q, u = coords[index[v]]
+        fibers.setdefault(q, []).append(u)
     layers = {}
     for q_vertex in quot.orbit_vertex_members:
         q, t = coords[index[eta0[q_vertex]]]
-        layers[q_vertex] = tuple([h for h in scope
-                                  if located.get((q, op(h, t)), -1) in inside])
+        ti = inv(t)
+        layers[q_vertex] = tuple(sorted([op(u, ti) for u in fibers[q]]))
     return layers
 
 
@@ -228,11 +233,8 @@ def _equivariance_by_element(action: LabeledGraphAction,
     same scope (:meth:`~labgraphs.skew.TranslationAction.blocks`), and
     each side is gathered through the other.  The scope runs in its own
     order (-span..span on an integer interval), so the first mismatch is
-    the least witness.  An action over
-    :data:`~labgraphs.action.MAX_TRIPLES` triples raises
-    :class:`~labgraphs.errors.SearchSpaceExceeded` before its scope is
-    listed."""
-    check_triples(action, "the equivariance scan would serve")
+    the least witness.  Listing the scope applies
+    :data:`~labgraphs.action.MAX_TRIPLES`."""
     checked = 0
     scope = action.scope_elements()
     n = len(scope)
@@ -301,10 +303,7 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
                  quot: QuotientLabeledGraph | None) -> Reconstruction:
     """:func:`reconstruct`, reusing the quotient when the caller already
     computed it."""
-    report = verify_action(action)
-    if not report.ok:
-        raise PreconditionError(
-            "ACTION_NOT_VERIFIED", f"first failure: {report.failures[0]!r}")
+    require_verified(action)
     freeness = is_free(action)
     if not freeness:
         raise PreconditionError("NOT_FREE", f"witness {freeness.witness!r}")

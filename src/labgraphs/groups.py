@@ -99,8 +99,10 @@ class CyclicGroup(Group):
     def is_finite(self) -> bool:
         return True
 
-    def elements(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
+    def elements(self) -> range:
+        """0..n-1 as a range, so the order is known without listing
+        them."""
+        return range(self.n)
 
     def to_json(self) -> dict:
         return {"kind": "cyclic", "n": self.n}

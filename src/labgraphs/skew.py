@@ -11,8 +11,7 @@ from operator import eq
 from typing import Mapping, Sequence
 
 from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
-                     QuotientLabeledGraph, check_triples, is_label_consistent,
-                     quotient)
+                     QuotientLabeledGraph, is_label_consistent, quotient)
 from .errors import (FrozenRecord, OutOfWindow, PreconditionError,
                      SearchSpaceExceeded, VerificationError)
 from .graph import DirectedGraph, Edge, Path, validate
@@ -273,7 +272,11 @@ def skew_product(spec: SkewSpec, window: Window | None = None,
                 "integer skew products need an explicit window")
         else:
             elements = window.elements()
-        counts = {v: len(elements) for v in spec.base.vertices}
+        # a cyclic group and a window give a range, counted without being
+        # listed and without ``len``, which stops at sys.maxsize
+        size = (elements.stop - elements.start
+                if isinstance(elements, range) else len(elements))
+        counts = dict.fromkeys(spec.base.vertices, size)
     else:
         counts = {v: len(ls) for v, ls in layers.items()}
     bound = item_bound(spec.base, counts)
@@ -339,12 +342,8 @@ class TranslationAction(LabeledGraphAction):
     def _columns(self) -> list[list[int]]:
         """:meth:`blocks` over :meth:`scope_elements`.  A kind's block
         holds (items + 1) n ints, about 4 / (3 n) of the action's (g, h,
-        item) triples on an integer window, so an action over
-        :data:`~labgraphs.action.MAX_TRIPLES` triples raises
-        :class:`SearchSpaceExceeded` before its scope is listed, as
-        :func:`~labgraphs.action.verify_action` does: no caller reads a
-        block the verification would refuse."""
-        check_triples(self, "the scope block would serve")
+        item) triples on an integer window, so the cap that
+        :meth:`scope_elements` applies bounds the block too."""
         return self.blocks(self.scope_elements())
 
     @cached_property
@@ -390,8 +389,9 @@ class TranslationAction(LabeledGraphAction):
         """The numeric width of all layers, max - min over every fiber;
         None for finite groups, whose scope is the whole group.  Fibers
         whose layers lie far apart give a scope of that width, which
-        ``verify_action`` refuses above ``MAX_TRIPLES``.  The layers of a
-        skew product never change, so it is computed once."""
+        :meth:`scope_elements` refuses to list above ``MAX_TRIPLES``; the
+        certificates never list it.  The layers of a skew product never
+        change, so it is computed once."""
         return self._span
 
     @cached_property

@@ -199,6 +199,17 @@ def equivariance_oracle(action: LabeledGraphAction, skew: SkewLabeledGraph,
     return count, None
 
 
+def reconstruction_layers_by_scope(action: LabeledGraphAction, quot,
+                                   eta0: Mapping[str, str]) -> dict[str, tuple]:
+    """Definitional oracle for ``gross_tucker._reconstruction_layers``:
+    per vertex orbit, the scope elements h, in scope order, whose
+    ``apply`` moves the section vertex into the lifting scope."""
+    inside = set(action.lifting_scope())
+    return {q: tuple(h for h in action.scope_elements()
+                     if action.apply(h, VERTEX, eta0[q]) in inside)
+            for q in quot.orbit_vertex_members}
+
+
 def is_free_exhaustive(action: LabeledGraphAction) -> Check:
     """Definitional oracle for ``is_free``: the scope-order scan over every
     non-identity scope element g, the vertices and then the letters in

@@ -34,6 +34,7 @@ from helpers import (equivariance_oracle, find_fundamental_domain_by_candidates,
                      fish4_swap_action, interior_vertices_by_definition,
                      is_free_exhaustive,
                      loop_swap_action, orbits_bruteforce,
+                     reconstruction_layers_by_scope,
                      translation_certified_by_lines, translation_fibers,
                      trivial_action, verify_action_exhaustive)
 
@@ -726,12 +727,58 @@ def _widest_window_under(spec, lo: int, cap: int) -> int:
     return low
 
 
+def _unlisted(*args):
+    raise AssertionError("the scope was listed")
+
+
+def assert_certified_without_the_scope(action) -> ActionReport:
+    """``verify_action``, ``is_free`` and ``reconstruct`` pass on
+    ``action`` with its ``scope_elements`` patched to raise, and build no
+    block: every certificate reads the items, never the scope.  Returns
+    the report."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(action, "scope_elements", _unlisted)
+        report = verify_action(action)
+        assert report.ok
+        assert is_free(action)
+        reconstruct(action)
+    assert "_columns" not in action.__dict__
+    return report
+
+
+def assert_refused_by_the_count(check, action) -> None:
+    """``check(action)`` raises :class:`SearchSpaceExceeded` naming the
+    action's (g, h, item) triples and the cap in force, and builds no
+    block."""
+    triples, cap = homomorphism_triples(action), action_module.MAX_TRIPLES
+    assert triples > cap
+    with pytest.raises(SearchSpaceExceeded,
+                       match=rf"{triples} \(g, h, item\) triples, over the "
+                             rf"cap MAX_TRIPLES = {cap}$"):
+        check(action)
+    assert "_columns" not in action.__dict__
+
+
+def swapped_vertex_copy(build) -> TranslationAction:
+    """A fresh ``build()`` with the coordinates of its first two vertices
+    swapped, as ``broken_z_action`` swaps two items: its vertices are no
+    longer placed, so only the scans could judge it."""
+    skew = build().skew
+    pairs = skew.vertex_pair
+    x, y = sorted(pairs)[:2]
+    pairs[x], pairs[y] = pairs[y], pairs[x]
+    return TranslationAction(skew)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(10 ** 3, 2 * 10 ** 5))
 def test_windows_just_under_and_over_the_cap(seed, cap):
-    """With the cap set to ``cap``, the widest window under it verifies,
-    and one layer more is refused before its block is built, naming the
-    cap and the count."""
+    """With the cap set to ``cap``, the widest window under it and one
+    layer more both verify through the certificate, without a block.  On
+    copies with one coordinate broken (``broken_z_action``) the
+    certificate fails: the one under the cap is scanned, and the one over
+    it is refused before its block is built, naming the cap and the
+    count."""
     rng = random.Random(seed)
     base = fx.random_valid_labeled_graph(rng, max_vertices=3, max_letters=2,
                                          extra_edges=2)
@@ -742,18 +789,20 @@ def test_windows_just_under_and_over_the_cap(seed, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(action_module, "MAX_TRIPLES", cap)
         width = _widest_window_under(spec, lo, cap)
-        under = TranslationAction(skew_product(spec, Window(lo, lo + width)))
+        builds = [lambda rng, w=w: TranslationAction(
+            skew_product(spec, Window(lo, lo + w))) for w in (width, width + 1)]
+        under, over = (build(rng) for build in builds)
         report = verify_action(under)
         assert report.ok
         assert report.pairs_checked * _carrier_size(under) <= cap
-        over = TranslationAction(
-            skew_product(spec, Window(lo, lo + width + 1)))
-        triples = homomorphism_triples(over)
-        assert triples > cap
-        with pytest.raises(SearchSpaceExceeded,
-                           match=f"{triples} .* MAX_TRIPLES = {cap}$"):
-            verify_action(over)
+        assert verify_action(over).ok
+        assert homomorphism_triples(over) > cap
         assert "_columns" not in over.__dict__
+        broken_under, broken_over = (broken_z_action(rng, build)
+                                     for build in builds)
+        verify_action(broken_under)
+        assert "_columns" in broken_under.__dict__
+        assert_refused_by_the_count(verify_action, broken_over)
 
 
 def swapped_identity_maps(action: TranslationAction):
@@ -770,64 +819,105 @@ def swapped_identity_maps(action: TranslationAction):
 def test_sparse_layers_far_apart_are_refused():
     """The scope of a translation spans the numeric width of all layers:
     60 one-loop fibers 100 layers apart give span 5,904, whose triples are
-    over the cap, so verify_action refuses them before building a block
-    rather than checking thousands of elements that move nothing onto the
-    carrier.  The equivariance scan that broken maps fall back to is
-    refused under the same cap."""
+    over the cap.  The intact action is verified, found free and
+    reconstructed by the certificates, which never list the scope.  A
+    copy with two vertex coordinates swapped is refused before a block is
+    built, rather than scanned over thousands of elements that move
+    nothing onto the carrier, and so are broken maps in the equivariance
+    scan."""
     action = _sparse_layer_loops(60)
     assert action.interval_span() == 5904
-    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
-        verify_action(action)
-    with pytest.raises(SearchSpaceExceeded, match="equivariance scan"):
-        check_equivariance(action, action.skew, swapped_identity_maps(action))
-    assert "_columns" not in action.__dict__
+    assert_certified_without_the_scope(action)
+    assert_refused_by_the_count(
+        verify_action, swapped_vertex_copy(lambda: _sparse_layer_loops(60)))
+    assert_refused_by_the_count(
+        lambda action: check_equivariance(action, action.skew,
+                                          swapped_identity_maps(action)),
+        action)
 
 
 def test_is_free_refuses_sparse_layers_far_apart():
-    """An integer block is refused under the same cap as verify_action,
-    before it is built, so ``is_free``, which reads it without verifying,
-    refuses the sparse-layer action too."""
+    """``is_free`` reads the placement of the vertices and letters before
+    the block: the intact sparse-layer action is free without its scope
+    being listed, and a copy with two vertex coordinates swapped, which
+    only the block can judge, is refused under the same cap as
+    ``verify_action``, before the block is built."""
     action = _sparse_layer_loops(60)
-    assert homomorphism_triples(action) > MAX_TRIPLES
-    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
-        is_free(action)
-    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
-        check_equivariance(action, action.skew, swapped_identity_maps(action))
-    assert "_columns" not in action.__dict__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(action, "scope_elements", _unlisted)
+        assert is_free(action)
+    assert_refused_by_the_count(
+        is_free, swapped_vertex_copy(lambda: _sparse_layer_loops(60)))
+    assert_refused_by_the_count(
+        lambda action: check_equivariance(action, action.skew,
+                                          swapped_identity_maps(action)),
+        action)
 
 
 def test_layers_far_apart_are_refused_without_listing_the_scope(monkeypatch):
-    """The cap counts an integer scope from its span: two fibers 10**9
-    layers apart are refused by verify_action, is_free and the
-    equivariance scan of broken maps without the scope of 2 * 10**9
-    elements ever being listed."""
+    """The cap counts an integer scope from its span.  On two fibers 10**9
+    layers apart, the intact action is verified, found free and
+    reconstructed without its scope of 2 * 10**9 + 9 elements being
+    listed.  A copy with two vertex coordinates swapped is refused by
+    ``verify_action`` and ``is_free``, and the swapped maps by the
+    equivariance scan, by the count alone: ``scope_elements`` lists an
+    interval through ``range``, which is patched to raise."""
     action = _sparse_layer_loops(2, apart=10 ** 9)
     assert action.interval_span() == 10 ** 9 + 4
+    assert_certified_without_the_scope(action)
     maps = swapped_identity_maps(action)
-
-    def unlisted():
-        raise AssertionError("the scope was listed")
-
-    monkeypatch.setattr(action, "scope_elements", unlisted)
-    for check in (verify_action, is_free,
-                  lambda action: check_equivariance(action, action.skew,
-                                                    maps)):
-        with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
-            check(action)
-    assert "_columns" not in action.__dict__
+    broken = swapped_vertex_copy(lambda: _sparse_layer_loops(2, apart=10 ** 9))
+    monkeypatch.setattr(action_module, "range", _unlisted, raising=False)
+    start = time.perf_counter()
+    for check, target in ((verify_action, broken), (is_free, broken),
+                          (lambda action: check_equivariance(
+                              action, action.skew, maps), action)):
+        assert_refused_by_the_count(check, target)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_skewz_windows_at_the_cap():
-    """The cap itself: the widest skewz window under it verifies (about a
-    second), and one layer more is refused without a block."""
+    """The cap itself: the widest skewz window under it and one layer more
+    both verify through the certificate, without a block.  With two
+    vertex coordinates swapped, the one under the cap is scanned (about a
+    second) and its failures named, and the one over it is refused by the
+    count without a block."""
     spec = fx.skewz_spec()
     width = _widest_window_under(spec, 0, MAX_TRIPLES)
-    assert verify_action(
-        TranslationAction(skew_product(spec, Window(0, width)))).ok
-    over = TranslationAction(skew_product(spec, Window(0, width + 1)))
-    with pytest.raises(SearchSpaceExceeded, match="MAX_TRIPLES"):
-        verify_action(over)
-    assert "_columns" not in over.__dict__
+    builds = [lambda w=w: TranslationAction(skew_product(spec, Window(0, w)))
+              for w in (width, width + 1)]
+    for build in builds:
+        action = build()
+        assert verify_action(action).ok
+        assert "_columns" not in action.__dict__
+    under, over = map(swapped_vertex_copy, builds)
+    assert not verify_action(under).ok
+    assert_refused_by_the_count(verify_action, over)
+
+
+#: Intact translations, each verified, found free and reconstructed by
+#: the certificates alone, over integer windows and finite groups, with
+#: fibers far apart among them.
+CERTIFIED_TRANSLATIONS = {
+    **{name: build for name, build in INTACT_TRANSLATIONS.items()
+       if "finite" not in name and "raw" not in name},
+    **SPARSE_CASES,
+    "sparse-60": lambda: _sparse_layer_loops(60),
+    "apart-10**9": lambda: _sparse_layer_loops(2, apart=10 ** 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_TRANSLATIONS))
+def test_certificates_never_list_the_scope(name):
+    """No certificate path lists the scope: with ``scope_elements``
+    patched to raise, every intact translation verifies, with every scope
+    element counted, is free and is reconstructed."""
+    action = CERTIFIED_TRANSLATIONS[name]()
+    assert isinstance(action, TranslationAction)
+    report = assert_certified_without_the_scope(action)
+    span = action.interval_span()
+    assert report.elements_checked == (
+        len(action.group.elements()) if span is None else 2 * span + 1)
 
 
 # -- the item-major block of scope images ---------------------------------------
@@ -1000,6 +1090,28 @@ def test_nonabelian_cases_are_not_vacuous():
             assert "homomorphism" in laws
         else:
             assert not laws
+
+
+#: The actions of every shape that some test reconstructs.
+LAYER_CASES = {
+    **INTACT_TRANSLATIONS, **NONABELIAN_CASES,
+    **{f"{name}-{seed}": lambda build=build, seed=seed: build(
+        random.Random(seed))
+       for name, build in RECONSTRUCTION_CASES.items() for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_CASES))
+def test_reconstruction_layers_equal_the_scope_scan(name):
+    """The reconstruction reads its layers from the section's own fiber;
+    they are the scope elements, in scope order, that ``apply`` moves the
+    section into the lifting scope, on integer windows, finite groups
+    (S3 and D4 among them) and raw finite actions."""
+    action = LAYER_CASES[name]()
+    if verify_action(action).ok and is_free(action):
+        rec = reconstruct(action)
+        assert rec.skew.layers == reconstruction_layers_by_scope(
+            action, rec.quotient, rec.pack.eta0)
 
 
 # -- fundamental-domain search against the candidate loop ----------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, golden outputs."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -12,16 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labgraphs import jsonio
+from labgraphs import cli, jsonio
 from labgraphs.action import MAX_TRIPLES
-from labgraphs.cli import main
+from labgraphs.cli import build_parser, main
 from labgraphs.graph import MAX_PATH_EDGES
-from labgraphs.skew import MAX_ITEMS
+from labgraphs.skew import MAX_ITEMS, TranslationAction
 
 from helpers import (distinct_letter_cycle, evaluate_printed_derivation,
                      shift_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ACTION_COMMANDS = ["act-check", "translate", "gross-tucker", "quotient",
+                   "fundomain"]
 
 
 def run(argv, cwd=ROOT):
@@ -123,6 +126,39 @@ class TestExitCodes:
         first = run(["fundomain", "fixtures/nofd.json", "--window", "-3:3"])
         second = run(["fundomain", "fixtures/nofd.json", "--window", "-3:3"])
         assert first == second
+
+
+def _window_subcommands() -> dict[str, argparse.ArgumentParser]:
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {name: parser for name, parser in subparsers.choices.items()
+            if any("--window" in action.option_strings
+                   for action in parser._actions)}
+
+
+#: A value for each required option of a subcommand.
+REQUIRED_VALUES = {"--n": "2", "--word": "0",
+                   "--morphism": "fixtures/fish.json"}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("command", sorted(_window_subcommands()))
+def test_malformed_window_exits_two(command, fmt):
+    """Every subcommand that takes ``--window`` refuses a malformed or
+    reversed window with exit 2 and ``BAD_WINDOW``, in text and JSON
+    mode, instead of letting the error escape from argparse."""
+    parser = _window_subcommands()[command]
+    argv = [command]
+    for action in parser._actions:
+        if not action.option_strings:
+            argv.append("fixtures/fish.json")
+        elif action.required:
+            argv += [action.option_strings[0],
+                     REQUIRED_VALUES[action.option_strings[0]]]
+    for window in ("3:1", "abc", "1:x", "", "9:-9"):
+        code, out, err = run([*argv, "--window", window, *fmt])
+        assert code == 2 and out == ""
+        assert err.startswith("error: BAD_WINDOW: "), (window, err)
 
 
 def test_every_matrix_command_exits_0_1_or_2():
@@ -372,14 +408,75 @@ class TestReports:
         assert f"MAX_ITEMS = {MAX_ITEMS}" in err
         assert "Traceback" not in err
 
-    def test_translate_over_triple_cap_exits_two(self):
+    def test_translate_over_triple_cap_exits_two(self, monkeypatch):
+        """skewz over 0:2000 counts more triples than MAX_TRIPLES.  The
+        intact translation verifies through the certificate; a copy with
+        two vertex coordinates swapped, which only the scans could judge,
+        exits 2 naming the cap."""
+        argv = ["translate", "fixtures/skewz.json", "--window", "0:2000"]
         start = time.perf_counter()
-        code, out, err = run(["translate", "fixtures/skewz.json",
-                              "--window", "0:2000"])
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and err == ""
+        assert out.startswith("labeled graph action laws: ok")
+        load = cli._load_action
+
+        def swapped(path, window):
+            skew = load(path, window).skew
+            pairs = skew.vertex_pair
+            x, y = sorted(pairs)[:2]
+            pairs[x], pairs[y] = pairs[y], pairs[x]
+            return TranslationAction(skew)
+
+        monkeypatch.setattr(cli, "_load_action", swapped)
+        start = time.perf_counter()
+        code, out, err = run(argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"MAX_TRIPLES = {MAX_TRIPLES}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ACTION_COMMANDS)
+    def test_action_commands_agree_at_the_triple_cap(self, command,
+                                                      tmp_path):
+        """The five action subcommands accept and refuse the same inputs:
+        all exit 0 on the intact skewz translation over 0:185, whose
+        triples are over the cap, and all exit 2 naming the cap on Z/4400
+        acting trivially on fish in generator form, whose placement walk
+        would list its scope."""
+        code, _, err = run([command, "fixtures/skewz.json",
+                            "--window", "0:185"])
+        assert code == 0 and err == ""
+        fish = fixture("fish.json")
+        identity = {"vertex_map": {"v": "v", "w": "w"},
+                    "edge_map": {"e": "e", "f": "f", "g": "g"},
+                    "alphabet_map": {"0": "0", "1": "1"}}
+        doc = {"format_version": 1, "kind": "action",
+               "group": {"kind": "cyclic", "n": 4400},
+               "graph": {key: fish[key]
+                         for key in ("vertices", "alphabet", "edges")},
+               "generators": [identity]}
+        path = tmp_path / "z4400.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run([command, str(path)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert "135520000 (g, h, item) triples" in err
+        assert f"MAX_TRIPLES = {MAX_TRIPLES}" in err
+
+    def test_skew_over_a_huge_cyclic_group_exits_two(self, tmp_path):
+        """A cyclic group is counted, not listed, before ``MAX_ITEMS``
+        refuses its skew product."""
+        spec = fixture("skewz.json")
+        spec["group"] = {"kind": "cyclic", "n": 10 ** 12}
+        path = tmp_path / "z12.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, out, err = run(["skew", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"MAX_ITEMS = {MAX_ITEMS}" in err
 
     @pytest.mark.parametrize("n", ["40", "1000000000"])
     def test_paths_over_edge_id_cap_exits_two(self, n):

@@ -23,6 +23,10 @@ fixture runs under ``iso-check`` against itself with its identity
 morphism, in text and with ``--json``.  The generated documents and
 morphisms are written to a temporary directory and printed as
 ``generated/<name>``.  So every subcommand runs.
+Last come the five action subcommands on ``fixtures/skewz.json`` over the
+window 0:185, whose (g, h, item) triples are over ``MAX_TRIPLES``, and
+every subcommand with the windows ``3:1`` and ``abc``, which exit 2
+naming ``BAD_WINDOW``, each in text and with ``--json``.
 The commands run in-process against the ``src/`` of the checkout this
 script sits in, so running it in two checkouts and diffing the two
 printouts shows every command whose output changed:
@@ -75,6 +79,20 @@ EMPTY_NAMES = (
     ["range", "fixtures/fish.json", "--word", "0,1,"],
     ["range", "fixtures/fish.json", "--set", "v,", "--word", "0"],
 )
+#: The action subcommands, run on an intact translation whose (g, h, item)
+#: triples are over ``MAX_TRIPLES``: the certificate verifies it.
+AT_THE_CAP = [[command, "fixtures/skewz.json", "--window", "0:185"]
+              for command in ("act-check", "translate", "gross-tucker",
+                              "quotient", "fundomain")]
+#: One call of every subcommand, run with a reversed and a malformed
+#: window, which exit 2 naming ``BAD_WINDOW``.
+BAD_WINDOWS = [
+    *([command[0], "fixtures/skewz.json", *command[1:]]
+      for command in COMMANDS),
+    ["range", "fixtures/skewz.json", "--word", "0"],
+    ["iso-check", "fixtures/fish.json", "fixtures/fish.json", "--morphism",
+     "fixtures/fish.json"],
+]
 
 
 def fixture_names() -> list[str]:
@@ -186,8 +204,12 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
                  ["iso-check", graph, graph, "--morphism", path, *fmt])
                 for fmt in FORMATS]
         empty_names = [[*argv, *fmt] for argv in EMPTY_NAMES for fmt in FORMATS]
+        last = [[*argv, *fmt] for argv in AT_THE_CAP for fmt in FORMATS] + [
+            [*argv, "--window", window, *fmt] for argv in BAD_WINDOWS
+            for window in ("3:1", "abc") for fmt in FORMATS]
         yield [(" ".join(argv), argv) for argv in
-               matrix() + skew_range_matrix() + empty_names] + generated
+               matrix() + skew_range_matrix() + empty_names] + generated + [
+                   (" ".join(argv), argv) for argv in last]
 
 
 def run(main, argv: list[str]) -> tuple[str, str | None]:
