@@ -11,7 +11,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from .errors import (PreconditionError, SearchSpaceExceeded,
                      VerificationError, WellDefinednessError)
 from .graph import DirectedGraph, Edge
-from .groups import Element, Group
+from .groups import Element, Group, count_elements
 from .labeled import Check, LabeledGraph
 from .morphism import LabeledGraphMorphism, identity_maps, is_surjective
 
@@ -156,13 +156,9 @@ class LabeledGraphAction:
         """Elements over which universally quantified laws are checked:
         all of them for finite groups, -span..span (in that order) when
         :meth:`interval_span` gives a span.  The only code that lists a
-        scope, so the one place :data:`MAX_TRIPLES` is checked, before
-        anything is listed."""
-        triples = homomorphism_triples(self)
-        if triples > MAX_TRIPLES:
-            raise SearchSpaceExceeded(
-                f"the scans of the scope would check {triples} (g, h, item) "
-                f"triples, over the cap MAX_TRIPLES = {MAX_TRIPLES}")
+        scope, so the one place :data:`MAX_TRIPLES` is checked on an
+        action, before anything is listed."""
+        refuse_triples(homomorphism_triples(self))
         span = self.interval_span()
         if span is None:
             return self.group.elements()
@@ -277,7 +273,15 @@ class FiniteAction(LabeledGraphAction):
                         generators: Mapping[Element, tuple]) -> "FiniteAction":
         """Close generator triples under the group multiplication.  A
         disagreement between two words for the same element is reported as
-        a well-definedness failure."""
+        a well-definedness failure.
+
+        The closure lists the group, one triple of maps per element, so
+        it is refused under :data:`MAX_TRIPLES` before it runs, with the
+        count the action's scans would check (the group order squared
+        times the carrier size), the order counted without listing the
+        elements."""
+        refuse_triples(count_elements(group.elements()) ** 2
+                       * sum(map(len, graph.core.carriers)))
         triples: dict[Element, tuple] = {group.identity: identity_maps(graph)}
 
         def composed(t1, t2):
@@ -351,15 +355,27 @@ class ActionReport(NamedTuple):
 #: Most (g, h, item) triples the scans that list a scope may serve.  One
 #: rule applies it: only :meth:`LabeledGraphAction.scope_elements` lists a
 #: scope, and it raises :class:`SearchSpaceExceeded` above the cap before
-#: listing anything.  Every check tries its certificate first, which on a
-#: translation never reads the scope, so an intact translation passes at
-#: any width; a :class:`FiniteAction` lists its scope to place its items.
+#: listing anything (:func:`refuse_triples`); so does
+#: :meth:`FiniteAction.from_generators` before its closure lists the
+#: group, with the count the scans of the action would check.  Every check
+#: tries its certificate first, which on a translation never reads the
+#: scope, so an intact translation passes at any width; a
+#: :class:`FiniteAction` lists its scope to place its items.
 #: Just under the cap (Python 3.11, 2-core x86 container), ``verify_action``
 #: takes 1.0-1.5 s on ``fixtures/skewz.json`` over ``--window 0:184``
 #: (132,450,937 triples) with two vertex coordinates swapped, building the
 #: block and naming 69,744 failures, and 0.08-0.14 s on the ``FiniteAction``
 #: of the same base over Z/267 (133,239,141 triples).
 MAX_TRIPLES = 1 << 27
+
+
+def refuse_triples(triples: int) -> None:
+    """Raise :class:`SearchSpaceExceeded` when ``triples`` (g, h, item)
+    triples are over :data:`MAX_TRIPLES`."""
+    if triples > MAX_TRIPLES:
+        raise SearchSpaceExceeded(
+            f"the scans of the scope would check {triples} (g, h, item) "
+            f"triples, over the cap MAX_TRIPLES = {MAX_TRIPLES}")
 
 
 def homomorphism_pairs(action: LabeledGraphAction) -> int:

@@ -6,17 +6,21 @@ fundamental domain."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
                      LabeledGraphAction, QuotientLabeledGraph,
                      find_fundamental_domain, is_free, is_fundamental_domain,
                      is_label_consistent, layer_pairs, quotient,
                      require_verified)
-from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
-                     NonFreeWitness, PreconditionError, VerificationError)
+from .errors import (FrozenRecord, LabelConsistencyViolation, LiftFailure,
+                     NoFundamentalDomain, NonFreeWitness, PreconditionError,
+                     VerificationError)
 from .groups import Element
-from .morphism import LabeledGraphMorphism, MorphismReport, verify_morphism
+from .morphism import (LabeledGraphMorphism, MorphismReport, verify_morphism,
+                       verify_rows)
 from .skew import SkewLabeledGraph, SkewSpec, TranslationAction
 
 
@@ -120,18 +124,39 @@ def derive_cocycles(action: LabeledGraphAction, quot: QuotientLabeledGraph,
     return c, d
 
 
-class Reconstruction(NamedTuple):
-    quotient: QuotientLabeledGraph
-    pack: SectionPack
-    c: Mapping[str, Element]
-    d: Mapping[str, Element]
-    skew: SkewLabeledGraph
-    iso: LabeledGraphMorphism
-    morphism_report: MorphismReport
-    equivariance_checked: int
-    c_factoring: Mapping[str, Element] | None
-    d_factoring: Mapping[str, Element] | None
-    domain: frozenset[str] | None = None
+class Reconstruction(FrozenRecord):
+    """A verified reconstruction: the quotient, the sections, the derived
+    cocycles, the skew product over the quotient, the comparison
+    isomorphism ``iso`` from it onto the acted-on graph with its
+    ``morphism_report``, the count of pointwise equivariance checks, the
+    factorings of the cocycles through the quotient labeling (None where
+    they do not factor) and the fundamental domain of the label-consistent
+    variant.  ``iso`` may be given as a function of no arguments, which
+    builds it on first read: :func:`reconstruct` checks the comparison
+    map in positions and names it only when something reads it."""
+
+    _fields = ("quotient", "pack", "c", "d", "skew", "iso",
+               "morphism_report", "equivariance_checked", "c_factoring",
+               "d_factoring", "domain")
+
+    def __init__(self, quotient: QuotientLabeledGraph, pack: SectionPack,
+                 c: Mapping[str, Element], d: Mapping[str, Element],
+                 skew: SkewLabeledGraph,
+                 iso: LabeledGraphMorphism | Callable[[], LabeledGraphMorphism],
+                 morphism_report: MorphismReport, equivariance_checked: int,
+                 c_factoring: Mapping[str, Element] | None,
+                 d_factoring: Mapping[str, Element] | None,
+                 domain: frozenset[str] | None = None):
+        values = (quotient, pack, c, d, skew, iso, morphism_report,
+                  equivariance_checked, c_factoring, d_factoring, domain)
+        for name, value in zip(self._fields, values):
+            if name == "iso" and callable(value):
+                name = "_build_iso"
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def iso(self) -> LabeledGraphMorphism:
+        return self._build_iso()
 
     @property
     def label_consistent(self) -> bool:
@@ -168,33 +193,28 @@ def reconstruct(action: LabeledGraphAction,
                 pack: SectionPack | None = None) -> Reconstruction:
     """Build the skew product over the quotient with derived cocycles and
     the comparison isomorphism phi(Gx, g) = alpha_g(eta(Gx)); verify the
-    morphism laws, bijectivity and equivariance pointwise
-    (:func:`check_equivariance`)."""
+    morphism laws, bijectivity and equivariance pointwise, in positions
+    (:func:`_reconstruct`)."""
     return _reconstruct(action, pack, None)
 
 
-def _comparison_map(action: LabeledGraphAction, k: int,
-                    pairs: Mapping[str, tuple[str, Element]],
-                    section: Mapping[str, str]) -> dict[str, str]:
+def _comparison_row(action: LabeledGraphAction, k: int,
+                    coordinates: list[tuple[str, Element]],
+                    section: Mapping[str, str]) -> list[int]:
     """phi(q, g) = alpha_g(section(q)) on every item (q, g) of the ``k``-th
-    kind of the reconstruction skew product, read from
-    :meth:`~LabeledGraphAction.located` at (fiber, g t) of section(q).
-    Halo and letter layers may lie outside the scope of a window; the
-    lookup is the translation's own there too."""
+    kind of the reconstruction skew product's integer form, listed in
+    ``coordinates``, as positions in the action's carrier: the
+    :meth:`~LabeledGraphAction.located` lookup at (fiber, g t) of
+    section(q), or -1 where it lists no item.  Halo and letter layers may
+    lie outside the scope of a window; the lookup is the translation's
+    own there too."""
     kind = KINDS[k]
-    carrier, index = action.carrier(kind), action.index(kind)
-    located, coords = action.located(kind), action.coordinates(kind)
-    op = action.group.op
+    index, located = action.index(kind), action.located(kind)
+    coords, op = action.coordinates(kind), action.group.op
     at = {q: coords[index[x]] for q, x in section.items()}
-    out = {}
-    for item, (q, g) in pairs.items():
-        fiber, t = at[q]
-        j = located.get((fiber, op(g, t)), -1)
-        if j < 0:
-            raise VerificationError("comparison map leaves the carrier",
-                                    (kind, item))
-        out[item] = carrier[j]
-    return out
+    ends = map(at.__getitem__, map(itemgetter(0), coordinates))
+    return [located.get((p, op(g, t)), -1)
+            for (p, t), g in zip(ends, map(itemgetter(1), coordinates))]
 
 
 def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
@@ -207,16 +227,21 @@ def check_equivariance(action: LabeledGraphAction, skew: SkewLabeledGraph,
     :class:`VerificationError` naming the least witness (g, kind, x), in
     scope, kind and carrier order; so does a check that compares nothing.
 
-    The maps are first checked against a certificate of the size of the
-    carriers (:func:`_equivariance_offsets`), which gives the count in
-    closed form without either block.  When it fails, one scan runs
-    element by element in scope order (:func:`_equivariance_by_element`)
-    and names the least witness."""
+    The maps are read into positions and, when tau is placed, checked
+    against a certificate of the size of the carriers
+    (:func:`_equivariance_offsets`, which :func:`reconstruct` runs on its
+    positions directly), which gives the count in closed form without
+    either block.  When it fails, one scan runs element by element in
+    scope order (:func:`_equivariance_by_element`) and names the least
+    witness."""
     tau = TranslationAction(skew)
     images = [list(map(action.index(kind).__getitem__,
                        map(mapping.__getitem__, tau.carrier(kind)))) + [-1]
               for kind, mapping in zip(KINDS, maps)]
-    checked = _equivariance_offsets(action, tau, images)
+    checked = None
+    if all(tau._placed):
+        checked = _equivariance_offsets(
+            action, [tau.coordinates(kind) for kind in KINDS], images)
     if checked is None:
         checked = _equivariance_by_element(action, tau, images)
     if checked == 0:
@@ -259,14 +284,19 @@ def _equivariance_by_element(action: LabeledGraphAction,
 
 
 def _equivariance_offsets(action: LabeledGraphAction,
-                          tau: TranslationAction,
-                          images: list[list[int]]) -> int | None:
+                          coordinates: Sequence[Sequence[tuple[str, Element]]],
+                          images: Sequence[Sequence[int]]) -> int | None:
     """The count of :func:`_equivariance_by_element` when the maps
-    certify equivariance, None when they do not.  Write L for the
+    certify equivariance, None when they do not.  ``coordinates`` holds
+    the (fiber, layer) of each item of tau's carriers, per kind, and
+    ``images`` the position of phi of each in the action's carrier, in
+    the same order; the caller vouches that tau is placed on them (a
+    ``TranslationAction`` by ``_placed``, the integer form of a skew
+    product by construction).  Write L for the
     :meth:`~LabeledGraphAction.located` map of the action, so that
     alpha_g(y) = L(q(y), g t(y)).  The certificate is:
 
-    - placement of the action and of tau (``_placed``);
+    - placement of the action (``_placed``) and of tau;
     - right factors: phi sends every item of a skew fiber q into one
       action fiber P at the layer t(x) k, for one element k: the first
       item gives k = h^-1 u, and every other item is checked with one
@@ -279,15 +309,15 @@ def _equivariance_offsets(action: LabeledGraphAction,
     pair is not counted.  So the count is, per skew fiber, the pairs of
     a scope element and a layer that it moves onto another layer
     (:func:`~labgraphs.action.layer_pairs`)."""
-    if not (all(action._placed) and all(tau._placed)):
+    if not all(action._placed):
         return None
     op, inv = action.group.op, action.group.inv
     checked = 0
-    for kind, image in zip(KINDS, images):
+    for kind, pairs, image in zip(KINDS, coordinates, images):
         coords = action.coordinates(kind)
         factors: dict[str, tuple[str, Element]] = {}
         fibers: dict[str, list[Element]] = {}
-        for (q, h), j in zip(tau.coordinates(kind), image):
+        for (q, h), j in zip(pairs, image):
             p, u = coords[j]
             found = factors.get(q)
             if found is None:
@@ -300,9 +330,19 @@ def _equivariance_offsets(action: LabeledGraphAction,
 
 
 def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
-                 quot: QuotientLabeledGraph | None) -> Reconstruction:
+                 quot: QuotientLabeledGraph | None,
+                 domain: frozenset[str] | None = None) -> Reconstruction:
     """:func:`reconstruct`, reusing the quotient when the caller already
-    computed it."""
+    computed it.
+
+    The skew product over the quotient is built in its integer form
+    only, and phi is read into positions in the action's carriers
+    (:func:`_comparison_row`).  Its totality, the morphism laws and
+    bijectivity (:func:`~labgraphs.morphism.verify_rows`) and the
+    equivariance certificate (:func:`_equivariance_offsets`) are checked
+    on those positions.  A check that fails names the skew product and
+    phi then, and raises what the check by name raises, with the same
+    witness; the record's ``iso`` is named on first read."""
     require_verified(action)
     freeness = is_free(action)
     if not freeness:
@@ -334,28 +374,43 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
                     f"{got!r} != {pack.eta0[q_edge.src]!r}")
 
     c, d = derive_cocycles(action, quot, pack)
-    skew_spec = SkewSpec(quot.quotient, action.group, c, d)
-    layers = _reconstruction_layers(action, quot, pack.eta0)
-    skew = SkewLabeledGraph(skew_spec, layers, window=None)
+    skew = SkewLabeledGraph(SkewSpec(quot.quotient, action.group, c, d),
+                            _reconstruction_layers(action, quot, pack.eta0),
+                            window=None)
+    form, target = skew.form, action.graph
+    rows = [_comparison_row(action, k, coordinates, section)
+            for k, (coordinates, section) in enumerate(zip(
+                form.coordinates, (pack.eta0, pack.eta1, pack.etaA)))]
 
-    maps = [_comparison_map(action, k, pairs, section)
-            for k, (pairs, section) in enumerate(zip(
-                (skew.vertex_pair, skew.edge_pair, skew.letter_pair),
-                (pack.eta0, pack.eta1, pack.etaA)))]
-    iso = LabeledGraphMorphism(skew.graph, action.graph, *maps)
-    morphism_report = verify_morphism(iso)
-    if not morphism_report.ok:
-        raise VerificationError(
-            f"reconstruction morphism law failed: {morphism_report.note}",
-            morphism_report.witness)
+    def named_iso() -> LabeledGraphMorphism:
+        return LabeledGraphMorphism(skew.graph, target, *(
+            dict(zip(names, map(carrier.__getitem__, row)))
+            for names, carrier, row in zip(
+                skew.item_names, target.core.carriers, rows)))
+
+    for k, row in enumerate(rows):
+        if -1 in row:
+            raise VerificationError(
+                "comparison map leaves the carrier",
+                (KINDS[k], skew.item_names[k][row.index(-1)]))
+    morphism_report = verify_rows(form, target.core, rows)
     if not morphism_report.isomorphism:
+        morphism_report = verify_morphism(named_iso())
+        if not morphism_report.ok:
+            raise VerificationError(
+                f"reconstruction morphism law failed: {morphism_report.note}",
+                morphism_report.witness)
         raise VerificationError("reconstruction map is not bijective", None)
-    checked = check_equivariance(action, skew, maps)
+    iso = named_iso
+    checked = _equivariance_offsets(action, form.coordinates, rows)
+    if not checked:
+        iso = named_iso()
+        checked = check_equivariance(action, skew, iso[2:])
 
     return Reconstruction(
         quot, pack, c, d, skew, iso, morphism_report, checked,
         is_label_consistent(quot.quotient, c).factoring,
-        is_label_consistent(quot.quotient, d).factoring)
+        is_label_consistent(quot.quotient, d).factoring, domain)
 
 
 def reconstruct_label_consistent(action: LabeledGraphAction,
@@ -389,17 +444,14 @@ def reconstruct_label_consistent(action: LabeledGraphAction,
                 f"domain does not section orbit {q_vertex}", tuple(inside))
         eta0[q_vertex] = inside[0]
     pack = SectionPack(eta0, dict(etaA) if etaA else default_etaA(quot))
-    rec = _reconstruct(action, pack, quot)
+    rec = _reconstruct(action, pack, quot, T)
     if rec.c_factoring is None or rec.d_factoring is None:
         bad = "c" if rec.c_factoring is None else "d"
         raise LabelConsistencyViolation(
             f"derived {bad} is not label consistent despite the verified "
             f"fundamental domain {sorted(T)}; cocycles c={rec.c!r} d={rec.d!r}",
             (bad, dict(rec.c), dict(rec.d), tuple(sorted(T))))
-    return Reconstruction(
-        rec.quotient, rec.pack, rec.c, rec.d, rec.skew, rec.iso,
-        rec.morphism_report, rec.equivariance_checked,
-        rec.c_factoring, rec.d_factoring, domain=T)
+    return rec
 
 
 def identity_layer_sections(action: TranslationAction) -> SectionPack:

@@ -10,6 +10,15 @@ from .errors import AxiomFailure, FrozenRecord, PreconditionError
 Element = Any  # int for cyclic/integers/table, tuple[int, ...] for permutations
 
 
+def count_elements(elements) -> int:
+    """The number of ``elements``: a cyclic group and a window give a
+    range, counted as ``stop - start`` without being listed and without
+    ``len``, which stops at ``sys.maxsize``."""
+    if isinstance(elements, range):
+        return elements.stop - elements.start
+    return len(elements)
+
+
 class Window(FrozenRecord):
     """Inclusive integer range used to materialize infinite-cyclic layers."""
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .labeled import Check, GraphCore, LabeledGraph
@@ -41,10 +41,11 @@ def identity_morphism(lg: LabeledGraph) -> LabeledGraphMorphism:
 def verify_morphism(m: LabeledGraphMorphism) -> MorphismReport:
     """Check the two morphism laws; the isomorphism flag additionally
     requires all three maps to be bijections onto the target carriers.
-    Each map is read into target positions in one call, and the laws
-    compare the edge arrays of the two graph cores as whole tuples; only a
-    map that misses or a law that fails is walked item by item, for the
-    first witness."""
+
+    Two steps: each map is read into target positions in one call, in
+    the order of the source's core, and :func:`verify_rows` checks the
+    laws and bijectivity on those rows.  Only a map that misses or a law
+    that fails is walked item by item, for the first witness."""
     src, dst = m.source.core, m.target.core
     rows = []
     for mapping, domain, positions, what in zip(
@@ -54,17 +55,33 @@ def verify_morphism(m: LabeledGraphMorphism) -> MorphismReport:
             rows.append(_pick(positions, _pick(mapping, domain)))
         except KeyError:
             return _map_failure(mapping, domain, positions, what)
+    report = verify_rows(src, dst, rows)
+    return report if report.ok else _law_failure(src, dst, *rows)
+
+
+def verify_rows(src, dst: GraphCore, rows: Sequence[Sequence[int]]
+                ) -> MorphismReport:
+    """The morphism laws and bijectivity of the maps ``rows``, read into
+    positions: ``rows`` holds the vertex, edge and letter maps, each the
+    position in ``dst``'s carrier of the image of every source item, in
+    the source's order, and ``src`` the source's ``src``, ``dst`` and
+    ``lab`` arrays in that order (a :class:`GraphCore`, or the integer
+    form of a skew product).  The laws compare the edge arrays of the two
+    sides as whole tuples.  A failed law gives ``MorphismReport(False,
+    False)`` with no witness, since the source's items need not have
+    names yet; :func:`verify_morphism` names the first edge that breaks
+    one."""
     vrow, erow, arow = rows
     if not (_pick(vrow, src.dst) == _pick(dst.dst, erow)
             and _pick(vrow, src.src) == _pick(dst.src, erow)
             and _pick(arow, src.lab) == _pick(dst.lab, erow)):
-        return _law_failure(src, dst, vrow, erow, arow)
+        return MorphismReport(False, False)
     iso = all(len(set(row)) == len(row) == len(items)
               for row, items in zip(rows, dst.carriers))
     return MorphismReport(True, iso)
 
 
-def _pick(values, keys: tuple) -> tuple:
+def _pick(values, keys: Sequence) -> tuple:
     """``tuple(values[k] for k in keys)``, read by one ``itemgetter`` call
     (which returns a bare item for a single key and needs at least one)."""
     if len(keys) > 1:

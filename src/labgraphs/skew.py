@@ -6,16 +6,16 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import eq
-from typing import Mapping, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from operator import eq, itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
                      QuotientLabeledGraph, is_label_consistent, quotient)
 from .errors import (FrozenRecord, OutOfWindow, PreconditionError,
                      SearchSpaceExceeded, VerificationError)
 from .graph import DirectedGraph, Edge, Path, validate
-from .groups import Element, Group, Window
+from .groups import Element, Group, Window, count_elements
 from .labeled import Check, LabeledGraph, Word, is_left_resolving
 from .morphism import LabeledGraphMorphism, identity_maps, verify_morphism
 
@@ -80,6 +80,26 @@ class SkewSpec(FrozenRecord):
         return acc
 
 
+class SkewForm(NamedTuple):
+    """The integer form of a skew product (:attr:`SkewLabeledGraph.form`):
+    the (base item, layer) of each vertex, edge and letter, and per edge
+    the positions of its source, target and label among them, as a
+    :class:`~labgraphs.labeled.GraphCore` gives them for a named graph.
+    The items run in the order of the pair maps: the first ``window``
+    vertices are the window's, base vertex by base vertex, and the halo
+    vertices follow; the edges run base edge by base edge, each over the
+    layers of its source; the halo vertices and the letters come in
+    (base edge, layer) order of first appearance.  Each (base item,
+    layer) is listed once per kind, so the translation on the form is
+    placed by construction."""
+
+    coordinates: tuple[list[tuple[str, Element]], ...]
+    window: int
+    src: list[int]
+    dst: list[int]
+    lab: list[int]
+
+
 class SkewLabeledGraph:
     """A materialized skew product.
 
@@ -88,33 +108,37 @@ class SkewLabeledGraph:
     assignment are retained with a boundary flag and their endpoint is
     added as a flagged halo vertex rather than dropped.
 
-    The constructor makes one pass over the base's integer core times the
-    layers of each edge's source.  Edge (e, g) goes from (s(e), g) to
-    (r(e), g c(e)) and carries the letter (L(e), g d(e)): two group
-    operations per edge.  Every item is named ``(base id,layer)``, with
-    one ``element_str`` call per distinct layer, and each distinct vertex
-    and letter is formatted once, through the id maps keyed by (base
-    item, layer); the edges that share a target or a letter share its
-    string.  No element string holds a comma, so a name splits at its
-    last comma into exactly one pair, and two pairs never share a name.
-    The graph keeps its items in name order, as every labeled graph does.
-    The pair maps hold the window vertices base vertex by base vertex,
-    then the halo vertices, edges and letters in (base edge, layer) order
-    of first appearance.  A vertex whose layers repeat one raises
-    ``DUPLICATE_LAYER``.
+    The constructor builds only the integer form (:class:`SkewForm`), in
+    one pass over the base's integer core times the layers of each
+    edge's source.  Edge (e, g) goes from (s(e), g) to (r(e), g c(e)) and
+    carries the letter (L(e), g d(e)): two group operations per edge.  A
+    vertex whose layers repeat one raises ``DUPLICATE_LAYER``.  The skew
+    product is left-resolving when the (target, label) positions of its
+    edges are distinct; when they are not and the base is left-resolving,
+    it raises :class:`VerificationError`.
 
-    ``window_vertices``, the pair maps and ``left_resolving``, with its
-    inheritance check, are built with the graph.  The window verdicts
-    (``halo_vertices``, ``boundary_edges``, ``interior_vertices`` and
-    ``interior_valid``) are computed from the built graph and the base's
-    core the first time they are read, since only the ``properties``,
-    ``skew`` and ``export-dot`` reports read them.  They are read from
-    counts, not scans: a window vertex (x, g) is interior when the edges
-    entering it are as many as the base edges entering x; it is valid, by
-    :func:`~labgraphs.graph.validate`'s definition, when that count and
-    the out-degree of x in the base are both nonzero, since (x, g) emits
-    one edge per base edge leaving x.  ``left_resolving`` is
-    :func:`~labgraphs.labeled.is_left_resolving` of the built graph.
+    The named views are built from the form the first time they are
+    read: ``item_names``, ``graph``, the six pair and id maps,
+    ``window_vertices`` and ``left_resolving`` (the witness of
+    :func:`~labgraphs.labeled.is_left_resolving` names edges).  Every
+    item is named ``(base id,layer)``, with one ``element_str`` call per
+    distinct layer and one string per item, which the edges that share a
+    target or a letter share.  No element string holds a comma, so a name
+    splits at its last comma into exactly one pair, and two pairs never
+    share a name.  The graph keeps its items in name order, as every
+    labeled graph does; the pair maps keep the order of the form.
+    :func:`~labgraphs.gross_tucker.reconstruct` checks its skew product
+    on the form alone, so it names none of it unless a check fails.
+
+    The window verdicts (``halo_vertices``, ``boundary_edges``,
+    ``interior_vertices`` and ``interior_valid``) are computed from the
+    built graph and the base's core the first time they are read, since
+    only the ``properties``, ``skew`` and ``export-dot`` reports read
+    them.  They are read from counts, not scans: a window vertex (x, g)
+    is interior when the edges entering it are as many as the base edges
+    entering x; it is valid, by :func:`~labgraphs.graph.validate`'s
+    definition, when that count and the out-degree of x in the base are
+    both nonzero, since (x, g) emits one edge per base edge leaving x.
     """
 
     def __init__(self, spec: SkewSpec, layers: Mapping[str, tuple[Element, ...]],
@@ -132,67 +156,110 @@ class SkewLabeledGraph:
                     "DUPLICATE_LAYER", f"vertex {x} lists a layer twice")
 
         # Lists with one entry per edge (e, g), edge-major: ``layer`` holds
-        # g, ``target`` g c(e) and ``lettered`` g d(e); ``spread`` repeats a
-        # value of each base edge once per layer of the edge's source.
+        # g, ``ends`` (r(e), g c(e)) and ``labels`` (L(e), g d(e));
+        # ``spread`` repeats a value of each base edge once per layer of
+        # the edge's source.
         counts = [len(fibers[s]) for s in core.src]
 
         def spread(values):
             return list(chain.from_iterable(map(repeat, values, counts)))
 
         layer = list(chain.from_iterable(map(fibers.__getitem__, core.src)))
-        target = list(map(group.op, layer, spread([spec.c[e] for e in eids])))
-        lettered = list(map(group.op, layer,
-                            spread([spec.d[e] for e in eids])))
-        distinct = set(chain.from_iterable(fibers)).union(target, lettered)
-        text = dict(zip(distinct, map(group.element_str, distinct)))
-        edge_base = spread(eids)
-        target_base = spread([vertices[t] for t in core.dst])
-        letter_base = spread([letters[a] for a in core.lab])
+        c = spread([spec.c[e] for e in eids])
+        d = spread([spec.d[e] for e in eids])
+        ends = list(zip(spread([vertices[t] for t in core.dst]),
+                        map(group.op, layer, c)))
+        labels = list(zip(spread([letters[a] for a in core.lab]),
+                          map(group.op, layer, d)))
 
-        names = [[f"({x},{text[g]})" for g in ls]
-                 for x, ls in zip(vertices, fibers)]
-        window_names = list(chain.from_iterable(names))
-        vertex_id = dict(zip(
-            [(x, g) for x, ls in zip(vertices, fibers) for g in ls],
-            window_names))
-        vertex_id.update({p: f"({p[0]},{text[p[1]]})" for p in dict.fromkeys(
-            zip(target_base, target)) if p not in vertex_id})
-        letter_id = {p: f"({p[0]},{text[p[1]]})" for p in dict.fromkeys(
-            zip(letter_base, lettered))}
-        edge_names = [f"({e},{text[g]})" for e, g in zip(edge_base, layer)]
-        del text
-        srcs = list(chain.from_iterable(map(names.__getitem__, core.src)))
-        dsts = list(map(vertex_id.__getitem__, zip(target_base, target)))
-        labels = list(map(letter_id.__getitem__, zip(letter_base, lettered)))
-        del names, target, target_base, lettered, letter_base
+        vertex_pairs = [(x, g) for x, ls in zip(vertices, fibers) for g in ls]
+        window_size = len(vertex_pairs)
+        vertex_at = dict(zip(vertex_pairs, range(window_size)))
+        vertex_pairs += [p for p in dict.fromkeys(ends) if p not in vertex_at]
+        vertex_at.update(zip(vertex_pairs[window_size:], count(window_size)))
+        letter_pairs = list(dict.fromkeys(labels))
+        starts = list(accumulate(map(len, fibers), initial=0))
+        self.form = form = SkewForm(
+            (vertex_pairs, list(zip(spread(eids), layer)), letter_pairs),
+            window_size,
+            list(chain.from_iterable(
+                range(starts[s], starts[s + 1]) for s in core.src)),
+            list(map(vertex_at.__getitem__, ends)),
+            list(map(dict(zip(letter_pairs, count())).__getitem__, labels)))
 
-        self.vertex_id = vertex_id
-        self.vertex_pair = dict(zip(vertex_id.values(), vertex_id))
-        self.edge_pair = dict(zip(edge_names, zip(edge_base, layer)))
-        self.edge_id = dict(zip(self.edge_pair.values(), self.edge_pair))
-        self.letter_id = letter_id
-        self.letter_pair = dict(zip(letter_id.values(), letter_id))
-        del layer, edge_base
-        self.window_vertices = frozenset(window_names)
-        del window_names
-
-        rows = sorted(zip(edge_names, srcs, dsts, labels))
-        del edge_names, srcs, dsts, labels
-        ids, srcs, dsts, labels = zip(*rows) if rows else ((), (), (), ())
-        del rows
-        self.graph = LabeledGraph._of_sorted(
-            DirectedGraph._of_sorted(tuple(sorted(self.vertex_pair)),
-                                     Edge._many(ids, srcs, dsts)),
-            dict(zip(ids, labels)), tuple(sorted(self.letter_pair)))
-
-        self.left_resolving = is_left_resolving(self.graph)
-        base_lr = is_left_resolving(base)
-        if base_lr and not self.left_resolving:
+        if (len(set(zip(form.dst, form.lab))) < len(form.dst)
+                and is_left_resolving(base)):
             raise VerificationError(
                 "left-resolving must be inherited by the skew product",
                 self.left_resolving.witness)
-        self.left_resolving_inherited = Check(
-            bool(self.left_resolving) or not base_lr)
+
+    #: A skew product that does not inherit a left-resolving base's
+    #: left-resolving is refused at construction.
+    left_resolving_inherited = Check(True)
+
+    @cached_property
+    def item_names(self) -> tuple[list[str], list[str], list[str]]:
+        """The name of each vertex, edge and letter of the form, in its
+        order."""
+        layers = set(map(itemgetter(1), chain.from_iterable(
+            self.form.coordinates)))
+        text = dict(zip(layers, map(self.spec.group.element_str, layers)))
+        return tuple([f"({q},{text[g]})" for q, g in pairs]
+                     for pairs in self.form.coordinates)
+
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        """The skew product by name, its items in name order."""
+        vnames, enames, lnames = self.item_names
+        form = self.form
+        rows = sorted(zip(enames, map(vnames.__getitem__, form.src),
+                          map(vnames.__getitem__, form.dst),
+                          map(lnames.__getitem__, form.lab)))
+        ids, srcs, dsts, labels = zip(*rows) if rows else ((), (), (), ())
+        del rows
+        return LabeledGraph._of_sorted(
+            DirectedGraph._of_sorted(tuple(sorted(vnames)),
+                                     Edge._many(ids, srcs, dsts)),
+            dict(zip(ids, labels)), tuple(sorted(lnames)))
+
+    def _pairs_by_name(self, k: int) -> dict[str, tuple[str, Element]]:
+        return dict(zip(self.item_names[k], self.form.coordinates[k]))
+
+    def _names_by_pair(self, k: int) -> dict[tuple[str, Element], str]:
+        return dict(zip(self.form.coordinates[k], self.item_names[k]))
+
+    @cached_property
+    def vertex_pair(self) -> dict[str, tuple[str, Element]]:
+        return self._pairs_by_name(0)
+
+    @cached_property
+    def vertex_id(self) -> dict[tuple[str, Element], str]:
+        return self._names_by_pair(0)
+
+    @cached_property
+    def edge_pair(self) -> dict[str, tuple[str, Element]]:
+        return self._pairs_by_name(1)
+
+    @cached_property
+    def edge_id(self) -> dict[tuple[str, Element], str]:
+        return self._names_by_pair(1)
+
+    @cached_property
+    def letter_pair(self) -> dict[str, tuple[str, Element]]:
+        return self._pairs_by_name(2)
+
+    @cached_property
+    def letter_id(self) -> dict[tuple[str, Element], str]:
+        return self._names_by_pair(2)
+
+    @cached_property
+    def window_vertices(self) -> frozenset[str]:
+        return frozenset(self.item_names[0][:self.form.window])
+
+    @cached_property
+    def left_resolving(self) -> Check:
+        """:func:`~labgraphs.labeled.is_left_resolving` of the graph."""
+        return is_left_resolving(self.graph)
 
     @cached_property
     def halo_vertices(self) -> frozenset[str]:
@@ -232,7 +299,7 @@ class SkewLabeledGraph:
 
     def __repr__(self) -> str:
         w = str(self.window) if self.window else "all"
-        return (f"SkewLabeledGraph({len(self.graph.vertices)} vertices, "
+        return (f"SkewLabeledGraph({len(self.form.coordinates[0])} vertices, "
                 f"window {w})")
 
 
@@ -272,11 +339,7 @@ def skew_product(spec: SkewSpec, window: Window | None = None,
                 "integer skew products need an explicit window")
         else:
             elements = window.elements()
-        # a cyclic group and a window give a range, counted without being
-        # listed and without ``len``, which stops at sys.maxsize
-        size = (elements.stop - elements.start
-                if isinstance(elements, range) else len(elements))
-        counts = dict.fromkeys(spec.base.vertices, size)
+        counts = dict.fromkeys(spec.base.vertices, count_elements(elements))
     else:
         counts = {v: len(ls) for v, ls in layers.items()}
     bound = item_bound(spec.base, counts)

@@ -199,6 +199,50 @@ def equivariance_oracle(action: LabeledGraphAction, skew: SkewLabeledGraph,
     return count, None
 
 
+def reconstruction_tail_by_name(action: LabeledGraphAction,
+                                skew: SkewLabeledGraph, pack,
+                                tamper=None):
+    """Oracle for the checks ``reconstruct`` makes on its skew product
+    ``skew`` over the quotient, run by name: phi(q, g) = alpha_g(pack(q))
+    is looked up in ``action.located`` item by item over the pair maps,
+    each kind's positions passed through ``tamper(k, row)`` when given,
+    and the first item it leaves the carrier at raises; then
+    ``verify_morphism`` checks the named isomorphism and the public
+    ``check_equivariance`` its maps.  Returns (iso, report, count) or
+    raises what the first failed check raises."""
+    from labgraphs.gross_tucker import check_equivariance
+    from labgraphs.morphism import verify_morphism
+    op, maps = action.group.op, []
+    for k, (kind, pairs, section) in enumerate(zip(
+            (VERTEX, EDGE, LETTER),
+            (skew.vertex_pair, skew.edge_pair, skew.letter_pair),
+            (pack.eta0, pack.eta1, pack.etaA))):
+        index, coords = action.index(kind), action.coordinates(kind)
+        located, carrier = action.located(kind), action.carrier(kind)
+        row = []
+        for q, g in pairs.values():
+            fiber, t = coords[index[section[q]]]
+            row.append(located.get((fiber, op(g, t)), -1))
+        if tamper is not None:
+            row = tamper(k, row)
+        named = {}
+        for item, j in zip(pairs, row):
+            if j < 0:
+                raise VerificationError("comparison map leaves the carrier",
+                                        (kind, item))
+            named[item] = carrier[j]
+        maps.append(named)
+    iso = LabeledGraphMorphism(skew.graph, action.graph, *maps)
+    report = verify_morphism(iso)
+    if not report.ok:
+        raise VerificationError(
+            f"reconstruction morphism law failed: {report.note}",
+            report.witness)
+    if not report.isomorphism:
+        raise VerificationError("reconstruction map is not bijective", None)
+    return iso, report, check_equivariance(action, skew, maps)
+
+
 def reconstruction_layers_by_scope(action: LabeledGraphAction, quot,
                                    eta0: Mapping[str, str]) -> dict[str, tuple]:
     """Definitional oracle for ``gross_tucker._reconstruction_layers``:
@@ -410,6 +454,47 @@ class StringSkew:
                 self.left_resolving.witness)
         self.left_resolving_inherited = Check(
             bool(self.left_resolving) or not base_lr)
+
+
+PAIR_MAPS = ("vertex_pair", "vertex_id", "edge_pair", "edge_id",
+             "letter_pair", "letter_id")
+ITEM_SETS = ("window_vertices", "halo_vertices", "boundary_edges",
+             "interior_vertices")
+
+
+def assert_same_skew(got, want):
+    """The graph, its core, the six pair maps in insertion order, the item
+    sets and the verdicts with their witnesses agree; and the graph built
+    from sorted carriers equals the one the public constructors build from
+    its vertices, edges and labeling."""
+    assert got.graph == want.graph
+    assert got.graph.core == want.graph.core
+    assert list(got.graph.labeling.items()) == list(
+        want.graph.labeling.items())
+    assert got.graph.dropped_letters == want.graph.dropped_letters
+    for name in PAIR_MAPS:
+        assert list(getattr(got, name).items()) == list(
+            getattr(want, name).items()), name
+    for name in ITEM_SETS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.interior_valid == want.interior_valid
+    for name in ("left_resolving", "left_resolving_inherited"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.ok, g.witness) == (w.ok, w.witness), name
+
+    graph = got.graph.graph
+    public = DirectedGraph(graph.vertices, graph.edges)
+    assert (public.vertices, public.edges) == (graph.vertices, graph.edges)
+    assert list(public._by_id.items()) == list(graph._by_id.items())
+    for v in graph.vertices:
+        assert public.out_edges(v) == graph.out_edges(v)
+        assert public.in_edges(v) == graph.in_edges(v)
+    lg = LabeledGraph(public, got.graph.labeling)
+    assert lg == got.graph
+    assert list(lg.labeling.items()) == list(got.graph.labeling.items())
+    assert (lg.alphabet, lg.dropped_letters) == (
+        got.graph.alphabet, got.graph.dropped_letters)
+    assert lg.core == got.graph.core
 
 
 def orbits_bruteforce(action: LabeledGraphAction,

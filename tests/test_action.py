@@ -15,7 +15,8 @@ from labgraphs.errors import SearchSpaceExceeded, WellDefinednessError
 from labgraphs.graph import DirectedGraph
 from labgraphs.groups import CyclicGroup
 from labgraphs.labeled import LabeledGraph
-from labgraphs.morphism import LabeledGraphMorphism, verify_morphism
+from labgraphs.morphism import (LabeledGraphMorphism, identity_maps,
+                                verify_morphism)
 
 
 from helpers import fish4_swap_action, loop_swap_action, trivial_action
@@ -57,6 +58,22 @@ class TestVerifyAction:
         action = FiniteAction.from_generators(group, lg, {1: swap})
         assert verify_action(action).ok
         assert action.maps[0][0] == {"v": "v", "w": "w"}
+
+    def test_generator_closure_is_capped_before_it_runs(self):
+        """|G|^2 times the 7 items of fish is checked against MAX_TRIPLES
+        before the closure: 4,378 elements pass and 4,379 do not, and an
+        order past ``sys.maxsize`` is counted, not listed."""
+        lg = fx.fish()
+        identity = identity_maps(lg)
+        action = FiniteAction.from_generators(CyclicGroup(4378), lg,
+                                              {1: identity})
+        assert len(action.maps) == 4378
+        assert len(action.scope_elements()) == 4378
+        for n in (4379, 10 ** 7, 10 ** 30):
+            with pytest.raises(SearchSpaceExceeded,
+                               match=f"check {7 * n * n} \\(g, h, item\\)"):
+                FiniteAction.from_generators(CyclicGroup(n), lg,
+                                             {1: identity})
 
     def test_permutation_group_generators(self):
         from labgraphs.graph import DirectedGraph

@@ -24,17 +24,19 @@ from labgraphs.errors import (PreconditionError, SearchSpaceExceeded,
 from labgraphs.graph import DirectedGraph, Edge
 from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
                               TableGroup, Window)
-from labgraphs.gross_tucker import (check_equivariance,
+from labgraphs.gross_tucker import (Reconstruction, check_equivariance,
                                     identity_layer_sections, reconstruct)
 from labgraphs.labeled import LabeledGraph
 from labgraphs.morphism import identity_maps, is_surjective, verify_morphism
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
-from helpers import (equivariance_oracle, find_fundamental_domain_by_candidates,
+from helpers import (StringSkew, assert_same_skew, equivariance_oracle,
+                     find_fundamental_domain_by_candidates,
                      fish4_swap_action, interior_vertices_by_definition,
                      is_free_exhaustive,
                      loop_swap_action, orbits_bruteforce,
                      reconstruction_layers_by_scope,
+                     reconstruction_tail_by_name,
                      translation_certified_by_lines, translation_fibers,
                      trivial_action, verify_action_exhaustive)
 
@@ -1112,6 +1114,189 @@ def test_reconstruction_layers_equal_the_scope_scan(name):
         rec = reconstruct(action)
         assert rec.skew.layers == reconstruction_layers_by_scope(
             action, rec.quotient, rec.pack.eta0)
+
+
+# -- the positional reconstruction against the checks by name -----------------
+
+
+#: Every shape some test reconstructs, with the sparse-layer cases: integer
+#: windows (narrow, wide, pullback, distant halos, sparse layers), finite
+#: groups given by translation, by element triples, anonymized and by
+#: generators, and S3, D4 and the trivial group.
+POSITIONAL_CASES = {**LAYER_CASES, **SPARSE_CASES}
+
+
+def _reconstructible(action) -> bool:
+    return verify_action(action).ok and bool(is_free(action))
+
+
+@pytest.mark.parametrize("name", sorted(POSITIONAL_CASES))
+def test_positional_reconstruction_equals_the_checks_by_name(name):
+    """``reconstruct`` checks its skew product and phi in positions; read
+    afterwards, the skew product is the string oracle's, ``iso`` is the
+    map the checks by name build, item for item in the same order, and
+    ``verify_morphism`` on it and the public ``check_equivariance`` on
+    its maps give the record's report and count."""
+    action = POSITIONAL_CASES[name]()
+    if not _reconstructible(action):
+        return
+    rec = reconstruct(action)
+    iso, report, checked = reconstruction_tail_by_name(action, rec.skew,
+                                                       rec.pack)
+    assert rec.morphism_report == report == verify_morphism(rec.iso)
+    assert rec.equivariance_checked == checked == check_equivariance(
+        action, rec.skew, comparison_maps(rec))
+    assert rec.iso == iso
+    for got, want in zip(comparison_maps(rec), iso[2:]):
+        assert list(got.items()) == list(want.items())
+    assert_same_skew(rec.skew, StringSkew(rec.skew.spec, rec.skew.layers,
+                                          rec.skew.window))
+
+
+def row_tamper(lengths: list[int], rng: random.Random):
+    """A function of (kind index, positions) that breaks one kind's
+    positions of phi: one entry overwritten by another, two swapped, or
+    two sent off the carrier (-1), so that the witness is the first of
+    them; None when no kind has two items."""
+    kinds = [k for k, n in enumerate(lengths) if n >= 2]
+    if not kinds:
+        return None
+    k = rng.choice(kinds)
+    i, j = rng.sample(range(lengths[k]), 2)
+    mode = rng.choice(("overwrite", "swap", "drop"))
+
+    def tamper(kind: int, row: list[int]) -> list[int]:
+        if kind != k:
+            return row
+        row = list(row)
+        if mode == "overwrite":
+            row[i] = row[j]
+        elif mode == "swap":
+            row[i], row[j] = row[j], row[i]
+        else:
+            row[i] = row[j] = -1
+        return row
+    return tamper
+
+
+def located_tamper(action, rng: random.Random):
+    """``action.located`` with one kind's entry overwritten by another,
+    two swapped, or one dropped; None when no kind has two items."""
+    maps = [dict(action.located(kind)) for kind in KINDS]
+    candidates = [m for m in maps if len(m) >= 2]
+    if not candidates:
+        return None
+    mapping = rng.choice(candidates)
+    x, y = rng.sample(sorted(mapping, key=repr), 2)
+    mode = rng.choice(("overwrite", "swap", "drop"))
+    if mode == "overwrite":
+        mapping[x] = mapping[y]
+    elif mode == "swap":
+        mapping[x], mapping[y] = mapping[y], mapping[x]
+    else:
+        del mapping[x]
+    return lambda kind: maps[KINDS.index(kind)]
+
+
+def _outcome(run):
+    """("raised", law, witness) for a :class:`VerificationError`, else
+    ("ok", report, count, the three maps as item lists)."""
+    try:
+        result = run()
+    except VerificationError as exc:
+        return ("raised", exc.law, exc.witness)
+    if isinstance(result, Reconstruction):
+        iso, report, checked = (result.iso, result.morphism_report,
+                                result.equivariance_checked)
+    else:
+        iso, report, checked = result
+    return ("ok", report, checked, [list(m.items()) for m in iso[2:]])
+
+
+def outcomes_with_rows(action, tamper) -> tuple[tuple, tuple]:
+    """The outcomes of ``reconstruct`` with phi's positions passed through
+    ``tamper`` on their way out of ``_comparison_row``, and of the checks
+    by name with the same positions."""
+    rec = reconstruct(action)
+    row = gross_tucker_module._comparison_row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gross_tucker_module, "_comparison_row",
+                   lambda action, k, coordinates, section: tamper(
+                       k, row(action, k, coordinates, section)))
+        got = _outcome(lambda: reconstruct(action))
+    return got, _outcome(lambda: reconstruction_tail_by_name(
+        action, rec.skew, rec.pack, tamper))
+
+
+def tampered_outcomes(action, seed: str) -> list[tuple[tuple, tuple]]:
+    """Pairs of outcomes, positional and by name, with phi's positions
+    broken (:func:`row_tamper`) and then with ``located`` broken."""
+    rng = random.Random(seed)
+    rec = reconstruct(action)
+    out = []
+    tamper = row_tamper([len(c) for c in rec.skew.form.coordinates], rng)
+    if tamper is not None:
+        out.append(outcomes_with_rows(action, tamper))
+    located = located_tamper(action, rng)
+    if located is not None:
+        action.located = located
+        out.append((_outcome(lambda: reconstruct(action)),
+                    _outcome(lambda: reconstruction_tail_by_name(
+                        action, rec.skew, rec.pack))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(POSITIONAL_CASES))
+def test_tampered_reconstructions_fail_as_the_checks_by_name(name):
+    """With phi's positions broken on their way out of
+    ``_comparison_row``, or with the action's ``located`` broken, the
+    positional checks raise what the checks by name raise, with the same
+    witness, or pass with the same report, count and maps."""
+    action = POSITIONAL_CASES[name]()
+    if _reconstructible(action):
+        for got, want in tampered_outcomes(action, f"{name}/0"):
+            assert got == want
+
+
+def test_tampered_reconstructions_are_not_vacuous():
+    """Over a second break of every case, which must agree too, the
+    breaks reach every check but equivariance (next test), and pass
+    where the break leaves phi an equivariant isomorphism."""
+    seen = set()
+    for name in sorted(POSITIONAL_CASES):
+        action = POSITIONAL_CASES[name]()
+        if _reconstructible(action):
+            for got, want in tampered_outcomes(action, f"{name}/1"):
+                assert got == want, name
+                seen.add(got[1].split(":")[0] if got[0] == "raised" else "ok")
+    assert seen == {"ok", "comparison map leaves the carrier",
+                    "reconstruction morphism law failed",
+                    "reconstruction map is not bijective"}
+
+
+def test_a_non_equivariant_isomorphism_fails_as_the_checks_by_name():
+    """Over S3 acting on two loops with their own letters, phi followed
+    by left multiplication by a transposition on one loop's fiber keeps
+    the laws and bijectivity and breaks equivariance: the certificate
+    fails, and the scan names the least witness, as by name."""
+    base = LabeledGraph(DirectedGraph(["v0", "v1"], [("e0", "v0", "v0"),
+                                                     ("e1", "v1", "v1")]),
+                        {"e0": "a", "e1": "b"})
+    group = SMALL_GROUPS["S3"]
+    flat = {"e0": group.identity, "e1": group.identity}
+    action = TranslationAction(skew_product(SkewSpec(base, group, flat,
+                                                     flat)))
+    h, fiber = (1, 0, 2), ("v0", "e0", "a")
+
+    def tamper(k: int, row: list[int]) -> list[int]:
+        coords, located = action.coordinates(KINDS[k]), action.located(
+            KINDS[k])
+        return [located[p, group.op(h, u)] if p in fiber else j
+                for j, (p, u) in zip(row, map(coords.__getitem__, row))]
+
+    got, want = outcomes_with_rows(action, tamper)
+    assert got == want
+    assert got[:2] == ("raised", "maps are not equivariant")
 
 
 # -- fundamental-domain search against the candidate loop ----------------------

@@ -465,6 +465,21 @@ class TestReports:
         assert "135520000 (g, h, item) triples" in err
         assert f"MAX_TRIPLES = {MAX_TRIPLES}" in err
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    @pytest.mark.parametrize("command", ACTION_COMMANDS)
+    def test_generator_closure_over_the_cap_is_refused_first(self, command,
+                                                            fmt):
+        """Z/10^7 acting trivially on fish in generator form is refused
+        before its closure would list 10^7 triples of maps."""
+        start = time.perf_counter()
+        code, out, err = run([command, "fixtures/generators-z10e7.json",
+                              *fmt])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == ("error: the scans of the scope would check "
+                       f"{7 * 10 ** 14} (g, h, item) triples, over the cap "
+                       f"MAX_TRIPLES = {MAX_TRIPLES}\n")
+
     def test_skew_over_a_huge_cyclic_group_exits_two(self, tmp_path):
         """A cyclic group is counted, not listed, before ``MAX_ITEMS``
         refuses its skew product."""

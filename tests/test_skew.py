@@ -23,7 +23,7 @@ from labgraphs.skew import (SkewLabeledGraph, SkewSpec,
                             one_cocycle, project_path, relabel_iso,
                             skew_product, translation_quotient)
 
-from helpers import StringSkew
+from helpers import PAIR_MAPS, StringSkew, assert_same_skew
 
 
 class TestMaterialization:
@@ -379,47 +379,6 @@ class TestLeftResolvingInheritance:
 BASE_IDS = ("v", "w", "v10", "v9", "a,b", "(x)", "x)", "(", ",", "p(q,r)")
 S3 = PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])
 D4 = PermutationGroup(4, [(1, 2, 3, 0), (3, 2, 1, 0)])
-PAIR_MAPS = ("vertex_pair", "vertex_id", "edge_pair", "edge_id",
-             "letter_pair", "letter_id")
-ITEM_SETS = ("window_vertices", "halo_vertices", "boundary_edges",
-             "interior_vertices")
-
-
-def assert_same_skew(got, want):
-    """The graph, its core, the six pair maps in insertion order, the item
-    sets and the verdicts with their witnesses agree; and the graph built
-    from sorted carriers equals the one the public constructors build from
-    its vertices, edges and labeling."""
-    assert got.graph == want.graph
-    assert got.graph.core == want.graph.core
-    assert list(got.graph.labeling.items()) == list(
-        want.graph.labeling.items())
-    assert got.graph.dropped_letters == want.graph.dropped_letters
-    for name in PAIR_MAPS:
-        assert list(getattr(got, name).items()) == list(
-            getattr(want, name).items()), name
-    for name in ITEM_SETS:
-        assert getattr(got, name) == getattr(want, name), name
-    assert got.interior_valid == want.interior_valid
-    for name in ("left_resolving", "left_resolving_inherited"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert (g.ok, g.witness) == (w.ok, w.witness), name
-
-    graph = got.graph.graph
-    public = DirectedGraph(graph.vertices, graph.edges)
-    assert (public.vertices, public.edges) == (graph.vertices, graph.edges)
-    assert list(public._by_id.items()) == list(graph._by_id.items())
-    for v in graph.vertices:
-        assert public.out_edges(v) == graph.out_edges(v)
-        assert public.in_edges(v) == graph.in_edges(v)
-    lg = LabeledGraph(public, got.graph.labeling)
-    assert lg == got.graph
-    assert list(lg.labeling.items()) == list(got.graph.labeling.items())
-    assert (lg.alphabet, lg.dropped_letters) == (
-        got.graph.alphabet, got.graph.dropped_letters)
-    assert lg.core == got.graph.core
-
-
 @st.composite
 def skew_cases(draw):
     """A base labeled graph over ``BASE_IDS`` (not necessarily valid),
@@ -532,6 +491,42 @@ def test_reconstructions_leave_the_verdicts_unread(seed):
     # read afterwards, they are the string oracle's
     for skew in skews:
         assert_same_skew(skew, StringSkew(skew.spec, skew.layers, skew.window))
+
+
+#: The views of a skew product named from its integer form on first read.
+NAMED_VIEWS = ("item_names", "graph", *PAIR_MAPS, "window_vertices",
+               "left_resolving")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reconstructions_check_their_skew_product_unnamed(seed):
+    """``reconstruct`` and ``reconstruct_label_consistent`` check the
+    skew product over the quotient, and phi, in positions: afterwards
+    none of its named views is built, nor the record's ``iso``, on a
+    windowed translation, a finite translation and an element-form
+    action.  Read afterwards, they are the string oracle's and the
+    isomorphism verifies."""
+    from labgraphs.gross_tucker import (identity_layer_sections, reconstruct,
+                                        reconstruct_label_consistent)
+    rng = random.Random(seed)
+    base = fx.random_valid_labeled_graph(rng)
+    c = {e.eid: rng.randint(-2, 2) for e in base.graph.edges}
+    d = {e.eid: rng.randint(-2, 2) for e in base.graph.edges}
+    windowed = left_translation(skew_product(SkewSpec(base, IntegerGroup(),
+                                                      c, d), Window(-3, 3)))
+    finite = fx.random_translation_action(rng, True)
+    raw = fx.anonymize_action(fx.random_translation_action(rng, False), rng)
+    recs = [reconstruct(action) for action in (windowed, finite, raw)]
+    recs += [reconstruct(windowed, identity_layer_sections(windowed)),
+             reconstruct_label_consistent(finite)]
+    for rec in recs:
+        assert not set(NAMED_VIEWS) & set(vars(rec.skew)), rec.skew
+        assert "iso" not in vars(rec)
+    for rec in recs:
+        skew = rec.skew
+        assert_same_skew(skew, StringSkew(skew.spec, skew.layers, skew.window))
+        assert verify_morphism(rec.iso) == rec.morphism_report
+        assert rec.iso.source is skew.graph
 
 
 def test_a_repeated_layer_is_refused():

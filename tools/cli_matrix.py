@@ -24,9 +24,12 @@ morphism, in text and with ``--json``.  The generated documents and
 morphisms are written to a temporary directory and printed as
 ``generated/<name>``.  So every subcommand runs.
 Last come the five action subcommands on ``fixtures/skewz.json`` over the
-window 0:185, whose (g, h, item) triples are over ``MAX_TRIPLES``, and
-every subcommand with the windows ``3:1`` and ``abc``, which exit 2
-naming ``BAD_WINDOW``, each in text and with ``--json``.
+window 0:185, whose (g, h, item) triples are over ``MAX_TRIPLES``, every
+subcommand with the windows ``3:1`` and ``abc``, which exit 2 naming
+``BAD_WINDOW``, and the five action subcommands on
+``fixtures/generators-z10e7.json``, which exit 2 naming ``MAX_TRIPLES``
+before the generator closure runs, each in text and with ``--json``.
+That fixture runs under those commands only.
 The commands run in-process against the ``src/`` of the checkout this
 script sits in, so running it in two checkouts and diffing the two
 printouts shows every command whose output changed:
@@ -79,11 +82,16 @@ EMPTY_NAMES = (
     ["range", "fixtures/fish.json", "--word", "0,1,"],
     ["range", "fixtures/fish.json", "--set", "v,", "--word", "0"],
 )
+ACTION_COMMANDS = ("act-check", "translate", "gross-tucker", "quotient",
+                   "fundomain")
 #: The action subcommands, run on an intact translation whose (g, h, item)
 #: triples are over ``MAX_TRIPLES``: the certificate verifies it.
 AT_THE_CAP = [[command, "fixtures/skewz.json", "--window", "0:185"]
-              for command in ("act-check", "translate", "gross-tucker",
-                              "quotient", "fundomain")]
+              for command in ACTION_COMMANDS]
+#: A generator-form action of Z/10^7 on fish, refused under
+#: ``MAX_TRIPLES`` before its closure would list 10^7 triples of maps.  It
+#: runs under the action subcommands only, after every other command.
+OVER_THE_CAP = "generators-z10e7.json"
 #: One call of every subcommand, run with a reversed and a malformed
 #: window, which exit 2 naming ``BAD_WINDOW``.
 BAD_WINDOWS = [
@@ -120,7 +128,7 @@ def matrix() -> list[list[str]]:
     """Every command on the fixture documents, as argv lists, in a fixed
     order."""
     return [[command[0], f"fixtures/{name}", *command[1:], *window, *fmt]
-            for name in fixture_names()
+            for name in fixture_names() if name != OVER_THE_CAP
             for command in (*COMMANDS, ["range", "--word",
                                         first_letter(read_fixture(name))])
             for window in WINDOWS for fmt in FORMATS]
@@ -206,7 +214,9 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
         empty_names = [[*argv, *fmt] for argv in EMPTY_NAMES for fmt in FORMATS]
         last = [[*argv, *fmt] for argv in AT_THE_CAP for fmt in FORMATS] + [
             [*argv, "--window", window, *fmt] for argv in BAD_WINDOWS
-            for window in ("3:1", "abc") for fmt in FORMATS]
+            for window in ("3:1", "abc") for fmt in FORMATS] + [
+            [command, f"fixtures/{OVER_THE_CAP}", *fmt]
+            for command in ACTION_COMMANDS for fmt in FORMATS]
         yield [(" ".join(argv), argv) for argv in
                matrix() + skew_range_matrix() + empty_names] + generated + [
                    (" ".join(argv), argv) for argv in last]

@@ -18,6 +18,7 @@ from labgraphs import jsonio
 from labgraphs.action import FiniteAction
 from labgraphs.cli import main as cli_main
 from labgraphs.groups import CyclicGroup, Group, PermutationGroup, TableGroup
+from labgraphs.morphism import identity_maps
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -104,6 +105,13 @@ def fixture_documents() -> None:
               jsonio.dumps(jsonio.action_to_json(jsonio.ActionDocument(
                   action.group, graph=action.graph,
                   elements=tuple(sorted(action.maps.items()))))))
+    # Z/10^7 acting trivially on FISH, in generator form: its closure
+    # would list 10^7 triples of maps, so it is refused under MAX_TRIPLES
+    # before it runs
+    write(os.path.join(FIXDIR, "generators-z10e7.json"),
+          jsonio.dumps(jsonio.action_to_json(jsonio.ActionDocument(
+              CyclicGroup(10 ** 7), graph=fx.fish(),
+              generators=(identity_maps(fx.fish()),)))))
 
 
 def run_cli(argv: list[str]) -> str:
