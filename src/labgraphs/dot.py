@@ -3,6 +3,7 @@ layer grid mirroring the usual strip pictures."""
 
 from __future__ import annotations
 
+from .action import VERTEX
 from .labeled import LabeledGraph
 from .skew import SkewLabeledGraph
 
@@ -16,8 +17,8 @@ def export_dot(lg: LabeledGraph, skew: SkewLabeledGraph | None = None) -> str:
     if skew is not None:
         lines.append("  rankdir=LR;")
         by_layer: dict = {}
-        for vid in sorted(skew.vertex_pair):
-            _, layer = skew.vertex_pair[vid]
+        for vid, (_, layer) in zip(skew.graph.vertices,
+                                   skew.coordinates(VERTEX)):
             by_layer.setdefault(layer, []).append(vid)
         for layer in sorted(by_layer, key=lambda g: (str(type(g)), g)):
             row = "; ".join(_quote(v) for v in sorted(by_layer[layer]))

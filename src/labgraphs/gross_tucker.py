@@ -459,20 +459,22 @@ def identity_layer_sections(action: TranslationAction) -> SectionPack:
     that layer is materialized.  With these sections the derived cocycles
     coincide with the originating skew spec's cocycles."""
     skew = action.skew
-    group = action.group
+    identity = action.group.identity
     base = skew.spec.base
+    vertices, located = action.carrier(VERTEX), action.located(VERTEX)
     eta0 = {}
     for q_vertex in base.vertices:
-        vid = skew.vertex_id.get((q_vertex, group.identity))
-        if vid is None or vid not in skew.window_vertices:
+        j = located.get((q_vertex, identity))
+        if j is None or vertices[j] not in skew.window_vertices:
             raise PreconditionError(
                 "BAD_SECTION", f"identity layer of {q_vertex} is not in the window")
-        eta0[q_vertex] = vid
+        eta0[q_vertex] = vertices[j]
+    letters, located = action.carrier(LETTER), action.located(LETTER)
     etaA = {}
     for q_letter in base.alphabet:
-        lid = skew.letter_id.get((q_letter, group.identity))
-        if lid is None:
+        j = located.get((q_letter, identity))
+        if j is None:
             raise PreconditionError(
                 "BAD_SECTION", f"identity layer of letter {q_letter} is missing")
-        etaA[q_letter] = lid
+        etaA[q_letter] = letters[j]
     return SectionPack(eta0, etaA)

@@ -8,7 +8,7 @@ import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (NotAMember, PreconditionError, SearchSpaceExceeded,
                      VerificationError)
@@ -24,6 +24,9 @@ from .labeled import (Check, LabeledGraph, Word, _bits, chunk_tables,
 Derivation = tuple
 
 
+# A dataclass, not a frozen record, while the benchmark's smoke test copies
+# a closure with ``dataclasses.replace``; the other records here are named
+# tuples.
 @dataclass(frozen=True)
 class SetCollection:
     """A family of nonempty vertex subsets (as bitmasks over the graph's
@@ -237,8 +240,7 @@ def relative_complement_closure(col: SetCollection) -> SetCollection:
 # -- normal forms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One factor r(alpha) or r(alpha) \\ r(beta) of an intersection term."""
 
     alpha: Word
@@ -257,8 +259,7 @@ class Factor:
         return f"r({''.join(self.alpha)})\\r({''.join(self.beta)})"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Union of intersections of range differences."""
 
     terms: tuple[tuple[Factor, ...], ...]
@@ -355,8 +356,7 @@ def normal_form(col: SetCollection, vertices: Iterable[str] | int) -> NormalForm
 # -- labeled space report ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledSpaceReport:
+class LabeledSpaceReport(NamedTuple):
     set_finite: bool
     label_counts: Mapping[frozenset, int]
     weakly_left_resolving: Check

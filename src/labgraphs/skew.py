@@ -10,7 +10,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .action import (EDGE, KINDS, VERTEX, FiniteAction, LabeledGraphAction,
+from .action import (EDGE, KINDS, LETTER, FiniteAction, LabeledGraphAction,
                      QuotientLabeledGraph, is_label_consistent, quotient)
 from .errors import (FrozenRecord, OutOfWindow, PreconditionError,
                      SearchSpaceExceeded, VerificationError)
@@ -85,7 +85,7 @@ class SkewForm(NamedTuple):
     the (base item, layer) of each vertex, edge and letter, and per edge
     the positions of its source, target and label among them, as a
     :class:`~labgraphs.labeled.GraphCore` gives them for a named graph.
-    The items run in the order of the pair maps: the first ``window``
+    The items run in the order of the form: the first ``window``
     vertices are the window's, base vertex by base vertex, and the halo
     vertices follow; the edges run base edge by base edge, each over the
     layers of its source; the halo vertices and the letters come in
@@ -117,22 +117,25 @@ class SkewLabeledGraph:
     edges are distinct; when they are not and the base is left-resolving,
     it raises :class:`VerificationError`.
 
-    The named views are built from the form the first time they are
-    read: ``item_names``, ``graph``, the six pair and id maps,
-    ``window_vertices`` and ``left_resolving`` (the witness of
-    :func:`~labgraphs.labeled.is_left_resolving` names edges).  Every
-    item is named ``(base id,layer)``, with one ``element_str`` call per
-    distinct layer and one string per item, which the edges that share a
-    target or a letter share.  No element string holds a comma, so a name
-    splits at its last comma into exactly one pair, and two pairs never
-    share a name.  The graph keeps its items in name order, as every
-    labeled graph does; the pair maps keep the order of the form.
+    The views are built from the form the first time they are read: the
+    named ``item_names``, ``graph``, ``window_vertices`` and
+    ``left_resolving`` (the witness of
+    :func:`~labgraphs.labeled.is_left_resolving` names edges), and the
+    positional :meth:`coordinates` and :meth:`located`.  Every item is
+    named ``(base id,layer)``, with one ``element_str`` call per distinct
+    layer and one string per item, which the edges that share a target or
+    a letter share.  No element string holds a comma, so a name splits at
+    its last comma into exactly one pair, and two pairs never share a
+    name.  The graph keeps its items in name order, as every labeled
+    graph does; one sort of the names per kind gives that order to the
+    graph and to the positional views, which hold the one map between an
+    item's carrier position and its (base item, layer).
     :func:`~labgraphs.gross_tucker.reconstruct` checks its skew product
     on the form alone, so it names none of it unless a check fails.
 
     The window verdicts (``halo_vertices``, ``boundary_edges``,
     ``interior_vertices`` and ``interior_valid``) are computed from the
-    built graph and the base's core the first time they are read, since
+    form and the base's core the first time they are read, since
     only the ``properties``, ``skew`` and ``export-dot`` reports read
     them.  They are read from counts, not scans: a window vertex (x, g)
     is interior when the edges entering it are as many as the base edges
@@ -174,7 +177,9 @@ class SkewLabeledGraph:
 
         vertex_pairs = [(x, g) for x, ls in zip(vertices, fibers) for g in ls]
         window_size = len(vertex_pairs)
-        vertex_at = dict(zip(vertex_pairs, range(window_size)))
+        # one int object per window position, shared by ``src`` and ``dst``
+        positions = list(range(window_size))
+        vertex_at = dict(zip(vertex_pairs, positions))
         vertex_pairs += [p for p in dict.fromkeys(ends) if p not in vertex_at]
         vertex_at.update(zip(vertex_pairs[window_size:], count(window_size)))
         letter_pairs = list(dict.fromkeys(labels))
@@ -183,7 +188,7 @@ class SkewLabeledGraph:
             (vertex_pairs, list(zip(spread(eids), layer)), letter_pairs),
             window_size,
             list(chain.from_iterable(
-                range(starts[s], starts[s + 1]) for s in core.src)),
+                positions[starts[s]:starts[s + 1]] for s in core.src)),
             list(map(vertex_at.__getitem__, ends)),
             list(map(dict(zip(letter_pairs, count())).__getitem__, labels)))
 
@@ -208,49 +213,48 @@ class SkewLabeledGraph:
                      for pairs in self.form.coordinates)
 
     @cached_property
+    def _named(self) -> tuple[LabeledGraph, list[list[tuple[str, Element]]]]:
+        """:attr:`graph` and the coordinates of its items in its carrier
+        order, from one sort of each kind's names."""
+        vnames, enames, lnames = names = self.item_names
+        form = self.form
+        vorder, eorder, lorder = orders = [
+            sorted(range(len(items)), key=items.__getitem__) for items in names]
+        coordinates = [list(map(pairs.__getitem__, order))
+                       for pairs, order in zip(form.coordinates, orders)]
+        ids = tuple(map(enames.__getitem__, eorder))
+        srcs = map(vnames.__getitem__, map(form.src.__getitem__, eorder))
+        dsts = map(vnames.__getitem__, map(form.dst.__getitem__, eorder))
+        labels = map(lnames.__getitem__, map(form.lab.__getitem__, eorder))
+        graph = LabeledGraph._of_sorted(
+            DirectedGraph._of_sorted(tuple(map(vnames.__getitem__, vorder)),
+                                     Edge._many(ids, srcs, dsts)),
+            dict(zip(ids, labels)), tuple(map(lnames.__getitem__, lorder)))
+        return graph, coordinates
+
+    @cached_property
     def graph(self) -> LabeledGraph:
         """The skew product by name, its items in name order."""
-        vnames, enames, lnames = self.item_names
-        form = self.form
-        rows = sorted(zip(enames, map(vnames.__getitem__, form.src),
-                          map(vnames.__getitem__, form.dst),
-                          map(lnames.__getitem__, form.lab)))
-        ids, srcs, dsts, labels = zip(*rows) if rows else ((), (), (), ())
-        del rows
-        return LabeledGraph._of_sorted(
-            DirectedGraph._of_sorted(tuple(sorted(vnames)),
-                                     Edge._many(ids, srcs, dsts)),
-            dict(zip(ids, labels)), tuple(sorted(lnames)))
+        return self._named[0]
 
-    def _pairs_by_name(self, k: int) -> dict[str, tuple[str, Element]]:
-        return dict(zip(self.item_names[k], self.form.coordinates[k]))
+    def coordinates(self, kind: str) -> list[tuple[str, Element]]:
+        """The (base item, layer) of each item of ``kind``, in the carrier
+        order of :attr:`graph`.  Callers must not mutate it."""
+        return self._views[KINDS.index(kind)][0]
 
-    def _names_by_pair(self, k: int) -> dict[tuple[str, Element], str]:
-        return dict(zip(self.form.coordinates[k], self.item_names[k]))
+    def located(self, kind: str) -> dict[tuple[str, Element], int]:
+        """The position in the carrier of :attr:`graph` of the item of
+        ``kind`` at each (base item, layer), the inverse of
+        :meth:`coordinates`.  Callers must not mutate it."""
+        return self._views[KINDS.index(kind)][1]
 
     @cached_property
-    def vertex_pair(self) -> dict[str, tuple[str, Element]]:
-        return self._pairs_by_name(0)
-
-    @cached_property
-    def vertex_id(self) -> dict[tuple[str, Element], str]:
-        return self._names_by_pair(0)
-
-    @cached_property
-    def edge_pair(self) -> dict[str, tuple[str, Element]]:
-        return self._pairs_by_name(1)
-
-    @cached_property
-    def edge_id(self) -> dict[tuple[str, Element], str]:
-        return self._names_by_pair(1)
-
-    @cached_property
-    def letter_pair(self) -> dict[str, tuple[str, Element]]:
-        return self._pairs_by_name(2)
-
-    @cached_property
-    def letter_id(self) -> dict[tuple[str, Element], str]:
-        return self._names_by_pair(2)
+    def _views(self) -> list[tuple[list, dict]]:
+        """:meth:`coordinates` and :meth:`located` of each kind, built
+        together; the positions are the graph core's own ints."""
+        return [(coords, dict(zip(coords, positions.values())))
+                for coords, positions in zip(self._named[1],
+                                             self.graph.core.positions)]
 
     @cached_property
     def window_vertices(self) -> frozenset[str]:
@@ -265,37 +269,39 @@ class SkewLabeledGraph:
     def halo_vertices(self) -> frozenset[str]:
         """The vertices outside the layer assignment, each the target of
         a boundary edge."""
-        return frozenset(self.vertex_pair) - self.window_vertices
+        return frozenset(self.item_names[0][self.form.window:])
 
     @cached_property
     def boundary_edges(self) -> frozenset[str]:
         """The edges whose target is a halo vertex."""
-        core, halo = self.graph.core, self.halo_vertices
-        outside = list(map(halo.__contains__, core.carriers[0]))
-        return frozenset(compress(core.carriers[1],
-                                  map(outside.__getitem__, core.dst)))
+        form = self.form
+        return frozenset(compress(self.item_names[1],
+                                  map(form.window.__le__, form.dst)))
 
     @cached_property
     def interior_vertices(self) -> frozenset[str]:
         """The window vertices (x, g) that as many built edges enter as
         base edges enter x."""
-        core, base = self.graph.core, self.spec.base.core
-        entering, in_degree = Counter(core.dst), Counter(base.dst)
-        at, pair = base.positions[0], self.vertex_pair
-        return frozenset(
-            v for p, v in enumerate(core.carriers[0])
-            if v in self.window_vertices
-            and entering[p] == in_degree[at[pair[v][0]]])
+        return frozenset(map(self.item_names[0].__getitem__, self._interior))
+
+    @cached_property
+    def _interior(self) -> list[int]:
+        """The form positions of :attr:`interior_vertices`."""
+        form, base = self.form, self.spec.base.core
+        entering, in_degree = Counter(form.dst), Counter(base.dst)
+        at = base.positions[0]
+        return [i for i, (x, _) in enumerate(form.coordinates[0][:form.window])
+                if entering[i] == in_degree[at[x]]]
 
     @cached_property
     def interior_valid(self) -> bool:
         """Whether every interior vertex is valid: its base vertex has
         nonzero in- and out-degree."""
-        base = self.spec.base.core
+        base, pairs = self.spec.base.core, self.form.coordinates[0]
         in_degree, out_degree = Counter(base.dst), Counter(base.src)
-        at, pair = base.positions[0], self.vertex_pair
+        at = base.positions[0]
         return all(in_degree[p] and out_degree[p] for p in {
-            at[pair[v][0]] for v in self.interior_vertices})
+            at[pairs[i][0]] for i in self._interior})
 
     def __repr__(self) -> str:
         w = str(self.window) if self.window else "all"
@@ -307,10 +313,12 @@ class SkewLabeledGraph:
 #: :func:`skew_product` bounds the count from the base and the layer counts
 #: before it builds anything, and raises :class:`SearchSpaceExceeded` above
 #: the cap.  Just under it, ``quotient fixtures/skewz.json --window
-#: 0:23830`` (bound 262,141, with 166,819 items built) peaks at 107.5 MB
-#: and takes 0.7-1.0 s in-process: building the skew product is most of
-#: it, the translation certificate checked first takes 0.06-0.12 s and the
-#: quotient 0.1-0.2 s (2-core x86 container, Python 3.11).
+#: 0:23830`` (bound 262,141, with 166,819 items built) peaks at
+#: 106.4-106.5 MB and takes 0.7-1.0 s in-process through ``cli.main``:
+#: building the form takes about 0.2 s and naming the graph 0.23-0.26 s;
+#: the core, the positional views, the placement and the translation
+#: certificate checked first 0.26-0.29 s; and the quotient 0.16-0.20 s
+#: (shared 2-core x86 container, Python 3.11).
 MAX_ITEMS = 1 << 18
 
 
@@ -409,44 +417,29 @@ class TranslationAction(LabeledGraphAction):
         :meth:`scope_elements` applies bounds the block too."""
         return self.blocks(self.scope_elements())
 
-    @cached_property
-    def _coordinates(self) -> list[list[tuple[str, Element]]]:
-        """The skew's pair maps, read in carrier order."""
-        return [list(map(self._pairs(kind)[0].__getitem__, self.carrier(kind)))
-                for kind in KINDS]
+    def coordinates(self, kind: str) -> list[tuple[str, Element]]:
+        return self.skew.coordinates(kind)
 
-    @cached_property
-    def _located(self) -> list[dict[tuple[str, Element], int]]:
-        """The skew's id maps by position, the maps :meth:`apply` reads."""
-        skew = self.skew
-        return [dict(zip(ids, map(index.__getitem__, ids.values())))
-                for ids, index in zip(
-                    (skew.vertex_id, skew.edge_id, skew.letter_id),
-                    self.graph.core.positions)]
+    def located(self, kind: str) -> dict[tuple[str, Element], int]:
+        return self.skew.located(kind)
 
     @cached_property
     def _placed(self) -> tuple[bool, ...]:
-        """Per kind, whether the skew's id map is the exact inverse of its
-        pair map on the carrier, read by name without :meth:`located`:
-        the block is the id map's lookup, so this is the whole placement."""
+        """Per kind, whether :meth:`located` is the exact inverse of
+        :meth:`coordinates`, checked in positions: the block is the
+        lookup of :meth:`located`, so this is the whole placement."""
         placed = []
         for kind in KINDS:
-            ids, coords = self._pairs(kind)[1], self.coordinates(kind)
-            placed.append(len(ids) == len(coords) and all(
-                map(eq, map(ids.get, coords), self.carrier(kind))))
+            coords, located = self.coordinates(kind), self.located(kind)
+            placed.append(len(located) == len(coords) and all(
+                map(eq, map(located.get, coords), range(len(coords)))))
         return tuple(placed)
 
-    def _pairs(self, kind: str):
-        if kind == VERTEX:
-            return self.skew.vertex_pair, self.skew.vertex_id
-        if kind == EDGE:
-            return self.skew.edge_pair, self.skew.edge_id
-        return self.skew.letter_pair, self.skew.letter_id
-
     def apply(self, g: Element, kind: str, item: str) -> str | None:
-        pairs, ids = self._pairs(kind)
-        base, h = pairs[item]
-        return ids.get((base, self.group.op(g, h)))
+        skew = self.skew
+        base, h = skew.coordinates(kind)[self.index(kind)[item]]
+        j = skew.located(kind).get((base, self.group.op(g, h)))
+        return None if j is None else self.carrier(kind)[j]
 
     def interval_span(self) -> int | None:
         """The numeric width of all layers, max - min over every fiber;
@@ -488,8 +481,7 @@ class TranslationAction(LabeledGraphAction):
 
     def orbit_name(self, kind: str, members: tuple[str, ...]) -> str:
         """The base item of the fiber."""
-        pairs, _ = self._pairs(kind)
-        return pairs[members[0]][0]
+        return self.coordinates(kind)[self.index(kind)[members[0]]][0]
 
     def is_windowed(self) -> bool:
         return not self.group.is_finite
@@ -541,16 +533,16 @@ def translation_quotient(skew: SkewLabeledGraph
 def lift_path(skew: SkewLabeledGraph, path: Path, g: Element) -> Path:
     """The lift of a base path starting at layer ``g``: layer advances by
     the cocycle along the path.  Escaping the materialization raises."""
-    spec = skew.spec
+    spec, located = skew.spec, skew.located(EDGE)
+    edges = skew.graph.core.carriers[1]
     ids = []
     layer = g
     for eid in path.edges:
-        key = (eid, layer)
-        skew_eid = skew.edge_id.get(key)
-        if skew_eid is None:
+        j = located.get((eid, layer))
+        if j is None:
             raise OutOfWindow(f"edge {eid} at layer "
                               f"{spec.group.element_str(layer)} is not materialized")
-        ids.append(skew_eid)
+        ids.append(edges[j])
         layer = spec.group.op(layer, spec.c[eid])
     return skew.graph.graph.make_path(ids)
 
@@ -558,14 +550,9 @@ def lift_path(skew: SkewLabeledGraph, path: Path, g: Element) -> Path:
 def project_path(skew: SkewLabeledGraph, path: Path) -> tuple[Path, Element]:
     """Inverse of :func:`lift_path`: strips layers, returns the base path
     and the starting layer."""
-    base_ids = []
-    start = None
-    for eid in path.edges:
-        b, g = skew.edge_pair[eid]
-        if start is None:
-            start = g
-        base_ids.append(b)
-    return skew.spec.base.graph.make_path(base_ids), start
+    coords, index = skew.coordinates(EDGE), skew.graph.core.positions[1]
+    pairs = [coords[index[eid]] for eid in path.edges]
+    return skew.spec.base.graph.make_path([b for b, _ in pairs]), pairs[0][1]
 
 
 def _require_identification_preconditions(spec: SkewSpec) -> None:
@@ -635,14 +622,15 @@ def relabel_iso(skew1: SkewLabeledGraph,
             f"second d is not label consistent (witness {s2.d_factoring.witness})")
     group = s1.group
 
+    located, letters = skew2.located(LETTER), skew2.graph.alphabet
     alphabet_map = {}
-    for lid, (a, h) in skew1.letter_pair.items():
+    for lid, (a, h) in zip(skew1.graph.alphabet, skew1.coordinates(LETTER)):
         shift = group.op(group.inv(d1[a]), d2[a])
-        target = skew2.letter_id.get((a, group.op(h, shift)))
-        if target is None:
+        j = located.get((a, group.op(h, shift)))
+        if j is None:
             raise VerificationError(
                 "relabeled letter is not materialized", (a, h))
-        alphabet_map[lid] = target
+        alphabet_map[lid] = letters[j]
     iso = LabeledGraphMorphism(skew1.graph, skew2.graph,
                                *identity_maps(skew1.graph)[:2], alphabet_map)
     report = verify_morphism(iso)

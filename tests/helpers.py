@@ -204,7 +204,7 @@ def reconstruction_tail_by_name(action: LabeledGraphAction,
                                 tamper=None):
     """Oracle for the checks ``reconstruct`` makes on its skew product
     ``skew`` over the quotient, run by name: phi(q, g) = alpha_g(pack(q))
-    is looked up in ``action.located`` item by item over the pair maps,
+    is looked up in ``action.located`` item by item over the named form,
     each kind's positions passed through ``tamper(k, row)`` when given,
     and the first item it leaves the carrier at raises; then
     ``verify_morphism`` checks the named isomorphism and the public
@@ -213,10 +213,9 @@ def reconstruction_tail_by_name(action: LabeledGraphAction,
     from labgraphs.gross_tucker import check_equivariance
     from labgraphs.morphism import verify_morphism
     op, maps = action.group.op, []
-    for k, (kind, pairs, section) in enumerate(zip(
-            (VERTEX, EDGE, LETTER),
-            (skew.vertex_pair, skew.edge_pair, skew.letter_pair),
-            (pack.eta0, pack.eta1, pack.etaA))):
+    for k, (kind, section) in enumerate(zip(
+            (VERTEX, EDGE, LETTER), (pack.eta0, pack.eta1, pack.etaA))):
+        pairs = form_pairs(skew, kind)
         index, coords = action.index(kind), action.coordinates(kind)
         located, carrier = action.located(kind), action.carrier(kind)
         row = []
@@ -337,9 +336,10 @@ def interior_vertices_by_definition(skew: SkewLabeledGraph) -> frozenset[str]:
     vertices (x, g) such that, for every base edge e entering x, the source
     layer g c(e)^-1 is a materialized layer of the source of e."""
     group, base = skew.spec.group, skew.spec.base
+    pairs = form_pairs(skew, VERTEX)
     out = set()
     for vid in skew.window_vertices:
-        x, g = skew.vertex_pair[vid]
+        x, g = pairs[vid]
         if all(group.op(g, group.inv(skew.spec.c[e.eid]))
                in skew.layers.get(e.src, ())
                for e in base.graph.in_edges(x)):
@@ -359,6 +359,15 @@ def left_resolving_by_vertex(lg: LabeledGraph) -> Check:
                 return Check(False, (v, seen[a], e.eid))
             seen[a] = e.eid
     return Check(True)
+
+
+def form_pairs(skew: SkewLabeledGraph,
+               kind: str) -> dict[str, tuple[str, Element]]:
+    """The (base item, layer) of each item of ``kind`` by name, in the
+    order of the skew's integer form, read from its names and its form
+    and not from its positional views."""
+    k = (VERTEX, EDGE, LETTER).index(kind)
+    return dict(zip(skew.item_names[k], skew.form.coordinates[k]))
 
 
 def pair_id(base_id: str, element: Element, group: Group) -> str:
@@ -456,25 +465,35 @@ class StringSkew:
             bool(self.left_resolving) or not base_lr)
 
 
-PAIR_MAPS = ("vertex_pair", "vertex_id", "edge_pair", "edge_id",
-             "letter_pair", "letter_id")
+#: Per kind, the oracle's maps from names to (base item, layer) and back.
+PAIR_MAPS = ((VERTEX, "vertex_pair", "vertex_id"),
+             (EDGE, "edge_pair", "edge_id"),
+             (LETTER, "letter_pair", "letter_id"))
 ITEM_SETS = ("window_vertices", "halo_vertices", "boundary_edges",
              "interior_vertices")
 
 
 def assert_same_skew(got, want):
-    """The graph, its core, the six pair maps in insertion order, the item
-    sets and the verdicts with their witnesses agree; and the graph built
-    from sorted carriers equals the one the public constructors build from
-    its vertices, edges and labeling."""
+    """The graph, its core, the names and coordinates of the form against
+    the oracle's six pair maps in insertion order, the positional views
+    against the oracle's pair maps in carrier order, the item sets and the
+    verdicts with their witnesses agree; and the graph built from sorted
+    carriers equals the one the public constructors build from its
+    vertices, edges and labeling."""
     assert got.graph == want.graph
     assert got.graph.core == want.graph.core
     assert list(got.graph.labeling.items()) == list(
         want.graph.labeling.items())
     assert got.graph.dropped_letters == want.graph.dropped_letters
-    for name in PAIR_MAPS:
-        assert list(getattr(got, name).items()) == list(
-            getattr(want, name).items()), name
+    for k, (kind, pair, ids) in enumerate(PAIR_MAPS):
+        pairs, names = getattr(want, pair), got.item_names[k]
+        coordinates = got.form.coordinates[k]
+        assert list(zip(names, coordinates)) == list(pairs.items()), pair
+        assert list(zip(coordinates, names)) == list(
+            getattr(want, ids).items()), ids
+        carrier = got.graph.core.carriers[k]
+        assert got.coordinates(kind) == list(map(pairs.__getitem__, carrier))
+        assert got.located(kind) == {pairs[x]: p for p, x in enumerate(carrier)}
     for name in ITEM_SETS:
         assert getattr(got, name) == getattr(want, name), name
     assert got.interior_valid == want.interior_valid
@@ -533,10 +552,8 @@ def translation_fibers(action: TranslationAction,
     """Oracle for ``orbits`` of a translation on a skew product: the orbit
     of (x, h) under the unwindowed action is every (x, g), so an orbit is
     the set of materialized items over one base item."""
-    skew = action.skew
-    pairs = {VERTEX: skew.vertex_pair, EDGE: skew.edge_pair,
-             LETTER: skew.letter_pair}[kind]
     items = action.carrier(kind)
+    pairs = dict(zip(items, action.skew.coordinates(kind)))
     return tuple(sorted(
         tuple(sorted(x for x in items if pairs[x][0] == base))
         for base in {pairs[x][0] for x in items}))

@@ -7,7 +7,8 @@ import pytest
 
 from labgraphs import action as action_module
 from labgraphs import fixtures as fx
-from labgraphs.action import (FiniteAction, find_fundamental_domain,
+from labgraphs.action import (EDGE, LETTER, VERTEX, FiniteAction,
+                              find_fundamental_domain,
                               has_unique_path_lifting, is_free,
                               is_fundamental_domain, is_label_consistent,
                               quotient, verify_action)
@@ -19,7 +20,8 @@ from labgraphs.morphism import (LabeledGraphMorphism, identity_maps,
                                 verify_morphism)
 
 
-from helpers import fish4_swap_action, loop_swap_action, trivial_action
+from helpers import (fish4_swap_action, form_pairs, loop_swap_action,
+                     trivial_action)
 
 
 class TestVerifyAction:
@@ -201,11 +203,13 @@ class TestUniquePathLifting:
             DirectedGraph(lg.vertices, kept),
             {e.eid: lg.labeling[e.eid] for e in kept})
         base = fx.fish()
+        vertex_pair, edge_pair, letter_pair = (
+            form_pairs(skew, kind) for kind in (VERTEX, EDGE, LETTER))
         projection = LabeledGraphMorphism(
             reduced, base,
-            {vid: skew.vertex_pair[vid][0] for vid in reduced.vertices},
-            {e.eid: skew.edge_pair[e.eid][0] for e in kept},
-            {lid: skew.letter_pair[lid][0] for lid in reduced.alphabet})
+            {vid: vertex_pair[vid][0] for vid in reduced.vertices},
+            {e.eid: edge_pair[e.eid][0] for e in kept},
+            {lid: letter_pair[lid][0] for lid in reduced.alphabet})
         assert verify_morphism(projection).ok
         check = has_unique_path_lifting(projection)
         assert not check

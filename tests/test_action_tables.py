@@ -31,7 +31,7 @@ from labgraphs.morphism import identity_maps, is_surjective, verify_morphism
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
 from helpers import (StringSkew, assert_same_skew, equivariance_oracle,
-                     find_fundamental_domain_by_candidates,
+                     find_fundamental_domain_by_candidates, form_pairs,
                      fish4_swap_action, interior_vertices_by_definition,
                      is_free_exhaustive,
                      loop_swap_action, orbits_bruteforce,
@@ -100,18 +100,19 @@ def broken_z_action(rng: random.Random,
                     build=random_z_action) -> TranslationAction:
     """A windowed translation with the (base item, layer) coordinates of one
     item overwritten by those of another item of its kind, or of two items
-    swapped."""
+    swapped, in the skew's positional view after its ``located`` is
+    built, which stays intact."""
     while True:
         action = build(rng)
         skew = action.skew
-        pairs = rng.choice((skew.vertex_pair, skew.edge_pair, skew.letter_pair))
-        if len(pairs) >= 2:
+        coords = skew.coordinates(rng.choice(KINDS))
+        if len(coords) >= 2:
             break
-    x, y = rng.sample(sorted(pairs), 2)
+    x, y = rng.sample(range(len(coords)), 2)
     if rng.random() < 0.5:
-        pairs[x] = pairs[y]
+        coords[x] = coords[y]
     else:
-        pairs[x], pairs[y] = pairs[y], pairs[x]
+        coords[x], coords[y] = coords[y], coords[x]
     return TranslationAction(skew)
 
 
@@ -119,14 +120,16 @@ def rewired_z_action(rng: random.Random,
                      build=random_z_action) -> TranslationAction:
     """A windowed translation whose materialized graph gives one edge
     another range or source, or swaps its label with an edge of another
-    fiber, while the pair maps stay intact.  The block is that of the
-    intact translation, so only the edge offsets of the translation
-    certificate tell it apart.  The edge's fiber holds a second, untouched
-    edge, which the scope moves onto it, so the change breaks a law."""
+    fiber, while its form and positional views stay intact.  The block is
+    that of the intact translation, so only the edge offsets of the
+    translation certificate tell it apart.  The edge's fiber holds a
+    second, untouched edge, which the scope moves onto it, so the change
+    breaks a law."""
     while True:
         skew = build(rng).skew
+        edge_pair = form_pairs(skew, EDGE)
         fibers: dict[str, list[str]] = {}
-        for eid, (base, _) in skew.edge_pair.items():
+        for eid, (base, _) in edge_pair.items():
             fibers.setdefault(base, []).append(eid)
         crowded = sorted(eid for eids in fibers.values() if len(eids) >= 2
                          for eid in eids)
@@ -138,7 +141,7 @@ def rewired_z_action(rng: random.Random,
     labeling = dict(lg.labeling)
     e = edges[eid]
     others = sorted(f for f in labeling if labeling[f] != labeling[eid]
-                    and skew.edge_pair[f][0] != skew.edge_pair[eid][0])
+                    and edge_pair[f][0] != edge_pair[eid][0])
     change = rng.choice(("range", "source", "label") if others
                         else ("range", "source"))
     if change == "label":
@@ -157,26 +160,27 @@ def rewired_z_action(rng: random.Random,
 
 def aliased_z_action(rng: random.Random,
                      build=random_z_action) -> TranslationAction:
-    """A windowed translation whose id map also lists the top item of a
-    fiber one layer above it, while the pair maps stay intact.  The block
-    then holds that item where the fiber's line holds -1, past the fiber's
-    layers.  The fiber also holds the layer below the top, and the
+    """A windowed translation whose ``located`` also lists the top item of
+    a fiber one layer above it, while its coordinates stay intact.  The
+    block then holds that item where the fiber's line holds -1, past the
+    fiber's layers.  The fiber also holds the layer below the top, and the
     translation by 1 moves both of its top two items onto the top item,
     so injectivity fails."""
     while True:
         action = build(rng)
         skew = action.skew
         candidates = []
-        for ids in (skew.vertex_id, skew.edge_id, skew.letter_id):
+        for kind, pairs in zip(KINDS, skew.form.coordinates):
+            located = skew.located(kind)
             top: dict[str, int] = {}
-            for base, t in ids:
+            for base, t in pairs:
                 top[base] = max(top.get(base, t), t)
-            candidates += [(ids, base, t) for base, t in top.items()
-                           if (base, t - 1) in ids]
+            candidates += [(located, base, t) for base, t in top.items()
+                           if (base, t - 1) in located]
         if candidates and action.interval_span() >= 1:
             break
-    ids, base, t = rng.choice(candidates)
-    ids[(base, t + 1)] = ids[(base, t)]
+    located, base, t = rng.choice(candidates)
+    located[(base, t + 1)] = located[(base, t)]
     return TranslationAction(skew)
 
 
@@ -625,6 +629,25 @@ def assert_equivariance_agrees(action, skew, maps):
     return witness
 
 
+def test_equivariance_into_an_action_unplaced_on_edges():
+    """The offset certificate needs the action placed on every kind.  The
+    finite form of fdok with 1 fixing the edge (e,1) is placed on vertices
+    and letters; on edges the walk still gives every edge the coordinates
+    of the translation, but (e,1) is not where they put it.  So the
+    identity maps of the fdok skew product, which the offsets of those
+    coordinates would certify, fail with the oracle's witness."""
+    intact = fx.fdok_action()
+    finite = intact.as_finite_action()
+    maps = {g: tuple(dict(m) for m in t) for g, t in finite.maps.items()}
+    maps[1][1]["(e,1)"] = "(e,1)"
+    action = FiniteAction(finite.group, finite.graph, maps)
+    assert action._placed == (True, False, True)
+    assert None not in action.coordinates(EDGE)
+    skew = intact.skew
+    assert assert_equivariance_agrees(
+        action, skew, identity_maps(skew.graph)) == (1, EDGE, "(e,1)")
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(RECONSTRUCTION_CASES)),
        st.integers(0, 2 ** 32 - 1))
@@ -766,9 +789,8 @@ def swapped_vertex_copy(build) -> TranslationAction:
     swapped, as ``broken_z_action`` swaps two items: its vertices are no
     longer placed, so only the scans could judge it."""
     skew = build().skew
-    pairs = skew.vertex_pair
-    x, y = sorted(pairs)[:2]
-    pairs[x], pairs[y] = pairs[y], pairs[x]
+    coords = skew.coordinates(VERTEX)
+    coords[0], coords[1] = coords[1], coords[0]
     return TranslationAction(skew)
 
 
@@ -946,8 +968,9 @@ def test_is_free_agrees_with_the_oracle(builder, seed):
     if builder == "z-aliased":
         aliased = False
         for kind in (VERTEX, LETTER):
-            pairs, ids = action._pairs(kind)
-            aliased |= any(pairs[item] != key for key, item in ids.items())
+            coords = action.coordinates(kind)
+            aliased |= any(coords[j] != key
+                           for key, j in action.located(kind).items())
         assert check.ok != aliased
         assert check.ok or check.witness[0] == 1
 
@@ -979,16 +1002,16 @@ def assert_columns_match_apply(action) -> None:
         assert len(cols) == (len(items) + 1) * n
         assert cols[len(items) * n:] == [-1] * n
         if n > 200:
-            pairs, ids = action._pairs(kind)
+            coords = action.coordinates(kind)
             fiber_layers: dict[str, list[int]] = {}
-            for base, t in ids:
+            for base, t in action.located(kind):
                 fiber_layers.setdefault(base, []).append(t)
         for x, item in enumerate(items):
             column = cols[x * n:x * n + n]
             if n <= 200:
                 elements = enumerate(scope)
             else:
-                base, t = pairs[item]
+                base, t = coords[x]
                 elements = [(u - t + span, u - t) for u in fiber_layers[base]
                             if abs(u - t) <= span]
                 assert sum(j >= 0 for j in column) == len(elements)

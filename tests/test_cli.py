@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labgraphs import cli, jsonio
-from labgraphs.action import MAX_TRIPLES
+from labgraphs.action import MAX_TRIPLES, VERTEX
 from labgraphs.cli import build_parser, main
 from labgraphs.graph import MAX_PATH_EDGES
 from labgraphs.skew import MAX_ITEMS, TranslationAction
@@ -192,6 +192,24 @@ class TestReports:
         assert payload["c"] == {"e": 1, "f": -1, "g": 3}
         assert payload["d"] == {"e": 0, "f": 0, "g": 2}
         assert payload["isomorphism_verified"] is True
+
+    def test_gross_tucker_with_a_supplied_edge_section(self):
+        """The edge section that eta0 derives, supplied in the sections
+        file, gives the golden output; one whose edge e starts at (v,1)
+        instead of the section vertex (v,0) exits 2 naming both."""
+        argv = ["gross-tucker", "fixtures/gt510-action.json",
+                "--window", "-4:6", "--eta0"]
+        code, out, err = run([*argv, "fixtures/gt510-sections-eta1.json"])
+        with open(os.path.join(ROOT, "tests", "golden",
+                               "gross-tucker-gt510.txt"),
+                  encoding="utf-8") as fh:
+            assert f"# exit {code}\n{out}" == fh.read()
+        assert err == ""
+        code, out, err = run(
+            [*argv, "fixtures/gt510-sections-eta1-offsection.json"])
+        assert code == 2 and out == ""
+        assert err == ("error: BAD_SECTION: edge section source mismatch "
+                       "at e: '(v,1)' != '(v,0)'\n")
 
     def test_negative_window_space_form(self):
         # --window -4:6 with a space must work despite the leading dash
@@ -423,9 +441,8 @@ class TestReports:
 
         def swapped(path, window):
             skew = load(path, window).skew
-            pairs = skew.vertex_pair
-            x, y = sorted(pairs)[:2]
-            pairs[x], pairs[y] = pairs[y], pairs[x]
+            coords = skew.coordinates(VERTEX)
+            coords[0], coords[1] = coords[1], coords[0]
             return TranslationAction(skew)
 
         monkeypatch.setattr(cli, "_load_action", swapped)

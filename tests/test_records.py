@@ -19,6 +19,8 @@ from labgraphs.gross_tucker import Reconstruction, SectionPack
 from labgraphs.groups import CyclicGroup, IntegerGroup, Window
 from labgraphs.jsonio import ActionDocument
 from labgraphs.labeled import Check, GraphCore, RangeTable
+from labgraphs.lattice import (Factor, LabeledSpaceReport, NormalForm,
+                               SetCollection)
 from labgraphs.morphism import (LabeledGraphMorphism, MorphismReport,
                                 identity_maps)
 from labgraphs.skew import SkewSpec, one_cocycle
@@ -82,6 +84,24 @@ RECORDS = [
                       "c_factoring": {"0": 1, "1": 1},
                       "d_factoring": None,
                       "domain": frozenset({"(v,0)"})}, {"domain": None}),
+    (SetCollection, {"lg": FISH, "members": (1, 3),
+                     "derivations": {1: ("range", ("0",)),
+                                     3: ("or", 1, 2)},
+                     "claimed_closures": ("unions",)},
+     {"claimed_closures": ()}),
+    (Factor, {"alpha": ("0", "1"), "beta": ("1",)}, {"beta": None}),
+    (NormalForm, {"terms": ((Factor(("0",)), Factor(("1",), ("0",))),)}, {}),
+    (LabeledSpaceReport, {"set_finite": True,
+                          "label_counts": {frozenset({"v"}): 2},
+                          "weakly_left_resolving": CHECK,
+                          "ck1a_pairs": 3, "ck1a_disjoint_pairs": 1,
+                          "ck1b_intersections_closed": Check(True),
+                          "ck1b_unions_closed": Check(True),
+                          "ck1b_differences_closed": CHECK,
+                          "ck4": Check(True),
+                          "empty_set_convention": "none"},
+     {"empty_set_convention":
+      "the empty set is excluded from collections"}),
 ]
 
 

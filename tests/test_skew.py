@@ -9,7 +9,8 @@ from hypothesis import given, settings
 
 from labgraphs import fixtures as fx
 from labgraphs import skew as skew_module
-from labgraphs.action import is_free, quotient, verify_action
+from labgraphs.action import (EDGE, LETTER, VERTEX, is_free, quotient,
+                              verify_action)
 from labgraphs.errors import (OutOfWindow, PreconditionError,
                               SearchSpaceExceeded, VerificationError)
 from labgraphs.graph import DirectedGraph
@@ -23,7 +24,7 @@ from labgraphs.skew import (SkewLabeledGraph, SkewSpec,
                             one_cocycle, project_path, relabel_iso,
                             skew_product, translation_quotient)
 
-from helpers import PAIR_MAPS, StringSkew, assert_same_skew
+from helpers import StringSkew, assert_same_skew, form_pairs
 
 
 class TestMaterialization:
@@ -46,13 +47,15 @@ class TestMaterialization:
         for skew in (fx.skewz(), fx.nofd(), fx.fdok()):
             spec = skew.spec
             group = spec.group
-            for eid, (base_edge, layer) in skew.edge_pair.items():
+            vertex_pair = form_pairs(skew, VERTEX)
+            letter_pair = form_pairs(skew, LETTER)
+            for eid, (base_edge, layer) in form_pairs(skew, EDGE).items():
                 e = spec.base.graph.edge(base_edge)
                 edge = skew.graph.graph.edge(eid)
-                assert skew.vertex_pair[edge.src] == (e.src, layer)
-                assert skew.vertex_pair[edge.dst] == (
+                assert vertex_pair[edge.src] == (e.src, layer)
+                assert vertex_pair[edge.dst] == (
                     e.dst, group.op(layer, spec.c[base_edge]))
-                assert skew.letter_pair[skew.graph.labeling[eid]] == (
+                assert letter_pair[skew.graph.labeling[eid]] == (
                     spec.base.labeling[base_edge],
                     group.op(layer, spec.d[base_edge]))
 
@@ -152,11 +155,12 @@ class TestQuotientRoundTrip:
         quot = quotient(action)
         base = fx.fish()
         # orbit ids are minimal representatives: map them onto the base
-        vmap = {q: skew_pair for q in quot.quotient.vertices
-                for skew_pair in [fx.fdok().vertex_pair[q][0]]}
-        emap = {e.eid: fx.fdok().edge_pair[e.eid][0]
-                for e in quot.quotient.graph.edges}
-        amap = {a: fx.fdok().letter_pair[a][0] for a in quot.quotient.alphabet}
+        skew = fx.fdok()
+        vertex_pair, edge_pair, letter_pair = (
+            form_pairs(skew, kind) for kind in (VERTEX, EDGE, LETTER))
+        vmap = {q: vertex_pair[q][0] for q in quot.quotient.vertices}
+        emap = {e.eid: edge_pair[e.eid][0] for e in quot.quotient.graph.edges}
+        amap = {a: letter_pair[a][0] for a in quot.quotient.alphabet}
         from labgraphs.morphism import LabeledGraphMorphism
         iso = LabeledGraphMorphism(quot.quotient, base, vmap, emap, amap)
         report = verify_morphism(iso)
@@ -493,8 +497,9 @@ def test_reconstructions_leave_the_verdicts_unread(seed):
         assert_same_skew(skew, StringSkew(skew.spec, skew.layers, skew.window))
 
 
-#: The views of a skew product named from its integer form on first read.
-NAMED_VIEWS = ("item_names", "graph", *PAIR_MAPS, "window_vertices",
+#: The views of a skew product built from its integer form on first read:
+#: the named ones and the positional ones in name order.
+NAMED_VIEWS = ("item_names", "graph", "_named", "_views", "window_vertices",
                "left_resolving")
 
 

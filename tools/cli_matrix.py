@@ -23,6 +23,14 @@ fixture runs under ``iso-check`` against itself with its identity
 morphism, in text and with ``--json``.  The generated documents and
 morphisms are written to a temporary directory and printed as
 ``generated/<name>``.  So every subcommand runs.
+Then come the supplied sections and domains: ``gross-tucker`` on
+``fixtures/gt510-action.json`` over -4:6 with each of the three section
+packs as ``--eta0`` (without an edge section, with the derived one, and
+with one off the vertex section, which exits 2), and ``fundomain`` and
+``gross-tucker`` with a ``--domain`` file that fails (``nofd.json`` over
+-3:3, exit 1) and one that holds (``fdok-action.json``, exit 0), each in
+text and with ``--json``.  The section packs and domain written for these
+commands run under them only.
 Last come the five action subcommands on ``fixtures/skewz.json`` over the
 window 0:185, whose (g, h, item) triples are over ``MAX_TRIPLES``, every
 subcommand with the windows ``3:1`` and ``abc``, which exit 2 naming
@@ -92,6 +100,22 @@ AT_THE_CAP = [[command, "fixtures/skewz.json", "--window", "0:185"]
 #: ``MAX_TRIPLES`` before its closure would list 10^7 triples of maps.  It
 #: runs under the action subcommands only, after every other command.
 OVER_THE_CAP = "generators-z10e7.json"
+#: The section packs and domain written for SUPPLIED, which no command
+#: reads as its input: they run there only, not in the per-fixture matrix.
+SUPPLIED_ONLY = ("gt510-sections-eta1.json",
+                 "gt510-sections-eta1-offsection.json", "fdok-domain.json")
+#: The commands that read a supplied section pack or domain file.
+SUPPLIED = [
+    *(["gross-tucker", "fixtures/gt510-action.json", "--window", "-4:6",
+       "--eta0", f"fixtures/{name}"]
+      for name in ("gt510-sections.json", "gt510-sections-eta1.json",
+                   "gt510-sections-eta1-offsection.json")),
+    *([command, *argv] for argv in (
+        ["fixtures/nofd.json", "--window", "-3:3",
+         "--domain", "fixtures/nofd-domain.json"],
+        ["fixtures/fdok-action.json", "--domain", "fixtures/fdok-domain.json"])
+      for command in ("fundomain", "gross-tucker")),
+]
 #: One call of every subcommand, run with a reversed and a malformed
 #: window, which exit 2 naming ``BAD_WINDOW``.
 BAD_WINDOWS = [
@@ -128,7 +152,8 @@ def matrix() -> list[list[str]]:
     """Every command on the fixture documents, as argv lists, in a fixed
     order."""
     return [[command[0], f"fixtures/{name}", *command[1:], *window, *fmt]
-            for name in fixture_names() if name != OVER_THE_CAP
+            for name in fixture_names()
+            if name != OVER_THE_CAP and name not in SUPPLIED_ONLY
             for command in (*COMMANDS, ["range", "--word",
                                         first_letter(read_fixture(name))])
             for window in WINDOWS for fmt in FORMATS]
@@ -212,7 +237,8 @@ def commands() -> Iterator[list[tuple[str, list[str]]]]:
                  ["iso-check", graph, graph, "--morphism", path, *fmt])
                 for fmt in FORMATS]
         empty_names = [[*argv, *fmt] for argv in EMPTY_NAMES for fmt in FORMATS]
-        last = [[*argv, *fmt] for argv in AT_THE_CAP for fmt in FORMATS] + [
+        last = [[*argv, *fmt] for argv in SUPPLIED + AT_THE_CAP
+                for fmt in FORMATS] + [
             [*argv, "--window", window, *fmt] for argv in BAD_WINDOWS
             for window in ("3:1", "abc") for fmt in FORMATS] + [
             [command, f"fixtures/{OVER_THE_CAP}", *fmt]

@@ -94,12 +94,22 @@ def fixture_documents() -> None:
     _, pack = fx.gt510()
     write(os.path.join(FIXDIR, "gt510-sections.json"),
           jsonio.dumps(jsonio.sections_to_json(pack)))
+    # the same sections with the edge section supplied: the one derived
+    # from eta0, and a copy whose edge e starts off the vertex section
+    eta1 = {"e": "(e,0)", "f": "(f,0)", "g": "(g,2)"}
+    for name, edges in (("gt510-sections-eta1.json", eta1),
+                        ("gt510-sections-eta1-offsection.json",
+                         {**eta1, "e": "(e,1)"})):
+        write(os.path.join(FIXDIR, name), jsonio.dumps(jsonio.sections_to_json(
+            pack._replace(eta1=edges))))
     write(os.path.join(FIXDIR, "fdok-action.json"),
           jsonio.dumps(jsonio.action_to_json(
               jsonio.ActionDocument(fx.fdok_spec().group,
                                     translation=fx.fdok_spec()))))
     write(os.path.join(FIXDIR, "nofd-domain.json"),
           json.dumps(["(v,0)", "(w,1)"], indent=2) + "\n")
+    write(os.path.join(FIXDIR, "fdok-domain.json"),
+          json.dumps(["(v,0)", "(w,0)"], indent=2) + "\n")
     for name, action in element_actions().items():
         write(os.path.join(FIXDIR, name),
               jsonio.dumps(jsonio.action_to_json(jsonio.ActionDocument(
