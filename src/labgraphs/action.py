@@ -4,15 +4,15 @@ fundamental domains and label consistency."""
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (PreconditionError, SearchSpaceExceeded,
-                     VerificationError, WellDefinednessError)
+from .errors import (FrozenRecord, PreconditionError, SearchSpaceExceeded,
+                     VerificationError, WellDefinednessError, built_on_read)
 from .graph import DirectedGraph, Edge
 from .groups import Element, Group, count_elements
-from .labeled import Check, LabeledGraph
+from .labeled import Check, GraphCore, LabeledGraph
 from .morphism import LabeledGraphMorphism, identity_maps, is_surjective
 
 VERTEX, EDGE, LETTER = "vertex", "edge", "letter"
@@ -29,36 +29,44 @@ class LabeledGraphAction:
     product (``skew.TranslationAction``), which may be windowed: there
     ``apply`` returns None when the image escapes the materialization.
 
-    Besides the string-level ``apply``, every action exposes the images
-    of its scope as one item-major block of integers per kind
-    (:meth:`columns`, at the positions of the graph's
-    :class:`~labgraphs.labeled.GraphCore`), which the scans that name
-    failures run on, and the (fiber, layer) of each item
+    Every action carries its items in one positional form, ``core``, a
+    :class:`~labgraphs.labeled.GraphCore`: the carriers, the position of
+    each item, and per edge the positions of its source, target and
+    label.  A :class:`FiniteAction`'s core is its graph's, in name order;
+    a translation's is its skew product's, in the order of the integer
+    form, and its named ``graph`` is built only when something reads it.
+    The checks (verification, freeness, quotients and reconstruction)
+    read the core only.  Besides the string-level ``apply``, every action
+    exposes the images of its scope as one item-major block of integers
+    per kind (:meth:`columns`, at the core's positions), which the scans
+    that name failures run on, and the (fiber, layer) of each item
     (:meth:`coordinates`) with the item at each (fiber, layer)
     (:meth:`located`).  By Gross--Tucker a free action is the left
     translation on a skew product over its quotient: a placed action
     (``_placed``) moves the item at (q, t) to the item at (q, g t), and
-    its verification, freeness and reconstruction read those two maps.
-    Actions are immutable, so all of these are built once and cached.
+    its verification, freeness, orbits and reconstruction read those two
+    maps.  Actions are immutable, so all of these are built once and
+    cached.
     """
 
     group: Group
     graph: LabeledGraph
+    core: GraphCore
 
-    def __init__(self, group: Group, graph: LabeledGraph):
+    def __init__(self, group: Group, core: GraphCore):
         self.group = group
-        self.graph = graph
+        self.core = core
         self._orbits: dict[str, tuple[tuple[str, ...], ...]] = {}
 
     def apply(self, g: Element, kind: str, item: str) -> str | None:
         raise NotImplementedError
 
-    def carrier(self, kind: str) -> tuple[str, ...]:
-        return self.graph.core.carriers[_KIND_INDEX[kind]]
+    def carrier(self, kind: str) -> Sequence[str]:
+        return self.core.carriers[_KIND_INDEX[kind]]
 
     def index(self, kind: str) -> Mapping[str, int]:
         """Position of each carrier item in ``carrier(kind)``."""
-        return self.graph.core.positions[_KIND_INDEX[kind]]
+        return self.core.positions[_KIND_INDEX[kind]]
 
     def coordinates(self, kind: str) -> Sequence[tuple[str, Element] | None]:
         """The (fiber, layer) of each carrier item, in carrier order.  The
@@ -103,7 +111,7 @@ class LabeledGraphAction:
         position = {g: p for p, g in enumerate(scope)}
         moved = {g: [position[op(h, g)] for h in scope] for g in scope}
         walks = []
-        for kind, items in zip(KINDS, self.graph.core.carriers):
+        for kind, items in zip(KINDS, self.core.carriers):
             cols = self.columns(kind)
             coords: list = [None] * len(items)
             located: dict[tuple[str, Element], int] = {}
@@ -182,19 +190,36 @@ class LabeledGraphAction:
         h = self.group.op(t, self.group.inv(s))
         return (h,) if self.apply(h, kind, source) == target else ()
 
-    def lifting_scope(self) -> tuple[str, ...]:
+    def lifting_scope(self) -> Sequence[str]:
         """Vertices at which path-lifting statements are quantified."""
-        return self.graph.vertices
+        return self.carrier(VERTEX)
 
     def domain_scope(self) -> frozenset[str]:
         """Vertices eligible as fundamental-domain representatives.  For
         windowed actions this excludes halo vertices, whose incident edges
         are not fully materialized and would make the clause checks
         vacuous."""
-        return frozenset(self.graph.vertices)
+        return frozenset(self.carrier(VERTEX))
 
-    def orbit_name(self, kind: str, members: tuple[str, ...]) -> str:
-        return min(members)
+    def orbit_name(self, kind: str, members: Sequence[int]) -> str:
+        """The name of the orbit of the items at the positions
+        ``members``: its least item.  On a placed kind that is the fiber
+        of its coordinates, since the walk over the carrier makes the
+        least item of each orbit its fiber's representative."""
+        return min(map(self.carrier(kind).__getitem__, members))
+
+    def _orbit_names(self, kind: str) -> list[str]:
+        """The name of the orbit of each item (:meth:`orbit_name`), in
+        carrier order: on a placed kind the fiber of its coordinates,
+        read in one pass."""
+        if self._placed[_KIND_INDEX[kind]]:
+            return list(map(itemgetter(0), self.coordinates(kind)))
+        names: list = [None] * len(self.carrier(kind))
+        for members in self._orbit_classes(kind):
+            name = self.orbit_name(kind, members)
+            for x in members:
+                names[x] = name
+        return names
 
     def is_windowed(self) -> bool:
         return False
@@ -211,15 +236,29 @@ class LabeledGraphAction:
         order.  Computed once per kind and cached."""
         found = self._orbits.get(kind)
         if found is None:
+            items = self.carrier(kind)
             found = self._orbits[kind] = tuple(sorted(
-                tuple(sorted(c)) for c in self._orbit_classes(kind)))
+                tuple(sorted(map(items.__getitem__, c)))
+                for c in self._orbit_classes(kind)))
         return found
 
-    def _orbit_classes(self, kind: str) -> Iterable[list[str]]:
-        """The classes of items linked by some non-identity scope element,
+    def _orbit_classes(self, kind: str) -> Iterable[list[int]]:
+        """The orbits of a kind as lists of carrier positions.  A placed
+        kind's orbits are the fibers of :meth:`coordinates`: the item at
+        (q, t) and every alpha_g of it lie over q, and by placement the
+        item at (q, u) is alpha_g of the one at (q, t) for g = u t^-1, the
+        orbit under the unwindowed action.  On a window the scope elements
+        need not link a fiber: a one-layer window has no non-identity
+        scope element, and a cocycle value wider than the window puts halo
+        layers out of reach of every scope element.  An unplaced kind's
+        classes are the items linked by some non-identity scope element,
         read item by item from the slices of :meth:`columns`."""
-        items = self.carrier(kind)
-        parent = list(range(len(items)))
+        if self._placed[_KIND_INDEX[kind]]:
+            fibers: dict[str, list[int]] = {}
+            for x, (q, _) in enumerate(self.coordinates(kind)):
+                fibers.setdefault(q, []).append(x)
+            return fibers.values()
+        parent = list(range(len(self.carrier(kind))))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -229,15 +268,15 @@ class LabeledGraphAction:
 
         scope, cols = self.scope_elements(), self.columns(kind)
         n, ident = len(scope), scope.index(self.group.identity)
-        for x in range(len(items)):
+        for x in range(len(parent)):
             for p, y in enumerate(cols[x * n:x * n + n]):
                 if y >= 0 and p != ident:
                     rx, ry = find(x), find(y)
                     if rx != ry:
                         parent[ry] = rx
-        groups: dict[int, list[str]] = {}
-        for x, item in enumerate(items):
-            groups.setdefault(find(x), []).append(item)
+        groups: dict[int, list[int]] = {}
+        for x in range(len(parent)):
+            groups.setdefault(find(x), []).append(x)
         return groups.values()
 
 
@@ -254,7 +293,8 @@ class FiniteAction(LabeledGraphAction):
                 "INFINITE_GROUP",
                 "raw actions are accepted for finite groups only; present "
                 "integer actions as skew products")
-        super().__init__(group, graph)
+        super().__init__(group, graph.core)
+        self.graph = graph
         elements = set(group.elements())
         if set(maps) != elements:
             raise PreconditionError(
@@ -316,7 +356,7 @@ class FiniteAction(LabeledGraphAction):
         the maps; the maps are total, so no entry is -1 but the trailing
         block's."""
         scope = self.scope_elements()
-        core = self.graph.core
+        core = self.core
         blocks = []
         for k, (items, index) in enumerate(zip(core.carriers, core.positions)):
             maps = [self.maps[g][k] for g in scope]
@@ -401,12 +441,16 @@ def layer_pairs(action: LabeledGraphAction,
     """The pairs (g, t) of a scope element g and a layer t of a fiber
     (distinct elements) with g t on the fiber, summed over ``fibers``:
     |layers|^2 per fiber on a finite group, and on -span..span the layers
-    within span of each, found with two pointers over the sorted layers."""
+    within span of each, found with two pointers over the sorted layers,
+    or |layers|^2 when the fiber is no wider than span."""
     span = action.interval_span()
     if span is None:
         return sum(len(layers) ** 2 for layers in fibers)
     count = 0
     for layers in map(sorted, fibers):
+        if layers[-1] - layers[0] <= span:
+            count += len(layers) ** 2
+            continue
         lo = hi = 0
         for t in layers:
             while layers[lo] < t - span:
@@ -420,7 +464,7 @@ def layer_pairs(action: LabeledGraphAction,
 def homomorphism_triples(action: LabeledGraphAction) -> int:
     """The (g, h, item) triples of the homomorphism law: the pairs of
     :func:`homomorphism_pairs` times the carrier size."""
-    return homomorphism_pairs(action) * sum(map(len, action.graph.core.carriers))
+    return homomorphism_pairs(action) * sum(map(len, action.core.carriers))
 
 
 def verify_action(action: LabeledGraphAction) -> ActionReport:
@@ -445,7 +489,7 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
                             homomorphism_pairs(action), action.is_windowed())
     scope = action.scope_elements()
     failures: list[tuple[str, Any]] = []
-    core = action.graph.core
+    core = action.core
     carriers = core.carriers
     blocks = [action.columns(kind) for kind in KINDS]
     n, ident = len(scope), scope.index(action.group.identity)
@@ -532,7 +576,7 @@ def _translation_certified(action: LabeledGraphAction) -> bool:
     :func:`homomorphism_pairs`."""
     if not all(action._placed):
         return False
-    core = action.graph.core
+    core = action.core
     op, inv = action.group.op, action.group.inv
     vertices, edges, letters = (action.coordinates(kind) for kind in KINDS)
     factors: dict[str, tuple] = {}
@@ -638,28 +682,55 @@ def _freeness(action: LabeledGraphAction) -> Check:
     if least is None:
         return Check(True)
     p, k, x = least
-    return Check(False, (scope[p], action.graph.core.carriers[k][x]))
+    return Check(False, (scope[p], action.core.carriers[k][x]))
 
 
 # -- quotients ----------------------------------------------------------------
 
 
-class QuotientLabeledGraph(NamedTuple):
-    quotient: LabeledGraph
-    projection: LabeledGraphMorphism
-    vertex_orbit: Mapping[str, str]
-    edge_orbit: Mapping[str, str]
-    letter_orbit: Mapping[str, str]
-    orbit_vertex_members: Mapping[str, tuple[str, ...]]
-    orbit_edge_members: Mapping[str, tuple[str, ...]]
-    orbit_letter_members: Mapping[str, tuple[str, ...]]
+class QuotientLabeledGraph(FrozenRecord):
+    """The orbit labeled graph of an action (:func:`quotient`): the
+    ``quotient`` graph and the ``projection`` onto it, the orbit of each
+    item by name (``vertex_orbit``, ``edge_orbit``, ``letter_orbit``) and
+    the members of each orbit as a sorted tuple (``orbit_vertex_members``
+    and so on, in the order of :meth:`LabeledGraphAction.orbits`).  The
+    projection and the three member maps may be given as functions of no
+    arguments, which build them on first read: :func:`quotient` checks
+    the projection without its source graph, which a translation names
+    only when something reads it, and its members are sorted by name
+    only when something reads them."""
+
+    _fields = ("quotient", "projection", "vertex_orbit", "edge_orbit",
+               "letter_orbit", "orbit_vertex_members", "orbit_edge_members",
+               "orbit_letter_members")
+    _on_read = ("projection", "orbit_vertex_members", "orbit_edge_members",
+                "orbit_letter_members")
+    projection = built_on_read("projection")
+    orbit_vertex_members = built_on_read("orbit_vertex_members")
+    orbit_edge_members = built_on_read("orbit_edge_members")
+    orbit_letter_members = built_on_read("orbit_letter_members")
+
+    def __init__(self, quotient: LabeledGraph,
+                 projection: LabeledGraphMorphism | Callable[[], Any],
+                 vertex_orbit: Mapping[str, str],
+                 edge_orbit: Mapping[str, str],
+                 letter_orbit: Mapping[str, str],
+                 orbit_vertex_members: Mapping[str, tuple[str, ...]]
+                 | Callable[[], Any],
+                 orbit_edge_members: Mapping[str, tuple[str, ...]]
+                 | Callable[[], Any],
+                 orbit_letter_members: Mapping[str, tuple[str, ...]]
+                 | Callable[[], Any]):
+        self._set_fields((quotient, projection, vertex_orbit, edge_orbit,
+                          letter_orbit, orbit_vertex_members,
+                          orbit_edge_members, orbit_letter_members))
 
 
 def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
-    """Orbit labeled graph with its projection.  Well-definedness of the
-    induced range, source and labeling maps is re-checked explicitly
-    rather than trusted, and that one check is the projection's morphism
-    check.
+    """Orbit labeled graph with its projection, in the positions of the
+    action's core.  Well-definedness of the induced range, source and
+    labeling maps is re-checked explicitly rather than trusted, and that
+    one check is the projection's morphism check.
 
     The quotient's edge E runs from the vertex orbit to the vertex orbit,
     with the label orbit, of the triple ``induced[E]`` of one edge of E,
@@ -674,65 +745,69 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
     the label of the quotient edge of that edge.  When the comparison
     fails, some edge differs from the first edge of its orbit, and the
     walk names that pair in a :class:`WellDefinednessError`.
-    Surjectivity is checked after the quotient is built."""
-    lg = action.graph
-    graph = lg.graph
-
-    orbit_of: dict[str, dict[str, str]] = {kind: {} for kind in KINDS}
-    members_of: dict[str, dict[str, tuple[str, ...]]] = {
-        kind: {} for kind in KINDS}
-    for kind in KINDS:
-        for members in action.orbits(kind):
-            name = action.orbit_name(kind, members)
-            members_of[kind][name] = members
-            orbit_of[kind].update(zip(members, itertools.repeat(name)))
+    Surjectivity is checked after the quotient is built, on the orbit of
+    each item; the projection is named on first read."""
+    core = action.core
+    orbit_at = [action._orbit_names(kind) for kind in KINDS]
+    vertex_at, edge_at, letter_at = orbit_at
+    orbit_of = [dict(zip(items, at))
+                for items, at in zip(core.carriers, orbit_at)]
 
     # well-definedness: all edges in an orbit must agree on the orbits of
     # their sources, targets and labels.  Each edge's triple of orbits is
     # read from the core; only a disagreement is walked, in orbit order,
     # to name its first pair.
-    core = lg.core
-    vertex_orbit, edge_orbit, letter_orbit = (orbit_of[kind] for kind in KINDS)
-    vertices, eids, letters = core.carriers
-    at = list(map(vertex_orbit.__getitem__, vertices))
-    ends = list(zip(map(at.__getitem__, core.src), map(at.__getitem__, core.dst),
-                    map(letter_orbit.__getitem__,
-                        map(letters.__getitem__, core.lab))))
-    classes = list(map(edge_orbit.__getitem__, eids))
-    induced = dict(zip(classes, ends))
-    if list(map(induced.__getitem__, classes)) != ends:
+    ends = list(zip(map(vertex_at.__getitem__, core.src),
+                    map(vertex_at.__getitem__, core.dst),
+                    map(letter_at.__getitem__, core.lab)))
+    induced = dict(zip(edge_at, ends))
+    if list(map(induced.__getitem__, edge_at)) != ends:
+        index = core.positions[1]
         rep_edge: dict[str, str] = {}
-        for eid, cls in edge_orbit.items():
-            other = rep_edge.setdefault(cls, eid)
+        for eid in itertools.chain.from_iterable(action.orbits(EDGE)):
+            other = rep_edge.setdefault(edge_at[index[eid]], eid)
             if other == eid:
                 continue
-            _, src, dst = graph.edge(eid)
-            _, other_src, other_dst = graph.edge(other)
-            if (vertex_orbit[src] != vertex_orbit[other_src]
-                    or vertex_orbit[dst] != vertex_orbit[other_dst]):
+            (src, dst, a), (other_src, other_dst, other_a) = (
+                ends[index[eid]], ends[index[other]])
+            if src != other_src or dst != other_dst:
                 raise WellDefinednessError(
                     "source/range maps are not constant on an edge orbit",
                     (eid, other))
-            if (letter_orbit[lg.labeling[eid]]
-                    != letter_orbit[lg.labeling[other]]):
+            if a != other_a:
                 raise WellDefinednessError(
                     "labeling is not constant on an edge orbit", (eid, other))
 
-    q_vertices = sorted(members_of[VERTEX])
     q_edges = []
     q_labeling = {}
     for cls, (src, dst, a) in sorted(induced.items()):
         q_edges.append(Edge(cls, src, dst))
         q_labeling[cls] = a
-    q_graph = LabeledGraph(DirectedGraph(q_vertices, q_edges), q_labeling)
-
-    projection = LabeledGraphMorphism(
-        lg, q_graph, *(dict(orbit_of[kind]) for kind in KINDS))
-    if not is_surjective(projection):
+    q_graph = LabeledGraph(DirectedGraph(set(vertex_at), q_edges), q_labeling)
+    if not all(positions.keys() == set(at) for at, positions in zip(
+            orbit_at, q_graph.core.positions)):
         raise VerificationError("quotient projection is not surjective", None)
+
+    def projection() -> LabeledGraphMorphism:
+        return LabeledGraphMorphism(action.graph, q_graph,
+                                    *(dict(maps) for maps in orbit_of))
+
     return QuotientLabeledGraph(
-        q_graph, projection, *(dict(orbit_of[kind]) for kind in KINDS),
-        *(dict(members_of[kind]) for kind in KINDS))
+        q_graph, projection, *orbit_of,
+        *(partial(_orbit_members, of) for of in orbit_of))
+
+
+def _orbit_members(orbit_of: Mapping[str, str]
+                   ) -> dict[str, tuple[str, ...]]:
+    """The members of each orbit of ``orbit_of``, the orbit name of each
+    item, as sorted tuples in the order of
+    :meth:`LabeledGraphAction.orbits`."""
+    grouped: dict[str, list[str]] = {}
+    for item, name in orbit_of.items():
+        grouped.setdefault(name, []).append(item)
+    return dict(sorted(((name, tuple(sorted(items)))
+                        for name, items in grouped.items()),
+                       key=itemgetter(1)))
 
 
 def has_unique_path_lifting(p: LabeledGraphMorphism,
@@ -815,9 +890,11 @@ def is_fundamental_domain(action: LabeledGraphAction,
 def _letter_orbits(action: LabeledGraphAction) -> dict[str, str]:
     """The name of each letter's orbit."""
     letter_orbit: dict[str, str] = {}
-    for members in action.orbits(LETTER):
+    items = action.carrier(LETTER)
+    for members in action._orbit_classes(LETTER):
         letter_orbit.update(dict.fromkeys(
-            members, action.orbit_name(LETTER, members)))
+            map(items.__getitem__, members),
+            action.orbit_name(LETTER, members)))
     return letter_orbit
 
 
@@ -827,14 +904,15 @@ def _clause_labels(action: LabeledGraphAction, vertices: Iterable[str]
     a) or out of it (clause b) in each letter orbit, keyed by (clause,
     orbit name); None for a vertex where two such edges carry different
     labels, which no fundamental domain holds."""
-    lg = action.graph
+    core = action.core
+    names, _, letters = core.carriers
     letter_orbit = _letter_orbits(action)
     tables: dict[str, dict[tuple[str, str], str] | None] = {
         v: {} for v in vertices}
-    for e in lg.graph.edges:
-        label = lg.labeling[e.eid]
+    for src, dst, a in zip(core.src, core.dst, core.lab):
+        label = letters[a]
         orbit = letter_orbit[label]
-        for key, v in ((("a", orbit), e.dst), (("b", orbit), e.src)):
+        for key, v in ((("a", orbit), names[dst]), (("b", orbit), names[src])):
             table = tables.get(v)
             if table is not None and table.setdefault(key, label) != label:
                 tables[v] = None

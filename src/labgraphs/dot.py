@@ -17,7 +17,7 @@ def export_dot(lg: LabeledGraph, skew: SkewLabeledGraph | None = None) -> str:
     if skew is not None:
         lines.append("  rankdir=LR;")
         by_layer: dict = {}
-        for vid, (_, layer) in zip(skew.graph.vertices,
+        for vid, (_, layer) in zip(skew.item_names[0],
                                    skew.coordinates(VERTEX)):
             by_layer.setdefault(layer, []).append(vid)
         for layer in sorted(by_layer, key=lambda g: (str(type(g)), g)):

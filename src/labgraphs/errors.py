@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 
 class FrozenRecord:
     """Base of the records that validate their fields or cache a property,
@@ -15,6 +17,17 @@ class FrozenRecord:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    #: Fields that may be given as a function of no arguments, which is
+    #: called on the field's first read (:func:`built_on_read`).
+    _on_read: tuple[str, ...] = ()
+
+    def _set_fields(self, values) -> None:
+        """Set the fields to ``values``, in ``_fields`` order, keeping a
+        function given for a field of ``_on_read`` to build it."""
+        for name, value in zip(self._fields, values):
+            if name in self._on_read and callable(value):
+                name = "_build_" + name
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -40,6 +53,16 @@ class FrozenRecord:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def built_on_read(name: str) -> cached_property:
+    """The class attribute of the field ``name`` of a record's
+    ``_on_read``: given as a value, the field is that value; given as a
+    function, it is the function's result, computed on first read and
+    kept."""
+    def build(self):
+        return getattr(self, "_build_" + name)()
+    return cached_property(build)
 
 
 class LabGraphsError(Exception):

@@ -6,7 +6,6 @@ fundamental domain."""
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -17,7 +16,7 @@ from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
                      require_verified)
 from .errors import (FrozenRecord, LabelConsistencyViolation, LiftFailure,
                      NoFundamentalDomain, NonFreeWitness, PreconditionError,
-                     VerificationError)
+                     VerificationError, built_on_read)
 from .groups import Element
 from .morphism import (LabeledGraphMorphism, MorphismReport, verify_morphism,
                        verify_rows)
@@ -77,13 +76,21 @@ def default_etaA(quot: QuotientLabeledGraph) -> dict[str, str]:
 def derive_eta1(action: LabeledGraphAction, quot: QuotientLabeledGraph,
                 eta0: Mapping[str, str]) -> dict[str, str]:
     """The unique edge section whose sources agree with the vertex
-    section, obtained by unique path lifting."""
-    lg = action.graph
+    section, obtained by unique path lifting: the edges of each quotient
+    edge's orbit that leave its sectioned source, read from the action's
+    core."""
+    core = action.core
+    at, edges = core.positions[0], core.carriers[1]
+    leaving: dict[int, list[str]] = {at[x]: [] for x in eta0.values()}
+    for eid, s in zip(edges, core.src):
+        found = leaving.get(s)
+        if found is not None:
+            found.append(eid)
     out: dict[str, str] = {}
     edge_orbit = quot.edge_orbit
     for q_eid, q_src, _ in quot.quotient.graph.edges:
         anchor = eta0[q_src]
-        lifts = [eid for eid, _, _ in lg.graph.out_edges(anchor)
+        lifts = [eid for eid in leaving[at[anchor]]
                  if edge_orbit[eid] == q_eid]
         if len(lifts) != 1:
             raise LiftFailure(
@@ -107,20 +114,23 @@ def _solve_translate(action: LabeledGraphAction, kind: str,
 def derive_cocycles(action: LabeledGraphAction, quot: QuotientLabeledGraph,
                     pack: SectionPack) -> tuple[dict[str, Element], dict[str, Element]]:
     """c moves the sectioned range onto the range of the sectioned edge;
-    d does the same on letters.  Uniqueness is what freeness buys, and it
-    is asserted at runtime by the solver."""
-    lg = action.graph
+    d does the same on letters.  The sectioned edge's range and label are
+    read from the action's core.  Uniqueness is what freeness buys, and
+    it is asserted at runtime by the solver."""
+    core = action.core
+    vertices, index, letters = (core.carriers[0], core.positions[1],
+                                core.carriers[2])
     eta1 = pack.eta1
     assert eta1 is not None
+    labeling = quot.quotient.labeling
     c: dict[str, Element] = {}
     d: dict[str, Element] = {}
-    for q_edge in quot.quotient.graph.edges:
-        lifted = lg.graph.edge(eta1[q_edge.eid])
-        c[q_edge.eid] = _solve_translate(
-            action, VERTEX, pack.eta0[q_edge.dst], lifted.dst)
-        q_letter = quot.quotient.labeling[q_edge.eid]
-        d[q_edge.eid] = _solve_translate(
-            action, LETTER, pack.etaA[q_letter], lg.labeling[lifted.eid])
+    for q_eid, _, q_dst in quot.quotient.graph.edges:
+        e = index[eta1[q_eid]]
+        c[q_eid] = _solve_translate(
+            action, VERTEX, pack.eta0[q_dst], vertices[core.dst[e]])
+        d[q_eid] = _solve_translate(
+            action, LETTER, pack.etaA[labeling[q_eid]], letters[core.lab[e]])
     return c, d
 
 
@@ -138,6 +148,8 @@ class Reconstruction(FrozenRecord):
     _fields = ("quotient", "pack", "c", "d", "skew", "iso",
                "morphism_report", "equivariance_checked", "c_factoring",
                "d_factoring", "domain")
+    _on_read = ("iso",)
+    iso = built_on_read("iso")
 
     def __init__(self, quotient: QuotientLabeledGraph, pack: SectionPack,
                  c: Mapping[str, Element], d: Mapping[str, Element],
@@ -147,16 +159,9 @@ class Reconstruction(FrozenRecord):
                  c_factoring: Mapping[str, Element] | None,
                  d_factoring: Mapping[str, Element] | None,
                  domain: frozenset[str] | None = None):
-        values = (quotient, pack, c, d, skew, iso, morphism_report,
-                  equivariance_checked, c_factoring, d_factoring, domain)
-        for name, value in zip(self._fields, values):
-            if name == "iso" and callable(value):
-                name = "_build_iso"
-            object.__setattr__(self, name, value)
-
-    @cached_property
-    def iso(self) -> LabeledGraphMorphism:
-        return self._build_iso()
+        self._set_fields((quotient, pack, c, d, skew, iso, morphism_report,
+                          equivariance_checked, c_factoring, d_factoring,
+                          domain))
 
     @property
     def label_consistent(self) -> bool:
@@ -182,7 +187,7 @@ def _reconstruction_layers(action: LabeledGraphAction,
         q, u = coords[index[v]]
         fibers.setdefault(q, []).append(u)
     layers = {}
-    for q_vertex in quot.orbit_vertex_members:
+    for q_vertex in quot.quotient.vertices:
         q, t = coords[index[eta0[q_vertex]]]
         ti = inv(t)
         layers[q_vertex] = tuple(sorted([op(u, ti) for u in fibers[q]]))
@@ -364,9 +369,10 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     else:
         _validate_eta(quot, pack.eta1, quot.edge_orbit,
                       [e.eid for e in quot.quotient.graph.edges], "edge")
-        lg = action.graph
+        core = action.core
         for q_edge in quot.quotient.graph.edges:
-            got = lg.graph.edge(pack.eta1[q_edge.eid]).src
+            got = core.carriers[0][core.src[
+                core.positions[1][pack.eta1[q_edge.eid]]]]
             if got != pack.eta0[q_edge.src]:
                 raise PreconditionError(
                     "BAD_SECTION",
@@ -377,23 +383,23 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     skew = SkewLabeledGraph(SkewSpec(quot.quotient, action.group, c, d),
                             _reconstruction_layers(action, quot, pack.eta0),
                             window=None)
-    form, target = skew.form, action.graph
+    form = skew.form
     rows = [_comparison_row(action, k, coordinates, section)
             for k, (coordinates, section) in enumerate(zip(
                 form.coordinates, (pack.eta0, pack.eta1, pack.etaA)))]
 
     def named_iso() -> LabeledGraphMorphism:
-        return LabeledGraphMorphism(skew.graph, target, *(
+        return LabeledGraphMorphism(skew.graph, action.graph, *(
             dict(zip(names, map(carrier.__getitem__, row)))
             for names, carrier, row in zip(
-                skew.item_names, target.core.carriers, rows)))
+                skew.item_names, action.core.carriers, rows)))
 
     for k, row in enumerate(rows):
         if -1 in row:
             raise VerificationError(
                 "comparison map leaves the carrier",
                 (KINDS[k], skew.item_names[k][row.index(-1)]))
-    morphism_report = verify_rows(form, target.core, rows)
+    morphism_report = verify_rows(form, action.core, rows)
     if not morphism_report.isomorphism:
         morphism_report = verify_morphism(named_iso())
         if not morphism_report.ok:
@@ -457,7 +463,8 @@ def reconstruct_label_consistent(action: LabeledGraphAction,
 def identity_layer_sections(action: TranslationAction) -> SectionPack:
     """Sections picking the identity layer of every fiber; defined when
     that layer is materialized.  With these sections the derived cocycles
-    coincide with the originating skew spec's cocycles."""
+    coincide with the originating skew spec's cocycles.  The identity
+    layer of a base vertex is in the window when its form position is."""
     skew = action.skew
     identity = action.group.identity
     base = skew.spec.base
@@ -465,7 +472,7 @@ def identity_layer_sections(action: TranslationAction) -> SectionPack:
     eta0 = {}
     for q_vertex in base.vertices:
         j = located.get((q_vertex, identity))
-        if j is None or vertices[j] not in skew.window_vertices:
+        if j is None or j >= skew.form.window:
             raise PreconditionError(
                 "BAD_SECTION", f"identity layer of {q_vertex} is not in the window")
         eta0[q_vertex] = vertices[j]

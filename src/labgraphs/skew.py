@@ -16,7 +16,7 @@ from .errors import (FrozenRecord, OutOfWindow, PreconditionError,
                      SearchSpaceExceeded, VerificationError)
 from .graph import DirectedGraph, Edge, Path, validate
 from .groups import Element, Group, Window, count_elements
-from .labeled import Check, LabeledGraph, Word, is_left_resolving
+from .labeled import Check, GraphCore, LabeledGraph, Word, is_left_resolving
 from .morphism import LabeledGraphMorphism, identity_maps, verify_morphism
 
 
@@ -117,21 +117,27 @@ class SkewLabeledGraph:
     edges are distinct; when they are not and the base is left-resolving,
     it raises :class:`VerificationError`.
 
-    The views are built from the form the first time they are read: the
-    named ``item_names``, ``graph``, ``window_vertices`` and
-    ``left_resolving`` (the witness of
-    :func:`~labgraphs.labeled.is_left_resolving` names edges), and the
-    positional :meth:`coordinates` and :meth:`located`.  Every item is
-    named ``(base id,layer)``, with one ``element_str`` call per distinct
-    layer and one string per item, which the edges that share a target or
-    a letter share.  No element string holds a comma, so a name splits at
+    Every other view is built from the form the first time it is read,
+    and all but ``graph`` keep the form's order.  The positional views
+    are :meth:`coordinates`, the form's own lists, and :meth:`located`,
+    the form position at each (base item, layer): the constructor's own
+    maps for vertices and letters, and one built on first read for
+    edges.  The named views are ``item_names``, ``window_vertices`` and
+    ``core``, the :class:`~labgraphs.labeled.GraphCore` of the skew
+    product in form order (its carriers are the names, its ``src``,
+    ``dst`` and ``lab`` the form's), which the translation action
+    (:class:`TranslationAction`) is built on.  Every item is named
+    ``(base id,layer)``, with one ``element_str`` call per distinct layer
+    and one string per item, which the edges that share a target or a
+    letter share.  No element string holds a comma, so a name splits at
     its last comma into exactly one pair, and two pairs never share a
-    name.  The graph keeps its items in name order, as every labeled
-    graph does; one sort of the names per kind gives that order to the
-    graph and to the positional views, which hold the one map between an
-    item's carrier position and its (base item, layer).
-    :func:`~labgraphs.gross_tucker.reconstruct` checks its skew product
-    on the form alone, so it names none of it unless a check fails.
+    name.  Only ``graph``, the labeled graph by name, sorts the names,
+    as every labeled graph keeps its items in name order; the commands
+    that print items read it, and so does ``left_resolving`` (whose
+    witness names edges).  :func:`~labgraphs.gross_tucker.reconstruct`
+    checks the translation it is given in form order, so it sorts no
+    name, and its own skew product on the form alone, so it names none
+    of it unless a check fails.
 
     The window verdicts (``halo_vertices``, ``boundary_edges``,
     ``interior_vertices`` and ``interior_valid``) are computed from the
@@ -183,6 +189,7 @@ class SkewLabeledGraph:
         vertex_pairs += [p for p in dict.fromkeys(ends) if p not in vertex_at]
         vertex_at.update(zip(vertex_pairs[window_size:], count(window_size)))
         letter_pairs = list(dict.fromkeys(labels))
+        letter_at = dict(zip(letter_pairs, count()))
         starts = list(accumulate(map(len, fibers), initial=0))
         self.form = form = SkewForm(
             (vertex_pairs, list(zip(spread(eids), layer)), letter_pairs),
@@ -190,7 +197,9 @@ class SkewLabeledGraph:
             list(chain.from_iterable(
                 positions[starts[s]:starts[s + 1]] for s in core.src)),
             list(map(vertex_at.__getitem__, ends)),
-            list(map(dict(zip(letter_pairs, count())).__getitem__, labels)))
+            list(map(letter_at.__getitem__, labels)))
+        # the edges' map is built on first read (:meth:`located`)
+        self._located = [vertex_at, None, letter_at]
 
         if (len(set(zip(form.dst, form.lab))) < len(form.dst)
                 and is_left_resolving(base)):
@@ -203,58 +212,56 @@ class SkewLabeledGraph:
     left_resolving_inherited = Check(True)
 
     @cached_property
-    def item_names(self) -> tuple[list[str], list[str], list[str]]:
+    def item_names(self) -> tuple[tuple[str, ...], ...]:
         """The name of each vertex, edge and letter of the form, in its
         order."""
         layers = set(map(itemgetter(1), chain.from_iterable(
             self.form.coordinates)))
         text = dict(zip(layers, map(self.spec.group.element_str, layers)))
-        return tuple([f"({q},{text[g]})" for q, g in pairs]
+        return tuple(tuple([f"({q},{text[g]})" for q, g in pairs])
                      for pairs in self.form.coordinates)
 
     @cached_property
-    def _named(self) -> tuple[LabeledGraph, list[list[tuple[str, Element]]]]:
-        """:attr:`graph` and the coordinates of its items in its carrier
-        order, from one sort of each kind's names."""
-        vnames, enames, lnames = names = self.item_names
-        form = self.form
-        vorder, eorder, lorder = orders = [
-            sorted(range(len(items)), key=items.__getitem__) for items in names]
-        coordinates = [list(map(pairs.__getitem__, order))
-                       for pairs, order in zip(form.coordinates, orders)]
-        ids = tuple(map(enames.__getitem__, eorder))
-        srcs = map(vnames.__getitem__, map(form.src.__getitem__, eorder))
-        dsts = map(vnames.__getitem__, map(form.dst.__getitem__, eorder))
-        labels = map(lnames.__getitem__, map(form.lab.__getitem__, eorder))
-        graph = LabeledGraph._of_sorted(
-            DirectedGraph._of_sorted(tuple(map(vnames.__getitem__, vorder)),
-                                     Edge._many(ids, srcs, dsts)),
-            dict(zip(ids, labels)), tuple(map(lnames.__getitem__, lorder)))
-        return graph, coordinates
+    def core(self) -> GraphCore:
+        """The integer core of the skew product in form order: the
+        carriers are :attr:`item_names`, the positions index them, and
+        ``src``, ``dst`` and ``lab`` are the form's own lists."""
+        names, form = self.item_names, self.form
+        return GraphCore(names, tuple(dict(zip(items, range(len(items))))
+                                      for items in names),
+                         form.src, form.dst, form.lab)
 
     @cached_property
     def graph(self) -> LabeledGraph:
-        """The skew product by name, its items in name order."""
-        return self._named[0]
+        """The skew product by name, its items in name order, from one
+        sort of each kind's names."""
+        vnames, enames, lnames = self.item_names
+        form = self.form
+        order = sorted(range(len(enames)), key=enames.__getitem__)
+        ids = tuple(map(enames.__getitem__, order))
+        srcs = map(vnames.__getitem__, map(form.src.__getitem__, order))
+        dsts = map(vnames.__getitem__, map(form.dst.__getitem__, order))
+        labels = map(lnames.__getitem__, map(form.lab.__getitem__, order))
+        return LabeledGraph._of_sorted(
+            DirectedGraph._of_sorted(tuple(sorted(vnames)),
+                                     Edge._many(ids, srcs, dsts)),
+            dict(zip(ids, labels)), tuple(sorted(lnames)))
 
     def coordinates(self, kind: str) -> list[tuple[str, Element]]:
-        """The (base item, layer) of each item of ``kind``, in the carrier
-        order of :attr:`graph`.  Callers must not mutate it."""
-        return self._views[KINDS.index(kind)][0]
+        """The (base item, layer) of each item of ``kind``, in form order:
+        the form's own list.  Callers must not mutate it."""
+        return self.form.coordinates[KINDS.index(kind)]
 
     def located(self, kind: str) -> dict[tuple[str, Element], int]:
-        """The position in the carrier of :attr:`graph` of the item of
-        ``kind`` at each (base item, layer), the inverse of
-        :meth:`coordinates`.  Callers must not mutate it."""
-        return self._views[KINDS.index(kind)][1]
-
-    @cached_property
-    def _views(self) -> list[tuple[list, dict]]:
-        """:meth:`coordinates` and :meth:`located` of each kind, built
-        together; the positions are the graph core's own ints."""
-        return [(coords, dict(zip(coords, positions.values())))
-                for coords, positions in zip(self._named[1],
-                                             self.graph.core.positions)]
+        """The form position of the item of ``kind`` at each (base item,
+        layer), the inverse of :meth:`coordinates`.  Callers must not
+        mutate it."""
+        k = KINDS.index(kind)
+        found = self._located[k]
+        if found is None:
+            pairs = self.form.coordinates[k]
+            found = self._located[k] = dict(zip(pairs, range(len(pairs))))
+        return found
 
     @cached_property
     def window_vertices(self) -> frozenset[str]:
@@ -314,11 +321,12 @@ class SkewLabeledGraph:
 #: before it builds anything, and raises :class:`SearchSpaceExceeded` above
 #: the cap.  Just under it, ``quotient fixtures/skewz.json --window
 #: 0:23830`` (bound 262,141, with 166,819 items built) peaks at
-#: 106.4-106.5 MB and takes 0.7-1.0 s in-process through ``cli.main``:
-#: building the form takes about 0.2 s and naming the graph 0.23-0.26 s;
-#: the core, the positional views, the placement and the translation
-#: certificate checked first 0.26-0.29 s; and the quotient 0.16-0.20 s
-#: (shared 2-core x86 container, Python 3.11).
+#: 81.0-81.2 MB and takes 0.43-0.57 s in-process through ``cli.main``:
+#: building the form takes 0.16-0.23 s, naming the items and their
+#: positions (the translation's core) 0.07-0.11 s, the placement and
+#: the translation certificate 0.06-0.14 s, and the quotient
+#: 0.05-0.10 s; the skew product is never sorted by name (shared 2-core
+#: x86 container, Python 3.11).
 MAX_ITEMS = 1 << 18
 
 
@@ -376,6 +384,14 @@ class TranslationAction(LabeledGraphAction):
     """Left translation g . (x, h) = (x, gh) on a materialized skew
     product; partial on windows.
 
+    The action is built on the skew product's integer core
+    (:attr:`SkewLabeledGraph.core`): its carriers are the items in form
+    order, named once and never sorted, and its positions are form
+    positions, which :meth:`coordinates` and :meth:`located` (the skew's
+    positional views) share.  Its ``graph``, the skew product by name in
+    name order, is built only when something reads it: the commands that
+    print items and the string oracles do, the checks do not.
+
     Translation moves the item at (q, t), over the base item q at layer
     t, to the item at (q, g t), and never across fibers, so every image
     is one :meth:`located` lookup: that one formula builds the block of
@@ -383,8 +399,12 @@ class TranslationAction(LabeledGraphAction):
     windows alike."""
 
     def __init__(self, skew: SkewLabeledGraph):
-        super().__init__(skew.spec.group, skew.graph)
+        super().__init__(skew.spec.group, skew.core)
         self.skew = skew
+
+    @property
+    def graph(self) -> LabeledGraph:
+        return self.skew.graph
 
     def blocks(self, scope: Sequence[Element]) -> list[list[int]]:
         """The item-major block of each kind, in ``KINDS`` order, over the
@@ -457,31 +477,16 @@ class TranslationAction(LabeledGraphAction):
         layers = [g for ls in self.skew.layers.values() for g in ls]
         return max(layers) - min(layers) if layers else 0
 
-    def _orbit_classes(self, kind: str):
-        """The fibers: the items over one base item, which is the orbit
-        under the unwindowed action.  On a window the scope elements need
-        not link a fiber: a one-layer window has no non-identity scope
-        element, and a cocycle value wider than the window puts halo
-        layers out of reach of every scope element."""
-        fibers: dict[str, list[str]] = {}
-        for item, (base, _) in zip(self.carrier(kind), self.coordinates(kind)):
-            fibers.setdefault(base, []).append(item)
-        return fibers.values()
-
     def lifting_scope(self) -> tuple[str, ...]:
-        """The window vertices in name order, sorted once per action."""
-        return self._lifting_scope
-
-    @cached_property
-    def _lifting_scope(self) -> tuple[str, ...]:
-        return tuple(sorted(self.skew.window_vertices))
+        """The window vertices, in form order."""
+        return self.core.carriers[0][:self.skew.form.window]
 
     def domain_scope(self) -> frozenset[str]:
         return self.skew.window_vertices
 
-    def orbit_name(self, kind: str, members: tuple[str, ...]) -> str:
+    def orbit_name(self, kind: str, members: Sequence[int]) -> str:
         """The base item of the fiber."""
-        return self.coordinates(kind)[self.index(kind)[members[0]]][0]
+        return self.coordinates(kind)[members[0]][0]
 
     def is_windowed(self) -> bool:
         return not self.group.is_finite
@@ -534,7 +539,7 @@ def lift_path(skew: SkewLabeledGraph, path: Path, g: Element) -> Path:
     """The lift of a base path starting at layer ``g``: layer advances by
     the cocycle along the path.  Escaping the materialization raises."""
     spec, located = skew.spec, skew.located(EDGE)
-    edges = skew.graph.core.carriers[1]
+    edges = skew.item_names[1]
     ids = []
     layer = g
     for eid in path.edges:
@@ -550,7 +555,7 @@ def lift_path(skew: SkewLabeledGraph, path: Path, g: Element) -> Path:
 def project_path(skew: SkewLabeledGraph, path: Path) -> tuple[Path, Element]:
     """Inverse of :func:`lift_path`: strips layers, returns the base path
     and the starting layer."""
-    coords, index = skew.coordinates(EDGE), skew.graph.core.positions[1]
+    coords, index = skew.coordinates(EDGE), skew.core.positions[1]
     pairs = [coords[index[eid]] for eid in path.edges]
     return skew.spec.base.graph.make_path([b for b, _ in pairs]), pairs[0][1]
 
@@ -622,9 +627,9 @@ def relabel_iso(skew1: SkewLabeledGraph,
             f"second d is not label consistent (witness {s2.d_factoring.witness})")
     group = s1.group
 
-    located, letters = skew2.located(LETTER), skew2.graph.alphabet
+    located, letters = skew2.located(LETTER), skew2.item_names[2]
     alphabet_map = {}
-    for lid, (a, h) in zip(skew1.graph.alphabet, skew1.coordinates(LETTER)):
+    for lid, (a, h) in zip(skew1.item_names[2], skew1.coordinates(LETTER)):
         shift = group.op(group.inv(d1[a]), d2[a])
         j = located.get((a, group.op(h, shift)))
         if j is None:

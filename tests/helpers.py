@@ -115,7 +115,8 @@ def evaluate_printed_derivation(lg: LabeledGraph, text: str) -> int | None:
 def verify_action_exhaustive(action: LabeledGraphAction) -> ActionReport:
     """Definitional oracle for ``verify_action``: every law checked item by
     item through ``apply`` on string ids, for every pair of scope elements
-    whose product is in the scope."""
+    whose product is in the scope, the items of each kind in the order
+    of the action's carrier."""
     kinds = (VERTEX, EDGE, LETTER)
     failures: list[tuple[str, Any]] = []
     lg = action.graph
@@ -140,7 +141,7 @@ def verify_action_exhaustive(action: LabeledGraphAction) -> ActionReport:
                 if key in seen:
                     failures.append(("injectivity", (g, kind, seen[key], item)))
                 seen[key] = item
-        for e in graph.edges:
+        for e in map(graph.edge, action.carrier(EDGE)):
             fe = action.apply(g, EDGE, e.eid)
             if fe is None:
                 continue
@@ -298,7 +299,7 @@ def translation_certified_by_lines(action: LabeledGraphAction) -> bool:
             cells[t] = x
         fibers_of.append(fibers)
 
-    core = action.graph.core
+    core = action.core
     vertices, edges, letters = coordinates
     for ends, coords in ((core.dst, vertices), (core.src, vertices),
                          (core.lab, letters)):
@@ -474,12 +475,12 @@ ITEM_SETS = ("window_vertices", "halo_vertices", "boundary_edges",
 
 
 def assert_same_skew(got, want):
-    """The graph, its core, the names and coordinates of the form against
-    the oracle's six pair maps in insertion order, the positional views
-    against the oracle's pair maps in carrier order, the item sets and the
-    verdicts with their witnesses agree; and the graph built from sorted
-    carriers equals the one the public constructors build from its
-    vertices, edges and labeling."""
+    """The graph and its core, the names and coordinates of the form, the
+    positional views and the form-order core, against the oracle's six
+    pair maps in insertion order, the item sets and the verdicts with
+    their witnesses agree; and the graph built from sorted carriers
+    equals the one the public constructors build from its vertices,
+    edges and labeling."""
     assert got.graph == want.graph
     assert got.graph.core == want.graph.core
     assert list(got.graph.labeling.items()) == list(
@@ -491,9 +492,12 @@ def assert_same_skew(got, want):
         assert list(zip(names, coordinates)) == list(pairs.items()), pair
         assert list(zip(coordinates, names)) == list(
             getattr(want, ids).items()), ids
-        carrier = got.graph.core.carriers[k]
-        assert got.coordinates(kind) == list(map(pairs.__getitem__, carrier))
-        assert got.located(kind) == {pairs[x]: p for p, x in enumerate(carrier)}
+        assert got.coordinates(kind) == list(pairs.values())
+        assert got.located(kind) == {
+            pair: p for p, pair in enumerate(pairs.values())}
+        assert got.core.carriers[k] == tuple(pairs)
+        assert got.core.positions[k] == {x: p for p, x in enumerate(pairs)}
+    assert got.core[2:] == got.form[2:]
     for name in ITEM_SETS:
         assert getattr(got, name) == getattr(want, name), name
     assert got.interior_valid == want.interior_valid
@@ -518,13 +522,14 @@ def assert_same_skew(got, want):
 
 def orbits_bruteforce(action: LabeledGraphAction,
                       kind: str) -> tuple[tuple[str, ...], ...]:
-    """Oracle for ``orbits`` of a finite group: connected components of the
-    graph linking each item x to every image apply(g, x), g a non-identity
-    group element, found by search over string ids."""
-    assert action.group.is_finite
+    """Oracle for ``orbits`` of a finite group, and of an integer window
+    on a kind whose coordinates are not placed: connected components of
+    the graph linking each item x to every image apply(g, x), g a
+    non-identity scope element (every element of a finite group), found
+    by search over string ids."""
     items = action.carrier(kind)
     links: dict[str, set[str]] = {x: set() for x in items}
-    for g in action.group.elements():
+    for g in action.scope_elements():
         if g == action.group.identity:
             continue
         for x in items:
@@ -545,6 +550,14 @@ def orbits_bruteforce(action: LabeledGraphAction,
         seen |= component
         out.append(tuple(sorted(component)))
     return tuple(sorted(out))
+
+
+def placed_by_lookup(action: LabeledGraphAction, kind: str) -> bool:
+    """Whether the coordinates of ``kind`` are distinct and ``located`` is
+    exactly their inverse, by dict comparison."""
+    coords = action.coordinates(kind)
+    return (len(set(coords)) == len(coords)
+            and action.located(kind) == {c: x for x, c in enumerate(coords)})
 
 
 def translation_fibers(action: TranslationAction,

@@ -1,8 +1,9 @@
 """Actions' blocks of scope images against their definitional oracles: the
 block-based ``verify_action`` must agree with the item-by-item ``apply``
-version, and ``orbits`` with brute-force group orbits (finite groups) or
-with the fibers over the base (translations), on fixtures and on random,
-windowed, non-abelian and deliberately broken actions."""
+version, and ``orbits`` with the brute-force components of the scope
+images (finite groups, and kinds that are not placed) or with the fibers
+over the base (placed kinds of integer windows), on fixtures and on
+random, windowed, non-abelian and deliberately broken actions."""
 
 import random
 import time
@@ -21,7 +22,7 @@ from labgraphs.action import (EDGE, LETTER, MAX_TRIPLES, VERTEX, ActionReport,
                               verify_action)
 from labgraphs.errors import (PreconditionError, SearchSpaceExceeded,
                               VerificationError, WellDefinednessError)
-from labgraphs.graph import DirectedGraph, Edge
+from labgraphs.graph import DirectedGraph
 from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
                               TableGroup, Window)
 from labgraphs.gross_tucker import (Reconstruction, check_equivariance,
@@ -34,7 +35,7 @@ from helpers import (StringSkew, assert_same_skew, equivariance_oracle,
                      find_fundamental_domain_by_candidates, form_pairs,
                      fish4_swap_action, interior_vertices_by_definition,
                      is_free_exhaustive,
-                     loop_swap_action, orbits_bruteforce,
+                     loop_swap_action, orbits_bruteforce, placed_by_lookup,
                      reconstruction_layers_by_scope,
                      reconstruction_tail_by_name,
                      translation_certified_by_lines, translation_fibers,
@@ -100,34 +101,35 @@ def broken_z_action(rng: random.Random,
                     build=random_z_action) -> TranslationAction:
     """A windowed translation with the (base item, layer) coordinates of one
     item overwritten by those of another item of its kind, or of two items
-    swapped, in the skew's positional view after its ``located`` is
-    built, which stays intact."""
+    swapped, in the action's positional view after its items are named
+    and its ``located`` is built, which stays intact."""
     while True:
         action = build(rng)
-        skew = action.skew
-        coords = skew.coordinates(rng.choice(KINDS))
+        kind = rng.choice(KINDS)
+        coords = action.coordinates(kind)
         if len(coords) >= 2:
             break
+    action.located(kind)
     x, y = rng.sample(range(len(coords)), 2)
     if rng.random() < 0.5:
         coords[x] = coords[y]
     else:
         coords[x], coords[y] = coords[y], coords[x]
-    return TranslationAction(skew)
+    return TranslationAction(action.skew)
 
 
 def rewired_z_action(rng: random.Random,
                      build=random_z_action) -> TranslationAction:
-    """A windowed translation whose materialized graph gives one edge
-    another range or source, or swaps its label with an edge of another
-    fiber, while its form and positional views stay intact.  The block is
-    that of the intact translation, so only the edge offsets of the
-    translation certificate tell it apart.  The edge's fiber holds a
-    second, untouched edge, which the scope moves onto it, so the change
-    breaks a law."""
+    """A windowed translation whose core gives one edge another range or
+    source, or swaps its label with an edge of another fiber, while its
+    coordinates and ``located`` stay intact.  The block is that of the
+    intact translation, so only the edge offsets of the translation
+    certificate tell it apart.  The edge's fiber holds a second,
+    untouched edge, which the scope moves onto it, so the change breaks
+    a law.  The draws are made from the names in name order."""
     while True:
-        skew = build(rng).skew
-        edge_pair = form_pairs(skew, EDGE)
+        action = build(rng)
+        edge_pair = form_pairs(action.skew, EDGE)
         fibers: dict[str, list[str]] = {}
         for eid, (base, _) in edge_pair.items():
             fibers.setdefault(base, []).append(eid)
@@ -136,26 +138,24 @@ def rewired_z_action(rng: random.Random,
         if crowded:
             break
     eid = rng.choice(crowded)
-    lg = skew.graph
-    edges = {e.eid: e for e in lg.graph.edges}
-    labeling = dict(lg.labeling)
-    e = edges[eid]
+    core = action.core
+    vertices, edges, letters = core.carriers
+    at, e = core.positions[0], core.positions[1][eid]
+    labeling = dict(zip(edges, map(letters.__getitem__, core.lab)))
     others = sorted(f for f in labeling if labeling[f] != labeling[eid]
                     and edge_pair[f][0] != edge_pair[eid][0])
     change = rng.choice(("range", "source", "label") if others
                         else ("range", "source"))
     if change == "label":
-        other = rng.choice(others)
-        labeling[eid], labeling[other] = labeling[other], labeling[eid]
+        f = core.positions[1][rng.choice(others)]
+        core.lab[e], core.lab[f] = core.lab[f], core.lab[e]
     elif change == "range":
-        edges[eid] = Edge(eid, e.src, rng.choice(
-            [v for v in lg.vertices if v != e.dst]))
+        core.dst[e] = at[rng.choice(
+            [v for v in sorted(vertices) if v != vertices[core.dst[e]]])]
     else:
-        edges[eid] = Edge(eid, rng.choice(
-            [v for v in lg.vertices if v != e.src]), e.dst)
-    skew.graph = LabeledGraph(DirectedGraph(lg.vertices, edges.values()),
-                              labeling)
-    return TranslationAction(skew)
+        core.src[e] = at[rng.choice(
+            [v for v in sorted(vertices) if v != vertices[core.src[e]]])]
+    return TranslationAction(action.skew)
 
 
 def aliased_z_action(rng: random.Random,
@@ -168,12 +168,11 @@ def aliased_z_action(rng: random.Random,
     so injectivity fails."""
     while True:
         action = build(rng)
-        skew = action.skew
         candidates = []
-        for kind, pairs in zip(KINDS, skew.form.coordinates):
-            located = skew.located(kind)
+        for kind in KINDS:
+            located = action.located(kind)
             top: dict[str, int] = {}
-            for base, t in pairs:
+            for base, t in action.coordinates(kind):
                 top[base] = max(top.get(base, t), t)
             candidates += [(located, base, t) for base, t in top.items()
                            if (base, t - 1) in located]
@@ -181,7 +180,7 @@ def aliased_z_action(rng: random.Random,
             break
     located, base, t = rng.choice(candidates)
     located[(base, t + 1)] = located[(base, t)]
-    return TranslationAction(skew)
+    return TranslationAction(action.skew)
 
 
 def pullback_z_action(rng: random.Random) -> TranslationAction:
@@ -276,11 +275,25 @@ FINITE_BUILDERS = ["finite-broken", "finite-non-free", "finite-raw",
 
 def assert_agrees_with_oracles(action) -> None:
     assert verify_action(action) == verify_action_exhaustive(action)
+    assert_orbits_agree(action)
+
+
+def assert_orbits_agree(action) -> None:
+    """``orbits`` against the brute-force components, except on a placed
+    kind of an integer window, whose orbits are the fibers over the base
+    (the scope elements need not link a fiber there).  Every item's orbit
+    name, read from the fibers on a placed kind, is the ``orbit_name`` of
+    its orbit."""
     for kind in KINDS:
-        if isinstance(action, TranslationAction):
-            assert action.orbits(kind) == translation_fibers(action, kind)
-        if action.group.is_finite:
+        if action.group.is_finite or not placed_by_lookup(action, kind):
             assert action.orbits(kind) == orbits_bruteforce(action, kind)
+        else:
+            assert action.orbits(kind) == translation_fibers(action, kind)
+        index = action.index(kind)
+        names = dict(zip(action.carrier(kind), action._orbit_names(kind)))
+        for members in action.orbits(kind):
+            name = action.orbit_name(kind, sorted(map(index.get, members)))
+            assert {names[x] for x in members} == {name}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -354,13 +367,25 @@ SPARSE_CASES = {
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 def test_actions_read_the_graph_core(builder, seed):
-    """An action's carriers and positions are those of its graph's core,
-    not copies."""
+    """An action's carriers and positions are those of its own core, not
+    copies: its graph's core for a ``FiniteAction``, and for a translation
+    its skew product's, in form order, whose edge arrays are the form's
+    own."""
     action = BUILDERS[builder](random.Random(seed))
-    core = action.graph.core
+    core = action.core
+    if isinstance(action, TranslationAction):
+        form = action.skew.form
+        assert core is action.skew.core
+        assert (core.src, core.dst, core.lab) == (form.src, form.dst, form.lab)
+        assert all(a is b for a, b in zip(core[2:], form[2:]))
+        assert core.carriers == action.skew.item_names
+    else:
+        assert core is action.graph.core
     for k, kind in enumerate(KINDS):
         assert action.carrier(kind) is core.carriers[k]
         assert action.index(kind) is core.positions[k]
+        assert dict(zip(core.carriers[k], range(len(core.carriers[k])))) \
+            == core.positions[k]
 
 
 def test_broken_variants_exercise_every_law():
@@ -437,6 +462,31 @@ def test_broken_integer_actions_are_refused(builder, seed):
     report = verify_action(action)
     assert not report.ok
     assert report == verify_action_exhaustive(action)
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("builder", sorted(INTEGER_BUILDERS))
+def test_integer_orbits_agree_with_the_oracles(builder, seed):
+    """The orbits of every integer builder, broken ones included: the
+    fibers on a placed kind, the components of the scope images on a kind
+    that is not placed."""
+    assert_orbits_agree(INTEGER_BUILDERS[builder](random.Random(seed)))
+
+
+def test_broken_builders_leave_kinds_unplaced():
+    """The orbit oracles are not vacuous: the shared, swapped or aliased
+    coordinates leave kinds unplaced, whose orbits come from the block,
+    and some of those differ from the fibers."""
+    unplaced = differ = 0
+    for seed in range(40):
+        for build in (broken_z_action, aliased_z_action):
+            action = build(random.Random(seed))
+            for k, kind in enumerate(KINDS):
+                if not action._placed[k]:
+                    unplaced += 1
+                    differ += (action.orbits(kind)
+                               != translation_fibers(action, kind))
+    assert unplaced >= 40 and differ >= 10
 
 
 #: Every builder of actions on an integer interval: intact, broken,
@@ -788,10 +838,10 @@ def swapped_vertex_copy(build) -> TranslationAction:
     """A fresh ``build()`` with the coordinates of its first two vertices
     swapped, as ``broken_z_action`` swaps two items: its vertices are no
     longer placed, so only the scans could judge it."""
-    skew = build().skew
-    coords = skew.coordinates(VERTEX)
+    action = build()
+    coords = action.coordinates(VERTEX)
     coords[0], coords[1] = coords[1], coords[0]
-    return TranslationAction(skew)
+    return TranslationAction(action.skew)
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,6 +17,7 @@ from labgraphs import cli, jsonio
 from labgraphs.action import MAX_TRIPLES, VERTEX
 from labgraphs.cli import build_parser, main
 from labgraphs.graph import MAX_PATH_EDGES
+from labgraphs.groups import MAX_PERMUTATION_ENTRIES
 from labgraphs.skew import MAX_ITEMS, TranslationAction
 
 from helpers import (distinct_letter_cycle, evaluate_printed_derivation,
@@ -440,10 +441,10 @@ class TestReports:
         load = cli._load_action
 
         def swapped(path, window):
-            skew = load(path, window).skew
-            coords = skew.coordinates(VERTEX)
+            action = load(path, window)
+            coords = action.coordinates(VERTEX)
             coords[0], coords[1] = coords[1], coords[0]
-            return TranslationAction(skew)
+            return TranslationAction(action.skew)
 
         monkeypatch.setattr(cli, "_load_action", swapped)
         start = time.perf_counter()
@@ -509,6 +510,28 @@ class TestReports:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"MAX_ITEMS = {MAX_ITEMS}" in err
+
+    def test_label_consistency_over_a_wide_permutation_group_exits_two(
+            self, tmp_path):
+        """A skew-spec over one cyclic shift of degree 6,000 (about 240 KB)
+        is refused while its group closes, naming the entry cap."""
+        degree = 6000
+        shift = list(range(1, degree)) + [0]
+        spec = fixture("skewz.json")
+        spec["group"] = {"kind": "permutation", "degree": degree,
+                         "generators": [shift]}
+        spec["c"] = {e: shift for e in spec["c"]}
+        spec["d"] = {e: list(range(degree)) for e in spec["d"]}
+        path = tmp_path / "shift6000.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, out, err = run(["label-consistency", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: schema error at $.group: invalid "
+                              "group: GROUP_TOO_LARGE: ")
+        assert f"MAX_PERMUTATION_ENTRIES = {MAX_PERMUTATION_ENTRIES}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["40", "1000000000"])
     def test_paths_over_edge_id_cap_exits_two(self, n):

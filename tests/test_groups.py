@@ -1,13 +1,17 @@
 """Group carriers and the window contract."""
 
+import itertools
+import math
 import random
+import time
 
 import pytest
 
 from labgraphs.errors import AxiomFailure, OutOfWindow, PreconditionError
-from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
-                              TableGroup, Window, element_from_json,
-                              element_to_json, make_group)
+from labgraphs.groups import (MAX_PERMUTATION_ENTRIES, CyclicGroup,
+                              IntegerGroup, PermutationGroup, TableGroup,
+                              Window, element_from_json, element_to_json,
+                              make_group)
 
 
 class TestCyclic:
@@ -79,6 +83,43 @@ class TestPermutation:
         # op(a, b) applies b first
         a, b = (1, 0, 2), (1, 2, 0)
         assert g.op(a, b) == tuple(a[b[i]] for i in range(3))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5])
+    def test_cyclic_shifts_close_to_their_degree(self, degree):
+        shift = list(range(1, degree)) + [0] if degree else []
+        g = PermutationGroup(degree, [shift])
+        assert len(g.elements()) == max(degree, 1)
+        assert g.elements() == tuple(sorted(
+            tuple((i + k) % degree for i in range(degree))
+            for k in range(max(degree, 1))))
+
+    def test_symmetric_group_on_five_points(self):
+        g = PermutationGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+        assert len(g.elements()) == 120
+        assert set(g.elements()) == set(itertools.permutations(range(5)))
+
+    def test_entries_at_the_cap_are_accepted(self):
+        """The cyclic shift of degree d has order d, so d * d entries."""
+        degree = math.isqrt(MAX_PERMUTATION_ENTRIES)
+        shift = list(range(1, degree)) + [0]
+        assert len(PermutationGroup(degree, [shift]).elements()) == degree
+
+    def test_entries_over_the_cap_are_refused_early(self):
+        """One shift of degree 6,000 would close to 6,000 permutations,
+        36,000,000 entries; the closure stops where it passes the cap."""
+        degree = 6000
+        shift = list(range(1, degree)) + [0]
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as info:
+            PermutationGroup(degree, [shift])
+        assert time.perf_counter() - start < 0.5
+        assert info.value.name == "GROUP_TOO_LARGE"
+        passed = MAX_PERMUTATION_ENTRIES // degree + 1
+        assert str(info.value) == (
+            f"GROUP_TOO_LARGE: the closure of the generators holds at least "
+            f"{passed} permutations of degree {degree}, {passed * degree} "
+            f"entries, over the cap MAX_PERMUTATION_ENTRIES = "
+            f"{MAX_PERMUTATION_ENTRIES}")
 
 
 class TestMakeGroup:

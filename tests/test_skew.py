@@ -17,7 +17,7 @@ from labgraphs.graph import DirectedGraph
 from labgraphs.groups import (CyclicGroup, IntegerGroup, PermutationGroup,
                               Window)
 from labgraphs.labeled import LabeledGraph, labeled_paths
-from labgraphs.morphism import verify_morphism
+from labgraphs.morphism import is_surjective, verify_morphism
 from labgraphs.skew import (SkewLabeledGraph, SkewSpec,
                             identify_labeled_path, item_bound,
                             labeled_range, left_translation, lift_path,
@@ -498,9 +498,12 @@ def test_reconstructions_leave_the_verdicts_unread(seed):
 
 
 #: The views of a skew product built from its integer form on first read:
-#: the named ones and the positional ones in name order.
-NAMED_VIEWS = ("item_names", "graph", "_named", "_views", "window_vertices",
+#: the named ones and the form-order core.
+NAMED_VIEWS = ("item_names", "core", "graph", "window_vertices",
                "left_resolving")
+#: The views of the skew product acted on that a reconstruction leaves
+#: unread: the ones in name order.
+SORTED_VIEWS = ("graph", "window_vertices", "left_resolving")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -509,8 +512,11 @@ def test_reconstructions_check_their_skew_product_unnamed(seed):
     skew product over the quotient, and phi, in positions: afterwards
     none of its named views is built, nor the record's ``iso``, on a
     windowed translation, a finite translation and an element-form
-    action.  Read afterwards, they are the string oracle's and the
-    isomorphism verifies."""
+    action.  The skew product acted on by a windowed translation
+    reconstructed from its identity-layer sections is read in form
+    order: none of its views in name order is built.  Read afterwards,
+    they are the string oracle's, the isomorphism verifies and so does
+    the quotient's projection."""
     from labgraphs.gross_tucker import (identity_layer_sections, reconstruct,
                                         reconstruct_label_consistent)
     rng = random.Random(seed)
@@ -524,6 +530,12 @@ def test_reconstructions_check_their_skew_product_unnamed(seed):
     recs = [reconstruct(action) for action in (windowed, finite, raw)]
     recs += [reconstruct(windowed, identity_layer_sections(windowed)),
              reconstruct_label_consistent(finite)]
+    acted = left_translation(skew_product(SkewSpec(base, IntegerGroup(),
+                                                   c, d), Window(-3, 3)))
+    recs.append(reconstruct(acted, identity_layer_sections(acted)))
+    assert not set(SORTED_VIEWS) & set(vars(acted.skew))
+    assert not {"projection", "orbit_vertex_members", "orbit_edge_members",
+                "orbit_letter_members"} & set(vars(recs[-1].quotient))
     for rec in recs:
         assert not set(NAMED_VIEWS) & set(vars(rec.skew)), rec.skew
         assert "iso" not in vars(rec)
@@ -532,6 +544,13 @@ def test_reconstructions_check_their_skew_product_unnamed(seed):
         assert_same_skew(skew, StringSkew(skew.spec, skew.layers, skew.window))
         assert verify_morphism(rec.iso) == rec.morphism_report
         assert rec.iso.source is skew.graph
+    skew = acted.skew
+    assert_same_skew(skew, StringSkew(skew.spec, skew.layers, skew.window))
+    quot = quotient(acted)
+    assert quot.projection.source is skew.graph
+    assert verify_morphism(quot.projection).ok
+    assert is_surjective(quot.projection)
+    assert verify_morphism(acted.base_isomorphism(quot)).isomorphism
 
 
 def test_a_repeated_layer_is_refused():

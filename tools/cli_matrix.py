@@ -100,10 +100,12 @@ AT_THE_CAP = [[command, "fixtures/skewz.json", "--window", "0:185"]
 #: ``MAX_TRIPLES`` before its closure would list 10^7 triples of maps.  It
 #: runs under the action subcommands only, after every other command.
 OVER_THE_CAP = "generators-z10e7.json"
-#: The section packs and domain written for SUPPLIED, which no command
-#: reads as its input: they run there only, not in the per-fixture matrix.
-SUPPLIED_ONLY = ("gt510-sections-eta1.json",
-                 "gt510-sections-eta1-offsection.json", "fdok-domain.json")
+#: The section packs and domains, which no command reads as its input:
+#: they run in SUPPLIED only, not in the per-fixture matrix, where every
+#: command would refuse them at load.
+SUPPLIED_ONLY = ("gt510-sections.json", "gt510-sections-eta1.json",
+                 "gt510-sections-eta1-offsection.json", "nofd-domain.json",
+                 "fdok-domain.json")
 #: The commands that read a supplied section pack or domain file.
 SUPPLIED = [
     *(["gross-tucker", "fixtures/gt510-action.json", "--window", "-4:6",
