@@ -201,22 +201,19 @@ class LabeledGraphAction:
         vacuous."""
         return frozenset(self.carrier(VERTEX))
 
-    def orbit_name(self, kind: str, members: Sequence[int]) -> str:
-        """The name of the orbit of the items at the positions
-        ``members``: its least item.  On a placed kind that is the fiber
-        of its coordinates, since the walk over the carrier makes the
-        least item of each orbit its fiber's representative."""
-        return min(map(self.carrier(kind).__getitem__, members))
-
     def _orbit_names(self, kind: str) -> list[str]:
-        """The name of the orbit of each item (:meth:`orbit_name`), in
-        carrier order: on a placed kind the fiber of its coordinates,
-        read in one pass."""
+        """The name of the orbit of each item, in carrier order.  On a
+        placed kind that is the fiber of its coordinates, read in one
+        pass: the base item on a translation, and on an action given by
+        its triples the least item of the orbit, which the walk over the
+        carrier makes its fiber's representative.  On an unplaced kind it
+        is the least item of the orbit."""
         if self._placed[_KIND_INDEX[kind]]:
             return list(map(itemgetter(0), self.coordinates(kind)))
-        names: list = [None] * len(self.carrier(kind))
+        items = self.carrier(kind)
+        names: list = [None] * len(items)
         for members in self._orbit_classes(kind):
-            name = self.orbit_name(kind, members)
+            name = min(map(items.__getitem__, members))
             for x in members:
                 names[x] = name
         return names
@@ -441,16 +438,12 @@ def layer_pairs(action: LabeledGraphAction,
     """The pairs (g, t) of a scope element g and a layer t of a fiber
     (distinct elements) with g t on the fiber, summed over ``fibers``:
     |layers|^2 per fiber on a finite group, and on -span..span the layers
-    within span of each, found with two pointers over the sorted layers,
-    or |layers|^2 when the fiber is no wider than span."""
+    within span of each, found with two pointers over the sorted layers."""
     span = action.interval_span()
     if span is None:
         return sum(len(layers) ** 2 for layers in fibers)
     count = 0
     for layers in map(sorted, fibers):
-        if layers[-1] - layers[0] <= span:
-            count += len(layers) ** 2
-            continue
         lo = hi = 0
         for t in layers:
             while layers[lo] < t - span:
@@ -792,22 +785,13 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
         return LabeledGraphMorphism(action.graph, q_graph,
                                     *(dict(maps) for maps in orbit_of))
 
+    def members(kind: str, orbit: Mapping[str, str]
+                ) -> dict[str, tuple[str, ...]]:
+        return {orbit[found[0]]: found for found in action.orbits(kind)}
+
     return QuotientLabeledGraph(
         q_graph, projection, *orbit_of,
-        *(partial(_orbit_members, of) for of in orbit_of))
-
-
-def _orbit_members(orbit_of: Mapping[str, str]
-                   ) -> dict[str, tuple[str, ...]]:
-    """The members of each orbit of ``orbit_of``, the orbit name of each
-    item, as sorted tuples in the order of
-    :meth:`LabeledGraphAction.orbits`."""
-    grouped: dict[str, list[str]] = {}
-    for item, name in orbit_of.items():
-        grouped.setdefault(name, []).append(item)
-    return dict(sorted(((name, tuple(sorted(items)))
-                        for name, items in grouped.items()),
-                       key=itemgetter(1)))
+        *(partial(members, kind, of) for kind, of in zip(KINDS, orbit_of)))
 
 
 def has_unique_path_lifting(p: LabeledGraphMorphism,
@@ -889,13 +873,7 @@ def is_fundamental_domain(action: LabeledGraphAction,
 
 def _letter_orbits(action: LabeledGraphAction) -> dict[str, str]:
     """The name of each letter's orbit."""
-    letter_orbit: dict[str, str] = {}
-    items = action.carrier(LETTER)
-    for members in action._orbit_classes(LETTER):
-        letter_orbit.update(dict.fromkeys(
-            map(items.__getitem__, members),
-            action.orbit_name(LETTER, members)))
-    return letter_orbit
+    return dict(zip(action.carrier(LETTER), action._orbit_names(LETTER)))
 
 
 def _clause_labels(action: LabeledGraphAction, vertices: Iterable[str]

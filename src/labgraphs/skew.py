@@ -484,10 +484,6 @@ class TranslationAction(LabeledGraphAction):
     def domain_scope(self) -> frozenset[str]:
         return self.skew.window_vertices
 
-    def orbit_name(self, kind: str, members: Sequence[int]) -> str:
-        """The base item of the fiber."""
-        return self.coordinates(kind)[members[0]][0]
-
     def is_windowed(self) -> bool:
         return not self.group.is_finite
 
