@@ -74,7 +74,7 @@ class LabeledGraphAction:
         the representative r of its fiber, and gives alpha_g(r) the
         coordinates (r, g) for every scope element g.  An item reached
         twice, or never (None), leaves the kind unplaced (``_placed``)."""
-        return self._coordinates[_KIND_INDEX[kind]]
+        return self._walk[0][_KIND_INDEX[kind]]
 
     def located(self, kind: str) -> Mapping[tuple[str, Element], int]:
         """The position in ``carrier(kind)`` of the item at each (fiber,
@@ -82,15 +82,7 @@ class LabeledGraphAction:
         :meth:`coordinates` and the map the action moves items through:
         the image under g of the item at (q, t) is
         ``located(kind).get((q, g t), -1)``.  Callers must not mutate it."""
-        return self._located[_KIND_INDEX[kind]]
-
-    @cached_property
-    def _coordinates(self) -> list[Sequence[tuple[str, Element] | None]]:
-        return self._walk[0]
-
-    @cached_property
-    def _located(self) -> list[Mapping[tuple[str, Element], int]]:
-        return self._walk[1]
+        return self._walk[1][_KIND_INDEX[kind]]
 
     @cached_property
     def _placed(self) -> tuple[bool, ...]:
@@ -191,15 +183,12 @@ class LabeledGraphAction:
         return (h,) if self.apply(h, kind, source) == target else ()
 
     def lifting_scope(self) -> Sequence[str]:
-        """Vertices at which path-lifting statements are quantified."""
-        return self.carrier(VERTEX)
-
-    def domain_scope(self) -> frozenset[str]:
-        """Vertices eligible as fundamental-domain representatives.  For
-        windowed actions this excludes halo vertices, whose incident edges
-        are not fully materialized and would make the clause checks
+        """Vertices at which path-lifting statements are quantified, and
+        the vertices eligible as fundamental-domain representatives.  On
+        a window this excludes the halo vertices, whose incident edges are
+        not fully materialized and would make the clause checks
         vacuous."""
-        return frozenset(self.carrier(VERTEX))
+        return self.carrier(VERTEX)
 
     def _orbit_names(self, kind: str) -> list[str]:
         """The name of the orbit of each item, in carrier order.  On a
@@ -217,9 +206,6 @@ class LabeledGraphAction:
             for x in members:
                 names[x] = name
         return names
-
-    def is_windowed(self) -> bool:
-        return False
 
     def base_isomorphism(self, quot: QuotientLabeledGraph
                          ) -> LabeledGraphMorphism | None:
@@ -479,7 +465,8 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
     width; only the scans list it, under :data:`MAX_TRIPLES`."""
     if _translation_certified(action):
         return ActionReport(True, (), scope_size(action),
-                            homomorphism_pairs(action), action.is_windowed())
+                            homomorphism_pairs(action),
+                            action.interval_span() is not None)
     scope = action.scope_elements()
     failures: list[tuple[str, Any]] = []
     core = action.core
@@ -526,7 +513,7 @@ def verify_action(action: LabeledGraphAction) -> ActionReport:
                                         carriers)
     failures.extend(homomorphism)
     return ActionReport(not failures, tuple(failures), len(scope), pairs,
-                        action.is_windowed())
+                        action.interval_span() is not None)
 
 
 def require_verified(action: LabeledGraphAction) -> None:
@@ -840,7 +827,7 @@ def is_fundamental_domain(action: LabeledGraphAction,
     equal labels."""
     lg = action.graph
     T = frozenset(domain)
-    scope = action.domain_scope()
+    scope = frozenset(action.lifting_scope())
     for v in T:
         if not lg.graph.has_vertex(v):
             raise PreconditionError("UNKNOWN_VERTEX", v)
@@ -916,7 +903,7 @@ def find_fundamental_domain(action: LabeledGraphAction) -> DomainSearchResult:
     :func:`is_fundamental_domain`, or None with the number of candidates
     tried.  More than :data:`MAX_TRANSVERSALS` candidates raise
     :class:`SearchSpaceExceeded` before the first is tried."""
-    scope = action.domain_scope()
+    scope = frozenset(action.lifting_scope())
     orbits = [tuple(m for m in members if m in scope)
               for members in action.orbits(VERTEX)]
     total = 1

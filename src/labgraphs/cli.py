@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 when the property holds or the construction succeeded, 1
-when a property fails (a witness is printed), 2 on usage, parse or schema
-errors.  ``--json`` switches the report to machine-readable JSON.
+when a property fails (a witness is printed) or the library raises any
+other :class:`~labgraphs.errors.LabGraphsError`, 2 on usage errors, an
+unreadable file and the input errors (``_INPUT_ERRORS``: parse, schema and
+precondition errors, a size cap, a malformed group).  ``--json`` switches
+the report to machine-readable JSON.
 
 Each call runs one subcommand in a fresh interpreter, so this module
 imports at its top only what parsing and every handler need (``errors``,
@@ -22,21 +25,17 @@ import sys
 from typing import Mapping
 
 from . import jsonio
-from .errors import (LabelConsistencyViolation, LiftFailure, NoFundamentalDomain,
-                     NonFreeWitness, NotALabeledPath, NotAMember, OutOfWindow,
-                     ParseError, PreconditionError, SchemaError,
-                     SearchSpaceExceeded, VerificationError,
-                     WellDefinednessError)
+from .errors import (AxiomFailure, LabGraphsError, ParseError,
+                     PreconditionError, SchemaError, SearchSpaceExceeded)
 from .graph import paths_of_length, validate
 from .groups import Window
 from .labeled import (is_left_resolving, is_weakly_left_resolving,
                       relative_range)
 
-_USAGE_ERRORS = (ParseError, SchemaError, PreconditionError, SearchSpaceExceeded)
-_PROPERTY_ERRORS = (VerificationError, NoFundamentalDomain, LiftFailure,
-                    NonFreeWitness, WellDefinednessError,
-                    LabelConsistencyViolation, NotALabeledPath, NotAMember,
-                    OutOfWindow)
+#: The errors of a malformed input, which exit 2; every other library
+#: error exits 1.
+_INPUT_ERRORS = (ParseError, SchemaError, PreconditionError,
+                 SearchSpaceExceeded, AxiomFailure)
 
 
 def _parse_window(text: str) -> Window:
@@ -77,27 +76,34 @@ def _parse_word(text: str, alphabet: Mapping[str, int]) -> tuple[str, ...]:
     return word
 
 
+def _load(path: str, *kinds: str):
+    """The (kind, object) of the document at ``path``; a kind other than
+    ``kinds`` raises a schema error naming them."""
+    kind, obj = jsonio.load(path)
+    if kind not in kinds:
+        article = "an" if kinds[0][0] in "aeiou" else "a"
+        raise SchemaError("$.kind", f"expected {article} {' or '.join(kinds)}, "
+                                    f"got {kind!r}")
+    return kind, obj
+
+
 def _load_graph(path: str, window: Window | None):
     """Graph documents directly; skew-spec documents are materialized
     (windowed for the integers).  Returns (labeled graph, skew or None)."""
-    kind, obj = jsonio.load(path)
+    kind, obj = _load(path, "graph", "skew-spec")
     if kind == "graph":
         return obj, None
-    if kind == "skew-spec":
-        from .skew import skew_product
-        skew = skew_product(obj, window)
-        return skew.graph, skew
-    raise SchemaError("$.kind", f"expected a graph or skew-spec, got {kind!r}")
+    from .skew import skew_product
+    skew = skew_product(obj, window)
+    return skew.graph, skew
 
 
 def _load_action(path: str, window: Window | None):
-    kind, obj = jsonio.load(path)
+    kind, obj = _load(path, "action", "skew-spec")
     if kind == "action":
         return obj.instantiate(window)
-    if kind == "skew-spec":
-        from .skew import left_translation, skew_product
-        return left_translation(skew_product(obj, window))
-    raise SchemaError("$.kind", f"expected an action or skew-spec, got {kind!r}")
+    from .skew import left_translation, skew_product
+    return left_translation(skew_product(obj, window))
 
 
 def _set_str(values) -> str:
@@ -109,6 +115,24 @@ def _check_json(check) -> dict:
     if not check and check.witness is not None:
         out["witness"] = repr(check.witness)
     return out
+
+
+def _elements_json(group, elements: Mapping) -> dict:
+    """``elements``, a map into ``group``, in key order and with each
+    element in its JSON form."""
+    return {key: jsonio.element_to_json(group, g)
+            for key, g in sorted(elements.items())}
+
+
+def _laws(args):
+    """The action of ``args``, its :func:`~labgraphs.action.verify_action`
+    report, its freeness, and the JSON payload of both."""
+    from .action import is_free, verify_action
+    action = _load_action(args.file, args.window)
+    report = verify_action(action)
+    freeness = is_free(action)
+    return report, freeness, {"action": report.to_json(),
+                              "free": _check_json(freeness)}
 
 
 # -- handlers -------------------------------------------------------------------
@@ -245,10 +269,7 @@ def _cmd_lattice(args):
 
 def _cmd_skew(args):
     from .skew import skew_product
-    kind, spec = jsonio.load(args.file)
-    if kind != "skew-spec":
-        raise SchemaError("$.kind", f"expected a skew-spec, got {kind!r}")
-    skew = skew_product(spec, args.window)
+    skew = skew_product(_load(args.file, "skew-spec")[1], args.window)
     payload = {
         "vertices": sorted(skew.graph.vertices),
         "halo_vertices": sorted(skew.halo_vertices),
@@ -272,11 +293,7 @@ def _cmd_skew(args):
 
 
 def _cmd_translate(args):
-    from .action import is_free, verify_action
-    action = _load_action(args.file, args.window)
-    report = verify_action(action)
-    freeness = is_free(action)
-    payload = {"action": report.to_json(), "free": _check_json(freeness)}
+    report, freeness, payload = _laws(args)
     lines = [f"labeled graph action laws: "
              f"{'ok' if report.ok else 'FAILED'} "
              f"({report.elements_checked} elements, "
@@ -312,11 +329,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_act_check(args):
-    from .action import is_free, verify_action
-    action = _load_action(args.file, args.window)
-    report = verify_action(action)
-    freeness = is_free(action)
-    payload = {"action": report.to_json(), "free": _check_json(freeness)}
+    report, freeness, payload = _laws(args)
     lines = [f"action laws: {'ok' if report.ok else 'FAILED'}",
              f"free: {str(bool(freeness)).lower()}"]
     for law, witness in report.failures[:5]:
@@ -353,18 +366,15 @@ def _cmd_fundomain(args):
 
 def _cmd_label_consistency(args):
     from .action import is_label_consistent
-    kind, spec = jsonio.load(args.file)
-    if kind != "skew-spec":
-        raise SchemaError("$.kind", f"expected a skew-spec, got {kind!r}")
+    _, spec = _load(args.file, "skew-spec")
     payload = {}
     lines = []
     ok = True
     for name, cocycle in (("c", spec.c), ("d", spec.d)):
         result = is_label_consistent(spec.base, cocycle)
         if result:
-            payload[name] = {"consistent": True,
-                             "factoring": {a: jsonio.element_to_json(spec.group, g)
-                                           for a, g in sorted(result.factoring.items())}}
+            payload[name] = {"consistent": True, "factoring": _elements_json(
+                spec.group, result.factoring)}
             rendered = ", ".join(
                 f"{name.upper()}({a})={spec.group.element_str(g)}"
                 for a, g in sorted(result.factoring.items()))
@@ -381,11 +391,7 @@ def _cmd_label_consistency(args):
 def _cmd_gross_tucker(args):
     from .gross_tucker import reconstruct, reconstruct_label_consistent
     action = _load_action(args.file, args.window)
-    pack = None
-    if args.eta0:
-        kind, pack = jsonio.load(args.eta0)
-        if kind != "section-pack":
-            raise SchemaError("$.kind", f"expected a section-pack, got {kind!r}")
+    pack = _load(args.eta0, "section-pack")[1] if args.eta0 else None
     if args.domain or args.label_consistent:
         domain = None
         if args.domain:
@@ -397,8 +403,8 @@ def _cmd_gross_tucker(args):
         rec = reconstruct(action, pack)
     group = action.group
     payload = {
-        "c": {e: jsonio.element_to_json(group, g) for e, g in sorted(rec.c.items())},
-        "d": {e: jsonio.element_to_json(group, g) for e, g in sorted(rec.d.items())},
+        "c": _elements_json(group, rec.c),
+        "d": _elements_json(group, rec.d),
         "eta0": dict(sorted(rec.pack.eta0.items())),
         "eta1": dict(sorted(rec.pack.eta1.items())),
         "etaA": dict(sorted(rec.pack.etaA.items())),
@@ -409,11 +415,9 @@ def _cmd_gross_tucker(args):
     if rec.domain is not None:
         payload["domain"] = sorted(rec.domain)
     if rec.c_factoring is not None:
-        payload["C"] = {a: jsonio.element_to_json(group, g)
-                        for a, g in sorted(rec.c_factoring.items())}
+        payload["C"] = _elements_json(group, rec.c_factoring)
     if rec.d_factoring is not None:
-        payload["D"] = {a: jsonio.element_to_json(group, g)
-                        for a, g in sorted(rec.d_factoring.items())}
+        payload["D"] = _elements_json(group, rec.d_factoring)
     lines = []
     for eid, g in sorted(rec.c.items()):
         lines.append(f"c({eid}) = {group.element_str(g)}")
@@ -469,14 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "reconstruction of free actions from quotients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, window=True, file_arg=True):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
-        if file_arg:
-            p.add_argument("file", help="input document (JSON)")
-        if window:
-            p.add_argument("--window", type=_parse_window, default=None,
-                           help="materialization window lo:hi "
-                                "(required for integer groups)")
+        p.add_argument("file", help="input document (JSON)")
+        p.add_argument("--window", type=_parse_window, default=None,
+                       help="materialization window lo:hi "
+                            "(required for integer groups)")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="machine-readable report")
         p.set_defaults(handler=handler)
@@ -562,18 +564,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         code, payload, lines = args.handler(args)
-    except _USAGE_ERRORS as exc:
+    except (*_INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _PROPERTY_ERRORS as exc:
+    except LabGraphsError as exc:
         if args.as_json:
             print(json.dumps({"ok": False, "error": str(exc)}, indent=2))
         else:
             print(f"FAILED: {exc}")
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.as_json:
         print(json.dumps(payload, indent=2))
     else:

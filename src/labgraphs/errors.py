@@ -66,7 +66,12 @@ def built_on_read(name: str) -> cached_property:
 
 
 class LabGraphsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``witness``, when given, holds
+    the values that violate the failed condition."""
+
+    def __init__(self, message: str = "", witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class PreconditionError(LabGraphsError):
@@ -88,10 +93,6 @@ class NotAMember(LabGraphsError):
 class AxiomFailure(LabGraphsError):
     """A group axiom failed; ``witness`` holds the violating elements."""
 
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
 
 class OutOfWindow(LabGraphsError):
     """A group element escaped the enforced materialization window."""
@@ -100,25 +101,13 @@ class OutOfWindow(LabGraphsError):
 class LiftFailure(LabGraphsError):
     """Path lifting was not unique (zero or several lifts)."""
 
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
 
 class NonFreeWitness(LabGraphsError):
     """No unique solver element exists; the action cannot be free."""
 
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
 
 class WellDefinednessError(LabGraphsError):
     """Quotient data is inconsistent; ``witness`` is the offending pair."""
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 class SearchSpaceExceeded(LabGraphsError):
@@ -128,28 +117,20 @@ class SearchSpaceExceeded(LabGraphsError):
 class NoFundamentalDomain(LabGraphsError):
     """No fundamental domain was found (or the supplied one is invalid)."""
 
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
 
 class VerificationError(LabGraphsError):
     """A constructed object failed one of its defining laws."""
 
     def __init__(self, law: str, witness=None):
         self.law = law
-        self.witness = witness
-        super().__init__(f"verification failed: {law} (witness={witness!r})")
+        super().__init__(f"verification failed: {law} (witness={witness!r})",
+                         witness)
 
 
 class LabelConsistencyViolation(LabGraphsError):
     """Derived cocycles are not label consistent despite a verified
     fundamental domain.  This contradicts the reconstruction theory and is
     therefore classified as an internal error, never user input."""
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 class ParseError(LabGraphsError):

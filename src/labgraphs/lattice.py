@@ -5,7 +5,6 @@ report."""
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
@@ -85,8 +84,7 @@ MAX_MEMBERS = 1 << 16
 
 
 def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
-           rel_complements: bool,
-           order_seed: int | None = None) -> dict[int, Derivation]:
+           rel_complements: bool) -> dict[int, Derivation]:
     """Every member of the closure of ``seeds`` (``(mask, derivation)``
     pairs) under single-letter relative ranges, intersections and unions,
     and with ``rel_complements`` also under strict differences A \\ B, each
@@ -115,12 +113,9 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
     one union per member.  A listing that would hold more than
     :data:`MAX_MEMBERS` members raises :class:`SearchSpaceExceeded` before
     that pass records a union.  The derivations keep their insertion order: the sets
-    derived before the listing come first.  ``order_seed`` shuffles the
-    generators; the members do not depend on it.
+    derived before the listing come first.  The members do not depend on
+    the order of the seeds.
     """
-    seeds = list(seeds)
-    if order_seed is not None:
-        random.Random(order_seed).shuffle(seeds)
     derivations: dict[int, Derivation] = {}
     meet = [0] * len(lg.vertices)       # m(v); 0 while no generator holds v
 
@@ -197,22 +192,20 @@ def _basis(meet: list[int], derivations: dict[int, Derivation],
     return out
 
 
-def smallest_accommodating(lg: LabeledGraph,
-                           order_seed: int | None = None) -> SetCollection:
+def smallest_accommodating(lg: LabeledGraph) -> SetCollection:
     """Least family containing every range r(w), closed under single-letter
     relative ranges and finite intersections and unions.
 
     Single-letter steps generate all multi-letter ranges because
     r(A, wa) = r(r(A, w), a); the reduction is validated against direct
-    enumeration in the test suite.  ``order_seed`` shuffles the generators
-    to exercise order independence; the resulting family is always the
-    same.  More than :data:`MAX_MEMBERS` members raise
+    enumeration in the test suite, and the family does not depend on the
+    order of the generators.  More than :data:`MAX_MEMBERS` members raise
     :class:`SearchSpaceExceeded`.
     """
     require_valid(lg.graph, "smallest_accommodating")
     full = lg.full_mask()
     derivations = _close(lg, [(lg.range_mask(full, (a,)), ("range", (a,)))
-                              for a in lg.alphabet], False, order_seed)
+                              for a in lg.alphabet], False)
     return SetCollection(lg, tuple(sorted(derivations)), derivations,
                          ("relative_ranges", "intersections", "unions"))
 

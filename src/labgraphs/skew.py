@@ -63,22 +63,6 @@ class SkewSpec(FrozenRecord):
         ident = self.group.identity
         return all(v == ident for v in self.d.values())
 
-    def letter_cocycle(self, word: Word) -> Element:
-        """Product of the label factoring C along a word; requires c to be
-        label consistent."""
-        factoring = self.c_factoring.factoring
-        if factoring is None:
-            raise PreconditionError(
-                "NOT_LABEL_CONSISTENT",
-                f"cocycle c does not factor through the labeling "
-                f"(witness edges {self.c_factoring.witness})")
-        acc = self.group.identity
-        for a in word:
-            if a not in factoring:
-                raise PreconditionError("UNKNOWN_LETTER", a)
-            acc = self.group.op(acc, factoring[a])
-        return acc
-
 
 class SkewForm(NamedTuple):
     """The integer form of a skew product (:attr:`SkewLabeledGraph.form`):
@@ -481,12 +465,6 @@ class TranslationAction(LabeledGraphAction):
         """The window vertices, in form order."""
         return self.core.carriers[0][:self.skew.form.window]
 
-    def domain_scope(self) -> frozenset[str]:
-        return self.skew.window_vertices
-
-    def is_windowed(self) -> bool:
-        return not self.group.is_finite
-
     def base_isomorphism(self, quot: QuotientLabeledGraph
                          ) -> LabeledGraphMorphism:
         """The canonical isomorphism from the quotient onto the base, which
@@ -588,11 +566,12 @@ def identify_labeled_path(spec: SkewSpec, word: Word,
 
 def labeled_range(spec: SkewSpec, word: Word,
                   g: Element) -> tuple[frozenset[str], Element]:
-    """Range of the identified labeled path: (r(word), g C(word))."""
-    _require_identification_preconditions(spec)
+    """Range of the identified labeled path: (r(word), g C(word)), the
+    layer past its last letter."""
+    *_, (a, layer) = identify_labeled_path(spec, word, g)
     base_range = spec.base.set_of(
         spec.base.range_mask(spec.base.full_mask(), word))
-    return base_range, spec.group.op(g, spec.letter_cocycle(word))
+    return base_range, spec.group.op(layer, spec.c_factoring.factoring[a])
 
 
 # -- relabeling isomorphism -------------------------------------------------------

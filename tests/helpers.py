@@ -78,6 +78,21 @@ def shift_graph(n):
                         {eid: eid[0] for eid, _, _ in edges})
 
 
+def relettered(lg: LabeledGraph, seed: int) -> LabeledGraph:
+    """``lg`` with its letters renamed among themselves: the letter at
+    position i of ``random.Random(seed)``'s shuffle of the alphabet takes
+    the name of the i-th letter.  The vertices keep their positions, so
+    vertex masks mean the same sets, and a closure that takes one
+    generator per letter in alphabet order takes the old letters'
+    generators in the shuffled order."""
+    letters = list(lg.alphabet)
+    shuffled = letters[:]
+    random.Random(seed).shuffle(shuffled)
+    name = dict(zip(shuffled, letters))
+    return LabeledGraph(lg.graph, {eid: name[a]
+                                   for eid, a in lg.labeling.items()})
+
+
 def evaluate_printed_derivation(lg: LabeledGraph, text: str) -> int | None:
     """The vertex mask a derivation printed by ``lattice`` stands for, read
     back from its text: ``r(word)``, ``r(X, letter)`` and ``(X op Y)`` with
@@ -173,7 +188,7 @@ def verify_action_exhaustive(action: LabeledGraphAction) -> ActionReport:
                                 ("homomorphism", (g, h, kind, item)))
                 pairs += 1
     return ActionReport(not failures, tuple(failures), len(scope), pairs,
-                        action.is_windowed())
+                        action.interval_span() is not None)
 
 
 def equivariance_oracle(action: LabeledGraphAction, skew: SkewLabeledGraph,
@@ -575,11 +590,9 @@ def translation_fibers(action: TranslationAction,
 class _Closure:
     """Worklist closure engine over bitmasks with derivation tracking."""
 
-    def __init__(self, lg: LabeledGraph, rel_complements: bool,
-                 order_seed: int | None):
+    def __init__(self, lg: LabeledGraph, rel_complements: bool):
         self.lg = lg
         self.rel_complements = rel_complements
-        self.rng = random.Random(order_seed) if order_seed is not None else None
         self.derivations: dict[int, Derivation] = {}
         self.worklist: list[int] = []
 
@@ -592,10 +605,6 @@ class _Closure:
         lg = self.lg
         letters = lg.alphabet
         while self.worklist:
-            if self.rng is not None:
-                i = self.rng.randrange(len(self.worklist))
-                self.worklist[i], self.worklist[-1] = (self.worklist[-1],
-                                                       self.worklist[i])
             a_mask = self.worklist.pop()
             for letter in letters:
                 stepped = lg.range_mask(a_mask, (letter,))
@@ -626,7 +635,7 @@ def worklist_closure(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
     """Oracle for both lattice closures: the O(M^2) worklist fixpoint that
     pairs every new member with every member so far.  ``seeds`` are
     ``(mask, derivation)`` pairs; returns every member's derivation."""
-    eng = _Closure(lg, rel_complements, order_seed=None)
+    eng = _Closure(lg, rel_complements)
     for mask, deriv in seeds:
         eng.add(mask, deriv)
     eng.run()
@@ -875,7 +884,7 @@ def find_fundamental_domain_by_candidates(
     """Oracle for ``find_fundamental_domain``: every candidate transversal,
     in product order over the in-scope vertex orbits, checked with
     ``is_fundamental_domain`` until one passes."""
-    scope = action.domain_scope()
+    scope = frozenset(action.lifting_scope())
     orbits = [tuple(m for m in members if m in scope)
               for members in action.orbits(VERTEX)]
     total = 1

@@ -24,7 +24,7 @@ from labgraphs.skew import (SkewSpec, identify_labeled_path, labeled_range,
                             left_translation, relabel_iso, skew_product,
                             translation_quotient)
 
-from helpers import weakly_left_resolving_bruteforce
+from helpers import relettered, weakly_left_resolving_bruteforce
 
 
 @contextmanager
@@ -204,8 +204,8 @@ def test_09_lattice_correctness():
         for lg in fixtures:
             reference = set(smallest_accommodating(lg).members)
             for seed in (1, 2, 3, 4, 5):
-                assert set(smallest_accommodating(lg, order_seed=seed).members) \
-                    == reference
+                assert set(smallest_accommodating(
+                    relettered(lg, seed)).members) == reference
 
         rng = random.Random(99)
         for lg in fixtures + tuple(fx.random_valid_labeled_graph(rng)

@@ -582,7 +582,7 @@ def test_intact_translations_skip_the_scans(name):
         reconstruct(action)
     assert report == ActionReport(True, (), len(action.scope_elements()),
                                   homomorphism_pairs(action),
-                                  action.is_windowed())
+                                  action.interval_span() is not None)
     assert all(action._placed)
     if isinstance(action, TranslationAction):
         assert "_columns" not in action.__dict__

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labgraphs import cli, jsonio
+from labgraphs import cli, errors, jsonio
 from labgraphs.action import MAX_TRIPLES, VERTEX
 from labgraphs.cli import build_parser, main
 from labgraphs.graph import MAX_PATH_EDGES
@@ -172,6 +172,78 @@ def test_every_matrix_command_exits_0_1_or_2():
         for label, argv in argvs:
             code, _, _ = run(argv)
             assert code in (0, 1, 2), label
+
+
+def _error_classes(cls=errors.LabGraphsError) -> list[type]:
+    """``cls`` and all its subclasses, collected recursively."""
+    return [cls, *(sub for direct in cls.__subclasses__()
+                   for sub in _error_classes(direct))]
+
+
+#: The errors of a malformed input, which exit 2; every other library
+#: error exits 1.
+INPUT_ERRORS = (errors.ParseError, errors.SchemaError,
+                errors.PreconditionError, errors.SearchSpaceExceeded,
+                errors.AxiomFailure)
+
+#: Constructor arguments of the errors that format their own message;
+#: the others take a message and a witness.
+ERROR_ARGS = {errors.PreconditionError: ("BOOM", "raised by a handler"),
+              errors.ParseError: ("raised by a handler", 1, 2),
+              errors.SchemaError: ("$.boom", "raised by a handler")}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+def test_every_library_error_exits_by_the_rule(monkeypatch, error, fmt):
+    """A handler that raises any library error exits 2 for an input error,
+    with the message on stderr, and 1 for any other, with the failure
+    reported on stdout; no error escapes ``main``."""
+    exc = error(*ERROR_ARGS.get(error, ("raised by a handler", ("v", "w"))))
+
+    def handler(args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_validate", handler)
+    code, out, err = run(["validate", "fixtures/fish.json", *fmt])
+    if issubclass(error, INPUT_ERRORS):
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    elif fmt:
+        assert (code, json.loads(out), err) == (
+            1, {"ok": False, "error": str(exc)}, "")
+    else:
+        assert (code, out, err) == (1, f"FAILED: {exc}\n", "")
+
+
+_GRAPH_COMMANDS = [["validate"], ["properties"], ["paths", "--n", "2"],
+                   ["range", "--word", "0"], ["lattice"], ["export-dot"]]
+_ACTION_COMMANDS = [[command] for command in ACTION_COMMANDS]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("argv, expected, kind", [
+    *(([command, "fixtures/fdok-action.json", *extra],
+       "a graph or skew-spec", "action")
+      for command, *extra in _GRAPH_COMMANDS),
+    (["iso-check", "fixtures/fdok-action.json", "fixtures/fish.json",
+      "--morphism", "fixtures/fish.json"], "a graph or skew-spec", "action"),
+    (["iso-check", "fixtures/fish.json", "fixtures/gt510-sections.json",
+      "--morphism", "fixtures/fish.json"], "a graph or skew-spec",
+     "section-pack"),
+    *(([command, "fixtures/fish.json"], "an action or skew-spec", "graph")
+      for command, in _ACTION_COMMANDS),
+    (["skew", "fixtures/fish.json"], "a skew-spec", "graph"),
+    (["skew", "fixtures/fdok-action.json"], "a skew-spec", "action"),
+    (["label-consistency", "fixtures/fish.json"], "a skew-spec", "graph"),
+    (["gross-tucker", "fixtures/fdok-action.json", "--eta0",
+      "fixtures/fish.json"], "a section-pack", "graph"),
+])
+def test_every_loader_refuses_a_document_of_another_kind(argv, expected,
+                                                         kind, fmt):
+    """Each loader of the CLI exits 2 on a document of a kind it does not
+    read, naming the kinds it reads and the kind it got."""
+    assert run([*argv, *fmt]) == (
+        2, "", f"error: schema error at $.kind: expected {expected}, "
+               f"got {kind!r}\n")
 
 
 class TestReports:

@@ -19,7 +19,7 @@ from labgraphs.lattice import (MAX_MEMBERS, Factor, SetCollection,
                                smallest_accommodating)
 
 from helpers import (distinct_letter_cycle, labeled_space_report_oracle,
-                     shift_graph, smallest_accommodating_oracle,
+                     relettered, shift_graph, smallest_accommodating_oracle,
                      worklist_closure)
 
 
@@ -62,7 +62,7 @@ class TestSmallestAccommodating:
         for lg in (fx.fish(), fx.fish4(), fx.chain3(), fx.fdok().graph):
             reference = set(smallest_accommodating(lg).members)
             for seed in (1, 2, 3, 4, 5):
-                shuffled = smallest_accommodating(lg, order_seed=seed)
+                shuffled = smallest_accommodating(relettered(lg, seed))
                 assert set(shuffled.members) == reference
 
     def test_requires_valid_graph(self):
@@ -419,8 +419,10 @@ class TestListing:
     @settings(max_examples=200, deadline=None)
     @given(closure_cases())
     def test_derivations_refer_back_and_reevaluate(self, case):
-        lg, order_seed = case
-        col = smallest_accommodating(lg, order_seed=order_seed)
+        lg, seed = case
+        if seed is not None:
+            lg = relettered(lg, seed)
+        col = smallest_accommodating(lg)
         closed = relative_complement_closure(col)
         assert set(col.members) == set(
             worklist_closure(lg, _range_seeds(lg), rel_complements=False))

@@ -265,6 +265,13 @@ class TestLabeledRange:
         spec = fx.skewz_spec()
         assert labeled_range(spec, ("0",), 3) == (frozenset({"v", "w"}), 4)
 
+    @pytest.mark.parametrize("g", [0, 3])
+    def test_empty_word_is_refused(self, g):
+        """The empty word identifies no labeled path, so it has no range,
+        as :func:`identify_labeled_path` and ``relative_range`` say."""
+        with pytest.raises(PreconditionError, match="ZERO_LENGTH_PATH"):
+            labeled_range(fx.skewz_spec(), (), g)
+
     def test_oracle_equality_on_window(self):
         # compare against direct relative range on the materialization
         spec = fx.skewz_spec()
