@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copyreg
 from functools import cached_property
 
 
@@ -67,11 +68,17 @@ def built_on_read(name: str) -> cached_property:
 
 class LabGraphsError(Exception):
     """Base class for all library errors; ``witness``, when given, holds
-    the values that violate the failed condition."""
+    the values that violate the failed condition.  Copies and pickles keep
+    the class, the message and every attribute: they are rebuilt from the
+    formatted message without calling ``__init__``, which subclasses give
+    other arguments, and then given the attributes back."""
 
     def __init__(self, message: str = "", witness=None):
         self.witness = witness
         super().__init__(message)
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class PreconditionError(LabGraphsError):

@@ -7,13 +7,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .errors import (NotAMember, PreconditionError, SearchSpaceExceeded,
-                     VerificationError)
+from .errors import (FrozenRecord, NotAMember, PreconditionError,
+                     SearchSpaceExceeded, VerificationError, built_on_read)
 from .graph import require_valid
-from .labeled import (Check, LabeledGraph, Word, _bits, chunk_tables,
-                      fold_chunks)
+from .labeled import (_CHUNK_LOW, CHUNK_BITS, Check, LabeledGraph, Word,
+                      _bits, chunk_tables, fold_chunks)
 
 # Derivation expressions: leaves are ranges of words; inner nodes reference
 # other members by mask.
@@ -25,7 +25,7 @@ Derivation = tuple
 
 # A dataclass, not a frozen record, while the benchmark's smoke test copies
 # a closure with ``dataclasses.replace``; the other records here are named
-# tuples.
+# tuples or frozen records.
 @dataclass(frozen=True)
 class SetCollection:
     """A family of nonempty vertex subsets (as bitmasks over the graph's
@@ -33,6 +33,15 @@ class SetCollection:
 
     The empty set is never stored: operations that would produce it flag
     the result instead (see the report's ``empty_set_convention``).
+
+    A collection given its ``members`` answers membership from them.  One
+    built by :func:`smallest_accommodating` or
+    :func:`relative_complement_closure` holds its basis (:func:`_close`)
+    and answers membership from that (:meth:`holds`); its ``members`` and
+    full ``derivations`` are listed on first read (:func:`_list`), with
+    the values and the order a listing at construction would give.
+    Equality, ``repr`` and ``dataclasses.replace`` read them; a copy or a
+    pickle carries the basis and what has been listed so far.
     """
 
     lg: LabeledGraph
@@ -40,8 +49,61 @@ class SetCollection:
     derivations: Mapping[int, Derivation]
     claimed_closures: tuple[str, ...] = ()
 
+    @classmethod
+    def _of_basis(cls, lg: LabeledGraph, claimed_closures: tuple[str, ...],
+                  basis: list[int], cover: list[int],
+                  derived: dict[int, Derivation]) -> SetCollection:
+        """The collection spanned by ``basis``, with each vertex's
+        ``cover`` and the ``derived`` sets that :func:`_close` found."""
+        col = object.__new__(cls)
+        for name, value in (("lg", lg), ("claimed_closures", claimed_closures),
+                            ("_basis", basis), ("_cover", cover),
+                            ("_derived", derived)):
+            object.__setattr__(col, name, value)
+        return col
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set yet: one that is
+        # built on its first read and then kept.
+        build = _BUILT_ON_READ.get(name)
+        if build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = build(self)
+        object.__setattr__(self, name, value)
+        return value
+
     def __contains__(self, mask: int) -> bool:
-        return mask in self.derivations
+        # The test of :meth:`holds` for one mask, without building a list:
+        # normal_form makes one per call.
+        if "_cover" not in vars(self):
+            return mask in self._member_set
+        if mask <= 0 or mask >> len(self._cover):
+            return False
+        rest, joined = mask, 0
+        for table in self._cover_tables:
+            joined |= table[rest & _CHUNK_LOW]
+            rest >>= CHUNK_BITS
+        return joined == mask
+
+    def holds(self, masks: Iterable[int]) -> bool:
+        """Whether every mask of ``masks`` is a member.
+
+        From the basis, M is a member iff M is nonzero and equals the OR
+        of cover(v) over its vertices v, where cover(v) is m(v) for the
+        lattice and the atom of v for the ring, and 0 for a vertex that no
+        generator holds.  For the lattice, v in m(u) gives m(v) inside
+        m(u), so a union of m(u)'s holds the m(v) of each of its vertices;
+        the atoms partition the vertices they cover.  The ORs are read
+        from chunk tables of the covers
+        (:func:`~labgraphs.labeled.chunk_tables`), about n/8 lookups per
+        mask."""
+        if "_cover" not in vars(self):
+            return self._member_set.issuperset(masks)
+        masks = list(masks)
+        return not masks or (
+            0 < min(masks) and max(masks) <= self.lg.full_mask()
+            and fold_chunks(masks, self._cover_tables, operator.or_) == masks)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -53,7 +115,8 @@ class SetCollection:
         return self.lg.mask_of(vertices)
 
     def closure_status(self) -> dict[str, bool]:
-        """Re-check the closure laws from scratch."""
+        """Re-check the closure laws from scratch, over the listed
+        members and independently of the basis."""
         lg = self.lg
         members = set(self.members)
         ok = {"relative_ranges": True, "intersections": True,
@@ -77,6 +140,19 @@ class SetCollection:
         return ok
 
 
+#: How each attribute of a :class:`SetCollection` that is built on first
+#: read is built.  ``_derived`` is what a closure seeds from: the sets
+#: derived before the listing, or every derivation of a collection given
+#: its members.
+_BUILT_ON_READ = {
+    "derivations": lambda col: _list(col._basis, col._derived),
+    "members": lambda col: tuple(sorted(col.derivations)),
+    "_derived": lambda col: col.derivations,
+    "_member_set": lambda col: frozenset(col.members),
+    "_cover_tables": lambda col: chunk_tables(col._cover, 0, operator.or_),
+}
+
+
 #: Largest number of members either closure builds; a closure that would
 #: hold more raises :class:`SearchSpaceExceeded`.  Ranges that separate n
 #: vertices give 2^n - 1 members, so 16 such vertices fit and 17 do not.
@@ -84,13 +160,15 @@ MAX_MEMBERS = 1 << 16
 
 
 def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
-           rel_complements: bool) -> dict[int, Derivation]:
-    """Every member of the closure of ``seeds`` (``(mask, derivation)``
+           rel_complements: bool
+           ) -> tuple[list[int], list[int], dict[int, Derivation]]:
+    """The basis of the closure of ``seeds`` (``(mask, derivation)``
     pairs) under single-letter relative ranges, intersections and unions,
-    and with ``rel_complements`` also under strict differences A \\ B, each
-    with a derivation that references only members.  Apart from the seeds'
-    own, a derivation references members derived before it, so none is
-    circular.
+    and with ``rel_complements`` also under strict differences A \\ B;
+    each vertex's cover (its basis element's span: m(v), or its atom); and
+    the sets derived on the way, each with a derivation.  Apart from the
+    seeds' own, a derivation references sets derived before it, so none
+    is circular.
 
     The family is a finite distributive lattice, so a basis spans it
     (Birkhoff, 1937).  With m(v) the intersection of the generators holding
@@ -104,17 +182,9 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
     generator adds too much); this repeats until every basis element has
     been stepped.  A basis element is stepped letter by letter in alphabet
     order, each range the OR of the letter's successor rows
-    (:attr:`LabeledGraph._step`) of the element's vertices.
-
-    The members are then listed as the nonempty unions of the basis
-    elements, in one pass per basis element b over the unions listed
-    before it; a union u | b without a derivation is recorded as
-    ``("or", u, b)``.  The atoms are disjoint, so the ring's listing makes
-    one union per member.  A listing that would hold more than
-    :data:`MAX_MEMBERS` members raises :class:`SearchSpaceExceeded` before
-    that pass records a union.  The derivations keep their insertion order: the sets
-    derived before the listing come first.  The members do not depend on
-    the order of the seeds.
+    (:attr:`LabeledGraph._step`) of the element's vertices.  The basis
+    does not depend on the order of the seeds; a vertex no generator
+    holds has cover 0.  :func:`_list` lists the members.
     """
     derivations: dict[int, Derivation] = {}
     meet = [0] * len(lg.vertices)       # m(v); 0 while no generator holds v
@@ -149,10 +219,23 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
                 if value and value not in derivations:
                     generate(value, ("range", prev[1] + (letter,))
                              if prev[0] == "range" else ("step", b, letter))
-    if rel_complements and (1 << len(basis)) - 1 > MAX_MEMBERS:
-        raise SearchSpaceExceeded(
-            f"the closure has 2^{len(basis)} - 1 members, more than "
-            f"{MAX_MEMBERS}")
+    if not rel_complements:
+        return basis, meet, derivations
+    atom_of = dict(zip(dict.fromkeys(m for m in meet if m), basis))
+    return basis, [atom_of.get(m, 0) for m in meet], derivations
+
+
+def _list(basis: list[int], derived: dict[int, Derivation],
+          cap: int | None = None) -> dict[int, Derivation]:
+    """The derivations of every member of the collection spanned by
+    ``basis``: ``derived`` (from :func:`_close`), then the nonempty unions
+    of the basis elements, listed in one pass per basis element b over the
+    unions listed before it; a union u | b without a derivation is
+    recorded as ``("or", u, b)``.  The atoms are disjoint, so the ring's
+    listing makes one union per member.  With ``cap``, a listing that
+    would hold more than ``cap`` members raises
+    :class:`SearchSpaceExceeded` before that pass records a union."""
+    derivations = dict(derived)
     # ``listed`` holds the distinct unions of the basis elements met so far,
     # in the order they were found; each element b adds itself and every
     # union u | b not listed yet.  Every listed union is a member and every
@@ -161,9 +244,9 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
     for b in basis:
         listed.setdefault(b, b)
         fresh = {u | b: u for u in listed if u | b not in listed}
-        if len(listed) + len(fresh) > MAX_MEMBERS:
+        if cap is not None and len(listed) + len(fresh) > cap:
             raise SearchSpaceExceeded(
-                f"the closure has more than {MAX_MEMBERS} members")
+                f"the closure has more than {cap} members")
         derivations.update({union: ("or", u, b) for union, u in fresh.items()
                             if union not in derivations})
         listed.update(fresh)
@@ -192,6 +275,24 @@ def _basis(meet: list[int], derivations: dict[int, Derivation],
     return out
 
 
+def _collection(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
+                ring: bool, claimed: tuple[str, ...]) -> SetCollection:
+    """The closure of ``seeds`` (the ring with ``ring``), held by its basis.
+    A basis of k elements spans at most 2^k - 1 members, exactly that
+    many for the ring; when that bound passes :data:`MAX_MEMBERS`, the
+    ring is refused at once and the lattice is listed now, under the
+    cap."""
+    basis, cover, derived = _close(lg, seeds, ring)
+    if (1 << len(basis)) - 1 <= MAX_MEMBERS:
+        return SetCollection._of_basis(lg, claimed, basis, cover, derived)
+    if ring:
+        raise SearchSpaceExceeded(
+            f"the closure has 2^{len(basis)} - 1 members, more than "
+            f"{MAX_MEMBERS}")
+    derivations = _list(basis, derived, MAX_MEMBERS)
+    return SetCollection(lg, tuple(sorted(derivations)), derivations, claimed)
+
+
 def smallest_accommodating(lg: LabeledGraph) -> SetCollection:
     """Least family containing every range r(w), closed under single-letter
     relative ranges and finite intersections and unions.
@@ -199,35 +300,36 @@ def smallest_accommodating(lg: LabeledGraph) -> SetCollection:
     Single-letter steps generate all multi-letter ranges because
     r(A, wa) = r(r(A, w), a); the reduction is validated against direct
     enumeration in the test suite, and the family does not depend on the
-    order of the generators.  More than :data:`MAX_MEMBERS` members raise
-    :class:`SearchSpaceExceeded`.
+    order of the generators.  The family is held by its basis, and its
+    members are listed on first read (:class:`SetCollection`).  More than
+    :data:`MAX_MEMBERS` members raise :class:`SearchSpaceExceeded` here,
+    not on that read.
     """
     require_valid(lg.graph, "smallest_accommodating")
     full = lg.full_mask()
-    derivations = _close(lg, [(lg.range_mask(full, (a,)), ("range", (a,)))
-                              for a in lg.alphabet], False)
-    return SetCollection(lg, tuple(sorted(derivations)), derivations,
-                         ("relative_ranges", "intersections", "unions"))
+    return _collection(lg, [(lg.range_mask(full, (a,)), ("range", (a,)))
+                            for a in lg.alphabet], False,
+                       ("relative_ranges", "intersections", "unions"))
 
 
 def relative_complement_closure(col: SetCollection) -> SetCollection:
     """Close additionally under A \\ B for strict member pairs A > B; the
-    result still satisfies the accommodating laws.  More than
-    :data:`MAX_MEMBERS` members raise :class:`SearchSpaceExceeded` before
-    any is listed.
+    result still satisfies the accommodating laws.  It is held by its
+    atoms, and its members are listed on first read
+    (:class:`SetCollection`).  More than :data:`MAX_MEMBERS` members raise
+    :class:`SearchSpaceExceeded` before any is listed.
 
     The closure is seeded with the members whose derivation is not a union
     ``("or", u, b)``, in derivation order: for a collection built by
     :func:`smallest_accommodating` these are the sets derived before the
-    listing.  Each union is recorded from two sets derived before it, so
-    every member lies in the ring the seeds generate, and that ring is the
-    one all members generate."""
-    derivations = _close(col.lg, [(m, deriv) for m, deriv
-                                   in col.derivations.items()
-                                   if deriv[0] != "or"], True)
-    return SetCollection(col.lg, tuple(sorted(derivations)), derivations,
-                         ("relative_ranges", "intersections", "unions",
-                          "relative_complements"))
+    listing, read without listing it.  Each union is recorded from two sets
+    derived before it, so every member lies in the ring the seeds
+    generate, and that ring is the one all members generate."""
+    return _collection(col.lg, [(m, deriv) for m, deriv
+                                in col._derived.items()
+                                if deriv[0] != "or"], True,
+                       ("relative_ranges", "intersections", "unions",
+                        "relative_complements"))
 
 
 # -- normal forms ------------------------------------------------------------
@@ -307,7 +409,7 @@ def normal_form(col: SetCollection, vertices: Iterable[str] | int) -> NormalForm
     """
     lg = col.lg
     mask = vertices if isinstance(vertices, int) else lg.mask_of(vertices)
-    if mask not in col.derivations:
+    if mask not in col:
         shown = (repr(sorted(lg.set_of(mask))) if 0 <= mask <= lg.full_mask()
                  else f"mask {mask}")
         raise NotAMember(f"{shown} is not in the collection")
@@ -349,17 +451,30 @@ def normal_form(col: SetCollection, vertices: Iterable[str] | int) -> NormalForm
 # -- labeled space report ----------------------------------------------------
 
 
-class LabeledSpaceReport(NamedTuple):
-    set_finite: bool
-    label_counts: Mapping[frozenset, int]
-    weakly_left_resolving: Check
-    ck1a_pairs: int
-    ck1a_disjoint_pairs: int
-    ck1b_intersections_closed: Check
-    ck1b_unions_closed: Check
-    ck1b_differences_closed: Check
-    ck4: Check
-    empty_set_convention: str = "the empty set is excluded from collections"
+class LabeledSpaceReport(FrozenRecord):
+    """The verdicts of :func:`labeled_space_report`.  ``label_counts``
+    may be given as a function of no arguments, which builds it on its
+    first read: the report decodes its members' names only when
+    something reads them."""
+
+    _fields = ("set_finite", "label_counts", "weakly_left_resolving",
+               "ck1a_pairs", "ck1a_disjoint_pairs",
+               "ck1b_intersections_closed", "ck1b_unions_closed",
+               "ck1b_differences_closed", "ck4", "empty_set_convention")
+    _on_read = ("label_counts",)
+    label_counts = built_on_read("label_counts")
+
+    def __init__(self, set_finite: bool,
+                 label_counts: Mapping[frozenset, int] | Callable[[], Any],
+                 weakly_left_resolving: Check, ck1a_pairs: int,
+                 ck1a_disjoint_pairs: int, ck1b_intersections_closed: Check,
+                 ck1b_unions_closed: Check, ck1b_differences_closed: Check,
+                 ck4: Check, empty_set_convention: str =
+                 "the empty set is excluded from collections"):
+        self._set_fields((set_finite, label_counts, weakly_left_resolving,
+                          ck1a_pairs, ck1a_disjoint_pairs,
+                          ck1b_intersections_closed, ck1b_unions_closed,
+                          ck1b_differences_closed, ck4, empty_set_convention))
 
     @property
     def ok(self) -> bool:
@@ -393,47 +508,54 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     (every member vertex emits, and single-letter relative ranges are the
     letter fibers recomputed by direct edge scan).  The range sweeps take
     the range values of words of length 1 to ``word_bound``; a bound below
-    1 would make them pass vacuously and is refused.
+    1 would make them pass vacuously and is refused, and so is a
+    collection of a graph other than ``lg`` (``FOREIGN_COLLECTION``).
 
     The closure checks test the set of all meets, joins or strict
-    differences of range pairs for containment in the members at once;
-    only a failing check scans the pairs in order to name its first
-    witness.
+    differences of range pairs for membership at once
+    (:meth:`SetCollection.holds`, which reads a closure's basis and lists
+    no member); only a failing check scans the pairs in order to name its
+    first witness.  The members are listed only when a vertex emits no
+    edge or a step row differs from its fiber, to name the first failing
+    member.
 
-    ``label_counts`` maps each member's vertex set, decoded once for all
-    members (:meth:`LabeledGraph.names_of`), to the number of letters its
-    vertices emit: the popcount of the OR of the member's entries in
-    per-call chunk tables (:func:`~labgraphs.labeled.chunk_tables`) of the
-    letters each vertex emits, read from the same edge scan as the
-    fibers."""
+    ``label_counts`` is built on its first read (:class:`LabeledSpaceReport`):
+    it maps each member's vertex set, decoded once for all members
+    (:meth:`LabeledGraph.names_of`), to the number of letters its vertices
+    emit, the popcount of the OR of the member's entries in per-call chunk
+    tables (:func:`~labgraphs.labeled.chunk_tables`) of the letters each
+    vertex emits, read from the same edge scan as the fibers."""
     if word_bound < 1:
         raise PreconditionError(
             "WORD_BOUND_BELOW_ONE", f"word bound must be >= 1, got {word_bound}")
+    if col.lg is not lg and col.lg != lg:
+        raise PreconditionError(
+            "FOREIGN_COLLECTION",
+            f"the collection is of {col.lg!r}, not of the reported {lg!r}")
     wlr = lg.weakly_left_resolving
     ranges = sorted(value for value, word in lg.range_table.ranges
                     if len(word) <= word_bound)
-    members = set(col.members)
     meets = [r1 & r2 for r1, r2 in combinations(ranges, 2)]
     disjoint = meets.count(0)
     nonempty = set(meets)
     nonempty.discard(0)
     inter_ok = union_ok = diff_ok = Check(True)
-    if not nonempty <= members:
+    if not col.holds(nonempty):
         inter_ok = _witness(lg, next(
             (r1, r2) for r1, r2 in combinations(ranges, 2)
-            if r1 & r2 and (r1 & r2) not in members))
-    if not {r1 | r2 for r1, r2 in combinations(ranges, 2)} <= members:
+            if r1 & r2 and (r1 & r2) not in col))
+    if not col.holds({r1 | r2 for r1, r2 in combinations(ranges, 2)}):
         union_ok = _witness(lg, next(
             (r1, r2) for r1, r2 in combinations(ranges, 2)
-            if (r1 | r2) not in members))
+            if (r1 | r2) not in col))
     # Range values are distinct, so a pair whose meet is one of them is a
     # strict containment, and its difference is their symmetric difference.
-    if not {r1 ^ r2 for r1, r2 in combinations(ranges, 2)
-            if r1 & r2 in (r1, r2)} <= members:
+    if not col.holds({r1 ^ r2 for r1, r2 in combinations(ranges, 2)
+                      if r1 & r2 in (r1, r2)}):
         diff_ok = _witness(lg, next(
             (big, small) for pair in combinations(ranges, 2)
             for big, small in (pair, pair[::-1])
-            if big & small == small and (big & ~small) not in members))
+            if big & small == small and (big & ~small) not in col))
 
     # Per-letter tables from one scan of the edge arrays, never through the
     # step masks that range_mask sweeps: the vertices emitting each letter,
@@ -456,10 +578,6 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     # member's fiber equals its range, so only differing rows need the
     # per-member comparison below, which names the first failing member.
     steps_match = fibers == lg._step
-    keys = lg.names_of(col.members, frozen=True)
-    letters = fold_chunks(col.members, chunk_tables(emits, 0, operator.or_),
-                          operator.or_)
-    label_counts = dict(zip(keys, map(int.bit_count, letters)))
     ck4: Check = Check(True)
     for mask in col.members if silent or not steps_match else ():
         if mask & silent:
@@ -478,6 +596,14 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
                     break
         if not ck4:
             break
+
+    def label_counts() -> dict[frozenset, int]:
+        members = col.members
+        letters = fold_chunks(members, chunk_tables(emits, 0, operator.or_),
+                              operator.or_)
+        return dict(zip(lg.names_of(members, frozen=True),
+                        map(int.bit_count, letters)))
+
     return LabeledSpaceReport(
         set_finite=True,
         label_counts=label_counts,

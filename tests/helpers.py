@@ -10,6 +10,7 @@ from labgraphs import action as action_module
 from labgraphs.action import (EDGE, LETTER, VERTEX, ActionReport,
                               DomainSearchResult, FiniteAction,
                               LabeledGraphAction, is_fundamental_domain)
+from labgraphs import errors
 from labgraphs.errors import SearchSpaceExceeded, VerificationError
 from labgraphs.graph import DirectedGraph, Edge, require_valid, validate
 from labgraphs.groups import CyclicGroup, Element, Group, Window
@@ -19,6 +20,24 @@ from labgraphs.lattice import (Derivation, LabeledSpaceReport,
                                SetCollection)
 from labgraphs.morphism import LabeledGraphMorphism, MorphismReport
 from labgraphs.skew import SkewLabeledGraph, SkewSpec, TranslationAction
+
+
+def error_classes(cls=errors.LabGraphsError) -> list[type]:
+    """``cls`` and all its subclasses, collected recursively."""
+    return [cls, *(sub for direct in cls.__subclasses__()
+                   for sub in error_classes(direct))]
+
+
+#: Constructor arguments of the errors that format their own message;
+#: the others take a message and a witness.
+ERROR_ARGS = {errors.PreconditionError: ("BOOM", "raised by a handler"),
+              errors.ParseError: ("raised by a handler", 1, 2),
+              errors.SchemaError: ("$.boom", "raised by a handler")}
+
+
+def library_error(cls: type) -> errors.LabGraphsError:
+    """An instance of the library error class ``cls``."""
+    return cls(*ERROR_ARGS.get(cls, ("raised by a handler", ("v", "w"))))
 
 
 def trivial_action(lg, n=2):

@@ -17,11 +17,11 @@ from labgraphs import cli, errors, jsonio
 from labgraphs.action import MAX_TRIPLES, VERTEX
 from labgraphs.cli import build_parser, main
 from labgraphs.graph import MAX_PATH_EDGES
-from labgraphs.groups import MAX_PERMUTATION_ENTRIES
+from labgraphs.groups import MAX_PERMUTATION_ENTRIES, MAX_TABLE_ORDER
 from labgraphs.skew import MAX_ITEMS, TranslationAction
 
-from helpers import (distinct_letter_cycle, evaluate_printed_derivation,
-                     shift_graph)
+from helpers import (distinct_letter_cycle, error_classes,
+                     evaluate_printed_derivation, library_error, shift_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ACTION_COMMANDS = ["act-check", "translate", "gross-tucker", "quotient",
@@ -174,32 +174,19 @@ def test_every_matrix_command_exits_0_1_or_2():
             assert code in (0, 1, 2), label
 
 
-def _error_classes(cls=errors.LabGraphsError) -> list[type]:
-    """``cls`` and all its subclasses, collected recursively."""
-    return [cls, *(sub for direct in cls.__subclasses__()
-                   for sub in _error_classes(direct))]
-
-
 #: The errors of a malformed input, which exit 2; every other library
 #: error exits 1.
 INPUT_ERRORS = (errors.ParseError, errors.SchemaError,
                 errors.PreconditionError, errors.SearchSpaceExceeded,
                 errors.AxiomFailure)
 
-#: Constructor arguments of the errors that format their own message;
-#: the others take a message and a witness.
-ERROR_ARGS = {errors.PreconditionError: ("BOOM", "raised by a handler"),
-              errors.ParseError: ("raised by a handler", 1, 2),
-              errors.SchemaError: ("$.boom", "raised by a handler")}
-
-
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
-@pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("error", error_classes(), ids=lambda c: c.__name__)
 def test_every_library_error_exits_by_the_rule(monkeypatch, error, fmt):
     """A handler that raises any library error exits 2 for an input error,
     with the message on stderr, and 1 for any other, with the failure
     reported on stdout; no error escapes ``main``."""
-    exc = error(*ERROR_ARGS.get(error, ("raised by a handler", ("v", "w"))))
+    exc = library_error(error)
 
     def handler(args):
         raise exc
@@ -604,6 +591,25 @@ class TestReports:
                               "group: GROUP_TOO_LARGE: ")
         assert f"MAX_PERMUTATION_ENTRIES = {MAX_PERMUTATION_ENTRIES}" in err
         assert "Traceback" not in err
+
+    def test_skew_over_a_long_table_group_exits_two(self, tmp_path):
+        """A skew-spec over a cyclic group of order 257 given by its table
+        is refused before its associativity scan, naming the order cap."""
+        order = MAX_TABLE_ORDER + 1
+        spec = fixture("skewz.json")
+        spec["group"] = {"kind": "table", "table": [
+            [(i + j) % order for j in range(order)] for i in range(order)]}
+        spec["c"] = {e: 1 for e in spec["c"]}
+        spec["d"] = {e: 0 for e in spec["d"]}
+        path = tmp_path / "table257.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, out, err = run(["skew", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == (f"error: schema error at $.group: invalid group: "
+                       f"GROUP_TOO_LARGE: the table has {order} rows, over "
+                       f"the cap MAX_TABLE_ORDER = {MAX_TABLE_ORDER}\n")
 
     @pytest.mark.parametrize("n", ["40", "1000000000"])
     def test_paths_over_edge_id_cap_exits_two(self, n):

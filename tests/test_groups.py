@@ -8,10 +8,10 @@ import time
 import pytest
 
 from labgraphs.errors import AxiomFailure, OutOfWindow, PreconditionError
-from labgraphs.groups import (MAX_PERMUTATION_ENTRIES, CyclicGroup,
-                              IntegerGroup, PermutationGroup, TableGroup,
-                              Window, element_from_json, element_to_json,
-                              make_group)
+from labgraphs.groups import (MAX_PERMUTATION_ENTRIES, MAX_TABLE_ORDER,
+                              CyclicGroup, IntegerGroup, PermutationGroup,
+                              TableGroup, Window, element_from_json,
+                              element_to_json, make_group)
 
 
 class TestCyclic:
@@ -64,6 +64,15 @@ class TestTable:
         # the identity need not be element 0
         g = TableGroup([[1, 0], [0, 1]])
         assert g.identity == 1
+
+    def test_long_table_is_refused_before_its_rows_are_read(self):
+        """No row of a table over the cap is read: these rows are not even
+        iterable."""
+        with pytest.raises(PreconditionError) as info:
+            TableGroup([None] * (MAX_TABLE_ORDER + 1))
+        assert str(info.value) == (
+            f"GROUP_TOO_LARGE: the table has {MAX_TABLE_ORDER + 1} rows, "
+            f"over the cap MAX_TABLE_ORDER = {MAX_TABLE_ORDER}")
 
 
 class TestPermutation:
@@ -120,6 +129,7 @@ class TestPermutation:
             f"{passed} permutations of degree {degree}, {passed * degree} "
             f"entries, over the cap MAX_PERMUTATION_ENTRIES = "
             f"{MAX_PERMUTATION_ENTRIES}")
+
 
 
 class TestMakeGroup:

@@ -1,6 +1,8 @@
 """Accommodating collections, relative-complement closure, normal forms,
 and the set-level labeled-space report."""
 
+import copy
+import pickle
 import random
 
 import hypothesis.strategies as st
@@ -565,3 +567,99 @@ class TestWideReports:
         lg, coll = case
         report = _report_matches_oracle(lg, coll, bound)
         assert frozenset(lg.vertices) in report.label_counts
+
+
+# -- closures held by their basis ------------------------------------------
+
+
+def _basis_membership_matches_listing(lg):
+    """Both closures of ``lg`` answer membership from their basis, one mask
+    at a time and in batches, exactly as their listed members do, for every
+    mask in [-2, 2^n + 3); the membership tests list nothing."""
+    col = smallest_accommodating(lg)
+    closed = relative_complement_closure(col)
+    masks = range(-2, lg.full_mask() + 4)
+    for coll in (col, closed):
+        one = [mask in coll for mask in masks]
+        batch = [coll.holds([mask]) for mask in masks]
+        everything = coll.holds(masks)
+        assert not {"members", "derivations"} & set(vars(coll))
+        members = set(coll.members)
+        assert one == batch == [mask in members for mask in masks]
+        assert not everything
+        assert coll.holds(coll.members) and coll.holds(())
+        assert not coll.holds([*coll.members, lg.full_mask() + 1])
+        assert coll.holds(range(1, lg.full_mask() + 1)) is (
+            len(members) == lg.full_mask())
+
+
+class TestBasisMembership:
+    def test_random_graphs_answer_as_their_members(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            _basis_membership_matches_listing(
+                fx.random_valid_labeled_graph(rng, max_vertices=7))
+
+    @settings(max_examples=150, deadline=None)
+    @given(closure_cases())
+    def test_basis_membership_matches_listing(self, case):
+        lg, seed = case
+        _basis_membership_matches_listing(
+            lg if seed is None else relettered(lg, seed))
+
+    def test_given_members_answer_membership(self):
+        # a collection given its members answers from them, not from its
+        # derivations or a basis
+        lg = fx.chain3()
+        closed = relative_complement_closure(smallest_accommodating(lg))
+        dropped = closed.members[0]
+        coll = SetCollection(lg, closed.members[1:], closed.derivations)
+        assert dropped in closed and dropped not in coll
+        assert all(m in coll for m in coll.members)
+        assert coll.holds(coll.members) and not coll.holds(closed.members)
+        with pytest.raises(NotAMember):
+            normal_form(coll, dropped)
+
+    def test_the_pipeline_lists_no_member(self):
+        """The closures and the report leave every listing unbuilt; read
+        afterwards, they are the ones a listing at construction gives and
+        the label counts are the oracle's."""
+        rng = random.Random(41)
+        for _ in range(40):
+            lg = fx.random_valid_labeled_graph(rng, max_vertices=7)
+            col = smallest_accommodating(lg)
+            closed = relative_complement_closure(col)
+            report = labeled_space_report(lg, closed)
+            for coll in (col, closed):
+                assert not {"members", "derivations", "_member_set"} & set(
+                    vars(coll))
+            assert "label_counts" not in vars(report)
+            assert report.to_json() == labeled_space_report_oracle(
+                lg, closed).to_json()
+            for coll in (col, closed):
+                assert list(coll.members) == sorted(coll.derivations)
+                assert all(value == mask for mask, value
+                           in _values_in_order(coll).items())
+
+    def test_copies_and_pickles_are_equal(self):
+        for lg in (fx.fish4(), fx.chain3(), shift_graph(5)):
+            col = smallest_accommodating(lg)
+            closed = relative_complement_closure(col)
+            report = labeled_space_report(lg, closed)
+            for value in (col, closed, report):
+                for again in (copy.copy(value), copy.deepcopy(value),
+                              pickle.loads(pickle.dumps(value))):
+                    assert type(again) is type(value)
+                    assert again == value and value == again
+            fresh = relative_complement_closure(smallest_accommodating(lg))
+            assert pickle.loads(pickle.dumps(fresh)) == closed
+            assert copy.copy(fresh) == fresh == closed
+            assert labeled_space_report(lg, fresh) == report
+
+    def test_report_of_another_graph_is_refused(self):
+        closed = relative_complement_closure(smallest_accommodating(fx.fish()))
+        with pytest.raises(PreconditionError) as info:
+            labeled_space_report(fx.chain3(), closed)
+        assert info.value.name == "FOREIGN_COLLECTION"
+        # an equal graph built apart is the same graph
+        assert labeled_space_report(fx.fish(), closed).ok

@@ -1,7 +1,8 @@
 """The library's frozen records: construction with defaults, field reads,
 refused assignment, equality and hashing over the fields, the
 ``Name(field=value, ...)`` repr, copies and pickles, and the named errors
-of the three that validate their fields."""
+of the three that validate their fields; copies and pickles of every
+library error."""
 
 import copy
 import pickle
@@ -24,6 +25,8 @@ from labgraphs.lattice import (Factor, LabeledSpaceReport, NormalForm,
 from labgraphs.morphism import (LabeledGraphMorphism, MorphismReport,
                                 identity_maps)
 from labgraphs.skew import SkewSpec, one_cocycle
+
+from helpers import error_classes, library_error
 
 FISH = fx.fish()
 IDENTITY = identity_maps(FISH)
@@ -174,3 +177,19 @@ def test_skew_spec_factorings_are_computed_once():
     spec = fx.skewz_spec()
     assert spec.c_factoring is spec.c_factoring
     assert spec.d_factoring.factoring == {"0": 0, "1": 0}
+
+
+@pytest.mark.parametrize("error", error_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda exc: pickle.loads(pickle.dumps(exc))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_library_errors_survive_copy_and_pickle(error, round_trip):
+    """A copy keeps the class, the message, the witness and the fields the
+    class sets itself."""
+    exc = library_error(error)
+    again = round_trip(exc)
+    assert type(again) is error
+    assert str(again) == str(exc) and again.args == exc.args
+    for name in ("witness", "name", "line", "column", "path", "law"):
+        assert getattr(again, name, None) == getattr(exc, name, None), name
+    assert vars(again) == vars(exc)
