@@ -253,7 +253,9 @@ def _cmd_lattice(args):
         name: [{"set": vs, "derivation": text}
                for _, vs, _, text in listing]
         for name, listing in listings.items()}
-    payload["report"] = report.to_json()
+    if args.as_json:
+        # the report's JSON, and so its label counts, only where it is shown
+        payload["report"] = report.to_json()
     lines = ["smallest accommodating collection:"]
     for _, _, shown, text in listings["smallest_accommodating"]:
         lines.append(f"  {shown}  =  {text}")

@@ -6,14 +6,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (FrozenRecord, NotAMember, PreconditionError,
                      SearchSpaceExceeded, VerificationError, built_on_read)
 from .graph import require_valid
-from .labeled import (_CHUNK_LOW, CHUNK_BITS, Check, LabeledGraph, Word,
-                      _bits, chunk_tables, fold_chunks)
+from .labeled import (Check, LabeledGraph, Word, _bits, chunk_tables,
+                      fold_chunks)
 
 # Derivation expressions: leaves are ranges of words; inner nodes reference
 # other members by mask.
@@ -36,12 +37,13 @@ class SetCollection:
 
     A collection given its ``members`` answers membership from them.  One
     built by :func:`smallest_accommodating` or
-    :func:`relative_complement_closure` holds its basis (:func:`_close`)
-    and answers membership from that (:meth:`holds`); its ``members`` and
-    full ``derivations`` are listed on first read (:func:`_list`), with
-    the values and the order a listing at construction would give.
-    Equality, ``repr`` and ``dataclasses.replace`` read them; a copy or a
-    pickle carries the basis and what has been listed so far.
+    :func:`relative_complement_closure` holds its basis (:func:`_close`);
+    its ``members`` (:func:`_unions`) and its full ``derivations``
+    (:func:`_list`) are each listed on first read, with the values and the
+    order a listing at construction would give, and until the members are
+    listed the basis answers membership (:meth:`holds`).  Equality,
+    ``repr`` and ``dataclasses.replace`` read them; a copy or a pickle
+    carries the basis and what has been listed so far.
     """
 
     lg: LabeledGraph
@@ -63,42 +65,56 @@ class SetCollection:
         return col
 
     def __getattr__(self, name: str):
-        # Reached only for an attribute that is not set yet: one that is
-        # built on its first read and then kept.
-        build = _BUILT_ON_READ.get(name)
-        if build is None:
+        # Reached only for an attribute that is not set: the two fields
+        # that a collection held by its basis lists on their first read,
+        # each on its own.  Its basis of k elements spans at most 2^k - 1
+        # members, a bound held to MAX_MEMBERS at construction.
+        if name == "members":
+            value = tuple(sorted(_unions(self._basis)))
+        elif name == "derivations":
+            basis = self._basis
+            value = _list(basis, self._derived, (1 << len(basis)) - 1)
+        else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = build(self)
         object.__setattr__(self, name, value)
         return value
 
+    @cached_property
+    def _derived(self) -> Mapping[int, Derivation]:
+        # What a closure seeds from: set at construction for a collection
+        # held by its basis, and every derivation of one given its members.
+        return self.derivations
+
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
+
+    @cached_property
+    def _cover_tables(self) -> list[list[int]]:
+        return chunk_tables(self._cover, 0, operator.or_)
+
     def __contains__(self, mask: int) -> bool:
-        # The test of :meth:`holds` for one mask, without building a list:
-        # normal_form makes one per call.
-        if "_cover" not in vars(self):
+        # The listed members answer without a batch: normal_form makes one
+        # test per call.
+        if "members" in vars(self):
             return mask in self._member_set
-        if mask <= 0 or mask >> len(self._cover):
-            return False
-        rest, joined = mask, 0
-        for table in self._cover_tables:
-            joined |= table[rest & _CHUNK_LOW]
-            rest >>= CHUNK_BITS
-        return joined == mask
+        return self.holds((mask,))
 
     def holds(self, masks: Iterable[int]) -> bool:
         """Whether every mask of ``masks`` is a member.
 
-        From the basis, M is a member iff M is nonzero and equals the OR
-        of cover(v) over its vertices v, where cover(v) is m(v) for the
-        lattice and the atom of v for the ring, and 0 for a vertex that no
-        generator holds.  For the lattice, v in m(u) gives m(v) inside
-        m(u), so a union of m(u)'s holds the m(v) of each of its vertices;
-        the atoms partition the vertices they cover.  The ORs are read
-        from chunk tables of the covers
+        Listed members, given or built on a read, answer from themselves.
+        Otherwise the basis answers: M is a member iff M is nonzero and
+        equals the OR of cover(v) over its vertices v, where cover(v) is
+        m(v) for the lattice and the atom of v for the ring, and 0 for a
+        vertex that no generator holds.  For the lattice, v in m(u) gives
+        m(v) inside m(u), so a union of m(u)'s holds the m(v) of each of
+        its vertices; the atoms partition the vertices they cover.  The
+        ORs are read from chunk tables of the covers
         (:func:`~labgraphs.labeled.chunk_tables`), about n/8 lookups per
         mask."""
-        if "_cover" not in vars(self):
+        if "members" in vars(self):
             return self._member_set.issuperset(masks)
         masks = list(masks)
         return not masks or (
@@ -138,19 +154,6 @@ class SetCollection:
                     if (big & ~small) and (big & ~small) not in members:
                         ok["relative_complements"] = False
         return ok
-
-
-#: How each attribute of a :class:`SetCollection` that is built on first
-#: read is built.  ``_derived`` is what a closure seeds from: the sets
-#: derived before the listing, or every derivation of a collection given
-#: its members.
-_BUILT_ON_READ = {
-    "derivations": lambda col: _list(col._basis, col._derived),
-    "members": lambda col: tuple(sorted(col.derivations)),
-    "_derived": lambda col: col.derivations,
-    "_member_set": lambda col: frozenset(col.members),
-    "_cover_tables": lambda col: chunk_tables(col._cover, 0, operator.or_),
-}
 
 
 #: Largest number of members either closure builds; a closure that would
@@ -225,16 +228,16 @@ def _close(lg: LabeledGraph, seeds: Iterable[tuple[int, Derivation]],
     return basis, [atom_of.get(m, 0) for m in meet], derivations
 
 
-def _list(basis: list[int], derived: dict[int, Derivation],
-          cap: int | None = None) -> dict[int, Derivation]:
+def _list(basis: list[int], derived: Mapping[int, Derivation],
+          cap: int) -> dict[int, Derivation]:
     """The derivations of every member of the collection spanned by
     ``basis``: ``derived`` (from :func:`_close`), then the nonempty unions
     of the basis elements, listed in one pass per basis element b over the
     unions listed before it; a union u | b without a derivation is
     recorded as ``("or", u, b)``.  The atoms are disjoint, so the ring's
-    listing makes one union per member.  With ``cap``, a listing that
-    would hold more than ``cap`` members raises
-    :class:`SearchSpaceExceeded` before that pass records a union."""
+    listing makes one union per member.  A listing that would hold more
+    than ``cap`` members raises :class:`SearchSpaceExceeded` before that
+    pass records a union."""
     derivations = dict(derived)
     # ``listed`` holds the distinct unions of the basis elements met so far,
     # in the order they were found; each element b adds itself and every
@@ -244,13 +247,23 @@ def _list(basis: list[int], derived: dict[int, Derivation],
     for b in basis:
         listed.setdefault(b, b)
         fresh = {u | b: u for u in listed if u | b not in listed}
-        if cap is not None and len(listed) + len(fresh) > cap:
+        if len(listed) + len(fresh) > cap:
             raise SearchSpaceExceeded(
                 f"the closure has more than {cap} members")
         derivations.update({union: ("or", u, b) for union, u in fresh.items()
                             if union not in derivations})
         listed.update(fresh)
     return derivations
+
+
+def _unions(basis: list[int]) -> set[int]:
+    """The nonempty unions of the elements of ``basis``: the members of the
+    collection it spans, without the derivations :func:`_list` records."""
+    unions = {0}
+    for b in basis:
+        unions |= {u | b for u in unions}
+    unions.discard(0)
+    return unions
 
 
 def _basis(meet: list[int], derivations: dict[int, Derivation],
@@ -483,11 +496,11 @@ class LabeledSpaceReport(FrozenRecord):
                 and bool(self.ck1b_unions_closed) and bool(self.ck4))
 
     def to_json(self) -> dict:
+        # each vertex set sorted once, as its row's key and its text
+        rows = sorted((sorted(k), v) for k, v in self.label_counts.items())
         return {
             "set_finite": self.set_finite,
-            "label_counts": {",".join(sorted(k)): v
-                             for k, v in sorted(self.label_counts.items(),
-                                                key=lambda kv: sorted(kv[0]))},
+            "label_counts": {",".join(names): v for names, v in rows},
             "weakly_left_resolving": bool(self.weakly_left_resolving),
             "ck1a_pairs": self.ck1a_pairs,
             "ck1a_disjoint_pairs": self.ck1a_disjoint_pairs,
@@ -519,8 +532,9 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     edge or a step row differs from its fiber, to name the first failing
     member.
 
-    ``label_counts`` is built on its first read (:class:`LabeledSpaceReport`):
-    it maps each member's vertex set, decoded once for all members
+    ``label_counts`` is built on its first read (:class:`LabeledSpaceReport`),
+    which lists the members but not their derivations.  It maps each
+    member's vertex set, decoded once for all members
     (:meth:`LabeledGraph.names_of`), to the number of letters its vertices
     emit, the popcount of the OR of the member's entries in per-call chunk
     tables (:func:`~labgraphs.labeled.chunk_tables`) of the letters each

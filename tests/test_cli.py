@@ -364,6 +364,19 @@ class TestReports:
         assert code == 0
         assert "{v, w}" in out and "r(1)" in out
 
+    def test_lattice_text_builds_no_label_counts(self, monkeypatch):
+        # the text shows no label counts, so its report never builds them
+        from labgraphs import lattice
+        reports = []
+        report = lattice.labeled_space_report
+        monkeypatch.setattr(lattice, "labeled_space_report",
+                            lambda *args, **kwargs: reports.append(
+                                report(*args, **kwargs)) or reports[-1])
+        assert run(["lattice", "fixtures/fish4.json"])[0] == 0
+        assert run(["lattice", "fixtures/fish4.json", "--json"])[0] == 0
+        assert ["label_counts" in vars(report) for report in reports] == [
+            False, True]
+
     def test_lattice_long_word_bound(self):
         # the report's range sweeps read the graph's range table instead of
         # enumerating every word up to the bound

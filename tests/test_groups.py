@@ -131,7 +131,6 @@ class TestPermutation:
             f"{MAX_PERMUTATION_ENTRIES}")
 
 
-
 class TestMakeGroup:
     def test_round_trip_specs(self):
         for spec in ({"kind": "cyclic", "n": 3},

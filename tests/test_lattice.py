@@ -577,20 +577,24 @@ def _basis_membership_matches_listing(lg):
     at a time and in batches, exactly as their listed members do, for every
     mask in [-2, 2^n + 3); the membership tests list nothing."""
     col = smallest_accommodating(lg)
-    closed = relative_complement_closure(col)
+    held = (col, relative_complement_closure(col))
+    listed = (smallest_accommodating(lg), relative_complement_closure(col))
     masks = range(-2, lg.full_mask() + 4)
-    for coll in (col, closed):
+    for coll, other in zip(held, listed):
+        members = sorted(other.derivations)
+        assert list(other.members) == members
         one = [mask in coll for mask in masks]
         batch = [coll.holds([mask]) for mask in masks]
-        everything = coll.holds(masks)
-        assert not {"members", "derivations"} & set(vars(coll))
-        members = set(coll.members)
-        assert one == batch == [mask in members for mask in masks]
-        assert not everything
-        assert coll.holds(coll.members) and coll.holds(())
-        assert not coll.holds([*coll.members, lg.full_mask() + 1])
+        assert not coll.holds(masks)
+        assert coll.holds(members) and coll.holds(())
+        assert not coll.holds([*members, lg.full_mask() + 1])
         assert coll.holds(range(1, lg.full_mask() + 1)) is (
             len(members) == lg.full_mask())
+        assert not {"members", "derivations"} & set(vars(coll))
+        assert one == batch == [mask in set(members) for mask in masks]
+        # listed, the collection answers from its members, and the same
+        assert one == [mask in other for mask in masks]
+        assert list(coll.members) == members
 
 
 class TestBasisMembership:
@@ -623,7 +627,8 @@ class TestBasisMembership:
     def test_the_pipeline_lists_no_member(self):
         """The closures and the report leave every listing unbuilt; read
         afterwards, they are the ones a listing at construction gives and
-        the label counts are the oracle's."""
+        the label counts are the oracle's.  The label counts list the
+        members and no derivation."""
         rng = random.Random(41)
         for _ in range(40):
             lg = fx.random_valid_labeled_graph(rng, max_vertices=7)
@@ -636,10 +641,24 @@ class TestBasisMembership:
             assert "label_counts" not in vars(report)
             assert report.to_json() == labeled_space_report_oracle(
                 lg, closed).to_json()
+            assert "derivations" not in vars(closed)
             for coll in (col, closed):
                 assert list(coll.members) == sorted(coll.derivations)
                 assert all(value == mask for mask, value
                            in _values_in_order(coll).items())
+
+    def test_report_json_orders_label_counts_by_sorted_names(self):
+        # the JSON rows follow the sorted vertex names, not the members'
+        # mask order, in which {v00} and {v01} come before {v00, v01}
+        lg = shift_graph(5)
+        report = labeled_space_report(
+            lg, relative_complement_closure(smallest_accommodating(lg)))
+        rows = list(report.to_json()["label_counts"].items())
+        by_names = sorted((sorted(k), v) for k, v
+                          in report.label_counts.items())
+        assert rows == [(",".join(names), v) for names, v in by_names]
+        assert [key for key, _ in rows[:3]] == ["v00", "v00,v01",
+                                                 "v00,v01,v02"]
 
     def test_copies_and_pickles_are_equal(self):
         for lg in (fx.fish4(), fx.chain3(), shift_graph(5)):
