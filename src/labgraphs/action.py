@@ -169,19 +169,6 @@ class LabeledGraphAction:
         None otherwise."""
         return None
 
-    def elements_moving(self, kind: str, source: str,
-                        target: str) -> tuple[Element, ...]:
-        """The elements h with alpha_h(source) = target on a placed kind:
-        h = t s^-1 for the source at (q, s) and the target at (q, t), once
-        checked, and none across fibers.  On a window h may lie outside
-        the scope, as a halo target may."""
-        index, coords = self.index(kind), self.coordinates(kind)
-        (q, s), (p, t) = coords[index[source]], coords[index[target]]
-        if q != p:
-            return ()
-        h = self.group.op(t, self.group.inv(s))
-        return (h,) if self.apply(h, kind, source) == target else ()
-
     def lifting_scope(self) -> Sequence[str]:
         """Vertices at which path-lifting statements are quantified, and
         the vertices eligible as fundamental-domain representatives.  On

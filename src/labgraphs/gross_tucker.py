@@ -102,13 +102,20 @@ def derive_eta1(action: LabeledGraphAction, quot: QuotientLabeledGraph,
 
 def _solve_translate(action: LabeledGraphAction, kind: str,
                      source: str, target: str) -> Element:
-    """The unique h with alpha_h(source) = target."""
-    matches = action.elements_moving(kind, source, target)
-    if len(matches) != 1:
-        raise NonFreeWitness(
-            f"{len(matches)} elements move {source!r} to {target!r}; "
-            f"the action cannot be free", (source, target, tuple(matches)))
-    return matches[0]
+    """The unique h with alpha_h(source) = target, on a placed kind:
+    h = t s^-1 for the source at (q, s) and the target at (q, t), once
+    ``apply`` confirms it.  Across fibers, or unconfirmed, no element
+    moves source to target and :class:`NonFreeWitness` is raised.  On a
+    window h may lie outside the scope, as a halo target may."""
+    index, coords = action.index(kind), action.coordinates(kind)
+    (q, s), (p, t) = coords[index[source]], coords[index[target]]
+    if q == p:
+        h = action.group.op(t, action.group.inv(s))
+        if action.apply(h, kind, source) == target:
+            return h
+    raise NonFreeWitness(
+        f"0 elements move {source!r} to {target!r}; "
+        f"the action cannot be free", (source, target, ()))
 
 
 def derive_cocycles(action: LabeledGraphAction, quot: QuotientLabeledGraph,
@@ -345,9 +352,11 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     (:func:`_comparison_row`).  Its totality, the morphism laws and
     bijectivity (:func:`~labgraphs.morphism.verify_rows`) and the
     equivariance certificate (:func:`_equivariance_offsets`) are checked
-    on those positions.  A check that fails names the skew product and
-    phi then, and raises what the check by name raises, with the same
-    witness; the record's ``iso`` is named on first read."""
+    on those positions; where the certificate fails, the scan of
+    :func:`_equivariance_by_element` runs on the same positions.  A check
+    that fails raises what the check by name raises, with the same
+    witness; a morphism law names phi to find it.  The record's ``iso``
+    is named on first read."""
     require_verified(action)
     freeness = is_free(action)
     if not freeness:
@@ -407,14 +416,15 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
                 f"reconstruction morphism law failed: {morphism_report.note}",
                 morphism_report.witness)
         raise VerificationError("reconstruction map is not bijective", None)
-    iso = named_iso
     checked = _equivariance_offsets(action, form.coordinates, rows)
+    if checked is None:
+        checked = _equivariance_by_element(
+            action, TranslationAction(skew), [row + [-1] for row in rows])
     if not checked:
-        iso = named_iso()
-        checked = check_equivariance(action, skew, iso[2:])
+        raise VerificationError("equivariance could not be exercised", None)
 
     return Reconstruction(
-        quot, pack, c, d, skew, iso, morphism_report, checked,
+        quot, pack, c, d, skew, named_iso, morphism_report, checked,
         is_label_consistent(quot.quotient, c).factoring,
         is_label_consistent(quot.quotient, d).factoring, domain)
 

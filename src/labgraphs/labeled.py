@@ -113,9 +113,6 @@ class LabeledGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def label(self, eid: str) -> str:
-        return self.labeling[eid]
-
     def label_word(self, path: Path) -> Word:
         return tuple(self.labeling[eid] for eid in path.edges)
 
@@ -424,18 +421,25 @@ def is_left_resolving(lg: LabeledGraph) -> Check:
 
 
 def is_weakly_left_resolving(lg: LabeledGraph) -> Check:
-    """Fast check: single-letter ranges of distinct single vertices are
-    disjoint.  Equivalent to the all-subsets, all-words condition by
-    induction on words; the equivalence is enforced against the
-    definitional oracle in the test suite."""
-    step = lg._step
-    nv = len(lg.vertices)
-    for ai, a in enumerate(lg.alphabet):
-        row = step[ai]
-        for i in range(nv):
-            if not row[i]:
-                continue
-            for j in range(i + 1, nv):
-                if row[i] & row[j]:
-                    return Check(False, (a, lg.vertices[i], lg.vertices[j]))
-    return Check(True)
+    """Single-letter ranges of distinct single vertices are disjoint: no
+    vertex receives one letter from two sources.  Equivalent to the
+    all-subsets, all-words condition by induction on words; the
+    equivalence is enforced against the definitional oracle in the test
+    suite.
+
+    The graph passes iff the (target, label) pairs of its integer core
+    are as many as its (target, label, source) triples, which two sets
+    over them decide.  Only a graph that fails groups its sources by
+    (label, target) to name its witness (a, u, v): over the groups of two
+    or more sources, the least (a, u, v) with u and v the group's two
+    least sources, in alphabet and vertex order."""
+    core = lg.core
+    triples = set(zip(core.dst, core.lab, core.src))
+    if len(set(zip(core.dst, core.lab))) == len(triples):
+        return Check(True)
+    sources: dict[tuple[int, int], list[int]] = {}
+    for w, a, v in triples:
+        sources.setdefault((a, w), []).append(v)
+    a, u, v = min((a, *sorted(vs)[:2])
+                  for (a, _), vs in sources.items() if len(vs) > 1)
+    return Check(False, (lg.alphabet[a], lg.vertices[u], lg.vertices[v]))

@@ -127,9 +127,6 @@ class SetCollection:
     def sets(self) -> tuple[frozenset[str], ...]:
         return tuple(self.lg.names_of(self.members, frozen=True))
 
-    def mask_of(self, vertices: Iterable[str]) -> int:
-        return self.lg.mask_of(vertices)
-
     def closure_status(self) -> dict[str, bool]:
         """Re-check the closure laws from scratch, over the listed
         members and independently of the basis."""

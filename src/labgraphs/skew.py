@@ -14,7 +14,7 @@ from .action import (EDGE, KINDS, LETTER, FiniteAction, LabeledGraphAction,
                      QuotientLabeledGraph, is_label_consistent, quotient)
 from .errors import (FrozenRecord, OutOfWindow, PreconditionError,
                      SearchSpaceExceeded, VerificationError)
-from .graph import DirectedGraph, Edge, Path, validate
+from .graph import DirectedGraph, Edge, Path, require_valid
 from .groups import Element, Group, Window, count_elements
 from .labeled import Check, GraphCore, LabeledGraph, Word, is_left_resolving
 from .morphism import LabeledGraphMorphism, identity_maps, verify_morphism
@@ -325,11 +325,7 @@ def skew_product(spec: SkewSpec, window: Window | None = None,
     materialization bounded to more than :data:`MAX_ITEMS` items raises
     :class:`SearchSpaceExceeded`.
     """
-    validity = validate(spec.base.graph)
-    if not validity.valid:
-        raise PreconditionError(
-            "INVALID_GRAPH",
-            f"skew base: offending vertices {', '.join(validity.offenders())}")
+    require_valid(spec.base.graph, "skew base")
     if layers is None:
         if spec.group.is_finite:
             elements = spec.group.elements()

@@ -1,7 +1,10 @@
 """Shared constructions used by several test modules."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Mapping
 
@@ -20,6 +23,18 @@ from labgraphs.lattice import (Derivation, LabeledSpaceReport,
                                SetCollection)
 from labgraphs.morphism import LabeledGraphMorphism, MorphismReport
 from labgraphs.skew import SkewLabeledGraph, SkewSpec, TranslationAction
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the checkout's ``src`` from the root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def error_classes(cls=errors.LabGraphsError) -> list[type]:
@@ -393,6 +408,24 @@ def left_resolving_by_vertex(lg: LabeledGraph) -> Check:
             if a in seen:
                 return Check(False, (v, seen[a], e.eid))
             seen[a] = e.eid
+    return Check(True)
+
+
+def weakly_left_resolving_by_pairs(lg: LabeledGraph) -> Check:
+    """Witness oracle for ``is_weakly_left_resolving``: per letter in
+    alphabet order, every pair of vertices i < j in vertex order, and the
+    first pair whose successor masks (``LabeledGraph._step``) meet names
+    (letter, vertex i, vertex j)."""
+    step = lg._step
+    nv = len(lg.vertices)
+    for ai, a in enumerate(lg.alphabet):
+        row = step[ai]
+        for i in range(nv):
+            if not row[i]:
+                continue
+            for j in range(i + 1, nv):
+                if row[i] & row[j]:
+                    return Check(False, (a, lg.vertices[i], lg.vertices[j]))
     return Check(True)
 
 

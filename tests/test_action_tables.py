@@ -1350,24 +1350,32 @@ def test_tampered_reconstructions_are_not_vacuous():
                     "reconstruction map is not bijective"}
 
 
-def test_a_non_equivariant_isomorphism_fails_as_the_checks_by_name():
-    """Over S3 acting on two loops with their own letters, phi followed
-    by left multiplication by a transposition on one loop's fiber keeps
-    the laws and bijectivity and breaks equivariance: the certificate
-    fails, and the scan names the least witness, as by name."""
+@pytest.mark.parametrize("group, window, move", [
+    (SMALL_GROUPS["S3"], None,
+     lambda u: SMALL_GROUPS["S3"].op((1, 0, 2), u)),
+    (IntegerGroup(), Window(0, 3), lambda u: 3 - u),
+], ids=["S3", "Z on 0:3"])
+def test_a_non_equivariant_isomorphism_fails_as_the_checks_by_name(
+        group, window, move):
+    """Over S3, and over the integers on a window, acting on two loops
+    with their own letters, phi followed by a bijection ``move`` of the
+    layers of one loop's fiber (left multiplication by a transposition,
+    the reflection of 0..3) keeps the laws and bijectivity and breaks
+    equivariance: the certificate fails, and the scan names the least
+    witness, as by name.  On the window the scan also meets translations
+    that leave the layers, which compare nothing."""
     base = LabeledGraph(DirectedGraph(["v0", "v1"], [("e0", "v0", "v0"),
                                                      ("e1", "v1", "v1")]),
                         {"e0": "a", "e1": "b"})
-    group = SMALL_GROUPS["S3"]
     flat = {"e0": group.identity, "e1": group.identity}
     action = TranslationAction(skew_product(SkewSpec(base, group, flat,
-                                                     flat)))
-    h, fiber = (1, 0, 2), ("v0", "e0", "a")
+                                                     flat), window))
+    fiber = ("v0", "e0", "a")
 
     def tamper(k: int, row: list[int]) -> list[int]:
         coords, located = action.coordinates(KINDS[k]), action.located(
             KINDS[k])
-        return [located[p, group.op(h, u)] if p in fiber else j
+        return [located[p, move(u)] if p in fiber else j
                 for j, (p, u) in zip(row, map(coords.__getitem__, row))]
 
     got, want = outcomes_with_rows(action, tamper)

@@ -18,12 +18,23 @@ from labgraphs.action import MAX_TRIPLES, VERTEX
 from labgraphs.cli import build_parser, main
 from labgraphs.graph import MAX_PATH_EDGES
 from labgraphs.groups import MAX_PERMUTATION_ENTRIES, MAX_TABLE_ORDER
+from labgraphs.labeled import LabeledGraph
 from labgraphs.skew import MAX_ITEMS, TranslationAction
 
-from helpers import (distinct_letter_cycle, error_classes,
+from helpers import (child, distinct_letter_cycle, error_classes,
                      evaluate_printed_derivation, library_error, shift_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Runs the CLI on its arguments in a child that first limits its own
+#: address space to 1 GiB.
+LIMITED_CLI = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from labgraphs.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 ACTION_COMMANDS = ["act-check", "translate", "gross-tucker", "quotient",
                    "fundomain"]
 
@@ -122,6 +133,31 @@ class TestExitCodes:
                               "--domain", str(domain)])
         assert code == 2 and out == ""
         assert "ACTION_NOT_VERIFIED" in err
+
+    def test_properties_on_a_wide_skew_window_fits_in_a_gibibyte(self):
+        """skewz over 0:8000 (16,002 vertices and as many letters) in a
+        child that limits its own address space to 1 GiB: weak
+        left-resolving is decided on the integer core, with no table of
+        one mask per (letter, vertex)."""
+        proc = child("-c", LIMITED_CLI, "properties", "fixtures/skewz.json",
+                     "--window", "0:8000")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "weakly-left-resolving: true" in proc.stdout.splitlines()
+
+    def test_properties_on_a_skew_spec_builds_no_step_table(self,
+                                                            monkeypatch):
+        """``properties`` leaves ``LabeledGraph._step`` unbuilt; ``range``,
+        which reads it, shows that the spy sees a build."""
+        built = []
+        step = LabeledGraph._step.func
+        monkeypatch.setattr(LabeledGraph, "_step", property(
+            lambda lg: built.append(lg) or step(lg)))
+        window = ["--window", "0:40"]
+        assert run(["properties", "fixtures/skewz.json", *window])[0] == 0
+        assert built == []
+        assert run(["range", "fixtures/skewz.json", *window,
+                    "--word", "(0,0)"])[0] == 0
+        assert built
 
     def test_exit_codes_deterministic(self):
         first = run(["fundomain", "fixtures/nofd.json", "--window", "-3:3"])
@@ -647,16 +683,20 @@ class TestReports:
         assert "clause (b)" in out
         assert "(1,0)" in out and "(1,3)" in out
 
-    def test_iso_check(self, tmp_path):
+    @pytest.mark.parametrize("e_image, code, lines", [
+        ("e", 0, ["morphism: true", "isomorphism: true"]),
+        ("f", 1, ["morphism: false", "isomorphism: false",
+                  "violation: range not preserved at ('e', 'v', 'w')"]),
+    ], ids=["identity", "range broken"])
+    def test_iso_check(self, tmp_path, e_image, code, lines):
         morphism = {"vertex_map": {"v": "v", "w": "w"},
-                    "edge_map": {"e": "e", "f": "f", "g": "g"},
+                    "edge_map": {"e": e_image, "f": "f", "g": "g"},
                     "alphabet_map": {"0": "0", "1": "1"}}
         path = tmp_path / "m.json"
         path.write_text(json.dumps(morphism))
-        code, out, _ = run(["iso-check", "fixtures/fish.json",
-                            "fixtures/fish.json", "--morphism", str(path)])
-        assert code == 0
-        assert "isomorphism: true" in out
+        assert run(["iso-check", "fixtures/fish.json", "fixtures/fish.json",
+                    "--morphism", str(path)]) == (
+            code, "".join(f"{line}\n" for line in lines), "")
 
     def test_export_dot_contains_nofd_witness_label(self):
         code, out, _ = run(["export-dot", "fixtures/nofd.json",
@@ -664,11 +704,15 @@ class TestReports:
         assert code == 0
         assert '"(w,1)" -> "(w,2)" [label="(1,3)"]' in out
 
-    def test_export_dot_fish(self):
+    def test_export_dot_fish(self, tmp_path):
         code, out, _ = run(["export-dot", "fixtures/fish.json"])
         assert code == 0
         assert out.count("->") == 3
         assert 'label="1"' in out and 'label="0"' in out
+        path = tmp_path / "fish.dot"
+        assert run(["export-dot", "fixtures/fish.json", "-o", str(path)]) == (
+            0, f"wrote {path}\n", "")
+        assert path.read_text(encoding="utf-8") == out
 
 
 GOLDEN = [
@@ -786,3 +830,181 @@ def test_mutated_inputs_exit_0_1_or_2(data):
                 json.dump(value, fh)
         code, _, _ = run([arg.format(**paths) for arg in argv])
     assert code in (0, 1, 2)
+
+
+# -- refusals ------------------------------------------------------------------
+
+
+def edited(name, edit):
+    """The fixture ``name`` after ``edit`` changed it in place."""
+    doc = fixture(name)
+    edit(doc)
+    return doc
+
+
+def without_edge_g(spec):
+    spec["base"]["edges"] = [edge for edge in spec["base"]["edges"]
+                             if edge["id"] != "g"]
+    del spec["c"]["g"], spec["d"]["g"]
+
+
+def over_group(group):
+    return lambda spec: spec.update(group=group)
+
+
+def gt510_pack(eta0):
+    return {"format_version": 1, "kind": "section-pack", "eta0": eta0,
+            "etaA": {"0": "(0,0)", "1": "(1,0)"}}
+
+
+GT510 = ["gross-tucker", "fixtures/gt510-action.json", "--window", "-4:6",
+         "--eta0", "{doc}"]
+S9 = {"kind": "permutation", "degree": 9,
+      "generators": [[1, 0, *range(2, 9)], [*range(1, 9), 0]]}
+
+#: (argv with an optional {doc} placeholder, the document written for it,
+#: the first line of stderr), for refusals that no other test reaches.
+REFUSALS = {
+    "element dropped": (
+        ["act-check", "{doc}"],
+        edited("elements-s3.json", lambda d: d["elements"].pop()),
+        "PARTIAL_ACTION: one triple per group element is required"),
+    "vertex map not total": (
+        ["act-check", "{doc}"],
+        edited("elements-s3.json",
+               lambda d: d["elements"][0]["vertex_map"].pop("n000")),
+        "PARTIAL_ACTION: vertex map of element (0, 1, 2) is not a total "
+        "self-map"),
+    "raw action over the integers": (
+        ["act-check", "{doc}"],
+        {"format_version": 1, "kind": "action", "group": {"kind": "integers"},
+         "graph": {key: fixture("fish.json")[key]
+                   for key in ("vertices", "alphabet", "edges")},
+         "elements": [{"element": 0, **FISH_IDENTITY}]},
+        "INFINITE_GROUP: raw actions are accepted for finite groups only; "
+        "present integer actions as skew products"),
+    "unknown domain vertex": (
+        ["fundomain", "fixtures/fdok-action.json", "--domain", "{doc}"],
+        ["nope"], "UNKNOWN_VERTEX: nope"),
+    "halo domain vertex": (
+        ["fundomain", "fixtures/nofd.json", "--window", "-3:3",
+         "--domain", "{doc}"],
+        ["(v,4)"],
+        "OUTSIDE_WINDOW_SCOPE: candidate representative '(v,4)' is not in "
+        "the window scope"),
+    "section key missing": (
+        GT510, gt510_pack({"v": "(v,0)"}),
+        "BAD_SECTION: vertex section must be keyed by the quotient carrier"),
+    "section unknown item": (
+        GT510, gt510_pack({"v": "zz", "w": "(w,2)"}),
+        "BAD_SECTION: vertex section hits unknown item 'zz'"),
+    "not a section": (
+        GT510, gt510_pack({"v": "(w,0)", "w": "(w,2)"}),
+        "BAD_SECTION: vertex section is not a section: q('(w,0)') != 'v'"),
+    "section outside the window scope": (
+        GT510, gt510_pack({"v": "(v,7)", "w": "(w,2)"}),
+        "BAD_SECTION: vertex section leaves the window scope: '(v,7)'"),
+    "unknown range set vertex": (
+        ["range", "fixtures/fish.json", "--set", "zz", "--word", "0"], None,
+        "UNKNOWN_VERTEX: zz"),
+    "invalid skew base": (
+        ["skew", "{doc}", "--window", "0:3"],
+        edited("skewz.json", without_edge_g),
+        "INVALID_GRAPH: skew base: offending vertices w"),
+    "table without inverse": (
+        ["skew", "{doc}"],
+        edited("skewz.json",
+               over_group({"kind": "table", "table": [[0, 0], [0, 1]]})),
+        "schema error at $.group: invalid group: no inverse"),
+    "table with a short row": (
+        ["skew", "{doc}"],
+        edited("skewz.json",
+               over_group({"kind": "table", "table": [[0, 1], [1]]})),
+        "schema error at $.group: invalid group: row 1 has length 1, "
+        "expected 2"),
+    "table entry out of range": (
+        ["skew", "{doc}"],
+        edited("skewz.json",
+               over_group({"kind": "table", "table": [[0, 1], [1, 2]]})),
+        "schema error at $.group: invalid group: entry (1,1) out of range"),
+    "cyclic of order 0": (
+        ["skew", "{doc}"],
+        edited("skewz.json", over_group({"kind": "cyclic", "n": 0})),
+        "schema error at $.group: invalid group: BAD_GROUP_SPEC: cyclic "
+        "order must be >= 1"),
+    "S9": (
+        ["skew", "{doc}"], edited("skewz.json", over_group(S9)),
+        "schema error at $.group: invalid group: GROUP_TOO_LARGE: the "
+        "closure of the generators holds at least 100001 elements, over the "
+        "cap MAX_GROUP_ORDER = 100000"),
+    "optional field of the wrong type": (
+        ["act-check", "{doc}"],
+        edited("elements-s3.json", lambda d: d.update(elements={})),
+        "schema error at $.elements: expected list, got dict"),
+    "repeated edge id": (
+        ["properties", "{doc}"],
+        edited("fish.json",
+               lambda d: d["edges"].append(dict(d["edges"][2], dst="w"))),
+        "schema error at $: DUPLICATE_EDGE_ID: g"),
+    "cocycle not an object": (
+        ["skew", "{doc}", "--window", "0:3"],
+        edited("skewz.json", lambda d: d.update(c=[])),
+        "schema error at $.c: expected dict, got list"),
+    "raw action without graph": (
+        ["act-check", "{doc}"],
+        edited("elements-s3.json", lambda d: d.pop("graph")),
+        "schema error at $: raw actions require a 'graph' field"),
+    "elements entry without element": (
+        ["act-check", "{doc}"],
+        edited("elements-s3.json", lambda d: d["elements"][0].pop("element")),
+        "schema error at $.elements[0]: missing field 'element'"),
+    "unknown document kind": (
+        ["properties", "{doc}"], {"format_version": 1, "kind": "frob"},
+        "schema error at $.kind: unknown document kind 'frob'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_exits_two_naming_its_error(tmp_path, name):
+    argv, doc, first_line = REFUSALS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run([arg.format(doc=path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {first_line}"
+
+
+def elements_s3_generators():
+    """``fixtures/elements-s3.json`` in generator form: the triples of its
+    group's two generators, in the group's order."""
+    doc = fixture("elements-s3.json")
+    triples = {tuple(entry.pop("element")): entry
+               for entry in doc.pop("elements")}
+    doc["generators"] = [triples[tuple(g)]
+                         for g in doc["group"]["generators"]]
+    return doc
+
+
+def test_generator_form_over_a_permutation_group(tmp_path):
+    """The generator form of the S3 action reconstructs byte for byte as
+    its element form does."""
+    path = tmp_path / "generators.json"
+    path.write_text(json.dumps(elements_s3_generators()), encoding="utf-8")
+    got = run(["gross-tucker", str(path), "--json"])
+    assert got[0] == 0
+    assert got == run(["gross-tucker", "fixtures/elements-s3.json",
+                       "--json"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["generators"].pop(), "expected 2 generator triples"),
+    (lambda d: d.update(group=fixture("elements-table.json")["group"]),
+     "generator form needs a cyclic or permutation group"),
+])
+def test_bad_generator_forms_exit_two(tmp_path, edit, message):
+    doc = elements_s3_generators()
+    edit(doc)
+    path = tmp_path / "generators.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["act-check", str(path)]) == (
+        2, "", f"error: BAD_GENERATORS: {message}\n")

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from labgraphs import fixtures as fx
-from labgraphs.action import quotient
+from labgraphs.action import VERTEX, quotient
 from labgraphs.errors import (LiftFailure, NoFundamentalDomain,
-                              PreconditionError)
-from labgraphs.gross_tucker import (SectionPack, default_etaA, derive_cocycles,
+                              NonFreeWitness, PreconditionError,
+                              VerificationError)
+from labgraphs.gross_tucker import (SectionPack, _solve_translate,
+                                    default_etaA, derive_cocycles,
                                     derive_eta1, identity_layer_sections,
                                     reconstruct, reconstruct_label_consistent)
 from labgraphs.graph import DirectedGraph
@@ -82,6 +84,22 @@ class TestDeriveCocycles:
         assert d["f"] != d["g"]
 
 
+    @pytest.mark.parametrize("lie", [("v", 1), ("w", 2)],
+                             ids=["layer", "fiber"])
+    def test_the_solver_checks_the_coordinates_it_reads(self, lie):
+        """The element moving (v,0) onto (v,2) is read off their
+        coordinates and then checked with ``apply``: coordinates that lie
+        about the target's layer or fiber give no element, and the solver
+        refuses as on a non-free action."""
+        action, _ = fx.gt510()
+        action.coordinates(VERTEX)[action.index(VERTEX)["(v,2)"]] = lie
+        with pytest.raises(NonFreeWitness) as info:
+            _solve_translate(action, VERTEX, "(v,0)", "(v,2)")
+        assert info.value.args[0] == ("0 elements move '(v,0)' to '(v,2)'; "
+                                      "the action cannot be free")
+        assert info.value.witness == ("(v,0)", "(v,2)", ())
+
+
 class TestReconstruct:
     def test_gt510_verifies_on_window(self):
         action, pack = fx.gt510(Window(-4, 6))
@@ -144,6 +162,15 @@ class TestReconstruct:
             rec = reconstruct(action)
             assert rec.morphism_report.isomorphism
             assert rec.equivariance_checked > 0
+
+    def test_an_empty_action_is_refused(self):
+        """On the empty graph equivariance compares nothing, so the
+        reconstruction refuses instead of passing vacuously."""
+        from helpers import trivial_action
+        empty = LabeledGraph(DirectedGraph([], []), {})
+        with pytest.raises(VerificationError) as info:
+            reconstruct(trivial_action(empty, n=1))
+        assert info.value.law == "equivariance could not be exercised"
 
     def test_rejects_unverified_or_non_free(self):
         from helpers import trivial_action

@@ -7,7 +7,6 @@ import importlib
 import json
 import os
 import random
-import subprocess
 import sys
 
 import pytest
@@ -19,6 +18,8 @@ from labgraphs.cli import build_parser
 from labgraphs.morphism import identity_maps
 
 from tools.make_fixtures import GOLDEN_COMMANDS
+
+from helpers import child
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,15 +61,6 @@ CALLS = {
                   "--morphism", "MORPHISM"],
     "export-dot": ["fixtures/skewz.json", "--window", "0:3"],
 }
-
-
-def child(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on the checkout's ``src`` from the root."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def loaded_by(argv: list[str]) -> tuple[int, set[str], set[str]]:

@@ -11,13 +11,14 @@ from labgraphs import fixtures as fx
 from labgraphs.errors import (NotALabeledPath, PreconditionError,
                               SearchSpaceExceeded)
 from labgraphs.graph import DirectedGraph
-from labgraphs.labeled import (CHUNK_BITS, LabeledGraph, is_left_resolving,
-                               is_weakly_left_resolving, label_set,
-                               labeled_paths, range_and_source, relative_range,
-                               representatives)
+from labgraphs.labeled import (CHUNK_BITS, LabeledGraph,
+                               is_left_resolving, is_weakly_left_resolving,
+                               label_set, labeled_paths, range_and_source,
+                               relative_range, representatives)
 
 from helpers import (BRUTEFORCE_MAX_VERTICES, left_resolving_by_vertex,
-                     weakly_left_resolving_bruteforce)
+                     weakly_left_resolving_bruteforce,
+                     weakly_left_resolving_by_pairs)
 
 
 def word(text):
@@ -32,6 +33,42 @@ def collision_graph():
         [("e1", "u1", "w"), ("e2", "u2", "w"),
          ("r1", "w", "u1"), ("r2", "w", "u2")])
     return LabeledGraph(g, {"e1": "a", "e2": "a", "r1": "b", "r2": "c"})
+
+
+def multigraph(vertex_count, rows, ids):
+    """The labeled graph on v0..v{vertex_count - 1} whose edge ``e{ids[k]}``
+    runs from ``rows[k][0]`` to ``rows[k][1]`` with label ``rows[k][2]``."""
+    vertices = [f"v{i}" for i in range(vertex_count)]
+    edges = [(f"e{i}", vertices[src], vertices[dst])
+             for i, (src, dst, _) in zip(ids, rows)]
+    return LabeledGraph(DirectedGraph(vertices, edges),
+                        {eid: a for (eid, _, _), (_, _, a)
+                         in zip(edges, rows)})
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs with loops, parallel edges and clashes at several vertices
+    and letters.  Vertex and edge names sort apart from their creation
+    order (v10 before v2, e10 before e9), so vertex order and edge order
+    are both exercised."""
+    nv = draw(st.integers(1, 12))
+    letters = draw(st.sampled_from(["a", "ab", "abc"]))
+    ends = st.integers(0, nv - 1)
+    rows = draw(st.lists(st.tuples(ends, ends, st.sampled_from(letters)),
+                         max_size=24))
+    return multigraph(nv, rows, draw(st.permutations(range(len(rows)))))
+
+
+def random_multigraph(rng):
+    """A seeded draw of the graphs :func:`multigraphs` generates."""
+    nv = rng.randint(1, 12)
+    letters = rng.choice(["a", "ab", "abc"])
+    rows = [(rng.randrange(nv), rng.randrange(nv), rng.choice(letters))
+            for _ in range(rng.randint(0, 24))]
+    ids = list(range(len(rows)))
+    rng.shuffle(ids)
+    return multigraph(nv, rows, ids)
 
 
 def cycle(n):
@@ -247,23 +284,8 @@ class TestLeftResolving:
         assert skew.left_resolving_inherited
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_matches_the_per_vertex_scan(self, data):
-        """Verdict and witness equal the per-vertex oracle's on graphs with
-        loops, parallel edges and clashes at several vertices.  Vertex and
-        edge names sort apart from their creation order (v10 before v2,
-        e10 before e9), so vertex order and edge order are both exercised."""
-        nv = data.draw(st.integers(1, 12))
-        vertices = [f"v{i}" for i in range(nv)]
-        letters = data.draw(st.sampled_from(["a", "ab", "abc"]))
-        ends = st.sampled_from(vertices)
-        rows = data.draw(st.lists(st.tuples(ends, ends, st.sampled_from(letters)),
-                                  max_size=24))
-        ids = data.draw(st.permutations(range(len(rows))))
-        edges = [(f"e{i}", src, dst) for i, (src, dst, _) in zip(ids, rows)]
-        lg = LabeledGraph(DirectedGraph(vertices, edges),
-                          {eid: a for (eid, _, _), (_, _, a)
-                           in zip(edges, rows)})
+    @given(multigraphs())
+    def test_matches_the_per_vertex_scan(self, lg):
         got, want = is_left_resolving(lg), left_resolving_by_vertex(lg)
         assert (got.ok, got.witness) == (want.ok, want.witness)
 
@@ -304,6 +326,41 @@ class TestWeaklyLeftResolving:
             lg = fx.random_labeled_graph(rng)
             assert bool(is_weakly_left_resolving(lg)) == bool(
                 weakly_left_resolving_bruteforce(lg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_matches_the_pairwise_scan(self, lg):
+        got, want = (is_weakly_left_resolving(lg),
+                     weakly_left_resolving_by_pairs(lg))
+        assert (got.ok, got.witness) == (want.ok, want.witness)
+
+    def test_matches_the_pairwise_scan_on_seeded_graphs(self):
+        """Verdict and witness equal the pairwise scan's on 10,000 seeded
+        multigraphs, of which many fail and many pass."""
+        rng = random.Random(30)
+        failing = 0
+        for _ in range(10_000):
+            lg = random_multigraph(rng)
+            got, want = (is_weakly_left_resolving(lg),
+                         weakly_left_resolving_by_pairs(lg))
+            assert (got.ok, got.witness) == (want.ok, want.witness)
+            failing += not got
+        assert 2_000 < failing < 8_000
+
+    def test_the_least_letter_and_pair_name_the_witness(self):
+        """Clashes under a and b: a comes first, and of its two clashing
+        groups the one whose two least sources come first names the pair,
+        in vertex order (v10 before v2) and not in edge order."""
+        g = DirectedGraph(["v10", "v2", "v3", "w"],
+                          [("e1", "v3", "w"), ("e2", "v2", "w"),
+                           ("e3", "v3", "v3"), ("e4", "v2", "v3"),
+                           ("e5", "v10", "v3"), ("e6", "v10", "w"),
+                           ("e7", "v2", "w")])
+        lg = LabeledGraph(g, {"e1": "a", "e2": "a", "e3": "a", "e4": "b",
+                              "e5": "a", "e6": "b", "e7": "b"})
+        assert is_weakly_left_resolving(lg).witness == ("a", "v10", "v3")
+        assert weakly_left_resolving_by_pairs(lg).witness == (
+            "a", "v10", "v3")
 
     def test_oracle_refuses_graphs_over_its_cap(self):
         assert weakly_left_resolving_bruteforce(cycle(BRUTEFORCE_MAX_VERTICES))
