@@ -4,8 +4,10 @@ Exit codes: 0 when the property holds or the construction succeeded, 1
 when a property fails (a witness is printed) or the library raises any
 other :class:`~labgraphs.errors.LabGraphsError`, 2 on usage errors, an
 unreadable file and the input errors (``_INPUT_ERRORS``: parse, schema and
-precondition errors, a size cap, a malformed group).  ``--json`` switches
-the report to machine-readable JSON.
+precondition errors, a size cap, a malformed group).  A reader that
+closes stdout before the output ends (``| head``) ends the call with exit
+1 and nothing on stderr.  ``--json`` switches the report to
+machine-readable JSON.
 
 Each call runs one subcommand in a fresh interpreter, so this module
 imports at its top only what parsing and every handler need (``errors``,
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Mapping
@@ -554,6 +557,18 @@ def _expand_window_args(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()      # so that a closed pipe is met in the try
+    except BrokenPipeError:
+        # the ``signal`` docs' note on SIGPIPE: stdout to devnull, so that
+        # the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -570,11 +585,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LabGraphsError as exc:
-        if args.as_json:
-            print(json.dumps({"ok": False, "error": str(exc)}, indent=2))
-        else:
-            print(f"FAILED: {exc}")
-        return 1
+        code, payload = 1, {"ok": False, "error": str(exc)}
+        lines = [f"FAILED: {exc}"]
     if args.as_json:
         print(json.dumps(payload, indent=2))
     else:

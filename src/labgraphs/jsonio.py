@@ -158,10 +158,8 @@ def _group_from_json(obj: Any, path: str) -> Group:
         raise SchemaError(path, f"invalid group: {exc}") from exc
 
 
-def _cocycle_from_json(obj: Any, path: str, group: Group,
+def _cocycle_from_json(obj: dict, path: str, group: Group,
                        lg: LabeledGraph) -> dict[str, Element]:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object keyed by edge id")
     edge_ids = {e.eid for e in lg.graph.edges}
     out = {}
     for key, value in obj.items():

@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (FrozenRecord, NotAMember, PreconditionError,
-                     SearchSpaceExceeded, VerificationError, built_on_read)
+                     SearchSpaceExceeded, VerificationError)
 from .graph import require_valid
 from .labeled import (Check, LabeledGraph, Word, _bits, chunk_tables,
                       fold_chunks)
@@ -113,7 +113,9 @@ class SetCollection:
         its vertices; the atoms partition the vertices they cover.  The
         ORs are read from chunk tables of the covers
         (:func:`~labgraphs.labeled.chunk_tables`), about n/8 lookups per
-        mask."""
+        mask.  :func:`labeled_space_report` proves its range-pair checks
+        from this definition, and calls this on the pair values only where
+        the covers prove nothing."""
         if "members" in vars(self):
             return self._member_set.issuperset(masks)
         masks = list(masks)
@@ -463,8 +465,12 @@ def normal_form(col: SetCollection, vertices: Iterable[str] | int) -> NormalForm
 
 class LabeledSpaceReport(FrozenRecord):
     """The verdicts of :func:`labeled_space_report`.  ``label_counts``
-    may be given as a function of no arguments, which builds it on its
-    first read: the report decodes its members' names only when
+    may be given as a function ``rows(frozen)`` that returns one
+    ``(names, count)`` pair per member, with the member's vertex names as
+    a frozenset when ``frozen`` is true and as a tuple in name order when
+    it is false.  The counts read the frozensets on their first read;
+    :meth:`to_json` reads the tuples, sorts them and joins their names as
+    they are.  So the report decodes its members' names only when
     something reads them."""
 
     _fields = ("set_finite", "label_counts", "weakly_left_resolving",
@@ -472,10 +478,21 @@ class LabeledSpaceReport(FrozenRecord):
                "ck1b_intersections_closed", "ck1b_unions_closed",
                "ck1b_differences_closed", "ck4", "empty_set_convention")
     _on_read = ("label_counts",)
-    label_counts = built_on_read("label_counts")
+
+    @cached_property
+    def label_counts(self) -> dict[frozenset, int]:
+        return dict(self._build_label_counts(True))
+
+    @cached_property
+    def _label_rows(self) -> list[tuple[tuple[str, ...], int]]:
+        build = vars(self).get("_build_label_counts")
+        if build is not None:
+            return list(build(False))
+        return [(tuple(sorted(k)), v) for k, v in self.label_counts.items()]
 
     def __init__(self, set_finite: bool,
-                 label_counts: Mapping[frozenset, int] | Callable[[], Any],
+                 label_counts: Mapping[frozenset, int]
+                 | Callable[[bool], Iterable[tuple[Any, int]]],
                  weakly_left_resolving: Check, ck1a_pairs: int,
                  ck1a_disjoint_pairs: int, ck1b_intersections_closed: Check,
                  ck1b_unions_closed: Check, ck1b_differences_closed: Check,
@@ -493,11 +510,10 @@ class LabeledSpaceReport(FrozenRecord):
                 and bool(self.ck1b_unions_closed) and bool(self.ck4))
 
     def to_json(self) -> dict:
-        # each vertex set sorted once, as its row's key and its text
-        rows = sorted((sorted(k), v) for k, v in self.label_counts.items())
         return {
             "set_finite": self.set_finite,
-            "label_counts": {",".join(names): v for names, v in rows},
+            "label_counts": {",".join(names): v
+                             for names, v in sorted(self._label_rows)},
             "weakly_left_resolving": bool(self.weakly_left_resolving),
             "ck1a_pairs": self.ck1a_pairs,
             "ck1a_disjoint_pairs": self.ck1a_disjoint_pairs,
@@ -521,21 +537,35 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     1 would make them pass vacuously and is refused, and so is a
     collection of a graph other than ``lg`` (``FOREIGN_COLLECTION``).
 
-    The closure checks test the set of all meets, joins or strict
-    differences of range pairs for membership at once
-    (:meth:`SetCollection.holds`, which reads a closure's basis and lists
-    no member); only a failing check scans the pairs in order to name its
-    first witness.  The members are listed only when a vertex emits no
-    edge or a step row differs from its fiber, to name the first failing
-    member.
+    The closure checks first try a certificate on a collection held by its
+    basis (:func:`_certified`).  Under :meth:`SetCollection.holds`, M is a
+    member iff M is nonzero and the OR of cover(v) over its vertices v, so
+    cover(v) lies inside every member that holds v.  The certificate asks (a)
+    every range value to be a member, one ``holds`` call over R masks; (b)
+    every vertex v of a range value to lie in cover(v); and (c), for the
+    differences only, w in cover(v) to give cover(w) = cover(v).  Proof, for
+    range values r and s.  Join: the OR of the covers over r | s is the OR
+    over r with the OR over s, r | s.  Meet: each v of a nonzero M = r & s
+    has cover(v) inside r and s, so inside M, and holding v by (b); so the
+    OR over M is M.  Difference D = r \\ s, s inside r: each v of D has
+    cover(v) inside r and holding v, and a w of cover(v) in s would put
+    cover(v) = cover(w) inside s, which misses v; so cover(v) lies inside D,
+    and the OR over D is D.  The ring's atoms pass (a) to (c); the lattice's
+    m(v) pass (c) only when they are its atoms.  A check not proved, as every
+    check of a collection given its members, tests the set of its pair
+    values at once (``holds``), and only a failing one scans the pairs in
+    order for its first witness, so each verdict and witness is the pair
+    scan's.  The members are listed only when a vertex emits no edge or a
+    step row differs from its fiber, to name the first failing member.
 
     ``label_counts`` is built on its first read (:class:`LabeledSpaceReport`),
     which lists the members but not their derivations.  It maps each
     member's vertex set, decoded once for all members
-    (:meth:`LabeledGraph.names_of`), to the number of letters its vertices
-    emit, the popcount of the OR of the member's entries in per-call chunk
-    tables (:func:`~labgraphs.labeled.chunk_tables`) of the letters each
-    vertex emits, read from the same edge scan as the fibers."""
+    (:meth:`LabeledGraph.names_of`; ``to_json`` decodes them in name
+    order), to the number of letters its vertices emit, the popcount of
+    the OR of the member's entries in per-call chunk tables
+    (:func:`~labgraphs.labeled.chunk_tables`) of the letters each vertex
+    emits, read from the same edge scan as the fibers."""
     if word_bound < 1:
         raise PreconditionError(
             "WORD_BOUND_BELOW_ONE", f"word bound must be >= 1, got {word_bound}")
@@ -546,27 +576,20 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     wlr = lg.weakly_left_resolving
     ranges = sorted(value for value, word in lg.range_table.ranges
                     if len(word) <= word_bound)
-    meets = [r1 & r2 for r1, r2 in combinations(ranges, 2)]
-    disjoint = meets.count(0)
-    nonempty = set(meets)
-    nonempty.discard(0)
+    disjoint = sum(1 for r1, r2 in combinations(ranges, 2) if not r1 & r2)
+    lattice_proved, ring_proved = _certified(col, ranges)
     inter_ok = union_ok = diff_ok = Check(True)
-    if not col.holds(nonempty):
-        inter_ok = _witness(lg, next(
-            (r1, r2) for r1, r2 in combinations(ranges, 2)
-            if r1 & r2 and (r1 & r2) not in col))
-    if not col.holds({r1 | r2 for r1, r2 in combinations(ranges, 2)}):
-        union_ok = _witness(lg, next(
-            (r1, r2) for r1, r2 in combinations(ranges, 2)
-            if (r1 | r2) not in col))
-    # Range values are distinct, so a pair whose meet is one of them is a
-    # strict containment, and its difference is their symmetric difference.
-    if not col.holds({r1 ^ r2 for r1, r2 in combinations(ranges, 2)
-                      if r1 & r2 in (r1, r2)}):
-        diff_ok = _witness(lg, next(
-            (big, small) for pair in combinations(ranges, 2)
-            for big, small in (pair, pair[::-1])
-            if big & small == small and (big & ~small) not in col))
+    if not (lattice_proved and ring_proved):
+        pairs = list(combinations(ranges, 2))
+    if not lattice_proved:
+        inter_ok = _pair_check(lg, col, pairs, operator.and_)
+        union_ok = _pair_check(lg, col, pairs, operator.or_)
+    # Ranges are sorted and distinct, so a pair whose first range lies
+    # inside its second is a strict containment of the second over it.
+    if not ring_proved:
+        diff_ok = _pair_check(lg, col, [(r2, r1) for r1, r2 in pairs],
+                              lambda big, small: big ^ small
+                              if big & small == small else 0)
 
     # Per-letter tables from one scan of the edge arrays, never through the
     # step masks that range_mask sweeps: the vertices emitting each letter,
@@ -608,18 +631,18 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
         if not ck4:
             break
 
-    def label_counts() -> dict[frozenset, int]:
+    def label_rows(frozen: bool) -> Iterable[tuple[Any, int]]:
         members = col.members
         letters = fold_chunks(members, chunk_tables(emits, 0, operator.or_),
                               operator.or_)
-        return dict(zip(lg.names_of(members, frozen=True),
-                        map(int.bit_count, letters)))
+        return zip(lg.names_of(members, frozen=frozen),
+                   map(int.bit_count, letters))
 
     return LabeledSpaceReport(
         set_finite=True,
-        label_counts=label_counts,
+        label_counts=label_rows,
         weakly_left_resolving=wlr,
-        ck1a_pairs=len(meets),
+        ck1a_pairs=len(ranges) * (len(ranges) - 1) // 2,
         ck1a_disjoint_pairs=disjoint,
         ck1b_intersections_closed=inter_ok,
         ck1b_unions_closed=union_ok,
@@ -628,6 +651,33 @@ def labeled_space_report(lg: LabeledGraph, col: SetCollection,
     )
 
 
-def _witness(lg: LabeledGraph, pair: tuple[int, int]) -> Check:
-    """A failed range-pair check naming ``pair`` as vertex sets."""
-    return Check(False, (lg.set_of(pair[0]), lg.set_of(pair[1])))
+def _certified(col: SetCollection, ranges: list[int]) -> tuple[bool, bool]:
+    """Whether the basis of ``col`` proves every meet and join of two of
+    ``ranges`` a member, and whether it proves every strict difference one
+    (the proof is :func:`labeled_space_report`'s).  A collection given its
+    members proves neither."""
+    cover = vars(col).get("_cover")
+    if cover is None or not col.holds(ranges):
+        return False, False
+    spanned = 0
+    for r in ranges:
+        spanned |= r
+    if not all(cover[v] >> v & 1 for v in _bits(spanned)):
+        return False, False
+    return True, all(cover[w] == c for c in set(cover) for w in _bits(c))
+
+
+def _pair_check(lg: LabeledGraph, col: SetCollection,
+                pairs: list[tuple[int, int]], value: Callable) -> Check:
+    """Whether ``value(*pair)`` is a member for every pair of ``pairs``
+    where it is nonzero, tested for all at once
+    (:meth:`SetCollection.holds`); failing, the check names the first
+    such pair whose value is not a member, as vertex sets."""
+    values = [value(*pair) for pair in pairs]
+    wanted = set(values)
+    wanted.discard(0)
+    if col.holds(wanted):
+        return Check(True)
+    first, second = next(pair for pair, v in zip(pairs, values)
+                         if v and v not in col)
+    return Check(False, (lg.set_of(first), lg.set_of(second)))

@@ -28,12 +28,17 @@ from labgraphs.skew import SkewLabeledGraph, SkewSpec, TranslationAction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def child(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on the checkout's ``src`` from the root."""
+def child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter on the checkout's ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return env
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the checkout's ``src`` from the root."""
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=child_env(),
                           capture_output=True, text=True, timeout=120)
 
 

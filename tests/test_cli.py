@@ -6,6 +6,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -21,7 +23,7 @@ from labgraphs.groups import MAX_PERMUTATION_ENTRIES, MAX_TABLE_ORDER
 from labgraphs.labeled import LabeledGraph
 from labgraphs.skew import MAX_ITEMS, TranslationAction
 
-from helpers import (child, distinct_letter_cycle, error_classes,
+from helpers import (child, child_env, distinct_letter_cycle, error_classes,
                      evaluate_printed_derivation, library_error, shift_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -143,6 +145,27 @@ class TestExitCodes:
                      "--window", "0:8000")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "weakly-left-resolving: true" in proc.stdout.splitlines()
+
+    def test_a_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        """``lattice ... | head -c 10``: the reader closes the pipe after
+        10 bytes of about 12 MB, so the child meets the closed pipe while
+        it writes, and ends with exit 1 and nothing on stderr."""
+        doc = tmp_path / "shift12.json"
+        jsonio.dump(jsonio.graph_to_json(shift_graph(12)), str(doc))
+        with subprocess.Popen(
+                [sys.executable, "-m", "labgraphs.cli", "lattice", str(doc)],
+                cwd=ROOT, env=child_env(), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) as proc:
+            try:
+                head = proc.stdout.read(10)
+                proc.stdout.close()
+                returncode = proc.wait(timeout=120)
+            finally:
+                proc.kill()     # no-op once it has exited
+            err = proc.stderr.read().decode()
+        assert head == b"smallest a"
+        assert "Traceback" not in err
+        assert (returncode, err) == (1, "")
 
     def test_properties_on_a_skew_spec_builds_no_step_table(self,
                                                             monkeypatch):
@@ -410,8 +433,10 @@ class TestReports:
                                 report(*args, **kwargs)) or reports[-1])
         assert run(["lattice", "fixtures/fish4.json"])[0] == 0
         assert run(["lattice", "fixtures/fish4.json", "--json"])[0] == 0
-        assert ["label_counts" in vars(report) for report in reports] == [
-            False, True]
+        # the JSON reads the counts' rows and builds no frozenset map
+        assert [[name in vars(report) for name in ("_label_rows",
+                                                   "label_counts")]
+                for report in reports] == [[False, False], [True, False]]
 
     def test_lattice_long_word_bound(self):
         # the report's range sweeps read the graph's range table instead of

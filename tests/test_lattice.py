@@ -2,6 +2,8 @@
 and the set-level labeled-space report."""
 
 import copy
+import functools
+import operator
 import pickle
 import random
 
@@ -482,6 +484,33 @@ def _report_matches_oracle(lg, coll, word_bound=4):
     return report
 
 
+def _ranges(lg, word_bound):
+    return sorted(value for value, word in lg.range_table.ranges
+                  if len(word) <= word_bound)
+
+
+def _held_by_covers(lg, cover):
+    """A collection held by its basis with the vertex covers ``cover``.
+    Its basis is every member the covers define (a nonzero M that is the
+    OR of its vertices' covers), and such members are closed under union,
+    so its listed members answer membership as its covers do."""
+    members = [m for m in range(1, lg.full_mask() + 1)
+               if m == functools.reduce(operator.or_,
+                                        (cover[v] for v in labeled._bits(m)))]
+    return SetCollection._of_basis(lg, (), members, list(cover), {})
+
+
+def _fan(targets):
+    """Vertex a0 sends letter x to a0..a2 and letter y to ``targets``;
+    no other vertex emits, so the range values are r(x) = {a0, a1, a2}
+    and r(y) = ``targets``."""
+    names = ["a0", "a1", "a2", "a3"][:max(3, len(targets) + 1)]
+    edges = [(f"x{t}", "a0", f"a{t}") for t in range(3)]
+    edges += [(f"y{t}", "a0", f"a{t}") for t in targets]
+    return LabeledGraph(DirectedGraph(names, edges),
+                        {eid: eid[0] for eid, _, _ in edges})
+
+
 class TestReportOracle:
     def test_random_graphs_both_closures(self):
         rng = random.Random(23)
@@ -490,6 +519,11 @@ class TestReportOracle:
             col = smallest_accommodating(lg)
             for coll in (col, relative_complement_closure(col)):
                 for bound in (1, 2, 4):
+                    # the ring's atoms prove every closure check, and the
+                    # lattice's m(v) its meets and joins
+                    meets, differences = lattice._certified(
+                        coll, _ranges(lg, bound))
+                    assert meets and (differences or coll is col)
                     _report_matches_oracle(lg, coll, bound)
 
     def test_dropped_members_fail_the_closure_checks(self):
@@ -538,6 +572,65 @@ class TestReportOracle:
                         failures += not _report_matches_oracle(lg, closed).ck4
             lg.__dict__["_step"] = clean
         assert failures
+
+
+class TestReportCertificate:
+    """The report's closure checks pass from a closure's covers when they
+    prove them, and otherwise run the pair scan; either way each verdict
+    and witness is the oracle's.  Seeded closures are in
+    ``TestReportOracle.test_random_graphs_both_closures``."""
+
+    def test_collection_given_its_members(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            lg = fx.random_valid_labeled_graph(rng, max_vertices=6)
+            for held in (smallest_accommodating(lg),
+                         relative_complement_closure(
+                             smallest_accommodating(lg))):
+                coll = SetCollection(lg, held.members, held.derivations)
+                assert lattice._certified(coll, _ranges(lg, 4)) == (
+                    False, False)
+                assert _report_matches_oracle(lg, coll) == (
+                    labeled_space_report(lg, held))
+
+    @pytest.mark.parametrize("cover", [[0b0011, 0b0100, 0b0100, 0b1010],
+                                       [0b0011, 0, 0b0100, 0b1010]],
+                             ids=["another vertex", "no vertex"])
+    def test_a_cover_that_misses_its_own_vertex(self, cover):
+        # a1's cover is {a2} or empty, and a1 lies in the covers of a0 and
+        # a3: r(x) and r(y) hold, and their meet {a1, a2} is no member.
+        # An empty cover passes "every nonzero cover holds its vertex", so
+        # the certificate asks it of every vertex of a range.
+        lg = _fan([1, 2, 3])
+        coll = _held_by_covers(lg, cover)
+        assert coll.holds(_ranges(lg, 4))
+        assert lattice._certified(coll, _ranges(lg, 4)) == (False, False)
+        report = _report_matches_oracle(lg, coll)
+        assert report.ck1b_intersections_closed.witness == (
+            frozenset({"a0", "a1", "a2"}), frozenset({"a1", "a2", "a3"}))
+        assert report.ck1b_unions_closed
+
+    def test_two_overlapping_atoms(self):
+        # a0's cover {a0, a1} overlaps a1's cover {a1}: every meet and join
+        # holds, and r(x) \ r(y) = {a0} is no member
+        lg = _fan([1, 2])
+        coll = _held_by_covers(lg, [0b011, 0b010, 0b100])
+        assert lattice._certified(coll, _ranges(lg, 4)) == (True, False)
+        report = _report_matches_oracle(lg, coll)
+        assert report.ck1b_intersections_closed and report.ck1b_unions_closed
+        assert report.ck1b_differences_closed.witness == (
+            frozenset({"a0", "a1", "a2"}), frozenset({"a1", "a2"}))
+
+    def test_a_range_outside_the_collection(self):
+        # the covers partition and hold their vertices, but r(y) = {a1, a2}
+        # meets the atom {a0, a1} without holding it, so is no member
+        lg = _fan([1, 2])
+        coll = _held_by_covers(lg, [0b011, 0b011, 0b100])
+        assert not coll.holds(_ranges(lg, 4))
+        assert lattice._certified(coll, _ranges(lg, 4)) == (False, False)
+        report = _report_matches_oracle(lg, coll)
+        assert not report.ck1b_intersections_closed
+        assert not report.ck1b_differences_closed
 
 
 @st.composite
