@@ -29,17 +29,20 @@ class LabeledGraphAction:
     product (``skew.TranslationAction``), which may be windowed: there
     ``apply`` returns None when the image escapes the materialization.
 
-    Every action carries its items in one positional form, ``core``, a
-    :class:`~labgraphs.labeled.GraphCore`: the carriers, the position of
-    each item, and per edge the positions of its source, target and
-    label.  A :class:`FiniteAction`'s core is its graph's, in name order;
-    a translation's is its skew product's, in the order of the integer
-    form, and its named ``graph`` is built only when something reads it.
-    The checks (verification, freeness, quotients and reconstruction)
-    read the core only.  Besides the string-level ``apply``, every action
-    exposes the images of its scope as one item-major block of integers
-    per kind (:meth:`columns`, at the core's positions), which the scans
-    that name failures run on, and the (fiber, layer) of each item
+    Every action carries its items in one positional ``form``: per edge
+    the positions of its source, target and label (``src``, ``dst`` and
+    ``lab``), and per kind a carrier, whose length is all the checks
+    read of it.  A :class:`FiniteAction`'s form is its graph's
+    :class:`~labgraphs.labeled.GraphCore`, in name order, and so is its
+    ``core``; a translation's is its skew product's integer form, and
+    its ``core`` (the items by name) and named ``graph`` are built only
+    when something reads them.  The checks (verification, freeness,
+    quotients and reconstruction) read the form, and name an item only
+    to report a failure or return a section.  Besides the string-level
+    ``apply``, and ``apply_at`` in positions, every action exposes the
+    images of its scope as one item-major block of integers per kind
+    (:meth:`columns`, at the form's positions), which the scans that
+    name failures run on, and the (fiber, layer) of each item
     (:meth:`coordinates`) with the item at each (fiber, layer)
     (:meth:`located`).  By Gross--Tucker a free action is the left
     translation on a skew product over its quotient: a placed action
@@ -51,15 +54,24 @@ class LabeledGraphAction:
 
     group: Group
     graph: LabeledGraph
-    core: GraphCore
 
-    def __init__(self, group: Group, core: GraphCore):
+    def __init__(self, group: Group, form):
         self.group = group
-        self.core = core
+        self.form = form
         self._orbits: dict[str, tuple[tuple[str, ...], ...]] = {}
+
+    @property
+    def core(self) -> GraphCore:
+        return self.form
 
     def apply(self, g: Element, kind: str, item: str) -> str | None:
         raise NotImplementedError
+
+    def apply_at(self, g: Element, kind: str, x: int) -> int | None:
+        """:meth:`apply` in positions: the position of the image under
+        ``g`` of the item at position ``x``, None where it has none."""
+        image = self.apply(g, kind, self.name_at(kind, x))
+        return None if image is None else self.position(kind, image)
 
     def carrier(self, kind: str) -> Sequence[str]:
         return self.core.carriers[_KIND_INDEX[kind]]
@@ -67,6 +79,13 @@ class LabeledGraphAction:
     def index(self, kind: str) -> Mapping[str, int]:
         """Position of each carrier item in ``carrier(kind)``."""
         return self.core.positions[_KIND_INDEX[kind]]
+
+    def position(self, kind: str, item: str) -> int:
+        """The position of the item ``item``; KeyError when none."""
+        return self.index(kind)[item]
+
+    def name_at(self, kind: str, x: int) -> str:
+        return self.carrier(kind)[x]
 
     def coordinates(self, kind: str) -> Sequence[tuple[str, Element] | None]:
         """The (fiber, layer) of each carrier item, in carrier order.  The
@@ -174,8 +193,16 @@ class LabeledGraphAction:
         the vertices eligible as fundamental-domain representatives.  On
         a window this excludes the halo vertices, whose incident edges are
         not fully materialized and would make the clause checks
-        vacuous."""
-        return self.carrier(VERTEX)
+        vacuous.  They are the first :meth:`lifting_size` vertices."""
+        return self.carrier(VERTEX)[:self.lifting_size()]
+
+    def lifting_size(self) -> int:
+        return len(self.form.carriers[0])
+
+    @cached_property
+    def _orbit_at(self) -> tuple[list[str], ...]:
+        """Per kind, :meth:`_orbit_names`, computed once."""
+        return tuple([self._orbit_names(kind) for kind in KINDS])
 
     def _orbit_names(self, kind: str) -> list[str]:
         """The name of the orbit of each item, in carrier order.  On a
@@ -430,7 +457,7 @@ def layer_pairs(action: LabeledGraphAction,
 def homomorphism_triples(action: LabeledGraphAction) -> int:
     """The (g, h, item) triples of the homomorphism law: the pairs of
     :func:`homomorphism_pairs` times the carrier size."""
-    return homomorphism_pairs(action) * sum(map(len, action.core.carriers))
+    return homomorphism_pairs(action) * sum(map(len, action.form.carriers))
 
 
 def verify_action(action: LabeledGraphAction) -> ActionReport:
@@ -543,11 +570,11 @@ def _translation_certified(action: LabeledGraphAction) -> bool:
     :func:`homomorphism_pairs`."""
     if not all(action._placed):
         return False
-    core = action.core
+    form = action.form
     op, inv = action.group.op, action.group.inv
     vertices, edges, letters = (action.coordinates(kind) for kind in KINDS)
     factors: dict[str, tuple] = {}
-    for (q, t), d, s, a in zip(edges, core.dst, core.src, core.lab):
+    for (q, t), d, s, a in zip(edges, form.dst, form.src, form.lab):
         (p, u), (r, v), (b, w) = vertices[d], vertices[s], letters[a]
         ti = inv(t)
         found = (p, op(ti, u), r, op(ti, v), b, op(ti, w))
@@ -660,28 +687,29 @@ class QuotientLabeledGraph(FrozenRecord):
     ``quotient`` graph and the ``projection`` onto it, the orbit of each
     item by name (``vertex_orbit``, ``edge_orbit``, ``letter_orbit``) and
     the members of each orbit as a sorted tuple (``orbit_vertex_members``
-    and so on, in the order of :meth:`LabeledGraphAction.orbits`).  The
-    projection and the three member maps may be given as functions of no
-    arguments, which build them on first read: :func:`quotient` checks
-    the projection without its source graph, which a translation names
-    only when something reads it, and its members are sorted by name
+    and so on, in the order of :meth:`LabeledGraphAction.orbits`).  Every
+    field but the graph may be given as a function of no arguments,
+    which builds it on first read: :func:`quotient` checks the quotient
+    in positions, without the items' names, which a translation builds
     only when something reads them."""
 
     _fields = ("quotient", "projection", "vertex_orbit", "edge_orbit",
                "letter_orbit", "orbit_vertex_members", "orbit_edge_members",
                "orbit_letter_members")
-    _on_read = ("projection", "orbit_vertex_members", "orbit_edge_members",
-                "orbit_letter_members")
+    _on_read = _fields[1:]
     projection = built_on_read("projection")
+    vertex_orbit = built_on_read("vertex_orbit")
+    edge_orbit = built_on_read("edge_orbit")
+    letter_orbit = built_on_read("letter_orbit")
     orbit_vertex_members = built_on_read("orbit_vertex_members")
     orbit_edge_members = built_on_read("orbit_edge_members")
     orbit_letter_members = built_on_read("orbit_letter_members")
 
     def __init__(self, quotient: LabeledGraph,
                  projection: LabeledGraphMorphism | Callable[[], Any],
-                 vertex_orbit: Mapping[str, str],
-                 edge_orbit: Mapping[str, str],
-                 letter_orbit: Mapping[str, str],
+                 vertex_orbit: Mapping[str, str] | Callable[[], Any],
+                 edge_orbit: Mapping[str, str] | Callable[[], Any],
+                 letter_orbit: Mapping[str, str] | Callable[[], Any],
                  orbit_vertex_members: Mapping[str, tuple[str, ...]]
                  | Callable[[], Any],
                  orbit_edge_members: Mapping[str, tuple[str, ...]]
@@ -695,7 +723,7 @@ class QuotientLabeledGraph(FrozenRecord):
 
 def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
     """Orbit labeled graph with its projection, in the positions of the
-    action's core.  Well-definedness of the induced range, source and
+    action's form.  Well-definedness of the induced range, source and
     labeling maps is re-checked explicitly rather than trusted, and that
     one check is the projection's morphism check.
 
@@ -712,24 +740,23 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
     the label of the quotient edge of that edge.  When the comparison
     fails, some edge differs from the first edge of its orbit, and the
     walk names that pair in a :class:`WellDefinednessError`.
-    Surjectivity is checked after the quotient is built, on the orbit of
-    each item; the projection is named on first read."""
-    core = action.core
-    orbit_at = [action._orbit_names(kind) for kind in KINDS]
+    The quotient's carriers are built sorted from one set of orbit
+    names per kind, and surjectivity is checked on the same sets.  The
+    maps by name are built on first read."""
+    form = action.form
+    orbit_at = action._orbit_at
     vertex_at, edge_at, letter_at = orbit_at
-    orbit_of = [dict(zip(items, at))
-                for items, at in zip(core.carriers, orbit_at)]
 
     # well-definedness: all edges in an orbit must agree on the orbits of
     # their sources, targets and labels.  Each edge's triple of orbits is
-    # read from the core; only a disagreement is walked, in orbit order,
+    # read from the form; only a disagreement is walked, in orbit order,
     # to name its first pair.
-    ends = list(zip(map(vertex_at.__getitem__, core.src),
-                    map(vertex_at.__getitem__, core.dst),
-                    map(letter_at.__getitem__, core.lab)))
+    ends = list(zip(map(vertex_at.__getitem__, form.src),
+                    map(vertex_at.__getitem__, form.dst),
+                    map(letter_at.__getitem__, form.lab)))
     induced = dict(zip(edge_at, ends))
     if list(map(induced.__getitem__, edge_at)) != ends:
-        index = core.positions[1]
+        index = action.core.positions[1]
         rep_edge: dict[str, str] = {}
         for eid in itertools.chain.from_iterable(action.orbits(EDGE)):
             other = rep_edge.setdefault(edge_at[index[eid]], eid)
@@ -745,27 +772,35 @@ def quotient(action: LabeledGraphAction) -> QuotientLabeledGraph:
                 raise WellDefinednessError(
                     "labeling is not constant on an edge orbit", (eid, other))
 
-    q_edges = []
-    q_labeling = {}
-    for cls, (src, dst, a) in sorted(induced.items()):
-        q_edges.append(Edge(cls, src, dst))
-        q_labeling[cls] = a
-    q_graph = LabeledGraph(DirectedGraph(set(vertex_at), q_edges), q_labeling)
-    if not all(positions.keys() == set(at) for at, positions in zip(
-            orbit_at, q_graph.core.positions)):
+    # tuples are built from lists, so that they come from and return to
+    # CPython's tuple free lists, which would otherwise grow with every op
+    classes = [set(at) for at in orbit_at]
+    eids = sorted(classes[1])
+    triples = list(map(induced.__getitem__, eids))
+    labels = [a for _, _, a in triples]
+    q_graph = LabeledGraph._of_sorted(
+        DirectedGraph._of_sorted(tuple(sorted(classes[0])), tuple([
+            Edge(e, s, d) for e, (s, d, _) in zip(eids, triples)])),
+        dict(zip(eids, labels)), tuple(sorted(set(labels))))
+    if not all(positions.keys() == found for found, positions in zip(
+            classes, q_graph.core.positions)):
         raise VerificationError("quotient projection is not surjective", None)
+
+    def orbit_of(k: int) -> dict[str, str]:
+        return dict(zip(action.core.carriers[k], orbit_at[k]))
 
     def projection() -> LabeledGraphMorphism:
         return LabeledGraphMorphism(action.graph, q_graph,
-                                    *(dict(maps) for maps in orbit_of))
+                                    *map(orbit_of, range(3)))
 
-    def members(kind: str, orbit: Mapping[str, str]
-                ) -> dict[str, tuple[str, ...]]:
-        return {orbit[found[0]]: found for found in action.orbits(kind)}
+    def members(k: int) -> dict[str, tuple[str, ...]]:
+        index, at = action.core.positions[k], orbit_at[k]
+        return {at[index[found[0]]]: found
+                for found in action.orbits(KINDS[k])}
 
     return QuotientLabeledGraph(
-        q_graph, projection, *orbit_of,
-        *(partial(members, kind, of) for kind, of in zip(KINDS, orbit_of)))
+        q_graph, projection, *(partial(orbit_of, k) for k in range(3)),
+        *(partial(members, k) for k in range(3)))
 
 
 def has_unique_path_lifting(p: LabeledGraphMorphism,
@@ -847,7 +882,7 @@ def is_fundamental_domain(action: LabeledGraphAction,
 
 def _letter_orbits(action: LabeledGraphAction) -> dict[str, str]:
     """The name of each letter's orbit."""
-    return dict(zip(action.carrier(LETTER), action._orbit_names(LETTER)))
+    return dict(zip(action.carrier(LETTER), action._orbit_at[2]))
 
 
 def _clause_labels(action: LabeledGraphAction, vertices: Iterable[str]

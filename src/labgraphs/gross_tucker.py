@@ -6,10 +6,11 @@ fundamental domain."""
 
 from __future__ import annotations
 
+from itertools import compress, count, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .action import (KINDS, LETTER, VERTEX, DomainSearchResult,
+from .action import (EDGE, KINDS, LETTER, VERTEX, DomainSearchResult,
                      LabeledGraphAction, QuotientLabeledGraph,
                      find_fundamental_domain, is_free, is_fundamental_domain,
                      is_label_consistent, layer_pairs, quotient,
@@ -32,24 +33,34 @@ class SectionPack(NamedTuple):
     eta1: Mapping[str, str] | None = None
 
 
-def _validate_eta(quot: QuotientLabeledGraph, mapping: Mapping[str, str],
-                  orbit_of: Mapping[str, str], domain: Iterable[str],
-                  what: str, scope: frozenset[str] | None = None) -> None:
+def _validate_eta(action: LabeledGraphAction, mapping: Mapping[str, str],
+                  kind: str, domain: Iterable[str], what: str,
+                  scope: int | None = None) -> dict[str, int]:
+    """Check that ``mapping`` sections ``domain`` by items of ``kind``,
+    and return their positions under the same keys.  An item is in the
+    window scope when its position is below ``scope``."""
     domain = set(domain)
     if set(mapping) != domain:
         raise PreconditionError(
             "BAD_SECTION", f"{what} section must be keyed by the quotient carrier")
+    orbit_at = action._orbit_at[KINDS.index(kind)]
+    found = {}
     for q_item, item in mapping.items():
-        if item not in orbit_of:
-            raise PreconditionError("BAD_SECTION",
-                                    f"{what} section hits unknown item {item!r}")
-        if orbit_of[item] != q_item:
+        try:
+            x = action.position(kind, item)
+        except KeyError:
+            raise PreconditionError(
+                "BAD_SECTION",
+                f"{what} section hits unknown item {item!r}") from None
+        if orbit_at[x] != q_item:
             raise PreconditionError(
                 "BAD_SECTION",
                 f"{what} section is not a section: q({item!r}) != {q_item!r}")
-        if scope is not None and item not in scope:
+        if scope is not None and x >= scope:
             raise PreconditionError(
                 "BAD_SECTION", f"{what} section leaves the window scope: {item!r}")
+        found[q_item] = x
+    return found
 
 
 def default_eta0(action: LabeledGraphAction,
@@ -76,43 +87,49 @@ def default_etaA(quot: QuotientLabeledGraph) -> dict[str, str]:
 def derive_eta1(action: LabeledGraphAction, quot: QuotientLabeledGraph,
                 eta0: Mapping[str, str]) -> dict[str, str]:
     """The unique edge section whose sources agree with the vertex
-    section, obtained by unique path lifting: the edges of each quotient
-    edge's orbit that leave its sectioned source, read from the action's
-    core."""
-    core = action.core
-    at, edges = core.positions[0], core.carriers[1]
-    leaving: dict[int, list[str]] = {at[x]: [] for x in eta0.values()}
-    for eid, s in zip(edges, core.src):
-        found = leaving.get(s)
-        if found is not None:
-            found.append(eid)
-    out: dict[str, str] = {}
-    edge_orbit = quot.edge_orbit
+    section, obtained by unique path lifting (:func:`_edge_lifts`)."""
+    lifts = _edge_lifts(action, quot, {q: action.position(VERTEX, x)
+                                       for q, x in eta0.items()})
+    return {q: action.name_at(EDGE, e) for q, e in lifts.items()}
+
+
+def _edge_lifts(action: LabeledGraphAction, quot: QuotientLabeledGraph,
+                eta0: Mapping[str, int]) -> dict[str, int]:
+    """:func:`derive_eta1` in positions: the edges of each quotient
+    edge's orbit that leave its sectioned source, read from the form."""
+    src, edge_at = action.form.src, action._orbit_at[1]
+    leaving: dict[int, list[int]] = {x: [] for x in eta0.values()}
+    for e in compress(count(), map(leaving.__contains__, src)):
+        leaving[src[e]].append(e)
+    out: dict[str, int] = {}
     for q_eid, q_src, _ in quot.quotient.graph.edges:
         anchor = eta0[q_src]
-        lifts = [eid for eid in leaving[at[anchor]]
-                 if edge_orbit[eid] == q_eid]
+        lifts = [e for e in leaving[anchor] if edge_at[e] == q_eid]
         if len(lifts) != 1:
+            anchor = action.name_at(VERTEX, anchor)
             raise LiftFailure(
                 f"edge orbit {q_eid} has {len(lifts)} lifts at {anchor}",
-                (q_eid, anchor, tuple(lifts)))
+                (q_eid, anchor,
+                 tuple(action.name_at(EDGE, e) for e in lifts)))
         out[q_eid] = lifts[0]
     return out
 
 
 def _solve_translate(action: LabeledGraphAction, kind: str,
-                     source: str, target: str) -> Element:
-    """The unique h with alpha_h(source) = target, on a placed kind:
-    h = t s^-1 for the source at (q, s) and the target at (q, t), once
-    ``apply`` confirms it.  Across fibers, or unconfirmed, no element
-    moves source to target and :class:`NonFreeWitness` is raised.  On a
-    window h may lie outside the scope, as a halo target may."""
-    index, coords = action.index(kind), action.coordinates(kind)
-    (q, s), (p, t) = coords[index[source]], coords[index[target]]
+                     source: int, target: int) -> Element:
+    """The unique h with alpha_h(source) = target, on positions of a
+    placed kind: h = t s^-1 for the source at (q, s) and the target at
+    (q, t), once ``apply_at`` confirms it.  Across fibers, or
+    unconfirmed, no element moves source to target and
+    :class:`NonFreeWitness` is raised.  On a window h may lie outside
+    the scope, as a halo target may."""
+    coords = action.coordinates(kind)
+    (q, s), (p, t) = coords[source], coords[target]
     if q == p:
         h = action.group.op(t, action.group.inv(s))
-        if action.apply(h, kind, source) == target:
+        if action.apply_at(h, kind, source) == target:
             return h
+    source, target = action.name_at(kind, source), action.name_at(kind, target)
     raise NonFreeWitness(
         f"0 elements move {source!r} to {target!r}; "
         f"the action cannot be free", (source, target, ()))
@@ -121,23 +138,23 @@ def _solve_translate(action: LabeledGraphAction, kind: str,
 def derive_cocycles(action: LabeledGraphAction, quot: QuotientLabeledGraph,
                     pack: SectionPack) -> tuple[dict[str, Element], dict[str, Element]]:
     """c moves the sectioned range onto the range of the sectioned edge;
-    d does the same on letters.  The sectioned edge's range and label are
-    read from the action's core.  Uniqueness is what freeness buys, and
-    it is asserted at runtime by the solver."""
-    core = action.core
-    vertices, index, letters = (core.carriers[0], core.positions[1],
-                                core.carriers[2])
+    d does the same on letters.  The pack's items are looked up by name,
+    and the sectioned edge's range and label read from the action's
+    form.  Uniqueness is what freeness buys, and it is asserted at
+    runtime by the solver."""
+    form, position = action.form, action.position
     eta1 = pack.eta1
     assert eta1 is not None
     labeling = quot.quotient.labeling
     c: dict[str, Element] = {}
     d: dict[str, Element] = {}
     for q_eid, _, q_dst in quot.quotient.graph.edges:
-        e = index[eta1[q_eid]]
+        e = position(EDGE, eta1[q_eid])
         c[q_eid] = _solve_translate(
-            action, VERTEX, pack.eta0[q_dst], vertices[core.dst[e]])
+            action, VERTEX, position(VERTEX, pack.eta0[q_dst]), form.dst[e])
         d[q_eid] = _solve_translate(
-            action, LETTER, pack.etaA[labeling[q_eid]], letters[core.lab[e]])
+            action, LETTER, position(LETTER, pack.etaA[labeling[q_eid]]),
+            form.lab[e])
     return c, d
 
 
@@ -177,25 +194,25 @@ class Reconstruction(FrozenRecord):
 
 def _reconstruction_layers(action: LabeledGraphAction,
                            quot: QuotientLabeledGraph,
-                           eta0: Mapping[str, str]) -> dict[str, tuple]:
+                           eta0: Mapping[str, int]) -> dict[str, tuple]:
     """Layer assignment for the reconstruction skew product: the pullback
-    of the acted-on carrier (the elements that move the vertex section
-    into the lifting scope), so the comparison isomorphism is total and
-    bijective rather than window-approximate.  On a placed action h moves
-    the section vertex at (q, t) to the item at (q, h t), so the elements
-    are h = u t^-1 for the members at (q, u) of the section's own fiber in
-    the lifting scope; each lies in the scope, since the span bounds u - t
-    on an interval.  They are listed ascending, which is the scope order
-    on an interval and the element order of every finite group."""
-    index, coords = action.index(VERTEX), action.coordinates(VERTEX)
+    of the acted-on carrier (the elements that move the vertex section,
+    given by its positions ``eta0``, into the lifting scope), so the
+    comparison isomorphism is total and bijective rather than
+    window-approximate.  On a placed action h moves the section vertex at
+    (q, t) to the item at (q, h t), so the elements are h = u t^-1 for
+    the members at (q, u) of the section's own fiber in the lifting
+    scope; each lies in the scope, since the span bounds u - t on an
+    interval.  They are listed ascending, which is the scope order on an
+    interval and the element order of every finite group."""
+    coords = action.coordinates(VERTEX)
     op, inv = action.group.op, action.group.inv
     fibers: dict[str, list[Element]] = {}
-    for v in action.lifting_scope():
-        q, u = coords[index[v]]
+    for q, u in islice(coords, action.lifting_size()):
         fibers.setdefault(q, []).append(u)
     layers = {}
     for q_vertex in quot.quotient.vertices:
-        q, t = coords[index[eta0[q_vertex]]]
+        q, t = coords[eta0[q_vertex]]
         ti = inv(t)
         layers[q_vertex] = tuple(sorted([op(u, ti) for u in fibers[q]]))
     return layers
@@ -212,18 +229,18 @@ def reconstruct(action: LabeledGraphAction,
 
 def _comparison_row(action: LabeledGraphAction, k: int,
                     coordinates: list[tuple[str, Element]],
-                    section: Mapping[str, str]) -> list[int]:
+                    section: Mapping[str, int]) -> list[int]:
     """phi(q, g) = alpha_g(section(q)) on every item (q, g) of the ``k``-th
     kind of the reconstruction skew product's integer form, listed in
     ``coordinates``, as positions in the action's carrier: the
     :meth:`~LabeledGraphAction.located` lookup at (fiber, g t) of
-    section(q), or -1 where it lists no item.  Halo and letter layers may
-    lie outside the scope of a window; the lookup is the translation's
-    own there too."""
+    section(q), given by its position, or -1 where it lists no item.
+    Halo and letter layers may lie outside the scope of a window; the
+    lookup is the translation's own there too."""
     kind = KINDS[k]
-    index, located = action.index(kind), action.located(kind)
+    located = action.located(kind)
     coords, op = action.coordinates(kind), action.group.op
-    at = {q: coords[index[x]] for q, x in section.items()}
+    at = {q: coords[x] for q, x in section.items()}
     ends = map(at.__getitem__, map(itemgetter(0), coordinates))
     return [located.get((p, op(g, t)), -1)
             for (p, t), g in zip(ends, map(itemgetter(1), coordinates))]
@@ -347,8 +364,10 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     """:func:`reconstruct`, reusing the quotient when the caller already
     computed it.
 
-    The skew product over the quotient is built in its integer form
-    only, and phi is read into positions in the action's carriers
+    The sections are looked up by name once (:func:`_validate_eta`);
+    all that follows runs in positions.  The skew
+    product over the quotient is built in its integer form only, and phi
+    is read into positions in the action's carriers
     (:func:`_comparison_row`).  Its totality, the morphism laws and
     bijectivity (:func:`~labgraphs.morphism.verify_rows`) and the
     equivariance certificate (:func:`_equivariance_offsets`) are checked
@@ -365,37 +384,38 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
 
     if quot is None:
         quot = quotient(action)
-    scope = frozenset(action.lifting_scope())
     if pack is None:
         pack = SectionPack(default_eta0(action, quot), default_etaA(quot))
-    _validate_eta(quot, pack.eta0, quot.vertex_orbit,
-                  quot.quotient.vertices, "vertex", scope)
-    _validate_eta(quot, pack.etaA, quot.letter_orbit,
-                  quot.quotient.alphabet, "letter")
+    q_edges = quot.quotient.graph.edges
+    eta0 = _validate_eta(action, pack.eta0, VERTEX, quot.quotient.vertices,
+                         "vertex", action.lifting_size())
+    etaA = _validate_eta(action, pack.etaA, LETTER, quot.quotient.alphabet,
+                         "letter")
     if pack.eta1 is None:
-        pack = SectionPack(pack.eta0, pack.etaA,
-                           derive_eta1(action, quot, pack.eta0))
+        eta1 = _edge_lifts(action, quot, eta0)
+        pack = SectionPack(pack.eta0, pack.etaA, {
+            q: action.name_at(EDGE, e) for q, e in eta1.items()})
     else:
-        _validate_eta(quot, pack.eta1, quot.edge_orbit,
-                      [e.eid for e in quot.quotient.graph.edges], "edge")
-        core = action.core
-        for q_edge in quot.quotient.graph.edges:
-            got = core.carriers[0][core.src[
-                core.positions[1][pack.eta1[q_edge.eid]]]]
-            if got != pack.eta0[q_edge.src]:
+        eta1 = _validate_eta(action, pack.eta1, EDGE,
+                             [e.eid for e in q_edges], "edge")
+        src = action.form.src
+        for q_edge in q_edges:
+            got = src[eta1[q_edge.eid]]
+            if got != eta0[q_edge.src]:
                 raise PreconditionError(
                     "BAD_SECTION",
                     f"edge section source mismatch at {q_edge.eid}: "
-                    f"{got!r} != {pack.eta0[q_edge.src]!r}")
+                    f"{action.name_at(VERTEX, got)!r} != "
+                    f"{pack.eta0[q_edge.src]!r}")
 
     c, d = derive_cocycles(action, quot, pack)
     skew = SkewLabeledGraph(SkewSpec(quot.quotient, action.group, c, d),
-                            _reconstruction_layers(action, quot, pack.eta0),
+                            _reconstruction_layers(action, quot, eta0),
                             window=None)
     form = skew.form
     rows = [_comparison_row(action, k, coordinates, section)
             for k, (coordinates, section) in enumerate(zip(
-                form.coordinates, (pack.eta0, pack.eta1, pack.etaA)))]
+                form.coordinates, (eta0, eta1, etaA)))]
 
     def named_iso() -> LabeledGraphMorphism:
         return LabeledGraphMorphism(skew.graph, action.graph, *(
@@ -408,7 +428,7 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
             raise VerificationError(
                 "comparison map leaves the carrier",
                 (KINDS[k], skew.item_names[k][row.index(-1)]))
-    morphism_report = verify_rows(form, action.core, rows)
+    morphism_report = verify_rows(form, action.form, rows)
     if not morphism_report.isomorphism:
         morphism_report = verify_morphism(named_iso())
         if not morphism_report.ok:
@@ -474,24 +494,25 @@ def identity_layer_sections(action: TranslationAction) -> SectionPack:
     """Sections picking the identity layer of every fiber; defined when
     that layer is materialized.  With these sections the derived cocycles
     coincide with the originating skew spec's cocycles.  The identity
-    layer of a base vertex is in the window when its form position is."""
+    layer of a base vertex is in the window when its form position is.
+    Only the items returned are named."""
     skew = action.skew
     identity = action.group.identity
     base = skew.spec.base
-    vertices, located = action.carrier(VERTEX), action.located(VERTEX)
+    located = action.located(VERTEX)
     eta0 = {}
     for q_vertex in base.vertices:
         j = located.get((q_vertex, identity))
         if j is None or j >= skew.form.window:
             raise PreconditionError(
                 "BAD_SECTION", f"identity layer of {q_vertex} is not in the window")
-        eta0[q_vertex] = vertices[j]
-    letters, located = action.carrier(LETTER), action.located(LETTER)
+        eta0[q_vertex] = action.name_at(VERTEX, j)
+    located = action.located(LETTER)
     etaA = {}
     for q_letter in base.alphabet:
         j = located.get((q_letter, identity))
         if j is None:
             raise PreconditionError(
                 "BAD_SECTION", f"identity layer of letter {q_letter} is missing")
-        etaA[q_letter] = letters[j]
+        etaA[q_letter] = action.name_at(LETTER, j)
     return SectionPack(eta0, etaA)

@@ -83,6 +83,11 @@ class SkewForm(NamedTuple):
     dst: list[int]
     lab: list[int]
 
+    @property
+    def carriers(self) -> tuple[list[tuple[str, Element]], ...]:
+        """The items by their coordinates, as a ``GraphCore`` lists them."""
+        return self.coordinates
+
 
 class SkewLabeledGraph:
     """A materialized skew product.
@@ -106,22 +111,24 @@ class SkewLabeledGraph:
     are :meth:`coordinates`, the form's own lists, and :meth:`located`,
     the form position at each (base item, layer): the constructor's own
     maps for vertices and letters, and one built on first read for
-    edges.  The named views are ``item_names``, ``window_vertices`` and
-    ``core``, the :class:`~labgraphs.labeled.GraphCore` of the skew
-    product in form order (its carriers are the names, its ``src``,
-    ``dst`` and ``lab`` the form's), which the translation action
-    (:class:`TranslationAction`) is built on.  Every item is named
-    ``(base id,layer)``, with one ``element_str`` call per distinct layer
-    and one string per item, which the edges that share a target or a
-    letter share.  No element string holds a comma, so a name splits at
-    its last comma into exactly one pair, and two pairs never share a
-    name.  Only ``graph``, the labeled graph by name, sorts the names,
-    as every labeled graph keeps its items in name order; the commands
-    that print items read it, and so does ``left_resolving`` (whose
-    witness names edges).  :func:`~labgraphs.gross_tucker.reconstruct`
-    checks the translation it is given in form order, so it sorts no
-    name, and its own skew product on the form alone, so it names none
-    of it unless a check fails.
+    edges.  The translation action (:class:`TranslationAction`) is built
+    on the form and these two views.  The named views are
+    ``item_names``, ``window_vertices`` and ``core``, the
+    :class:`~labgraphs.labeled.GraphCore` of the skew product in form
+    order (its carriers are the names, its ``src``, ``dst`` and ``lab``
+    the form's).  Every item is named ``(base id,layer)``, with one
+    ``element_str`` call per distinct layer and one string per item,
+    which the edges that share a target or a letter share.  No element
+    string holds a comma, so a name splits at its last comma into
+    exactly one pair, and two pairs never share a name; so
+    :meth:`name_at` names one item and :meth:`position` finds one,
+    without the others.  Only ``graph``, the labeled graph by name,
+    sorts the names, as every labeled graph keeps its items in name
+    order; the commands that print items read it, and so does
+    ``left_resolving`` (whose witness names edges).
+    :func:`~labgraphs.gross_tucker.reconstruct` checks the translation
+    it is given and its own skew product on the form alone, so it names
+    neither, but for the sections, unless a check fails.
 
     The window verdicts (``halo_vertices``, ``boundary_edges``,
     ``interior_vertices`` and ``interior_valid``) are computed from the
@@ -184,6 +191,9 @@ class SkewLabeledGraph:
             list(map(letter_at.__getitem__, labels)))
         # the edges' map is built on first read (:meth:`located`)
         self._located = [vertex_at, None, letter_at]
+        # each layer's text and each item's name, once formatted
+        self._texts: dict[Element, str] = {}
+        self._found: tuple[dict[str, int], ...] = ({}, {}, {})
 
         if (len(set(zip(form.dst, form.lab))) < len(form.dst)
                 and is_left_resolving(base)):
@@ -201,7 +211,9 @@ class SkewLabeledGraph:
         order."""
         layers = set(map(itemgetter(1), chain.from_iterable(
             self.form.coordinates)))
-        text = dict(zip(layers, map(self.spec.group.element_str, layers)))
+        text = self._texts
+        for g in layers - text.keys():
+            text[g] = self.spec.group.element_str(g)
         return tuple(tuple([f"({q},{text[g]})" for q, g in pairs])
                      for pairs in self.form.coordinates)
 
@@ -246,6 +258,56 @@ class SkewLabeledGraph:
             pairs = self.form.coordinates[k]
             found = self._located[k] = dict(zip(pairs, range(len(pairs))))
         return found
+
+    def name_at(self, k: int, j: int) -> str:
+        """The name of the item at position ``j`` of the ``k``-th kind,
+        from :attr:`item_names` once they are built, else formatted
+        alone."""
+        names = self.__dict__.get("item_names")
+        if names is not None:
+            return names[k][j]
+        q, g = self.form.coordinates[k][j]
+        text = self._texts.get(g)
+        if text is None:
+            text = self._texts[g] = self.spec.group.element_str(g)
+        name = f"({q},{text})"
+        self._found[k][name] = j
+        return name
+
+    def position(self, k: int, name: str) -> int:
+        """The position of the item of the ``k``-th kind named ``name``;
+        KeyError when there is none.  Once :attr:`item_names` are built
+        they decide; otherwise the name is read back into coordinates,
+        once: split at its last comma, its layer parsed per group kind
+        (integer text, or dot-joined integers for a permutation), and the
+        item :meth:`located` lists there is the one only if its name,
+        formatted again (:meth:`name_at`), is ``name``."""
+        if "item_names" in self.__dict__:
+            return self.core.positions[k][name]
+        j = self._found[k].get(name)
+        if j is None:
+            j = self._read(k, name)
+            if j is None:
+                raise KeyError(name)
+        return j
+
+    def _read(self, k: int, name) -> int | None:
+        if not (isinstance(name, str) and name[:1] == "("
+                and name[-1:] == ")" and "," in name):
+            return None
+        i = name.rfind(",")
+        q, text = name[1:i], name[i + 1:-1]
+        try:
+            if self.spec.group.kind != "permutation":
+                g = int(text)
+            else:
+                g = tuple(map(int, text.split("."))) if text else ()
+        except ValueError:
+            return None
+        j = self.located(KINDS[k]).get((q, g))
+        if j is None or self.name_at(k, j) != name:
+            return None
+        return j
 
     @cached_property
     def window_vertices(self) -> frozenset[str]:
@@ -305,12 +367,11 @@ class SkewLabeledGraph:
 #: before it builds anything, and raises :class:`SearchSpaceExceeded` above
 #: the cap.  Just under it, ``quotient fixtures/skewz.json --window
 #: 0:23830`` (bound 262,141, with 166,819 items built) peaks at
-#: 81.0-81.2 MB and takes 0.43-0.57 s in-process through ``cli.main``:
-#: building the form takes 0.16-0.23 s, naming the items and their
-#: positions (the translation's core) 0.07-0.11 s, the placement and
-#: the translation certificate 0.06-0.14 s, and the quotient
-#: 0.05-0.10 s; the skew product is never sorted by name (shared 2-core
-#: x86 container, Python 3.11).
+#: 60.1-60.3 MB and takes 0.24-0.32 s in-process through ``cli.main``:
+#: building the form takes 0.14-0.17 s, the placement and the
+#: translation certificate 0.05-0.09 s, and the quotient 0.03-0.04 s;
+#: no item is named, and the skew product is never sorted by name
+#: (shared 2-core x86 container, Python 3.11).
 MAX_ITEMS = 1 << 18
 
 
@@ -364,13 +425,16 @@ class TranslationAction(LabeledGraphAction):
     """Left translation g . (x, h) = (x, gh) on a materialized skew
     product; partial on windows.
 
-    The action is built on the skew product's integer core
-    (:attr:`SkewLabeledGraph.core`): its carriers are the items in form
-    order, named once and never sorted, and its positions are form
+    The action is built on the skew product's integer form
+    (:attr:`SkewLabeledGraph.form`), and its positions are form
     positions, which :meth:`coordinates` and :meth:`located` (the skew's
-    positional views) share.  Its ``graph``, the skew product by name in
-    name order, is built only when something reads it: the commands that
-    print items and the string oracles do, the checks do not.
+    positional views) share.  An item is its (base item, layer), as in
+    Gross--Tucker's derived graph on V x G, so the checks name none.
+    Its ``core``, the items by name in form order, and its ``graph``,
+    the skew product by name in name order, are built when something
+    reads them: the commands that print items, the failure witnesses and
+    the string oracles do.  :meth:`position` and :meth:`name_at` convert
+    one item at a time.
 
     Translation moves the item at (q, t), over the base item q at layer
     t, to the item at (q, g t), and never across fibers, so every image
@@ -379,12 +443,27 @@ class TranslationAction(LabeledGraphAction):
     windows alike."""
 
     def __init__(self, skew: SkewLabeledGraph):
-        super().__init__(skew.spec.group, skew.core)
+        super().__init__(skew.spec.group, skew.form)
         self.skew = skew
+
+    @property
+    def core(self) -> GraphCore:
+        return self.skew.core
 
     @property
     def graph(self) -> LabeledGraph:
         return self.skew.graph
+
+    def position(self, kind: str, item: str) -> int:
+        return self.skew.position(KINDS.index(kind), item)
+
+    def name_at(self, kind: str, x: int) -> str:
+        return self.skew.name_at(KINDS.index(kind), x)
+
+    def apply_at(self, g: Element, kind: str, x: int) -> int | None:
+        skew = self.skew
+        q, h = skew.coordinates(kind)[x]
+        return skew.located(kind).get((q, self.group.op(g, h)))
 
     def blocks(self, scope: Sequence[Element]) -> list[list[int]]:
         """The item-major block of each kind, in ``KINDS`` order, over the
@@ -436,10 +515,8 @@ class TranslationAction(LabeledGraphAction):
         return tuple(placed)
 
     def apply(self, g: Element, kind: str, item: str) -> str | None:
-        skew = self.skew
-        base, h = skew.coordinates(kind)[self.index(kind)[item]]
-        j = skew.located(kind).get((base, self.group.op(g, h)))
-        return None if j is None else self.carrier(kind)[j]
+        j = self.apply_at(g, kind, self.position(kind, item))
+        return None if j is None else self.name_at(kind, j)
 
     def interval_span(self) -> int | None:
         """The numeric width of all layers, max - min over every fiber;
@@ -457,9 +534,9 @@ class TranslationAction(LabeledGraphAction):
         layers = [g for ls in self.skew.layers.values() for g in ls]
         return max(layers) - min(layers) if layers else 0
 
-    def lifting_scope(self) -> tuple[str, ...]:
-        """The window vertices, in form order."""
-        return self.core.carriers[0][:self.skew.form.window]
+    def lifting_size(self) -> int:
+        """The number of window vertices, which come first in the form."""
+        return self.skew.form.window
 
     def base_isomorphism(self, quot: QuotientLabeledGraph
                          ) -> LabeledGraphMorphism:

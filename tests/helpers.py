@@ -443,6 +443,13 @@ def form_pairs(skew: SkewLabeledGraph,
     return dict(zip(skew.item_names[k], skew.form.coordinates[k]))
 
 
+#: The views of a skew product built from its integer form on first read
+#: that hold item names: the names, the form-order core and the views in
+#: name order.
+NAMED_VIEWS = ("item_names", "core", "graph", "window_vertices",
+               "left_resolving")
+
+
 def pair_id(base_id: str, element: Element, group: Group) -> str:
     return f"({base_id},{group.element_str(element)})"
 

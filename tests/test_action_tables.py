@@ -31,7 +31,8 @@ from labgraphs.labeled import LabeledGraph
 from labgraphs.morphism import identity_maps, is_surjective, verify_morphism
 from labgraphs.skew import SkewSpec, TranslationAction, skew_product
 
-from helpers import (StringSkew, assert_same_skew, equivariance_oracle,
+from helpers import (NAMED_VIEWS, StringSkew, assert_same_skew,
+                     equivariance_oracle,
                      find_fundamental_domain_by_candidates, form_pairs,
                      fish4_swap_action, interior_vertices_by_definition,
                      is_free_exhaustive,
@@ -102,13 +103,15 @@ def broken_z_action(rng: random.Random,
     """A windowed translation with the (base item, layer) coordinates of one
     item overwritten by those of another item of its kind, or of two items
     swapped, in the action's positional view after its items are named
-    and its ``located`` is built, which stays intact."""
+    (its ``core`` is read) and its ``located`` is built, which both stay
+    intact."""
     while True:
         action = build(rng)
         kind = rng.choice(KINDS)
         coords = action.coordinates(kind)
         if len(coords) >= 2:
             break
+    action.core
     action.located(kind)
     x, y = rng.sample(range(len(coords)), 2)
     if rng.random() < 0.5:
@@ -586,6 +589,35 @@ def test_intact_translations_skip_the_scans(name):
     assert all(action._placed)
     if isinstance(action, TranslationAction):
         assert "_columns" not in action.__dict__
+
+
+#: The intact translations, over integer windows and finite groups.
+TRANSLATION_CASES = sorted(
+    name for name in INTACT_TRANSLATIONS
+    if not name.endswith("finite") and "-finite-" not in name
+    and "-raw-" not in name)
+
+
+@pytest.mark.parametrize("name", TRANSLATION_CASES)
+def test_intact_translations_are_checked_unnamed(name, monkeypatch):
+    """``verify_action``, ``is_free`` and ``quotient`` on an intact
+    translation read its coordinates and its form: they format no
+    element, and build neither the translation's ``core`` nor any named
+    view of its skew product, nor the quotient's maps by name."""
+    action = INTACT_TRANSLATIONS[name]()
+    assert isinstance(action, TranslationAction)
+    calls: list = []
+    group_class = type(action.group)
+    element_str = group_class.element_str
+    monkeypatch.setattr(group_class, "element_str", lambda self, g: (
+        calls.append(g) or element_str(self, g)))
+    assert verify_action(action).ok
+    assert is_free(action)
+    quot = quotient(action)
+    assert calls == []
+    assert not set(NAMED_VIEWS) & set(vars(action.skew))
+    assert not {"projection", "vertex_orbit", "edge_orbit",
+                "letter_orbit"} & set(vars(quot))
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -88,13 +88,15 @@ class TestDeriveCocycles:
                              ids=["layer", "fiber"])
     def test_the_solver_checks_the_coordinates_it_reads(self, lie):
         """The element moving (v,0) onto (v,2) is read off their
-        coordinates and then checked with ``apply``: coordinates that lie
+        coordinates and then checked with ``apply_at``: coordinates that lie
         about the target's layer or fiber give no element, and the solver
-        refuses as on a non-free action."""
+        refuses as on a non-free action.  The items are named, through
+        ``index``, before the coordinates lie."""
         action, _ = fx.gt510()
-        action.coordinates(VERTEX)[action.index(VERTEX)["(v,2)"]] = lie
+        index = action.index(VERTEX)
+        action.coordinates(VERTEX)[index["(v,2)"]] = lie
         with pytest.raises(NonFreeWitness) as info:
-            _solve_translate(action, VERTEX, "(v,0)", "(v,2)")
+            _solve_translate(action, VERTEX, index["(v,0)"], index["(v,2)"])
         assert info.value.args[0] == ("0 elements move '(v,0)' to '(v,2)'; "
                                       "the action cannot be free")
         assert info.value.witness == ("(v,0)", "(v,2)", ())

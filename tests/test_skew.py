@@ -24,7 +24,7 @@ from labgraphs.skew import (SkewLabeledGraph, SkewSpec,
                             one_cocycle, project_path, relabel_iso,
                             skew_product, translation_quotient)
 
-from helpers import StringSkew, assert_same_skew, form_pairs
+from helpers import NAMED_VIEWS, StringSkew, assert_same_skew, form_pairs
 
 
 class TestMaterialization:
@@ -504,13 +504,10 @@ def test_reconstructions_leave_the_verdicts_unread(seed):
         assert_same_skew(skew, StringSkew(skew.spec, skew.layers, skew.window))
 
 
-#: The views of a skew product built from its integer form on first read:
-#: the named ones and the form-order core.
-NAMED_VIEWS = ("item_names", "core", "graph", "window_vertices",
-               "left_resolving")
-#: The views of the skew product acted on that a reconstruction leaves
-#: unread: the ones in name order.
-SORTED_VIEWS = ("graph", "window_vertices", "left_resolving")
+#: The fields of a quotient built on first read.
+QUOTIENT_VIEWS = ("projection", "vertex_orbit", "edge_orbit", "letter_orbit",
+                  "orbit_vertex_members", "orbit_edge_members",
+                  "orbit_letter_members")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -520,10 +517,11 @@ def test_reconstructions_check_their_skew_product_unnamed(seed):
     none of its named views is built, nor the record's ``iso``, on a
     windowed translation, a finite translation and an element-form
     action.  The skew product acted on by a windowed translation
-    reconstructed from its identity-layer sections is read in form
-    order: none of its views in name order is built.  Read afterwards,
-    they are the string oracle's, the isomorphism verifies and so does
-    the quotient's projection."""
+    reconstructed from its identity-layer sections is read by its
+    coordinates: none of its named views is built, nor any field of the
+    quotient built on first read.  Read afterwards, they are the string
+    oracle's, the isomorphism verifies and so does the quotient's
+    projection."""
     from labgraphs.gross_tucker import (identity_layer_sections, reconstruct,
                                         reconstruct_label_consistent)
     rng = random.Random(seed)
@@ -540,9 +538,8 @@ def test_reconstructions_check_their_skew_product_unnamed(seed):
     acted = left_translation(skew_product(SkewSpec(base, IntegerGroup(),
                                                    c, d), Window(-3, 3)))
     recs.append(reconstruct(acted, identity_layer_sections(acted)))
-    assert not set(SORTED_VIEWS) & set(vars(acted.skew))
-    assert not {"projection", "orbit_vertex_members", "orbit_edge_members",
-                "orbit_letter_members"} & set(vars(recs[-1].quotient))
+    assert not set(NAMED_VIEWS) & set(vars(acted.skew))
+    assert not set(QUOTIENT_VIEWS) & set(vars(recs[-1].quotient))
     for rec in recs:
         assert not set(NAMED_VIEWS) & set(vars(rec.skew)), rec.skew
         assert "iso" not in vars(rec)
@@ -564,3 +561,135 @@ def test_a_repeated_layer_is_refused():
     spec = fx.skewz_spec()
     with pytest.raises(PreconditionError, match="DUPLICATE_LAYER"):
         SkewLabeledGraph(spec, {"v": (0, 1, 0), "w": (0,)}, None)
+
+
+def _counting_element_str(monkeypatch, group_class) -> list:
+    """Record the element of every ``element_str`` call on ``group_class``."""
+    calls: list = []
+    element_str = group_class.element_str
+    monkeypatch.setattr(group_class, "element_str", lambda self, g: (
+        calls.append(g) or element_str(self, g)))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_checks_on_a_translation_name_no_item(seed, monkeypatch):
+    """``verify_action``, ``is_free`` and ``quotient`` on a windowed
+    translation read its coordinates: no ``element_str`` call, no named
+    view of the skew product and no field of the quotient built on first
+    read.  Reconstructing it from its identity-layer sections formats
+    only names it returns, at most one ``element_str`` call per base
+    vertex, edge and letter and none twice for one layer, and builds no
+    named view of either skew product."""
+    from labgraphs.gross_tucker import identity_layer_sections, reconstruct
+    calls = _counting_element_str(monkeypatch, IntegerGroup)
+    rng = random.Random(seed)
+    for reach in (9, 2):
+        base = fx.random_valid_labeled_graph(rng)
+        c = {e.eid: rng.randint(-reach, reach) for e in base.graph.edges}
+        d = {e.eid: rng.randint(-reach, reach) for e in base.graph.edges}
+        acted = left_translation(skew_product(
+            SkewSpec(base, IntegerGroup(), c, d),
+            Window(-3, rng.randint(2, 4))))
+        assert verify_action(acted).ok
+        assert is_free(acted)
+        quot = quotient(acted)
+        assert calls == []
+        assert not set(NAMED_VIEWS) & set(vars(acted.skew))
+        assert not set(QUOTIENT_VIEWS) & set(vars(quot))
+    # with cocycle values within the window, every identity layer is in it
+    rec = reconstruct(acted, identity_layer_sections(acted))
+    assert len(calls) <= (len(base.vertices) + len(base.graph.edges)
+                          + len(base.alphabet))
+    assert len(set(calls)) == len(calls)
+    for skew in (acted.skew, rec.skew):
+        assert not set(NAMED_VIEWS) & set(vars(skew)), skew
+    assert not set(QUOTIENT_VIEWS) & set(vars(rec.quotient))
+    assert (dict(rec.c), dict(rec.d)) == (c, d)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_names_and_positions_agree_with_the_item_names(seed):
+    """Before any name is built, ``name_at`` formats the name of each
+    item alone and ``position`` reads a name back to its item: both agree
+    with ``item_names`` on every item of every kind, over the integers
+    and over S3, and ``position`` finds no item under a name of another
+    kind or one that is spelled otherwise (KeyError)."""
+    rng = random.Random(seed)
+    group = rng.choice((IntegerGroup(),
+                        PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])))
+    base = fx.random_valid_labeled_graph(rng)
+    elements = range(-3, 4) if not group.is_finite else group.elements()
+    c = {e.eid: rng.choice(elements) for e in base.graph.edges}
+    d = {e.eid: rng.choice(elements) for e in base.graph.edges}
+    spec = SkewSpec(base, group, c, d)
+    window = None if group.is_finite else Window(-2, 2)
+    unnamed, named = skew_product(spec, window), skew_product(spec, window)
+    for k, names in enumerate(named.item_names):
+        assert [unnamed.name_at(k, j) for j in range(len(names))] == \
+            list(names)
+    fresh = skew_product(spec, window)
+    for k, names in enumerate(named.item_names):
+        assert [fresh.position(k, name) for name in names] == \
+            list(range(len(names)))
+        for other in (((k + 1) % 3, names[0]), (k, names[0][:-1] + " )")):
+            with pytest.raises(KeyError):
+                fresh.position(*other)
+    assert not set(NAMED_VIEWS) & (set(vars(unnamed)) | set(vars(fresh)))
+
+
+SPELLINGS = ["(w, 2)", "(w,+2)", "(w,02)", "(w,2 )", "(w,2", "w,2)", "(w)",
+             "(x,2)", "(w,2.0)", "(w,1_2)"]
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["unnamed", "named"])
+@pytest.mark.parametrize("spelled", SPELLINGS)
+def test_a_section_item_is_named_only_as_the_skew_names_it(spelled, named):
+    """A section item of a translation is found only under its own name:
+    ``(w, 2)``, ``(w,+2)`` and the other spellings of the item (w,2) are
+    unknown items, whether or not the items were named before."""
+    from labgraphs.gross_tucker import SectionPack, reconstruct
+    action, pack = fx.gt510()
+    if named:
+        action.core
+    with pytest.raises(PreconditionError) as info:
+        reconstruct(action, SectionPack({"v": "(v,0)", "w": spelled},
+                                        pack.etaA))
+    assert str(info.value) == (f"BAD_SECTION: vertex section hits unknown "
+                               f"item {spelled!r}")
+
+
+def test_letter_edge_and_permutation_items_are_named_only_one_way():
+    """Letter and edge sections are looked up as vertex sections are, and
+    over S3 a layer is its dot-joined one-line form: a leading zero, a
+    space, a sign or a trailing dot makes an unknown item, while the
+    section by the skew's own names reconstructs."""
+    from labgraphs.gross_tucker import (SectionPack, identity_layer_sections,
+                                        reconstruct)
+    action, pack = fx.gt510()
+    eta1 = {"e": "(e,0)", "f": "(f,0)", "g": "(g,2)"}
+    for what, spelled, bad in (
+            ("letter", "(0, 0)",
+             SectionPack(pack.eta0, {"0": "(0, 0)", "1": "(1,0)"})),
+            ("edge", "(f,+0)",
+             SectionPack(pack.eta0, pack.etaA, {**eta1, "f": "(f,+0)"}))):
+        with pytest.raises(PreconditionError) as info:
+            reconstruct(action, bad)
+        assert str(info.value) == (f"BAD_SECTION: {what} section hits "
+                                   f"unknown item {spelled!r}")
+    assert reconstruct(action, SectionPack(pack.eta0, pack.etaA, eta1)).c \
+        == {"e": 1, "f": -1, "g": 3}
+    base = fx.fish()
+    group = PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])
+    s3 = left_translation(skew_product(SkewSpec(
+        base, group, one_cocycle(base, group), one_cocycle(base, group))))
+    sections = identity_layer_sections(s3)
+    assert sections.eta0 == {"v": "(v,0.1.2)", "w": "(w,0.1.2)"}
+    for spelled in ("(v,0.1.02)", "(v,0. 1.2)", "(v,0.1.2.)", "(v,+0.1.2)",
+                    "(v,012)", "(v,)"):
+        with pytest.raises(PreconditionError) as info:
+            reconstruct(s3, SectionPack({**sections.eta0, "v": spelled},
+                                        sections.etaA))
+        assert str(info.value) == (f"BAD_SECTION: vertex section hits "
+                                   f"unknown item {spelled!r}")
+    assert reconstruct(s3, sections).morphism_report.isomorphism
