@@ -31,18 +31,18 @@ class LabeledGraphAction:
 
     Every action carries its items in one positional ``form``: per edge
     the positions of its source, target and label (``src``, ``dst`` and
-    ``lab``), and per kind a carrier, whose length is all the checks
-    read of it.  A :class:`FiniteAction`'s form is its graph's
+    ``lab``), and per kind its items, which the checks only count
+    (:meth:`sizes`).  A :class:`FiniteAction`'s form is its graph's
     :class:`~labgraphs.labeled.GraphCore`, in name order, and so is its
     ``core``; a translation's is its skew product's integer form, and
     its ``core`` (the items by name) and named ``graph`` are built only
     when something reads them.  The checks (verification, freeness,
     quotients and reconstruction) read the form, and name an item only
-    to report a failure or return a section.  Besides the string-level
-    ``apply``, and ``apply_at`` in positions, every action exposes the
-    images of its scope as one item-major block of integers per kind
-    (:meth:`columns`, at the form's positions), which the scans that
-    name failures run on, and the (fiber, layer) of each item
+    to report a failure, return a section or confirm a cocycle value
+    through ``apply``.  Besides the string-level ``apply``, every action
+    exposes the images of its scope as one item-major block of integers
+    per kind (:meth:`columns`, at the form's positions), which the scans
+    that name failures run on, and the (fiber, layer) of each item
     (:meth:`coordinates`) with the item at each (fiber, layer)
     (:meth:`located`).  By Gross--Tucker a free action is the left
     translation on a skew product over its quotient: a placed action
@@ -54,24 +54,15 @@ class LabeledGraphAction:
 
     group: Group
     graph: LabeledGraph
+    core: GraphCore
 
     def __init__(self, group: Group, form):
         self.group = group
         self.form = form
         self._orbits: dict[str, tuple[tuple[str, ...], ...]] = {}
 
-    @property
-    def core(self) -> GraphCore:
-        return self.form
-
     def apply(self, g: Element, kind: str, item: str) -> str | None:
         raise NotImplementedError
-
-    def apply_at(self, g: Element, kind: str, x: int) -> int | None:
-        """:meth:`apply` in positions: the position of the image under
-        ``g`` of the item at position ``x``, None where it has none."""
-        image = self.apply(g, kind, self.name_at(kind, x))
-        return None if image is None else self.position(kind, image)
 
     def carrier(self, kind: str) -> Sequence[str]:
         return self.core.carriers[_KIND_INDEX[kind]]
@@ -86,6 +77,10 @@ class LabeledGraphAction:
 
     def name_at(self, kind: str, x: int) -> str:
         return self.carrier(kind)[x]
+
+    def sizes(self) -> list[int]:
+        """The number of items of each kind, in ``KINDS`` order."""
+        return list(map(len, self.form.carriers))
 
     def coordinates(self, kind: str) -> Sequence[tuple[str, Element] | None]:
         """The (fiber, layer) of each carrier item, in carrier order.  The
@@ -197,7 +192,7 @@ class LabeledGraphAction:
         return self.carrier(VERTEX)[:self.lifting_size()]
 
     def lifting_size(self) -> int:
-        return len(self.form.carriers[0])
+        return self.sizes()[0]
 
     @cached_property
     def _orbit_at(self) -> tuple[list[str], ...]:
@@ -291,7 +286,7 @@ class FiniteAction(LabeledGraphAction):
                 "raw actions are accepted for finite groups only; present "
                 "integer actions as skew products")
         super().__init__(group, graph.core)
-        self.graph = graph
+        self.graph, self.core = graph, graph.core
         elements = set(group.elements())
         if set(maps) != elements:
             raise PreconditionError(
@@ -457,7 +452,7 @@ def layer_pairs(action: LabeledGraphAction,
 def homomorphism_triples(action: LabeledGraphAction) -> int:
     """The (g, h, item) triples of the homomorphism law: the pairs of
     :func:`homomorphism_pairs` times the carrier size."""
-    return homomorphism_pairs(action) * sum(map(len, action.form.carriers))
+    return homomorphism_pairs(action) * sum(action.sizes())
 
 
 def verify_action(action: LabeledGraphAction) -> ActionReport:

@@ -116,20 +116,22 @@ def _edge_lifts(action: LabeledGraphAction, quot: QuotientLabeledGraph,
 
 
 def _solve_translate(action: LabeledGraphAction, kind: str,
-                     source: int, target: int) -> Element:
-    """The unique h with alpha_h(source) = target, on positions of a
-    placed kind: h = t s^-1 for the source at (q, s) and the target at
-    (q, t), once ``apply_at`` confirms it.  Across fibers, or
-    unconfirmed, no element moves source to target and
+                     source: str, target: int) -> Element:
+    """The unique h with alpha_h(source) = target, on a placed kind, for
+    the item named ``source``, as a section names it, and the item at
+    position ``target``, as the form gives it: h = t s^-1 for the source
+    at (q, s) and the target at (q, t), once ``apply`` confirms it.
+    Across fibers, or unconfirmed, no element moves source to target and
     :class:`NonFreeWitness` is raised.  On a window h may lie outside
     the scope, as a halo target may."""
     coords = action.coordinates(kind)
-    (q, s), (p, t) = coords[source], coords[target]
+    (q, s), (p, t) = coords[action.position(kind, source)], coords[target]
     if q == p:
         h = action.group.op(t, action.group.inv(s))
-        if action.apply_at(h, kind, source) == target:
+        image = action.apply(h, kind, source)
+        if image is not None and action.position(kind, image) == target:
             return h
-    source, target = action.name_at(kind, source), action.name_at(kind, target)
+    target = action.name_at(kind, target)
     raise NonFreeWitness(
         f"0 elements move {source!r} to {target!r}; "
         f"the action cannot be free", (source, target, ()))
@@ -140,21 +142,21 @@ def derive_cocycles(action: LabeledGraphAction, quot: QuotientLabeledGraph,
     """c moves the sectioned range onto the range of the sectioned edge;
     d does the same on letters.  The pack's items are looked up by name,
     and the sectioned edge's range and label read from the action's
-    form.  Uniqueness is what freeness buys, and it is asserted at
+    form; each value is confirmed by ``apply`` (:func:`_solve_translate`).
+    Uniqueness is what freeness buys, and it is asserted at
     runtime by the solver."""
-    form, position = action.form, action.position
+    form = action.form
     eta1 = pack.eta1
     assert eta1 is not None
     labeling = quot.quotient.labeling
     c: dict[str, Element] = {}
     d: dict[str, Element] = {}
     for q_eid, _, q_dst in quot.quotient.graph.edges:
-        e = position(EDGE, eta1[q_eid])
-        c[q_eid] = _solve_translate(
-            action, VERTEX, position(VERTEX, pack.eta0[q_dst]), form.dst[e])
-        d[q_eid] = _solve_translate(
-            action, LETTER, position(LETTER, pack.etaA[labeling[q_eid]]),
-            form.lab[e])
+        e = action.position(EDGE, eta1[q_eid])
+        c[q_eid] = _solve_translate(action, VERTEX, pack.eta0[q_dst],
+                                    form.dst[e])
+        d[q_eid] = _solve_translate(action, LETTER,
+                                    pack.etaA[labeling[q_eid]], form.lab[e])
     return c, d
 
 
@@ -351,9 +353,11 @@ def _equivariance_offsets(action: LabeledGraphAction,
             found = factors.get(q)
             if found is None:
                 factors[q] = (p, op(inv(h), u))
+                fibers[q] = [h]
             elif found[0] != p or op(h, found[1]) != u:
                 return None
-            fibers.setdefault(q, []).append(h)
+            else:
+                fibers[q].append(h)
         checked += layer_pairs(action, fibers.values())
     return checked
 
@@ -365,8 +369,9 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
     computed it.
 
     The sections are looked up by name once (:func:`_validate_eta`);
-    all that follows runs in positions.  The skew
-    product over the quotient is built in its integer form only, and phi
+    all that follows runs in positions, but for the confirmation of
+    each cocycle value through ``apply`` (:func:`derive_cocycles`),
+    which names its image.  The skew product over the quotient is built in its integer form only, and phi
     is read into positions in the action's carriers
     (:func:`_comparison_row`).  Its totality, the morphism laws and
     bijectivity (:func:`~labgraphs.morphism.verify_rows`) and the
@@ -428,7 +433,7 @@ def _reconstruct(action: LabeledGraphAction, pack: SectionPack | None,
             raise VerificationError(
                 "comparison map leaves the carrier",
                 (KINDS[k], skew.item_names[k][row.index(-1)]))
-    morphism_report = verify_rows(form, action.form, rows)
+    morphism_report = verify_rows(form, action.form, rows, action.sizes())
     if not morphism_report.isomorphism:
         morphism_report = verify_morphism(named_iso())
         if not morphism_report.ok:

@@ -71,6 +71,13 @@ class Group:
     def element_str(self, a: Element) -> str:
         return str(a)
 
+    def parse_element(self, text: str) -> Element:
+        """The element that :meth:`element_str` may have written as
+        ``text``; ValueError when none.  Other spellings of it parse too,
+        so a caller that needs the one spelling formats the result again
+        and compares."""
+        return int(text)
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -318,6 +325,9 @@ class PermutationGroup(Group):
 
     def element_str(self, a) -> str:
         return ".".join(str(x) for x in a)
+
+    def parse_element(self, text: str):
+        return tuple(map(int, text.split("."))) if text else ()
 
     def to_json(self) -> dict:
         return {"kind": "permutation", "degree": self.degree,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .labeled import Check, GraphCore, LabeledGraph
@@ -55,18 +55,19 @@ def verify_morphism(m: LabeledGraphMorphism) -> MorphismReport:
             rows.append(_pick(positions, _pick(mapping, domain)))
         except KeyError:
             return _map_failure(mapping, domain, positions, what)
-    report = verify_rows(src, dst, rows)
+    report = verify_rows(src, dst, rows, map(len, dst.carriers))
     return report if report.ok else _law_failure(src, dst, *rows)
 
 
-def verify_rows(src, dst: GraphCore, rows: Sequence[Sequence[int]]
-                ) -> MorphismReport:
+def verify_rows(src, dst, rows: Sequence[Sequence[int]],
+                sizes: Iterable[int]) -> MorphismReport:
     """The morphism laws and bijectivity of the maps ``rows``, read into
     positions: ``rows`` holds the vertex, edge and letter maps, each the
     position in ``dst``'s carrier of the image of every source item, in
-    the source's order, and ``src`` the source's ``src``, ``dst`` and
-    ``lab`` arrays in that order (a :class:`GraphCore`, or the integer
-    form of a skew product).  The laws compare the edge arrays of the two
+    the source's order, ``src`` and ``dst`` give each side's ``src``,
+    ``dst`` and ``lab`` arrays in that order (a :class:`GraphCore`, or
+    the integer form of a skew product), and ``sizes`` the number of
+    items of each kind of ``dst``.  The laws compare the edge arrays of the two
     sides as whole tuples.  A failed law gives ``MorphismReport(False,
     False)`` with no witness, since the source's items need not have
     names yet; :func:`verify_morphism` names the first edge that breaks
@@ -76,8 +77,8 @@ def verify_rows(src, dst: GraphCore, rows: Sequence[Sequence[int]]
             and _pick(vrow, src.src) == _pick(dst.src, erow)
             and _pick(arow, src.lab) == _pick(dst.lab, erow)):
         return MorphismReport(False, False)
-    iso = all(len(set(row)) == len(row) == len(items)
-              for row, items in zip(rows, dst.carriers))
+    iso = all(len(set(row)) == len(row) == size
+              for row, size in zip(rows, sizes))
     return MorphismReport(True, iso)
 
 

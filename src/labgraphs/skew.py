@@ -83,11 +83,6 @@ class SkewForm(NamedTuple):
     dst: list[int]
     lab: list[int]
 
-    @property
-    def carriers(self) -> tuple[list[tuple[str, Element]], ...]:
-        """The items by their coordinates, as a ``GraphCore`` lists them."""
-        return self.coordinates
-
 
 class SkewLabeledGraph:
     """A materialized skew product.
@@ -128,7 +123,8 @@ class SkewLabeledGraph:
     ``left_resolving`` (whose witness names edges).
     :func:`~labgraphs.gross_tucker.reconstruct` checks the translation
     it is given and its own skew product on the form alone, so it names
-    neither, but for the sections, unless a check fails.
+    neither, but for the sections and the image of each cocycle value
+    that ``apply`` confirms, unless a check fails.
 
     The window verdicts (``halo_vertices``, ``boundary_edges``,
     ``interior_vertices`` and ``interior_valid``) are computed from the
@@ -278,10 +274,10 @@ class SkewLabeledGraph:
         """The position of the item of the ``k``-th kind named ``name``;
         KeyError when there is none.  Once :attr:`item_names` are built
         they decide; otherwise the name is read back into coordinates,
-        once: split at its last comma, its layer parsed per group kind
-        (integer text, or dot-joined integers for a permutation), and the
-        item :meth:`located` lists there is the one only if its name,
-        formatted again (:meth:`name_at`), is ``name``."""
+        once: split at its last comma, its layer parsed
+        (:meth:`~labgraphs.groups.Group.parse_element`), and the item
+        :meth:`located` lists there is the one only if its name, formatted
+        again (:meth:`name_at`), is ``name``."""
         if "item_names" in self.__dict__:
             return self.core.positions[k][name]
         j = self._found[k].get(name)
@@ -298,10 +294,7 @@ class SkewLabeledGraph:
         i = name.rfind(",")
         q, text = name[1:i], name[i + 1:-1]
         try:
-            if self.spec.group.kind != "permutation":
-                g = int(text)
-            else:
-                g = tuple(map(int, text.split("."))) if text else ()
+            g = self.spec.group.parse_element(text)
         except ValueError:
             return None
         j = self.located(KINDS[k]).get((q, g))
@@ -367,7 +360,7 @@ class SkewLabeledGraph:
 #: before it builds anything, and raises :class:`SearchSpaceExceeded` above
 #: the cap.  Just under it, ``quotient fixtures/skewz.json --window
 #: 0:23830`` (bound 262,141, with 166,819 items built) peaks at
-#: 60.1-60.3 MB and takes 0.24-0.32 s in-process through ``cli.main``:
+#: 60.1-60.3 MB and takes 0.24-0.36 s in-process through ``cli.main``:
 #: building the form takes 0.14-0.17 s, the placement and the
 #: translation certificate 0.05-0.09 s, and the quotient 0.03-0.04 s;
 #: no item is named, and the skew product is never sorted by name
@@ -460,10 +453,8 @@ class TranslationAction(LabeledGraphAction):
     def name_at(self, kind: str, x: int) -> str:
         return self.skew.name_at(KINDS.index(kind), x)
 
-    def apply_at(self, g: Element, kind: str, x: int) -> int | None:
-        skew = self.skew
-        q, h = skew.coordinates(kind)[x]
-        return skew.located(kind).get((q, self.group.op(g, h)))
+    def sizes(self) -> list[int]:
+        return list(map(len, self.skew.form.coordinates))
 
     def blocks(self, scope: Sequence[Element]) -> list[list[int]]:
         """The item-major block of each kind, in ``KINDS`` order, over the
@@ -515,8 +506,10 @@ class TranslationAction(LabeledGraphAction):
         return tuple(placed)
 
     def apply(self, g: Element, kind: str, item: str) -> str | None:
-        j = self.apply_at(g, kind, self.position(kind, item))
-        return None if j is None else self.name_at(kind, j)
+        skew, k = self.skew, KINDS.index(kind)
+        q, h = skew.form.coordinates[k][skew.position(k, item)]
+        j = skew.located(kind).get((q, self.group.op(g, h)))
+        return None if j is None else skew.name_at(k, j)
 
     def interval_span(self) -> int | None:
         """The numeric width of all layers, max - min over every fiber;

@@ -83,12 +83,29 @@ class TestDeriveCocycles:
         assert quot.quotient.labeling["f"] == quot.quotient.labeling["g"]
         assert d["f"] != d["g"]
 
+    def test_each_value_is_confirmed_by_apply(self, monkeypatch):
+        """A reconstruction confirms each value of c on vertices and of d
+        on letters with the action's ``apply``, by name, once per
+        quotient edge and kind."""
+        from labgraphs.skew import TranslationAction
+        calls = []
+        apply = TranslationAction.apply
+
+        def counting(self, g, kind, item):
+            calls.append(kind)
+            return apply(self, g, kind, item)
+
+        monkeypatch.setattr(TranslationAction, "apply", counting)
+        action, pack = fx.gt510()
+        rec = reconstruct(action, pack)
+        edges = len(rec.quotient.quotient.graph.edges)
+        assert sorted(calls) == ["letter"] * edges + ["vertex"] * edges
 
     @pytest.mark.parametrize("lie", [("v", 1), ("w", 2)],
                              ids=["layer", "fiber"])
     def test_the_solver_checks_the_coordinates_it_reads(self, lie):
         """The element moving (v,0) onto (v,2) is read off their
-        coordinates and then checked with ``apply_at``: coordinates that lie
+        coordinates and then checked with ``apply``: coordinates that lie
         about the target's layer or fiber give no element, and the solver
         refuses as on a non-free action.  The items are named, through
         ``index``, before the coordinates lie."""
@@ -96,7 +113,7 @@ class TestDeriveCocycles:
         index = action.index(VERTEX)
         action.coordinates(VERTEX)[index["(v,2)"]] = lie
         with pytest.raises(NonFreeWitness) as info:
-            _solve_translate(action, VERTEX, index["(v,0)"], index["(v,2)"])
+            _solve_translate(action, VERTEX, "(v,0)", index["(v,2)"])
         assert info.value.args[0] == ("0 elements move '(v,0)' to '(v,2)'; "
                                       "the action cannot be free")
         assert info.value.witness == ("(v,0)", "(v,2)", ())

@@ -179,3 +179,22 @@ class TestWindow:
         path = fx.fish().graph.make_path(["e"])
         with pytest.raises(OutOfWindow):
             lift_path(skew, path, 3)
+
+
+@pytest.mark.parametrize("group", [
+    IntegerGroup(), CyclicGroup(5),
+    TableGroup([[i ^ j for j in range(4)] for i in range(4)]),
+    PermutationGroup(3, [(1, 0, 2), (1, 2, 0)]), PermutationGroup(0, [])],
+    ids=["integers", "cyclic", "table", "permutation", "degree 0"])
+def test_parse_element_reads_what_element_str_writes(group):
+    """``parse_element`` inverts ``element_str`` on every element; a text
+    it cannot read raises ValueError, and another spelling of an element
+    parses but does not format back to itself."""
+    elements = range(-12, 13) if not group.is_finite else group.elements()
+    for a in elements:
+        assert group.parse_element(group.element_str(a)) == a
+    for text in ("x", "1,2", "1..2", " "):
+        with pytest.raises(ValueError):
+            group.parse_element(text)
+    spelled = "+1" if group.kind != "permutation" else "+0"
+    assert group.element_str(group.parse_element(spelled)) != spelled

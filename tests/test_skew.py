@@ -578,9 +578,10 @@ def test_the_checks_on_a_translation_name_no_item(seed, monkeypatch):
     translation read its coordinates: no ``element_str`` call, no named
     view of the skew product and no field of the quotient built on first
     read.  Reconstructing it from its identity-layer sections formats
-    only names it returns, at most one ``element_str`` call per base
-    vertex, edge and letter and none twice for one layer, and builds no
-    named view of either skew product."""
+    only the names it returns and the images that ``apply`` confirms,
+    with at most one ``element_str`` call per base vertex, edge and
+    letter and none twice for one layer, and builds no named view of
+    either skew product."""
     from labgraphs.gross_tucker import identity_layer_sections, reconstruct
     calls = _counting_element_str(monkeypatch, IntegerGroup)
     rng = random.Random(seed)
